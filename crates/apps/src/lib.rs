@@ -37,7 +37,6 @@
 pub mod scalar_phase;
 
 use mom_cpu::{OooCore, SimResult};
-use mom_isa::pipe::BatchSink;
 use mom_isa::trace::{Broadcast, IsaKind, Trace, TraceSink};
 use mom_kernels::{build_kernel, KernelError, KernelKind, KernelParams};
 use mom_mem::MemorySystem;
@@ -327,33 +326,6 @@ pub fn stream_app_multi<S: TraceSink>(
     Ok((reports, interpreted))
 }
 
-/// The pipelined flavour of [`stream_app_multi`]: each lane's sink is a
-/// [`BatchSink`] publishing batches into bounded channels whose receivers
-/// drain on their own threads (see [`mom_isa::pipe`]).
-///
-/// Identical interpretation to [`stream_app_multi`] — same phase order, same
-/// per-lane streams, scalar phases interpreted once — followed by a
-/// [`BatchSink::finish`] per lane to flush the final partial batches and
-/// close the channels. On a kernel error the lanes are dropped *without*
-/// flushing, which still closes every channel, so blocked consumer threads
-/// always observe end-of-stream and terminate.
-///
-/// # Errors
-///
-/// Returns a [`KernelError`] if any kernel phase of any lane fails to
-/// execute or does not match its golden reference.
-pub fn stream_app_pipelined(
-    kind: AppKind,
-    params: &AppParams,
-    mut lanes: Vec<(IsaKind, BatchSink)>,
-) -> Result<(Vec<Vec<PhaseReport>>, u64), KernelError> {
-    let result = stream_app_multi(kind, params, &mut lanes)?;
-    for (_, sink) in lanes {
-        sink.finish();
-    }
-    Ok(result)
-}
-
 /// Build an application for the given ISA: run every phase functionally
 /// (kernels are verified against their references) and collect the
 /// concatenated trace — the collecting wrapper over [`stream_app`].
@@ -527,7 +499,7 @@ mod tests {
 
     #[test]
     fn pipelined_app_stream_is_bit_identical_to_independent_runs() {
-        use mom_isa::pipe::batch_channel;
+        use mom_isa::pipe::{batch_channel, BatchSink};
         use mom_mem::MemModelKind;
 
         // One interpreter thread publishing into per-member channels, each
@@ -559,7 +531,10 @@ mod tests {
                     scope.spawn(move || (isa, way, machine.consume_batches(rx)))
                 })
                 .collect();
-            stream_app_pipelined(AppKind::GsmEncode, &params, lanes).expect("pipelined app runs");
+            stream_app_multi(AppKind::GsmEncode, &params, &mut lanes).expect("pipelined app runs");
+            for (_, sink) in lanes {
+                sink.finish();
+            }
             handles.into_iter().map(|h| h.join().expect("consumer thread")).collect()
         });
 

@@ -15,5 +15,5 @@ use mom_lab::spec::ExperimentSpec;
 fn main() {
     let scale = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1);
     let spec = ExperimentSpec::builtin("figure7", scale, mom_lab::fast_mode()).expect("built-in spec");
-    print!("{}", mom_lab::report::render(&mom_lab::run(&spec)));
+    print!("{}", mom_lab::report::render(&mom_lab::run(&spec, &mom_lab::RunOptions::default())));
 }

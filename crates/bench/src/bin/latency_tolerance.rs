@@ -16,5 +16,5 @@ fn main() {
     let scale = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1);
     let spec = ExperimentSpec::builtin("latency_tolerance", scale, mom_lab::fast_mode())
         .expect("built-in spec");
-    print!("{}", mom_lab::report::render(&mom_lab::run(&spec)));
+    print!("{}", mom_lab::report::render(&mom_lab::run(&spec, &mom_lab::RunOptions::default())));
 }

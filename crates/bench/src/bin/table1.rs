@@ -8,5 +8,5 @@ use mom_lab::spec::ExperimentSpec;
 
 fn main() {
     let spec = ExperimentSpec::builtin("table1", 1, mom_lab::fast_mode()).expect("built-in spec");
-    print!("{}", mom_lab::report::render(&mom_lab::run(&spec)));
+    print!("{}", mom_lab::report::render(&mom_lab::run(&spec, &mom_lab::RunOptions::default())));
 }

@@ -115,7 +115,7 @@ pub fn kernel_traces(kernel: KernelKind, params: &KernelParams) -> Vec<(IsaKind,
 /// the historic serial loop (see the runner's determinism guarantee).
 pub fn figure5(kernels: &[KernelKind], scale: usize, mem_latency: u64) -> Vec<KernelPoint> {
     let spec = figure5_spec(kernels, scale, mem_latency, false);
-    let result = mom_lab::run(&spec);
+    let result = mom_lab::run(&spec, &mom_lab::RunOptions::default());
     result
         .cells()
         .expect("figure5 is a grid experiment")
@@ -150,7 +150,7 @@ pub struct LatencyPoint {
 /// The Section 4.1 latency-tolerance experiment.
 pub fn latency_tolerance(kernels: &[KernelKind], scale: usize, way: usize) -> Vec<LatencyPoint> {
     let spec = latency_spec(kernels, scale, way, false);
-    let result = mom_lab::run(&spec);
+    let result = mom_lab::run(&spec, &mom_lab::RunOptions::default());
     let cells = result.cells().expect("latency study is a grid experiment");
     let cycles_at = |kernel: &str, isa: IsaKind, latency: u64| -> u64 {
         cells
@@ -258,7 +258,7 @@ pub struct AppPoint {
 /// cache hierarchies.
 pub fn figure7(apps: &[AppKind], scale: usize, widths: &[usize]) -> Vec<AppPoint> {
     let spec = figure7_spec(apps, scale, widths, false);
-    let result = mom_lab::run(&spec);
+    let result = mom_lab::run(&spec, &mom_lab::RunOptions::default());
     result
         .cells()
         .expect("figure7 is a grid experiment")

@@ -231,26 +231,15 @@ impl SimMachine {
         self.memory.load_state(d)
     }
 
-    /// Replay a materialized trace on this machine (the batch path of the
-    /// experiment runner). Equivalent to feeding every instruction through
-    /// [`SimMachine::sim`].
+    /// Replay a materialized trace on this machine — the reference the
+    /// streaming paths are tested against. Equivalent to feeding every
+    /// instruction through [`SimMachine::sim`].
     pub fn simulate_trace(&mut self, trace: &Trace) -> SimResult {
         let mut sim = self.sim();
         for inst in &trace.insts {
             sim.feed(inst);
         }
         sim.finish()
-    }
-
-    /// The probed variant of [`SimMachine::simulate_trace`]: same timing,
-    /// plus the verified attribution report.
-    pub fn simulate_trace_probed(&mut self, trace: &Trace) -> (SimResult, ProbeReport) {
-        let mut sim = self.sim_probed();
-        for inst in &trace.insts {
-            sim.feed(inst);
-        }
-        let (result, probe) = sim.finish_probed();
-        (result, probe.into_report())
     }
 
     /// Drain a batch channel to completion: the consumer half of the

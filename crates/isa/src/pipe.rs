@@ -13,10 +13,10 @@
 //! The building blocks:
 //!
 //! * [`batch_channel`] — a bounded single-producer single-consumer channel of
-//!   [`Batch`]es, hand-rolled on [`Mutex`] + [`Condvar`] (no external crates).
-//!   Dropping either endpoint closes the channel: a closed-receiver `send`
-//!   returns [`Disconnected`], a closed-sender `recv` drains the queue and
-//!   then returns `None`.
+//!   [`Batch`]es over [`std::sync::mpsc::sync_channel`]. Dropping either
+//!   endpoint closes the channel: a closed-receiver `send` returns
+//!   [`Disconnected`] (and discards what was queued), a closed-sender `recv`
+//!   drains the queue and then returns `None`.
 //! * [`BatchSink`] — a [`TraceSink`] that accumulates instructions into a
 //!   batch and, when full, sends one `Arc` clone of the batch to every member
 //!   channel in member order. Call [`BatchSink::finish`] to flush the final
@@ -25,12 +25,12 @@
 //!   consumers instead of blocking on a full channel during unwind).
 //!
 //! Batches are contiguous slices so a future SIMD decode/execute stage can
-//! process them without re-gathering (ROADMAP item 2).
+//! process them without re-gathering.
 
 use crate::trace::{DynInst, TraceSink};
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 
 /// A contiguous, immutable run of dynamic instructions in program order,
 /// cheaply shareable across consumer threads.
@@ -55,34 +55,13 @@ impl fmt::Display for Disconnected {
 
 impl std::error::Error for Disconnected {}
 
-#[derive(Debug)]
-struct Inner {
-    queue: VecDeque<Batch>,
-    capacity: usize,
-    sender_alive: bool,
-    receiver_alive: bool,
-}
-
-#[derive(Debug)]
-struct Shared {
-    inner: Mutex<Inner>,
-    /// Signalled when a slot frees up or the receiver goes away.
-    not_full: Condvar,
-    /// Signalled when a batch arrives or the sender goes away.
-    not_empty: Condvar,
-}
-
 /// Producer endpoint of a bounded batch channel (see [`batch_channel`]).
 #[derive(Debug)]
-pub struct BatchSender {
-    shared: Arc<Shared>,
-}
+pub struct BatchSender(SyncSender<Batch>);
 
 /// Consumer endpoint of a bounded batch channel (see [`batch_channel`]).
 #[derive(Debug)]
-pub struct BatchReceiver {
-    shared: Arc<Shared>,
-}
+pub struct BatchReceiver(Receiver<Batch>);
 
 /// Create a bounded SPSC channel carrying [`Batch`]es.
 ///
@@ -92,17 +71,8 @@ pub struct BatchReceiver {
 /// memory. Both endpoints are `Send`, so producer and consumer can live on
 /// different threads; neither is `Clone` (single producer, single consumer).
 pub fn batch_channel(capacity: usize) -> (BatchSender, BatchReceiver) {
-    let shared = Arc::new(Shared {
-        inner: Mutex::new(Inner {
-            queue: VecDeque::with_capacity(capacity.max(1)),
-            capacity: capacity.max(1),
-            sender_alive: true,
-            receiver_alive: true,
-        }),
-        not_full: Condvar::new(),
-        not_empty: Condvar::new(),
-    });
-    (BatchSender { shared: Arc::clone(&shared) }, BatchReceiver { shared })
+    let (tx, rx) = sync_channel(capacity.max(1));
+    (BatchSender(tx), BatchReceiver(rx))
 }
 
 impl BatchSender {
@@ -111,27 +81,7 @@ impl BatchSender {
     /// Returns [`Disconnected`] if the receiver has been dropped (including
     /// while blocked waiting for space) — the batch is discarded in that case.
     pub fn send(&self, batch: Batch) -> Result<(), Disconnected> {
-        let mut inner = self.shared.inner.lock().expect("batch channel poisoned");
-        loop {
-            if !inner.receiver_alive {
-                return Err(Disconnected);
-            }
-            if inner.queue.len() < inner.capacity {
-                inner.queue.push_back(batch);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            inner = self.shared.not_full.wait(inner).expect("batch channel poisoned");
-        }
-    }
-}
-
-impl Drop for BatchSender {
-    fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock().expect("batch channel poisoned");
-        inner.sender_alive = false;
-        drop(inner);
-        self.shared.not_empty.notify_all();
+        self.0.send(batch).map_err(|_| Disconnected)
     }
 }
 
@@ -142,27 +92,7 @@ impl BatchReceiver {
     /// drained — already-enqueued batches are always delivered first, so a
     /// producer that `finish()`es and exits loses nothing.
     pub fn recv(&self) -> Option<Batch> {
-        let mut inner = self.shared.inner.lock().expect("batch channel poisoned");
-        loop {
-            if let Some(batch) = inner.queue.pop_front() {
-                self.shared.not_full.notify_one();
-                return Some(batch);
-            }
-            if !inner.sender_alive {
-                return None;
-            }
-            inner = self.shared.not_empty.wait(inner).expect("batch channel poisoned");
-        }
-    }
-}
-
-impl Drop for BatchReceiver {
-    fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock().expect("batch channel poisoned");
-        inner.receiver_alive = false;
-        inner.queue.clear();
-        drop(inner);
-        self.shared.not_full.notify_all();
+        self.0.recv().ok()
     }
 }
 

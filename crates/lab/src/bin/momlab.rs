@@ -23,18 +23,18 @@
 //!   `config_hash`)
 //! * `--workers N` — worker threads (default: min(cpus, 8), overridable via
 //!   `MOM_LAB_WORKERS`; 1 = serial)
-//! * `--streamed` — fused *per-cell* streaming: each cell re-interprets its
-//!   workload and feeds its simulator directly (byte-identical results;
-//!   O(ROB) memory per cell). `MOM_LAB_STREAM=1` sets the same default
-//! * `--materialized` — the classic two-stage path: build each distinct
-//!   trace once, replay it per cell. Without either flag the runner uses the
-//!   **fan-out** mode: one functional pass per `(workload, ISA)` group,
-//!   fanned out to all member simulators (byte-identical, and the functional
-//!   work drops by the factor reported in `meta.shared_passes`). With 2+
-//!   workers the fan-out pipelines: the interpreter publishes instruction
-//!   batches through bounded channels to one consumer thread per member
-//!   (`meta.pipeline` records batch size, channel capacity and occupancy;
-//!   `MOM_LAB_BATCH` / `MOM_LAB_CHANNEL` tune the knobs)
+//! * `--streamed` — *per-cell* groups: each cell re-interprets its workload
+//!   and feeds its simulator directly (byte-identical results; O(ROB) memory
+//!   per cell). `MOM_LAB_STREAM=1` sets the same default. Without it the
+//!   runner uses the **fan-out** grouping: one functional pass per
+//!   `(workload, ISA)` group, fanned out to all member simulators
+//!   (byte-identical, and the functional work drops by the factor reported
+//!   in `meta.shared_passes`). With 2+ workers a multi-member group
+//!   pipelines: the interpreter publishes instruction batches through
+//!   bounded channels to consumer threads (`meta.pipeline` records batch
+//!   size, channel capacity and occupancy; `MOM_LAB_BATCH` /
+//!   `MOM_LAB_CHANNEL` tune the knobs). `--materialized` (trace replay) was
+//!   removed and is rejected with an error
 //! * `--sampled` — SMARTS-style sampled simulation: each cell simulates a
 //!   detailed warm-up + measurement unit at the head of every sampling
 //!   period and functionally fast-forwards the rest, so wall-clock scales
@@ -105,7 +105,7 @@ use mom_lab::cache::{CacheEntry, CellCache};
 use mom_lab::json::Value;
 use mom_lab::runner::ExecMode;
 use mom_lab::spec::{sweep_spec, ExperimentKind, ExperimentSpec, SweepDims, BUILTIN_EXPERIMENTS};
-use mom_lab::{report, runner};
+use mom_lab::{report, runner, RunOptions};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -126,7 +126,7 @@ Usage:
   momlab describe <NAME>... [--sweep-dims SPEC]
   momlab run <NAME>... | --all [--experiment NAME]... [--kernel K]... [--app A]...
              [--isa I]... [--scale N] [--seed N] [--workers N] [--streamed]
-             [--materialized] [--sampled] [--sample-unit N] [--sample-warmup N]
+             [--sampled] [--sample-unit N] [--sample-warmup N]
              [--sample-period N] [--checkpoint-dir DIR] [--resume]
              [--sweep-dims SPEC] [--json FILE] [--out-dir DIR] [--results-only]
              [--no-json] [--quiet] [--baseline FILE] [--compare FILE]
@@ -141,8 +141,8 @@ Built-in experiments: table1 table2 table3 isa_inventory figure5
 
 Execution modes: the default fan-out runner shares one functional pass per
 (workload, ISA) group across all member machines — pipelined across threads
-at 2+ workers; --streamed runs the fused per-cell pipeline; --materialized
-builds and replays traces. All three are byte-identical in their results.
+at 2+ workers; --streamed makes every cell a group of its own. Both are
+byte-identical in their results.
 --sampled trades exactness for wall-clock: per sampling period (default
 100000 insts) it simulates a detailed warm-up (2000) plus a measured unit
 (1000) and fast-forwards the rest, reporting per-cell IPC estimates with
@@ -197,7 +197,6 @@ struct Options {
     seed: Option<u64>,
     workers: Option<usize>,
     streamed: bool,
-    materialized: bool,
     sampled: bool,
     sample_unit: Option<u64>,
     sample_warmup: Option<u64>,
@@ -263,7 +262,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     Some(value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?)
             }
             "--streamed" => opts.streamed = true,
-            "--materialized" => opts.materialized = true,
+            "--materialized" => {
+                return Err("--materialized was removed: the runner no longer replays \
+                            materialized traces; --streamed gives byte-identical per-cell runs"
+                    .into())
+            }
             "--sampled" => opts.sampled = true,
             "--sample-unit" => {
                 opts.sample_unit = Some(
@@ -571,12 +574,10 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
         return Err("--compare applies to a single experiment".into());
     }
     let workers = opts.workers.unwrap_or_else(runner::default_workers);
-    if [opts.streamed, opts.materialized, opts.sampled].iter().filter(|&&f| f).count() > 1 {
-        return Err("--streamed, --materialized and --sampled are mutually exclusive".into());
+    if opts.streamed && opts.sampled {
+        return Err("--streamed and --sampled are mutually exclusive".into());
     }
-    let mode = if opts.materialized {
-        ExecMode::Materialized
-    } else if opts.sampled {
+    let mode = if opts.sampled {
         let unit_insts = opts.sample_unit.unwrap_or(runner::DEFAULT_SAMPLE_UNIT);
         let warmup_insts = opts.sample_warmup.unwrap_or(runner::DEFAULT_SAMPLE_WARMUP);
         let period = opts.sample_period.unwrap_or(runner::DEFAULT_SAMPLE_PERIOD);
@@ -625,13 +626,15 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
     });
     let mut trace_processes: Vec<(String, Vec<runner::SpanRec>)> = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
-        let result = runner::run_cached(
+        let result = runner::run(
             spec,
-            workers,
-            mode,
-            !opts.quiet,
-            checkpoints.as_ref(),
-            cache.as_ref(),
+            &RunOptions {
+                workers,
+                mode,
+                progress: !opts.quiet,
+                checkpoints: checkpoints.clone(),
+                cache: cache.as_ref(),
+            },
         );
         if let Some(meta) = &result.cache {
             eprintln!(
@@ -876,7 +879,7 @@ fn cmd_cache_verify(cache: &CellCache, opts: &Options) -> Result<ExitCode, Strin
             }
             None => ExecMode::Streamed,
         };
-        runner::run_cached(&spec, workers, mode, false, None, Some(&tmp));
+        runner::run(&spec, &RunOptions { workers, mode, cache: Some(&tmp), ..Default::default() });
         for entry in members {
             let key = entry.key.as_ref().expect("grouped entries have keys");
             let stored = std::fs::read(&entry.path)

@@ -21,8 +21,8 @@
 //! experiment name, fast flag, workload set, machine configs, ROB/latency
 //! overrides, widths, scale and seed), the cell identity, and the sampling
 //! knobs. Exact records carry no sampling knobs at all, so a cache filled by
-//! any exact mode (fanout, streamed, materialized, or `--sampled
-//! --sample-period 0`) serves hits to every other exact mode — their results
+//! any exact mode (fanout, streamed, or `--sampled --sample-period 0`)
+//! serves hits to every other exact mode — their results
 //! are byte-identical by the determinism guarantee. Sampled records with a
 //! nonzero period key separately per `(unit, warmup, period)` triple.
 //!

@@ -25,12 +25,13 @@
 //!
 //! ```
 //! use mom_lab::spec::ExperimentSpec;
-//! use mom_lab::{report, runner};
+//! use mom_lab::{report, runner, RunOptions};
 //!
 //! // Run a reduced Figure 5 on 4 workers; serial would give identical bytes.
 //! let spec = ExperimentSpec::builtin("figure5", 1, true).expect("built-in name");
-//! let result = runner::run_with(&spec, 4);
-//! assert_eq!(result.results_json(), runner::run_with(&spec, 1).results_json());
+//! let result = runner::run(&spec, &RunOptions::with_workers(4));
+//! let serial = runner::run(&spec, &RunOptions::with_workers(1));
+//! assert_eq!(result.results_json(), serial.results_json());
 //! assert!(report::render(&result).starts_with("Figure 5"));
 //! ```
 
@@ -39,17 +40,18 @@
 
 pub mod baseline;
 pub mod cache;
+mod document;
 pub mod json;
 pub mod report;
 pub mod runner;
+mod sampling;
 pub mod spec;
 pub mod tables;
 pub mod trace;
 
 pub use cache::{engine_fingerprint, CacheMeta, CellCache, CellKey, CellRecord, SamplingKnobs};
 pub use runner::{
-    run, run_cached, run_streamed, run_with, run_with_mode, run_with_mode_progress,
-    run_with_options, CellResult, CellSampling, CheckpointConfig, ExecMode, PoolStats, RunResult,
+    run, CellResult, CellSampling, CheckpointConfig, ExecMode, PoolStats, RunOptions, RunResult,
     SpanRec, DEFAULT_SAMPLE_PERIOD, DEFAULT_SAMPLE_UNIT, DEFAULT_SAMPLE_WARMUP,
 };
 pub use spec::{ExperimentSpec, GridSpec, SweepDims, Workload, BUILTIN_EXPERIMENTS};
@@ -78,13 +80,12 @@ pub fn fast_mode_marker() -> &'static str {
     report::fast_marker(fast_mode())
 }
 
-/// Whether the `MOM_LAB_STREAM` environment variable requests the fused
-/// streaming execution mode ([`runner::run_streamed`]) by default.
+/// Whether the `MOM_LAB_STREAM` environment variable requests the per-cell
+/// execution mode ([`ExecMode::Streamed`]) by default.
 ///
-/// In streamed mode every grid cell re-interprets its workload and feeds the
-/// timing simulator directly — no materialized traces, per-cell memory
-/// bounded by the simulator's O(ROB) window — producing byte-identical
-/// results to the materialized path. Any non-empty value other than `0`
+/// In streamed mode every grid cell is a group of its own: it re-interprets
+/// its workload and feeds its timing simulator directly, producing results
+/// byte-identical to the shared fan-out. Any non-empty value other than `0`
 /// enables it; the `momlab --streamed` flag does the same per invocation.
 /// Cached in a [`OnceLock`] like [`fast_mode`].
 pub fn stream_mode() -> bool {

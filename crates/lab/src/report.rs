@@ -237,9 +237,9 @@ pub fn describe(spec: &ExperimentSpec) -> String {
         return out;
     };
     let cells = grid.cells();
-    // The shared-pass count comes from the fan-out runner's own grouping
-    // function, so the printed number can never drift from what runs.
-    let passes = crate::runner::fanout_groups(grid, &cells).len();
+    // The shared-pass count comes from the runner's own grouping function,
+    // so the printed number can never drift from what runs.
+    let passes = crate::runner::groups(grid, &cells, crate::runner::ExecMode::Fanout).len();
     let _ = writeln!(
         out,
         "{}: {} cells over {} shared functional passes{}",
@@ -378,7 +378,7 @@ pub fn render_breakdown(result: &RunResult) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_with;
+    use crate::runner::{run, RunOptions};
     use crate::spec::StaticKind;
 
     #[test]
@@ -391,7 +391,7 @@ mod tests {
         ] {
             let spec = ExperimentSpec::builtin(name, 1, true).unwrap();
             assert!(matches!(spec.kind, crate::spec::ExperimentKind::Static(_)));
-            let text = render(&run_with(&spec, 1));
+            let text = render(&run(&spec, &RunOptions::with_workers(1)));
             assert!(text.starts_with(header), "{name} header drifted:\n{text}");
             assert!(
                 !text.contains("[fast mode"),
@@ -442,20 +442,20 @@ mod tests {
     #[test]
     fn breakdown_stack_renders_for_grids_only() {
         let spec = ExperimentSpec::builtin("figure5", 1, true).unwrap();
-        let result = run_with(&spec, 1);
+        let result = run(&spec, &RunOptions::with_workers(1));
         let text = render_breakdown(&result).unwrap();
         assert!(text.starts_with("Stall-cycle attribution"), "{text}");
         assert!(text.contains(" cycles — "), "{text}");
         // Every cell gets a line, and shares are percentages of the total.
         assert_eq!(text.lines().count(), 1 + result.cells().unwrap().len());
         let table = ExperimentSpec::builtin("table1", 1, true).unwrap();
-        assert!(render_breakdown(&run_with(&table, 1)).is_none());
+        assert!(render_breakdown(&run(&table, &RunOptions::with_workers(1))).is_none());
     }
 
     #[test]
     fn baseline_free_grids_render_ipc_tables() {
         let spec = ExperimentSpec::builtin("sweep", 1, true).unwrap();
-        let result = run_with(&spec, 2);
+        let result = run(&spec, &RunOptions::with_workers(2));
         let text = render(&result);
         assert!(text.starts_with("Design-space sweep"), "{text}");
         assert!(text.contains("(IPC)"), "{text}");

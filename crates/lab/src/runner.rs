@@ -1,114 +1,115 @@
 //! The parallel experiment runner.
 //!
-//! Grid experiments run in one of four execution modes ([`ExecMode`]):
+//! Every grid run takes one path. The cells that miss the result cache are
+//! partitioned into **groups** — a group is one functional interpretation
+//! whose graduated instructions fan out to the streaming timing simulators
+//! of all its member machines — and the groups are scheduled on a pool of
+//! workers. The execution mode ([`ExecMode`]) only decides the grouping:
 //!
-//! * [`ExecMode::Fanout`] — **the default**: the grid's cells are regrouped
-//!   into `(workload, ISA)` groups; each group runs **one** functional
-//!   interpretation of its workload (kernels verified against the golden
-//!   reference) whose graduated instructions fan out to the streaming
-//!   timing simulators of every member machine configuration. The
-//!   interpreter's work is amortized across the whole group — Figure 5's
-//!   128 cells cost 32 functional passes — and no trace is ever
-//!   materialized. With 2+ workers the fan-out is **pipelined**: the
-//!   interpreter publishes `DynInst`
-//!   batches into bounded per-member channels and each member simulates on
-//!   its own worker, with backpressure keeping peak memory per group at
-//!   `members x O(ROB + batch x capacity)`. One worker falls back to
-//!   driving a serial `Broadcast` on the interpreter's thread.
-//! * [`ExecMode::Streamed`] — the fused per-cell pipeline of the streaming
-//!   era: every cell re-interprets its workload and graduates instructions
-//!   straight into its own simulator, O(ROB) per cell.
-//! * [`ExecMode::Materialized`] — the classic two-stage path: build every
-//!   distinct `(workload, ISA)` trace once, then replay it per cell.
-//! * [`ExecMode::Sampled`] — SMARTS-style statistical sampling: each cell
-//!   alternates detailed warm-up and measurement windows with functional
-//!   fast-forwarding, so wall-clock scales with the number of samples
-//!   instead of the workload length. Results are **estimates** (reported
-//!   with per-cell confidence intervals in a `sampling` results section) —
-//!   except at sampling rate 1 (`period == 0`), which routes through the
-//!   streamed code path and is byte-identical to the exact modes. Sampled
-//!   kernel cells can persist [`Checkpoint`]s between periods (see
-//!   [`CheckpointConfig`]) and resume from them bit-exactly.
+//! * [`ExecMode::Fanout`] — **the default**: one group per `(kernel, ISA)`,
+//!   and one per application spanning all of its ISAs (kernel phases are
+//!   interpreted per ISA lane, the ISA-independent scalar phases once for
+//!   every lane). The interpreter's work is amortized across the group —
+//!   Figure 5's 128 cells cost 32 functional passes — and no trace is ever
+//!   materialized.
+//! * [`ExecMode::Streamed`] — one singleton group per cell: every cell
+//!   re-interprets its workload straight into its own simulator. The same
+//!   code without the sharing, and per-cell parallelism when a grid has
+//!   fewer groups than workers.
+//! * [`ExecMode::Sampled`] — singleton groups whose cells alternate detailed
+//!   warm-up and measurement windows with functional fast-forwarding
+//!   (SMARTS-style, see the `sampling` module), so wall-clock scales with the
+//!   number of samples instead of the workload length. Results are
+//!   **estimates** reported with per-cell confidence intervals in a
+//!   `sampling` results section — except at sampling rate 1
+//!   (`period == 0`), which *is* the streamed run. Sampled kernel cells can
+//!   persist checkpoints between periods (see [`CheckpointConfig`]) and
+//!   resume from them bit-exactly.
 //!
-//! The three exact modes are **byte-identical** in their results — the
+//! A group runs as one work item: its interpreter drives every member
+//! simulator through a serial `Broadcast` on one worker. With 2+ workers a
+//! group of several members **pipelines** instead: the interpreter
+//! publishes `DynInst` batches into bounded per-member channels drained by
+//! consumer shards on other workers, with backpressure keeping peak memory
+//! per group at `members x O(ROB + batch x capacity)`.
+//!
+//! The exact modes are **byte-identical** in their results — the
 //! determinism guarantee below covers the execution mode as well as the
 //! worker count — and the chosen mode is recorded only in the JSON `meta`
 //! section, along with the functional-sharing accounting
-//! (`meta.shared_passes`). Sampled runs (period > 0) are equally
-//! deterministic for fixed sampling parameters, but their cell results are
-//! statistical estimates, not the exact cycle counts.
+//! (`meta.shared_passes`) and one scheduler span per work item
+//! (`meta.spans`).
 //!
 //! Machines are built from the declarative [`MachineDescriptor`] resolved by
-//! each grid cell and **reused across work units**: every worker keeps a
+//! each grid cell and **reused across work items**: every worker keeps a
 //! pool of instantiated machines keyed by descriptor and `reset()`s them
 //! between cells instead of reallocating predictor tables, ring buffers and
 //! cache arrays (a reset machine is bit-identical to a fresh one; the
 //! `mom-cpu`/`mom-mem` test suites pin that property).
 //!
-//! Work is distributed by a shared atomic cursor (idle workers steal the next
-//! unclaimed index), and every result is written back to the slot of its cell
-//! index. Since each cell's simulation is a pure function of the spec, the
-//! result vector — and therefore the JSON document — is **bit-identical**
-//! regardless of worker count or scheduling. [`determinism`] states the
-//! guarantee; `tests/determinism.rs` enforces it.
+//! Work items are claimed in order from a shared atomic cursor, and every
+//! result is written back to the slot of its cell index. Since each cell's
+//! simulation is a pure function of the spec, the result vector — and
+//! therefore the JSON document — is **bit-identical** regardless of worker
+//! count or scheduling. [`determinism`] states the guarantee;
+//! `tests/determinism.rs` enforces it.
 //!
 //! [`determinism`]: self#determinism
 //!
 //! # Determinism
 //!
 //! For any spec `s`, worker counts `a, b >= 1` and **exact** execution modes
-//! `m, n` (everything except `Sampled` with `period > 0`):
-//! `run_with_mode(&s, a, m).results_json() ==
-//! run_with_mode(&s, b, n).results_json()` — byte-for-byte. Only the `meta`
-//! section of the full document (wall-clock, worker count, mode, sharing
-//! accounting) may differ between runs. A sampled run is byte-identical to
-//! another sampled run with the same parameters at any worker count, and at
+//! `m, n` (everything except `Sampled` with `period > 0`), the runs
+//! `run(&s, &RunOptions { workers: a, mode: m, ..Default::default() })` and
+//! `run(&s, &RunOptions { workers: b, mode: n, ..Default::default() })`
+//! serialize to the same `results_json()` bytes. Only the `meta` section of
+//! the full document (wall-clock, worker count, mode, sharing accounting)
+//! may differ between runs. A sampled run is byte-identical to another
+//! sampled run with the same parameters at any worker count, and at
 //! `period == 0` byte-identical to the exact modes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use mom_apps::{stream_app, stream_app_multi, stream_app_pipelined, AppKind, AppParams};
-use mom_core::{snapshot, ExecCursor, Machine};
+use mom_apps::{stream_app_multi, AppParams};
 use mom_cpu::{
-    AttributionProbe, Checkpoint, IntervalStats, MachineDescriptor, ProbeReport, SimMachine,
-    SimResult, SimStream, StallBreakdown,
+    AttributionProbe, IntervalStats, MachineDescriptor, ProbeReport, SimMachine, SimResult,
+    SimStream, StallBreakdown,
 };
-use mom_isa::codec::{CodecError, Decoder, Encoder};
 use mom_isa::pipe::{batch_channel, BatchReceiver, BatchSink};
-use mom_isa::trace::{Broadcast, DynInst, IsaKind, Trace, TraceSink};
-use mom_kernels::{build_kernel, BuiltKernel, KernelKind, KernelParams};
-use mom_mem::cache::CacheStats;
+use mom_isa::trace::{Broadcast, IsaKind, TraceSink};
+use mom_kernels::{build_kernel, KernelParams};
 use mom_mem::{MemModelKind, MemSystemStats};
 
 use crate::cache::{engine_fingerprint, CacheMeta, CellCache, CellKey, CellRecord, SamplingKnobs};
-use crate::json::Value;
+pub use crate::document::mem_label;
+pub use crate::sampling::CheckpointConfig;
+use crate::sampling::{run_sampled_app_cell, run_sampled_kernel_cell, CkptContext, SamplingParams};
 use crate::spec::{BaselinePolicy, Cell, ExperimentKind, ExperimentSpec, GridSpec, Workload};
 use crate::tables::{static_rows, StaticRows};
 
-/// How a grid experiment executes its cells. The three exact modes are
-/// byte-identical in their results; the mode only decides how the functional
-/// interpreter's work is scheduled and shared. [`ExecMode::Sampled`] with a
+/// How a grid experiment groups its cells. The exact modes are
+/// byte-identical in their results; the mode only decides how much of the
+/// functional interpreter's work is shared. [`ExecMode::Sampled`] with a
 /// nonzero period trades exactness for wall-clock: its cells are statistical
 /// estimates with confidence intervals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Build every distinct `(workload, ISA)` trace once, replay it per cell.
-    Materialized,
-    /// Fused per-cell pipeline: each cell re-interprets its workload straight
-    /// into its simulator (O(ROB) per cell, one functional pass per cell).
+    /// One singleton group per cell: each cell re-interprets its workload
+    /// straight into its simulator (O(ROB) per cell, one functional pass per
+    /// cell).
     Streamed,
     /// Shared-functional-pass fan-out (the default): one interpretation per
-    /// `(workload, ISA)` group broadcast to all member simulators.
+    /// `(kernel, ISA)` group, and per application across all of its ISAs,
+    /// feeding every member simulator.
     ///
     /// Note the parallel work unit coarsens from cells to groups: a grid
     /// whose group count is below the worker count leaves workers idle
-    /// (the full `sweep` is 4 groups), trading wall-clock parallelism for
-    /// the amortized functional work. On hosts with many cores and
-    /// simulation-bound grids, `Streamed`/`Materialized` keep per-cell
+    /// unless its groups pipeline (the full `sweep` is 4 groups), trading
+    /// wall-clock parallelism for the amortized functional work. On hosts
+    /// with many cores and simulation-bound grids, `Streamed` keeps per-cell
     /// parallelism at the cost of per-cell interpretation.
     Fanout,
     /// SMARTS-style sampled simulation: every sampling period of
@@ -121,8 +122,7 @@ pub enum ExecMode {
     /// in the results is `total_insts / ipc_mean`.
     ///
     /// `period == 0` is the **rate-1 sentinel**: every instruction is
-    /// simulated in detail and the run routes through the exact streamed
-    /// code path, making the results byte-identical to [`ExecMode::Streamed`]
+    /// simulated in detail and the run is exactly [`ExecMode::Streamed`]
     /// (the correctness gate of the sampling machinery). Otherwise `period`
     /// must be at least `warmup_insts + unit_insts` and `unit_insts` at
     /// least 1.
@@ -148,23 +148,16 @@ impl ExecMode {
     /// The `meta.mode` label of the JSON schema.
     pub fn label(self) -> &'static str {
         match self {
-            ExecMode::Materialized => "materialized",
             ExecMode::Streamed => "streamed",
             ExecMode::Fanout => "fanout",
             ExecMode::Sampled { .. } => "sampled",
         }
     }
 
-    /// Whether instructions graduate straight into the simulators without a
-    /// materialized trace (the `meta.streamed` flag of the JSON schema).
-    pub fn is_streamed(self) -> bool {
-        !matches!(self, ExecMode::Materialized)
-    }
-
     /// Whether this mode produces statistical estimates instead of exact
     /// cycle counts (`Sampled` with a nonzero period).
     pub fn is_estimated(self) -> bool {
-        matches!(self, ExecMode::Sampled { period, .. } if period > 0)
+        SamplingParams::of(self).is_some()
     }
 }
 
@@ -286,18 +279,16 @@ pub struct RunResult {
     /// Per-cell wall-clock simulation time in nanoseconds, parallel to the
     /// grid cells (empty for static experiments). Feeds the `insts_per_sec`
     /// throughput figures of the JSON `meta` section; like all wall-clock
-    /// data it lives outside the deterministic results. In fan-out mode every
-    /// member of a `(workload, ISA)` group carries the group's shared span.
+    /// data it lives outside the deterministic results. Every member of a
+    /// group carries the group's shared span.
     pub cell_wall_ns: Vec<u64>,
-    /// Total wall-clock nanoseconds of the distinct simulation work units
-    /// (cells, or groups in fan-out mode). Unlike summing `cell_wall_ns`,
-    /// this never counts a shared group span more than once.
+    /// Total wall-clock nanoseconds of the distinct groups. Unlike summing
+    /// `cell_wall_ns`, this never counts a shared group span more than once.
     pub sim_wall_ns: u64,
-    /// Number of functional interpreter passes the run performed: one per
-    /// fan-out group in fan-out mode (per `(kernel, ISA)` for kernels, per
-    /// *app* for applications — their scalar phases interpret once across
-    /// all ISA lanes), one per distinct `(workload, ISA)` pair in
-    /// materialized mode, one per cell in streamed mode. Zero for static
+    /// Number of functional interpreter passes the run performed — one per
+    /// group: per `(kernel, ISA)` for kernels and per *app* for applications
+    /// in fan-out mode (their scalar phases interpret once across all ISA
+    /// lanes), one per cell in the per-cell modes. Zero for static
     /// experiments.
     pub functional_passes: usize,
     /// Dynamic instructions the functional interpreter actually executed
@@ -305,16 +296,16 @@ pub struct RunResult {
     /// what per-cell interpretation would have cost; the ratio of the two is
     /// the `meta.shared_passes.sharing_factor`.
     pub functional_instructions: u64,
-    /// Pipelined fan-out accounting (`Some` exactly when the pipelined
-    /// scheduler ran: [`ExecMode::Fanout`] with 2+ workers). All wall-clock
-    /// derived — `meta`-only, never part of the deterministic results.
+    /// Pipelined fan-out accounting (`Some` exactly when a grid ran on 2+
+    /// workers, so groups could pipeline). All wall-clock derived —
+    /// `meta`-only, never part of the deterministic results.
     pub pipeline: Option<PipelineStats>,
-    /// Scheduler spans recorded by the fan-out runner: one per work item
-    /// (serial group, interpreter, consumer shard) with wall-clock extent,
-    /// channel wait time and the worker that executed it. Feeds `meta.spans`
+    /// Scheduler spans: one per work item (serial group, interpreter,
+    /// consumer shard) with wall-clock extent, channel wait time and the
+    /// worker that executed it, in every execution mode. Feeds `meta.spans`
     /// and the Chrome trace export of `momlab run --trace-out`. Wall-clock
-    /// data, so `meta`-only; empty in streamed/materialized modes and for
-    /// static experiments.
+    /// data, so `meta`-only; empty for static experiments and fully cached
+    /// runs.
     pub spans: Vec<SpanRec>,
     /// Machine-pool reuse accounting: machines reset-and-reused versus built
     /// fresh across all workers (`meta.pool`; wall-clock-free but scheduling
@@ -339,7 +330,7 @@ pub struct RunResult {
     pub data: RunData,
 }
 
-/// One recorded span of the fan-out scheduler: a work item's identity,
+/// One recorded span of the scheduler: a work item's identity,
 /// wall-clock extent relative to the grid run's epoch, and — for consumer
 /// shards — the time spent blocked on the batch channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -371,7 +362,8 @@ pub struct PoolStats {
     pub builds: u64,
 }
 
-/// Accounting of one pipelined fan-out run, recorded under `meta.pipeline`.
+/// Pipeline accounting of one multi-worker grid run, recorded under
+/// `meta.pipeline`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineStats {
     /// Instructions per published batch ([`crate::pipeline_batch_insts`]).
@@ -381,8 +373,9 @@ pub struct PipelineStats {
     pub channel_batches: usize,
     /// Groups that ran as interpreter + consumer-shard pipelines.
     pub pipelined_groups: usize,
-    /// Groups that fell back to the serial one-worker Broadcast path
-    /// (application groups with more ISA lanes than the worker budget).
+    /// Groups that ran serially on one worker through a `Broadcast`:
+    /// one-member groups, and groups with more ISA lanes than the worker
+    /// budget.
     pub serial_groups: usize,
     /// Fraction of consumer-shard wall-clock spent simulating rather than
     /// blocked on the channel (`None` when no group pipelined). Low
@@ -403,92 +396,50 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
-/// Run an experiment with [`default_workers`] in the default
-/// ([`ExecMode::Fanout`]) execution mode.
-pub fn run(spec: &ExperimentSpec) -> RunResult {
-    run_with(spec, default_workers())
-}
-
-/// Run an experiment with an explicit worker count (`1` forces a fully
-/// serial run; results are identical either way — see the
-/// [module docs](self#determinism)) in the default fan-out mode.
-pub fn run_with(spec: &ExperimentSpec, workers: usize) -> RunResult {
-    run_with_mode(spec, workers, ExecMode::Fanout)
-}
-
-/// Run an experiment through the fused per-cell streaming pipeline
-/// ([`ExecMode::Streamed`]). Results are **byte-identical** to [`run_with`]
-/// — the determinism guarantee extends across execution modes.
-pub fn run_streamed(spec: &ExperimentSpec, workers: usize) -> RunResult {
-    run_with_mode(spec, workers, ExecMode::Streamed)
-}
-
-/// Run an experiment with an explicit worker count and [`ExecMode`].
-pub fn run_with_mode(spec: &ExperimentSpec, workers: usize, mode: ExecMode) -> RunResult {
-    run_with_mode_progress(spec, workers, mode, false)
-}
-
-/// Like [`run_with_mode`], optionally emitting live progress lines on stderr
-/// as pipeline work items complete — each names its fan-out group and, for
-/// consumer shards, reports the shard's channel occupancy (`momlab run`
-/// passes its non-quiet flag here). Progress output never touches stdout or
-/// the results.
-pub fn run_with_mode_progress(
-    spec: &ExperimentSpec,
-    workers: usize,
-    mode: ExecMode,
-    progress: bool,
-) -> RunResult {
-    run_with_options(spec, workers, mode, progress, None)
-}
-
-/// Where a sampled run persists per-cell [`Checkpoint`]s, and whether it
-/// should resume from checkpoint files already on disk (`momlab run
-/// --checkpoint-dir` / `--resume`). Only kernel cells of
-/// [`ExecMode::Sampled`] runs with a nonzero period checkpoint; every other
-/// mode ignores this configuration. Files are rewritten atomically at most
-/// every `CKPT_INTERVAL_INSTS` (~10M) executed instructions, plus once at
-/// cell completion.
+/// How to run an experiment. [`RunOptions::default`] is the fan-out mode on
+/// [`default_workers`] threads, quiet, with neither checkpoints nor a cache.
 #[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// Directory the checkpoint files live in (created if missing).
-    pub dir: PathBuf,
-    /// Resume cells from existing checkpoint files instead of starting over.
-    /// A checkpoint file that does not match the spec, cell or sampling
-    /// parameters fails loudly rather than silently corrupting the run.
-    pub resume: bool,
+pub struct RunOptions<'a> {
+    /// Worker threads; `1` runs every work item on the calling thread (and
+    /// `0` counts as `1`). Results are identical either way — see the
+    /// [module docs](self#determinism).
+    pub workers: usize,
+    /// How the grid's cells are grouped and simulated.
+    pub mode: ExecMode,
+    /// Emit a live stderr line as each work item completes, naming its group
+    /// and, for consumer shards, the shard's channel occupancy. Progress
+    /// output never touches stdout or the results.
+    pub progress: bool,
+    /// Where a sampled run persists per-cell checkpoints; every other mode
+    /// ignores it.
+    pub checkpoints: Option<CheckpointConfig>,
+    /// A persistent content-addressed cell result cache: hit cells skip
+    /// interpretation and simulation entirely and are rebuilt from their
+    /// stored [`CellRecord`]s; miss cells simulate as usual and fill the
+    /// cache afterwards. The results document is byte-identical either way
+    /// (speed-ups are re-derived at assembly, so records stay
+    /// baseline-policy-agnostic), and `meta.cache` records the
+    /// hit/miss/fill accounting.
+    pub cache: Option<&'a CellCache>,
 }
 
-/// Resolved checkpoint context of one sampled grid run: the user's
-/// [`CheckpointConfig`] plus the identity every checkpoint file is written
-/// with and validated against on resume.
-#[derive(Debug)]
-struct CkptContext {
-    cfg: CheckpointConfig,
-    spec_name: String,
-    config_hash: String,
-    unit: u64,
-    warmup: u64,
-    period: u64,
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        Self {
+            workers: default_workers(),
+            mode: ExecMode::Fanout,
+            progress: false,
+            checkpoints: None,
+            cache: None,
+        }
+    }
 }
 
-/// Like [`run_with_mode_progress`], with optional checkpoint persistence for
-/// sampled runs.
-///
-/// # Panics
-///
-/// Panics when `mode` carries invalid sampling parameters (`unit_insts == 0`,
-/// or a nonzero `period` smaller than `warmup_insts + unit_insts`), when the
-/// checkpoint directory cannot be created or written, or when `resume` finds
-/// a checkpoint file that does not match this run.
-pub fn run_with_options(
-    spec: &ExperimentSpec,
-    workers: usize,
-    mode: ExecMode,
-    progress: bool,
-    checkpoints: Option<&CheckpointConfig>,
-) -> RunResult {
-    run_cached(spec, workers, mode, progress, checkpoints, None)
+impl RunOptions<'_> {
+    /// The default options with an explicit worker count.
+    pub fn with_workers(workers: usize) -> Self {
+        Self { workers, ..Self::default() }
+    }
 }
 
 /// Resolved cache context of one grid run: the store plus the run-invariant
@@ -503,8 +454,8 @@ struct CacheContext<'a> {
 }
 
 impl CacheContext<'_> {
-    /// The content address of one cell under this run's mode. The three
-    /// exact modes (and the sampled rate-1 sentinel) share one key per cell;
+    /// The content address of one cell under this run's mode. The exact
+    /// modes (and the sampled rate-1 sentinel) share one key per cell;
     /// estimated sampled runs key per `(unit, warmup, period)` triple.
     fn key_for(&self, grid: &GridSpec, cell: &Cell, mode: ExecMode) -> CellKey {
         let config = &grid.configs[cell.config];
@@ -519,12 +470,11 @@ impl CacheContext<'_> {
             rob: config.rob.map(|rob| rob as u64),
             scale: grid.scale as u64,
             seed: grid.seed,
-            sampling: match mode {
-                ExecMode::Sampled { unit_insts, warmup_insts, period } if period > 0 => {
-                    Some(SamplingKnobs { unit: unit_insts, warmup: warmup_insts, period })
-                }
-                _ => None,
-            },
+            sampling: SamplingParams::of(mode).map(|sp| SamplingKnobs {
+                unit: sp.unit,
+                warmup: sp.warmup,
+                period: sp.period,
+            }),
         }
     }
 }
@@ -538,27 +488,19 @@ struct GridCacheOutcome {
     cached: Vec<bool>,
 }
 
-/// Like [`run_with_options`], with an optional persistent content-addressed
-/// cell result cache: hit cells skip interpretation and simulation entirely
-/// and are rebuilt from their stored [`CellRecord`]s; miss cells simulate as
-/// usual and fill the cache afterwards. The results document is byte-
-/// identical either way (speed-ups are re-derived at assembly, so records
-/// stay baseline-policy-agnostic), and `meta.cache` records the hit/miss/
-/// fill accounting. This is the full-signature entry point `momlab run`
-/// uses.
+/// Run an experiment: the runner's one entry point.
 ///
 /// # Panics
 ///
-/// Panics for the same reasons as [`run_with_options`], or when a cache
-/// record cannot be written.
-pub fn run_cached(
-    spec: &ExperimentSpec,
-    workers: usize,
-    mode: ExecMode,
-    progress: bool,
-    checkpoints: Option<&CheckpointConfig>,
-    cache: Option<&CellCache>,
-) -> RunResult {
+/// Panics when `opts.mode` carries invalid sampling parameters
+/// (`unit_insts == 0`, or a nonzero `period` smaller than
+/// `warmup_insts + unit_insts`), when the checkpoint directory cannot be
+/// created or written, when `resume` finds a checkpoint file that does not
+/// match this run, when a cache record cannot be written, or when a cell
+/// fails (e.g. a kernel misses its golden output) — the message then names
+/// the failing work item.
+pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
+    let (mode, workers) = (opts.mode, opts.workers.max(1));
     if let ExecMode::Sampled { unit_insts, warmup_insts, period } = mode {
         assert!(unit_insts >= 1, "sampled mode needs a measurement unit of at least 1 instruction");
         assert!(
@@ -566,25 +508,13 @@ pub fn run_cached(
             "sampling period {period} is shorter than warmup {warmup_insts} + unit {unit_insts}"
         );
     }
-    let ckpt = match (mode, checkpoints) {
-        (ExecMode::Sampled { unit_insts, warmup_insts, period }, Some(cfg)) if period > 0 => {
-            std::fs::create_dir_all(&cfg.dir).unwrap_or_else(|e| {
-                panic!("cannot create checkpoint directory {}: {e}", cfg.dir.display())
-            });
-            Some(CkptContext {
-                cfg: cfg.clone(),
-                spec_name: spec.name.clone(),
-                config_hash: spec.config_hash(),
-                unit: unit_insts,
-                warmup: warmup_insts,
-                period,
-            })
-        }
+    let ckpt = match (SamplingParams::of(mode), &opts.checkpoints) {
+        (Some(sp), Some(cfg)) => Some(CkptContext::new(cfg, &spec.name, spec.config_hash(), sp)),
         _ => None,
     };
     let started = Instant::now();
     let fused_before = mom_core::fused_pairs_total();
-    let cache_ctx = cache.map(|store| CacheContext {
+    let cache_ctx = opts.cache.map(|store| CacheContext {
         cache: store,
         engine: engine_fingerprint(),
         spec_name: spec.name.clone(),
@@ -597,14 +527,14 @@ pub fn run_cached(
         }
         ExperimentKind::Grid(grid) => {
             let (cells, timing, outcome) =
-                run_grid(grid, workers.max(1), mode, progress, ckpt.as_ref(), cache_ctx.as_ref());
+                run_grid(grid, workers, mode, opts.progress, ckpt.as_ref(), cache_ctx.as_ref());
             (RunData::Grid(cells), timing, outcome)
         }
     };
     let fused_pairs = mom_core::fused_pairs_total().saturating_sub(fused_before);
     // The `meta.cache` section: grid accounting (zeros for a cached static
     // run — tables simulate nothing) plus the store-wide size after fills.
-    let (cache_meta, cached_cells) = match (cache, outcome) {
+    let (cache_meta, cached_cells) = match (opts.cache, outcome) {
         (Some(store), Some(outcome)) => (
             Some(CacheMeta {
                 hits: outcome.hits,
@@ -628,7 +558,7 @@ pub fn run_cached(
     RunResult {
         spec: spec.clone(),
         config_hash: spec.config_hash(),
-        workers: workers.max(1),
+        workers,
         wall_ms: started.elapsed().as_millis() as u64,
         mode,
         cell_wall_ns: timing.cell_wall_ns,
@@ -645,42 +575,18 @@ pub fn run_cached(
     }
 }
 
-/// Build the dynamic trace of one workload for one ISA. Kernels are verified
-/// against the golden reference; a mismatch is a panic, exactly as in the
-/// legacy harness.
-fn build_trace(workload: Workload, isa: IsaKind, scale: usize, seed: u64) -> Trace {
-    let mut trace = Trace::new(isa);
-    interpret_into(workload, isa, scale, seed, &mut trace);
-    trace
-}
-
-/// Run one workload through the functional interpreter, streaming every
-/// graduated instruction into `sink` (a collecting trace, one simulator, or
-/// a `Broadcast` fan-out to a whole machine group). Kernels are verified
-/// against the golden reference; a failure is a panic, exactly as in the
-/// legacy harness. Returns the number of instructions interpreted.
-fn interpret_into<S: TraceSink + ?Sized>(
-    workload: Workload,
-    isa: IsaKind,
-    scale: usize,
-    seed: u64,
-    sink: &mut S,
-) -> u64 {
-    match workload {
-        Workload::Kernel(kernel) => {
-            let params = KernelParams { seed, scale };
-            build_kernel(kernel, isa, &params)
-                .stream_verified(sink)
-                .unwrap_or_else(|e| panic!("{kernel} ({isa}) failed verification: {e}"))
-                as u64
-        }
-        Workload::App(app) => {
-            let params = AppParams { seed, scale };
-            let reports = stream_app(app, isa, &params, sink)
-                .unwrap_or_else(|e| panic!("{app} ({isa}) failed to build: {e}"));
-            reports.iter().map(|p| p.instructions as u64).sum()
-        }
-    }
+/// [`run`] with its options given positionally — the runner's signature
+/// before [`RunOptions`], kept for code built against it (the `perfbench/`
+/// harness).
+pub fn run_cached(
+    spec: &ExperimentSpec,
+    workers: usize,
+    mode: ExecMode,
+    progress: bool,
+    checkpoints: Option<&CheckpointConfig>,
+    cache: Option<&CellCache>,
+) -> RunResult {
+    run(spec, &RunOptions { workers, mode, progress, checkpoints: checkpoints.cloned(), cache })
 }
 
 /// Shared hit/build counters behind every [`MachinePool`] of one grid run
@@ -740,13 +646,13 @@ impl<'a> MachinePool<'a> {
 /// timing result, the verified attribution report, and the memory-system
 /// statistics captured before its machine returned to the pool.
 #[derive(Debug, Clone)]
-struct CellSim {
-    sim: SimResult,
-    probe: ProbeReport,
-    mem: MemSystemStats,
+pub(crate) struct CellSim {
+    pub(crate) sim: SimResult,
+    pub(crate) probe: ProbeReport,
+    pub(crate) mem: MemSystemStats,
     /// Sampling accounting when the cell ran under [`ExecMode::Sampled`] with
     /// a nonzero period; `None` on every exact path.
-    sampling: Option<CellSampling>,
+    pub(crate) sampling: Option<CellSampling>,
 }
 
 /// Wall-clock and functional-sharing accounting of one grid run (all of it
@@ -762,37 +668,46 @@ struct GridTiming {
     pool: PoolStats,
 }
 
-/// One shared-functional-pass work unit of the fan-out runner: a workload
-/// with one or more ISA lanes, each lane listing its member cell indices.
+/// One functional pass of a grid run: a workload with one or more ISA
+/// lanes, each lane listing its member cell indices.
 ///
-/// Kernel workloads form one group per `(kernel, ISA)` (a single lane):
-/// every member consumes the identical instruction stream, so one
-/// interpretation feeds them all through a `Broadcast`. Application
-/// workloads form one group per app spanning **all** of its ISAs: the
-/// kernel phases are interpreted per lane, but the scalar phases — identical
-/// across ISAs and the bulk of the Alpha traces — are interpreted once and
-/// fanned out to every lane (see [`stream_app_multi`]).
+/// In fan-out mode kernel workloads form one group per `(kernel, ISA)` (a
+/// single lane): every member consumes the identical instruction stream, so
+/// one interpretation feeds them all. Application workloads form one group
+/// per app spanning **all** of its ISAs: the kernel phases are interpreted
+/// per lane, but the scalar phases — identical across ISAs and the bulk of
+/// the Alpha traces — are interpreted once and fanned out to every lane
+/// (see [`stream_app_multi`]). The per-cell modes make every cell a
+/// singleton group of its own.
 #[derive(Debug)]
-pub(crate) struct FanGroup {
+pub(crate) struct Group {
     workload: Workload,
     lanes: Vec<(IsaKind, Vec<usize>)>,
 }
 
-/// The cells of a grid regrouped into fan-out groups, in first-appearance
-/// order. `report::describe` derives its shared-pass count from the same
-/// function, so the printed grouping can never drift from what runs.
-pub(crate) fn fanout_groups(grid: &GridSpec, cells: &[Cell]) -> Vec<FanGroup> {
-    let mut groups: Vec<FanGroup> = Vec::new();
+impl Group {
+    fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lanes.iter().flat_map(|(_, members)| members.iter().copied())
+    }
+}
+
+/// The cells of a grid partitioned into the groups `mode` runs, in
+/// first-appearance order. `report::describe` derives its shared-pass count
+/// from the same function, so the printed grouping can never drift from what
+/// runs.
+pub(crate) fn groups(grid: &GridSpec, cells: &[Cell], mode: ExecMode) -> Vec<Group> {
+    let shared = mode == ExecMode::Fanout;
+    let mut groups: Vec<Group> = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
         let isa = grid.configs[cell.config].isa;
         let cross_isa = matches!(cell.workload, Workload::App(_));
         let existing = groups.iter_mut().find(|g| {
-            g.workload == cell.workload && (cross_isa || g.lanes[0].0 == isa)
+            shared && g.workload == cell.workload && (cross_isa || g.lanes[0].0 == isa)
         });
         let group = match existing {
             Some(g) => g,
             None => {
-                groups.push(FanGroup { workload: cell.workload, lanes: Vec::new() });
+                groups.push(Group { workload: cell.workload, lanes: Vec::new() });
                 groups.last_mut().expect("just pushed")
             }
         };
@@ -811,8 +726,8 @@ fn cell_label(grid: &GridSpec, cell: &Cell) -> String {
     format!("{} / {} / {}-way ({})", cell.workload.label(), config.label, cell.way, config.isa.label())
 }
 
-/// The identity of one fan-out group: workload plus its ISA lanes.
-fn group_label(group: &FanGroup) -> String {
+/// The identity of one group: workload plus its ISA lanes.
+fn group_label(group: &Group) -> String {
     let isas: Vec<&str> = group.lanes.iter().map(|(isa, _)| isa.label()).collect();
     format!("{} [{}]", group.workload.label(), isas.join("+"))
 }
@@ -826,7 +741,7 @@ fn descriptor_for(grid: &GridSpec, cells: &[Cell], ci: usize) -> MachineDescript
 fn take_lane_machines(
     grid: &GridSpec,
     cells: &[Cell],
-    group: &FanGroup,
+    group: &Group,
     pool: &mut MachinePool<'_>,
 ) -> Vec<Vec<SimMachine>> {
     group
@@ -865,341 +780,383 @@ fn attach_mem_stats(
         .collect()
 }
 
-/// Run one fan-out group serially on the calling thread: a single
-/// interpretation broadcast to every member simulator (the one-worker path,
-/// also the fallback work unit of the pipelined scheduler). `lane_machines`
-/// is parallel to `group.lanes`; returns the per-lane member results plus
-/// the number of instructions the interpreter executed.
-fn run_fan_group_serial(
-    grid: &GridSpec,
-    group: &FanGroup,
-    lane_machines: &mut [Vec<SimMachine>],
-) -> (Vec<Vec<CellSim>>, u64) {
+/// Interpret `group`'s workload once, feeding lane `i` the instruction
+/// stream of `group.lanes[i]`'s ISA. A kernel group has one lane and is
+/// verified against the golden reference; an application group interprets
+/// its scalar phases once for all lanes. A failure is a panic naming the
+/// workload. Returns the number of instructions interpreted.
+fn drive_group<S: TraceSink>(grid: &GridSpec, group: &Group, lanes: &mut [(IsaKind, S)]) -> u64 {
     match group.workload {
-        Workload::Kernel(_) => {
-            // A kernel group is a single lane: one interpretation broadcast
-            // to every member.
-            let machines = &mut lane_machines[0];
-            let streams: Vec<SimStream<'_, AttributionProbe>> =
-                machines.iter_mut().map(|m| m.sim_probed()).collect();
-            let mut fan = Broadcast::new(streams);
-            let executed =
-                interpret_into(group.workload, group.lanes[0].0, grid.scale, grid.seed, &mut fan);
-            let finished: Vec<(SimResult, ProbeReport)> =
-                fan.into_inner().into_iter().map(finish_cell).collect();
-            (vec![attach_mem_stats(finished, machines)], executed)
+        Workload::Kernel(kernel) => {
+            let (isa, sink) = &mut lanes[0];
+            let params = KernelParams { seed: grid.seed, scale: grid.scale };
+            build_kernel(kernel, *isa, &params)
+                .stream_verified(sink)
+                .unwrap_or_else(|e| panic!("{kernel} ({isa}) failed verification: {e}"))
+                as u64
         }
         Workload::App(app) => {
-            // An app group spans all of its ISAs: kernel phases interpret
-            // per lane, scalar phases once for all lanes.
-            let mut lanes: Vec<(IsaKind, Broadcast<SimStream<'_, AttributionProbe>>)> = group
-                .lanes
-                .iter()
-                .zip(lane_machines.iter_mut())
-                .map(|((isa, _), machines)| {
-                    (*isa, Broadcast::new(machines.iter_mut().map(|m| m.sim_probed()).collect()))
-                })
-                .collect();
             let params = AppParams { seed: grid.seed, scale: grid.scale };
-            let (_, interpreted) = stream_app_multi(app, &params, &mut lanes)
-                .unwrap_or_else(|e| panic!("{app} failed to build: {e}"));
-            let finished: Vec<Vec<(SimResult, ProbeReport)>> = lanes
-                .into_iter()
-                .map(|(_, fan)| fan.into_inner().into_iter().map(finish_cell).collect())
-                .collect();
-            let sims: Vec<Vec<CellSim>> = finished
-                .into_iter()
-                .zip(lane_machines.iter())
-                .map(|(lane, machines)| attach_mem_stats(lane, machines))
-                .collect();
-            (sims, interpreted)
+            stream_app_multi(app, &params, lanes)
+                .unwrap_or_else(|e| panic!("{app} failed to build: {e}"))
+                .1
         }
     }
 }
 
-/// One work item of the pipelined fan-out scheduler. Items live in
-/// `Mutex<Option<_>>` slots and are *moved out* when claimed; an item
-/// dropped unexecuted (abort path) closes its channel endpoints, which
-/// unblocks any peer still waiting on them.
-enum PipeItem {
-    /// Run a whole group on one worker via the serial Broadcast path.
-    Serial { gi: usize, label: String },
-    /// Interpret a group once, publishing batches into the member channels.
-    Produce { gi: usize, label: String, lanes: Vec<(IsaKind, BatchSink)> },
-    /// Drain a shard of one lane's members, simulating each batch as it
-    /// arrives. Members are `(cell index, descriptor, receiver)`.
-    Consume { gi: usize, label: String, members: Vec<(usize, MachineDescriptor, BatchReceiver)> },
+/// The read-only context every work item of one grid run executes in.
+struct ItemCtx<'a> {
+    grid: &'a GridSpec,
+    cells: &'a [Cell],
+    groups: &'a [Group],
+    mode: ExecMode,
+    ckpt: Option<&'a CkptContext>,
+    /// The scheduler's epoch: every span is an offset from it.
+    epoch: Instant,
 }
 
-impl PipeItem {
-    fn label(&self) -> &str {
-        match self {
-            PipeItem::Serial { label, .. }
-            | PipeItem::Produce { label, .. }
-            | PipeItem::Consume { label, .. } => label,
-        }
+/// Run a whole group on the calling worker. An exact group drives every
+/// member simulator from one interpretation through a `Broadcast`; an
+/// estimated sampled group is a single cell that windows its own stream.
+/// Returns `(cell index, result)` per member plus the instructions
+/// interpreted.
+fn run_serial(
+    ctx: &ItemCtx<'_>,
+    group: &Group,
+    pool: &mut MachinePool<'_>,
+) -> (Vec<(usize, CellSim)>, u64) {
+    let (grid, cells) = (ctx.grid, ctx.cells);
+    if let Some(sp) = SamplingParams::of(ctx.mode) {
+        let (isa, members) = &group.lanes[0];
+        let ci = members[0];
+        let cell = &cells[ci];
+        let mut machine = pool.take(&descriptor_for(grid, cells, ci));
+        let cs = match cell.workload {
+            Workload::Kernel(kernel) => {
+                let ckpt = ctx.ckpt.map(|c| (c, cell_key(grid, cell)));
+                run_sampled_kernel_cell(kernel, *isa, grid, &mut machine, sp, ckpt)
+            }
+            Workload::App(app) => run_sampled_app_cell(app, *isa, grid, &mut machine, sp),
+        };
+        pool.put([machine]);
+        let executed = cs.sim.committed;
+        return (vec![(ci, cs)], executed);
     }
+    let mut lane_machines = take_lane_machines(grid, cells, group, pool);
+    let mut lanes: Vec<(IsaKind, Broadcast<SimStream<'_, AttributionProbe>>)> = group
+        .lanes
+        .iter()
+        .zip(lane_machines.iter_mut())
+        .map(|((isa, _), machines)| {
+            (*isa, Broadcast::new(machines.iter_mut().map(|m| m.sim_probed()).collect()))
+        })
+        .collect();
+    let executed = drive_group(grid, group, &mut lanes);
+    let finished: Vec<Vec<(SimResult, ProbeReport)>> = lanes
+        .into_iter()
+        .map(|(_, fan)| fan.into_inner().into_iter().map(finish_cell).collect())
+        .collect();
+    let sims: Vec<(usize, CellSim)> = finished
+        .into_iter()
+        .zip(&lane_machines)
+        .flat_map(|(lane, machines)| attach_mem_stats(lane, machines))
+        .zip(group.members())
+        .map(|(sim, ci)| (ci, sim))
+        .collect();
+    pool.put(lane_machines.into_iter().flatten());
+    (sims, executed)
 }
 
-/// What one executed [`PipeItem`] reports back (all wall-clock data is
-/// relative to the scheduler's epoch, so group spans can be reconstructed
-/// across threads).
-struct PipeOutcome {
+/// Drain one consumer shard's channels, simulating each batch as it
+/// arrives. Members are drained round-robin, one batch per open member per
+/// pass — the member order the producer publishes in. Returns the members'
+/// results and the nanoseconds spent blocked on `recv`.
+fn consume(
+    ctx: &ItemCtx<'_>,
+    members: Vec<(usize, BatchReceiver)>,
+    pool: &mut MachinePool<'_>,
+) -> (Vec<(usize, CellSim)>, u64) {
+    let mut machines: Vec<SimMachine> = members
+        .iter()
+        .map(|&(ci, _)| pool.take(&descriptor_for(ctx.grid, ctx.cells, ci)))
+        .collect();
+    let mut wait_ns = 0u64;
+    let finished: Vec<(SimResult, ProbeReport)> = {
+        let mut streams: Vec<Option<SimStream<'_, AttributionProbe>>> =
+            machines.iter_mut().map(|m| Some(m.sim_probed())).collect();
+        let mut done: Vec<Option<(SimResult, ProbeReport)>> = vec![None; members.len()];
+        let mut open = streams.len();
+        while open > 0 {
+            for (k, slot) in streams.iter_mut().enumerate() {
+                let Some(stream) = slot else { continue };
+                let waited = Instant::now();
+                let next = members[k].1.recv();
+                wait_ns += waited.elapsed().as_nanos() as u64;
+                match next {
+                    Some(batch) => {
+                        for inst in batch.iter() {
+                            stream.feed(inst);
+                        }
+                    }
+                    None => {
+                        done[k] = slot.take().map(finish_cell);
+                        open -= 1;
+                    }
+                }
+            }
+        }
+        done.into_iter().map(|r| r.expect("every member finished")).collect()
+    };
+    let sims =
+        members.iter().map(|&(ci, _)| ci).zip(attach_mem_stats(finished, &machines)).collect();
+    pool.put(machines);
+    (sims, wait_ns)
+}
+
+/// What one work item does.
+enum Role {
+    /// Run the whole group on one worker ([`run_serial`]).
+    Serial,
+    /// Interpret the group once, publishing batches into the member channels.
+    Produce(Vec<(IsaKind, BatchSink)>),
+    /// Drain a shard of one lane's members ([`consume`]): `(cell index,
+    /// receiver)` each.
+    Consume(Vec<(usize, BatchReceiver)>),
+}
+
+/// One work item of a grid run. Items are *moved* to the worker that claims
+/// them; an item dropped unexecuted (abort path) closes its channel
+/// endpoints, which unblocks any peer still waiting on them.
+struct Item {
+    gi: usize,
+    label: String,
+    role: Role,
+}
+
+/// What one executed [`Item`] reports back (all wall-clock data is relative
+/// to the scheduler's epoch, so group spans can be reconstructed across
+/// threads).
+struct Outcome {
     gi: usize,
     /// `(cell index, result)` for every member this item simulated.
     sims: Vec<(usize, CellSim)>,
-    /// Instructions the interpreter executed (producer / serial items only).
+    /// Instructions the interpreter executed (serial / producer items).
     executed: u64,
     start_ns: u64,
     end_ns: u64,
-    /// Time a consumer shard spent simulating rather than blocked on `recv`
-    /// (zero for non-consumer items; feeds `meta.pipeline.occupancy`).
-    busy_ns: u64,
     /// Time a consumer shard spent blocked on channel `recv`.
     wait_ns: u64,
-    is_consumer: bool,
-    /// Span category of the executed item (`"serial"`/`"produce"`/`"consume"`).
+    /// Span category: `"serial"`, `"produce"` or `"consume"`.
     kind: &'static str,
-    /// The executed item's label (carried into the span record).
     label: String,
     /// Index of the worker thread that executed the item.
     worker: usize,
 }
 
-/// The pipelined fan-out scheduler: overlap each group's interpreter with
-/// its member simulators on separate workers (`ExecMode::Fanout`, 2+
-/// workers).
+impl Outcome {
+    fn dur_ns(&self) -> u64 {
+        self.end_ns.saturating_sub(self.start_ns)
+    }
+}
+
+/// Execute one claimed [`Item`] on the calling worker.
+fn exec_item(item: Item, ctx: &ItemCtx<'_>, pool: &mut MachinePool<'_>, worker: usize) -> Outcome {
+    let now_ns = || ctx.epoch.elapsed().as_nanos() as u64;
+    let start_ns = now_ns();
+    let group = &ctx.groups[item.gi];
+    let (kind, sims, executed, wait_ns) = match item.role {
+        Role::Serial => {
+            let (sims, executed) = run_serial(ctx, group, pool);
+            ("serial", sims, executed, 0)
+        }
+        Role::Produce(mut lanes) => {
+            let executed = drive_group(ctx.grid, group, &mut lanes);
+            for (_, sink) in lanes {
+                sink.finish();
+            }
+            ("produce", Vec::new(), executed, 0)
+        }
+        Role::Consume(members) => {
+            let (sims, wait_ns) = consume(ctx, members, pool);
+            ("consume", sims, 0, wait_ns)
+        }
+    };
+    let (gi, label, end_ns) = (item.gi, item.label, now_ns());
+    Outcome { gi, sims, executed, start_ns, end_ns, wait_ns, kind, label, worker }
+}
+
+/// Turn the groups into work items, in claim order; returns the items and
+/// the number of groups that pipeline.
 ///
-/// # Thread accounting
-///
-/// Exactly `workers` scoped threads run; every pipeline role is a work item
-/// claimed in order from a shared cursor, so the pipeline never spawns
-/// beyond the worker budget. A pipelined group costs `1 + K` items — one
-/// interpreter ([`PipeItem::Produce`]) plus `K` consumer shards
-/// ([`PipeItem::Consume`]), `K = min(members, workers - 1)` distributed
-/// across the group's ISA lanes. A group's items are contiguous in claim
-/// order and its team never exceeds `workers`, which guarantees progress:
-/// the earliest unclaimed item always belongs to a team whose predecessors
-/// are fully claimed and therefore terminate, freeing their workers.
+/// A group runs as one [`Role::Serial`] item unless it can pipeline: it has
+/// two or more members, and the worker budget left beside its interpreter
+/// (`workers - 1`) covers one consumer shard per ISA lane. A pipelined group
+/// costs `1 + K` items — one interpreter ([`Role::Produce`]) plus `K`
+/// consumer shards ([`Role::Consume`]), `K = min(members, workers - 1)`
+/// distributed across the group's lanes. A group's items are contiguous in
+/// claim order and its team never exceeds `workers`, which guarantees
+/// progress: the earliest unclaimed item always belongs to a team whose
+/// predecessors are fully claimed and therefore terminate, freeing their
+/// workers.
 ///
 /// Two structural rules keep the channels deadlock-free:
 ///
 /// * a consumer shard never spans ISA lanes (application kernel phases
 ///   stream lane-by-lane, so a cross-lane shard would block on a silent
 ///   lane while its busy lane backs up);
-/// * an application group needs one shard per lane at minimum — when
-///   `workers < lanes + 1` the whole group falls back to a single
-///   [`PipeItem::Serial`] item instead (counted in
-///   `meta.pipeline.serial_groups`).
-///
-/// A shard with several members drains them round-robin, one batch per
-/// member per pass — the same order the producer publishes in, so neither
-/// side can wait on a batch the other has not already had the opportunity
-/// to hand over.
-///
-/// On a panic the failing worker sets the abort flag and the remaining
-/// items are claimed but *dropped unexecuted*: dropping a `Produce` item
-/// closes its senders (consumers see end-of-stream), dropping a `Consume`
-/// item closes its receivers (the producer's sends error out and it skips
-/// the member) — every blocked peer unblocks, and the first failure is
-/// re-raised with its work item's identity.
-fn run_fanout_pipelined(
+/// * a shard with several members drains them round-robin, one batch per
+///   member per pass — the order the producer publishes in, so neither side
+///   can wait on a batch the other has not already had the opportunity to
+///   hand over.
+fn plan_items(
     grid: &GridSpec,
     cells: &[Cell],
-    groups: &[FanGroup],
+    groups: &[Group],
     workers: usize,
-    counters: &PoolCounters,
-    progress: bool,
-    timing: &mut GridTiming,
-) -> Vec<CellSim> {
-    let batch_insts = crate::pipeline_batch_insts();
-    let channel_batches = crate::pipeline_channel_batches();
-
-    // Plan: turn every group into a contiguous run of work items.
-    let mut plan: Vec<PipeItem> = Vec::new();
-    let mut pipelined_groups = 0usize;
-    let mut serial_groups = 0usize;
+) -> (Vec<Item>, usize) {
+    let (batch_insts, channel_batches) =
+        (crate::pipeline_batch_insts(), crate::pipeline_channel_batches());
+    let budget = workers - 1;
+    let mut plan: Vec<Item> = Vec::new();
+    let mut pipelined = 0usize;
     for (gi, group) in groups.iter().enumerate() {
-        let budget = workers - 1;
-        if budget < group.lanes.len() {
-            serial_groups += 1;
-            plan.push(PipeItem::Serial { gi, label: group_label(group) });
+        if group.members().count() < 2 || budget < group.lanes.len() {
+            plan.push(Item { gi, label: group_label(group), role: Role::Serial });
             continue;
         }
-        pipelined_groups += 1;
+        pipelined += 1;
         // Consumer budget: at least one shard per lane, never more shards
         // than members, extras distributed round-robin over the lanes.
         let mut shards: Vec<usize> = vec![1; group.lanes.len()];
         let mut remaining = budget - group.lanes.len();
-        loop {
-            let mut progressed = false;
+        while remaining > 0 {
+            let before = remaining;
             for (li, (_, members)) in group.lanes.iter().enumerate() {
-                if remaining == 0 {
-                    break;
-                }
-                if shards[li] < members.len() {
+                if remaining > 0 && shards[li] < members.len() {
                     shards[li] += 1;
                     remaining -= 1;
-                    progressed = true;
                 }
             }
-            if remaining == 0 || !progressed {
+            if remaining == before {
                 break;
             }
         }
         let mut sink_lanes: Vec<(IsaKind, BatchSink)> = Vec::with_capacity(group.lanes.len());
-        let mut consume_items: Vec<PipeItem> = Vec::new();
-        for (li, (isa, members)) in group.lanes.iter().enumerate() {
-            let mut senders = Vec::with_capacity(members.len());
-            let mut receivers = Vec::with_capacity(members.len());
-            for &ci in members {
-                let (tx, rx) = batch_channel(channel_batches);
-                senders.push(tx);
-                receivers.push((ci, descriptor_for(grid, cells, ci), rx));
-            }
+        let mut consumers: Vec<Item> = Vec::new();
+        for ((isa, members), &lane_shards) in group.lanes.iter().zip(&shards) {
+            let (senders, receivers): (Vec<_>, Vec<_>) =
+                members.iter().map(|_| batch_channel(channel_batches)).unzip();
             sink_lanes.push((*isa, BatchSink::new(senders, batch_insts)));
             // Split this lane's members contiguously across its shards.
-            let (per, extra) = (members.len() / shards[li], members.len() % shards[li]);
-            let mut iter = receivers.into_iter();
-            for s in 0..shards[li] {
-                let shard: Vec<_> = iter.by_ref().take(per + usize::from(s < extra)).collect();
+            let (per, extra) = (members.len() / lane_shards, members.len() % lane_shards);
+            let mut lane = members.iter().copied().zip(receivers);
+            for s in 0..lane_shards {
+                let shard: Vec<(usize, BatchReceiver)> =
+                    lane.by_ref().take(per + usize::from(s < extra)).collect();
                 let label = shard
                     .iter()
-                    .map(|&(ci, _, _)| cell_label(grid, &cells[ci]))
+                    .map(|&(ci, _)| cell_label(grid, &cells[ci]))
                     .collect::<Vec<_>>()
                     .join("; ");
-                consume_items.push(PipeItem::Consume { gi, label, members: shard });
+                consumers.push(Item { gi, label, role: Role::Consume(shard) });
             }
         }
-        plan.push(PipeItem::Produce {
+        plan.push(Item {
             gi,
             label: format!("interpret {}", group_label(group)),
-            lanes: sink_lanes,
+            role: Role::Produce(sink_lanes),
         });
-        plan.append(&mut consume_items);
+        plan.append(&mut consumers);
     }
+    (plan, pipelined)
+}
 
-    // Execute: `workers` threads claim items in order off the cursor.
-    let epoch = Instant::now();
-    let slots: Vec<Mutex<Option<PipeItem>>> =
-        plan.into_iter().map(|item| Mutex::new(Some(item))).collect();
-    let cursor = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let failure: Mutex<Option<(String, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    let pool: Mutex<MachinePool<'_>> = Mutex::new(MachinePool::new(counters));
-    let outcomes: Vec<PipeOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(slots.len()))
-            .map(|worker| {
-                let (slots, cursor, abort, failure, pool) =
-                    (&slots, &cursor, &abort, &failure, &pool);
-                scope.spawn(move || {
-                    let mut produced: Vec<PipeOutcome> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= slots.len() {
-                            break;
-                        }
-                        let item = lock_clean(&slots[i]).take();
-                        let Some(item) = item else { continue };
-                        if abort.load(Ordering::Relaxed) {
-                            // Claim-and-drop: dropping the item closes its
-                            // channel endpoints, unblocking peers mid-run.
-                            drop(item);
-                            continue;
-                        }
-                        let label = item.label().to_string();
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            exec_pipe_item(item, grid, cells, groups, pool, &epoch, worker)
-                        })) {
-                            Ok(outcome) => {
-                                if progress {
-                                    report_progress(groups, &outcome);
-                                }
-                                produced.push(outcome);
-                            }
-                            Err(payload) => {
-                                abort.store(true, Ordering::Relaxed);
-                                let mut first = lock_clean(failure);
-                                if first.is_none() {
-                                    *first = Some((label, payload));
-                                }
-                                // Keep claiming so the remaining items are
-                                // dropped and no peer blocks forever.
-                            }
-                        }
-                    }
-                    produced
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("pipeline workers catch their own panics"))
-            .collect()
-    });
-    if let Some((label, payload)) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        raise_labeled(&label, payload);
-    }
+/// Simulate every cell of `ctx.cells` (the cache-miss subset of a grid) as
+/// `ctx.groups`, scheduled on `workers` threads. Returns one [`CellSim`] per
+/// cell plus the run's wall-clock and sharing accounting.
+fn run_groups(
+    ctx: &ItemCtx<'_>,
+    workers: usize,
+    progress: bool,
+    counters: &PoolCounters,
+) -> (Vec<CellSim>, GridTiming) {
+    let (cells, groups) = (ctx.cells, ctx.groups);
+    let (plan, pipelined_groups) = plan_items(ctx.grid, cells, groups, workers);
+    let outcomes = parallel_map_with(
+        plan,
+        workers,
+        |worker| (MachinePool::new(counters), worker),
+        |item| item.label.clone(),
+        |(pool, worker), item| {
+            let outcome = exec_item(item, ctx, pool, *worker);
+            if progress {
+                report_progress(groups, &outcome);
+            }
+            outcome
+        },
+    );
 
     // Assemble: group spans, per-cell results, occupancy, span records.
-    let mut spans: Vec<(u64, u64)> = vec![(u64::MAX, 0); groups.len()];
-    let mut sim_slots: Vec<Option<CellSim>> = vec![None; cells.len()];
-    let (mut busy_ns, mut consumer_span_ns) = (0u64, 0u64);
+    let mut timing = GridTiming::default();
+    let mut extents: Vec<(u64, u64)> = vec![(u64::MAX, 0); groups.len()];
+    let mut slots: Vec<Option<CellSim>> = vec![None; cells.len()];
+    let (mut busy_ns, mut consumer_ns) = (0u64, 0u64);
     for outcome in outcomes {
-        let (start, end) = &mut spans[outcome.gi];
+        let dur_ns = outcome.dur_ns();
+        let (start, end) = &mut extents[outcome.gi];
         *start = (*start).min(outcome.start_ns);
         *end = (*end).max(outcome.end_ns);
         timing.functional_instructions += outcome.executed;
-        if outcome.is_consumer {
-            busy_ns += outcome.busy_ns;
-            consumer_span_ns += outcome.end_ns.saturating_sub(outcome.start_ns);
+        if outcome.kind == "consume" {
+            busy_ns += dur_ns.saturating_sub(outcome.wait_ns);
+            consumer_ns += dur_ns;
         }
         timing.spans.push(SpanRec {
             name: outcome.label,
             cat: outcome.kind,
             tid: outcome.worker,
             start_ns: outcome.start_ns,
-            dur_ns: outcome.end_ns.saturating_sub(outcome.start_ns),
+            dur_ns,
             wait_ns: outcome.wait_ns,
             insts: outcome.executed,
         });
         for (ci, sim) in outcome.sims {
-            sim_slots[ci] = Some(sim);
+            slots[ci] = Some(sim);
         }
     }
-    // Span order would otherwise follow thread-join order; sort by start time
-    // so the meta section and trace export read chronologically.
+    // Chronological spans, so the meta section and trace export read in order.
     timing.spans.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then_with(|| a.name.cmp(&b.name)));
-    timing.functional_passes += groups.len();
+    timing.functional_passes = groups.len();
+    // Every member of a group carries the group's shared span.
     timing.cell_wall_ns = vec![0; cells.len()];
-    for (group, &(start, end)) in groups.iter().zip(&spans) {
+    for (group, &(start, end)) in groups.iter().zip(&extents) {
         let span = end.saturating_sub(start);
         timing.sim_wall_ns += span;
-        for (_, members) in &group.lanes {
-            for &ci in members {
-                timing.cell_wall_ns[ci] = span;
-            }
+        for ci in group.members() {
+            timing.cell_wall_ns[ci] = span;
         }
     }
-    timing.pipeline = Some(PipelineStats {
-        batch_insts,
-        channel_batches,
+    timing.pipeline = (workers > 1).then(|| PipelineStats {
+        batch_insts: crate::pipeline_batch_insts(),
+        channel_batches: crate::pipeline_channel_batches(),
         pipelined_groups,
-        serial_groups,
-        occupancy: (consumer_span_ns > 0).then(|| busy_ns as f64 / consumer_span_ns as f64),
+        serial_groups: groups.len() - pipelined_groups,
+        occupancy: (consumer_ns > 0).then(|| busy_ns as f64 / consumer_ns as f64),
     });
-    sim_slots.into_iter().map(|s| s.expect("every cell belongs to one group")).collect()
+    let sims = slots.into_iter().map(|s| s.expect("every cell belongs to one group")).collect();
+    (sims, timing)
 }
 
-/// One live stderr progress line per completed pipeline work item: the
-/// group's identity plus — for consumer shards — the shard's occupancy
-/// (share of its span spent simulating rather than blocked on `recv`).
-fn report_progress(groups: &[FanGroup], outcome: &PipeOutcome) {
+/// One live stderr progress line per completed work item: the group's
+/// identity plus — for consumer shards — the shard's occupancy (share of
+/// its span spent simulating rather than blocked on `recv`).
+fn report_progress(groups: &[Group], outcome: &Outcome) {
     let group = group_label(&groups[outcome.gi]);
-    let ms = outcome.end_ns.saturating_sub(outcome.start_ns) / 1_000_000;
-    if outcome.is_consumer {
-        let span = outcome.end_ns.saturating_sub(outcome.start_ns);
-        let occupancy = if span == 0 { 1.0 } else { outcome.busy_ns as f64 / span as f64 };
+    let span = outcome.dur_ns();
+    let ms = span / 1_000_000;
+    if outcome.kind == "consume" {
+        let occupancy =
+            if span == 0 { 1.0 } else { span.saturating_sub(outcome.wait_ns) as f64 / span as f64 };
         eprintln!(
             "  {group}: consumer shard done, {} cell(s), occupancy {:.0}% ({ms} ms)",
             outcome.sims.len(),
@@ -1207,135 +1164,6 @@ fn report_progress(groups: &[FanGroup], outcome: &PipeOutcome) {
         );
     } else {
         eprintln!("  {group}: {} done ({ms} ms)", outcome.kind);
-    }
-}
-
-/// Execute one claimed [`PipeItem`] (on the worker's thread).
-fn exec_pipe_item(
-    item: PipeItem,
-    grid: &GridSpec,
-    cells: &[Cell],
-    groups: &[FanGroup],
-    pool: &Mutex<MachinePool<'_>>,
-    epoch: &Instant,
-    worker: usize,
-) -> PipeOutcome {
-    let now_ns = || epoch.elapsed().as_nanos() as u64;
-    match item {
-        PipeItem::Serial { gi, label } => {
-            let group = &groups[gi];
-            let start_ns = now_ns();
-            let mut lane_machines: Vec<Vec<SimMachine>> =
-                take_lane_machines(grid, cells, group, &mut lock_clean(pool));
-            let (lane_sims, executed) = run_fan_group_serial(grid, group, &mut lane_machines);
-            lock_clean(pool).put(lane_machines.into_iter().flatten());
-            let sims = group
-                .lanes
-                .iter()
-                .zip(lane_sims)
-                .flat_map(|((_, members), sims)| members.iter().copied().zip(sims))
-                .collect();
-            PipeOutcome {
-                gi,
-                sims,
-                executed,
-                start_ns,
-                end_ns: now_ns(),
-                busy_ns: 0,
-                wait_ns: 0,
-                is_consumer: false,
-                kind: "serial",
-                label,
-                worker,
-            }
-        }
-        PipeItem::Produce { gi, lanes, label } => {
-            let group = &groups[gi];
-            let start_ns = now_ns();
-            let executed = match group.workload {
-                Workload::Kernel(_) => {
-                    let (isa, mut sink) =
-                        lanes.into_iter().next().expect("kernel group has one lane");
-                    let executed =
-                        interpret_into(group.workload, isa, grid.scale, grid.seed, &mut sink);
-                    sink.finish();
-                    executed
-                }
-                Workload::App(app) => {
-                    let params = AppParams { seed: grid.seed, scale: grid.scale };
-                    let (_, interpreted) = stream_app_pipelined(app, &params, lanes)
-                        .unwrap_or_else(|e| panic!("{app} failed to build: {e}"));
-                    interpreted
-                }
-            };
-            PipeOutcome {
-                gi,
-                sims: Vec::new(),
-                executed,
-                start_ns,
-                end_ns: now_ns(),
-                busy_ns: 0,
-                wait_ns: 0,
-                is_consumer: false,
-                kind: "produce",
-                label,
-                worker,
-            }
-        }
-        PipeItem::Consume { gi, members, label } => {
-            let start_ns = now_ns();
-            let mut machines: Vec<SimMachine> = {
-                let mut pool = lock_clean(pool);
-                members.iter().map(|(_, descriptor, _)| pool.take(descriptor)).collect()
-            };
-            let mut wait_ns = 0u64;
-            let finished: Vec<(SimResult, ProbeReport)> = {
-                let mut streams: Vec<Option<SimStream<'_, AttributionProbe>>> =
-                    machines.iter_mut().map(|m| Some(m.sim_probed())).collect();
-                let mut done: Vec<Option<(SimResult, ProbeReport)>> = vec![None; members.len()];
-                let mut open = streams.len();
-                // Round-robin: one batch per open member per pass — the same
-                // member order the producer publishes in.
-                while open > 0 {
-                    for (k, slot) in streams.iter_mut().enumerate() {
-                        let Some(stream) = slot else { continue };
-                        let waited = Instant::now();
-                        let next = members[k].2.recv();
-                        wait_ns += waited.elapsed().as_nanos() as u64;
-                        match next {
-                            Some(batch) => {
-                                for inst in batch.iter() {
-                                    stream.feed(inst);
-                                }
-                            }
-                            None => {
-                                let (sim, probe) =
-                                    slot.take().expect("stream still open").finish_probed();
-                                done[k] = Some((sim, probe.into_report()));
-                                open -= 1;
-                            }
-                        }
-                    }
-                }
-                done.into_iter().map(|r| r.expect("every member finished")).collect()
-            };
-            let results = attach_mem_stats(finished, &machines);
-            lock_clean(pool).put(machines);
-            let end_ns = now_ns();
-            PipeOutcome {
-                gi,
-                sims: members.iter().map(|&(ci, ..)| ci).zip(results).collect(),
-                executed: 0,
-                start_ns,
-                end_ns,
-                busy_ns: end_ns.saturating_sub(start_ns).saturating_sub(wait_ns),
-                wait_ns,
-                is_consumer: true,
-                kind: "consume",
-                label,
-                worker,
-            }
-        }
     }
 }
 
@@ -1357,498 +1185,11 @@ fn raise_labeled(label: &str, payload: Box<dyn std::any::Any + Send>) -> ! {
     panic!("experiment work item `{label}` panicked: {msg}");
 }
 
-/// The three knobs of one sampled run, bundled for the per-cell helpers.
-#[derive(Debug, Clone, Copy)]
-struct SamplingParams {
-    unit: u64,
-    warmup: u64,
-    period: u64,
-}
-
-/// The counter deltas of one closed measurement unit: `after - before` over
-/// the cumulative [`SimResult`] snapshots taken around the unit's detailed
-/// window. Saturating, because a snapshot taken mid-stream lags the fed
-/// instructions by the in-flight ROB contents.
-#[derive(Debug, Clone, Copy)]
-struct UnitDelta {
-    committed: u64,
-    cycles: u64,
-    branches: u64,
-    mispredictions: u64,
-    mem_retries: u64,
-    mem_accesses: u64,
-}
-
-impl UnitDelta {
-    fn between(before: &SimResult, after: &SimResult) -> Self {
-        Self {
-            committed: after.committed.saturating_sub(before.committed),
-            cycles: after.cycles.saturating_sub(before.cycles),
-            branches: after.branches.saturating_sub(before.branches),
-            mispredictions: after.mispredictions.saturating_sub(before.mispredictions),
-            mem_retries: after.mem_retries.saturating_sub(before.mem_retries),
-            mem_accesses: after.mem_accesses.saturating_sub(before.mem_accesses),
-        }
-    }
-}
-
-/// Scale a partially detailed [`SimResult`] up to `total_insts` committed
-/// instructions (the no-units fallback of [`sampled_estimate`]).
-fn scale_result(detailed: &SimResult, total_insts: u64) -> SimResult {
-    let scale = total_insts as f64 / detailed.committed.max(1) as f64;
-    let scaled = |x: u64| (x as f64 * scale).round() as u64;
-    SimResult {
-        cycles: scaled(detailed.cycles).max(1),
-        committed: total_insts,
-        branches: scaled(detailed.branches),
-        mispredictions: scaled(detailed.mispredictions),
-        mem_retries: scaled(detailed.mem_retries),
-        mem_accesses: scaled(detailed.mem_accesses),
-    }
-}
-
-/// Turn the closed measurement units of one sampled cell into the cell's
-/// estimated [`SimResult`] and its sampling accounting.
-///
-/// The committed-instruction count stays **exact** (the functional
-/// interpreter executed the whole workload either way); cycles come from the
-/// mean unit IPC, and the remaining counters are the unit sums scaled by the
-/// sampled fraction. When no unit closed — a workload shorter than one
-/// warm-up window, or commit lag swallowing every unit — the detailed
-/// aggregate stands in: exact if the whole run was simulated in detail,
-/// scaled up otherwise.
-fn sampled_estimate(
-    detailed: &SimResult,
-    units: &[UnitDelta],
-    total_insts: u64,
-    warmup_total: u64,
-) -> (SimResult, CellSampling) {
-    let measured: u64 = units.iter().map(|u| u.committed).sum();
-    if measured == 0 {
-        let sim = if detailed.committed >= total_insts {
-            *detailed
-        } else {
-            scale_result(detailed, total_insts)
-        };
-        let sampling = CellSampling {
-            units_measured: 0,
-            measured_insts: 0,
-            warmup_insts: warmup_total,
-            total_insts,
-            ipc_mean: detailed.ipc(),
-            ipc_ci95: 0.0,
-        };
-        return (sim, sampling);
-    }
-    let ipcs: Vec<f64> =
-        units.iter().map(|u| u.committed as f64 / u.cycles.max(1) as f64).collect();
-    let n = ipcs.len() as f64;
-    let mean = ipcs.iter().sum::<f64>() / n;
-    let ci95 = if ipcs.len() > 1 {
-        // Sample variance (n - 1 denominator), normal-theory 95% interval on
-        // the mean — the SMARTS confidence machinery.
-        let var = ipcs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
-        1.96 * (var / n).sqrt()
-    } else {
-        0.0
-    };
-    let scale = total_insts as f64 / measured as f64;
-    let scaled = |sum: u64| (sum as f64 * scale).round() as u64;
-    let sum_of = |f: fn(&UnitDelta) -> u64| units.iter().map(f).sum::<u64>();
-    let sim = SimResult {
-        cycles: ((total_insts as f64 / mean.max(f64::MIN_POSITIVE)).round() as u64).max(1),
-        committed: total_insts,
-        branches: scaled(sum_of(|u| u.branches)),
-        mispredictions: scaled(sum_of(|u| u.mispredictions)),
-        mem_retries: scaled(sum_of(|u| u.mem_retries)),
-        mem_accesses: scaled(sum_of(|u| u.mem_accesses)),
-    };
-    let sampling = CellSampling {
-        units_measured: units.len() as u64,
-        measured_insts: measured,
-        warmup_insts: warmup_total,
-        total_insts,
-        ipc_mean: mean,
-        ipc_ci95: ci95,
-    };
-    (sim, sampling)
-}
-
-/// Version tag of the lab checkpoint file framing (the envelope binding a
-/// [`Checkpoint`] blob to a spec, cell and sampling parameters).
-const LAB_CKPT_VERSION: u32 = 1;
-
-/// Minimum executed instructions between two checkpoint writes of one cell.
-/// A checkpoint costs O(touched working set) to serialize, so writing one at
-/// every sampling period (default 100k instructions, ~1 ms of simulation)
-/// would spend more time persisting state than simulating. Cells shorter
-/// than the interval still write their final checkpoint: completion always
-/// persists, so `--resume` never re-simulates a finished cell.
-const CKPT_INTERVAL_INSTS: u64 = 10_000_000;
-
 /// The `(workload, config, way)` identity of one grid cell — the same key
 /// `momlab diff` matches cells by, reused to name and validate checkpoint
 /// files.
-fn cell_key(grid: &GridSpec, cell: &Cell) -> String {
+pub(crate) fn cell_key(grid: &GridSpec, cell: &Cell) -> String {
     format!("{} / {} / {}-way", cell.workload.label(), grid.configs[cell.config].label, cell.way)
-}
-
-/// The on-disk path of one cell's checkpoint file: spec name plus cell key,
-/// with every byte outside `[A-Za-z0-9._-]` replaced by `-`.
-fn ckpt_path(ctx: &CkptContext, key: &str) -> PathBuf {
-    let sanitize = |s: &str| -> String {
-        s.chars()
-            .map(|c| if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') { c } else { '-' })
-            .collect()
-    };
-    ctx.cfg.dir.join(format!("{}__{}.ckpt", sanitize(&ctx.spec_name), sanitize(key)))
-}
-
-/// Write one cell's checkpoint atomically (tmp + rename), enveloped with the
-/// identity a resume validates against.
-fn save_cell_checkpoint(ctx: &CkptContext, key: &str, ckpt: &Checkpoint) {
-    let mut e = Encoder::new();
-    e.u32(LAB_CKPT_VERSION);
-    e.blob(ctx.config_hash.as_bytes());
-    e.blob(key.as_bytes());
-    e.u64(ctx.unit);
-    e.u64(ctx.warmup);
-    e.u64(ctx.period);
-    e.blob(&ckpt.to_bytes());
-    let path = ckpt_path(ctx, key);
-    let tmp = path.with_extension("ckpt.tmp");
-    std::fs::write(&tmp, e.into_bytes())
-        .and_then(|()| std::fs::rename(&tmp, &path))
-        .unwrap_or_else(|err| panic!("cannot write checkpoint {}: {err}", path.display()));
-}
-
-/// Decode the lab checkpoint envelope written by [`save_cell_checkpoint`].
-fn decode_lab_ckpt(bytes: &[u8]) -> Result<(String, String, u64, u64, u64, Checkpoint), CodecError> {
-    let mut d = Decoder::new(bytes);
-    let version = d.u32("lab checkpoint version")?;
-    if version != LAB_CKPT_VERSION {
-        return Err(CodecError::Version { what: "lab checkpoint", found: version });
-    }
-    let hash = String::from_utf8_lossy(d.blob("lab checkpoint config hash")?).into_owned();
-    let key = String::from_utf8_lossy(d.blob("lab checkpoint cell key")?).into_owned();
-    let unit = d.u64("lab checkpoint unit")?;
-    let warmup = d.u64("lab checkpoint warmup")?;
-    let period = d.u64("lab checkpoint period")?;
-    let ckpt = Checkpoint::from_bytes(d.blob("lab checkpoint payload")?)?;
-    d.finish("lab checkpoint")?;
-    Ok((hash, key, unit, warmup, period, ckpt))
-}
-
-/// Load one cell's checkpoint if its file exists. A missing file means
-/// "start fresh"; a file that fails to decode, or matches a different spec,
-/// cell or sampling parameters, panics with the path — silently restarting
-/// (or worse, resuming into the wrong run) would corrupt the results.
-fn load_cell_checkpoint(ctx: &CkptContext, key: &str) -> Option<Checkpoint> {
-    let path = ckpt_path(ctx, key);
-    let bytes = match std::fs::read(&path) {
-        Ok(bytes) => bytes,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return None,
-        Err(err) => panic!("cannot read checkpoint {}: {err}", path.display()),
-    };
-    let (hash, file_key, unit, warmup, period, ckpt) =
-        decode_lab_ckpt(&bytes).unwrap_or_else(|e| {
-            panic!(
-                "checkpoint {} is not a valid checkpoint file ({e}); \
-                 delete the file or rerun without --resume",
-                path.display()
-            )
-        });
-    if hash != ctx.config_hash
-        || file_key != key
-        || (unit, warmup, period) != (ctx.unit, ctx.warmup, ctx.period)
-    {
-        panic!(
-            "checkpoint {} does not match this run (spec configuration, cell or \
-             sampling parameters changed); delete the file or rerun without --resume",
-            path.display()
-        );
-    }
-    Some(ckpt)
-}
-
-/// Assemble the [`Checkpoint`] of one kernel cell at a period boundary:
-/// architectural machine + cursor, engine + probe + closed units, warm
-/// memory state, and the dynamic instruction index.
-fn build_checkpoint(
-    arch: &Machine,
-    cursor: ExecCursor,
-    machine: &SimMachine,
-    probe: &AttributionProbe,
-    units: &[UnitDelta],
-    warmup_done: u64,
-    executed: u64,
-) -> Checkpoint {
-    let mut arch_e = Encoder::new();
-    snapshot::encode_machine(&mut arch_e, arch);
-    arch_e.u64(cursor.pc() as u64);
-    let mut sim_e = Encoder::new();
-    machine.save_engine_state(&mut sim_e);
-    probe.save_state(&mut sim_e);
-    sim_e.u64(warmup_done);
-    sim_e.u64(units.len() as u64);
-    for u in units {
-        sim_e.u64(u.committed);
-        sim_e.u64(u.cycles);
-        sim_e.u64(u.branches);
-        sim_e.u64(u.mispredictions);
-        sim_e.u64(u.mem_retries);
-        sim_e.u64(u.mem_accesses);
-    }
-    let mut mem_e = Encoder::new();
-    machine.save_mem_state(&mut mem_e);
-    Checkpoint {
-        arch_state: arch_e.into_bytes(),
-        sim_state: sim_e.into_bytes(),
-        mem_state: mem_e.into_bytes(),
-        inst_index: executed,
-    }
-}
-
-/// Restore one kernel cell from a [`Checkpoint`]: architectural machine and
-/// cursor into `arch`, engine + probe + closed units + warm memory into
-/// `machine`. Returns `(cursor, probe, warmup_done, units)`.
-fn restore_kernel_cell(
-    c: &Checkpoint,
-    arch: &mut Machine,
-    machine: &mut SimMachine,
-) -> Result<(ExecCursor, AttributionProbe, u64, Vec<UnitDelta>), CodecError> {
-    let mut d = Decoder::new(&c.arch_state);
-    snapshot::restore_machine(&mut d, arch)?;
-    let cursor = ExecCursor::at(d.u64("checkpoint cursor")? as usize);
-    d.finish("checkpoint architectural state")?;
-
-    let mut d = Decoder::new(&c.sim_state);
-    machine.load_engine_state(&mut d)?;
-    let probe = AttributionProbe::load_state(&mut d)?;
-    let warmup_done = d.u64("checkpoint warmup tally")?;
-    let n = d.u64("checkpoint unit count")?;
-    let mut units = Vec::new();
-    for _ in 0..n {
-        units.push(UnitDelta {
-            committed: d.u64("unit committed")?,
-            cycles: d.u64("unit cycles")?,
-            branches: d.u64("unit branches")?,
-            mispredictions: d.u64("unit mispredictions")?,
-            mem_retries: d.u64("unit mem retries")?,
-            mem_accesses: d.u64("unit mem accesses")?,
-        });
-    }
-    d.finish("checkpoint engine state")?;
-
-    let mut d = Decoder::new(&c.mem_state);
-    machine.load_mem_state(&mut d)?;
-    d.finish("checkpoint memory state")?;
-    Ok((cursor, probe, warmup_done, units))
-}
-
-/// Run one kernel cell in sampled mode: a detailed warm-up + measured unit at
-/// the head of every sampling period, functional fast-forward for the
-/// remainder, with optional checkpoint persistence at period boundaries.
-///
-/// Each detailed window opens a fresh [`SimStream`] on the cell's machine and
-/// closes it before fast-forwarding; the engine state, probe and warm memory
-/// carry over, so consecutive detailed windows time exactly as they would in
-/// one continuous stream (the machine-level resume test in `mom-cpu` pins
-/// that equivalence). Placing the detailed window at the *head* of each
-/// period — rather than fast-forwarding first — means a workload shorter
-/// than one warm-up window is simulated entirely in detail and reports its
-/// exact result.
-fn run_sampled_kernel_cell(
-    kernel: KernelKind,
-    isa: IsaKind,
-    grid: &GridSpec,
-    machine: &mut SimMachine,
-    sp: SamplingParams,
-    ckpt: Option<(&CkptContext, String)>,
-) -> CellSim {
-    let params = KernelParams { seed: grid.seed, scale: grid.scale };
-    let BuiltKernel { machine: mut arch, program, expected, output_addr, .. } =
-        build_kernel(kernel, isa, &params);
-    let decoded = program.decode();
-    let mut cursor = ExecCursor::start();
-    let mut probe: Option<AttributionProbe> = None;
-    let mut units: Vec<UnitDelta> = Vec::new();
-    let mut executed = 0u64;
-    let mut warmup_done = 0u64;
-    if let Some((ctx, key)) = &ckpt {
-        if ctx.cfg.resume {
-            if let Some(c) = load_cell_checkpoint(ctx, key) {
-                let (cur, p, w, us) =
-                    restore_kernel_cell(&c, &mut arch, machine).unwrap_or_else(|e| {
-                        panic!(
-                            "checkpoint {} failed to restore: {e}; \
-                             delete the file or rerun without --resume",
-                            ckpt_path(ctx, key).display()
-                        )
-                    });
-                cursor = cur;
-                probe = Some(p);
-                warmup_done = w;
-                units = us;
-                executed = c.inst_index;
-            }
-        }
-    }
-    let mut last_saved = executed;
-    let (detailed, report) = loop {
-        let mut stream = match probe.take() {
-            Some(p) => machine.sim_probed_with(p),
-            None => machine.sim_probed(),
-        };
-        let w = decoded.stream_segment(&mut arch, &mut stream, &mut cursor, sp.warmup);
-        warmup_done += w;
-        let before = stream.snapshot();
-        let u = decoded.stream_segment(&mut arch, &mut stream, &mut cursor, sp.unit);
-        executed += w + u;
-        // Closing the stream drains the ROB, so the delta holds the unit's
-        // complete retirement (plus any warm-up stragglers — acceptable: the
-        // warm-up exists precisely to make the unit steady-state).
-        let (partial, p) = stream.finish_probed();
-        let delta = UnitDelta::between(&before, &partial);
-        if delta.committed > 0 {
-            units.push(delta);
-        }
-        executed += decoded.fast_forward(&mut arch, &mut cursor, sp.period - sp.warmup - sp.unit);
-        let done = cursor.is_done(&decoded);
-        if let Some((ctx, key)) = &ckpt {
-            if done || executed.saturating_sub(last_saved) >= CKPT_INTERVAL_INSTS {
-                let c = build_checkpoint(&arch, cursor, machine, &p, &units, warmup_done, executed);
-                save_cell_checkpoint(ctx, key, &c);
-                last_saved = executed;
-            }
-        }
-        if done {
-            // The SimResult counters live in the engine state, so the last
-            // close reports the cumulative detailed totals — including
-            // windows replayed from a restored checkpoint.
-            break (partial, p.into_report());
-        }
-        probe = Some(p);
-    };
-    let actual = arch.mem().read_bytes(output_addr, expected.len());
-    if let Some(offset) = actual.iter().zip(expected.iter()).position(|(a, e)| a != e) {
-        panic!("{kernel} ({isa}) failed verification: output mismatch at byte offset {offset}");
-    }
-    let (sim, sampling) = sampled_estimate(&detailed, &units, executed, warmup_done);
-    CellSim { sim, probe: report, mem: machine.mem_stats(), sampling: Some(sampling) }
-}
-
-/// A sampling adapter between the functional interpreter and a cell's
-/// [`SimStream`]: counts every graduated instruction, but forwards only
-/// those inside the detailed warm-up + measurement window at the head of
-/// each sampling period, snapshotting the stream around each unit.
-///
-/// This deliberately violates the faithful-sink convention of [`TraceSink`]
-/// (every other sink forwards the complete stream in order): skipping the
-/// tail of each period *is* the sampling. Application workloads run through
-/// this adapter because their interpreters drive the sink callback-style and
-/// cannot be windowed externally the way pre-decoded kernels can — the
-/// functional interpretation stays complete; only the timing simulator sees
-/// a sample. Unlike the kernel path the stream is never closed mid-run, so
-/// unit deltas are measured between lagging snapshots (both ends lag by the
-/// in-flight ROB, so the window length is preserved).
-struct SampledSink<'s, 'm> {
-    stream: &'s mut SimStream<'m, AttributionProbe>,
-    sp: SamplingParams,
-    /// Position inside the current sampling period.
-    pos: u64,
-    executed: u64,
-    warmup_done: u64,
-    /// Cumulative counters at the open unit's start, if a unit is open.
-    unit_open: Option<SimResult>,
-    units: Vec<UnitDelta>,
-}
-
-impl SampledSink<'_, '_> {
-    fn step(&mut self, inst: &DynInst) {
-        let in_warmup = self.pos < self.sp.warmup;
-        let in_unit = !in_warmup && self.pos < self.sp.warmup + self.sp.unit;
-        if in_unit && self.unit_open.is_none() {
-            self.unit_open = Some(self.stream.snapshot());
-        }
-        if in_warmup || in_unit {
-            self.stream.feed(inst);
-            if in_warmup {
-                self.warmup_done += 1;
-            }
-        }
-        self.pos += 1;
-        self.executed += 1;
-        if self.pos == self.sp.warmup + self.sp.unit {
-            self.close_unit();
-        }
-        if self.pos == self.sp.period {
-            self.pos = 0;
-        }
-    }
-
-    fn close_unit(&mut self) {
-        if let Some(before) = self.unit_open.take() {
-            let delta = UnitDelta::between(&before, &self.stream.snapshot());
-            if delta.committed > 0 {
-                self.units.push(delta);
-            }
-        }
-    }
-
-    /// Close a dangling unit (a workload that ended mid-window) and hand back
-    /// the tallies.
-    fn into_tallies(mut self) -> (u64, u64, Vec<UnitDelta>) {
-        self.close_unit();
-        (self.executed, self.warmup_done, self.units)
-    }
-}
-
-impl TraceSink for SampledSink<'_, '_> {
-    fn emit(&mut self, inst: DynInst) {
-        self.step(&inst);
-    }
-
-    fn emit_ref(&mut self, inst: &DynInst) {
-        self.step(inst);
-    }
-
-    fn emit_batch(&mut self, batch: &[DynInst]) {
-        for inst in batch {
-            self.step(inst);
-        }
-    }
-}
-
-/// Run one application cell in sampled mode through a [`SampledSink`]. App
-/// cells do not checkpoint: their wall-clock is interpreter-bound either way
-/// (the interpretation is complete; only the detailed simulation is
-/// sampled), so a checkpoint would save little and the multi-phase app
-/// drivers have no externally resumable cursor.
-fn run_sampled_app_cell(
-    app: AppKind,
-    isa: IsaKind,
-    grid: &GridSpec,
-    machine: &mut SimMachine,
-    sp: SamplingParams,
-) -> CellSim {
-    let params = AppParams { seed: grid.seed, scale: grid.scale };
-    let mut stream = machine.sim_probed();
-    let mut sink = SampledSink {
-        stream: &mut stream,
-        sp,
-        pos: 0,
-        executed: 0,
-        warmup_done: 0,
-        unit_open: None,
-        units: Vec::new(),
-    };
-    stream_app(app, isa, &params, &mut sink)
-        .unwrap_or_else(|e| panic!("{app} ({isa}) failed to build: {e}"));
-    let (executed, warmup_done, units) = sink.into_tallies();
-    let (detailed, p) = stream.finish_probed();
-    let (sim, sampling) = sampled_estimate(&detailed, &units, executed, warmup_done);
-    CellSim { sim, probe: p.into_report(), mem: machine.mem_stats(), sampling: Some(sampling) }
 }
 
 fn run_grid(
@@ -1860,10 +1201,9 @@ fn run_grid(
     cache: Option<&CacheContext<'_>>,
 ) -> (Vec<CellResult>, GridTiming, Option<GridCacheOutcome>) {
     let cells = grid.cells();
-    let descriptor_of = |cell: &Cell| grid.configs[cell.config].descriptor(cell.way);
 
     // Cache lookup stage: resolve every cell's content address and pull its
-    // record if one exists. Hit cells never reach the execution arms below —
+    // record if one exists. Hit cells never reach the scheduler below —
     // a fully-cached fan-out group forms no group at all, so a warm run
     // performs zero interpretation and zero simulation. Any load failure
     // (missing, truncated, corrupt, wrong version or key) is a clean miss.
@@ -1893,7 +1233,7 @@ fn run_grid(
             keys.push(key);
         }
     }
-    // The miss subset the execution arms run over. Without a cache this is
+    // The miss subset the groups are built from. Without a cache this is
     // every cell; group membership indices below are positions into this
     // vector, remapped to full-grid indices afterwards.
     let active: Vec<Cell> = cells
@@ -1909,198 +1249,20 @@ fn run_grid(
         .map(|(i, _)| i)
         .collect();
 
-    // Each simulation work unit is timed individually so the JSON `meta`
-    // section can report simulator throughput (insts_per_sec) per cell. In
-    // materialized mode the measured span is the trace replay alone; in
-    // streamed mode it is the fused per-cell interpret+simulate pass; in
-    // fan-out mode it is the shared group pass (every member of a group
-    // carries the same span — see EXPERIMENTS.md).
     let counters = PoolCounters::default();
-    let mut timing = GridTiming::default();
-    let active_sims: Vec<CellSim> = if active.is_empty() {
-        Vec::new()
+    let (active_sims, mut timing) = if active.is_empty() {
+        (Vec::new(), GridTiming::default())
     } else {
-        match mode {
-        ExecMode::Fanout => {
-            let groups = fanout_groups(grid, &active);
-            if workers <= 1 {
-                // One worker: the serial Broadcast path — each group's
-                // interpreter drives all member simulators on this thread,
-                // no channels, no extra threads.
-                let epoch = Instant::now();
-                let outcomes = parallel_map_with(
-                    &groups,
-                    1,
-                    || MachinePool::new(&counters),
-                    group_label,
-                    |pool, group| {
-                        let start_ns = epoch.elapsed().as_nanos() as u64;
-                        let started = Instant::now();
-                        let mut lane_machines = take_lane_machines(grid, &active, group, pool);
-                        let (lane_sims, executed) =
-                            run_fan_group_serial(grid, group, &mut lane_machines);
-                        let ns = started.elapsed().as_nanos() as u64;
-                        pool.put(lane_machines.into_iter().flatten());
-                        (lane_sims, ns, executed, start_ns)
-                    },
-                );
-                let mut slots: Vec<Option<CellSim>> = vec![None; active.len()];
-                timing.cell_wall_ns = vec![0; active.len()];
-                for (group, (lane_sims, ns, executed, start_ns)) in groups.iter().zip(outcomes) {
-                    timing.sim_wall_ns += ns;
-                    timing.functional_passes += 1;
-                    timing.functional_instructions += executed;
-                    timing.spans.push(SpanRec {
-                        name: group_label(group),
-                        cat: "serial",
-                        tid: 0,
-                        start_ns,
-                        dur_ns: ns,
-                        wait_ns: 0,
-                        insts: executed,
-                    });
-                    for ((_, members), sims) in group.lanes.iter().zip(lane_sims) {
-                        for (&ci, sim) in members.iter().zip(sims) {
-                            slots[ci] = Some(sim);
-                            timing.cell_wall_ns[ci] = ns;
-                        }
-                    }
-                }
-                slots.into_iter().map(|s| s.expect("every cell belongs to one group")).collect()
-            } else {
-                run_fanout_pipelined(grid, &active, &groups, workers, &counters, progress, &mut timing)
-            }
-        }
-        // The rate-1 sentinel routes through the *literal* streamed code
-        // path: byte-identity with the exact modes is the correctness gate
-        // of the sampling machinery, so it must not be a reimplementation.
-        ExecMode::Streamed | ExecMode::Sampled { period: 0, .. } => {
-            // No stage 1 — every cell runs the fused pipeline, rebuilding its
-            // workload on the fly.
-            let outcomes = parallel_map_with(
-                &active,
-                workers,
-                || MachinePool::new(&counters),
-                |cell| cell_label(grid, cell),
-                |pool, cell| {
-                    let config = &grid.configs[cell.config];
-                    let started = Instant::now();
-                    let mut machine = pool.take(&descriptor_of(cell));
-                    let (sim, report) = {
-                        let mut stream = machine.sim_probed();
-                        interpret_into(cell.workload, config.isa, grid.scale, grid.seed, &mut stream);
-                        let (sim, probe) = stream.finish_probed();
-                        (sim, probe.into_report())
-                    };
-                    let mem = machine.mem_stats();
-                    let ns = started.elapsed().as_nanos() as u64;
-                    pool.put([machine]);
-                    (CellSim { sim, probe: report, mem, sampling: None }, ns)
-                },
-            );
-            timing.functional_passes = active.len();
-            let mut sims = Vec::with_capacity(active.len());
-            for (cs, ns) in outcomes {
-                timing.cell_wall_ns.push(ns);
-                timing.sim_wall_ns += ns;
-                timing.functional_instructions += cs.sim.committed;
-                sims.push(cs);
-            }
-            sims
-        }
-        ExecMode::Materialized => {
-            // Stage 1: build every distinct (workload, ISA) trace once, in parallel.
-            let mut pairs: Vec<(Workload, IsaKind)> = Vec::new();
-            for cell in &active {
-                let pair = (cell.workload, grid.configs[cell.config].isa);
-                if !pairs.contains(&pair) {
-                    pairs.push(pair);
-                }
-            }
-            let traces = parallel_map_with(
-                &pairs,
-                workers,
-                || (),
-                |&(workload, isa)| format!("trace {} ({})", workload.label(), isa.label()),
-                |(), &(workload, isa)| build_trace(workload, isa, grid.scale, grid.seed),
-            );
-            timing.functional_passes = pairs.len();
-            timing.functional_instructions = traces.iter().map(|t| t.len() as u64).sum();
-            let trace_of = |workload: Workload, isa: IsaKind| -> &Trace {
-                let idx =
-                    pairs.iter().position(|&p| p == (workload, isa)).expect("trace was built");
-                &traces[idx]
-            };
-
-            // Stage 2: simulate every cell, in parallel.
-            let outcomes = parallel_map_with(
-                &active,
-                workers,
-                || MachinePool::new(&counters),
-                |cell| cell_label(grid, cell),
-                |pool, cell| {
-                    let config = &grid.configs[cell.config];
-                    let trace = trace_of(cell.workload, config.isa);
-                    let started = Instant::now();
-                    let mut machine = pool.take(&descriptor_of(cell));
-                    let (sim, report) = machine.simulate_trace_probed(trace);
-                    let mem = machine.mem_stats();
-                    let ns = started.elapsed().as_nanos() as u64;
-                    pool.put([machine]);
-                    (CellSim { sim, probe: report, mem, sampling: None }, ns)
-                },
-            );
-            let mut sims = Vec::with_capacity(active.len());
-            for (cs, ns) in outcomes {
-                timing.cell_wall_ns.push(ns);
-                timing.sim_wall_ns += ns;
-                sims.push(cs);
-            }
-            sims
-        }
-        ExecMode::Sampled { unit_insts, warmup_insts, period } => {
-            // SMARTS-style sampling (period >= 1; period 0 took the streamed
-            // arm above): each cell alternates detailed windows with
-            // functional fast-forwarding, one cell per work item.
-            let sp = SamplingParams { unit: unit_insts, warmup: warmup_insts, period };
-            let outcomes = parallel_map_with(
-                &active,
-                workers,
-                || MachinePool::new(&counters),
-                |cell| cell_label(grid, cell),
-                |pool, cell| {
-                    let config = &grid.configs[cell.config];
-                    let started = Instant::now();
-                    let mut machine = pool.take(&descriptor_of(cell));
-                    let cs = match cell.workload {
-                        Workload::Kernel(kernel) => run_sampled_kernel_cell(
-                            kernel,
-                            config.isa,
-                            grid,
-                            &mut machine,
-                            sp,
-                            ckpt.map(|ctx| (ctx, cell_key(grid, cell))),
-                        ),
-                        Workload::App(app) => {
-                            run_sampled_app_cell(app, config.isa, grid, &mut machine, sp)
-                        }
-                    };
-                    let ns = started.elapsed().as_nanos() as u64;
-                    pool.put([machine]);
-                    (cs, ns)
-                },
-            );
-            timing.functional_passes = active.len();
-            let mut sims = Vec::with_capacity(active.len());
-            for (cs, ns) in outcomes {
-                timing.cell_wall_ns.push(ns);
-                timing.sim_wall_ns += ns;
-                timing.functional_instructions += cs.sim.committed;
-                sims.push(cs);
-            }
-            sims
-        }
-        }
+        let grouped = groups(grid, &active, mode);
+        let ctx = ItemCtx {
+            grid,
+            cells: &active,
+            groups: &grouped,
+            mode,
+            ckpt,
+            epoch: Instant::now(),
+        };
+        run_groups(&ctx, workers, progress, &counters)
     };
     timing.pool = counters.stats();
 
@@ -2185,63 +1347,76 @@ fn run_grid(
     (results, timing, outcome)
 }
 
-/// Map `f` over `items` on `workers` scoped threads with a shared atomic
-/// work-stealing cursor and worker-local scratch state: every worker thread
-/// calls `state` once and threads the value through all of its `f` calls;
-/// `label` names an item for the panic message should `f` panic on it. The
-/// runner uses the state for the [`MachinePool`] — machines are reused
-/// within a worker, and since a reset machine is bit-identical to a fresh
-/// one, the state never influences results. Results land in the slot of
-/// their input index, so the output order — and any serialization of it —
-/// is independent of worker count and scheduling.
+/// Map `f` over `items` on `workers` scoped threads. Items are claimed in
+/// order from a shared atomic cursor and *moved* to the claiming worker;
+/// every worker thread calls `state` once with its worker index and threads
+/// the value through all of its `f` calls; `label` names an item for the
+/// panic message should `f` panic on it. The runner uses the state for the
+/// [`MachinePool`] — machines are reused within a worker, and since a reset
+/// machine is bit-identical to a fresh one, the state never influences
+/// results. Results land in the slot of their input index, so the output
+/// order — and any serialization of it — is independent of worker count and
+/// scheduling. One worker (or one item) runs everything on the calling
+/// thread.
 ///
-/// A panic in `f` fails fast: the panicking worker parks the shared cursor
-/// past `items.len()` so idle workers stop claiming new items promptly
-/// (in-flight items still finish; their results are discarded), and the
-/// first failure is re-raised on the caller's thread with the failing item's
-/// `label` — a kernel verification failure names its cell instead of
-/// surfacing as a bare join panic after the surviving workers drained the
-/// whole grid.
-fn parallel_map_with<T: Sync, R: Send, S>(
-    items: &[T],
+/// A panic in `f` fails fast: the panicking worker raises the abort flag, and
+/// from then on every worker claims the remaining items and *drops them
+/// unexecuted* — prompt, and for pipeline items the drop closes their
+/// channel endpoints, so no peer stays blocked on a channel. In-flight items
+/// still finish; their results are discarded. The first failure is
+/// re-raised on the caller's thread with the failing item's `label`, so a
+/// kernel verification failure names its cell instead of surfacing as a
+/// bare join panic.
+fn parallel_map_with<T: Send, R: Send, S>(
+    items: Vec<T>,
     workers: usize,
-    state: impl Fn() -> S + Sync,
+    state: impl Fn(usize) -> S + Sync,
     label: impl Fn(&T) -> String + Sync,
-    f: impl Fn(&mut S, &T) -> R + Sync,
+    f: impl Fn(&mut S, T) -> R + Sync,
 ) -> Vec<R> {
     if workers <= 1 || items.len() <= 1 {
-        let mut local = state();
+        let mut local = state(0);
         return items
-            .iter()
+            .into_iter()
             .map(|item| {
+                let who = label(&item);
                 catch_unwind(AssertUnwindSafe(|| f(&mut local, item)))
-                    .unwrap_or_else(|payload| raise_labeled(&label(item), payload))
+                    .unwrap_or_else(|payload| raise_labeled(&who, payload))
             })
             .collect();
     }
+    let slots: Vec<Mutex<Option<T>>> =
+        items.into_iter().map(|item| Mutex::new(Some(item))).collect();
     let cursor = AtomicUsize::new(0);
+    let abort = AtomicBool::new(false);
     let failure: Mutex<Option<(String, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(slots.len()).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(items.len()))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = state();
+        let handles: Vec<_> = (0..workers.min(slots.len()))
+            .map(|worker| {
+                let (slots, cursor, abort, failure) = (&slots, &cursor, &abort, &failure);
+                let (state, label, f) = (&state, &label, &f);
+                scope.spawn(move || {
+                    let mut local = state(worker);
                     let mut produced = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
+                        if i >= slots.len() {
                             break;
                         }
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut local, &items[i]))) {
+                        let Some(item) = lock_clean(&slots[i]).take() else { continue };
+                        if abort.load(Ordering::Relaxed) {
+                            continue; // claim-and-drop
+                        }
+                        let who = label(&item);
+                        match catch_unwind(AssertUnwindSafe(|| f(&mut local, item))) {
                             Ok(r) => produced.push((i, r)),
                             Err(payload) => {
-                                cursor.store(items.len(), Ordering::Relaxed);
-                                let mut first = lock_clean(&failure);
+                                abort.store(true, Ordering::Relaxed);
+                                let mut first = lock_clean(failure);
                                 if first.is_none() {
-                                    *first = Some((label(&items[i]), payload));
+                                    *first = Some((who, payload));
                                 }
-                                break;
                             }
                         }
                     }
@@ -2251,261 +1426,17 @@ fn parallel_map_with<T: Sync, R: Send, S>(
             .collect();
         for handle in handles {
             for (i, r) in handle.join().expect("map workers catch their own panics") {
-                slots[i] = Some(r);
+                results[i] = Some(r);
             }
         }
     });
     if let Some((who, payload)) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
         raise_labeled(&who, payload);
     }
-    slots.into_iter().map(|slot| slot.expect("every index was claimed")).collect()
+    results.into_iter().map(|r| r.expect("every item ran")).collect()
 }
 
 impl RunResult {
-    /// The deterministic results document: everything except the `meta`
-    /// section. Two runs of the same spec serialize to identical bytes
-    /// regardless of worker count. A sampled run (period > 0) additionally
-    /// carries a `sampling` section — its parameters and per-cell IPC
-    /// estimates with confidence intervals — and is byte-identical to other
-    /// sampled runs with the same parameters.
-    pub fn results_json(&self) -> Value {
-        let mut members = vec![
-            ("schema", Value::Str("momlab/v1".into())),
-            ("experiment", Value::Str(self.spec.name.clone())),
-            ("title", Value::Str(self.spec.title.clone())),
-            ("config_hash", Value::Str(self.config_hash.clone())),
-            ("fast", Value::Bool(self.spec.fast)),
-        ];
-        match (&self.data, self.spec.grid()) {
-            (RunData::Grid(cells), Some(grid)) => {
-                members.push(("kind", Value::Str("grid".into())));
-                members.push(("scale", Value::Int(grid.scale as i64)));
-                members.push(("seed", Value::Int(grid.seed as i64)));
-                members.push((
-                    "widths",
-                    Value::Array(grid.widths.iter().map(|&w| Value::Int(w as i64)).collect()),
-                ));
-                members.push((
-                    "configs",
-                    Value::Array(
-                        grid.configs
-                            .iter()
-                            .map(|c| {
-                                let mut fields = vec![
-                                    ("label", Value::Str(c.label.clone())),
-                                    ("isa", Value::Str(c.isa.label().into())),
-                                    ("mem", Value::Str(mem_label(c.mem))),
-                                ];
-                                // Overrides appear only when present, so
-                                // pre-override documents stay byte-identical.
-                                if let Some(rob) = c.rob {
-                                    fields.push(("rob", Value::Int(rob as i64)));
-                                }
-                                Value::object(fields)
-                            })
-                            .collect(),
-                    ),
-                ));
-                members.push((
-                    "cells",
-                    Value::Array(cells.iter().map(cell_json).collect()),
-                ));
-                if let ExecMode::Sampled { unit_insts, warmup_insts, period } = self.mode {
-                    if period > 0 {
-                        members.push((
-                            "sampling",
-                            Value::object(vec![
-                                ("unit_insts", Value::Int(unit_insts as i64)),
-                                ("warmup_insts", Value::Int(warmup_insts as i64)),
-                                ("period", Value::Int(period as i64)),
-                                (
-                                    "cells",
-                                    Value::Array(
-                                        cells
-                                            .iter()
-                                            .filter_map(|c| {
-                                                c.sampling
-                                                    .as_ref()
-                                                    .map(|s| sampling_json(c, s))
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ]),
-                        ));
-                    }
-                }
-            }
-            (RunData::Static(rows), _) => {
-                members.push(("kind", Value::Str("static".into())));
-                members.push(("rows", static_rows_json(rows)));
-            }
-            (RunData::Grid(_), None) => unreachable!("grid data implies a grid spec"),
-        }
-        Value::object(members)
-    }
-
-    /// The full on-disk document: [`RunResult::results_json`] plus a `meta`
-    /// section with wall-clock, worker-count, execution-mode and throughput
-    /// information (the only part that may differ between two runs of the
-    /// same spec).
-    pub fn document_json(&self) -> Value {
-        let mut doc = self.results_json();
-        let mut meta_members = vec![
-            ("workers", Value::Int(self.workers as i64)),
-            ("wall_ms", Value::Int(self.wall_ms as i64)),
-            ("streamed", Value::Bool(self.mode.is_streamed())),
-            ("mode", Value::Str(self.mode.label().into())),
-            ("generated_by", Value::Str(format!("momlab {}", env!("CARGO_PKG_VERSION")))),
-            // Which execution engine produced the numbers, so perf
-            // trajectory documents are self-describing: `swar` is true for
-            // every build of this engine (the portable chunked-u64 lane
-            // kernels are unconditional), `simd_feature` reports whether the
-            // SSE2 backend was compiled in *and* usable on this target, and
-            // `fused_pairs` counts the fused µop pairs decode created during
-            // this run (0 when a warm machine pool skipped re-decoding).
-            (
-                "engine",
-                Value::object(vec![
-                    ("swar", Value::Bool(true)),
-                    ("simd_feature", Value::Bool(mom_isa::simd_active())),
-                    ("fused_pairs", Value::Int(self.fused_pairs as i64)),
-                ]),
-            ),
-            // The host the numbers were measured on, so committed BENCH
-            // documents are comparable: wall-clock figures from different
-            // core counts or architectures are not.
-            (
-                "host",
-                Value::object(vec![
-                    (
-                        "cpus",
-                        Value::Int(
-                            std::thread::available_parallelism()
-                                .map(|n| n.get())
-                                .unwrap_or(1) as i64,
-                        ),
-                    ),
-                    ("arch", Value::Str(std::env::consts::ARCH.into())),
-                    ("os", Value::Str(std::env::consts::OS.into())),
-                    ("simd_active", Value::Bool(mom_isa::simd_active())),
-                ]),
-            ),
-        ];
-        if let Some(pipeline) = &self.pipeline {
-            // Pipelined fan-out accounting: batch/channel geometry plus how
-            // much of the consumer shards' wall-clock was spent simulating
-            // (vs blocked on the interpreter). Present exactly when the
-            // pipelined scheduler ran (fanout mode, 2+ workers).
-            meta_members.push((
-                "pipeline",
-                Value::object(vec![
-                    ("batch_insts", Value::Int(pipeline.batch_insts as i64)),
-                    ("channel_batches", Value::Int(pipeline.channel_batches as i64)),
-                    ("pipelined_groups", Value::Int(pipeline.pipelined_groups as i64)),
-                    ("serial_groups", Value::Int(pipeline.serial_groups as i64)),
-                    (
-                        "occupancy",
-                        pipeline.occupancy.map(Value::Float).unwrap_or(Value::Null),
-                    ),
-                ]),
-            ));
-        }
-        if let Some(cells) = self.cells() {
-            // The functional-sharing accounting: how many interpreter passes
-            // this run performed, how many instructions they executed, and
-            // what per-cell interpretation would have cost instead. The
-            // sharing factor is the instruction-weighted amortization of the
-            // fan-out runner (1.0 in streamed mode by construction).
-            meta_members.push((
-                "shared_passes",
-                Value::object(vec![
-                    ("cells", Value::Int(cells.len() as i64)),
-                    ("functional_passes", Value::Int(self.functional_passes as i64)),
-                    (
-                        "cell_instructions",
-                        Value::Int(cells.iter().map(|c| c.instructions).sum::<u64>() as i64),
-                    ),
-                    (
-                        "functional_instructions",
-                        Value::Int(self.functional_instructions as i64),
-                    ),
-                    (
-                        "sharing_factor",
-                        self.sharing_factor().map(Value::Float).unwrap_or(Value::Null),
-                    ),
-                ]),
-            ));
-            if cells.len() == self.cell_wall_ns.len() {
-                meta_members.push(("throughput", Value::Array(
-                    cells
-                        .iter()
-                        .zip(&self.cell_wall_ns)
-                        .enumerate()
-                        .map(|(i, (cell, &ns))| {
-                            let mut fields = vec![
-                                ("workload", Value::Str(cell.workload.label().into())),
-                                ("config", Value::Str(cell.config_label.clone())),
-                                ("way", Value::Int(cell.way as i64)),
-                            ];
-                            // A cached cell's span is document assembly, not
-                            // simulation — a rate computed from it would be
-                            // fabricated, so mark it instead. The extra field
-                            // appears only for cached cells, keeping
-                            // cache-free documents byte-identical.
-                            if self.cached_cells.get(i).copied().unwrap_or(false) {
-                                fields.push(("insts_per_sec", Value::Null));
-                                fields.push(("cached", Value::Bool(true)));
-                            } else {
-                                fields.push((
-                                    "insts_per_sec",
-                                    Value::Float(insts_per_sec(cell.instructions, ns)),
-                                ));
-                            }
-                            Value::object(fields)
-                        })
-                        .collect(),
-                )));
-            }
-            // Machine-pool reuse accounting for this run (wall-clock-free but
-            // scheduling-dependent, hence meta).
-            meta_members.push((
-                "pool",
-                Value::object(vec![
-                    ("hits", Value::Int(self.pool.hits as i64)),
-                    ("builds", Value::Int(self.pool.builds as i64)),
-                ]),
-            ));
-        }
-        if let Some(cache) = &self.cache {
-            // Result-cache accounting: present exactly when the run had a
-            // cache, so cache-free documents stay byte-identical.
-            meta_members.push((
-                "cache",
-                Value::object(vec![
-                    ("hits", Value::Int(cache.hits as i64)),
-                    ("misses", Value::Int(cache.misses as i64)),
-                    ("fills", Value::Int(cache.fills as i64)),
-                    ("bytes", Value::Int(cache.bytes as i64)),
-                    ("dir", Value::Str(cache.dir.clone())),
-                ]),
-            ));
-        }
-        if !self.spans.is_empty() {
-            // Scheduler span trace (fan-out modes only): one entry per work
-            // item, chronological. Informational — never diffed.
-            meta_members.push((
-                "spans",
-                Value::Array(self.spans.iter().map(span_json).collect()),
-            ));
-        }
-        let meta = Value::object(meta_members);
-        if let Value::Object(members) = &mut doc {
-            members.push(("meta".into(), meta));
-        }
-        doc
-    }
-
     /// Aggregate simulator throughput over all grid cells, in dynamic
     /// instructions per wall-clock second (`None` for static experiments or
     /// when nothing was timed). The denominator is the sum of the *distinct*
@@ -2571,216 +1502,29 @@ impl RunResult {
 }
 
 /// Simulated instructions per wall-clock second.
-fn insts_per_sec(instructions: u64, wall_ns: u64) -> f64 {
+pub(crate) fn insts_per_sec(instructions: u64, wall_ns: u64) -> f64 {
     instructions as f64 * 1e9 / wall_ns.max(1) as f64
 }
 
-/// The `mem` field of the JSON schema. Unlike [`MemModelKind::label`], the
-/// perfect model embeds its latency so that cells of the latency study keyed
-/// on `(workload, isa, mem, way)` stay distinguishable.
-pub fn mem_label(mem: MemModelKind) -> String {
-    match mem {
-        MemModelKind::Perfect { latency } => format!("perfect-{latency}"),
-        other => other.label().to_string(),
-    }
-}
-
-fn cell_json(cell: &CellResult) -> Value {
-    Value::object(vec![
-        ("workload", Value::Str(cell.workload.label().into())),
-        ("workload_kind", Value::Str(cell.workload.kind_label().into())),
-        ("config", Value::Str(cell.config_label.clone())),
-        ("isa", Value::Str(cell.isa.label().into())),
-        ("mem", Value::Str(mem_label(cell.mem))),
-        ("way", Value::Int(cell.way as i64)),
-        ("cycles", Value::Int(cell.cycles as i64)),
-        ("instructions", Value::Int(cell.instructions as i64)),
-        ("branches", Value::Int(cell.branches as i64)),
-        ("mispredictions", Value::Int(cell.mispredictions as i64)),
-        ("mem_accesses", Value::Int(cell.mem_accesses as i64)),
-        ("ipc", Value::Float(cell.ipc())),
-        ("speedup", cell.speedup.map(Value::Float).unwrap_or(Value::Null)),
-        ("mispredict_rate", Value::Float(cell.mispredict_rate())),
-        ("mem", mem_json(&cell.mem_stats)),
-        ("breakdown", breakdown_json(&cell.breakdown)),
-        ("intervals", intervals_json(&cell.intervals)),
-    ])
-}
-
-/// One entry of the `sampling.cells` array: the cell's identity (the same
-/// `(workload, config, way)` key `momlab diff` matches on) plus its sampling
-/// accounting and IPC estimate.
-fn sampling_json(cell: &CellResult, s: &CellSampling) -> Value {
-    Value::object(vec![
-        ("workload", Value::Str(cell.workload.label().into())),
-        ("config", Value::Str(cell.config_label.clone())),
-        ("way", Value::Int(cell.way as i64)),
-        ("units_measured", Value::Int(s.units_measured as i64)),
-        ("measured_insts", Value::Int(s.measured_insts as i64)),
-        ("warmup_insts", Value::Int(s.warmup_insts as i64)),
-        ("total_insts", Value::Int(s.total_insts as i64)),
-        ("ipc_mean", Value::Float(s.ipc_mean)),
-        ("ipc_ci95", Value::Float(s.ipc_ci95)),
-    ])
-}
-
-/// The `mem` member of a cell: per-cell memory-system counters, split by
-/// hierarchy level. Deterministic — diffed at tolerance zero like `cycles`.
-fn mem_json(stats: &MemSystemStats) -> Value {
-    let cache = |c: &CacheStats| {
-        let hit_rate =
-            if c.accesses() == 0 { 0.0 } else { c.hits as f64 / c.accesses() as f64 };
-        Value::object(vec![
-            ("hits", Value::Int(c.hits as i64)),
-            ("misses", Value::Int(c.misses as i64)),
-            ("writebacks", Value::Int(c.writebacks as i64)),
-            ("hit_rate", Value::Float(hit_rate)),
-        ])
-    };
-    Value::object(vec![
-        ("requests", Value::Int(stats.requests as i64)),
-        ("element_accesses", Value::Int(stats.element_accesses as i64)),
-        ("port_stalls", Value::Int(stats.port_stalls as i64)),
-        ("bank_conflicts", Value::Int(stats.bank_conflicts as i64)),
-        ("mshr_stalls", Value::Int(stats.mshr_stalls as i64)),
-        ("vector_transactions", Value::Int(stats.vector_transactions as i64)),
-        ("l1", cache(&stats.l1)),
-        ("l2", cache(&stats.l2)),
-        (
-            "dram",
-            Value::object(vec![
-                ("transfers", Value::Int(stats.dram.transfers as i64)),
-                ("busy_cycles", Value::Int(stats.dram.busy_cycles as i64)),
-                ("queue_cycles", Value::Int(stats.dram.queue_cycles as i64)),
-            ]),
-        ),
-    ])
-}
-
-/// The `breakdown` member of a cell: every commit-slot cycle attributed to
-/// exactly one cause, keyed by [`StallCause::label`]. The components sum to
-/// `total_cycles` — an invariant asserted when the probe is read out.
-fn breakdown_json(b: &StallBreakdown) -> Value {
-    let mut fields = vec![("total_cycles", Value::Int(b.total_cycles as i64))];
-    for (cause, cycles) in b.components() {
-        fields.push((cause.label(), Value::Int(cycles as i64)));
-    }
-    Value::object(fields)
-}
-
-/// The `intervals` member of a cell: the windowed IPC timeline with the
-/// dominant stall cause per window.
-fn intervals_json(iv: &IntervalStats) -> Value {
-    Value::object(vec![
-        ("window_cycles", Value::Int(iv.window_cycles as i64)),
-        (
-            "windows",
-            Value::Array(
-                iv.windows
-                    .iter()
-                    .map(|w| {
-                        Value::object(vec![
-                            ("committed", Value::Int(w.committed as i64)),
-                            ("cycles", Value::Int(w.cycles as i64)),
-                            ("ipc", Value::Float(w.ipc())),
-                            ("top", Value::Str(w.top.label().into())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// One scheduler span for the `meta.spans` array (wall-clock data: lives in
-/// `meta`, never in `results`).
-fn span_json(span: &SpanRec) -> Value {
-    Value::object(vec![
-        ("name", Value::Str(span.name.clone())),
-        ("cat", Value::Str(span.cat.into())),
-        ("tid", Value::Int(span.tid as i64)),
-        ("start_ns", Value::Int(span.start_ns as i64)),
-        ("dur_ns", Value::Int(span.dur_ns as i64)),
-        ("wait_ns", Value::Int(span.wait_ns as i64)),
-        ("insts", Value::Int(span.insts as i64)),
-    ])
-}
-
-fn static_rows_json(rows: &StaticRows) -> Value {
-    let pair = |(a, b): (usize, usize)| Value::Array(vec![Value::Int(a as i64), Value::Int(b as i64)]);
-    match rows {
-        StaticRows::Table1(rows) => Value::Array(
-            rows.iter()
-                .map(|r| {
-                    Value::object(vec![
-                        ("way", Value::Int(r.way as i64)),
-                        ("rob", Value::Int(r.rob as i64)),
-                        ("lsq", Value::Int(r.lsq as i64)),
-                        ("bimodal", Value::Int(r.bimodal as i64)),
-                        ("btb", Value::Int(r.btb as i64)),
-                        ("int_units", pair(r.int_units)),
-                        ("fp_units", pair(r.fp_units)),
-                        ("media_units", pair(r.media_units)),
-                        ("mem_ports", Value::Int(r.mem_ports as i64)),
-                        ("int_regs", pair(r.int_regs)),
-                    ])
-                })
-                .collect(),
-        ),
-        StaticRows::Table2(rows) => Value::Array(
-            rows.iter()
-                .map(|r| {
-                    Value::object(vec![
-                        ("isa", Value::Str(r.isa.to_string())),
-                        ("media_regs", pair(r.media_regs)),
-                        ("acc_regs", pair(r.acc_regs)),
-                        ("media_ports", pair(r.media_ports)),
-                        ("acc_ports", pair(r.acc_ports)),
-                        ("size_kb", Value::Float(r.size_kb)),
-                        ("normalized_area", Value::Float(r.normalized_area)),
-                    ])
-                })
-                .collect(),
-        ),
-        StaticRows::Table3(rows) => Value::Array(
-            rows.iter()
-                .map(|r| {
-                    let c = r.config;
-                    Value::object(vec![
-                        ("label", Value::Str(r.label.clone())),
-                        ("l1_ports", Value::Int(c.l1_ports as i64)),
-                        ("l1_banks", Value::Int(c.l1_banks as i64)),
-                        ("l1_latency", Value::Int(c.l1_latency as i64)),
-                        ("l2_vector_ports", Value::Int(c.l2_vector_ports as i64)),
-                        ("l2_vector_width", Value::Int(c.l2_vector_width as i64)),
-                        ("l2_banks", Value::Int(c.l2_banks as i64)),
-                        ("l2_latency", Value::Int(c.l2_latency as i64)),
-                    ])
-                })
-                .collect(),
-        ),
-        StaticRows::Inventory(rows) => Value::Array(
-            rows.iter()
-                .map(|r| {
-                    Value::object(vec![
-                        ("isa", Value::Str(r.isa.label().into())),
-                        ("modelled", Value::Int(r.modelled as i64)),
-                        ("paper", r.paper.map(|p| Value::Int(p as i64)).unwrap_or(Value::Null)),
-                    ])
-                })
-                .collect(),
-        ),
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
+    use crate::sampling::{sampled_estimate, UnitDelta};
     use crate::spec::figure5_spec;
     use mom_kernels::KernelKind;
 
     fn map_doubled(items: &[usize], workers: usize) -> Vec<usize> {
-        parallel_map_with(items, workers, || (), |&x| format!("item {x}"), |(), &x| x * 2)
+        parallel_map_with(items.to_vec(), workers, |_| (), |x| format!("item {x}"), |(), x| x * 2)
+    }
+
+    fn run_with(spec: &ExperimentSpec, workers: usize) -> RunResult {
+        run(spec, &RunOptions::with_workers(workers))
+    }
+
+    fn run_mode(spec: &ExperimentSpec, workers: usize, mode: ExecMode) -> RunResult {
+        run(spec, &RunOptions { workers, mode, ..Default::default() })
     }
 
     #[test]
@@ -2797,11 +1541,11 @@ mod tests {
         let executed = AtomicUsize::new(0);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             parallel_map_with(
-                &items,
+                items,
                 4,
-                || (),
-                |&x| format!("compensation / mom / {x}-way"),
-                |(), &x| {
+                |_| (),
+                |x| format!("compensation / mom / {x}-way"),
+                |(), x| {
                     if x == 3 {
                         panic!("injected cell failure");
                     }
@@ -2828,11 +1572,11 @@ mod tests {
         let items = [1usize, 2];
         let caught = catch_unwind(AssertUnwindSafe(|| {
             parallel_map_with(
-                &items,
+                items.to_vec(),
                 1,
-                || (),
-                |&x| format!("item-{x}"),
-                |(), &x| {
+                |_| (),
+                |x| format!("item-{x}"),
+                |(), x| {
                     if x == 2 {
                         panic!("boom");
                     }
@@ -2969,7 +1713,6 @@ mod tests {
         let doc = result.document_json();
         let meta = doc.get("meta").expect("meta present");
         assert_eq!(meta.get("mode").and_then(Value::as_str), Some("fanout"));
-        assert_eq!(meta.get("streamed"), Some(&Value::Bool(true)));
         let sp = meta.get("shared_passes").expect("shared_passes present");
         assert_eq!(sp.get("cells").and_then(Value::as_i64), Some(16));
         assert_eq!(sp.get("functional_passes").and_then(Value::as_i64), Some(4));
@@ -3005,20 +1748,53 @@ mod tests {
     fn exec_mode_labels() {
         assert_eq!(ExecMode::Fanout.label(), "fanout");
         assert_eq!(ExecMode::Streamed.label(), "streamed");
-        assert_eq!(ExecMode::Materialized.label(), "materialized");
-        assert!(ExecMode::Fanout.is_streamed());
-        assert!(!ExecMode::Materialized.is_streamed());
         let sampled = ExecMode::Sampled {
             unit_insts: DEFAULT_SAMPLE_UNIT,
             warmup_insts: DEFAULT_SAMPLE_WARMUP,
             period: DEFAULT_SAMPLE_PERIOD,
         };
         assert_eq!(sampled.label(), "sampled");
-        assert!(sampled.is_streamed());
         assert!(sampled.is_estimated());
         assert!(!ExecMode::Streamed.is_estimated());
         // Rate 1 (period 0) is exact, not an estimate.
         assert!(!ExecMode::Sampled { unit_insts: 1, warmup_insts: 0, period: 0 }.is_estimated());
+    }
+
+    #[test]
+    fn streamed_is_fanout_with_singleton_groups() {
+        let spec = figure5_spec(&[KernelKind::Compensation], 1, 1, true);
+        let fanout = run_with(&spec, 2);
+        for workers in [1, 2] {
+            let streamed = run_mode(&spec, workers, ExecMode::Streamed);
+            let cells = streamed.cells().expect("grid cells").len();
+            assert_eq!(streamed.results_json().to_pretty(), fanout.results_json().to_pretty());
+            assert_eq!(streamed.functional_passes, cells, "one pass per cell");
+            assert!((streamed.sharing_factor().unwrap() - 1.0).abs() < 1e-12);
+            // Every cell is a serial work item with a span of its own.
+            assert_eq!(streamed.spans.len(), cells);
+            assert!(streamed.spans.iter().all(|s| s.cat == "serial" && s.insts > 0));
+            // A one-member group never pipelines.
+            if let Some(stats) = &streamed.pipeline {
+                assert_eq!((stats.pipelined_groups, stats.serial_groups), (0, cells));
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_runs_record_one_span_per_cell() {
+        let spec = figure5_spec(&[KernelKind::Compensation], 1, 1, true);
+        let mode = ExecMode::Sampled { unit_insts: 100, warmup_insts: 100, period: 500 };
+        let sampled = run_mode(&spec, 2, mode);
+        let cells = sampled.cells().expect("grid cells");
+        assert_eq!(sampled.spans.len(), cells.len());
+        assert_eq!(
+            sampled.functional_instructions,
+            cells.iter().map(|c| c.instructions).sum::<u64>(),
+            "the interpreter executes every cell in full"
+        );
+        let doc = sampled.document_json();
+        let spans = doc.get("meta").and_then(|m| m.get("spans")).and_then(Value::as_array);
+        assert_eq!(spans.map(<[Value]>::len), Some(cells.len()));
     }
 
     #[test]

@@ -446,12 +446,9 @@ pub fn latency_spec(kernels: &[KernelKind], scale: usize, way: usize, fast: bool
 /// The streaming scale study: the heaviest kernel (`rgb2ycc`, whose scalar
 /// trace is the longest of the eight; `compensation` in fast mode) at
 /// [`STRESS_SCALE_FACTOR`]× the requested workload scale across all four
-/// ISAs on the wide machines. At these trace lengths the materialized
-/// two-stage runner has to hold multi-million-instruction `Vec<DynInst>`s
-/// alive across the whole grid — the streamed pipeline
-/// (`momlab run stress --streamed`) executes every cell in O(ROB) memory,
-/// which is what makes the scale axis unbounded. Both modes remain
-/// byte-identical whenever both can run.
+/// ISAs on the wide machines. Traces this long are never materialized: the
+/// runner streams every cell in O(ROB) memory, which is what makes the
+/// scale axis unbounded.
 pub fn stress_spec(scale: usize, fast: bool) -> ExperimentSpec {
     let kernel = if fast { KernelKind::Compensation } else { KernelKind::Rgb2Ycc };
     let scale = scale.max(1) * STRESS_SCALE_FACTOR;

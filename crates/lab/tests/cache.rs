@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use mom_lab::runner::{run_cached, ExecMode};
+use mom_lab::runner::{ExecMode, RunOptions};
 use mom_lab::spec::ExperimentSpec;
 use mom_lab::{CellCache, RunResult};
 
@@ -19,7 +19,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn run(spec: &ExperimentSpec, mode: ExecMode, cache: Option<&CellCache>) -> RunResult {
-    run_cached(spec, 2, mode, false, None, cache)
+    mom_lab::run(spec, &RunOptions { workers: 2, mode, cache, ..Default::default() })
 }
 
 fn meta(result: &RunResult) -> &mom_lab::CacheMeta {
@@ -65,9 +65,9 @@ fn warm_rerun_is_all_hits_and_byte_identical() {
 }
 
 /// A cache filled by ONE exact mode serves every other exact mode
-/// byte-identically: fanout fills; streamed, materialized and
-/// `--sampled --sample-period 0` (the exact sampled degenerate) all run at
-/// 100% hits without simulating anything.
+/// byte-identically: fanout fills; streamed and `--sampled --sample-period 0`
+/// (the exact sampled degenerate) both run at 100% hits without simulating
+/// anything.
 #[test]
 fn one_exact_mode_fills_for_all_the_others() {
     let dir = scratch("crossmode");
@@ -80,7 +80,6 @@ fn one_exact_mode_fills_for_all_the_others() {
 
     for mode in [
         ExecMode::Streamed,
-        ExecMode::Materialized,
         ExecMode::Sampled { unit_insts: 1000, warmup_insts: 2000, period: 0 },
     ] {
         let warm = run(&spec, mode, Some(&cache));

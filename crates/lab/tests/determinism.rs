@@ -4,8 +4,12 @@
 //! `results_json` by construction.
 
 use mom_lab::json::Value;
-use mom_lab::runner::run_with;
+use mom_lab::runner::{run, ExecMode, RunOptions, RunResult};
 use mom_lab::spec::ExperimentSpec;
+
+fn run_with(spec: &ExperimentSpec, workers: usize) -> RunResult {
+    run(spec, &RunOptions::with_workers(workers))
+}
 
 /// A representative grid spec (the reduced Figure 5: 2 kernels x 4 ISAs x
 /// 4 widths = 32 simulations) run serially and with 4 workers must serialize
@@ -41,43 +45,30 @@ fn every_builtin_experiment_is_deterministic_across_worker_counts() {
     }
 }
 
-/// The guarantee also spans the execution mode: the default fan-out runner
+/// The guarantee also spans the execution mode: the default fan-out grouping
 /// (one shared functional pass per `(workload, ISA)` group broadcast to all
-/// member simulators), the fused per-cell streaming pipeline and the
-/// two-stage materialized runner all serialize byte-identically for every
-/// built-in experiment.
+/// member simulators) and the per-cell streamed grouping serialize
+/// byte-identically for every built-in experiment.
 #[test]
-fn all_three_execution_modes_are_byte_identical() {
-    use mom_lab::runner::{run_with_mode, ExecMode};
+fn fanout_and_streamed_are_byte_identical() {
     for name in mom_lab::BUILTIN_EXPERIMENTS {
         let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
-        let fanout = run_with_mode(&spec, 2, ExecMode::Fanout);
-        let streamed = run_with_mode(&spec, 2, ExecMode::Streamed);
-        let materialized = run_with_mode(&spec, 2, ExecMode::Materialized);
+        let fanout = run(&spec, &RunOptions { workers: 2, ..Default::default() });
+        let streamed =
+            run(&spec, &RunOptions { workers: 2, mode: ExecMode::Streamed, ..Default::default() });
         assert_eq!(fanout.mode, ExecMode::Fanout);
-        assert!(fanout.mode.is_streamed() && streamed.mode.is_streamed());
-        assert!(!materialized.mode.is_streamed());
-        let reference = fanout.results_json().to_pretty();
         assert_eq!(
-            reference,
+            fanout.results_json().to_pretty(),
             streamed.results_json().to_pretty(),
             "{name}: fan-out and streamed runs diverged"
         );
-        assert_eq!(
-            reference,
-            materialized.results_json().to_pretty(),
-            "{name}: fan-out and materialized runs diverged"
-        );
         // The sharing accounting: fan-out shares functional passes across
-        // grid cells (and scalar app phases across ISA lanes, so it can do
-        // strictly better than materialized stage-1 sharing); the per-cell
-        // streamed mode shares nothing.
+        // grid cells (and scalar app phases across ISA lanes); the per-cell
+        // streamed grouping shares nothing.
         if let Some(cells) = fanout.cells() {
-            assert!(fanout.functional_passes <= materialized.functional_passes);
-            assert!(materialized.functional_passes <= cells.len());
+            assert!(fanout.functional_passes <= cells.len());
             assert_eq!(streamed.functional_passes, cells.len());
-            assert!(fanout.functional_instructions <= materialized.functional_instructions);
-            assert!(fanout.sharing_factor() >= materialized.sharing_factor());
+            assert!(fanout.functional_instructions <= streamed.functional_instructions);
             assert!(streamed.sharing_factor().is_none_or(|f| (f - 1.0).abs() < 1e-12));
         }
     }

@@ -5,12 +5,12 @@
 //! `fast = true`, no environment dependence) and compare bytes.
 
 use mom_lab::report::render;
-use mom_lab::runner::run_with;
+use mom_lab::runner::{run, RunOptions};
 use mom_lab::spec::ExperimentSpec;
 
 fn check(name: &str, golden: &str) {
     let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
-    let rendered = render(&run_with(&spec, 4));
+    let rendered = render(&run(&spec, &RunOptions::with_workers(4)));
     assert_eq!(
         rendered, golden,
         "{name}: rendered output drifted from the legacy binary format"

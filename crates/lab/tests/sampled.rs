@@ -1,8 +1,9 @@
 //! The sampled execution mode's correctness contracts.
 //!
-//! * **Rate 1 is exact**: `ExecMode::Sampled` with `period == 0` routes
-//!   through the literal streamed code path, so its results document is
-//!   byte-identical to [`ExecMode::Streamed`] for every built-in experiment.
+//! * **Rate 1 is exact**: `ExecMode::Sampled` with `period == 0` is the
+//!   streamed run (singleton groups on the runner's one path), so its results
+//!   document is byte-identical to [`ExecMode::Streamed`] for every built-in
+//!   experiment.
 //!   This is the gate that keeps the sampling machinery honest — any drift
 //!   in the shared plumbing shows up as a byte diff here.
 //! * **Sampling is deterministic**: the periodic schedule depends only on
@@ -14,10 +15,14 @@
 //!   run resumed from those files serialize byte-identically.
 
 use mom_lab::runner::{
-    run_with_mode, run_with_options, CheckpointConfig, ExecMode, DEFAULT_SAMPLE_UNIT,
+    run, CheckpointConfig, ExecMode, RunOptions, RunResult, DEFAULT_SAMPLE_UNIT,
     DEFAULT_SAMPLE_WARMUP,
 };
 use mom_lab::spec::ExperimentSpec;
+
+fn run_with_mode(spec: &ExperimentSpec, workers: usize, mode: ExecMode) -> RunResult {
+    run(spec, &RunOptions { workers, mode, ..Default::default() })
+}
 
 /// A sampled mode whose period is small enough that scale-1 fast kernels
 /// alternate between detailed and fast-forwarded execution several times.
@@ -31,7 +36,7 @@ fn rate1_sampled_is_byte_identical_to_streamed_for_every_builtin() {
         warmup_insts: DEFAULT_SAMPLE_WARMUP,
         period: 0,
     };
-    assert!(rate1.is_streamed() && !rate1.is_estimated());
+    assert!(!rate1.is_estimated());
     for name in mom_lab::BUILTIN_EXPERIMENTS {
         let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
         let exact = run_with_mode(&spec, 2, ExecMode::Streamed).results_json().to_pretty();
@@ -94,9 +99,15 @@ fn checkpointed_and_resumed_runs_are_byte_identical() {
     // Plain sampled run: the reference bytes.
     let reference = run_with_mode(&spec, 2, SMALL_SAMPLED).results_json().to_pretty();
 
+    let opts = |resume| RunOptions {
+        workers: 2,
+        mode: SMALL_SAMPLED,
+        checkpoints: Some(CheckpointConfig { dir: dir.clone(), resume }),
+        ..Default::default()
+    };
+
     // Same run while persisting checkpoints: identical results, files exist.
-    let cfg = CheckpointConfig { dir: dir.clone(), resume: false };
-    let saved = run_with_options(&spec, 2, SMALL_SAMPLED, false, Some(&cfg));
+    let saved = run(&spec, &opts(false));
     assert_eq!(reference, saved.results_json().to_pretty(), "checkpointing changed the results");
     let ckpts: Vec<_> = std::fs::read_dir(&dir)
         .expect("checkpoint dir exists")
@@ -107,8 +118,7 @@ fn checkpointed_and_resumed_runs_are_byte_identical() {
 
     // Resuming from the persisted (final) checkpoints replays only the tail
     // of each cell and must reproduce the uninterrupted bytes exactly.
-    let cfg = CheckpointConfig { dir: dir.clone(), resume: true };
-    let resumed = run_with_options(&spec, 2, SMALL_SAMPLED, false, Some(&cfg));
+    let resumed = run(&spec, &opts(true));
     assert_eq!(reference, resumed.results_json().to_pretty(), "resumed run diverged");
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
