@@ -1,30 +1,20 @@
 //! Criterion bench of the pre-decoded µop engine versus the legacy
-//! walk-the-instruction-list interpreter, plus a lane-kernel microbench.
+//! walk-the-instruction-list interpreter.
 //!
-//! Three workloads isolate the dispatch costs the decoded engine removes:
+//! Two workloads isolate the dispatch costs the decoded engine removes:
 //!
 //! * `packed_heavy` — a MOM loop of strided matrix loads, packed arithmetic
 //!   and accumulator streams (deep `Inst` nesting, four-operand vector
 //!   instructions, per-row element loops);
 //! * `branch_heavy` — a VLC-style scalar loop: table loads, short ALU chains
 //!   and a data-dependent branch every few instructions (label resolution
-//!   and branch-info assembly dominate the legacy path);
-//! * `lane_kernel` — the raw packed-word element kernels (`add`, `abs_diff`,
-//!   `mul_lo`, SAD reduction) over the fixed-array lane API, outside any
-//!   interpreter. Each shape runs twice: the default engine (SWAR, or SSE2
-//!   under `--features simd`) against the retained `*_scalar` lane-at-a-time
-//!   reference, so the lane-kernel speedup is measured directly.
-//! * `fused`/`unfused` — the same two dispatch workloads through
-//!   pre-decoded programs with superinstruction fusion on
-//!   (`Program::decode`) and off (`Program::decode_unfused`), isolating
-//!   what pair fusion buys on top of threaded dispatch. Decoding happens
-//!   outside the timed region.
+//!   and branch-info assembly dominate the legacy path).
 //!
-//! Both interpreter comparisons run the **same** program from the **same**
-//! machine state through `decoded` (`Program::stream`, which lowers through
-//! `Program::decode`) and `legacy` (`Program::stream_with_fuel_legacy`),
-//! streaming into a counting sink so neither side pays trace
-//! materialization. The machine uses a small memory image, so the printed
+//! Both run the **same** program from the **same** machine state through
+//! `decoded` (`Program::stream`, which lowers through `Program::decode`) and
+//! `legacy` (`Program::stream_with_fuel_legacy`), streaming into a counting
+//! sink so neither side pays trace materialization; `decode_only` times the
+//! lowering itself. The machine uses a small memory image, so the printed
 //! ns/iter ratio is the interpreter dispatch cost itself. `MOM_BENCH_FAST=1`
 //! shrinks the iteration counts so the smoke test stays quick.
 
@@ -36,7 +26,7 @@ use mom_core::state::Machine;
 use mom_isa::mdmx::AccOp;
 use mom_isa::mem::MemImage;
 use mom_isa::mmx::PackedBinOp;
-use mom_isa::packed::{Lane, PackedWord, Saturation};
+use mom_isa::packed::{Lane, Saturation};
 use mom_isa::regs::r;
 use mom_isa::scalar::{AluOp, Cond, ScalarOp};
 use mom_isa::trace::{DynInst, IsaKind, TraceSink};
@@ -183,91 +173,6 @@ fn bench_dispatch(c: &mut Criterion) {
             b.iter(|| black_box(program.decode().len()));
         });
     }
-
-    // Fusion in isolation: both engines are pre-decoded and threaded; the
-    // only difference is whether hot adjacent pairs execute in one dispatch.
-    for (name, program) in
-        [("packed_heavy", packed_heavy_program(iters)), ("branch_heavy", branch_heavy_program(iters))]
-    {
-        let fused = program.decode();
-        let unfused = program.decode_unfused();
-        println!("{name}: {} fused pairs over {} µops", fused.fused_pairs(), fused.len());
-        group.bench_with_input(BenchmarkId::new(name, "fused"), &fused, |b, decoded| {
-            b.iter(|| {
-                let mut sink = Count(0);
-                decoded.stream_with_fuel(&mut machine(), &mut sink, DEFAULT_FUEL).expect("terminates");
-                black_box(sink.0)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new(name, "unfused"), &unfused, |b, decoded| {
-            b.iter(|| {
-                let mut sink = Count(0);
-                decoded.stream_with_fuel(&mut machine(), &mut sink, DEFAULT_FUEL).expect("terminates");
-                black_box(sink.0)
-            });
-        });
-    }
-
-    // Lane kernels in isolation: the fixed-array element operations the
-    // µop bodies bottom out in.
-    let reps = if mom_bench::fast_mode() { 1_000u64 } else { 100_000 };
-    group.bench_with_input(BenchmarkId::new("lane_kernel", "u8x8"), &reps, |b, &reps| {
-        b.iter(|| {
-            let mut acc = 0i64;
-            let mut w = PackedWord::new(0x0102_0304_0506_0708);
-            for r in 0..reps {
-                // Vary one operand per rep so the loop cannot settle into a
-                // fixed point the optimizer folds away.
-                let k = PackedWord::new(0x1122_3344_5566_7788 ^ r);
-                w = w.add(k, Lane::U8, Saturation::Saturating);
-                w = w.abs_diff(k, Lane::U8);
-                acc += w.sad(k, Lane::U8);
-            }
-            black_box((w, acc))
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("lane_kernel", "i16x4"), &reps, |b, &reps| {
-        b.iter(|| {
-            let mut acc = 0i64;
-            let mut w = PackedWord::from_i16_lanes([1, -2, 3, -4]);
-            for r in 0..reps {
-                let k = PackedWord::new(PackedWord::from_i16_lanes([257, -129, 65, 33]).bits() ^ r);
-                w = w.mul_lo(k, Lane::I16);
-                w = w.add(k, Lane::I16, Saturation::Saturating);
-                acc += w.reduce_sum(Lane::I16);
-            }
-            black_box((w, acc))
-        });
-    });
-
-    // The same element kernels through the retained lane-at-a-time scalar
-    // reference — the denominator of the SWAR/SIMD speedup.
-    group.bench_with_input(BenchmarkId::new("lane_kernel_scalar", "u8x8"), &reps, |b, &reps| {
-        b.iter(|| {
-            let mut acc = 0i64;
-            let mut w = PackedWord::new(0x0102_0304_0506_0708);
-            for r in 0..reps {
-                let k = PackedWord::new(0x1122_3344_5566_7788 ^ r);
-                w = w.add_scalar(k, Lane::U8, Saturation::Saturating);
-                w = w.abs_diff_scalar(k, Lane::U8);
-                acc += w.sad_scalar(k, Lane::U8);
-            }
-            black_box((w, acc))
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("lane_kernel_scalar", "i16x4"), &reps, |b, &reps| {
-        b.iter(|| {
-            let mut acc = 0i64;
-            let mut w = PackedWord::from_i16_lanes([1, -2, 3, -4]);
-            for r in 0..reps {
-                let k = PackedWord::new(PackedWord::from_i16_lanes([257, -129, 65, 33]).bits() ^ r);
-                w = w.mul_lo(k, Lane::I16);
-                w = w.add_scalar(k, Lane::I16, Saturation::Saturating);
-                acc += w.reduce_sum_scalar(Lane::I16);
-            }
-            black_box((w, acc))
-        });
-    });
 
     group.finish();
 }

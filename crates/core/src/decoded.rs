@@ -5,7 +5,7 @@
 //! matching, `Vec<ArchReg>` allocations for the source/destination operand
 //! lists, per-instruction [`DynInst`] assembly through the builder methods,
 //! and a label-table lookup per executed branch. At the trace lengths of the
-//! `stress` experiment those costs dominate the fused
+//! `stress` experiment those costs dominate the streaming
 //! interpreter→simulator pipeline.
 //!
 //! [`Program::decode`] lowers the instruction list **once** into a dense
@@ -25,32 +25,23 @@
 //!   base+offset access or a MOM base+stride row plan, sized so vector
 //!   access lists are built in one exact allocation.
 //!
-//! On top of the decoded form, two further engine layers cut per-dynamic-
-//! instruction overhead:
-//!
-//! * **Threaded dispatch** — each µop carries a handler *function pointer*
-//!   resolved at decode time, so the hot loop is load → indirect call →
-//!   advance instead of a ~50-way `match`. The per-µop call sites give the
-//!   branch predictor one target per static instruction rather than one
-//!   shared dispatch point for the whole program.
-//! * **Superinstruction fusion** — hot adjacent µop pairs (ALU/compare +
-//!   branch, load + ALU, accumulate + reduce) are fused at decode into a
-//!   single handler that executes both halves in one dispatch and then emits
-//!   both [`DynInst`]s. The fused variant lives at the *head* slot only; the
-//!   tail slot keeps its unfused µop, so branches into the middle of a pair
-//!   execute exactly as before and no fusion-blocking analysis is needed.
+//! On top of the decoded form, **threaded dispatch** cuts per-dynamic-
+//! instruction overhead further: each µop carries a handler *function
+//! pointer* resolved at decode time, so the hot loop is load → indirect call
+//! → advance instead of a ~50-way `match`. The per-µop call sites give the
+//! branch predictor one target per static instruction rather than one shared
+//! dispatch point for the whole program.
 //!
 //! [`Program::stream`], [`Program::run`] and every path layered on them
-//! (kernel and application execution in `mom-kernels`/`mom-apps`, the fused
+//! (kernel and application execution in `mom-kernels`/`mom-apps`, the streamed
 //! `SimStream` cells in `mom-lab`) route through this engine; the original
 //! walk-the-`Inst`-list interpreter survives as
 //! [`Program::stream_with_fuel_legacy`] so differential tests and the
-//! `dispatch` criterion bench can pin the two engines against each other,
-//! and [`Program::decode_unfused`] disables fusion for the same purpose.
+//! `dispatch` criterion bench can pin the two engines against each other.
 //! The decoded engine is **byte-identical** to the legacy interpreter: same
 //! architectural side effects, same emitted [`DynInst`] sequence, same fuel
 //! accounting (`tests/proptest_decoded.rs` enforces this for arbitrary
-//! programs across all four ISAs, with and without fusion).
+//! programs across all four ISAs).
 
 use crate::inst::Inst;
 use crate::matrix::{MomAccReg, MomReg};
@@ -66,7 +57,6 @@ use mom_isa::trace::{
     BranchInfo, DynInst, InstClass, IsaKind, MemAccess, MemKind, MemList, Trace, TraceSink,
     MEM_INLINE,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A program lowered into directly executable µops (see the
 /// [module docs](self)).
@@ -95,25 +85,6 @@ struct MicroOp {
     skeleton: DynInst,
     /// Whether `elems` must be patched with the live vector length.
     is_vector: bool,
-    /// When this µop heads a fused pair, everything needed to execute and
-    /// emit the pair in one dispatch. Boxed to keep the common (unfused)
-    /// µop small.
-    fused: Option<Box<FusedTail>>,
-}
-
-/// The second half of a fused µop pair, stored on the head µop. The tail's
-/// own program slot keeps its unfused [`MicroOp`], so jumps into the middle
-/// of a pair behave exactly as in the unfused engine.
-#[derive(Debug, Clone)]
-struct FusedTail {
-    /// Fused handler executing both halves in one call.
-    pair: PairFn,
-    /// The tail µop's execution form (read by `pair`).
-    exec2: ExecOp,
-    /// The tail µop's trace skeleton.
-    skeleton2: DynInst,
-    /// Whether the tail's `elems` must be patched with the vector length.
-    is_vector2: bool,
 }
 
 /// Threaded-dispatch handler: executes one µop's architectural effects,
@@ -121,11 +92,6 @@ struct FusedTail {
 /// hot loop's recycled spill buffer for vector memory access lists; only the
 /// MOM memory handlers touch it.
 type OpFn = fn(&ExecOp, &mut Machine, &mut DynInst, &mut MemList) -> Flow;
-
-/// Fused-pair handler: executes both halves of a fused µop pair in one
-/// dispatch, patching both [`DynInst`]s. Returns the *tail's* control flow
-/// (heads of fused pairs never branch).
-type PairFn = fn(&ExecOp, &ExecOp, &mut Machine, &mut DynInst, &mut DynInst) -> Flow;
 
 /// Where control flow goes after executing a µop.
 #[derive(Debug, Clone, Copy)]
@@ -790,197 +756,10 @@ handlers! {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Superinstruction fusion
-// ---------------------------------------------------------------------------
-
-/// Total fused µop pairs created by [`Program::decode`] in this process
-/// (monotonic). The lab runner snapshots a delta around each run to report
-/// how much fusion the executed programs exposed.
-static FUSED_PAIRS_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-/// Running total of fused µop pairs created by decoding, process-wide.
-pub fn fused_pairs_total() -> u64 {
-    FUSED_PAIRS_TOTAL.load(Ordering::Relaxed)
-}
-
-/// Pick the fused handler for an adjacent µop pair, if the combination is
-/// one of the hot patterns worth a superinstruction. First halves never
-/// branch, halt or change the vector length, so executing the pair in one
-/// dispatch is observationally identical to two.
-fn fuse_pair(e1: &ExecOp, e2: &ExecOp) -> Option<PairFn> {
-    Some(match (e1, e2) {
-        (ExecOp::AluI { .. }, ExecOp::Br { .. }) => fused_alui_br,
-        (ExecOp::Alu { .. }, ExecOp::Br { .. }) => fused_alu_br,
-        (ExecOp::CmpSet { .. }, ExecOp::Br { .. }) => fused_cmpset_br,
-        (ExecOp::Ld { .. }, ExecOp::AluI { .. }) => fused_ld_alui,
-        (ExecOp::Acc { .. }, ExecOp::ReduceAcc { .. }) => fused_acc_reduce,
-        (ExecOp::MomAcc { .. }, ExecOp::MomReduceAcc { .. }) => fused_momacc_reduce,
-        _ => return None,
-    })
-}
-
-/// Evaluate a branch tail: patch `i2` and convert the outcome to [`Flow`].
-#[inline(always)]
-fn branch_tail(st: &mut Machine, e2: &ExecOp, i2: &mut DynInst) -> Flow {
-    let ExecOp::Br { cond, ra, rb, target } = e2 else {
-        unreachable!("fused branch tail bound to a non-branch µop")
-    };
-    let taken = cond.eval(st.core.int.read(*ra), st.core.int.read(*rb));
-    i2.branch = Some(BranchInfo {
-        taken,
-        conditional: true,
-        pc: i2.pc,
-        target: *target as u64,
-    });
-    if taken {
-        Flow::Jump(*target)
-    } else {
-        Flow::Next
-    }
-}
-
-/// Fused immediate-ALU + conditional branch (loop back-edges: decrement a
-/// counter and loop while it stays positive).
-fn fused_alui_br(
-    e1: &ExecOp,
-    e2: &ExecOp,
-    st: &mut Machine,
-    _i1: &mut DynInst,
-    i2: &mut DynInst,
-) -> Flow {
-    let ExecOp::AluI { op, rd, ra, imm } = e1 else {
-        unreachable!("fused head bound to the wrong ExecOp variant")
-    };
-    let v = op.apply(st.core.int.read(*ra), *imm);
-    st.core.int.write(*rd, v);
-    branch_tail(st, e2, i2)
-}
-
-/// Fused register-ALU + conditional branch.
-fn fused_alu_br(
-    e1: &ExecOp,
-    e2: &ExecOp,
-    st: &mut Machine,
-    _i1: &mut DynInst,
-    i2: &mut DynInst,
-) -> Flow {
-    let ExecOp::Alu { op, rd, ra, rb } = e1 else {
-        unreachable!("fused head bound to the wrong ExecOp variant")
-    };
-    let v = op.apply(st.core.int.read(*ra), st.core.int.read(*rb));
-    st.core.int.write(*rd, v);
-    branch_tail(st, e2, i2)
-}
-
-/// Fused compare-and-set + conditional branch.
-fn fused_cmpset_br(
-    e1: &ExecOp,
-    e2: &ExecOp,
-    st: &mut Machine,
-    _i1: &mut DynInst,
-    i2: &mut DynInst,
-) -> Flow {
-    let ExecOp::CmpSet { cond, rd, ra, rb } = e1 else {
-        unreachable!("fused head bound to the wrong ExecOp variant")
-    };
-    let v = cond.eval(st.core.int.read(*ra), st.core.int.read(*rb));
-    st.core.int.write(*rd, v as i64);
-    branch_tail(st, e2, i2)
-}
-
-/// Fused scalar load + immediate ALU (pointer bumps and loaded-value
-/// arithmetic).
-fn fused_ld_alui(
-    e1: &ExecOp,
-    e2: &ExecOp,
-    st: &mut Machine,
-    i1: &mut DynInst,
-    _i2: &mut DynInst,
-) -> Flow {
-    let ExecOp::Ld { rd, base, offset, size, signed } = e1 else {
-        unreachable!("fused head bound to the wrong ExecOp variant")
-    };
-    let addr = (st.core.int.read(*base) + offset) as u64;
-    let v = if *signed {
-        st.core.mem.read_signed(addr, *size as usize)
-    } else {
-        st.core.mem.read_unsigned(addr, *size as usize) as i64
-    };
-    st.core.int.write(*rd, v);
-    i1.mem = MemList::one(MemAccess { addr, size: *size, kind: MemKind::Load });
-    let ExecOp::AluI { op, rd, ra, imm } = e2 else {
-        unreachable!("fused tail bound to the wrong ExecOp variant")
-    };
-    let v = op.apply(st.core.int.read(*ra), *imm);
-    st.core.int.write(*rd, v);
-    Flow::Next
-}
-
-/// Fused MDMX accumulate + reduce (the tail of a dot-product or SAD chain).
-fn fused_acc_reduce(
-    e1: &ExecOp,
-    e2: &ExecOp,
-    st: &mut Machine,
-    _i1: &mut DynInst,
-    _i2: &mut DynInst,
-) -> Flow {
-    let ExecOp::Acc { op, acc, ma, mb, lane } = e1 else {
-        unreachable!("fused head bound to the wrong ExecOp variant")
-    };
-    let a = st.core.media.read(*ma);
-    let b = st.core.media.read(*mb);
-    op.apply(&mut st.core.accs[acc.index()], a, b, *lane);
-    let ExecOp::ReduceAcc { rd, acc } = e2 else {
-        unreachable!("fused tail bound to the wrong ExecOp variant")
-    };
-    let v = st.core.accs[acc.index()].reduce_sum();
-    st.core.int.write(*rd, v);
-    Flow::Next
-}
-
-/// Fused MOM matrix accumulate + reduce (the row-streaming accumulator
-/// chains of the motion kernels).
-fn fused_momacc_reduce(
-    e1: &ExecOp,
-    e2: &ExecOp,
-    st: &mut Machine,
-    _i1: &mut DynInst,
-    _i2: &mut DynInst,
-) -> Flow {
-    let ExecOp::MomAcc { op, acc, va, vb, lane } = e1 else {
-        unreachable!("fused head bound to the wrong ExecOp variant")
-    };
-    let vl = st.mom.vl();
-    let a = st.mom.matrix.read(*va);
-    let b = st.mom.matrix.read(*vb);
-    let accu = &mut st.mom.accs[acc.index()];
-    for r in 0..vl {
-        op.apply(accu, a.row(r), b.row(r), *lane);
-    }
-    let ExecOp::MomReduceAcc { rd, acc } = e2 else {
-        unreachable!("fused tail bound to the wrong ExecOp variant")
-    };
-    let v = st.mom.accs[acc.index()].reduce_sum();
-    st.core.int.write(*rd, v);
-    Flow::Next
-}
-
 impl DecodedProgram {
     /// Lower `program` into µops (the implementation of [`Program::decode`]).
     pub(crate) fn new(program: &Program) -> Self {
-        Self::build(program, true)
-    }
-
-    /// Lower without the superinstruction fusion pass (the implementation of
-    /// [`Program::decode_unfused`]). Execution still uses the threaded
-    /// dispatch table; only the pairing layer is disabled.
-    pub(crate) fn new_unfused(program: &Program) -> Self {
-        Self::build(program, false)
-    }
-
-    fn build(program: &Program, fuse: bool) -> Self {
-        let mut ops: Vec<MicroOp> = program
+        let ops = program
             .insts()
             .iter()
             .enumerate()
@@ -994,45 +773,10 @@ impl DecodedProgram {
                 }
                 let exec = lower(inst, program);
                 let handler = dispatch_for(&exec);
-                MicroOp {
-                    exec,
-                    handler,
-                    skeleton,
-                    is_vector: inst.is_vector(),
-                    fused: None,
-                }
+                MicroOp { exec, handler, skeleton, is_vector: inst.is_vector() }
             })
             .collect();
-        if fuse {
-            // Greedy non-overlapping pairing. The fused handler lives in the
-            // *head* slot only; the tail slot keeps its unfused form, so a
-            // branch that targets the tail directly still executes it
-            // normally — no control-flow analysis is needed for correctness.
-            let mut pairs = 0u64;
-            let mut i = 0;
-            while i + 1 < ops.len() {
-                if let Some(pair) = fuse_pair(&ops[i].exec, &ops[i + 1].exec) {
-                    let tail = Box::new(FusedTail {
-                        pair,
-                        exec2: ops[i + 1].exec.clone(),
-                        skeleton2: ops[i + 1].skeleton.clone(),
-                        is_vector2: ops[i + 1].is_vector,
-                    });
-                    ops[i].fused = Some(tail);
-                    pairs += 1;
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-            }
-            FUSED_PAIRS_TOTAL.fetch_add(pairs, Ordering::Relaxed);
-        }
         Self { ops, isa: program.isa() }
-    }
-
-    /// Number of adjacent µop pairs the fusion pass combined.
-    pub fn fused_pairs(&self) -> usize {
-        self.ops.iter().filter(|op| op.fused.is_some()).count()
     }
 
     /// Number of µops (equal to the static instruction count of the source
@@ -1081,20 +825,9 @@ impl DecodedProgram {
     }
 
     /// [`DecodedProgram::stream`] with an explicit dynamic-instruction
-    /// budget. This is the hot loop of the whole workspace: refresh a chunk
-    /// slot from the µop's skeleton, patch the vector length, call the
-    /// handler resolved at decode time (which patches memory accesses and
-    /// branch outcome in place), advance. Fused pairs take one dispatch for
-    /// two instructions; a pair's tail is only taken when enough fuel
-    /// remains for both halves, so fuel exhaustion falls out identically to
-    /// the one-µop-at-a-time engine.
-    ///
-    /// Graduated instructions accumulate in a 64-slot chunk buffer that is
-    /// flushed to the sink with one [`TraceSink::emit_batch`] call — when the
-    /// chunk fills, when the program ends, and before a fuel error returns —
-    /// so a streaming consumer retires a run of instructions per call frame
-    /// instead of paying one handoff each. Sinks observe exactly the same
-    /// instructions in the same order as one-at-a-time emission.
+    /// budget: one [`stream_segment`](Self::stream_segment) window from
+    /// [`ExecCursor::start`], where a window that ends before the program
+    /// halts means the budget ran out.
     ///
     /// # Errors
     ///
@@ -1106,73 +839,13 @@ impl DecodedProgram {
         sink: &mut S,
         fuel: usize,
     ) -> Result<usize, ExecError> {
-        let mut pc = 0usize;
-        let mut executed = 0usize;
-        // Spill-buffer recycled across vector loads/stores (see the MomLd
-        // handler): when a chunk slot holding a spilled MemList is refreshed
-        // for reuse, the heap buffer migrates here and the next vector
-        // memory handler takes it back, so steady-state loops stop
-        // allocating.
-        let mut scratch = MemList::new();
-        // Persistent output slots refreshed from the skeletons in place —
-        // cheaper than cloning a whole DynInst (whose inline memory buffer
-        // dominates the size) per dynamic instruction.
-        let mut chunk: Vec<DynInst> =
-            (0..CHUNK).map(|_| DynInst::new(InstClass::Nop, 0)).collect();
-        // Filled slots not yet flushed; slots `filled..` hold stale contents
-        // from earlier rounds and are refreshed before the handler runs.
-        let mut filled = 0usize;
-        while pc < self.ops.len() {
-            if executed >= fuel {
-                sink.emit_batch(&chunk[..filled]);
-                return Err(ExecError::FuelExhausted { executed });
-            }
-            let op = &self.ops[pc];
-            if let Some(tail) = &op.fused {
-                if fuel - executed >= 2 {
-                    if filled + 2 > CHUNK {
-                        sink.emit_batch(&chunk[..filled]);
-                        filled = 0;
-                    }
-                    // Fused heads never change VL, so both element counts
-                    // can be patched up front.
-                    let vl = machine.mom.vl().max(1) as u16;
-                    let (head, rest) = chunk[filled..].split_first_mut().expect("chunk has room");
-                    let next = &mut rest[0];
-                    refresh(head, &op.skeleton, if op.is_vector { vl } else { 1 }, &mut scratch);
-                    refresh(next, &tail.skeleton2, if tail.is_vector2 { vl } else { 1 }, &mut scratch);
-                    executed += 2;
-                    let flow = (tail.pair)(&op.exec, &tail.exec2, machine, head, next);
-                    filled += 2;
-                    pc = match flow {
-                        Flow::Next => pc + 2,
-                        Flow::Jump(target) => target as usize,
-                        Flow::Halt => self.ops.len(),
-                    };
-                    continue;
-                }
-                // Not enough fuel for the pair: execute the head alone; the
-                // loop top raises FuelExhausted before the tail, exactly
-                // like the unfused engine would.
-            }
-            if filled == CHUNK {
-                sink.emit_batch(&chunk);
-                filled = 0;
-            }
-            let elems = if op.is_vector { machine.mom.vl().max(1) as u16 } else { 1 };
-            let slot = &mut chunk[filled];
-            refresh(slot, &op.skeleton, elems, &mut scratch);
-            executed += 1;
-            let flow = (op.handler)(&op.exec, machine, slot, &mut scratch);
-            filled += 1;
-            pc = match flow {
-                Flow::Next => pc + 1,
-                Flow::Jump(target) => target as usize,
-                Flow::Halt => self.ops.len(),
-            };
+        let mut cursor = ExecCursor::start();
+        let executed = self.stream_segment(machine, sink, &mut cursor, fuel as u64) as usize;
+        if cursor.is_done(self) {
+            Ok(executed)
+        } else {
+            Err(ExecError::FuelExhausted { executed })
         }
-        sink.emit_batch(&chunk[..filled]);
-        Ok(executed)
     }
 
     /// Functionally execute up to `max` dynamic instructions from `cursor`,
@@ -1182,13 +855,9 @@ impl DecodedProgram {
     /// fraction of the detailed cost by skipping [`DynInst`] assembly and
     /// sink handoff entirely.
     ///
-    /// The instruction boundaries are **identical** to
-    /// [`stream_with_fuel`](Self::stream_with_fuel): a fused pair is taken
-    /// only when at least two instructions of budget remain (otherwise the
-    /// head executes alone through its unfused handler), so interleaving
-    /// fast-forward and [`stream_segment`](Self::stream_segment) windows
-    /// partitions the dynamic instruction sequence exactly as one continuous
-    /// detailed run would.
+    /// Interleaving fast-forward and [`stream_segment`](Self::stream_segment)
+    /// windows partitions the dynamic instruction sequence exactly as one
+    /// continuous detailed run would.
     ///
     /// Returns the number of instructions executed, which is less than `max`
     /// only if the program halted. `cursor` is left at the next instruction
@@ -1204,26 +873,11 @@ impl DecodedProgram {
         let mut scratch = MemList::new();
         // Handlers only *write* the dynamic trace fields (`mem`, `branch`)
         // and read `pc` solely to stamp the discarded `BranchInfo`, so one
-        // recycled slot (plus a tail slot for fused pairs) absorbs their
-        // output without any per-instruction skeleton refresh.
+        // recycled slot absorbs their output without any per-instruction
+        // skeleton refresh.
         let mut slot = DynInst::new(InstClass::Nop, 0);
-        let mut slot2 = DynInst::new(InstClass::Nop, 0);
         while pc < self.ops.len() && executed < max {
             let op = &self.ops[pc];
-            if let Some(tail) = &op.fused {
-                if max - executed >= 2 {
-                    reclaim(&mut slot, &mut scratch);
-                    executed += 2;
-                    let flow =
-                        (tail.pair)(&op.exec, &tail.exec2, machine, &mut slot, &mut slot2);
-                    pc = match flow {
-                        Flow::Next => pc + 2,
-                        Flow::Jump(target) => target as usize,
-                        Flow::Halt => self.ops.len(),
-                    };
-                    continue;
-                }
-            }
             reclaim(&mut slot, &mut scratch);
             executed += 1;
             let flow = (op.handler)(&op.exec, machine, &mut slot, &mut scratch);
@@ -1238,16 +892,26 @@ impl DecodedProgram {
     }
 
     /// Execute up to `max` dynamic instructions from `cursor` in full detail,
-    /// emitting every graduated [`DynInst`] to `sink` — the resumable
-    /// windowed form of [`stream_with_fuel`](Self::stream_with_fuel) used for
-    /// the warm-up and measurement units of the sampled execution mode.
+    /// emitting every graduated [`DynInst`] to `sink`. This is the hot loop
+    /// of the whole workspace, behind [`stream_with_fuel`](Self::stream_with_fuel)
+    /// and the warm-up and measurement units of the sampled execution mode:
+    /// refresh a chunk slot from the µop's skeleton, patch the vector length,
+    /// call the handler resolved at decode time (which patches memory
+    /// accesses and branch outcome in place), advance.
+    ///
+    /// Graduated instructions accumulate in a 64-slot chunk buffer that is
+    /// flushed to the sink with one [`TraceSink::emit_batch`] call — when the
+    /// chunk fills and when the window ends — so a streaming consumer retires
+    /// a run of instructions per call frame instead of paying one handoff
+    /// each. Sinks observe exactly the same instructions in the same order as
+    /// one-at-a-time emission.
     ///
     /// Hitting the `max` budget is the expected way a window ends, so it is
-    /// not an error: the chunk buffer is flushed and the count executed so
-    /// far is returned, with `cursor` parked at the next instruction. The
-    /// emitted instruction sequence across consecutive segments (and
-    /// interleaved [`fast_forward`](Self::fast_forward) windows) is
-    /// byte-identical to one uninterrupted stream.
+    /// not an error: the count executed is returned, with `cursor` parked at
+    /// the next instruction (or past the end after a halt). The emitted
+    /// instruction sequence across consecutive segments (and interleaved
+    /// [`fast_forward`](Self::fast_forward) windows) is byte-identical to one
+    /// uninterrupted stream.
     pub fn stream_segment<S: TraceSink + ?Sized>(
         &self,
         machine: &mut Machine,
@@ -1257,34 +921,21 @@ impl DecodedProgram {
     ) -> u64 {
         let mut pc = cursor.pc;
         let mut executed = 0u64;
+        // Spill-buffer recycled across vector loads/stores (see the MomLd
+        // handler): when a chunk slot holding a spilled MemList is refreshed
+        // for reuse, the heap buffer migrates here and the next vector
+        // memory handler takes it back, so steady-state loops stop
+        // allocating.
         let mut scratch = MemList::new();
+        // Persistent output slots refreshed from the skeletons in place —
+        // cheaper than cloning a whole DynInst (whose inline memory buffer
+        // dominates the size) per dynamic instruction. Slots `filled..` hold
+        // stale contents from earlier rounds.
         let mut chunk: Vec<DynInst> =
             (0..CHUNK).map(|_| DynInst::new(InstClass::Nop, 0)).collect();
         let mut filled = 0usize;
         while pc < self.ops.len() && executed < max {
             let op = &self.ops[pc];
-            if let Some(tail) = &op.fused {
-                if max - executed >= 2 {
-                    if filled + 2 > CHUNK {
-                        sink.emit_batch(&chunk[..filled]);
-                        filled = 0;
-                    }
-                    let vl = machine.mom.vl().max(1) as u16;
-                    let (head, rest) = chunk[filled..].split_first_mut().expect("chunk has room");
-                    let next = &mut rest[0];
-                    refresh(head, &op.skeleton, if op.is_vector { vl } else { 1 }, &mut scratch);
-                    refresh(next, &tail.skeleton2, if tail.is_vector2 { vl } else { 1 }, &mut scratch);
-                    executed += 2;
-                    let flow = (tail.pair)(&op.exec, &tail.exec2, machine, head, next);
-                    filled += 2;
-                    pc = match flow {
-                        Flow::Next => pc + 2,
-                        Flow::Jump(target) => target as usize,
-                        Flow::Halt => self.ops.len(),
-                    };
-                    continue;
-                }
-            }
             if filled == CHUNK {
                 sink.emit_batch(&chunk);
                 filled = 0;

@@ -79,7 +79,7 @@ pub mod program;
 pub mod snapshot;
 pub mod state;
 
-pub use decoded::{fused_pairs_total, DecodedProgram, ExecCursor};
+pub use decoded::{DecodedProgram, ExecCursor};
 pub use inst::Inst;
 pub use matrix::{
     MatrixRegFile, MatrixValue, MomAccReg, MomReg, MAX_VL, MOM_ROWS, NUM_MOM_ACCS, NUM_MOM_REGS,

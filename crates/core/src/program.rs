@@ -116,17 +116,6 @@ impl Program {
         DecodedProgram::new(self)
     }
 
-    /// [`Program::decode`] with the superinstruction fusion pass disabled.
-    ///
-    /// Execution still routes through the threaded dispatch table, but every
-    /// µop dispatches individually. The fused and unfused engines emit
-    /// byte-identical traces (property-tested over arbitrary programs); this
-    /// entry point exists to measure fusion's contribution and to pin that
-    /// equivalence in tests.
-    pub fn decode_unfused(&self) -> DecodedProgram {
-        DecodedProgram::new_unfused(self)
-    }
-
     /// Execute the program with the default instruction budget.
     ///
     /// Returns the dynamic trace. Architectural side effects (register and

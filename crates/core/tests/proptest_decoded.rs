@@ -401,34 +401,6 @@ fn assert_equivalent(isa: IsaKind, seed: u64, body_len: usize) {
     assert_eq!(observe(&legacy_machine), observe(&decoded_machine), "{isa} state differs");
 }
 
-/// The superinstruction fusion pass must be invisible: fused and unfused
-/// decodes of the same program emit byte-identical traces and leave
-/// byte-identical machine state.
-fn assert_fusion_invisible(isa: IsaKind, seed: u64, body_len: usize) {
-    let program = random_program(isa, seed, body_len);
-
-    let mut fused_machine = machine(seed);
-    let fused = program.decode().run(&mut fused_machine);
-    let mut unfused_machine = machine(seed);
-    let unfused = program.decode_unfused().run(&mut unfused_machine);
-
-    match (&fused, &unfused) {
-        (Ok(ft), Ok(ut)) => {
-            assert_eq!(ft.len(), ut.len(), "{isa} trace lengths differ under fusion");
-            for (i, (f, u)) in ft.insts.iter().zip(&ut.insts).enumerate() {
-                assert_eq!(f, u, "{isa} dynamic instruction {i} differs under fusion");
-            }
-            assert_eq!(ft.isa, ut.isa);
-        }
-        (f, u) => assert_eq!(f, u, "{isa} outcome differs under fusion"),
-    }
-    assert_eq!(
-        observe(&fused_machine),
-        observe(&unfused_machine),
-        "{isa} state differs under fusion"
-    );
-}
-
 proptest! {
     // Each case generates, decodes and doubly executes a whole program; the
     // case count is kept CI-friendly. `PROPTEST_CASES` overrides it.
@@ -471,52 +443,5 @@ proptest! {
         prop_assert_eq!(legacy, decoded);
         let legacy_insts: Vec<DynInst> = legacy_sink.insts;
         prop_assert_eq!(legacy_insts, decoded_sink.insts);
-    }
-
-    #[test]
-    fn fused_equals_unfused_alpha(seed in any::<u64>(), body in 10usize..120) {
-        assert_fusion_invisible(IsaKind::Alpha, seed, body);
-    }
-
-    #[test]
-    fn fused_equals_unfused_mmx(seed in any::<u64>(), body in 10usize..100) {
-        assert_fusion_invisible(IsaKind::Mmx, seed, body);
-    }
-
-    #[test]
-    fn fused_equals_unfused_mdmx(seed in any::<u64>(), body in 10usize..100) {
-        assert_fusion_invisible(IsaKind::Mdmx, seed, body);
-    }
-
-    #[test]
-    fn fused_equals_unfused_mom(seed in any::<u64>(), body in 10usize..80) {
-        assert_fusion_invisible(IsaKind::Mom, seed, body);
-    }
-
-    #[test]
-    fn fuel_edge_inside_fused_pair_is_identical(fuel in 0usize..200) {
-        // A countdown loop whose back-edge is a fusable AluI+Br pair. At any
-        // fuel budget — including budgets that land *between* the two halves
-        // of the pair — the fused engine must report the same result and
-        // emit the same prefix as the unfused one.
-        let mut b = ProgramBuilder::new(IsaKind::Alpha);
-        b.push(ScalarOp::Li { rd: r(1), imm: 1_000_000 });
-        let top = b.bind_here();
-        b.push(ScalarOp::AluI { op: AluOp::Sub, rd: r(1), ra: r(1), imm: 1 });
-        b.push(ScalarOp::Br { cond: Cond::Gt, ra: r(1), rb: r(0), target: top });
-        b.push(ScalarOp::Halt);
-        let program = b.build().unwrap();
-        let fused = program.decode();
-        prop_assert!(fused.fused_pairs() > 0, "loop back-edge should fuse");
-
-        let mut fused_sink = Trace::new(IsaKind::Alpha);
-        let f = fused.stream_with_fuel(&mut machine(1), &mut fused_sink, fuel);
-        let mut unfused_sink = Trace::new(IsaKind::Alpha);
-        let u = program
-            .decode_unfused()
-            .stream_with_fuel(&mut machine(1), &mut unfused_sink, fuel);
-        prop_assert_eq!(f, u);
-        let fused_insts: Vec<DynInst> = fused_sink.insts;
-        prop_assert_eq!(fused_insts, unfused_sink.insts);
     }
 }

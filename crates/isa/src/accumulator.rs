@@ -148,25 +148,9 @@ impl Accumulator {
     /// MPEG motion estimation (`motion1` in the paper's kernel set).
     pub fn abs_diff_add(&mut self, a: PackedWord, b: PackedWord, lane: Lane) {
         self.bind_mode(lane);
-        // `|a[i] - b[i]|` always fits *unsigned* in the lane width (even for
-        // signed lanes: |MIN - MAX| = 2^bits - 1), so the packed SWAR
-        // difference can be folded in with plain zero-extending extracts.
-        let d = a.abs_diff(b, lane).bits();
-        match lane.bits() {
-            8 => {
-                for (i, slot) in self.lanes.iter_mut().enumerate() {
-                    *slot += ((d >> (8 * i)) & 0xFF) as i64;
-                }
-            }
-            16 => {
-                for (i, slot) in self.lanes[..4].iter_mut().enumerate() {
-                    *slot += ((d >> (16 * i)) & 0xFFFF) as i64;
-                }
-            }
-            _ => {
-                self.lanes[0] += (d & 0xFFFF_FFFF) as i64;
-                self.lanes[1] += (d >> 32) as i64;
-            }
+        let (av, bv) = (a.lanes(lane), b.lanes(lane));
+        for i in 0..av.len() {
+            self.lanes[i] += (av[i] - bv[i]).abs();
         }
     }
 
@@ -174,27 +158,10 @@ impl Accumulator {
     /// the accumulator form of the sum-of-quadratic-differences (`motion2`).
     pub fn sqr_diff_add(&mut self, a: PackedWord, b: PackedWord, lane: Lane) {
         self.bind_mode(lane);
-        // (a - b)^2 = |a - b|^2, so square the zero-extended lanes of the
-        // packed SWAR absolute difference.
-        let d = a.abs_diff(b, lane).bits();
-        match lane.bits() {
-            8 => {
-                for (i, slot) in self.lanes.iter_mut().enumerate() {
-                    let v = ((d >> (8 * i)) & 0xFF) as i64;
-                    *slot += v * v;
-                }
-            }
-            16 => {
-                for (i, slot) in self.lanes[..4].iter_mut().enumerate() {
-                    let v = ((d >> (16 * i)) & 0xFFFF) as i64;
-                    *slot += v * v;
-                }
-            }
-            _ => {
-                let (lo, hi) = ((d & 0xFFFF_FFFF) as i64, (d >> 32) as i64);
-                self.lanes[0] += lo * lo;
-                self.lanes[1] += hi * hi;
-            }
+        let (av, bv) = (a.lanes(lane), b.lanes(lane));
+        for i in 0..av.len() {
+            let d = av[i] - bv[i];
+            self.lanes[i] += d * d;
         }
     }
 

@@ -54,19 +54,8 @@ pub mod packed;
 pub mod pipe;
 pub mod regs;
 pub mod scalar;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub mod simd;
 pub mod state;
-pub mod swar;
 pub mod trace;
-
-/// Whether the `simd` cargo feature is active **and** this build targets
-/// x86_64 (the only architecture with an intrinsics backend). When false the
-/// packed kernels use the portable SWAR paths; results are identical either
-/// way.
-pub const fn simd_active() -> bool {
-    cfg!(all(feature = "simd", target_arch = "x86_64"))
-}
 
 pub use accumulator::Accumulator;
 pub use mem::MemImage;

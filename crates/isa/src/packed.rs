@@ -22,21 +22,6 @@
 //! assert_eq!(sat.to_u8_lanes()[0], 255); // saturated, not wrapped
 //! ```
 
-/// Dispatch a width-generic [`crate::swar`] kernel on a runtime [`Lane`]:
-/// `by_width!(lane, f(args…))` monomorphizes `f` at 8, 16 and 32-bit lane
-/// widths and selects the right one.
-macro_rules! by_width {
-    ($lane:expr, $f:ident ( $($args:expr),* $(,)? )) => {
-        match $lane.bits() {
-            8 => crate::swar::$f::<8>($($args),*),
-            16 => crate::swar::$f::<16>($($args),*),
-            _ => crate::swar::$f::<32>($($args),*),
-        }
-    };
-}
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) use by_width;
-
 /// Lane interpretation of a 64-bit packed word.
 ///
 /// The variant selects both the element width and its signedness, which
@@ -413,20 +398,26 @@ impl PackedWord {
     // Element-wise helpers
     // ------------------------------------------------------------------
 
-    // The binary/unary element kernels dispatch once on the lane width and
-    // then run a fixed-trip-count loop, so the compiler can fully unroll the
-    // per-lane extraction/insertion (the interpreter executes one of these per
-    // matrix row per MOM instruction — this is the innermost loop of the whole
-    // workspace).
+    // The binary/unary element kernels dispatch once on the lane type and
+    // then run a fixed-trip-count loop over a constant `Lane`, so the
+    // compiler fully unrolls the per-lane extraction/insertion and folds the
+    // width and signedness tests out of it. The interpreter passes lanes at
+    // run time and executes one of these per matrix row per MOM instruction
+    // (the innermost loop of the whole workspace); dispatching on the width
+    // alone leaves those tests in the loop and halves packed-heavy
+    // interpreter throughput.
     fn zip_map(self, other: PackedWord, lane: Lane, f: impl FnMut(i64, i64) -> i64) -> PackedWord {
-        match lane.count() {
-            8 => self.zip_map_n::<8>(other, lane, f),
-            4 => self.zip_map_n::<4>(other, lane, f),
-            _ => self.zip_map_n::<2>(other, lane, f),
+        match lane {
+            Lane::U8 => self.zip_map_n::<8>(other, Lane::U8, f),
+            Lane::I8 => self.zip_map_n::<8>(other, Lane::I8, f),
+            Lane::U16 => self.zip_map_n::<4>(other, Lane::U16, f),
+            Lane::I16 => self.zip_map_n::<4>(other, Lane::I16, f),
+            Lane::U32 => self.zip_map_n::<2>(other, Lane::U32, f),
+            Lane::I32 => self.zip_map_n::<2>(other, Lane::I32, f),
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn zip_map_n<const N: usize>(
         self,
         other: PackedWord,
@@ -441,14 +432,17 @@ impl PackedWord {
     }
 
     fn map(self, lane: Lane, f: impl FnMut(i64) -> i64) -> PackedWord {
-        match lane.count() {
-            8 => self.map_n::<8>(lane, f),
-            4 => self.map_n::<4>(lane, f),
-            _ => self.map_n::<2>(lane, f),
+        match lane {
+            Lane::U8 => self.map_n::<8>(Lane::U8, f),
+            Lane::I8 => self.map_n::<8>(Lane::I8, f),
+            Lane::U16 => self.map_n::<4>(Lane::U16, f),
+            Lane::I16 => self.map_n::<4>(Lane::I16, f),
+            Lane::U32 => self.map_n::<2>(Lane::U32, f),
+            Lane::I32 => self.map_n::<2>(Lane::I32, f),
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn map_n<const N: usize>(self, lane: Lane, mut f: impl FnMut(i64) -> i64) -> PackedWord {
         let mut out = PackedWord::ZERO;
         for i in 0..N {
@@ -466,28 +460,10 @@ impl PackedWord {
 
     // ------------------------------------------------------------------
     // Arithmetic
-    //
-    // The public entry points lower onto the chunked-u64 SWAR kernels in
-    // [`crate::swar`] (or the x86_64 intrinsics backend when the `simd`
-    // feature is active); the `*_scalar` twins keep the original
-    // lane-at-a-time reference semantics and pin them differentially in
-    // `tests/proptest_swar.rs`.
     // ------------------------------------------------------------------
 
     /// Lane-wise addition.
     pub fn add(self, other: PackedWord, lane: Lane, sat: Saturation) -> PackedWord {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        return PackedWord(crate::simd::add(self.0, other.0, lane, sat));
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        PackedWord(match (sat, lane.is_signed()) {
-            (Saturation::Wrapping, _) => by_width!(lane, add_wrap(self.0, other.0)),
-            (Saturation::Saturating, false) => by_width!(lane, add_sat_u(self.0, other.0)),
-            (Saturation::Saturating, true) => by_width!(lane, add_sat_s(self.0, other.0)),
-        })
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::add`].
-    pub fn add_scalar(self, other: PackedWord, lane: Lane, sat: Saturation) -> PackedWord {
         self.zip_map(other, lane, |a, b| Self::finish(lane, sat, a + b))
     }
 
@@ -496,83 +472,26 @@ impl PackedWord {
     /// With [`Saturation::Saturating`] and an unsigned lane type the result
     /// clamps at zero, which is how MMX `psubus*` behaves.
     pub fn sub(self, other: PackedWord, lane: Lane, sat: Saturation) -> PackedWord {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        return PackedWord(crate::simd::sub(self.0, other.0, lane, sat));
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        PackedWord(match (sat, lane.is_signed()) {
-            (Saturation::Wrapping, _) => by_width!(lane, sub_wrap(self.0, other.0)),
-            (Saturation::Saturating, false) => by_width!(lane, sub_sat_u(self.0, other.0)),
-            (Saturation::Saturating, true) => by_width!(lane, sub_sat_s(self.0, other.0)),
-        })
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::sub`].
-    pub fn sub_scalar(self, other: PackedWord, lane: Lane, sat: Saturation) -> PackedWord {
         self.zip_map(other, lane, |a, b| Self::finish(lane, sat, a - b))
     }
 
     /// Lane-wise absolute difference `|a - b|`.
     pub fn abs_diff(self, other: PackedWord, lane: Lane) -> PackedWord {
-        PackedWord(if lane.is_signed() {
-            by_width!(lane, abs_diff_s(self.0, other.0))
-        } else {
-            by_width!(lane, abs_diff_u(self.0, other.0))
-        })
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::abs_diff`].
-    pub fn abs_diff_scalar(self, other: PackedWord, lane: Lane) -> PackedWord {
         self.zip_map(other, lane, |a, b| (a - b).abs())
     }
 
     /// Lane-wise rounding average `(a + b + 1) >> 1` (MMX `pavg`).
     pub fn avg(self, other: PackedWord, lane: Lane) -> PackedWord {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        return PackedWord(crate::simd::avg(self.0, other.0, lane));
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        PackedWord(if lane.is_signed() {
-            by_width!(lane, avg_s(self.0, other.0))
-        } else {
-            by_width!(lane, avg_u(self.0, other.0))
-        })
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::avg`].
-    pub fn avg_scalar(self, other: PackedWord, lane: Lane) -> PackedWord {
         self.zip_map(other, lane, |a, b| (a + b + 1) >> 1)
     }
 
     /// Lane-wise minimum.
     pub fn min(self, other: PackedWord, lane: Lane) -> PackedWord {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        return PackedWord(crate::simd::min(self.0, other.0, lane));
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        PackedWord(if lane.is_signed() {
-            by_width!(lane, min_s(self.0, other.0))
-        } else {
-            by_width!(lane, min_u(self.0, other.0))
-        })
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::min`].
-    pub fn min_scalar(self, other: PackedWord, lane: Lane) -> PackedWord {
         self.zip_map(other, lane, |a, b| a.min(b))
     }
 
     /// Lane-wise maximum.
     pub fn max(self, other: PackedWord, lane: Lane) -> PackedWord {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        return PackedWord(crate::simd::max(self.0, other.0, lane));
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        PackedWord(if lane.is_signed() {
-            by_width!(lane, max_s(self.0, other.0))
-        } else {
-            by_width!(lane, max_u(self.0, other.0))
-        })
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::max`].
-    pub fn max_scalar(self, other: PackedWord, lane: Lane) -> PackedWord {
         self.zip_map(other, lane, |a, b| a.max(b))
     }
 
@@ -603,18 +522,6 @@ impl PackedWord {
     /// (the SSE `psadbw` style "enhanced reduction" the paper grants its
     /// extended MMX model).
     pub fn sad(self, other: PackedWord, lane: Lane) -> i64 {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        return crate::simd::sad(self.0, other.0, lane);
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        if lane.is_signed() {
-            by_width!(lane, sad_s(self.0, other.0))
-        } else {
-            by_width!(lane, sad_u(self.0, other.0))
-        }
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::sad`].
-    pub fn sad_scalar(self, other: PackedWord, lane: Lane) -> i64 {
         let (a, b) = (self.lanes(lane), other.lanes(lane));
         a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum()
     }
@@ -627,40 +534,16 @@ impl PackedWord {
 
     /// Horizontal sum of all lanes as a scalar.
     pub fn reduce_sum(self, lane: Lane) -> i64 {
-        if lane.is_signed() {
-            by_width!(lane, horizontal_sum_s(self.0))
-        } else {
-            by_width!(lane, horizontal_sum_u(self.0)) as i64
-        }
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::reduce_sum`].
-    pub fn reduce_sum_scalar(self, lane: Lane) -> i64 {
         self.lanes(lane).iter().sum()
     }
 
     /// Lane-wise absolute value.
     pub fn abs(self, lane: Lane) -> PackedWord {
-        if lane.is_signed() {
-            PackedWord(by_width!(lane, abs_s(self.0)))
-        } else {
-            // Unsigned lanes are their own absolute value.
-            self
-        }
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::abs`].
-    pub fn abs_scalar(self, lane: Lane) -> PackedWord {
         self.map(lane, |a| a.abs())
     }
 
     /// Lane-wise negation (wrapping).
     pub fn neg(self, lane: Lane) -> PackedWord {
-        PackedWord(by_width!(lane, neg_wrap(self.0)))
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::neg`].
-    pub fn neg_scalar(self, lane: Lane) -> PackedWord {
         self.map(lane, |a| -a)
     }
 
@@ -693,15 +576,6 @@ impl PackedWord {
         if amount >= lane.bits() {
             return PackedWord::ZERO;
         }
-        PackedWord(by_width!(lane, shl(self.0, amount)))
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::shl`].
-    pub fn shl_scalar(self, lane: Lane, amount: u32) -> PackedWord {
-        let bits = lane.bits();
-        if amount >= bits {
-            return PackedWord::ZERO;
-        }
         self.map(lane.as_unsigned(), |a| ((a as u64) << amount) as i64)
     }
 
@@ -710,28 +584,13 @@ impl PackedWord {
         if amount >= lane.bits() {
             return PackedWord::ZERO;
         }
-        PackedWord(by_width!(lane, shr_logical(self.0, amount)))
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::shr_logical`].
-    pub fn shr_logical_scalar(self, lane: Lane, amount: u32) -> PackedWord {
-        let bits = lane.bits();
-        if amount >= bits {
-            return PackedWord::ZERO;
-        }
-        self.map(lane.as_unsigned(), |a| ((a as u64 & ((1u64 << bits) - 1)) >> amount) as i64)
+        // Unsigned lanes are zero-extended, so a plain shift fills with zeros.
+        self.map(lane.as_unsigned(), |a| a >> amount)
     }
 
     /// Lane-wise arithmetic (sign-preserving) shift right by `amount` bits.
     pub fn shr_arith(self, lane: Lane, amount: u32) -> PackedWord {
         let amount = amount.min(lane.bits() - 1);
-        PackedWord(by_width!(lane, shr_arith(self.0, amount)))
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::shr_arith`].
-    pub fn shr_arith_scalar(self, lane: Lane, amount: u32) -> PackedWord {
-        let bits = lane.bits();
-        let amount = amount.min(bits - 1);
         self.map(lane.as_signed(), |a| a >> amount)
     }
 
@@ -741,31 +600,11 @@ impl PackedWord {
 
     /// Lane-wise equality compare producing an all-ones / all-zero mask per lane.
     pub fn cmp_eq(self, other: PackedWord, lane: Lane) -> PackedWord {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        return PackedWord(crate::simd::cmp_eq(self.0, other.0, lane));
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        PackedWord(by_width!(lane, eq_mask(self.0, other.0)))
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::cmp_eq`].
-    pub fn cmp_eq_scalar(self, other: PackedWord, lane: Lane) -> PackedWord {
         self.zip_map(other, lane, |a, b| if a == b { -1 } else { 0 })
     }
 
     /// Lane-wise greater-than compare producing an all-ones / all-zero mask per lane.
     pub fn cmp_gt(self, other: PackedWord, lane: Lane) -> PackedWord {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        return PackedWord(crate::simd::cmp_gt(self.0, other.0, lane));
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        PackedWord(if lane.is_signed() {
-            by_width!(lane, gt_mask_s(self.0, other.0))
-        } else {
-            by_width!(lane, gt_mask_u(self.0, other.0))
-        })
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::cmp_gt`].
-    pub fn cmp_gt_scalar(self, other: PackedWord, lane: Lane) -> PackedWord {
         self.zip_map(other, lane, |a, b| if a > b { -1 } else { 0 })
     }
 
@@ -775,16 +614,6 @@ impl PackedWord {
     /// This is the "conditional move" extension the paper adds to all three
     /// emulated ISAs.
     pub fn select(mask: PackedWord, self_: PackedWord, other: PackedWord, lane: Lane) -> PackedWord {
-        PackedWord(by_width!(lane, select(mask.0, self_.0, other.0)))
-    }
-
-    /// The lane-at-a-time reference implementation of [`PackedWord::select`].
-    pub fn select_scalar(
-        mask: PackedWord,
-        self_: PackedWord,
-        other: PackedWord,
-        lane: Lane,
-    ) -> PackedWord {
         let mut out = PackedWord::ZERO;
         for i in 0..lane.count() {
             let v = if mask.lane(lane, i) != 0 {

@@ -629,73 +629,6 @@ impl<S: TraceSink> TraceSink for Broadcast<S> {
     }
 }
 
-/// A sink that duplicates every instruction into two (possibly heterogeneous)
-/// sinks — e.g. a collecting [`Trace`] next to a streaming simulator.
-#[derive(Debug)]
-pub struct Tee<A, B>(
-    /// First child (receives a clone).
-    pub A,
-    /// Second child (receives the original).
-    pub B,
-);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
-    fn emit(&mut self, inst: DynInst) {
-        self.0.emit(inst.clone());
-        self.1.emit(inst);
-    }
-
-    fn emit_ref(&mut self, inst: &DynInst) {
-        self.0.emit_ref(inst);
-        self.1.emit_ref(inst);
-    }
-
-    fn emit_batch(&mut self, insts: &[DynInst]) {
-        self.0.emit_batch(insts);
-        self.1.emit_batch(insts);
-    }
-}
-
-/// A sink adapter that forwards only the instructions matching a predicate
-/// (e.g. memory operations only, or one instruction class for a counting
-/// probe). Instructions failing the predicate are dropped without cloning.
-pub struct FilterSink<S, F> {
-    sink: S,
-    keep: F,
-}
-
-impl<S, F: FnMut(&DynInst) -> bool> FilterSink<S, F> {
-    /// Forward to `sink` only the instructions for which `keep` is true.
-    pub fn new(sink: S, keep: F) -> Self {
-        Self { sink, keep }
-    }
-
-    /// Take the inner sink back.
-    pub fn into_inner(self) -> S {
-        self.sink
-    }
-}
-
-impl<S: TraceSink, F: FnMut(&DynInst) -> bool> TraceSink for FilterSink<S, F> {
-    fn emit(&mut self, inst: DynInst) {
-        if (self.keep)(&inst) {
-            self.sink.emit(inst);
-        }
-    }
-
-    fn emit_ref(&mut self, inst: &DynInst) {
-        if (self.keep)(inst) {
-            self.sink.emit_ref(inst);
-        }
-    }
-}
-
-impl<S: std::fmt::Debug, F> std::fmt::Debug for FilterSink<S, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FilterSink").field("sink", &self.sink).finish_non_exhaustive()
-    }
-}
-
 /// A complete dynamic trace plus summary statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
@@ -972,28 +905,6 @@ mod tests {
         assert!(empty.is_empty());
         empty.emit(DynInst::new(InstClass::Nop, 0));
         assert!(empty.into_inner().is_empty());
-    }
-
-    #[test]
-    fn tee_duplicates_into_both_sinks() {
-        let mut tee = Tee(Trace::new(IsaKind::Mom), Vec::new());
-        for pc in 0..4 {
-            tee.emit(DynInst::new(InstClass::MediaSimple, pc).with_elems(8));
-        }
-        assert_eq!(tee.0.len(), 4);
-        assert_eq!(tee.0.insts, tee.1);
-    }
-
-    #[test]
-    fn filter_sink_forwards_matching_instructions_only() {
-        let mut mem_only = FilterSink::new(Trace::new(IsaKind::Alpha), |i: &DynInst| i.class.is_mem());
-        mem_only.emit(DynInst::new(InstClass::IntSimple, 0));
-        mem_only.emit(DynInst::new(InstClass::Load, 1).with_mem(MemList::one(access(0x8))));
-        mem_only.emit(DynInst::new(InstClass::Branch, 2));
-        mem_only.emit(DynInst::new(InstClass::Store, 3).with_mem(MemList::one(access(0x10))));
-        let kept = mem_only.into_inner();
-        assert_eq!(kept.len(), 2);
-        assert!(kept.insts.iter().all(|i| i.class.is_mem()));
     }
 
     fn access(addr: u64) -> MemAccess {

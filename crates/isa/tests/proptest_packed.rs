@@ -141,4 +141,33 @@ proptest! {
             prop_assert!((i16::MIN as i64..=i16::MAX as i64).contains(&v));
         }
     }
+
+    #[test]
+    fn accumulator_abs_diff_add_matches_lane_reference(a in any::<u64>(), b in any::<u64>(), lane in lanes()) {
+        let (x, y) = (PackedWord::new(a), PackedWord::new(b));
+        let mut acc = Accumulator::new();
+        acc.abs_diff_add(x, y, lane);
+        let (av, bv) = (x.lanes(lane), y.lanes(lane));
+        for i in 0..av.len() {
+            prop_assert_eq!(acc.lane(i), (av[i] - bv[i]).abs());
+        }
+    }
+
+    // 32-bit lanes are excluded: a squared 32-bit difference can exceed
+    // `i64`, which panics in debug builds. Kernels only square 8/16-bit data.
+    #[test]
+    fn accumulator_sqr_diff_add_matches_lane_reference(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        lane in prop_oneof![Just(Lane::U8), Just(Lane::I8), Just(Lane::U16), Just(Lane::I16)],
+    ) {
+        let (x, y) = (PackedWord::new(a), PackedWord::new(b));
+        let mut acc = Accumulator::new();
+        acc.sqr_diff_add(x, y, lane);
+        let (av, bv) = (x.lanes(lane), y.lanes(lane));
+        for i in 0..av.len() {
+            let d = av[i] - bv[i];
+            prop_assert_eq!(acc.lane(i), d * d);
+        }
+    }
 }

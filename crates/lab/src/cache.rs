@@ -15,12 +15,11 @@
 //!
 //! # Invalidation
 //!
-//! A key binds the [`engine_fingerprint`] (crate version plus the lane-kernel
-//! backend — a `--features simd` build can never serve records to a portable
-//! build or vice versa), the spec's `config_hash` (which already covers the
-//! experiment name, fast flag, workload set, machine configs, ROB/latency
-//! overrides, widths, scale and seed), the cell identity, and the sampling
-//! knobs. Exact records carry no sampling knobs at all, so a cache filled by
+//! A key binds the [`engine_fingerprint`] (the crate version: every build
+//! of one version runs the same lane kernels and decoder), the spec's
+//! `config_hash` (which already covers the experiment name, fast flag,
+//! workload set, machine configs, ROB/latency overrides, widths, scale and
+//! seed), the cell identity, and the sampling knobs. Exact records carry no sampling knobs at all, so a cache filled by
 //! any exact mode (fanout, streamed, or `--sampled --sample-period 0`)
 //! serves hits to every other exact mode — their results
 //! are byte-identical by the determinism guarantee. Sampled records with a
@@ -52,14 +51,14 @@ const CACHE_MAGIC: u64 = u64::from_le_bytes(*b"MOMCELL\0");
 /// record: old files decode to a version error, which is a clean miss.
 pub const CACHE_VERSION: u32 = 1;
 
-/// The execution-engine identity baked into every [`CellKey`]: crate version
-/// plus which lane-kernel backend is active. Exec-mode-invariant (the three
-/// exact modes produce byte-identical results, so they share records), but
-/// distinct between a portable build and a `--features simd` build, and
-/// between crate versions — stale results can never be served across engine
-/// changes.
+/// The execution-engine identity baked into every [`CellKey`]: the crate
+/// version. Exec-mode-invariant (the exact modes produce byte-identical
+/// results, so they share records) and build-invariant (there is one lane
+/// kernel implementation and one decoder), but distinct between crate
+/// versions, so records never cross a version bump. It does not yet cover
+/// model-code changes made without a version bump.
 pub fn engine_fingerprint() -> String {
-    format!("momlab {} swar simd:{}", env!("CARGO_PKG_VERSION"), mom_isa::simd_active())
+    format!("momlab {}", env!("CARGO_PKG_VERSION"))
 }
 
 /// 64-bit FNV-1a, the same construction `config_hash` uses — deterministic
@@ -537,10 +536,8 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_names_version_and_backend() {
-        let fp = engine_fingerprint();
-        assert!(fp.contains(env!("CARGO_PKG_VERSION")));
-        assert!(fp.contains(&format!("simd:{}", mom_isa::simd_active())));
+    fn fingerprint_names_version() {
+        assert_eq!(engine_fingerprint(), format!("momlab {}", env!("CARGO_PKG_VERSION")));
     }
 
     #[test]
@@ -548,7 +545,7 @@ mod tests {
         let base = key();
         let mut seen = vec![base.canonical()];
         let variants = [
-            CellKey { engine: "momlab 0.0.0 swar simd:true".into(), ..base.clone() },
+            CellKey { engine: "momlab 0.0.0".into(), ..base.clone() },
             CellKey { experiment: "sweep".into(), ..base.clone() },
             CellKey { fast: false, ..base.clone() },
             CellKey { config_hash: "fnv1a:0".into(), ..base.clone() },

@@ -105,19 +105,14 @@ impl RunResult {
             ("wall_ms", Value::Int(self.wall_ms as i64)),
             ("mode", Value::Str(self.mode.label().into())),
             ("generated_by", Value::Str(format!("momlab {}", env!("CARGO_PKG_VERSION")))),
-            // Which execution engine produced the numbers, so perf
-            // trajectory documents are self-describing: `swar` is true for
-            // every build of this engine (the portable chunked-u64 lane
-            // kernels are unconditional), `simd_feature` reports whether the
-            // SSE2 backend was compiled in *and* usable on this target, and
-            // `fused_pairs` counts the fused µop pairs decode created during
-            // this run (0 when a warm machine pool skipped re-decoding).
+            // Retired lane-backend provenance, kept only because
+            // `perfbench/run.py` indexes these keys: there is one portable
+            // lane-kernel implementation, so both are constant `false`.
             (
                 "engine",
                 Value::object(vec![
-                    ("swar", Value::Bool(true)),
-                    ("simd_feature", Value::Bool(mom_isa::simd_active())),
-                    ("fused_pairs", Value::Int(self.fused_pairs as i64)),
+                    ("swar", Value::Bool(false)),
+                    ("simd_feature", Value::Bool(false)),
                 ]),
             ),
             // The host the numbers were measured on, so committed BENCH
@@ -136,7 +131,9 @@ impl RunResult {
                     ),
                     ("arch", Value::Str(std::env::consts::ARCH.into())),
                     ("os", Value::Str(std::env::consts::OS.into())),
-                    ("simd_active", Value::Bool(mom_isa::simd_active())),
+                    // Constant `false`; kept for `perfbench/run.py` (see
+                    // `engine` above).
+                    ("simd_active", Value::Bool(false)),
                 ]),
             ),
         ];
@@ -450,5 +447,23 @@ fn static_rows_json(rows: &StaticRows) -> Value {
                 })
                 .collect(),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::json::Value;
+    use crate::runner::{run, RunOptions};
+    use crate::spec::ExperimentSpec;
+
+    #[test]
+    fn document_keeps_the_lane_backend_keys_perfbench_reads() {
+        let spec = ExperimentSpec::builtin("table1", 1, true).expect("table1 is built in");
+        let doc = run(&spec, &RunOptions::with_workers(1)).document_json();
+        let meta = doc.get("meta").expect("meta present");
+        for (section, key) in [("engine", "swar"), ("engine", "simd_feature"), ("host", "simd_active")] {
+            let value = meta.get(section).and_then(|s| s.get(key));
+            assert_eq!(value, Some(&Value::Bool(false)), "meta.{section}.{key}");
+        }
     }
 }

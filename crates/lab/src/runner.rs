@@ -311,12 +311,6 @@ pub struct RunResult {
     /// fresh across all workers (`meta.pool`; wall-clock-free but scheduling
     /// dependent, so `meta`-only).
     pub pool: PoolStats,
-    /// Fused µop pairs created by `Program::decode` during this run (the
-    /// process-wide [`mom_core::fused_pairs_total`] counter, snapshotted
-    /// around the run). Feeds `meta.engine.fused_pairs`; depends on what the
-    /// run decoded, not on timing, but lives in `meta` because a warm
-    /// machine pool can skip re-decoding.
-    pub fused_pairs: u64,
     /// Result-cache accounting when the run had a [`CellCache`]
     /// (`meta.cache`): hits, misses, fills, store size and directory. `None`
     /// when caching was disabled, so pre-cache documents stay byte-identical.
@@ -513,7 +507,6 @@ pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
         _ => None,
     };
     let started = Instant::now();
-    let fused_before = mom_core::fused_pairs_total();
     let cache_ctx = opts.cache.map(|store| CacheContext {
         cache: store,
         engine: engine_fingerprint(),
@@ -531,7 +524,6 @@ pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
             (RunData::Grid(cells), timing, outcome)
         }
     };
-    let fused_pairs = mom_core::fused_pairs_total().saturating_sub(fused_before);
     // The `meta.cache` section: grid accounting (zeros for a cached static
     // run — tables simulate nothing) plus the store-wide size after fills.
     let (cache_meta, cached_cells) = match (opts.cache, outcome) {
@@ -568,7 +560,6 @@ pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
         pipeline: timing.pipeline,
         spans: timing.spans,
         pool: timing.pool,
-        fused_pairs,
         cache: cache_meta,
         cached_cells,
         data,
