@@ -388,13 +388,13 @@ handlers! {
             st.core.mem.read_unsigned(addr, *size as usize) as i64
         };
         st.core.int.write(*rd, v);
-        inst.mem = MemList::one(MemAccess { addr, size: *size, kind: MemKind::Load });
+        inst.mem.set_one(MemAccess { addr, size: *size, kind: MemKind::Load });
         Flow::Next
     }
     op_st: St { rs, base, offset, size } => {
         let addr = (st.core.int.read(*base) + offset) as u64;
         st.core.mem.write_value(addr, *size as usize, st.core.int.read(*rs) as u64);
-        inst.mem = MemList::one(MemAccess { addr, size: *size, kind: MemKind::Store });
+        inst.mem.set_one(MemAccess { addr, size: *size, kind: MemKind::Store });
         Flow::Next
     }
     op_br: Br { cond, ra, rb, target } => {
@@ -426,13 +426,13 @@ handlers! {
     op_media_ld: MediaLd { md, base, offset } => {
         let addr = (st.core.int.read(*base) + offset) as u64;
         st.core.media.write(*md, PackedWord::new(st.core.mem.read_u64(addr)));
-        inst.mem = MemList::one(MemAccess { addr, size: 8, kind: MemKind::Load });
+        inst.mem.set_one(MemAccess { addr, size: 8, kind: MemKind::Load });
         Flow::Next
     }
     op_media_st: MediaSt { ms, base, offset } => {
         let addr = (st.core.int.read(*base) + offset) as u64;
         st.core.mem.write_u64(addr, st.core.media.read(*ms).bits());
-        inst.mem = MemList::one(MemAccess { addr, size: 8, kind: MemKind::Store });
+        inst.mem.set_one(MemAccess { addr, size: 8, kind: MemKind::Store });
         Flow::Next
     }
     op_splat: Splat { md, rs, lane } => {
@@ -1027,8 +1027,7 @@ const CHUNK: usize = 64;
 #[inline(always)]
 fn refresh(dst: &mut DynInst, skel: &DynInst, elems: u16, scratch: &mut MemList) {
     dst.class = skel.class;
-    dst.srcs = skel.srcs;
-    dst.dsts = skel.dsts;
+    dst.regs = skel.regs;
     if dst.mem.is_spilled() && !scratch.is_spilled() {
         dst.mem.clear();
         *scratch = std::mem::take(&mut dst.mem);

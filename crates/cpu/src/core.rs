@@ -12,9 +12,10 @@
 //!
 //! Every pipeline constraint looks a bounded distance into the past, so the
 //! engine's state is **O(ROB size)** — ring buffers over the last ROB-size
-//! commits, the last fetch group, the last LSQ-size memory commits and the
-//! per-class rename headroom — never O(trace length). Traces of any size can
-//! be simulated without materializing them: pull from an [`InstSource`]
+//! commits, the last LSQ-size memory commits and the per-class rename
+//! headroom, plus two counters for the fetch and commit width limits —
+//! never O(trace length). Traces of any size can be simulated without
+//! materializing them: pull from an [`InstSource`]
 //! ([`OooCore::simulate_source`]) or push from the functional interpreter
 //! (`Program::stream` in `mom-core`) using the [`SimStream`] as a
 //! [`TraceSink`]. [`OooCore::simulate`] replays a collected [`Trace`] through
@@ -40,7 +41,7 @@ use mom_mem::{AccessCause, MemorySystem, PerfectMemory};
 
 /// Version tag of the serialized [`SimState`] layout. Bump on any change to
 /// what [`SimState::save_state`] writes.
-const ENGINE_STATE_VERSION: u32 = 1;
+const ENGINE_STATE_VERSION: u32 = 2;
 
 /// Execution latencies per functional-unit class, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,9 +223,9 @@ impl UnitPool {
 
 /// Ring buffer over the tail of an unbounded cycle sequence: keeps only the
 /// last `window` values pushed, which is all the pipeline constraints ever
-/// look at (ROB size for commits, issue width for fetches, LSQ size for
-/// memory commits, rename headroom for per-class writers). This is what
-/// bounds the streaming simulator's state to O(ROB) instead of O(trace).
+/// look at (ROB size for commits, LSQ size for memory commits, rename
+/// headroom for per-class writers). This is what bounds the streaming
+/// simulator's state to O(ROB) instead of O(trace).
 ///
 /// The backing buffer is rounded up to a power of two so the ring index is a
 /// mask instead of an integer division — `feed` consults several histories
@@ -299,18 +300,6 @@ impl History {
         }
         Ok(())
     }
-}
-
-fn reg_slot(reg: ArchReg) -> usize {
-    let class = match reg.class {
-        RegClass::Int => 0,
-        RegClass::Fp => 1,
-        RegClass::Media => 2,
-        RegClass::Acc => 3,
-        RegClass::Mom => 4,
-        RegClass::MomAcc => 5,
-    };
-    class * 64 + (reg.index as usize % 64)
 }
 
 /// The out-of-order core model.
@@ -482,12 +471,10 @@ pub struct SimState {
     int_units: UnitPool,
     fp_units: UnitPool,
     media_units: UnitPool,
-    /// Producer availability per architectural register.
-    reg_ready: [u64; 6 * 64],
+    /// Producer availability per register, indexed by [`ArchReg::slot`].
+    reg_ready: [u64; ArchReg::SLOTS],
     /// Commit cycles of the last ROB-size instructions.
     commits: History,
-    /// Fetch cycles of the last fetch group (issue width entries).
-    fetches: History,
     /// Commit cycles of the last LSQ-size memory operations.
     mem_commits: History,
     /// Commit cycles of the last headroom writers per register class.
@@ -496,10 +483,16 @@ pub struct SimState {
     fetch_break_floor: u64,
     fed: usize,
     last_commit: u64,
-    /// Fetch cycle of the most recent instruction — always equal to
-    /// `fetches.nth_back(1)`, kept as a scalar so the program-order floor
-    /// does not need a ring read.
+    /// Fetch cycle of the most recent instruction (0 before the first).
     last_fetch: u64,
+    /// How many of the most recent instructions were fetched in
+    /// `last_fetch`. Fetch cycles never decrease, so "the instruction `way`
+    /// back was fetched in `last_fetch`" is `fetched_in_last >= way`: the
+    /// whole fetch-width window, as one counter.
+    fetched_in_last: usize,
+    /// How many of the most recent instructions committed in
+    /// `last_commit` — the commit-width twin of `fetched_in_last`.
+    committed_in_last: usize,
     result: SimResult,
 }
 
@@ -515,9 +508,8 @@ impl SimState {
                 config.media_units.complex,
                 config.media_units.lanes,
             ),
-            reg_ready: [0; 6 * 64],
+            reg_ready: [0; ArchReg::SLOTS],
             commits: History::new(config.rob_size),
-            fetches: History::new(config.way),
             mem_commits: History::new(config.lsq_size),
             class_writers: std::array::from_fn(|ci| {
                 History::new(config.rename_headroom(RegClass::ALL[ci]))
@@ -527,6 +519,8 @@ impl SimState {
             fed: 0,
             last_commit: 0,
             last_fetch: 0,
+            fetched_in_last: 0,
+            committed_in_last: 0,
             result: SimResult::default(),
         }
     }
@@ -543,7 +537,6 @@ impl SimState {
         self.media_units.reset();
         self.reg_ready.fill(0);
         self.commits.reset();
-        self.fetches.reset();
         self.mem_commits.reset();
         for h in &mut self.class_writers {
             h.reset();
@@ -553,6 +546,8 @@ impl SimState {
         self.fed = 0;
         self.last_commit = 0;
         self.last_fetch = 0;
+        self.fetched_in_last = 0;
+        self.committed_in_last = 0;
         self.result = SimResult::default();
     }
 
@@ -564,7 +559,6 @@ impl SimState {
     /// Total ring-buffer entries retained — see [`SimStream::window_entries`].
     pub fn window_entries(&self) -> usize {
         self.commits.capacity()
-            + self.fetches.capacity()
             + self.mem_commits.capacity()
             + self.class_writers.iter().map(History::capacity).sum::<usize>()
     }
@@ -581,7 +575,6 @@ impl SimState {
                 && pool.lanes == spec.lanes.max(1)
         };
         self.commits.capacity() == config.rob_size.max(1)
-            && self.fetches.capacity() == config.way.max(1)
             && self.mem_commits.capacity() == config.lsq_size.max(1)
             && RegClass::ALL.iter().enumerate().all(|(ci, &class)| {
                 self.class_writers[ci].capacity() == config.rename_headroom(class).max(1)
@@ -616,7 +609,6 @@ impl SimState {
             e.u64(ready);
         }
         self.commits.save_state(e);
-        self.fetches.save_state(e);
         self.mem_commits.save_state(e);
         for writers in &self.class_writers {
             writers.save_state(e);
@@ -626,6 +618,8 @@ impl SimState {
         e.usize(self.fed);
         e.u64(self.last_commit);
         e.u64(self.last_fetch);
+        e.usize(self.fetched_in_last);
+        e.usize(self.committed_in_last);
         e.u64(self.result.cycles);
         e.u64(self.result.committed);
         e.u64(self.result.branches);
@@ -657,7 +651,6 @@ impl SimState {
             *ready = d.u64("register ready cycle")?;
         }
         self.commits.load_state(d)?;
-        self.fetches.load_state(d)?;
         self.mem_commits.load_state(d)?;
         for writers in &mut self.class_writers {
             writers.load_state(d)?;
@@ -667,6 +660,8 @@ impl SimState {
         self.fed = d.usize("instructions fed")?;
         self.last_commit = d.u64("last commit cycle")?;
         self.last_fetch = d.u64("last fetch cycle")?;
+        self.fetched_in_last = d.usize("instructions fetched in the last cycle")?;
+        self.committed_in_last = d.usize("instructions committed in the last cycle")?;
         self.result.cycles = d.u64("result cycles")?;
         self.result.committed = d.u64("result committed")?;
         self.result.branches = d.u64("result branches")?;
@@ -706,11 +701,13 @@ impl StateSlot<'_> {
 /// incremental consumer of dynamic instructions.
 ///
 /// The pipeline constraints only ever reach a bounded distance into the
-/// past — the ROB size for in-flight instructions, the issue width for the
-/// fetch group, the LSQ size for memory operations and the per-class rename
-/// headroom for physical registers — so the engine retains exactly those
-/// windows in ring buffers. Total state is **O(ROB size)**, independent of
-/// how many instructions are fed; see [`SimStream::window_entries`].
+/// past — the ROB size for in-flight instructions, the LSQ size for memory
+/// operations and the per-class rename headroom for physical registers — so
+/// the engine retains exactly those windows in ring buffers. The fetch and
+/// commit width limits need only a count of the instructions that share the
+/// latest cycle, because those cycles never decrease. Total state is
+/// **O(ROB size)**, independent of how many instructions are fed; see
+/// [`SimStream::window_entries`].
 ///
 /// Feeding the instructions of a collected [`Trace`] in order produces a
 /// result bit-identical to [`OooCore::simulate`] on that trace (which is
@@ -810,7 +807,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
     }
 
     /// Total ring-buffer entries retained — the simulator's bounded lookback
-    /// window. A constant of the configuration (ROB + width + LSQ + rename
+    /// window. A constant of the configuration (ROB + LSQ + rename
     /// headrooms), never of the number of instructions fed.
     pub fn window_entries(&self) -> usize {
         self.state.get().window_entries()
@@ -865,21 +862,16 @@ impl<'a, P: Probe> SimStream<'a, P> {
         let i = st.fed;
 
         // Destinations are consulted three times per instruction (rename
-        // check, writeback, per-class commit history); resolve the register
-        // slots once. The class index is recoverable as `slot >> 6`.
-        let mut dest_slots = [0usize; mom_isa::trace::MAX_DSTS];
-        let mut ndests = 0usize;
-        for d in inst.dests() {
-            dest_slots[ndests] = reg_slot(d);
-            ndests += 1;
-        }
-        let dest_slots = &dest_slots[..ndests];
+        // check, writeback, per-class commit history) through the slots the
+        // producer resolved once. The class index is `slot >> 6`.
+        let dest_slots = inst.dst_slots();
 
         // ---------------- Fetch ----------------
-        let width_floor = if i >= cfg.way { st.fetches.nth_back(cfg.way) + 1 } else { 0 };
-        // Program order within a fetch group: the previous instruction's
-        // fetch cycle, tracked as a scalar (== `fetches.nth_back(1)`, and 0
-        // before anything was fetched — exactly the old `i > 0` guard).
+        // Fetch cycles never decrease, so the fetch-width limit binds only
+        // when the last `way` instructions all went in `last_fetch`; it then
+        // pushes this one to the next cycle. Otherwise it lies at or below
+        // the program-order floor.
+        let width_floor = if st.fetched_in_last >= cfg.way { st.last_fetch + 1 } else { 0 };
         let order_floor = st.last_fetch;
         let f = st
             .redirect_floor
@@ -891,7 +883,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
         {
             cause = StallCause::Redirect;
         }
-        st.fetches.push(f);
+        st.fetched_in_last = if f == st.last_fetch { st.fetched_in_last + 1 } else { 1 };
         st.last_fetch = f;
         st.fetch_break_floor = 0;
 
@@ -919,7 +911,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
         for &slot in dest_slots {
             // The writer history's window is exactly the rename headroom for
             // its class (`matches_config` pins this).
-            let writers = &st.class_writers[slot >> 6];
+            let writers = &st.class_writers[usize::from(slot >> 6)];
             let headroom = writers.capacity();
             if writers.len() >= headroom {
                 let rename_floor = writers.nth_back(headroom);
@@ -938,8 +930,8 @@ impl<'a, P: Probe> SimStream<'a, P> {
         // strict improvement.
         let mut ready = dispatch + 1;
         let mut binding_slot = usize::MAX;
-        for s in inst.sources() {
-            let slot = reg_slot(s);
+        for &slot in inst.src_slots() {
+            let slot = usize::from(slot);
             let avail = st.reg_ready[slot];
             if avail > ready {
                 ready = avail;
@@ -1041,9 +1033,9 @@ impl<'a, P: Probe> SimStream<'a, P> {
 
         // ---------------- Writeback ----------------
         for &slot in dest_slots {
-            st.reg_ready[slot] = complete;
+            st.reg_ready[usize::from(slot)] = complete;
             if P::ENABLED {
-                probe.set_reg_cause(slot, cause);
+                probe.set_reg_cause(usize::from(slot), cause);
             }
         }
 
@@ -1051,14 +1043,14 @@ impl<'a, P: Probe> SimStream<'a, P> {
         // In-order commit: joining the previous commit cycle never adds a
         // delta, so it never changes the attributed cause. `last_commit` is
         // that cycle (0 before anything committed, where the max is a no-op).
+        // Commit cycles never decrease either, so the commit-width limit
+        // binds only when `way` instructions already committed in
+        // `last_commit` and this one would join them.
         let mut c = (complete + 1).max(st.last_commit);
-        if i >= cfg.way {
-            let width_limit = st.commits.nth_back(cfg.way) + 1;
-            if width_limit > c {
-                c = width_limit;
-                if P::ENABLED {
-                    cause = StallCause::Base;
-                }
+        if st.committed_in_last >= cfg.way && c == st.last_commit {
+            c += 1;
+            if P::ENABLED {
+                cause = StallCause::Base;
             }
         }
         if P::ENABLED {
@@ -1066,11 +1058,12 @@ impl<'a, P: Probe> SimStream<'a, P> {
         }
         st.commits.push(c);
         for &slot in dest_slots {
-            st.class_writers[slot >> 6].push(c);
+            st.class_writers[usize::from(slot >> 6)].push(c);
         }
         if is_mem {
             st.mem_commits.push(c);
         }
+        st.committed_in_last = if c == st.last_commit { st.committed_in_last + 1 } else { 1 };
         st.last_commit = c;
         st.fed = i + 1;
     }
@@ -1494,6 +1487,19 @@ mod tests {
         let mut mem = build_memory(MemModelKind::Perfect { latency: 1 }, 1);
         let r = core.stream(mem.as_mut()).finish();
         assert_eq!(r, SimResult::default());
+    }
+
+    #[test]
+    fn engine_state_of_an_older_layout_is_a_version_error() {
+        // Version 1 kept a fetch-cycle ring that the fetch/commit counters
+        // replaced; its streams must be refused by version, not misread.
+        let core = OooCore::new(CoreConfig::way4(IsaKind::Alpha));
+        let mut e = Encoder::new();
+        core.new_state().save_state(&mut e);
+        let mut bytes = e.into_bytes();
+        bytes[..4].copy_from_slice(&(ENGINE_STATE_VERSION - 1).to_le_bytes());
+        let err = core.new_state().load_state(&mut Decoder::new(&bytes)).unwrap_err();
+        assert_eq!(err, CodecError::Version { what: "engine state", found: ENGINE_STATE_VERSION - 1 });
     }
 
     use crate::probe::AttributionProbe;

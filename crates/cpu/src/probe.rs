@@ -27,6 +27,7 @@
 //! DRAM time, not as generic dependence time.
 
 use mom_isa::codec::{CodecError, Decoder, Encoder};
+use mom_isa::trace::ArchReg;
 use mom_mem::AccessCause;
 
 /// The single cause a commit-slot cycle is attributed to.
@@ -133,7 +134,7 @@ impl StallCause {
 
 /// Per-cause attribution of every cycle of one simulation.
 ///
-/// Maintained by [`AttributionProbe`]; the invariant that the components sum
+/// Produced by [`AttributionProbe`]; the invariant that the components sum
 /// to [`StallBreakdown::total_cycles`] is structural (telescoping commit
 /// deltas), and [`StallBreakdown::attributed`] exposes the sum so tests can
 /// pin it.
@@ -203,10 +204,6 @@ impl StallBreakdown {
             *cycles = d.u64("breakdown component")?;
         }
         Ok(StallBreakdown { total_cycles, components })
-    }
-
-    fn add(&mut self, cause: StallCause, cycles: u64) {
-        self.components[cause.index()] += cycles;
     }
 }
 
@@ -372,20 +369,25 @@ const MAX_WINDOWS: usize = 32;
 /// Initial interval window width in cycles.
 const INITIAL_WINDOW: u64 = 1024;
 
-/// The full cycle-attribution instrument: accumulates the per-run
-/// [`StallBreakdown`], the per-register producer causes and the bounded
-/// interval timeline.
+/// The full cycle-attribution instrument: accumulates the per-register
+/// producer causes and the bounded interval timeline, from which the
+/// per-run [`StallBreakdown`] follows.
 ///
 /// The timeline starts at 1024-cycle windows (`INITIAL_WINDOW`); whenever
 /// the run outgrows 32 of them (`MAX_WINDOWS`), adjacent windows are
 /// pair-merged and the
 /// width doubles, so state stays O(1) for unbounded streams and the
 /// compaction schedule is a pure function of commit cycles (deterministic).
+/// Every commit delta lands in exactly one window and pair-merging keeps
+/// sums, so the breakdown is the per-cause sum of the windows: the
+/// per-instruction update touches the current window only.
 #[derive(Debug, Clone)]
 pub struct AttributionProbe {
-    breakdown: StallBreakdown,
-    reg_cause: [StallCause; 6 * 64],
-    window_cycles: u64,
+    /// The last commit cycle seen: the run's total cycles so far.
+    total_cycles: u64,
+    reg_cause: [StallCause; ArchReg::SLOTS],
+    /// `log2` of the window width in cycles.
+    window_shift: u32,
     /// Window accumulators, inline at the maximum count (`n_windows` are
     /// live). Inline storage keeps the once-per-instruction `on_commit`
     /// update free of pointer chases; at ~3 KiB the probe is still cheap to
@@ -404,23 +406,27 @@ impl AttributionProbe {
     /// A fresh probe with nothing attributed yet.
     pub fn new() -> Self {
         Self {
-            breakdown: StallBreakdown::default(),
-            reg_cause: [StallCause::Base; 6 * 64],
-            window_cycles: INITIAL_WINDOW,
+            total_cycles: 0,
+            reg_cause: [StallCause::Base; ArchReg::SLOTS],
+            window_shift: INITIAL_WINDOW.trailing_zeros(),
             windows: [WindowAcc::EMPTY; MAX_WINDOWS],
             n_windows: 0,
         }
     }
 
-    /// The breakdown accumulated so far.
-    pub fn breakdown(&self) -> &StallBreakdown {
-        &self.breakdown
+    /// The breakdown accumulated so far: the per-cause sum of the windows.
+    pub fn breakdown(&self) -> StallBreakdown {
+        let mut total = WindowAcc::EMPTY;
+        for w in &self.windows[..self.n_windows] {
+            total.merge(w);
+        }
+        StallBreakdown::from_parts(self.total_cycles, total.cycles)
     }
 
     /// Build the interval timeline accumulated so far.
     pub fn intervals(&self) -> IntervalStats {
         IntervalStats {
-            window_cycles: self.window_cycles,
+            window_cycles: 1 << self.window_shift,
             windows: self.windows[..self.n_windows]
                 .iter()
                 .map(|w| IntervalWindow { committed: w.committed, cycles: w.total(), top: w.top() })
@@ -437,13 +443,13 @@ impl AttributionProbe {
     /// would mean the engine's instrumentation lost or double-counted a
     /// commit delta, never a property of the workload.
     pub fn into_report(self) -> ProbeReport {
+        let breakdown = self.breakdown();
         assert_eq!(
-            self.breakdown.attributed(),
-            self.breakdown.total_cycles,
+            breakdown.attributed(),
+            breakdown.total_cycles,
             "stall-breakdown components must sum to total cycles"
         );
-        let intervals = self.intervals();
-        ProbeReport { breakdown: self.breakdown, intervals }
+        ProbeReport { breakdown, intervals: self.intervals() }
     }
 
     /// Serialize the complete attribution state — breakdown, per-register
@@ -451,14 +457,11 @@ impl AttributionProbe {
     /// checkpoint codec, so a resumed sampled run continues its timeline
     /// exactly where the checkpointed one stopped.
     pub fn save_state(&self, e: &mut Encoder) {
-        e.u64(self.breakdown.total_cycles);
-        for &cycles in &self.breakdown.components {
-            e.u64(cycles);
-        }
+        self.breakdown().save_state(e);
         for &cause in self.reg_cause.iter() {
             e.u8(cause.index() as u8);
         }
-        e.u64(self.window_cycles);
+        e.u64(1 << self.window_shift);
         e.usize(self.n_windows);
         for w in &self.windows[..self.n_windows] {
             e.u64(w.committed);
@@ -474,13 +477,12 @@ impl AttributionProbe {
     ///
     /// Fails if the stream is truncated or carries an out-of-range stall
     /// cause, a window width that is not on the `1024·2^k` compaction
-    /// schedule, or more live windows than the recorder ever keeps.
+    /// schedule, more live windows than the recorder ever keeps, or a
+    /// breakdown that is not the per-cause sum of its windows.
     pub fn load_state(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let mut probe = Self::new();
-        probe.breakdown.total_cycles = d.u64("breakdown total cycles")?;
-        for cycles in &mut probe.breakdown.components {
-            *cycles = d.u64("breakdown component")?;
-        }
+        let saved = StallBreakdown::load_state(d)?;
+        probe.total_cycles = saved.total_cycles;
         for cause in probe.reg_cause.iter_mut() {
             *cause = StallCause::from_index(d.u8("register cause")? as usize)?;
         }
@@ -488,7 +490,7 @@ impl AttributionProbe {
         if !window_cycles.is_power_of_two() || window_cycles < INITIAL_WINDOW {
             return Err(CodecError::Invalid { what: "interval window width" });
         }
-        probe.window_cycles = window_cycles;
+        probe.window_shift = window_cycles.trailing_zeros();
         probe.n_windows = d.usize("interval window count")?;
         if probe.n_windows > MAX_WINDOWS {
             return Err(CodecError::Invalid { what: "interval window count" });
@@ -498,6 +500,9 @@ impl AttributionProbe {
             for cycles in &mut w.cycles {
                 *cycles = d.u64("window component")?;
             }
+        }
+        if probe.breakdown() != saved {
+            return Err(CodecError::Invalid { what: "probe breakdown" });
         }
         Ok(probe)
     }
@@ -510,8 +515,7 @@ impl AttributionProbe {
     #[cold]
     #[inline(never)]
     fn grow_windows(&mut self, commit_cycle: u64) -> usize {
-        // `window_cycles` is always 1024·2^k, so the division is a shift.
-        let mut idx = (commit_cycle >> self.window_cycles.trailing_zeros()) as usize;
+        let mut idx = (commit_cycle >> self.window_shift) as usize;
         while idx >= MAX_WINDOWS {
             // Pair-merge: halve the resolution, keep the history exact.
             let merged = self.n_windows.div_ceil(2);
@@ -524,8 +528,8 @@ impl AttributionProbe {
             }
             self.windows[merged..self.n_windows].fill(WindowAcc::EMPTY);
             self.n_windows = merged;
-            self.window_cycles *= 2;
-            idx = (commit_cycle >> self.window_cycles.trailing_zeros()) as usize;
+            self.window_shift += 1;
+            idx = (commit_cycle >> self.window_shift) as usize;
         }
         if self.n_windows <= idx {
             self.n_windows = idx + 1;
@@ -549,9 +553,8 @@ impl Probe for AttributionProbe {
 
     #[inline]
     fn on_commit(&mut self, commit_cycle: u64, delta: u64, cause: StallCause) {
-        self.breakdown.total_cycles = commit_cycle;
-        self.breakdown.add(cause, delta);
-        let mut idx = (commit_cycle >> self.window_cycles.trailing_zeros()) as usize;
+        self.total_cycles = commit_cycle;
+        let mut idx = (commit_cycle >> self.window_shift) as usize;
         if idx >= self.n_windows {
             idx = self.grow_windows(commit_cycle);
         }
@@ -620,11 +623,11 @@ mod tests {
 
     #[test]
     fn breakdown_ranks_by_count_then_declaration_order() {
-        let mut b = StallBreakdown::default();
-        b.add(StallCause::MemDram, 10);
-        b.add(StallCause::Base, 10);
-        b.add(StallCause::Redirect, 3);
-        b.total_cycles = 23;
+        let mut components = [0; StallCause::COUNT];
+        components[StallCause::MemDram.index()] = 10;
+        components[StallCause::Base.index()] = 10;
+        components[StallCause::Redirect.index()] = 3;
+        let b = StallBreakdown::from_parts(23, components);
         let ranked = b.ranked();
         assert_eq!(ranked[0], (StallCause::Base, 10), "tie goes to declaration order");
         assert_eq!(ranked[1], (StallCause::MemDram, 10));
@@ -685,8 +688,33 @@ mod tests {
         let mut p = AttributionProbe::new();
         p.on_commit(10, 4, StallCause::Base);
         // Sabotage: pretend the run was longer than what was attributed.
-        p.breakdown.total_cycles = 11;
+        p.total_cycles = 11;
         let _ = p.into_report();
+    }
+
+    #[test]
+    fn load_state_rejects_a_breakdown_that_is_not_the_sum_of_its_windows() {
+        let mut p = AttributionProbe::new();
+        let mut last = 0;
+        for (k, c) in (3..40_000u64).step_by(97).enumerate() {
+            p.on_commit(c, c - last, StallCause::ALL[k % StallCause::COUNT]);
+            last = c;
+        }
+        let mut e = Encoder::new();
+        p.save_state(&mut e);
+        let bytes = e.into_bytes();
+        let restored = AttributionProbe::load_state(&mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(restored.breakdown(), p.breakdown());
+        // The stream opens with the total (8 bytes) and then the saved
+        // per-cause components: flipping any bit of a component breaks the
+        // sum over the windows.
+        let components = 8..8 + 8 * StallCause::COUNT;
+        for (i, bit) in components.flat_map(|i| [(i, 0x01u8), (i, 0x80)]) {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= bit;
+            let err = AttributionProbe::load_state(&mut Decoder::new(&flipped)).unwrap_err();
+            assert_eq!(err, CodecError::Invalid { what: "probe breakdown" }, "byte {i} bit {bit:#x}");
+        }
     }
 
     #[test]

@@ -144,6 +144,28 @@ impl ArchReg {
     pub fn mom_acc(index: u8) -> Self {
         Self::new(RegClass::MomAcc, index)
     }
+
+    /// Number of distinct [`ArchReg::slot`] values.
+    pub const SLOTS: usize = 6 * 64;
+
+    /// Dense scoreboard index of this register: `class * 64 + index`, with
+    /// classes numbered in [`RegClass::ALL`] order, so `slot >> 6` is the
+    /// class index. The timing model's register scoreboard and the
+    /// attribution probe's producer-cause table are indexed by it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is 64 or more; no register file has more than 32
+    /// registers.
+    pub fn slot(self) -> u16 {
+        assert!(self.index < 64, "register index {} out of range for {self}", self.index);
+        self.class as u16 * 64 + u16::from(self.index)
+    }
+
+    /// The register whose [`ArchReg::slot`] is `slot`.
+    pub fn from_slot(slot: u16) -> Self {
+        Self::new(RegClass::ALL[usize::from(slot >> 6)], (slot & 63) as u8)
+    }
 }
 
 impl std::fmt::Display for ArchReg {
@@ -262,6 +284,18 @@ impl MemList {
         let mut list = MemList::new();
         list.push(access);
         list
+    }
+
+    /// Make this the inline list holding just `access` — [`MemList::one`]
+    /// written in place, without building and moving a new list.
+    pub fn set_one(&mut self, access: MemAccess) {
+        match &mut self.0 {
+            MemListRepr::Inline { buf, len } => {
+                buf[0] = access;
+                *len = 1;
+            }
+            MemListRepr::Spilled(_) => *self = MemList::one(access),
+        }
     }
 
     /// An empty list with room for `capacity` accesses: inline when it fits,
@@ -401,15 +435,33 @@ pub const MAX_SRCS: usize = 4;
 /// Maximum number of destination registers a dynamic instruction can carry.
 pub const MAX_DSTS: usize = 2;
 
+/// The registers of one dynamic instruction, held as their pre-resolved
+/// [`ArchReg::slot`]s (entries past `n_srcs` / `n_dsts` are unused).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegOperands {
+    src_slots: [u16; MAX_SRCS],
+    dst_slots: [u16; MAX_DSTS],
+    n_srcs: u8,
+    n_dsts: u8,
+}
+
+impl RegOperands {
+    const NONE: RegOperands = RegOperands {
+        src_slots: [0; MAX_SRCS],
+        dst_slots: [0; MAX_DSTS],
+        n_srcs: 0,
+        n_dsts: 0,
+    };
+}
+
 /// One graduated dynamic instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynInst {
     /// Functional-unit class.
     pub class: InstClass,
-    /// Source architectural registers (`None` entries are unused slots).
-    pub srcs: [Option<ArchReg>; MAX_SRCS],
-    /// Destination architectural registers (`None` entries are unused slots).
-    pub dsts: [Option<ArchReg>; MAX_DSTS],
+    /// Source and destination registers (see [`DynInst::sources`],
+    /// [`DynInst::src_slots`] and their destination twins).
+    pub regs: RegOperands,
     /// Element memory accesses (empty for non-memory instructions).
     pub mem: MemList,
     /// Branch outcome (only for [`InstClass::Branch`]).
@@ -429,8 +481,7 @@ impl DynInst {
     pub fn new(class: InstClass, pc: u64) -> Self {
         Self {
             class,
-            srcs: [None; MAX_SRCS],
-            dsts: [None; MAX_DSTS],
+            regs: RegOperands::NONE,
             mem: MemList::new(),
             branch: None,
             elems: 1,
@@ -443,17 +494,24 @@ impl DynInst {
     /// extra dependences the timing model could track anyway).
     #[must_use = "builder methods return the modified instruction"]
     pub fn with_src(mut self, reg: ArchReg) -> Self {
-        if let Some(slot) = self.srcs.iter_mut().find(|s| s.is_none()) {
-            *slot = Some(reg);
+        let r = &mut self.regs;
+        let n = r.n_srcs as usize;
+        if n < MAX_SRCS {
+            r.src_slots[n] = reg.slot();
+            r.n_srcs += 1;
         }
         self
     }
 
-    /// Add a destination register.
+    /// Add a destination register (ignored once all [`MAX_DSTS`] slots are
+    /// full).
     #[must_use = "builder methods return the modified instruction"]
     pub fn with_dst(mut self, reg: ArchReg) -> Self {
-        if let Some(slot) = self.dsts.iter_mut().find(|s| s.is_none()) {
-            *slot = Some(reg);
+        let r = &mut self.regs;
+        let n = r.n_dsts as usize;
+        if n < MAX_DSTS {
+            r.dst_slots[n] = reg.slot();
+            r.n_dsts += 1;
         }
         self
     }
@@ -481,12 +539,22 @@ impl DynInst {
 
     /// Iterator over the populated source registers.
     pub fn sources(&self) -> impl Iterator<Item = ArchReg> + '_ {
-        self.srcs.iter().flatten().copied()
+        self.src_slots().iter().map(|&slot| ArchReg::from_slot(slot))
     }
 
     /// Iterator over the populated destination registers.
     pub fn dests(&self) -> impl Iterator<Item = ArchReg> + '_ {
-        self.dsts.iter().flatten().copied()
+        self.dst_slots().iter().map(|&slot| ArchReg::from_slot(slot))
+    }
+
+    /// The [`ArchReg::slot`]s of [`DynInst::sources`], in the same order.
+    pub fn src_slots(&self) -> &[u16] {
+        &self.regs.src_slots[..self.regs.n_srcs as usize]
+    }
+
+    /// The [`ArchReg::slot`]s of [`DynInst::dests`], in the same order.
+    pub fn dst_slots(&self) -> &[u16] {
+        &self.regs.dst_slots[..self.regs.n_dsts as usize]
     }
 }
 
@@ -792,6 +860,21 @@ mod tests {
         assert_eq!(i.dests().count(), 1);
         assert_eq!(i.elems, 1, "elems is clamped to at least 1");
         assert_eq!(i.pc, 4);
+    }
+
+    #[test]
+    fn slots_round_trip_every_register() {
+        for (ci, class) in RegClass::ALL.into_iter().enumerate() {
+            for index in 0..64 {
+                let reg = ArchReg::new(class, index);
+                assert_eq!(usize::from(reg.slot() >> 6), ci);
+                assert_eq!(ArchReg::from_slot(reg.slot()), reg);
+            }
+        }
+        let i = DynInst::new(InstClass::IntSimple, 0).with_src(ArchReg::mom(3)).with_dst(ArchReg::acc(1));
+        assert_eq!(i.sources().collect::<Vec<_>>(), [ArchReg::mom(3)]);
+        assert_eq!(i.dests().collect::<Vec<_>>(), [ArchReg::acc(1)]);
+        assert_eq!(i.src_slots(), [ArchReg::mom(3).slot()]);
     }
 
     #[test]

@@ -130,10 +130,18 @@ struct LineState {
 }
 
 /// A set-associative cache tag array with LRU replacement.
+///
+/// The tag array is one set-major `Vec`: set `s` owns the `assoc` entries
+/// starting at `s * assoc`. Line size and set count are powers of two (every
+/// Table 3 cache is), so locating a line is two shifts and a mask.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<LineState>>,
+    lines: Vec<LineState>,
+    /// `log2(line_bytes)`: an address shifted right by this is its line.
+    line_shift: u32,
+    /// `log2(sets)`: a line shifted right by this is its tag.
+    set_shift: u32,
     stats: CacheStats,
     use_counter: u64,
 }
@@ -143,12 +151,26 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (zero sets or associativity).
+    /// Panics if the configuration is degenerate (zero sets or associativity)
+    /// or if its line size or set count is not a power of two.
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.assoc > 0 && config.line_bytes > 0, "degenerate cache configuration");
         let sets = config.sets();
         assert!(sets > 0, "cache must have at least one set");
-        Self { config, sets: vec![vec![LineState::default(); config.assoc]; sets], stats: CacheStats::default(), use_counter: 0 }
+        assert!(
+            config.line_bytes.is_power_of_two(),
+            "cache line size must be a power of two, got {} bytes",
+            config.line_bytes
+        );
+        assert!(sets.is_power_of_two(), "cache set count must be a power of two, got {sets}");
+        Self {
+            config,
+            lines: vec![LineState::default(); sets * config.assoc],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            stats: CacheStats::default(),
+            use_counter: 0,
+        }
     }
 
     /// The configuration this cache was built with.
@@ -161,23 +183,39 @@ impl Cache {
         self.stats
     }
 
-    /// Align an address down to its line base.
+    /// The line number of `addr` (the address divided by the line size).
     pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.config.line_bytes as u64
+        addr >> self.line_shift
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+    fn set_count(&self) -> usize {
+        1 << self.set_shift
+    }
+
+    /// The set index and tag of `addr`: the line number's low `log2(sets)`
+    /// bits and the bits above them.
+    pub fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let line = self.line_of(addr);
-        let set = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        (set, tag)
+        let set = (line & (self.set_count() as u64 - 1)) as usize;
+        (set, line >> self.set_shift)
+    }
+
+    /// The ways of `set`.
+    fn ways(&self, set: usize) -> &[LineState] {
+        let assoc = self.config.assoc;
+        &self.lines[set * assoc..(set + 1) * assoc]
+    }
+
+    fn ways_mut(&mut self, set: usize) -> &mut [LineState] {
+        let assoc = self.config.assoc;
+        &mut self.lines[set * assoc..(set + 1) * assoc]
     }
 
     /// Whether the line containing `addr` is currently resident (no state
     /// change, no statistics update).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        self.ways(set).iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Look up (and on a miss, allocate) the line containing `addr`.
@@ -185,30 +223,32 @@ impl Cache {
     /// `is_write` marks the line dirty on write-back caches.
     pub fn access(&mut self, addr: u64, is_write: bool) -> LookupResult {
         self.use_counter += 1;
+        let use_counter = self.use_counter;
+        let dirty_on_write = is_write && self.config.write_back;
         let (set, tag) = self.set_and_tag(addr);
-        let ways = &mut self.sets[set];
+        let ways = self.ways_mut(set);
         if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_used = self.use_counter;
-            if is_write && self.config.write_back {
+            line.last_used = use_counter;
+            if dirty_on_write {
                 line.dirty = true;
             }
             self.stats.hits += 1;
             return LookupResult::Hit;
         }
-        self.stats.misses += 1;
         // Choose the LRU victim (prefer an invalid way).
         let victim = ways
             .iter_mut()
             .min_by_key(|l| if l.valid { l.last_used + 1 } else { 0 })
             .expect("associativity is non-zero");
         let dirty_victim = victim.valid && victim.dirty;
+        victim.tag = tag;
+        victim.valid = true;
+        victim.dirty = dirty_on_write;
+        victim.last_used = use_counter;
+        self.stats.misses += 1;
         if dirty_victim {
             self.stats.writebacks += 1;
         }
-        victim.tag = tag;
-        victim.valid = true;
-        victim.dirty = is_write && self.config.write_back;
-        victim.last_used = self.use_counter;
         LookupResult::Miss { dirty_victim }
     }
 
@@ -217,9 +257,7 @@ impl Cache {
     /// memory-system `reset()` contract that lets machines be reused across
     /// experiment cells.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.fill(LineState::default());
-        }
+        self.lines.fill(LineState::default());
         self.stats = CacheStats::default();
         self.use_counter = 0;
     }
@@ -229,17 +267,15 @@ impl Cache {
     /// restore onto a cache built from the same spec — but the geometry is
     /// recorded and validated so a mismatched restore fails cleanly.
     pub fn save_state(&self, e: &mut Encoder) {
-        e.usize(self.sets.len());
+        e.usize(self.set_count());
         e.usize(self.config.assoc);
         e.u64(self.use_counter);
         self.stats.save_state(e);
-        for set in &self.sets {
-            for line in set {
-                e.u64(line.tag);
-                e.bool(line.valid);
-                e.bool(line.dirty);
-                e.u64(line.last_used);
-            }
+        for line in &self.lines {
+            e.u64(line.tag);
+            e.bool(line.valid);
+            e.bool(line.dirty);
+            e.u64(line.last_used);
         }
     }
 
@@ -250,17 +286,15 @@ impl Cache {
     /// Fails if the stream is truncated or was written by a cache with a
     /// different set count or associativity.
     pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        d.expect_u64(self.sets.len() as u64, "cache set count")?;
+        d.expect_u64(self.set_count() as u64, "cache set count")?;
         d.expect_u64(self.config.assoc as u64, "cache associativity")?;
         self.use_counter = d.u64("cache use counter")?;
         self.stats = CacheStats::load_state(d)?;
-        for set in &mut self.sets {
-            for line in set {
-                line.tag = d.u64("line tag")?;
-                line.valid = d.bool("line valid")?;
-                line.dirty = d.bool("line dirty")?;
-                line.last_used = d.u64("line last used")?;
-            }
+        for line in &mut self.lines {
+            line.tag = d.u64("line tag")?;
+            line.valid = d.bool("line valid")?;
+            line.dirty = d.bool("line dirty")?;
+            line.last_used = d.u64("line last used")?;
         }
         Ok(())
     }
@@ -269,7 +303,7 @@ impl Cache {
     /// policy between the scalar L1 and the vector path).
     pub fn invalidate(&mut self, addr: u64) {
         let (set, tag) = self.set_and_tag(addr);
-        for l in &mut self.sets[set] {
+        for l in self.ways_mut(set) {
             if l.valid && l.tag == tag {
                 l.valid = false;
                 l.dirty = false;
@@ -527,6 +561,18 @@ mod tests {
         assert!(c.probe(0x100));
         c.invalidate(0x100);
         assert!(!c.probe(0x100));
+    }
+
+    #[test]
+    #[should_panic(expected = "cache set count must be a power of two, got 3")]
+    fn new_rejects_a_non_power_of_two_set_count() {
+        let _ = Cache::new(CacheConfig { size_bytes: 96, assoc: 1, line_bytes: 32, hit_latency: 1, mshrs: 4, write_back: false });
+    }
+
+    #[test]
+    #[should_panic(expected = "cache line size must be a power of two, got 24 bytes")]
+    fn new_rejects_a_non_power_of_two_line_size() {
+        let _ = Cache::new(CacheConfig { size_bytes: 96, assoc: 1, line_bytes: 24, hit_latency: 1, mshrs: 4, write_back: false });
     }
 
     #[test]

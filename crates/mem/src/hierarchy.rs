@@ -52,6 +52,8 @@ pub struct Hierarchy {
     l1_port_busy: Vec<u64>,
     l1_bank_busy: Vec<u64>,
     vec_port_busy: Vec<u64>,
+    /// Reused by every vector-cache access to collect its distinct L2 lines.
+    line_scratch: Vec<u64>,
     stats: MemSystemStats,
     last_cause: AccessCause,
 }
@@ -77,7 +79,14 @@ impl Hierarchy {
     }
 
     /// Build a hierarchy with an explicit port configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the L1 bank count is not a power of two (every Table 3
+    /// configuration's is), because the bank is picked with a mask.
     pub fn with_ports(kind: MemModelKind, ports: PortConfig) -> Self {
+        let banks = ports.l1_banks.max(1);
+        assert!(banks.is_power_of_two(), "L1 bank count must be a power of two, got {banks}");
         let l1 = Cache::new(CacheConfig::paper_l1(ports.l1_latency));
         let l2 = Cache::new(CacheConfig::paper_l2(ports.l2_latency.max(6)));
         Self {
@@ -90,8 +99,9 @@ impl Hierarchy {
             write_buffer: WriteBuffer::new(8, 6),
             dram: Dram::new(DramConfig::default()),
             l1_port_busy: vec![0; ports.l1_ports.max(1)],
-            l1_bank_busy: vec![0; ports.l1_banks.max(1)],
+            l1_bank_busy: vec![0; banks],
             vec_port_busy: vec![0; ports.l2_vector_ports.max(1)],
+            line_scratch: Vec::new(),
             stats: MemSystemStats::default(),
             last_cause: AccessCause::default(),
         }
@@ -153,7 +163,7 @@ impl Hierarchy {
     /// availability.
     fn l1_element_access(&mut self, start: u64, acc: &MemAccess) -> (u64, AccessCause) {
         // Bank conflict: serialise on the bank.
-        let bank = (self.l1.line_of(acc.addr) % self.l1_bank_busy.len() as u64) as usize;
+        let bank = (self.l1.line_of(acc.addr) & (self.l1_bank_busy.len() as u64 - 1)) as usize;
         let start = start.max(self.l1_bank_busy[bank]);
         if start > self.l1_bank_busy[bank] && self.l1_bank_busy[bank] != 0 {
             // no conflict
@@ -211,24 +221,27 @@ impl Hierarchy {
             self.stats.port_stalls += 1;
             return None;
         }
+        // Element `i` goes to port `i % nports` one cycle after the previous
+        // element on that port, so row `r` of `nports` elements starts at
+        // `cycle + r` and each port ends up busy for as many cycles as it
+        // took elements.
         let nports = self.l1_port_busy.len();
         let mut completion = cycle;
         let mut cause = AccessCause::L1;
-        let mut port_free = vec![cycle; nports];
-        for (i, acc) in accesses.iter().enumerate() {
-            let port = i % nports;
-            let start = port_free[port];
-            let (done, elem_cause) = self.l1_element_access(start, acc);
-            port_free[port] = start + 1;
-            // The binding element (latest completion, first wins ties)
-            // determines the cause of the whole vector access.
-            if done > completion {
-                completion = done;
-                cause = elem_cause;
+        for (start, row) in (cycle..).zip(accesses.chunks(nports)) {
+            for acc in row {
+                let (done, elem_cause) = self.l1_element_access(start, acc);
+                // The binding element (latest completion, first wins ties)
+                // determines the cause of the whole vector access.
+                if done > completion {
+                    completion = done;
+                    cause = elem_cause;
+                }
             }
         }
-        for (p, f) in self.l1_port_busy.iter_mut().zip(port_free) {
-            *p = f;
+        let (full_rows, rest) = (accesses.len() / nports, accesses.len() % nports);
+        for (p, busy) in self.l1_port_busy.iter_mut().enumerate() {
+            *busy = cycle + (full_rows + usize::from(p < rest)) as u64;
         }
         self.last_cause = cause;
         Some(completion)
@@ -261,7 +274,9 @@ impl Hierarchy {
             _ => 16,
         };
 
-        let mut lines: Vec<u64> = accesses.iter().map(|a| self.l2.line_of(a.addr)).collect();
+        let mut lines = std::mem::take(&mut self.line_scratch);
+        lines.clear();
+        lines.extend(accesses.iter().map(|a| self.l2.line_of(a.addr)));
         lines.sort_unstable();
         lines.dedup();
 
@@ -294,6 +309,7 @@ impl Hierarchy {
                 }
             }
         }
+        self.line_scratch = lines;
 
         // Port occupancy: the vector port delivers `l2_vector_width` elements
         // per cycle, but never faster than one transaction per cycle.
@@ -594,6 +610,13 @@ mod tests {
     #[should_panic]
     fn perfect_kind_is_rejected() {
         let _ = Hierarchy::new(MemModelKind::Perfect { latency: 1 }, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "L1 bank count must be a power of two, got 3")]
+    fn with_ports_rejects_a_non_power_of_two_bank_count() {
+        let ports = PortConfig { l1_banks: 3, ..PortConfig::conventional(4) };
+        let _ = Hierarchy::with_ports(MemModelKind::Conventional, ports);
     }
 
     #[test]

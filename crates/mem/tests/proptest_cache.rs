@@ -47,6 +47,32 @@ proptest! {
     }
 
     #[test]
+    fn shift_indexing_matches_the_division_form(
+        addrs in prop::collection::vec(any::<u64>(), 1..64),
+        line_log in 2u32..8,
+        set_log in 0u32..12,
+        assoc in 1usize..5,
+    ) {
+        let small = CacheConfig {
+            size_bytes: (1 << line_log) * (1 << set_log) * assoc,
+            assoc,
+            line_bytes: 1 << line_log,
+            hit_latency: 1,
+            mshrs: 4,
+            write_back: false,
+        };
+        for config in [CacheConfig::paper_l1(1), CacheConfig::paper_l2(6), small] {
+            let cache = Cache::new(config);
+            let (line_bytes, sets) = (config.line_bytes as u64, config.sets() as u64);
+            for &addr in &addrs {
+                let line = addr / line_bytes;
+                prop_assert_eq!(cache.line_of(addr), line);
+                prop_assert_eq!(cache.set_and_tag(addr), ((line % sets) as usize, line / sets));
+            }
+        }
+    }
+
+    #[test]
     fn mshr_occupancy_never_exceeds_capacity(ops in prop::collection::vec((0u64..64, 1u64..100), 1..200)) {
         let mut mshrs = MshrFile::new(8);
         let mut cycle = 0u64;
