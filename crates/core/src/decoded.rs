@@ -36,8 +36,8 @@
 //! (kernel and application execution in `mom-kernels`/`mom-apps`, the streamed
 //! `SimStream` cells in `mom-lab`) route through this engine; the original
 //! walk-the-`Inst`-list interpreter survives as
-//! [`Program::stream_with_fuel_legacy`] so differential tests and the
-//! `dispatch` criterion bench can pin the two engines against each other.
+//! [`Program::stream_with_fuel_legacy`] so differential tests can pin the two
+//! engines against each other.
 //! The decoded engine is **byte-identical** to the legacy interpreter: same
 //! architectural side effects, same emitted [`DynInst`] sequence, same fuel
 //! accounting (`tests/proptest_decoded.rs` enforces this for arbitrary

@@ -194,10 +194,10 @@ impl Program {
     /// The original walk-the-instruction-list interpreter, kept as the
     /// executable reference semantics for the decoded engine.
     ///
-    /// Differential tests (`tests/proptest_decoded.rs`) and the `dispatch`
-    /// criterion bench pin [`Program::stream_with_fuel`] against this: both
-    /// engines must produce byte-identical architectural state, emitted
-    /// instruction sequences and fuel accounting. It re-pays per-dynamic-
+    /// Differential tests (`tests/proptest_decoded.rs`) pin
+    /// [`Program::stream_with_fuel`] against this: both engines must produce
+    /// byte-identical architectural state, emitted instruction sequences and
+    /// fuel accounting. It re-pays per-dynamic-
     /// instruction decode costs (nested enum dispatch, operand-list
     /// allocation, builder-based [`DynInst`] assembly, label lookups) and is
     /// therefore several times slower — do not use it on a hot path.

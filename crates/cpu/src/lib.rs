@@ -12,12 +12,12 @@
 //! pipeline, simulation is **streaming**: the incremental [`SimStream`]
 //! engine (see [`core`]) retires instructions as they graduate with O(ROB)
 //! state, so the interpreter can feed the simulator directly — no
-//! materialized trace — while [`OooCore::simulate`] still accepts collected
-//! [`Trace`]s and produces bit-identical results. In the fused pipelines the
-//! instructions arrive from `mom-core`'s pre-decoded µop engine
-//! (`Program::decode`), so both halves of a fused cell run flat, steady-state
-//! loops: pre-decoded µops on the interpreter side, power-of-two ring
-//! buffers and mask-indexed predictor tables on this side.
+//! materialized trace — while [`OooCore::simulate`] still accepts a collected
+//! [`Trace`](mom_isa::trace::Trace) and produces bit-identical results. In the
+//! fused pipelines the instructions arrive from `mom-core`'s pre-decoded µop
+//! engine (`Program::decode`), so both halves of a fused cell run flat,
+//! steady-state loops: pre-decoded µops on the interpreter side,
+//! power-of-two ring buffers and mask-indexed predictor tables on this side.
 //!
 //! ```
 //! use mom_cpu::{CoreConfig, OooCore};
@@ -58,22 +58,9 @@ pub use config::{CoreConfig, FuPool, PhysRegs};
 pub use machine::{MachineDescriptor, RegFileConfig, SimMachine};
 pub use predictor::{BimodalPredictor, BranchPredictor, Btb};
 
-use mom_isa::trace::{IsaKind, Trace};
-use mom_mem::{build_memory, MemModelKind};
-
-/// Convenience helper: simulate a trace on a machine of the given issue width
-/// whose media register file and unit organisation are sized for `isa`, using
-/// the named memory model.
-pub fn simulate(trace: &Trace, way: usize, isa: IsaKind, memory: MemModelKind) -> SimResult {
-    let core = OooCore::new(CoreConfig::for_width(way, isa));
-    let mut mem = build_memory(memory, way);
-    core.simulate(trace, mem.as_mut())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mom_isa::trace::{ArchReg, DynInst, InstClass};
 
     #[test]
     fn simulation_types_are_send() {
@@ -83,15 +70,5 @@ mod tests {
         assert_send_sync::<SimResult>();
         assert_send_sync::<CoreConfig>();
         assert_send_sync::<OooCore>();
-    }
-
-    #[test]
-    fn simulate_helper_runs() {
-        let trace: Trace = (0..100u64)
-            .map(|i| DynInst::new(InstClass::IntSimple, i).with_dst(ArchReg::int(1 + (i % 4) as u8)))
-            .collect();
-        let r = simulate(&trace, 4, IsaKind::Alpha, MemModelKind::Perfect { latency: 1 });
-        assert_eq!(r.committed, 100);
-        assert!(r.cycles > 0);
     }
 }

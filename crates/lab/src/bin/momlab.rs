@@ -21,20 +21,17 @@
 //! * `--scale N` — workload scale (default 1)
 //! * `--seed N` — workload seed override (recorded in the spec and its
 //!   `config_hash`)
-//! * `--workers N` — worker threads (default: min(cpus, 8), overridable via
-//!   `MOM_LAB_WORKERS`; 1 = serial)
+//! * `--workers N` — worker threads (default: min(cpus, 8); 1 = serial)
 //! * `--streamed` — *per-cell* groups: each cell re-interprets its workload
 //!   and feeds its simulator directly (byte-identical results; O(ROB) memory
-//!   per cell). `MOM_LAB_STREAM=1` sets the same default. Without it the
-//!   runner uses the **fan-out** grouping: one functional pass per
-//!   `(workload, ISA)` group, fanned out to all member simulators
-//!   (byte-identical, and the functional work drops by the factor reported
-//!   in `meta.shared_passes`). With 2+ workers a multi-member group
-//!   pipelines: the interpreter publishes instruction batches through
-//!   bounded channels to consumer threads (`meta.pipeline` records batch
-//!   size, channel capacity and occupancy; `MOM_LAB_BATCH` /
-//!   `MOM_LAB_CHANNEL` tune the knobs). `--materialized` (trace replay) was
-//!   removed and is rejected with an error
+//!   per cell). Without it the runner uses the **fan-out** grouping: one
+//!   functional pass per `(workload, ISA)` group, fanned out to all member
+//!   simulators (byte-identical, and the functional work drops by the
+//!   factor reported in `meta.shared_passes`). With 2+ workers a
+//!   multi-member group pipelines: the interpreter publishes instruction
+//!   batches through bounded channels to consumer threads (`meta.pipeline`
+//!   records batch size, channel capacity and occupancy). `--materialized`
+//!   (trace replay) was removed and is rejected with an error
 //! * `--sampled` — SMARTS-style sampled simulation: each cell simulates a
 //!   detailed warm-up + measurement unit at the head of every sampling
 //!   period and functionally fast-forwards the rest, so wall-clock scales
@@ -76,8 +73,7 @@
 //! * `--cache-dir DIR` — persistent content-addressed cell cache: store
 //!   every simulated cell as a binary record and serve identical cells from
 //!   disk on later runs, byte-identically, across all execution modes
-//!   (`MOM_LAB_CACHE=DIR` sets the same default; `--no-cache` disables both;
-//!   `meta.cache` in the document and a stderr summary report hit counts)
+//!   (`meta.cache` in the document and a stderr summary report hit counts)
 //! * `--trace-out FILE` — write a Chrome trace-event JSON of the runner's
 //!   scheduler spans (one trace process per experiment, one track per worker;
 //!   load it in `chrome://tracing` or Perfetto)
@@ -90,8 +86,8 @@
 //! changes stay visible in CI logs without wall-clock noise ever affecting
 //! the exit code.
 //!
-//! `MOM_BENCH_FAST=1` selects the same reduced workload subsets as the legacy
-//! experiment binaries.
+//! `MOM_BENCH_FAST=1` selects the reduced fast-mode workload subsets (the
+//! ones the golden files under `tests/golden/` were captured with).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -131,7 +127,7 @@ Usage:
              [--sweep-dims SPEC] [--json FILE] [--out-dir DIR] [--results-only]
              [--no-json] [--quiet] [--baseline FILE] [--compare FILE]
              [--tolerance F] [--trace-out FILE] [--throughput-gate MINST]
-             [--cache-dir DIR] [--no-cache]
+             [--cache-dir DIR]
   momlab --all
   momlab diff <NEW.json> --baseline <OLD.json> [--tolerance F]
   momlab cache ls|verify|gc [--cache-dir DIR] [--max-bytes N] [--workers N]
@@ -168,21 +164,15 @@ grid cell's simulation result is stored as one binary record keyed by the
 experiment's config_hash, the cell identity and the engine fingerprint, so
 re-running an identical cell costs a file read instead of a simulation —
 byte-identical results, any execution mode can serve any other (sampled
-runs key separately per sampling knobs). MOM_LAB_CACHE=DIR sets the same
-default (--cache-dir wins); --no-cache disables both. Warm runs report
-hits on stderr and in the document's meta.cache section.
+runs key separately per sampling knobs). Warm runs report hits on stderr
+and in the document's meta.cache section.
 
 momlab cache ls lists the records in a cache directory; cache verify
 re-simulates every record this binary can rebuild and diffs at tolerance 0
 (exit 2 on mismatch); cache gc --max-bytes N evicts least-recently-used
 records until the directory fits in N bytes.
 
-MOM_BENCH_FAST=1 selects the reduced fast-mode workload subsets.
-MOM_LAB_CACHE=DIR enables the persistent cell cache by default.
-MOM_LAB_STREAM=1 enables the fused per-cell streaming pipeline by default.
-MOM_LAB_WORKERS=N overrides the default worker cap (--workers still wins).
-MOM_LAB_BATCH=N / MOM_LAB_CHANNEL=N tune the pipelined fan-out's batch size
-(default 1024 insts) and per-member channel capacity (default 4 batches).";
+MOM_BENCH_FAST=1 selects the reduced fast-mode workload subsets.";
 
 /// Everything `momlab run` / `momlab list` / `momlab diff` accept.
 #[derive(Debug, Default)]
@@ -215,7 +205,6 @@ struct Options {
     trace_out: Option<PathBuf>,
     throughput_gate: Option<f64>,
     cache_dir: Option<PathBuf>,
-    no_cache: bool,
     max_bytes: Option<u64>,
 }
 
@@ -313,7 +302,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--compare" => opts.compare = Some(PathBuf::from(value("--compare")?)),
             "--trace-out" => opts.trace_out = Some(PathBuf::from(value("--trace-out")?)),
             "--cache-dir" => opts.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--no-cache" => opts.no_cache = true,
             "--max-bytes" => {
                 opts.max_bytes = Some(
                     value("--max-bytes")?.parse().map_err(|e| format!("--max-bytes: {e}"))?,
@@ -588,7 +576,7 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
             ));
         }
         ExecMode::Sampled { unit_insts, warmup_insts, period }
-    } else if opts.streamed || mom_lab::stream_mode() {
+    } else if opts.streamed {
         ExecMode::Streamed
     } else {
         ExecMode::Fanout
@@ -603,12 +591,11 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
         .checkpoint_dir
         .as_ref()
         .map(|dir| runner::CheckpointConfig { dir: dir.clone(), resume: opts.resume });
-    // --cache-dir wins over MOM_LAB_CACHE; --no-cache disables both.
-    let cache_dir =
-        if opts.no_cache { None } else { opts.cache_dir.clone().or_else(mom_lab::cache_env_dir) };
-    let cache = cache_dir
+    let cache = opts
+        .cache_dir
+        .as_ref()
         .map(|dir| {
-            CellCache::open(&dir)
+            CellCache::open(dir)
                 .map_err(|e| format!("cannot open cache directory {}: {e}", dir.display()))
         })
         .transpose()?;
@@ -762,19 +749,15 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
 }
 
 /// `momlab cache <ls|verify|gc>` — inspect and maintain a persistent cell
-/// cache. The directory comes from `--cache-dir` or `MOM_LAB_CACHE`.
+/// cache named by `--cache-dir`.
 fn cmd_cache(opts: &Options) -> Result<ExitCode, String> {
     let verb = opts
         .names
         .first()
         .map(String::as_str)
         .ok_or_else(|| "cache takes a subcommand: ls, verify or gc".to_string())?;
-    let dir = opts
-        .cache_dir
-        .clone()
-        .or_else(mom_lab::cache_env_dir)
-        .ok_or_else(|| "cache needs --cache-dir DIR (or MOM_LAB_CACHE=DIR)".to_string())?;
-    let cache = CellCache::open(&dir)
+    let dir = opts.cache_dir.as_ref().ok_or("cache needs --cache-dir DIR")?;
+    let cache = CellCache::open(dir)
         .map_err(|e| format!("cannot open cache directory {}: {e}", dir.display()))?;
     match verb {
         "ls" => cmd_cache_ls(&cache),

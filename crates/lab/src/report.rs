@@ -1,9 +1,9 @@
 //! Text reports rendered from structured run results.
 //!
-//! These renderers reproduce the legacy `mom-bench` binary output
-//! byte-for-byte — the binaries are now thin wrappers that run a spec and
-//! print [`render`]'s string, and `momlab run` prints the same text next to
-//! the JSON file. A golden-output test pins the format.
+//! These renderers reproduce the historic experiment-binary output
+//! byte-for-byte; `momlab run` prints [`render`]'s string next to the JSON
+//! file. Golden-output tests pin the format, both in-process and through
+//! the `momlab` binary's stdout.
 
 use std::fmt::Write as _;
 

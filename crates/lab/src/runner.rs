@@ -78,7 +78,9 @@ use mom_cpu::{
     AttributionProbe, IntervalStats, MachineDescriptor, ProbeReport, SimMachine, SimResult,
     SimStream, StallBreakdown,
 };
-use mom_isa::pipe::{batch_channel, BatchReceiver, BatchSink};
+use mom_isa::pipe::{
+    batch_channel, BatchReceiver, BatchSink, DEFAULT_BATCH_INSTS, DEFAULT_CHANNEL_BATCHES,
+};
 use mom_isa::trace::{Broadcast, IsaKind, TraceSink};
 use mom_kernels::{build_kernel, KernelParams};
 use mom_mem::{MemModelKind, MemSystemStats};
@@ -360,10 +362,9 @@ pub struct PoolStats {
 /// `meta.pipeline`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineStats {
-    /// Instructions per published batch ([`crate::pipeline_batch_insts`]).
+    /// Instructions per published batch ([`DEFAULT_BATCH_INSTS`]).
     pub batch_insts: usize,
-    /// Per-member channel capacity in batches
-    /// ([`crate::pipeline_channel_batches`]).
+    /// Per-member channel capacity in batches ([`DEFAULT_CHANNEL_BATCHES`]).
     pub channel_batches: usize,
     /// Groups that ran as interpreter + consumer-shard pipelines.
     pub pipelined_groups: usize,
@@ -378,15 +379,9 @@ pub struct PipelineStats {
 }
 
 /// Default worker count: the machine's available parallelism, capped at 8
-/// (the grids are small; more threads only add scheduling noise) — unless
-/// the `MOM_LAB_WORKERS` environment variable overrides the cap (see
-/// [`crate::worker_override`]; pipelined fan-out groups want one worker per
-/// member simulator plus the interpreter, which can exceed 8). The explicit
+/// (the grids are small; more threads only add scheduling noise). The
 /// `--workers` CLI flag bypasses this function entirely.
 pub fn default_workers() -> usize {
-    if let Some(n) = crate::worker_override() {
-        return n;
-    }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
@@ -1005,8 +1000,6 @@ fn plan_items(
     groups: &[Group],
     workers: usize,
 ) -> (Vec<Item>, usize) {
-    let (batch_insts, channel_batches) =
-        (crate::pipeline_batch_insts(), crate::pipeline_channel_batches());
     let budget = workers - 1;
     let mut plan: Vec<Item> = Vec::new();
     let mut pipelined = 0usize;
@@ -1036,8 +1029,8 @@ fn plan_items(
         let mut consumers: Vec<Item> = Vec::new();
         for ((isa, members), &lane_shards) in group.lanes.iter().zip(&shards) {
             let (senders, receivers): (Vec<_>, Vec<_>) =
-                members.iter().map(|_| batch_channel(channel_batches)).unzip();
-            sink_lanes.push((*isa, BatchSink::new(senders, batch_insts)));
+                members.iter().map(|_| batch_channel(DEFAULT_CHANNEL_BATCHES)).unzip();
+            sink_lanes.push((*isa, BatchSink::new(senders, DEFAULT_BATCH_INSTS)));
             // Split this lane's members contiguously across its shards.
             let (per, extra) = (members.len() / lane_shards, members.len() % lane_shards);
             let mut lane = members.iter().copied().zip(receivers);
@@ -1128,8 +1121,8 @@ fn run_groups(
         }
     }
     timing.pipeline = (workers > 1).then(|| PipelineStats {
-        batch_insts: crate::pipeline_batch_insts(),
-        channel_batches: crate::pipeline_channel_batches(),
+        batch_insts: DEFAULT_BATCH_INSTS,
+        channel_batches: DEFAULT_CHANNEL_BATCHES,
         pipelined_groups,
         serial_groups: groups.len() - pipelined_groups,
         occupancy: (consumer_ns > 0).then(|| busy_ns as f64 / consumer_ns as f64),
@@ -1596,8 +1589,8 @@ mod tests {
         // Kernel groups (single lane) always pipeline when workers >= 2.
         assert_eq!(stats.pipelined_groups, 4);
         assert_eq!(stats.serial_groups, 0);
-        assert_eq!(stats.batch_insts, crate::pipeline_batch_insts());
-        assert_eq!(stats.channel_batches, crate::pipeline_channel_batches());
+        assert_eq!(stats.batch_insts, DEFAULT_BATCH_INSTS);
+        assert_eq!(stats.channel_batches, DEFAULT_CHANNEL_BATCHES);
         let occupancy = stats.occupancy.expect("pipelined groups report occupancy");
         assert!((0.0..=1.0).contains(&occupancy), "occupancy {occupancy}");
         // The meta section carries the same numbers.

@@ -3,8 +3,8 @@
 //! An [`ExperimentSpec`] describes everything an experiment needs — which
 //! workloads, ISAs, issue widths, memory models, workload scale and seed —
 //! without running anything. Every table and figure of the paper is available
-//! as a named built-in spec ([`ExperimentSpec::builtin`]); the CLI and the
-//! legacy `mom-bench` binaries are thin layers over these.
+//! as a named built-in spec ([`ExperimentSpec::builtin`]); the `momlab` CLI
+//! is a thin layer over these.
 
 use mom_apps::AppKind;
 use mom_cpu::MachineDescriptor;
@@ -273,8 +273,8 @@ pub struct ExperimentSpec {
 impl ExperimentSpec {
     /// Build a named built-in experiment, or `None` for an unknown name.
     ///
-    /// `fast` selects the reduced workload subsets (the `MOM_BENCH_FAST`
-    /// behaviour of the legacy binaries); `scale` is the workload scale.
+    /// `fast` selects the reduced workload subsets (what `MOM_BENCH_FAST`
+    /// selects in `momlab`); `scale` is the workload scale.
     pub fn builtin(name: &str, scale: usize, fast: bool) -> Option<ExperimentSpec> {
         let spec = match name {
             "table1" => ExperimentSpec {

@@ -1,8 +1,9 @@
-//! Golden-output tests: the renderers must reproduce the legacy `mom-bench`
+//! Golden-output tests: the renderers must reproduce the historic experiment
 //! binary output **byte-for-byte**. The files under `tests/golden/` were
 //! captured from the pre-`mom-lab` binaries running with `MOM_BENCH_FAST=1`
 //! and scale 1; these tests rebuild the same specs in-process (explicit
-//! `fast = true`, no environment dependence) and compare bytes.
+//! `fast = true`, no environment dependence) and compare bytes. `cli.rs`
+//! checks the same files against the `momlab` binary's stdout.
 
 use mom_lab::report::render;
 use mom_lab::runner::{run, RunOptions};

@@ -17,8 +17,8 @@
 //!   specs, multi-threaded runner, `BENCH_*.json` results, baseline diffs).
 //!
 //! See the `examples/` directory for runnable end-to-end walkthroughs, the
-//! `mom-bench` crate for the binaries regenerating every table and figure of
-//! the paper, the `momlab` CLI for machine-readable experiment runs, and
+//! `momlab` CLI (`momlab run <experiment>`) for regenerating every table and
+//! figure of the paper as text and machine-readable JSON, and
 //! `EXPERIMENTS.md` for the result schema.
 
 pub use mom_apps as apps;

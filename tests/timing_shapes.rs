@@ -3,7 +3,7 @@
 //! traces → out-of-order core → memory models).
 //!
 //! These use the cheapest kernels so they stay fast in debug builds; the full
-//! sweeps live in the `mom-bench` binaries.
+//! sweeps are `momlab run figure5|latency_tolerance|figure7`.
 
 use momsim::cpu::{CoreConfig, OooCore};
 use momsim::isa::trace::IsaKind;
