@@ -41,7 +41,7 @@ use mom_mem::{AccessCause, MemorySystem, PerfectMemory};
 
 /// Version tag of the serialized [`SimState`] layout. Bump on any change to
 /// what [`SimState::save_state`] writes.
-const ENGINE_STATE_VERSION: u32 = 2;
+const ENGINE_STATE_VERSION: u32 = 3;
 
 /// Execution latencies per functional-unit class, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,17 +115,21 @@ impl SimResult {
 }
 
 /// Largest functional-unit pool any configuration declares (the 8-way
-/// machine's 4 media units). Pools are stored inline at this size so the
-/// per-instruction reservation scan never chases a heap pointer.
+/// machine's 4 media units). Pools are stored inline at twice this size
+/// (simple and complex units side by side) so the per-instruction
+/// reservation scan never chases a heap pointer.
 const MAX_UNITS: usize = 4;
 
 /// Pool of functional units of one kind: tracks when each unit is next free.
+///
+/// One array holds the simple units followed by the complex ones, so either
+/// kind of operation scans one contiguous range: simple ops the whole pool,
+/// complex ops only its complex tail.
 #[derive(Debug, Clone)]
 struct UnitPool {
-    simple_free: [u64; MAX_UNITS],
-    complex_free: [u64; MAX_UNITS],
+    free: [u64; 2 * MAX_UNITS],
     n_simple: usize,
-    n_complex: usize,
+    n_units: usize,
     lanes: usize,
 }
 
@@ -136,71 +140,54 @@ impl UnitPool {
             "functional-unit pools larger than {MAX_UNITS} are not supported"
         );
         Self {
-            simple_free: [0; MAX_UNITS],
-            complex_free: [0; MAX_UNITS],
+            free: [0; 2 * MAX_UNITS],
             n_simple: simple,
-            n_complex: complex,
+            n_units: simple + complex,
             lanes: lanes.max(1),
         }
     }
 
+    fn n_complex(&self) -> usize {
+        self.n_units - self.n_simple
+    }
+
     /// Mark every unit idle again (the machine-reuse `reset()` path).
     fn reset(&mut self) {
-        self.simple_free.fill(0);
-        self.complex_free.fill(0);
+        self.free.fill(0);
     }
 
     /// Reserve a unit able to execute an operation of the given complexity,
     /// starting no earlier than `earliest`, for `occupancy` cycles. Returns
     /// the actual start cycle.
     ///
-    /// Always inlined: the pools are at most [`MAX_UNITS`] entries and the
+    /// Always inlined: the pools are at most `2 * MAX_UNITS` entries and the
     /// call otherwise stays opaque in `feed`'s already-large frame.
     #[inline(always)]
     fn reserve(&mut self, earliest: u64, complex_op: bool, occupancy: u64) -> u64 {
-        // Complex ops may only use complex-capable units; simple ops prefer
-        // whichever unit frees first (ties go to the simple pool, then the
-        // lower index — the first minimum in scan order). No per-call
-        // allocation: this runs once per simulated instruction.
-        let mut in_complex = true;
+        // Complex ops may only use complex-capable units; simple ops take
+        // whichever unit frees first. Ties go to the first minimum in scan
+        // order: simple units before complex ones, lower index first.
+        let first = if complex_op { self.n_simple } else { 0 };
         let mut idx = usize::MAX;
         let mut free = u64::MAX;
-        if !complex_op {
-            for (i, &f) in self.simple_free[..self.n_simple].iter().enumerate() {
-                if f < free {
-                    in_complex = false;
-                    idx = i;
-                    free = f;
-                }
-            }
-        }
-        for (i, &f) in self.complex_free[..self.n_complex].iter().enumerate() {
+        for (i, &f) in self.free[first..self.n_units].iter().enumerate() {
             if f < free {
-                in_complex = true;
-                idx = i;
+                idx = first + i;
                 free = f;
             }
         }
         assert!(idx != usize::MAX, "functional-unit pool must not be empty for issued class");
         let start = earliest.max(free);
-        let until = start + occupancy;
-        if in_complex {
-            self.complex_free[idx] = until;
-        } else {
-            self.simple_free[idx] = until;
-        }
+        self.free[idx] = start + occupancy;
         start
     }
 
     /// Serialize the per-unit busy cycles for a checkpoint.
     fn save_state(&self, e: &mut Encoder) {
         e.usize(self.n_simple);
-        e.usize(self.n_complex);
+        e.usize(self.n_complex());
         e.usize(self.lanes);
-        for &free in &self.simple_free {
-            e.u64(free);
-        }
-        for &free in &self.complex_free {
+        for &free in &self.free {
             e.u64(free);
         }
     }
@@ -209,12 +196,9 @@ impl UnitPool {
     /// match.
     fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
         d.expect_u64(self.n_simple as u64, "unit pool simple count")?;
-        d.expect_u64(self.n_complex as u64, "unit pool complex count")?;
+        d.expect_u64(self.n_complex() as u64, "unit pool complex count")?;
         d.expect_u64(self.lanes as u64, "unit pool lanes")?;
-        for free in &mut self.simple_free {
-            *free = d.u64("unit free cycle")?;
-        }
-        for free in &mut self.complex_free {
+        for free in &mut self.free {
             *free = d.u64("unit free cycle")?;
         }
         Ok(())
@@ -477,10 +461,13 @@ pub struct SimState {
     commits: History,
     /// Commit cycles of the last LSQ-size memory operations.
     mem_commits: History,
-    /// Commit cycles of the last headroom writers per register class.
+    /// Commit cycles of the last headroom writers per register class. Only
+    /// the classes flagged in `rename_binds` are ever pushed.
     class_writers: [History; 6],
+    /// Per register class: whether its rename headroom is below the ROB
+    /// size. Only then can the rename check bind — see `feed_one`.
+    rename_binds: [bool; 6],
     redirect_floor: u64,
-    fetch_break_floor: u64,
     fed: usize,
     last_commit: u64,
     /// Fetch cycle of the most recent instruction (0 before the first).
@@ -488,7 +475,8 @@ pub struct SimState {
     /// How many of the most recent instructions were fetched in
     /// `last_fetch`. Fetch cycles never decrease, so "the instruction `way`
     /// back was fetched in `last_fetch`" is `fetched_in_last >= way`: the
-    /// whole fetch-width window, as one counter.
+    /// whole fetch-width window, as one counter. A correctly predicted taken
+    /// branch ends its fetch group by setting it to `way`.
     fetched_in_last: usize,
     /// How many of the most recent instructions committed in
     /// `last_commit` — the commit-width twin of `fetched_in_last`.
@@ -514,8 +502,10 @@ impl SimState {
             class_writers: std::array::from_fn(|ci| {
                 History::new(config.rename_headroom(RegClass::ALL[ci]))
             }),
+            rename_binds: std::array::from_fn(|ci| {
+                config.rename_headroom(RegClass::ALL[ci]) < config.rob_size
+            }),
             redirect_floor: 0,
-            fetch_break_floor: 0,
             fed: 0,
             last_commit: 0,
             last_fetch: 0,
@@ -542,7 +532,6 @@ impl SimState {
             h.reset();
         }
         self.redirect_floor = 0;
-        self.fetch_break_floor = 0;
         self.fed = 0;
         self.last_commit = 0;
         self.last_fetch = 0;
@@ -571,7 +560,7 @@ impl SimState {
     pub fn matches_config(&self, config: &CoreConfig) -> bool {
         let pool_matches = |pool: &UnitPool, spec: &crate::config::FuPool| {
             pool.n_simple == spec.simple
-                && pool.n_complex == spec.complex
+                && pool.n_complex() == spec.complex
                 && pool.lanes == spec.lanes.max(1)
         };
         self.commits.capacity() == config.rob_size.max(1)
@@ -614,7 +603,6 @@ impl SimState {
             writers.save_state(e);
         }
         e.u64(self.redirect_floor);
-        e.u64(self.fetch_break_floor);
         e.usize(self.fed);
         e.u64(self.last_commit);
         e.u64(self.last_fetch);
@@ -656,7 +644,6 @@ impl SimState {
             writers.load_state(d)?;
         }
         self.redirect_floor = d.u64("redirect floor")?;
-        self.fetch_break_floor = d.u64("fetch break floor")?;
         self.fed = d.usize("instructions fed")?;
         self.last_commit = d.u64("last commit cycle")?;
         self.last_fetch = d.u64("last fetch cycle")?;
@@ -772,8 +759,9 @@ impl<'a, P: Probe> SimStream<'a, P> {
         config: &'a CoreConfig,
         latencies: &'a Latencies,
         memory: &'a mut dyn MemorySystem,
-        probe: P,
+        mut probe: P,
     ) -> Self {
+        probe.begin(0);
         Self {
             state: StateSlot::Owned(Box::new(SimState::new(config))),
             config,
@@ -788,7 +776,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
         latencies: &'a Latencies,
         memory: &'a mut dyn MemorySystem,
         state: &'a mut SimState,
-        probe: P,
+        mut probe: P,
     ) -> Self {
         // A state sized for a different configuration would read the ring
         // buffers with the wrong windows — plausible-but-wrong cycle counts
@@ -797,6 +785,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
             state.matches_config(config),
             "SimState was built for a different core configuration"
         );
+        probe.begin(state.fed as u64);
         Self {
             state: StateSlot::Borrowed(state),
             config,
@@ -868,24 +857,18 @@ impl<'a, P: Probe> SimStream<'a, P> {
 
         // ---------------- Fetch ----------------
         // Fetch cycles never decrease, so the fetch-width limit binds only
-        // when the last `way` instructions all went in `last_fetch`; it then
-        // pushes this one to the next cycle. Otherwise it lies at or below
-        // the program-order floor.
-        let width_floor = if st.fetched_in_last >= cfg.way { st.last_fetch + 1 } else { 0 };
-        let order_floor = st.last_fetch;
-        let f = st
-            .redirect_floor
-            .max(st.fetch_break_floor)
-            .max(width_floor)
-            .max(order_floor);
+        // when the last `way` instructions all went in `last_fetch` (or a
+        // taken branch ended that group); it then pushes this one to the
+        // next cycle. Otherwise program order keeps it at `last_fetch`.
+        let group_full = st.fetched_in_last >= cfg.way;
+        let order_floor = st.last_fetch + u64::from(group_full);
+        let f = st.redirect_floor.max(order_floor);
         let mut cause = StallCause::Base;
-        if P::ENABLED && st.redirect_floor > st.fetch_break_floor.max(width_floor).max(order_floor)
-        {
+        if P::ENABLED && st.redirect_floor > order_floor {
             cause = StallCause::Redirect;
         }
         st.fetched_in_last = if f == st.last_fetch { st.fetched_in_last + 1 } else { 1 };
         st.last_fetch = f;
-        st.fetch_break_floor = 0;
 
         // ---------------- Dispatch (rename + ROB/LSQ/phys-reg allocation) ----------------
         let mut dispatch = f + cfg.frontend_depth;
@@ -908,10 +891,32 @@ impl<'a, P: Probe> SimStream<'a, P> {
                 }
             }
         }
+        // Rename headroom binds only for the classes flagged in
+        // `rename_binds`. For any other class the headroom `h` is at least
+        // the ROB size, and each instruction writes at most one register per
+        // class, so the h-th most recent writer is at least ROB instructions
+        // back. Commit cycles never decrease, so its commit — the rename
+        // floor — is at most the ROB floor already applied above, and a
+        // floor that is not strictly later changes neither dispatch nor the
+        // attributed cause. Skipping those classes (check and history push)
+        // is exact. Every Table 1 machine skips int and FP (32 + ROB
+        // physical registers each). The one instruction with two
+        // destinations of a class, MOM's `TransposePair`, writes matrix
+        // registers, whose headroom of 4 is tracked on every machine.
+        debug_assert!(
+            dest_slots.len() < 2
+                || dest_slots[0] >> 6 != dest_slots[1] >> 6
+                || st.rename_binds[usize::from(dest_slots[0] >> 6)],
+            "an instruction writes two registers of an untracked rename class"
+        );
         for &slot in dest_slots {
+            let class = usize::from(slot >> 6);
+            if !st.rename_binds[class] {
+                continue;
+            }
             // The writer history's window is exactly the rename headroom for
             // its class (`matches_config` pins this).
-            let writers = &st.class_writers[usize::from(slot >> 6)];
+            let writers = &st.class_writers[class];
             let headroom = writers.capacity();
             if writers.len() >= headroom {
                 let rename_floor = writers.nth_back(headroom);
@@ -984,8 +989,9 @@ impl<'a, P: Probe> SimStream<'a, P> {
                         st.predictor.predict_and_update(b.pc, b.conditional, b.taken, b.target);
                     if correct {
                         if b.taken {
-                            // A taken branch ends the fetch group.
-                            st.fetch_break_floor = f + 1;
+                            // A taken branch ends the fetch group: the next
+                            // instruction sees a full group at `f`.
+                            st.fetched_in_last = cfg.way;
                         }
                     } else {
                         st.redirect_floor =
@@ -1054,11 +1060,14 @@ impl<'a, P: Probe> SimStream<'a, P> {
             }
         }
         if P::ENABLED {
-            probe.on_commit(c, c - st.last_commit, cause);
+            probe.on_commit(c, c - st.last_commit, cause, i as u64);
         }
         st.commits.push(c);
         for &slot in dest_slots {
-            st.class_writers[usize::from(slot >> 6)].push(c);
+            let class = usize::from(slot >> 6);
+            if st.rename_binds[class] {
+                st.class_writers[class].push(c);
+            }
         }
         if is_mem {
             st.mem_commits.push(c);
@@ -1080,9 +1089,12 @@ impl<'a, P: Probe> SimStream<'a, P> {
     /// Finish the simulation and return the timing summary together with the
     /// probe, which holds whatever it accumulated (for
     /// [`crate::AttributionProbe`]: the stall breakdown and interval
-    /// timeline).
-    pub fn finish_probed(self) -> (SimResult, P) {
-        (self.state.get().summary(), self.probe)
+    /// timeline). The probe is settled first: every instruction fed so far
+    /// is counted in its window.
+    pub fn finish_probed(mut self) -> (SimResult, P) {
+        let state = self.state.get();
+        self.probe.settle(state.fed as u64);
+        (state.summary(), self.probe)
     }
 
     /// The timing summary accumulated so far, **without** closing the stream.
@@ -1094,11 +1106,6 @@ impl<'a, P: Probe> SimStream<'a, P> {
     /// [`SimStream::finish`] computes the final one.
     pub fn snapshot(&self) -> SimResult {
         self.state.get().summary()
-    }
-
-    /// The probe instrumenting this stream.
-    pub fn probe(&self) -> &P {
-        &self.probe
     }
 }
 
@@ -1491,8 +1498,8 @@ mod tests {
 
     #[test]
     fn engine_state_of_an_older_layout_is_a_version_error() {
-        // Version 1 kept a fetch-cycle ring that the fetch/commit counters
-        // replaced; its streams must be refused by version, not misread.
+        // Version 2 kept a fetch-break floor that the fetch-width counter now
+        // absorbs; its streams must be refused by version, not misread.
         let core = OooCore::new(CoreConfig::way4(IsaKind::Alpha));
         let mut e = Encoder::new();
         core.new_state().save_state(&mut e);
@@ -1502,6 +1509,97 @@ mod tests {
         assert_eq!(err, CodecError::Version { what: "engine state", found: ENGINE_STATE_VERSION - 1 });
     }
 
+    /// The register classes whose rename check `config` keeps, in
+    /// [`RegClass::ALL`] order.
+    fn tracked_classes(config: &CoreConfig) -> Vec<RegClass> {
+        let st = SimState::new(config);
+        RegClass::ALL.iter().zip(st.rename_binds).filter(|&(_, b)| b).map(|(&c, _)| c).collect()
+    }
+
+    #[test]
+    fn rename_is_tracked_only_for_classes_whose_headroom_is_below_the_rob() {
+        use RegClass::{Acc, Fp, Int, Media, Mom, MomAcc};
+        // Table 1 gives int and FP 32 + ROB physical registers, so neither
+        // is ever tracked; the small media/accumulator/matrix files are.
+        let expected: [(usize, IsaKind, &[RegClass]); 16] = [
+            (1, IsaKind::Alpha, &[Acc, Mom, MomAcc]),
+            (1, IsaKind::Mmx, &[Acc, Mom, MomAcc]),
+            (1, IsaKind::Mdmx, &[Mom, MomAcc]),
+            (1, IsaKind::Mom, &[Acc, Mom, MomAcc]),
+            (2, IsaKind::Alpha, &[Media, Acc, Mom, MomAcc]),
+            (2, IsaKind::Mmx, &[Acc, Mom, MomAcc]),
+            (2, IsaKind::Mdmx, &[Acc, Mom, MomAcc]),
+            (2, IsaKind::Mom, &[Media, Acc, Mom, MomAcc]),
+            (4, IsaKind::Alpha, &[Media, Acc, Mom, MomAcc]),
+            (4, IsaKind::Mmx, &[Acc, Mom, MomAcc]),
+            (4, IsaKind::Mdmx, &[Media, Acc, Mom, MomAcc]),
+            (4, IsaKind::Mom, &[Media, Acc, Mom, MomAcc]),
+            (8, IsaKind::Alpha, &[Media, Acc, Mom, MomAcc]),
+            (8, IsaKind::Mmx, &[Media, Acc, Mom, MomAcc]),
+            (8, IsaKind::Mdmx, &[Media, Acc, Mom, MomAcc]),
+            (8, IsaKind::Mom, &[Media, Acc, Mom, MomAcc]),
+        ];
+        for (way, isa, classes) in expected {
+            assert_eq!(
+                tracked_classes(&CoreConfig::for_width(way, isa)),
+                classes,
+                "{way}-way {isa:?}"
+            );
+        }
+        // The sweep's ROB overrides move the line: a 16-entry ROB drops the
+        // 4-way machine's media file (headroom 20 for MDMX), a 64-entry one
+        // brings int and FP back (headroom 32).
+        let rob = |size| {
+            MachineDescriptor::for_cell(4, IsaKind::Mdmx, MemModelKind::Perfect { latency: 1 })
+                .with_rob(size)
+                .core
+        };
+        assert_eq!(tracked_classes(&rob(16)), [Acc, Mom, MomAcc]);
+        assert_eq!(tracked_classes(&rob(64)), [Int, Fp, Media, Acc, Mom, MomAcc]);
+    }
+
+    #[test]
+    fn rename_binds_on_a_rob_larger_than_the_int_headroom() {
+        // Every instruction writes an int register. A 50-cycle load every 40
+        // instructions stalls commit while the window fills behind it; the
+        // instruction 32 after each load is a 16-beat media op, long enough
+        // that its dispatch shows in its commit cycle. With Table 1's
+        // 32-entry ROB the 32nd int writer back is the ROB's own oldest
+        // entry, so rename never binds; with a 64-entry ROB the 32 int
+        // rename registers run out first.
+        let t: Trace = (0..2000u64)
+            .map(|i| {
+                let dst = ArchReg::int(8 + (i % 8) as u8);
+                match i % 40 {
+                    0 => DynInst::new(InstClass::Load, i)
+                        .with_src(ArchReg::int(1))
+                        .with_dst(dst)
+                        .with_mem(vec![MemAccess { addr: i * 8, size: 8, kind: MemKind::Load }]),
+                    32 => DynInst::new(InstClass::MediaSimple, i).with_dst(dst).with_elems(16),
+                    _ => DynInst::new(InstClass::IntSimple, i)
+                        .with_src(ArchReg::int(1))
+                        .with_dst(dst),
+                }
+            })
+            .collect();
+        let rename_cycles = |desc: MachineDescriptor| {
+            let mut machine = desc.build();
+            let mut sim = machine.sim_probed();
+            for inst in &t.insts {
+                sim.feed(inst);
+            }
+            let (result, probe) = sim.finish_probed();
+            let report = probe.into_report();
+            assert_eq!(report.breakdown.attributed(), result.cycles);
+            report.breakdown.get(crate::probe::StallCause::Rename)
+        };
+        let table1 =
+            MachineDescriptor::for_cell(4, IsaKind::Alpha, MemModelKind::Perfect { latency: 50 });
+        assert_eq!(rename_cycles(table1.clone()), 0);
+        assert!(rename_cycles(table1.with_rob(64)) > 0);
+    }
+
+    use crate::machine::MachineDescriptor;
     use crate::probe::AttributionProbe;
 
     fn run_probed(trace: &Trace, way: usize, isa: IsaKind, latency: u64) -> (SimResult, crate::probe::ProbeReport) {
@@ -1535,6 +1633,57 @@ mod tests {
             report.intervals.windows.iter().map(|w| w.cycles).sum::<u64>(),
             probed.cycles
         );
+    }
+
+    /// Logs every commit the engine reports — an independent record of
+    /// which window each instruction commits in.
+    #[derive(Debug, Default)]
+    struct CommitLog {
+        commits: Vec<(u64, u64)>,
+    }
+
+    impl Probe for CommitLog {
+        const ENABLED: bool = true;
+
+        fn reg_cause(&self, _slot: usize) -> StallCause {
+            StallCause::Base
+        }
+
+        fn set_reg_cause(&mut self, _slot: usize, _cause: StallCause) {}
+
+        fn on_commit(&mut self, commit_cycle: u64, _delta: u64, _cause: StallCause, inst: u64) {
+            self.commits.push((inst, commit_cycle));
+        }
+
+        fn begin(&mut self, _fed: u64) {}
+
+        fn settle(&mut self, _fed: u64) {}
+    }
+
+    #[test]
+    fn lazy_window_counts_match_a_per_instruction_tally() {
+        // Long enough on the 1-way machine at 50-cycle memory to compact
+        // the timeline.
+        let t: Trace = Generated { next: 0, total: 20_000 }.collect();
+        let core = OooCore::new(CoreConfig::way1(IsaKind::Alpha));
+        let mut mem = build_memory(MemModelKind::Perfect { latency: 50 }, 1);
+        let mut sim = core.stream_probed(mem.as_mut(), CommitLog::default());
+        for inst in &t.insts {
+            sim.feed(inst);
+        }
+        let (_, log) = sim.finish_probed();
+        let (result, report) = run_probed(&t, 1, IsaKind::Alpha, 50);
+        let iv = &report.intervals;
+        assert!(iv.window_cycles > 1024, "the run compacts the timeline");
+
+        let mut tally = vec![0u64; iv.windows.len()];
+        for (k, &(inst, cycle)) in log.commits.iter().enumerate() {
+            assert_eq!(inst, k as u64, "instructions are reported in order");
+            tally[(cycle / iv.window_cycles) as usize] += 1;
+        }
+        let counted: Vec<u64> = iv.windows.iter().map(|w| w.committed).collect();
+        assert_eq!(counted, tally);
+        assert_eq!(counted.iter().sum::<u64>(), result.committed);
     }
 
     #[test]

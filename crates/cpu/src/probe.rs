@@ -340,10 +340,22 @@ pub trait Probe: std::fmt::Debug {
     /// it did (called at writeback).
     fn set_reg_cause(&mut self, slot: usize, cause: StallCause);
 
-    /// Attribute the commit delta of one instruction: `delta` cycles ending
-    /// at `commit_cycle`, charged to `cause`. Called once per retired
-    /// instruction (with `delta == 0` for same-cycle commit groups).
-    fn on_commit(&mut self, commit_cycle: u64, delta: u64, cause: StallCause);
+    /// Attribute the commit delta of instruction `inst` (its index in the
+    /// engine's retirement order): `delta` cycles ending at `commit_cycle`,
+    /// charged to `cause`. Called once per retired instruction, with
+    /// `delta == 0` for same-cycle commit groups; commit cycles never
+    /// decrease.
+    fn on_commit(&mut self, commit_cycle: u64, delta: u64, cause: StallCause, inst: u64);
+
+    /// A stream opens with this probe on an engine state that has already
+    /// retired `fed` instructions, so the next `on_commit` is instruction
+    /// `fed`. The probe is settled at this point: fresh, restored, or handed
+    /// back by `finish_probed`.
+    fn begin(&mut self, fed: u64);
+
+    /// The stream closes after retiring instructions `0..fed`: bring any
+    /// lazily kept per-instruction counts up to date.
+    fn settle(&mut self, fed: u64);
 }
 
 /// The unit probe: observes nothing, costs nothing. The default for every
@@ -360,7 +372,11 @@ impl Probe for NoProbe {
 
     fn set_reg_cause(&mut self, _slot: usize, _cause: StallCause) {}
 
-    fn on_commit(&mut self, _commit_cycle: u64, _delta: u64, _cause: StallCause) {}
+    fn on_commit(&mut self, _commit_cycle: u64, _delta: u64, _cause: StallCause, _inst: u64) {}
+
+    fn begin(&mut self, _fed: u64) {}
+
+    fn settle(&mut self, _fed: u64) {}
 }
 
 /// Number of windows the interval recorder keeps before halving resolution.
@@ -380,11 +396,23 @@ const INITIAL_WINDOW: u64 = 1024;
 /// compaction schedule is a pure function of commit cycles (deterministic).
 /// Every commit delta lands in exactly one window and pair-merging keeps
 /// sums, so the breakdown is the per-cause sum of the windows: the
-/// per-instruction update touches the current window only.
+/// per-instruction update touches the current window only, and a
+/// same-cycle commit (`delta == 0`) touches nothing.
+///
+/// Window `committed` counts are kept lazily, from instruction indices.
+/// Commit cycles never decrease, so the latest commit always lies in the
+/// last window, and every instruction not yet counted committed there: the
+/// count is settled when a commit opens a new window and when the stream
+/// finishes.
 #[derive(Debug, Clone)]
 pub struct AttributionProbe {
     /// The last commit cycle seen: the run's total cycles so far.
     total_cycles: u64,
+    /// Index of the first instruction not yet counted in any window's
+    /// `committed` (instructions `counted..` committed in the last window).
+    /// Set by `begin` whenever a stream opens, so it is never saved: a
+    /// probe outside a stream is always settled.
+    counted: u64,
     reg_cause: [StallCause; ArchReg::SLOTS],
     /// `log2` of the window width in cycles.
     window_shift: u32,
@@ -407,6 +435,7 @@ impl AttributionProbe {
     pub fn new() -> Self {
         Self {
             total_cycles: 0,
+            counted: 0,
             reg_cause: [StallCause::Base; ArchReg::SLOTS],
             window_shift: INITIAL_WINDOW.trailing_zeros(),
             windows: [WindowAcc::EMPTY; MAX_WINDOWS],
@@ -507,14 +536,16 @@ impl AttributionProbe {
         Ok(probe)
     }
 
-    /// Slow path of [`Probe::on_commit`]: the commit cycle falls past the
-    /// last materialized window, so extend the timeline (and pair-merge
-    /// whenever it would outgrow `MAX_WINDOWS`). Runs at most once per 1024
-    /// committed cycles — keeping it out of line lets the per-instruction
-    /// hot path inline into `feed`.
+    /// Slow path of [`Probe::on_commit`]: instruction `inst` commits past the
+    /// last materialized window, so settle the instructions before it into
+    /// that window, then extend the timeline (and pair-merge whenever it
+    /// would outgrow `MAX_WINDOWS`). Runs at most once per 1024 committed
+    /// cycles — keeping it out of line lets the per-instruction hot path
+    /// inline into `feed`.
     #[cold]
     #[inline(never)]
-    fn grow_windows(&mut self, commit_cycle: u64) -> usize {
+    fn grow_windows(&mut self, commit_cycle: u64, inst: u64) -> usize {
+        self.settle(inst);
         let mut idx = (commit_cycle >> self.window_shift) as usize;
         while idx >= MAX_WINDOWS {
             // Pair-merge: halve the resolution, keep the history exact.
@@ -552,15 +583,31 @@ impl Probe for AttributionProbe {
     }
 
     #[inline]
-    fn on_commit(&mut self, commit_cycle: u64, delta: u64, cause: StallCause) {
+    fn on_commit(&mut self, commit_cycle: u64, delta: u64, cause: StallCause, inst: u64) {
+        if delta == 0 {
+            // Same cycle as the previous commit: same window, nothing to
+            // charge, and the count is settled later from indices.
+            return;
+        }
         self.total_cycles = commit_cycle;
         let mut idx = (commit_cycle >> self.window_shift) as usize;
         if idx >= self.n_windows {
-            idx = self.grow_windows(commit_cycle);
+            idx = self.grow_windows(commit_cycle, inst);
         }
-        let w = &mut self.windows[idx];
-        w.committed += 1;
-        w.cycles[cause.index()] += delta;
+        self.windows[idx].cycles[cause.index()] += delta;
+    }
+
+    fn begin(&mut self, fed: u64) {
+        self.counted = fed;
+    }
+
+    /// Credit instructions `counted..fed` to the last window, where they
+    /// all committed.
+    fn settle(&mut self, fed: u64) {
+        if let Some(last) = self.windows[..self.n_windows].last_mut() {
+            last.committed += fed - self.counted;
+        }
+        self.counted = fed;
     }
 }
 
@@ -642,10 +689,11 @@ mod tests {
         // One commit per 100 cycles out to cycle 200_000: far beyond
         // MAX_WINDOWS * INITIAL_WINDOW, forcing several pair-merges.
         let mut last = 0u64;
-        for c in (100..=200_000u64).step_by(100) {
-            p.on_commit(c, c - last, StallCause::MemDram);
+        for (i, c) in (100..=200_000u64).step_by(100).enumerate() {
+            p.on_commit(c, c - last, StallCause::MemDram, i as u64);
             last = c;
         }
+        p.settle(2000);
         let report = p.into_report();
         assert_eq!(report.breakdown.total_cycles, 200_000);
         assert_eq!(report.breakdown.get(StallCause::MemDram), 200_000);
@@ -667,10 +715,13 @@ mod tests {
             .map(|&cause| {
                 let mut p = AttributionProbe::new();
                 let mut last = 0;
+                let mut fed = 0;
                 for c in (7..90_000u64).step_by(7919) {
-                    p.on_commit(c, c - last, cause);
+                    p.on_commit(c, c - last, cause, fed);
                     last = c;
+                    fed += 1;
                 }
+                p.settle(fed);
                 p.intervals()
             })
             .collect();
@@ -686,7 +737,7 @@ mod tests {
     #[should_panic(expected = "sum to total cycles")]
     fn into_report_pins_the_sum_invariant() {
         let mut p = AttributionProbe::new();
-        p.on_commit(10, 4, StallCause::Base);
+        p.on_commit(10, 4, StallCause::Base, 0);
         // Sabotage: pretend the run was longer than what was attributed.
         p.total_cycles = 11;
         let _ = p.into_report();
@@ -696,10 +747,13 @@ mod tests {
     fn load_state_rejects_a_breakdown_that_is_not_the_sum_of_its_windows() {
         let mut p = AttributionProbe::new();
         let mut last = 0;
+        let mut fed = 0;
         for (k, c) in (3..40_000u64).step_by(97).enumerate() {
-            p.on_commit(c, c - last, StallCause::ALL[k % StallCause::COUNT]);
+            p.on_commit(c, c - last, StallCause::ALL[k % StallCause::COUNT], k as u64);
             last = c;
+            fed = k as u64 + 1;
         }
+        p.settle(fed);
         let mut e = Encoder::new();
         p.save_state(&mut e);
         let bytes = e.into_bytes();

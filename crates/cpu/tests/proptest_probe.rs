@@ -7,9 +7,12 @@
 //!   materialized batch, a streamed push, or through a `Broadcast` fan-out
 //!   (the same three consumption styles the lab runner uses);
 //! * the probe never alters timing — the probed `SimResult` equals the
-//!   unprobed one bit for bit.
+//!   unprobed one bit for bit;
+//! * a stream split at arbitrary points (`finish_probed`, then
+//!   `sim_probed_with` on the same machine) reports exactly what one
+//!   unbroken stream does, window instruction counts included.
 
-use mom_cpu::{AttributionProbe, CoreConfig, OooCore, ProbeReport, SimResult};
+use mom_cpu::{AttributionProbe, CoreConfig, MachineDescriptor, OooCore, ProbeReport, SimResult};
 use mom_isa::trace::{
     ArchReg, BranchInfo, Broadcast, DynInst, InstClass, IsaKind, MemAccess, MemKind, Trace,
     TraceSink,
@@ -183,5 +186,59 @@ proptest! {
         let mut mem = memory_for(core.config().way, latency);
         let unprobed = core.simulate(&collected, mem.as_mut());
         prop_assert_eq!(unprobed, batch_sim);
+    }
+
+    #[test]
+    fn split_streams_report_exactly_like_one_stream(
+        raw in prop::collection::vec((0usize..10, proptest::prelude::any::<u64>(), 1u16..=16, proptest::prelude::any::<bool>()), 0..600),
+        cuts in prop::collection::vec(0usize..600, 0..6),
+        way_idx in 0usize..4,
+        isa_idx in 0usize..4,
+        mem_idx in 0usize..5,
+        latency in 1u64..40,
+    ) {
+        let insts: Vec<DynInst> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(sel, bits, elems, flag))| decode_inst(i, sel, bits, elems, flag))
+            .collect();
+        let mem = [
+            MemModelKind::Perfect { latency },
+            MemModelKind::Conventional,
+            MemModelKind::MultiAddress,
+            MemModelKind::VectorCache,
+            MemModelKind::CollapsingBuffer,
+        ][mem_idx];
+        let desc = MachineDescriptor::for_cell(WIDTHS[way_idx], IsaKind::ALL[isa_idx], mem);
+
+        let mut machine = desc.build();
+        let mut sim = machine.sim_probed();
+        for inst in &insts {
+            sim.feed(inst);
+        }
+        let (whole_sim, probe) = sim.finish_probed();
+        let whole = probe.into_report();
+
+        let mut ends: Vec<usize> = cuts.iter().map(|&c| c.min(insts.len())).collect();
+        ends.sort_unstable();
+        ends.push(insts.len());
+        let mut machine = desc.build();
+        let mut probe = AttributionProbe::new();
+        let mut split_sim = SimResult::default();
+        let mut from = 0;
+        for to in ends {
+            let mut sim = machine.sim_probed_with(probe);
+            for inst in &insts[from..to] {
+                sim.feed(inst);
+            }
+            (split_sim, probe) = sim.finish_probed();
+            from = to;
+        }
+        let split = probe.into_report();
+
+        prop_assert_eq!(split_sim, whole_sim);
+        prop_assert_eq!(&split, &whole);
+        let committed: u64 = split.intervals.windows.iter().map(|w| w.committed).sum();
+        prop_assert_eq!(committed, whole_sim.committed);
     }
 }

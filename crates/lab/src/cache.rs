@@ -15,8 +15,8 @@
 //!
 //! # Invalidation
 //!
-//! A key binds the [`engine_fingerprint`] (the crate version: every build
-//! of one version runs the same lane kernels and decoder), the spec's
+//! A key binds the [`engine_fingerprint`] (the crate version plus the
+//! [`MODEL_DIGEST`] of the simulator's source code), the spec's
 //! `config_hash` (which already covers the experiment name, fast flag,
 //! workload set, machine configs, ROB/latency overrides, widths, scale and
 //! seed), the cell identity, and the sampling knobs. Exact records carry no sampling knobs at all, so a cache filled by
@@ -51,14 +51,19 @@ const CACHE_MAGIC: u64 = u64::from_le_bytes(*b"MOMCELL\0");
 /// record: old files decode to a version error, which is a clean miss.
 pub const CACHE_VERSION: u32 = 1;
 
+/// FNV-1a digest (16 hex digits) of the source trees of every crate whose
+/// code decides a simulated result: `mom-isa`, `mom-core`, `mom-cpu`,
+/// `mom-mem`, `mom-kernels`, `mom-apps` and `mom-lab` itself. Computed by
+/// this crate's build script.
+pub const MODEL_DIGEST: &str = env!("MOM_MODEL_DIGEST");
+
 /// The execution-engine identity baked into every [`CellKey`]: the crate
-/// version. Exec-mode-invariant (the exact modes produce byte-identical
-/// results, so they share records) and build-invariant (there is one lane
-/// kernel implementation and one decoder), but distinct between crate
-/// versions, so records never cross a version bump. It does not yet cover
-/// model-code changes made without a version bump.
+/// version and the [`MODEL_DIGEST`]. Exec-mode-invariant (the exact modes
+/// produce byte-identical results, so they share records), but distinct
+/// whenever the model's source code changes, with or without a version
+/// bump, so a record never outlives the code that produced it.
 pub fn engine_fingerprint() -> String {
-    format!("momlab {}", env!("CARGO_PKG_VERSION"))
+    format!("momlab {} model:{MODEL_DIGEST}", env!("CARGO_PKG_VERSION"))
 }
 
 /// 64-bit FNV-1a, the same construction `config_hash` uses — deterministic
@@ -537,7 +542,29 @@ mod tests {
 
     #[test]
     fn fingerprint_names_version() {
-        assert_eq!(engine_fingerprint(), format!("momlab {}", env!("CARGO_PKG_VERSION")));
+        assert_eq!(MODEL_DIGEST.len(), 16);
+        assert!(MODEL_DIGEST.bytes().all(|b| b.is_ascii_hexdigit()));
+        assert_eq!(
+            engine_fingerprint(),
+            format!("momlab {} model:{MODEL_DIGEST}", env!("CARGO_PKG_VERSION"))
+        );
+    }
+
+    #[test]
+    fn a_record_from_other_model_code_is_a_miss() {
+        let dir = std::env::temp_dir().join(format!("momlab-cache-model-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = CellCache::open(&dir).expect("open");
+        let (k, r) = (key(), record());
+        let other_digest = if MODEL_DIGEST == "0000000000000000" { "1" } else { "0" }.repeat(16);
+        let stale = CellKey {
+            engine: format!("momlab {} model:{other_digest}", env!("CARGO_PKG_VERSION")),
+            ..k.clone()
+        };
+        cache.store(&stale, &r);
+        assert_eq!(cache.load(&stale).as_ref(), Some(&r), "the stale key still finds its record");
+        assert!(cache.load(&k).is_none(), "a different model digest is a miss");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -49,7 +49,9 @@ pub mod spec;
 pub mod tables;
 pub mod trace;
 
-pub use cache::{engine_fingerprint, CacheMeta, CellCache, CellKey, CellRecord, SamplingKnobs};
+pub use cache::{
+    engine_fingerprint, CacheMeta, CellCache, CellKey, CellRecord, SamplingKnobs, MODEL_DIGEST,
+};
 pub use runner::{
     run, CellResult, CellSampling, CheckpointConfig, ExecMode, PoolStats, RunOptions, RunResult,
     SpanRec, DEFAULT_SAMPLE_PERIOD, DEFAULT_SAMPLE_UNIT, DEFAULT_SAMPLE_WARMUP,
