@@ -964,8 +964,7 @@ impl DecodedProgram {
 /// The cursor is just the static instruction index of the next µop; a value
 /// at or past the program length means the program has halted. Together with
 /// the architectural [`Machine`] it fully determines the remaining dynamic
-/// instruction stream, which is what lets checkpoints persist it as a single
-/// integer.
+/// instruction stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecCursor {
     pc: usize,
@@ -981,17 +980,6 @@ impl ExecCursor {
     /// A cursor at the first instruction of a program.
     pub fn start() -> Self {
         Self { pc: 0 }
-    }
-
-    /// A cursor at static instruction index `pc` (used when restoring from a
-    /// checkpoint; any value at or past the program length means done).
-    pub fn at(pc: usize) -> Self {
-        Self { pc }
-    }
-
-    /// The static instruction index of the next µop to execute.
-    pub fn pc(&self) -> usize {
-        self.pc
     }
 
     /// Whether execution of `program` has halted at this cursor.

@@ -19,8 +19,6 @@
 //!   emits dynamic traces for the timing simulator;
 //! * [`decoded`] — the pre-decoded µop engine behind [`Program::run`] and
 //!   [`Program::stream`]: decode once, execute flat;
-//! * [`snapshot`] — architectural-state snapshots for the checkpointed
-//!   sampled execution mode;
 //! * [`area`] — the register-file size/area model behind Table 2;
 //! * [`inventory`] — opcode inventories (the 67/88/121 comparison).
 //!
@@ -76,7 +74,6 @@ pub mod inventory;
 pub mod matrix;
 pub mod ops;
 pub mod program;
-pub mod snapshot;
 pub mod state;
 
 pub use decoded::{DecodedProgram, ExecCursor};

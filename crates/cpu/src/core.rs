@@ -35,13 +35,8 @@
 use crate::config::CoreConfig;
 use crate::predictor::BranchPredictor;
 use crate::probe::{NoProbe, Probe, StallCause};
-use mom_isa::codec::{CodecError, Decoder, Encoder};
 use mom_isa::trace::{ArchReg, DynInst, InstClass, MemAccess, RegClass, Trace, TraceSink};
 use mom_mem::{AccessCause, MemorySystem, PerfectMemory};
-
-/// Version tag of the serialized [`SimState`] layout. Bump on any change to
-/// what [`SimState::save_state`] writes.
-const ENGINE_STATE_VERSION: u32 = 3;
 
 /// Execution latencies per functional-unit class, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,28 +176,6 @@ impl UnitPool {
         self.free[idx] = start + occupancy;
         start
     }
-
-    /// Serialize the per-unit busy cycles for a checkpoint.
-    fn save_state(&self, e: &mut Encoder) {
-        e.usize(self.n_simple);
-        e.usize(self.n_complex());
-        e.usize(self.lanes);
-        for &free in &self.free {
-            e.u64(free);
-        }
-    }
-
-    /// Restore state written by [`UnitPool::save_state`]; the pool shape must
-    /// match.
-    fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        d.expect_u64(self.n_simple as u64, "unit pool simple count")?;
-        d.expect_u64(self.n_complex() as u64, "unit pool complex count")?;
-        d.expect_u64(self.lanes as u64, "unit pool lanes")?;
-        for free in &mut self.free {
-            *free = d.u64("unit free cycle")?;
-        }
-        Ok(())
-    }
 }
 
 /// Ring buffer over the tail of an unbounded cycle sequence: keeps only the
@@ -258,31 +231,6 @@ impl History {
     /// The machine-reuse `reset()` path.
     fn reset(&mut self) {
         self.len = 0;
-    }
-
-    /// Serialize the window, the full backing buffer and the monotonic push
-    /// count. The whole buffer is written — not just the reachable window —
-    /// so `encode → decode → encode` is byte-stable without any masking
-    /// logic; buffers are O(ROB), so the cost is a few hundred bytes.
-    fn save_state(&self, e: &mut Encoder) {
-        e.usize(self.window);
-        e.usize(self.buf.len());
-        e.usize(self.len);
-        for &v in &self.buf {
-            e.u64(v);
-        }
-    }
-
-    /// Restore state written by [`History::save_state`]; the window and
-    /// backing capacity must match (`mask` is derived from the capacity).
-    fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        d.expect_u64(self.window as u64, "history window")?;
-        d.expect_u64(self.buf.len() as u64, "history capacity")?;
-        self.len = d.usize("history length")?;
-        for v in &mut self.buf {
-            *v = d.u64("history entry")?;
-        }
-        Ok(())
     }
 }
 
@@ -581,81 +529,6 @@ impl SimState {
         result.branches = self.predictor.predictions;
         result.mispredictions = self.predictor.mispredictions;
         result
-    }
-
-    /// Serialize the complete engine state — predictor tables, unit pools,
-    /// register scoreboard, every ring-buffer history, the pipeline floors
-    /// and the live counters — through the checkpoint codec. A state restored
-    /// by [`SimState::load_state`] continues the stream with bit-identical
-    /// timing to one that was never interrupted.
-    pub fn save_state(&self, e: &mut Encoder) {
-        e.u32(ENGINE_STATE_VERSION);
-        self.predictor.save_state(e);
-        self.int_units.save_state(e);
-        self.fp_units.save_state(e);
-        self.media_units.save_state(e);
-        for &ready in self.reg_ready.iter() {
-            e.u64(ready);
-        }
-        self.commits.save_state(e);
-        self.mem_commits.save_state(e);
-        for writers in &self.class_writers {
-            writers.save_state(e);
-        }
-        e.u64(self.redirect_floor);
-        e.usize(self.fed);
-        e.u64(self.last_commit);
-        e.u64(self.last_fetch);
-        e.usize(self.fetched_in_last);
-        e.usize(self.committed_in_last);
-        e.u64(self.result.cycles);
-        e.u64(self.result.committed);
-        e.u64(self.result.branches);
-        e.u64(self.result.mispredictions);
-        e.u64(self.result.mem_retries);
-        e.u64(self.result.mem_accesses);
-    }
-
-    /// Restore engine state written by [`SimState::save_state`] into this
-    /// state. The receiver must have been sized for the same core
-    /// configuration the snapshot was taken from (the same invariant
-    /// [`SimState::matches_config`] pins for streaming).
-    ///
-    /// # Errors
-    ///
-    /// Fails with a [`CodecError`] on a truncated stream, an unsupported
-    /// version, or a snapshot from a differently configured engine; the
-    /// receiver's state is unspecified after a failed restore.
-    pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let version = d.u32("engine state version")?;
-        if version != ENGINE_STATE_VERSION {
-            return Err(CodecError::Version { what: "engine state", found: version });
-        }
-        self.predictor.load_state(d)?;
-        self.int_units.load_state(d)?;
-        self.fp_units.load_state(d)?;
-        self.media_units.load_state(d)?;
-        for ready in self.reg_ready.iter_mut() {
-            *ready = d.u64("register ready cycle")?;
-        }
-        self.commits.load_state(d)?;
-        self.mem_commits.load_state(d)?;
-        for writers in &mut self.class_writers {
-            writers.load_state(d)?;
-        }
-        self.redirect_floor = d.u64("redirect floor")?;
-        self.fed = d.usize("instructions fed")?;
-        self.last_commit = d.u64("last commit cycle")?;
-        self.last_fetch = d.u64("last fetch cycle")?;
-        self.fetched_in_last = d.usize("instructions fetched in the last cycle")?;
-        self.committed_in_last = d.usize("instructions committed in the last cycle")?;
-        self.result.cycles = d.u64("result cycles")?;
-        self.result.committed = d.u64("result committed")?;
-        self.result.branches = d.u64("result branches")?;
-        self.result.mispredictions = d.u64("result mispredictions")?;
-        self.result.mem_retries = d.u64("result mem retries")?;
-        self.result.mem_accesses = d.u64("result mem accesses")?;
-        Ok(())
     }
 }
 
@@ -1494,19 +1367,6 @@ mod tests {
         let mut mem = build_memory(MemModelKind::Perfect { latency: 1 }, 1);
         let r = core.stream(mem.as_mut()).finish();
         assert_eq!(r, SimResult::default());
-    }
-
-    #[test]
-    fn engine_state_of_an_older_layout_is_a_version_error() {
-        // Version 2 kept a fetch-break floor that the fetch-width counter now
-        // absorbs; its streams must be refused by version, not misread.
-        let core = OooCore::new(CoreConfig::way4(IsaKind::Alpha));
-        let mut e = Encoder::new();
-        core.new_state().save_state(&mut e);
-        let mut bytes = e.into_bytes();
-        bytes[..4].copy_from_slice(&(ENGINE_STATE_VERSION - 1).to_le_bytes());
-        let err = core.new_state().load_state(&mut Decoder::new(&bytes)).unwrap_err();
-        assert_eq!(err, CodecError::Version { what: "engine state", found: ENGINE_STATE_VERSION - 1 });
     }
 
     /// The register classes whose rename check `config` keeps, in

@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod checkpoint;
 pub mod config;
 pub mod core;
 pub mod machine;
@@ -49,7 +48,6 @@ pub mod predictor;
 pub mod probe;
 
 pub use crate::core::{InstSource, Latencies, OooCore, SimResult, SimState, SimStream};
-pub use checkpoint::Checkpoint;
 pub use crate::probe::{
     AttributionProbe, IntervalStats, IntervalWindow, NoProbe, Probe, ProbeReport, StallBreakdown,
     StallCause,

@@ -15,7 +15,6 @@
 use crate::config::{CoreConfig, PhysRegs};
 use crate::core::{Latencies, OooCore, SimResult, SimState, SimStream};
 use crate::probe::{AttributionProbe, ProbeReport};
-use mom_isa::codec::{CodecError, Decoder, Encoder};
 use mom_isa::pipe::BatchReceiver;
 use mom_isa::trace::{IsaKind, Trace};
 use mom_mem::{build_memory, MemModelKind, MemSystemStats, MemorySystem};
@@ -185,50 +184,14 @@ impl SimMachine {
     }
 
     /// Open a probed streaming simulation that **continues** an existing
-    /// probe instead of creating a fresh one — the sampled-mode resume path.
-    /// Together with [`SimMachine::save_engine_state`] and
-    /// [`SimMachine::save_mem_state`], this lets a run be split at any stream
-    /// boundary: close the stream with [`SimStream::finish_probed`] to get
-    /// the probe back, checkpoint, and reopen here with the restored probe —
-    /// the reopened stream retires instructions bit-identically to one that
-    /// was never closed.
+    /// probe instead of creating a fresh one. This lets a run be split at any
+    /// stream boundary: close the stream with [`SimStream::finish_probed`] to
+    /// get the probe back and reopen here with it — the reopened stream
+    /// retires instructions bit-identically to one that was never closed.
+    /// The sampled execution mode closes the stream around every
+    /// fast-forward.
     pub fn sim_probed_with(&mut self, probe: AttributionProbe) -> SimStream<'_, AttributionProbe> {
         self.core.stream_with_probed(&mut self.state, self.memory.as_mut(), probe)
-    }
-
-    /// Serialize the engine state (predictor, scoreboard, histories,
-    /// counters) through the checkpoint codec. Callable only between streams
-    /// — an open [`SimStream`] borrows the state mutably.
-    pub fn save_engine_state(&self, e: &mut Encoder) {
-        self.state.save_state(e);
-    }
-
-    /// Restore engine state written by [`SimMachine::save_engine_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails with a [`CodecError`] on a truncated stream or a snapshot from a
-    /// differently configured machine; the machine should be [`reset`] (or
-    /// discarded) after a failed restore.
-    ///
-    /// [`reset`]: SimMachine::reset
-    pub fn load_engine_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        self.state.load_state(d)
-    }
-
-    /// Serialize the warm memory-system state (tags, MSHRs, buffered stores,
-    /// channel occupancy, statistics) through the checkpoint codec.
-    pub fn save_mem_state(&self, e: &mut Encoder) {
-        self.memory.save_state(e);
-    }
-
-    /// Restore memory-system state written by [`SimMachine::save_mem_state`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`SimMachine::load_engine_state`].
-    pub fn load_mem_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        self.memory.load_state(d)
     }
 
     /// Replay a materialized trace on this machine — the reference the
@@ -389,77 +352,6 @@ mod tests {
             });
             assert_eq!(expected, got, "batch={batch_insts} cap={capacity}: pipelined run diverged");
         }
-    }
-
-    #[test]
-    fn checkpointed_machine_resumes_bit_identically() {
-        // Feed a prefix, checkpoint engine + memory + probe, restore into a
-        // FRESH machine, feed the suffix: the result, attribution report and
-        // memory stats must all be bit-identical to an uninterrupted run, and
-        // the snapshot must re-encode to the same bytes.
-        let trace = mixed_trace(1500, 9);
-        let split = 700;
-        for mem in [
-            MemModelKind::Perfect { latency: 50 },
-            MemModelKind::Conventional,
-            MemModelKind::VectorCache,
-        ] {
-            let desc = MachineDescriptor::for_cell(4, IsaKind::Mom, mem);
-
-            let mut continuous = desc.build();
-            let mut sim = continuous.sim_probed();
-            for inst in &trace.insts {
-                sim.feed(inst);
-            }
-            let (expected, probe) = sim.finish_probed();
-            let expected_report = probe.into_report();
-
-            let mut first = desc.build();
-            let mut sim = first.sim_probed();
-            for inst in &trace.insts[..split] {
-                sim.feed(inst);
-            }
-            let (_, probe) = sim.finish_probed();
-            let mut e = Encoder::new();
-            first.save_engine_state(&mut e);
-            first.save_mem_state(&mut e);
-            probe.save_state(&mut e);
-            let snapshot = e.into_bytes();
-
-            let mut second = desc.build();
-            let mut d = Decoder::new(&snapshot);
-            second.load_engine_state(&mut d).unwrap();
-            second.load_mem_state(&mut d).unwrap();
-            let probe = AttributionProbe::load_state(&mut d).unwrap();
-            d.finish("machine snapshot").unwrap();
-
-            let mut e2 = Encoder::new();
-            second.save_engine_state(&mut e2);
-            second.save_mem_state(&mut e2);
-            probe.save_state(&mut e2);
-            assert_eq!(e2.bytes(), &snapshot[..], "{mem}: re-encode is not byte-stable");
-
-            let mut sim = second.sim_probed_with(probe);
-            for inst in &trace.insts[split..] {
-                sim.feed(inst);
-            }
-            let (resumed, probe) = sim.finish_probed();
-            assert_eq!(resumed, expected, "{mem}: resumed run diverged");
-            assert_eq!(probe.into_report(), expected_report, "{mem}: attribution diverged");
-            assert_eq!(second.mem_stats(), continuous.mem_stats(), "{mem}: memory stats diverged");
-        }
-    }
-
-    #[test]
-    fn load_engine_state_rejects_a_mismatched_machine() {
-        let mut donor = MachineDescriptor::for_cell(8, IsaKind::Mom, MemModelKind::VectorCache).build();
-        let _ = donor.simulate_trace(&mixed_trace(100, 0));
-        let mut e = Encoder::new();
-        donor.save_engine_state(&mut e);
-        let bytes = e.into_bytes();
-        let mut other =
-            MachineDescriptor::for_cell(1, IsaKind::Alpha, MemModelKind::VectorCache).build();
-        assert!(other.load_engine_state(&mut Decoder::new(&bytes)).is_err());
     }
 
     #[test]

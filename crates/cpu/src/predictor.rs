@@ -1,12 +1,5 @@
 //! Branch prediction: a bimodal (2-bit saturating counter) predictor plus a
 //! direct-mapped branch target buffer, sized per Table 1.
-//!
-//! Predictor tables are part of the warm microarchitectural state a sampled
-//! run must carry across checkpoints — a cold predictor would inflate the
-//! misprediction rate of every measurement unit — so [`BranchPredictor`]
-//! serializes its complete state through the checkpoint codec.
-
-use mom_isa::codec::{CodecError, Decoder, Encoder};
 
 /// Direct-mapped table index for a branch PC: `pc mod len`, computed with a
 /// mask when the table size is a power of two (every Table 1 configuration
@@ -163,53 +156,6 @@ impl BranchPredictor {
         self.btb.entries.fill(None);
         self.predictions = 0;
         self.mispredictions = 0;
-    }
-
-    /// Serialize the complete predictor state — counters, BTB entries and
-    /// prediction counts — through the checkpoint codec.
-    pub fn save_state(&self, e: &mut Encoder) {
-        e.usize(self.bimodal.counters.len());
-        e.raw(&self.bimodal.counters);
-        e.usize(self.btb.entries.len());
-        for entry in &self.btb.entries {
-            match entry {
-                Some((pc, target)) => {
-                    e.bool(true);
-                    e.u64(*pc);
-                    e.u64(*target);
-                }
-                None => e.bool(false),
-            }
-        }
-        e.u64(self.predictions);
-        e.u64(self.mispredictions);
-    }
-
-    /// Restore state written by [`BranchPredictor::save_state`] into this
-    /// predictor.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the stream is truncated, was written by a predictor with
-    /// different table sizes, or carries an out-of-range saturating counter.
-    pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        d.expect_u64(self.bimodal.counters.len() as u64, "bimodal table size")?;
-        let counters = d.raw(self.bimodal.counters.len(), "bimodal counters")?;
-        if counters.iter().any(|&c| c > 3) {
-            return Err(CodecError::Invalid { what: "bimodal counter" });
-        }
-        self.bimodal.counters.copy_from_slice(counters);
-        d.expect_u64(self.btb.entries.len() as u64, "btb size")?;
-        for entry in &mut self.btb.entries {
-            *entry = if d.bool("btb entry presence")? {
-                Some((d.u64("btb pc")?, d.u64("btb target")?))
-            } else {
-                None
-            };
-        }
-        self.predictions = d.u64("branch predictions")?;
-        self.mispredictions = d.u64("branch mispredictions")?;
-        Ok(())
     }
 
     /// Misprediction ratio in [0, 1].

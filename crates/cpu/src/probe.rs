@@ -112,7 +112,7 @@ impl StallCause {
     ///
     /// # Errors
     ///
-    /// Fails on an index no cause carries — a corrupted checkpoint stream.
+    /// Fails on an index no cause carries — a corrupted cache record.
     pub fn from_index(index: usize) -> Result<Self, CodecError> {
         StallCause::ALL
             .get(index)
@@ -349,8 +349,8 @@ pub trait Probe: std::fmt::Debug {
 
     /// A stream opens with this probe on an engine state that has already
     /// retired `fed` instructions, so the next `on_commit` is instruction
-    /// `fed`. The probe is settled at this point: fresh, restored, or handed
-    /// back by `finish_probed`.
+    /// `fed`. The probe is settled at this point: fresh, or handed back by
+    /// `finish_probed`.
     fn begin(&mut self, fed: u64);
 
     /// The stream closes after retiring instructions `0..fed`: bring any
@@ -479,61 +479,6 @@ impl AttributionProbe {
             "stall-breakdown components must sum to total cycles"
         );
         ProbeReport { breakdown, intervals: self.intervals() }
-    }
-
-    /// Serialize the complete attribution state — breakdown, per-register
-    /// producer causes and the interval-window accumulators — through the
-    /// checkpoint codec, so a resumed sampled run continues its timeline
-    /// exactly where the checkpointed one stopped.
-    pub fn save_state(&self, e: &mut Encoder) {
-        self.breakdown().save_state(e);
-        for &cause in self.reg_cause.iter() {
-            e.u8(cause.index() as u8);
-        }
-        e.u64(1 << self.window_shift);
-        e.usize(self.n_windows);
-        for w in &self.windows[..self.n_windows] {
-            e.u64(w.committed);
-            for &cycles in &w.cycles {
-                e.u64(cycles);
-            }
-        }
-    }
-
-    /// Rebuild a probe from state written by [`AttributionProbe::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the stream is truncated or carries an out-of-range stall
-    /// cause, a window width that is not on the `1024·2^k` compaction
-    /// schedule, more live windows than the recorder ever keeps, or a
-    /// breakdown that is not the per-cause sum of its windows.
-    pub fn load_state(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let mut probe = Self::new();
-        let saved = StallBreakdown::load_state(d)?;
-        probe.total_cycles = saved.total_cycles;
-        for cause in probe.reg_cause.iter_mut() {
-            *cause = StallCause::from_index(d.u8("register cause")? as usize)?;
-        }
-        let window_cycles = d.u64("interval window width")?;
-        if !window_cycles.is_power_of_two() || window_cycles < INITIAL_WINDOW {
-            return Err(CodecError::Invalid { what: "interval window width" });
-        }
-        probe.window_shift = window_cycles.trailing_zeros();
-        probe.n_windows = d.usize("interval window count")?;
-        if probe.n_windows > MAX_WINDOWS {
-            return Err(CodecError::Invalid { what: "interval window count" });
-        }
-        for w in &mut probe.windows[..probe.n_windows] {
-            w.committed = d.u64("window committed")?;
-            for cycles in &mut w.cycles {
-                *cycles = d.u64("window component")?;
-            }
-        }
-        if probe.breakdown() != saved {
-            return Err(CodecError::Invalid { what: "probe breakdown" });
-        }
-        Ok(probe)
     }
 
     /// Slow path of [`Probe::on_commit`]: instruction `inst` commits past the
@@ -741,34 +686,6 @@ mod tests {
         // Sabotage: pretend the run was longer than what was attributed.
         p.total_cycles = 11;
         let _ = p.into_report();
-    }
-
-    #[test]
-    fn load_state_rejects_a_breakdown_that_is_not_the_sum_of_its_windows() {
-        let mut p = AttributionProbe::new();
-        let mut last = 0;
-        let mut fed = 0;
-        for (k, c) in (3..40_000u64).step_by(97).enumerate() {
-            p.on_commit(c, c - last, StallCause::ALL[k % StallCause::COUNT], k as u64);
-            last = c;
-            fed = k as u64 + 1;
-        }
-        p.settle(fed);
-        let mut e = Encoder::new();
-        p.save_state(&mut e);
-        let bytes = e.into_bytes();
-        let restored = AttributionProbe::load_state(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(restored.breakdown(), p.breakdown());
-        // The stream opens with the total (8 bytes) and then the saved
-        // per-cause components: flipping any bit of a component breaks the
-        // sum over the windows.
-        let components = 8..8 + 8 * StallCause::COUNT;
-        for (i, bit) in components.flat_map(|i| [(i, 0x01u8), (i, 0x80)]) {
-            let mut flipped = bytes.clone();
-            flipped[i] ^= bit;
-            let err = AttributionProbe::load_state(&mut Decoder::new(&flipped)).unwrap_err();
-            assert_eq!(err, CodecError::Invalid { what: "probe breakdown" }, "byte {i} bit {bit:#x}");
-        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   unprobed one bit for bit;
 //! * a stream split at arbitrary points (`finish_probed`, then
 //!   `sim_probed_with` on the same machine) reports exactly what one
-//!   unbroken stream does, window instruction counts included.
+//!   unbroken stream does, window instruction counts and memory-system
+//!   statistics included.
 
 use mom_cpu::{AttributionProbe, CoreConfig, MachineDescriptor, OooCore, ProbeReport, SimResult};
 use mom_isa::trace::{
@@ -211,8 +212,8 @@ proptest! {
         ][mem_idx];
         let desc = MachineDescriptor::for_cell(WIDTHS[way_idx], IsaKind::ALL[isa_idx], mem);
 
-        let mut machine = desc.build();
-        let mut sim = machine.sim_probed();
+        let mut whole_machine = desc.build();
+        let mut sim = whole_machine.sim_probed();
         for inst in &insts {
             sim.feed(inst);
         }
@@ -222,12 +223,12 @@ proptest! {
         let mut ends: Vec<usize> = cuts.iter().map(|&c| c.min(insts.len())).collect();
         ends.sort_unstable();
         ends.push(insts.len());
-        let mut machine = desc.build();
+        let mut split_machine = desc.build();
         let mut probe = AttributionProbe::new();
         let mut split_sim = SimResult::default();
         let mut from = 0;
         for to in ends {
-            let mut sim = machine.sim_probed_with(probe);
+            let mut sim = split_machine.sim_probed_with(probe);
             for inst in &insts[from..to] {
                 sim.feed(inst);
             }
@@ -238,6 +239,7 @@ proptest! {
 
         prop_assert_eq!(split_sim, whole_sim);
         prop_assert_eq!(&split, &whole);
+        prop_assert_eq!(split_machine.mem_stats(), whole_machine.mem_stats());
         let committed: u64 = split.intervals.windows.iter().map(|w| w.committed).sum();
         prop_assert_eq!(committed, whole_sim.committed);
     }

@@ -1,23 +1,22 @@
-//! Hand-rolled binary codec primitives for simulator checkpoints.
+//! Hand-rolled binary codec primitives for result-cache records.
 //!
-//! The sampled execution mode serializes warm microarchitectural state
-//! (caches, predictors, reorder-window history) and architectural state into
-//! checkpoint files so long cells can be paused, resumed and distributed.
-//! Like the JSON layer in `mom-lab`, the codec is written by hand — the
-//! offline build has no serde — and is deliberately boring: little-endian
-//! fixed-width integers, `u64` length prefixes for variable-length data, and
-//! explicit version tags at every container boundary.
+//! `mom-lab`'s persistent cell cache stores each simulated grid cell — its
+//! `SimResult`, stall breakdown, interval timeline and memory statistics —
+//! as one binary record built from these primitives. Like the JSON layer in
+//! `mom-lab`, the codec is written by hand — the offline build has no serde
+//! — and is deliberately boring: little-endian fixed-width integers, `u64`
+//! length prefixes for variable-length data, and explicit version tags at
+//! every container boundary.
 //!
 //! Encoding is infallible and deterministic: the same state always produces
-//! the same bytes, which is what lets checkpoint round-trip tests assert
-//! byte-identity (`encode → decode → encode` must reproduce the input
-//! exactly). Decoding validates everything it reads and fails with a
-//! [`CodecError`] rather than panicking, so a truncated or mismatched
-//! checkpoint file surfaces as a clean error.
+//! the same bytes, so `encode → decode → encode` reproduces the input
+//! exactly. Decoding validates everything it reads and fails with a
+//! [`CodecError`] rather than panicking, so a truncated or corrupted record
+//! surfaces as a clean error.
 
 use std::fmt;
 
-/// Error produced when decoding a checkpoint byte stream.
+/// Error produced when decoding an encoded byte stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The stream ended before the expected value could be read.
@@ -42,13 +41,9 @@ pub enum CodecError {
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodecError::Eof { what } => write!(f, "checkpoint stream truncated reading {what}"),
-            CodecError::Invalid { what } => {
-                write!(f, "checkpoint field failed validation: {what}")
-            }
-            CodecError::Version { what, found } => {
-                write!(f, "unsupported {what} checkpoint version {found}")
-            }
+            CodecError::Eof { what } => write!(f, "record truncated reading {what}"),
+            CodecError::Invalid { what } => write!(f, "record field failed validation: {what}"),
+            CodecError::Version { what, found } => write!(f, "unsupported {what} version {found}"),
         }
     }
 }
@@ -97,11 +92,6 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append an `f64` as its IEEE-754 bit pattern (bit-exact round trip).
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
@@ -112,16 +102,10 @@ impl Encoder {
         self.u64(v as u64);
     }
 
-    /// Append raw bytes with no length prefix (for fixed-size fields whose
-    /// length is implied by the structure).
-    pub fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Append a `u64` length prefix followed by the bytes.
     pub fn blob(&mut self, bytes: &[u8]) {
         self.u64(bytes.len() as u64);
-        self.raw(bytes);
+        self.buf.extend_from_slice(bytes);
     }
 }
 
@@ -157,9 +141,14 @@ impl<'a> Decoder<'a> {
         Ok(self.take(1, what)?[0])
     }
 
-    /// Read a bool (any nonzero byte is `true`).
+    /// Read a bool. Only the two bytes [`Encoder::bool`] writes decode, so
+    /// every accepted stream re-encodes to itself.
     pub fn bool(&mut self, what: &'static str) -> Result<bool, CodecError> {
-        Ok(self.u8(what)? != 0)
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CodecError::Invalid { what }),
+        }
     }
 
     /// Read a little-endian `u32`.
@@ -176,11 +165,6 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
-    /// Read a little-endian `i64`.
-    pub fn i64(&mut self, what: &'static str) -> Result<i64, CodecError> {
-        Ok(self.u64(what)? as i64)
-    }
-
     /// Read an `f64` from its IEEE-754 bit pattern.
     pub fn f64(&mut self, what: &'static str) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64(what)?))
@@ -190,11 +174,6 @@ impl<'a> Decoder<'a> {
     pub fn usize(&mut self, what: &'static str) -> Result<usize, CodecError> {
         let v = self.u64(what)?;
         usize::try_from(v).map_err(|_| CodecError::Invalid { what })
-    }
-
-    /// Read exactly `n` raw bytes.
-    pub fn raw(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
-        self.take(n, what)
     }
 
     /// Read a `u64`-length-prefixed byte blob.
@@ -232,7 +211,6 @@ mod tests {
         e.bool(true);
         e.u32(0xdead_beef);
         e.u64(u64::MAX - 3);
-        e.i64(-42);
         e.f64(3.25);
         e.usize(99);
         e.blob(b"warm");
@@ -242,7 +220,6 @@ mod tests {
         assert!(d.bool("b").unwrap());
         assert_eq!(d.u32("c").unwrap(), 0xdead_beef);
         assert_eq!(d.u64("d").unwrap(), u64::MAX - 3);
-        assert_eq!(d.i64("e").unwrap(), -42);
         assert_eq!(d.f64("f").unwrap(), 3.25);
         assert_eq!(d.usize("g").unwrap(), 99);
         assert_eq!(d.blob("h").unwrap(), b"warm");
@@ -272,6 +249,13 @@ mod tests {
 
         let mut d2 = Decoder::new(&bytes);
         assert_eq!(d2.expect_u64(9, "size"), Err(CodecError::Invalid { what: "size" }));
+    }
+
+    #[test]
+    fn bool_accepts_only_the_bytes_it_writes() {
+        assert_eq!(Decoder::new(&[0]).bool("b"), Ok(false));
+        assert_eq!(Decoder::new(&[1]).bool("b"), Ok(true));
+        assert_eq!(Decoder::new(&[2]).bool("b"), Err(CodecError::Invalid { what: "b" }));
     }
 
     #[test]

@@ -42,11 +42,6 @@
 //! * `--sample-unit N` / `--sample-warmup N` / `--sample-period N` — the
 //!   sampling knobs (defaults 1000 / 2000 / 100000 dynamic instructions;
 //!   each implies `--sampled`)
-//! * `--checkpoint-dir DIR` — persist a serialized checkpoint per kernel
-//!   cell at every sampling period boundary (sampled runs only)
-//! * `--resume` — resume cells from the checkpoint files in
-//!   `--checkpoint-dir` instead of starting over (the completed run is
-//!   byte-identical to an uninterrupted one)
 //! * `--sweep-dims SPEC` — override the `sweep` experiment's grid, e.g.
 //!   `rob=16,32:lat=1,50:way=4,8` (axes: `rob`, `lat`, `way`; omitted axes
 //!   keep their defaults)
@@ -123,11 +118,10 @@ Usage:
   momlab run <NAME>... | --all [--experiment NAME]... [--kernel K]... [--app A]...
              [--isa I]... [--scale N] [--seed N] [--workers N] [--streamed]
              [--sampled] [--sample-unit N] [--sample-warmup N]
-             [--sample-period N] [--checkpoint-dir DIR] [--resume]
-             [--sweep-dims SPEC] [--json FILE] [--out-dir DIR] [--results-only]
-             [--no-json] [--quiet] [--baseline FILE] [--compare FILE]
-             [--tolerance F] [--trace-out FILE] [--throughput-gate MINST]
-             [--cache-dir DIR]
+             [--sample-period N] [--sweep-dims SPEC] [--json FILE]
+             [--out-dir DIR] [--results-only] [--no-json] [--quiet]
+             [--baseline FILE] [--compare FILE] [--tolerance F]
+             [--trace-out FILE] [--throughput-gate MINST] [--cache-dir DIR]
   momlab --all
   momlab diff <NEW.json> --baseline <OLD.json> [--tolerance F]
   momlab cache ls|verify|gc [--cache-dir DIR] [--max-bytes N] [--workers N]
@@ -143,9 +137,7 @@ byte-identical in their results.
 100000 insts) it simulates a detailed warm-up (2000) plus a measured unit
 (1000) and fast-forwards the rest, reporting per-cell IPC estimates with
 95% confidence intervals in a `sampling` results section. --sample-period 0
-measures every instruction and is byte-identical to --streamed. With
---checkpoint-dir, kernel cells persist a resumable checkpoint every period;
---resume continues from those files bit-exactly.
+measures every instruction and is byte-identical to --streamed.
 
 --sweep-dims overrides the sweep grid, e.g. rob=16,32:lat=1,50:way=4,8.
 
@@ -191,8 +183,6 @@ struct Options {
     sample_unit: Option<u64>,
     sample_warmup: Option<u64>,
     sample_period: Option<u64>,
-    checkpoint_dir: Option<PathBuf>,
-    resume: bool,
     sweep_dims: Option<String>,
     json: Option<PathBuf>,
     out_dir: PathBuf,
@@ -288,10 +278,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 );
                 opts.sampled = true;
             }
-            "--checkpoint-dir" => {
-                opts.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?))
-            }
-            "--resume" => opts.resume = true,
             "--sweep-dims" => opts.sweep_dims = Some(value("--sweep-dims")?.to_string()),
             "--json" => opts.json = Some(PathBuf::from(value("--json")?)),
             "--out-dir" => opts.out_dir = PathBuf::from(value("--out-dir")?),
@@ -581,16 +567,6 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
     } else {
         ExecMode::Fanout
     };
-    if opts.checkpoint_dir.is_some() && !opts.sampled {
-        return Err("--checkpoint-dir applies to sampled runs; add --sampled".into());
-    }
-    if opts.resume && opts.checkpoint_dir.is_none() {
-        return Err("--resume needs --checkpoint-dir DIR".into());
-    }
-    let checkpoints = opts
-        .checkpoint_dir
-        .as_ref()
-        .map(|dir| runner::CheckpointConfig { dir: dir.clone(), resume: opts.resume });
     let cache = opts
         .cache_dir
         .as_ref()
@@ -615,13 +591,7 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
     for (i, spec) in specs.iter().enumerate() {
         let result = runner::run(
             spec,
-            &RunOptions {
-                workers,
-                mode,
-                progress: !opts.quiet,
-                checkpoints: checkpoints.clone(),
-                cache: cache.as_ref(),
-            },
+            &RunOptions { workers, mode, progress: !opts.quiet, cache: cache.as_ref() },
         );
         if let Some(meta) = &result.cache {
             eprintln!(

@@ -10,8 +10,8 @@
 //! [`CellRecord`] is the stored result (timing summary, stall attribution,
 //! memory statistics and — for sampled cells — the confidence-interval
 //! accounting), and [`CellCache`] is the on-disk store: one binary record
-//! per cell under a directory, written through the `mom-isa` checkpoint
-//! codec with explicit versioning and atomic rename.
+//! per cell under a directory, written through the `mom-isa` binary codec
+//! with explicit versioning and atomic rename.
 //!
 //! # Invalidation
 //!
@@ -27,13 +27,11 @@
 //!
 //! # Corruption is a miss
 //!
-//! Unlike checkpoint resume (where silently restarting would corrupt a
-//! half-finished run, so a bad file panics), a cache record is purely an
-//! optimization: a truncated, garbage or wrong-version record — or a file
-//! whose stored key does not match the address that found it — is treated as
-//! a clean miss. The cell is re-simulated and the bad record atomically
-//! overwritten. [`CellCache::load`] never panics and never returns a wrong
-//! result.
+//! A cache record is purely an optimization: a truncated, garbage or
+//! wrong-version record — or a file whose stored key does not match the
+//! address that found it — is treated as a clean miss. The cell is
+//! re-simulated and the bad record atomically overwritten.
+//! [`CellCache::load`] never panics and never returns a wrong result.
 
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -420,9 +418,9 @@ impl CellCache {
     ///
     /// # Panics
     ///
-    /// Panics when the record cannot be written — like a checkpoint, a cache
-    /// directory that stops accepting writes mid-run is a configuration
-    /// error worth failing loudly on.
+    /// Panics when the record cannot be written — a cache directory that
+    /// stops accepting writes mid-run is a configuration error worth failing
+    /// loudly on.
     pub fn store(&self, key: &CellKey, record: &CellRecord) {
         let path = self.record_path(key);
         let tmp = path.with_extension(format!("tmp{}", std::process::id()));

@@ -53,7 +53,7 @@ pub use cache::{
     engine_fingerprint, CacheMeta, CellCache, CellKey, CellRecord, SamplingKnobs, MODEL_DIGEST,
 };
 pub use runner::{
-    run, CellResult, CellSampling, CheckpointConfig, ExecMode, PoolStats, RunOptions, RunResult,
+    run, CellResult, CellSampling, ExecMode, PoolStats, RunOptions, RunResult,
     SpanRec, DEFAULT_SAMPLE_PERIOD, DEFAULT_SAMPLE_UNIT, DEFAULT_SAMPLE_WARMUP,
 };
 pub use spec::{ExperimentSpec, GridSpec, SweepDims, Workload, BUILTIN_EXPERIMENTS};

@@ -22,9 +22,7 @@
 //!   number of samples instead of the workload length. Results are
 //!   **estimates** reported with per-cell confidence intervals in a
 //!   `sampling` results section — except at sampling rate 1
-//!   (`period == 0`), which *is* the streamed run. Sampled kernel cells can
-//!   persist checkpoints between periods (see [`CheckpointConfig`]) and
-//!   resume from them bit-exactly.
+//!   (`period == 0`), which *is* the streamed run.
 //!
 //! A group runs as one work item: its interpreter drives every member
 //! simulator through a serial `Broadcast` on one worker. With 2+ workers a
@@ -87,8 +85,7 @@ use mom_mem::{MemModelKind, MemSystemStats};
 
 use crate::cache::{engine_fingerprint, CacheMeta, CellCache, CellKey, CellRecord, SamplingKnobs};
 pub use crate::document::mem_label;
-pub use crate::sampling::CheckpointConfig;
-use crate::sampling::{run_sampled_app_cell, run_sampled_kernel_cell, CkptContext, SamplingParams};
+use crate::sampling::{run_sampled_app_cell, run_sampled_kernel_cell, SamplingParams};
 use crate::spec::{BaselinePolicy, Cell, ExperimentKind, ExperimentSpec, GridSpec, Workload};
 use crate::tables::{static_rows, StaticRows};
 
@@ -386,7 +383,7 @@ pub fn default_workers() -> usize {
 }
 
 /// How to run an experiment. [`RunOptions::default`] is the fan-out mode on
-/// [`default_workers`] threads, quiet, with neither checkpoints nor a cache.
+/// [`default_workers`] threads, quiet, without a cache.
 #[derive(Debug, Clone)]
 pub struct RunOptions<'a> {
     /// Worker threads; `1` runs every work item on the calling thread (and
@@ -399,9 +396,6 @@ pub struct RunOptions<'a> {
     /// and, for consumer shards, the shard's channel occupancy. Progress
     /// output never touches stdout or the results.
     pub progress: bool,
-    /// Where a sampled run persists per-cell checkpoints; every other mode
-    /// ignores it.
-    pub checkpoints: Option<CheckpointConfig>,
     /// A persistent content-addressed cell result cache: hit cells skip
     /// interpretation and simulation entirely and are rebuilt from their
     /// stored [`CellRecord`]s; miss cells simulate as usual and fill the
@@ -418,7 +412,6 @@ impl Default for RunOptions<'_> {
             workers: default_workers(),
             mode: ExecMode::Fanout,
             progress: false,
-            checkpoints: None,
             cache: None,
         }
     }
@@ -483,11 +476,9 @@ struct GridCacheOutcome {
 ///
 /// Panics when `opts.mode` carries invalid sampling parameters
 /// (`unit_insts == 0`, or a nonzero `period` smaller than
-/// `warmup_insts + unit_insts`), when the checkpoint directory cannot be
-/// created or written, when `resume` finds a checkpoint file that does not
-/// match this run, when a cache record cannot be written, or when a cell
-/// fails (e.g. a kernel misses its golden output) — the message then names
-/// the failing work item.
+/// `warmup_insts + unit_insts`), when a cache record cannot be written, or
+/// when a cell fails (e.g. a kernel misses its golden output) — the message
+/// then names the failing work item.
 pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
     let (mode, workers) = (opts.mode, opts.workers.max(1));
     if let ExecMode::Sampled { unit_insts, warmup_insts, period } = mode {
@@ -497,10 +488,6 @@ pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
             "sampling period {period} is shorter than warmup {warmup_insts} + unit {unit_insts}"
         );
     }
-    let ckpt = match (SamplingParams::of(mode), &opts.checkpoints) {
-        (Some(sp), Some(cfg)) => Some(CkptContext::new(cfg, &spec.name, spec.config_hash(), sp)),
-        _ => None,
-    };
     let started = Instant::now();
     let cache_ctx = opts.cache.map(|store| CacheContext {
         cache: store,
@@ -515,7 +502,7 @@ pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
         }
         ExperimentKind::Grid(grid) => {
             let (cells, timing, outcome) =
-                run_grid(grid, workers, mode, opts.progress, ckpt.as_ref(), cache_ctx.as_ref());
+                run_grid(grid, workers, mode, opts.progress, cache_ctx.as_ref());
             (RunData::Grid(cells), timing, outcome)
         }
     };
@@ -564,15 +551,19 @@ pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
 /// [`run`] with its options given positionally — the runner's signature
 /// before [`RunOptions`], kept for code built against it (the `perfbench/`
 /// harness).
+///
+/// The fifth parameter is an empty slot kept so positional callers build
+/// unchanged; only `None` fits it. The slot goes when ROADMAP item 2 moves
+/// `perfbench`'s `ladder.rs` to [`run`].
 pub fn run_cached(
     spec: &ExperimentSpec,
     workers: usize,
     mode: ExecMode,
     progress: bool,
-    checkpoints: Option<&CheckpointConfig>,
+    _unused: Option<&std::convert::Infallible>,
     cache: Option<&CellCache>,
 ) -> RunResult {
-    run(spec, &RunOptions { workers, mode, progress, checkpoints: checkpoints.cloned(), cache })
+    run(spec, &RunOptions { workers, mode, progress, cache })
 }
 
 /// Shared hit/build counters behind every [`MachinePool`] of one grid run
@@ -796,7 +787,6 @@ struct ItemCtx<'a> {
     cells: &'a [Cell],
     groups: &'a [Group],
     mode: ExecMode,
-    ckpt: Option<&'a CkptContext>,
     /// The scheduler's epoch: every span is an offset from it.
     epoch: Instant,
 }
@@ -819,8 +809,7 @@ fn run_serial(
         let mut machine = pool.take(&descriptor_for(grid, cells, ci));
         let cs = match cell.workload {
             Workload::Kernel(kernel) => {
-                let ckpt = ctx.ckpt.map(|c| (c, cell_key(grid, cell)));
-                run_sampled_kernel_cell(kernel, *isa, grid, &mut machine, sp, ckpt)
+                run_sampled_kernel_cell(kernel, *isa, grid, &mut machine, sp)
             }
             Workload::App(app) => run_sampled_app_cell(app, *isa, grid, &mut machine, sp),
         };
@@ -1170,9 +1159,8 @@ fn raise_labeled(label: &str, payload: Box<dyn std::any::Any + Send>) -> ! {
 }
 
 /// The `(workload, config, way)` identity of one grid cell — the same key
-/// `momlab diff` matches cells by, reused to name and validate checkpoint
-/// files.
-pub(crate) fn cell_key(grid: &GridSpec, cell: &Cell) -> String {
+/// `momlab diff` matches cells by, reused as the cell part of a cache key.
+fn cell_key(grid: &GridSpec, cell: &Cell) -> String {
     format!("{} / {} / {}-way", cell.workload.label(), grid.configs[cell.config].label, cell.way)
 }
 
@@ -1181,7 +1169,6 @@ fn run_grid(
     workers: usize,
     mode: ExecMode,
     progress: bool,
-    ckpt: Option<&CkptContext>,
     cache: Option<&CacheContext<'_>>,
 ) -> (Vec<CellResult>, GridTiming, Option<GridCacheOutcome>) {
     let cells = grid.cells();
@@ -1243,7 +1230,6 @@ fn run_grid(
             cells: &active,
             groups: &grouped,
             mode,
-            ckpt,
             epoch: Instant::now(),
         };
         run_groups(&ctx, workers, progress, &counters)

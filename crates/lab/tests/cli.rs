@@ -109,4 +109,6 @@ fn latency_tolerance_stdout_starts_with_the_golden_file() {
 fn removed_flags_are_errors() {
     check_rejected("--no-cache");
     check_rejected("--materialized");
+    check_rejected("--checkpoint-dir");
+    check_rejected("--resume");
 }

@@ -2,8 +2,10 @@
 //! record the cache can store, encode → decode → re-encode reproduces the
 //! exact bytes (so `momlab cache verify`'s byte-for-byte file comparison is a
 //! sound equality test), the decoded key answers the same canonical address,
-//! and no truncated prefix of a record ever decodes successfully — truncation
-//! is always a detectable (clean-miss) error, never a silently-wrong result.
+//! no truncated prefix of a record ever decodes successfully — truncation
+//! is always a detectable (clean-miss) error, never a silently-wrong result
+//! — and a record with random bytes flipped either fails cleanly or decodes
+//! to a record that re-encodes to exactly those bytes, never panicking.
 
 use mom_cpu::probe::{IntervalStats, IntervalWindow, ProbeReport, StallBreakdown, StallCause};
 use mom_cpu::SimResult;
@@ -155,5 +157,37 @@ proptest! {
         let cut = (cut_word % bytes.len() as u64) as usize;
         prop_assert!(CellRecord::from_bytes(&bytes[..cut]).is_err(),
             "a {cut}-byte prefix of a {}-byte record must not decode", bytes.len());
+    }
+
+    #[test]
+    fn flipped_records_never_panic(
+        sim_words in prop::collection::vec(0u64..1 << 40, 6),
+        components in prop::collection::vec(0u64..1 << 40, StallCause::COUNT),
+        shift in 0usize..12,
+        window_words in prop::collection::vec(0u64..u64::MAX, 0..32),
+        mem_words in prop::collection::vec(0u64..1 << 40, 15),
+        key_words in prop::collection::vec(0u64..u64::MAX, 6),
+        sampled in 0u64..2,
+        flips in prop::collection::vec((0u64..u64::MAX, 1u8..=255), 1..9),
+    ) {
+        let sampling_words =
+            (sampled == 1).then(|| [key_words[0], key_words[1], key_words[2], key_words[3], key_words[4], key_words[5]]);
+        let record = record_from(
+            &sim_words, &components, shift, &window_words, &mem_words, sampling_words.as_ref(),
+        );
+        let mut kw = [0u64; 6];
+        kw.copy_from_slice(&key_words);
+        let mut bytes = record.to_bytes(&key_from(&kw, sampled == 1));
+        for &(at, mask) in &flips {
+            let i = (at % bytes.len() as u64) as usize;
+            bytes[i] ^= mask;
+        }
+        // Decoding a corrupted file must return, never panic. A corruption
+        // the decoder accepts must be one it can represent: the decoded
+        // record re-encodes to the flipped bytes, so no two files decode to
+        // the same record and `cache verify`'s byte comparison stays sound.
+        if let Ok((key, decoded)) = CellRecord::from_bytes(&bytes) {
+            prop_assert_eq!(decoded.to_bytes(&key), bytes);
+        }
     }
 }

@@ -11,12 +11,9 @@
 //! * **Estimates are anchored**: committed-instruction counts stay exact
 //!   (the functional interpreter executes the whole workload either way) and
 //!   every cell carries a [`CellSampling`] section.
-//! * **Checkpoints resume exactly**: a run that persists checkpoints and a
-//!   run resumed from those files serialize byte-identically.
 
 use mom_lab::runner::{
-    run, CheckpointConfig, ExecMode, RunOptions, RunResult, DEFAULT_SAMPLE_UNIT,
-    DEFAULT_SAMPLE_WARMUP,
+    run, ExecMode, RunOptions, RunResult, DEFAULT_SAMPLE_UNIT, DEFAULT_SAMPLE_WARMUP,
 };
 use mom_lab::spec::ExperimentSpec;
 
@@ -88,38 +85,4 @@ fn sampled_estimates_stay_anchored_to_the_exact_run() {
     let doc = sampled.results_json().to_pretty();
     assert!(doc.contains("\"sampling\""), "results document lacks a sampling section");
     assert!(doc.contains("\"ipc_mean\""));
-}
-
-#[test]
-fn checkpointed_and_resumed_runs_are_byte_identical() {
-    let spec = ExperimentSpec::builtin("figure5", 1, true).expect("built-in spec");
-    let dir = std::env::temp_dir().join(format!("momlab-sampled-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Plain sampled run: the reference bytes.
-    let reference = run_with_mode(&spec, 2, SMALL_SAMPLED).results_json().to_pretty();
-
-    let opts = |resume| RunOptions {
-        workers: 2,
-        mode: SMALL_SAMPLED,
-        checkpoints: Some(CheckpointConfig { dir: dir.clone(), resume }),
-        ..Default::default()
-    };
-
-    // Same run while persisting checkpoints: identical results, files exist.
-    let saved = run(&spec, &opts(false));
-    assert_eq!(reference, saved.results_json().to_pretty(), "checkpointing changed the results");
-    let ckpts: Vec<_> = std::fs::read_dir(&dir)
-        .expect("checkpoint dir exists")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
-        .collect();
-    assert!(!ckpts.is_empty(), "no checkpoint files were written to {}", dir.display());
-
-    // Resuming from the persisted (final) checkpoints replays only the tail
-    // of each cell and must reproduce the uninterrupted bytes exactly.
-    let resumed = run(&spec, &opts(true));
-    assert_eq!(reference, resumed.results_json().to_pretty(), "resumed run diverged");
-
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -5,11 +5,6 @@
 //! flight*; data values are never stored (the functional interpreter already
 //! produced them). Timing consumers combine the hit/miss answers with the port
 //! and bank occupancy tracked by the memory-system front-ends.
-//!
-//! Every stateful structure also exposes a `save_state`/`load_state` pair over
-//! the checkpoint codec in [`mom_isa::codec`], so the warm tag arrays, MSHR
-//! files and write buffers survive a checkpoint round trip byte-identically
-//! (the sampled execution mode in `mom-lab` depends on this).
 
 use mom_isa::codec::{CodecError, Decoder, Encoder};
 
@@ -86,7 +81,7 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Serialize the counters for a checkpoint.
+    /// Serialize the counters for a cell-cache record.
     pub fn save_state(&self, e: &mut Encoder) {
         e.u64(self.hits);
         e.u64(self.misses);
@@ -262,43 +257,6 @@ impl Cache {
         self.use_counter = 0;
     }
 
-    /// Serialize the warm tag array, LRU clock and statistics for a
-    /// checkpoint. The configuration itself is not stored — checkpoints
-    /// restore onto a cache built from the same spec — but the geometry is
-    /// recorded and validated so a mismatched restore fails cleanly.
-    pub fn save_state(&self, e: &mut Encoder) {
-        e.usize(self.set_count());
-        e.usize(self.config.assoc);
-        e.u64(self.use_counter);
-        self.stats.save_state(e);
-        for line in &self.lines {
-            e.u64(line.tag);
-            e.bool(line.valid);
-            e.bool(line.dirty);
-            e.u64(line.last_used);
-        }
-    }
-
-    /// Restore warm state written by [`Cache::save_state`] into this cache.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the stream is truncated or was written by a cache with a
-    /// different set count or associativity.
-    pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        d.expect_u64(self.set_count() as u64, "cache set count")?;
-        d.expect_u64(self.config.assoc as u64, "cache associativity")?;
-        self.use_counter = d.u64("cache use counter")?;
-        self.stats = CacheStats::load_state(d)?;
-        for line in &mut self.lines {
-            line.tag = d.u64("line tag")?;
-            line.valid = d.bool("line valid")?;
-            line.dirty = d.bool("line dirty")?;
-            line.last_used = d.u64("line last used")?;
-        }
-        Ok(())
-    }
-
     /// Invalidate the line containing `addr` (used by the inclusion/coherence
     /// policy between the scalar L1 and the vector path).
     pub fn invalidate(&mut self, addr: u64) {
@@ -364,37 +322,6 @@ impl MshrFile {
         true
     }
 
-    /// Serialize the in-flight misses for a checkpoint.
-    pub fn save_state(&self, e: &mut Encoder) {
-        e.usize(self.capacity);
-        e.usize(self.entries.len());
-        for &(line, ready) in &self.entries {
-            e.u64(line);
-            e.u64(ready);
-        }
-    }
-
-    /// Restore in-flight misses written by [`MshrFile::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the stream is truncated, was written by a file of a different
-    /// capacity, or holds more entries than the capacity admits.
-    pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        d.expect_u64(self.capacity as u64, "mshr capacity")?;
-        let n = d.usize("mshr entry count")?;
-        if n > self.capacity {
-            return Err(CodecError::Invalid { what: "mshr entry count" });
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            let line = d.u64("mshr line")?;
-            let ready = d.u64("mshr ready cycle")?;
-            self.entries.push((line, ready));
-        }
-        Ok(())
-    }
-
     /// The earliest cycle at which an MSHR will free up (`cycle` if one is
     /// already free).
     pub fn next_free_cycle(&mut self, cycle: u64) -> u64 {
@@ -443,41 +370,6 @@ impl WriteBuffer {
     /// Current occupancy.
     pub fn occupancy(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Serialize the buffered stores and coalescing count for a checkpoint.
-    pub fn save_state(&self, e: &mut Encoder) {
-        e.usize(self.capacity);
-        e.u64(self.drain_interval);
-        e.u64(self.coalesced);
-        e.usize(self.entries.len());
-        for &(line, drained_at) in &self.entries {
-            e.u64(line);
-            e.u64(drained_at);
-        }
-    }
-
-    /// Restore state written by [`WriteBuffer::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the stream is truncated or was written by a buffer with a
-    /// different capacity or drain interval.
-    pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        d.expect_u64(self.capacity as u64, "write buffer capacity")?;
-        d.expect_u64(self.drain_interval, "write buffer drain interval")?;
-        self.coalesced = d.u64("write buffer coalesced")?;
-        // `push` appends past the nominal capacity when the buffer is full
-        // (the overflowing store just waits for the oldest drain), so the
-        // entry count is not bounded by `capacity` and is taken as-is.
-        let n = d.usize("write buffer entry count")?;
-        self.entries.clear();
-        for _ in 0..n {
-            let line = d.u64("write buffer line")?;
-            let drained_at = d.u64("write buffer drain cycle")?;
-            self.entries.push((line, drained_at));
-        }
-        Ok(())
     }
 
     /// Accept a store to `line` at `cycle`. Returns the cycle at which the

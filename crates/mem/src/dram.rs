@@ -7,8 +7,6 @@
 //! earlier transfers adds to the observed latency, which is how bandwidth
 //! saturation appears in the model.
 
-use mom_isa::codec::{CodecError, Decoder, Encoder};
-
 /// Configuration of the main-memory channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
@@ -69,32 +67,6 @@ impl Dram {
     pub fn reset(&mut self) {
         self.busy_until = 0;
         self.stats = DramStats::default();
-    }
-
-    /// Serialize the channel occupancy and statistics for a checkpoint.
-    pub fn save_state(&self, e: &mut Encoder) {
-        e.u64(self.config.access_latency);
-        e.u64(self.config.cycles_per_line);
-        e.u64(self.busy_until);
-        e.u64(self.stats.transfers);
-        e.u64(self.stats.busy_cycles);
-        e.u64(self.stats.queue_cycles);
-    }
-
-    /// Restore state written by [`Dram::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the stream is truncated or was written by a channel with a
-    /// different configuration.
-    pub fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        d.expect_u64(self.config.access_latency, "dram access latency")?;
-        d.expect_u64(self.config.cycles_per_line, "dram cycles per line")?;
-        self.busy_until = d.u64("dram busy until")?;
-        self.stats.transfers = d.u64("dram transfers")?;
-        self.stats.busy_cycles = d.u64("dram busy cycles")?;
-        self.stats.queue_cycles = d.u64("dram queue cycles")?;
-        Ok(())
     }
 
     /// Transfer one line starting no earlier than `cycle`; returns the cycle

@@ -23,20 +23,7 @@ use crate::cache::{Cache, CacheConfig, LookupResult, MshrFile, WriteBuffer};
 use crate::config::{MemModelKind, PortConfig};
 use crate::dram::{Dram, DramConfig};
 use crate::{AccessCause, MemSystemStats, MemorySystem};
-use mom_isa::codec::{CodecError, Decoder, Encoder};
 use mom_isa::trace::{MemAccess, MemKind};
-
-/// Stable checkpoint tag of a hierarchy front-end kind (`Perfect` never
-/// reaches a `Hierarchy`, so it has no tag).
-fn kind_tag(kind: MemModelKind) -> u64 {
-    match kind {
-        MemModelKind::Perfect { .. } => unreachable!("Hierarchy never models perfect memory"),
-        MemModelKind::Conventional => 0,
-        MemModelKind::MultiAddress => 1,
-        MemModelKind::VectorCache => 2,
-        MemModelKind::CollapsingBuffer => 3,
-    }
-}
 
 /// A realistic two-level hierarchy with a configurable vector-access path.
 #[derive(Debug, Clone)]
@@ -398,47 +385,6 @@ impl MemorySystem for Hierarchy {
         s.dram = self.dram.stats();
         s
     }
-
-    fn save_state(&self, e: &mut Encoder) {
-        e.u64(kind_tag(self.kind));
-        self.l1.save_state(e);
-        self.l1_mshrs.save_state(e);
-        self.l2.save_state(e);
-        self.l2_mshrs.save_state(e);
-        self.write_buffer.save_state(e);
-        self.dram.save_state(e);
-        for busy_vec in [&self.l1_port_busy, &self.l1_bank_busy, &self.vec_port_busy] {
-            e.usize(busy_vec.len());
-            for &busy in busy_vec {
-                e.u64(busy);
-            }
-        }
-        self.stats.save_state(e);
-        e.u8(self.last_cause.tag());
-    }
-
-    fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        d.expect_u64(kind_tag(self.kind), "hierarchy kind")?;
-        self.l1.load_state(d)?;
-        self.l1_mshrs.load_state(d)?;
-        self.l2.load_state(d)?;
-        self.l2_mshrs.load_state(d)?;
-        self.write_buffer.load_state(d)?;
-        self.dram.load_state(d)?;
-        for busy_vec in [
-            &mut self.l1_port_busy,
-            &mut self.l1_bank_busy,
-            &mut self.vec_port_busy,
-        ] {
-            d.expect_u64(busy_vec.len() as u64, "hierarchy busy vector length")?;
-            for busy in busy_vec.iter_mut() {
-                *busy = d.u64("hierarchy busy cycle")?;
-            }
-        }
-        self.stats = MemSystemStats::load_state(d)?;
-        self.last_cause = AccessCause::from_tag(d.u8("hierarchy last cause")?)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -555,55 +501,6 @@ mod tests {
         // A later scalar load misses again (the line was invalidated).
         h.access(300, &[load(0x9000)], false).unwrap();
         assert_eq!(h.l1_stats().misses, 2);
-    }
-
-    #[test]
-    fn save_restore_reproduces_future_accesses_byte_identically() {
-        for kind in [MemModelKind::Conventional, MemModelKind::MultiAddress, MemModelKind::VectorCache, MemModelKind::CollapsingBuffer] {
-            let mut warm = Hierarchy::new(kind, 4);
-            // Warm it with mixed traffic, including in-flight MSHR state.
-            for i in 0..24u64 {
-                let _ = warm.access(i * 7, &[load(0x1000 + i * 96)], false);
-            }
-            let vec_accesses: Vec<_> = (0..16).map(|i| load(0x8000 + i * 8)).collect();
-            let _ = warm.access(50, &vec_accesses, true);
-            let _ = warm.access(60, &[store(0x1000)], false);
-
-            let mut e = Encoder::new();
-            warm.save_state(&mut e);
-            let bytes = e.into_bytes();
-
-            let mut restored = Hierarchy::new(kind, 4);
-            let mut d = Decoder::new(&bytes);
-            restored.load_state(&mut d).unwrap();
-            d.finish("hierarchy tail").unwrap();
-
-            // Re-encoding must be byte-stable and future accesses identical.
-            let mut e2 = Encoder::new();
-            restored.save_state(&mut e2);
-            assert_eq!(bytes, e2.into_bytes(), "{kind}: save→load→save not byte-stable");
-            for i in 0..16u64 {
-                let cycle = 200 + i * 5;
-                let acc = [load(0x1000 + i * 64)];
-                assert_eq!(
-                    warm.access(cycle, &acc, false),
-                    restored.access(cycle, &acc, false),
-                    "{kind}: access diverged after restore"
-                );
-            }
-            assert_eq!(warm.stats(), restored.stats(), "{kind}: stats diverged");
-        }
-    }
-
-    #[test]
-    fn restore_rejects_a_snapshot_of_another_kind() {
-        let mut warm = Hierarchy::new(MemModelKind::Conventional, 4);
-        let _ = warm.access(0, &[load(0x1000)], false);
-        let mut e = Encoder::new();
-        warm.save_state(&mut e);
-        let bytes = e.into_bytes();
-        let mut other = Hierarchy::new(MemModelKind::VectorCache, 4);
-        assert!(other.load_state(&mut Decoder::new(&bytes)).is_err());
     }
 
     #[test]

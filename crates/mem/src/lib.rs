@@ -58,7 +58,7 @@ pub struct MemSystemStats {
 }
 
 impl MemSystemStats {
-    /// Serialize every counter for a checkpoint.
+    /// Serialize every counter for a cell-cache record.
     pub fn save_state(&self, e: &mut Encoder) {
         e.u64(self.requests);
         e.u64(self.element_accesses);
@@ -125,35 +125,6 @@ pub enum AccessCause {
     WriteBuffer,
 }
 
-impl AccessCause {
-    /// Stable checkpoint tag of this cause.
-    pub fn tag(self) -> u8 {
-        match self {
-            AccessCause::L1 => 0,
-            AccessCause::L2 => 1,
-            AccessCause::Dram => 2,
-            AccessCause::MshrFull => 3,
-            AccessCause::WriteBuffer => 4,
-        }
-    }
-
-    /// Inverse of [`AccessCause::tag`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on a tag no variant carries.
-    pub fn from_tag(tag: u8) -> Result<Self, CodecError> {
-        Ok(match tag {
-            0 => AccessCause::L1,
-            1 => AccessCause::L2,
-            2 => AccessCause::Dram,
-            3 => AccessCause::MshrFull,
-            4 => AccessCause::WriteBuffer,
-            _ => return Err(CodecError::Invalid { what: "access cause" }),
-        })
-    }
-}
-
 /// A memory system the timing simulator can issue memory instructions to.
 ///
 /// Implementations own their port/bank/MSHR state; the caller retries a
@@ -192,24 +163,6 @@ pub trait MemorySystem: std::fmt::Debug + Send {
     /// what lets the experiment runner reuse a machine across grid cells
     /// instead of rebuilding cache arrays per cell.
     fn reset(&mut self);
-
-    /// Serialize the complete warm state — tags, MSHRs, buffered stores,
-    /// channel/port occupancy and statistics — through the checkpoint codec,
-    /// such that [`load_state`](MemorySystem::load_state) on an identically
-    /// configured system reproduces every future [`access`] answer exactly.
-    ///
-    /// [`access`]: MemorySystem::access
-    fn save_state(&self, e: &mut Encoder);
-
-    /// Restore warm state written by [`save_state`](MemorySystem::save_state)
-    /// into this system.
-    ///
-    /// # Errors
-    ///
-    /// Fails with a [`CodecError`] on a truncated stream or a snapshot taken
-    /// from a differently configured system; the receiver's state is
-    /// unspecified after a failed restore (callers discard it).
-    fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError>;
 
     /// Concrete-type escape hatch for the hottest model: a streaming
     /// simulator consults this **once at construction** and, when it gets

@@ -8,7 +8,6 @@
 //! (2 for the 8-way machine of Table 1).
 
 use crate::{AccessCause, MemModelKind, MemSystemStats, MemorySystem};
-use mom_isa::codec::{CodecError, Decoder, Encoder};
 use mom_isa::trace::MemAccess;
 
 /// Fixed-latency memory with a configurable number of ports.
@@ -81,27 +80,6 @@ impl MemorySystem for PerfectMemory {
     fn reset(&mut self) {
         self.ports.fill(0);
         self.stats = MemSystemStats::default();
-    }
-
-    fn save_state(&self, e: &mut Encoder) {
-        e.u64(self.latency);
-        e.usize(self.elems_per_cycle);
-        e.usize(self.ports.len());
-        for &busy in &self.ports {
-            e.u64(busy);
-        }
-        self.stats.save_state(e);
-    }
-
-    fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
-        d.expect_u64(self.latency, "perfect memory latency")?;
-        d.expect_u64(self.elems_per_cycle as u64, "perfect memory width")?;
-        d.expect_u64(self.ports.len() as u64, "perfect memory port count")?;
-        for busy in &mut self.ports {
-            *busy = d.u64("perfect memory port")?;
-        }
-        self.stats = MemSystemStats::load_state(d)?;
-        Ok(())
     }
 
     fn as_perfect(&mut self) -> Option<&mut PerfectMemory> {
