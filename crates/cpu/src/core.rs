@@ -36,7 +36,7 @@ use crate::config::CoreConfig;
 use crate::predictor::BranchPredictor;
 use crate::probe::{NoProbe, Probe, StallCause};
 use mom_isa::trace::{ArchReg, DynInst, InstClass, MemAccess, RegClass, Trace, TraceSink};
-use mom_mem::{AccessCause, MemorySystem, PerfectMemory};
+use mom_mem::{AccessCause, Completion, MemorySystem, PerfectMemory};
 
 /// Execution latencies per functional-unit class, in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +82,8 @@ pub struct SimResult {
     pub branches: u64,
     /// Branch mispredictions.
     pub mispredictions: u64,
-    /// Times a memory instruction had to retry for a free port.
+    /// Cycles memory instructions waited for a free port, summed (one per
+    /// cycle a request found every eligible port busy).
     pub mem_retries: u64,
     /// Element-level memory accesses performed.
     pub mem_accesses: u64,
@@ -610,7 +611,7 @@ impl<'a> MemRef<'a> {
     }
 
     #[inline(always)]
-    fn access(&mut self, cycle: u64, accesses: &[MemAccess], vector: bool) -> Option<u64> {
+    fn access(&mut self, cycle: u64, accesses: &[MemAccess], vector: bool) -> Completion {
         match self {
             MemRef::Perfect(m) => m.access(cycle, accesses, vector),
             MemRef::Other(m) => m.access(cycle, accesses, vector),
@@ -827,26 +828,16 @@ impl<'a, P: Probe> SimStream<'a, P> {
             InstClass::Load | InstClass::Store => {
                 st.result.mem_accesses += inst.mem.len() as u64;
                 let vector = inst.elems > 1;
-                let mut t = ready;
-                let mut retries = 0u64;
-                let done = loop {
-                    match memory.access(t, &inst.mem, vector) {
-                        Some(done) => break done,
-                        None => {
-                            retries += 1;
-                            t += 1;
-                            assert!(
-                                retries < 100_000,
-                                "memory system refused a request for 100k cycles at pc {}",
-                                inst.pc
-                            );
-                        }
-                    }
-                };
-                st.result.mem_retries += retries;
+                let Completion { done, waited } = memory.access(ready, &inst.mem, vector);
+                assert!(
+                    waited < 100_000,
+                    "memory system kept a request waiting 100k cycles for a port at pc {}",
+                    inst.pc
+                );
+                st.result.mem_retries += waited;
                 if P::ENABLED {
-                    // Port-stall retries only shift the access's start, so
-                    // they fold into the completed access's dominant level.
+                    // A port wait only shifts the access's start, so it
+                    // folds into the completed access's dominant level.
                     cause = StallCause::from_access(memory.last_access_cause());
                 }
                 done

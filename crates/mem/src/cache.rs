@@ -116,29 +116,32 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct LineState {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    last_used: u64,
-}
+/// Flag bit of a packed way word: the way holds a line.
+const VALID: u64 = 1;
+/// Flag bit of a packed way word: the line was written (write-back caches).
+const DIRTY: u64 = 2;
+/// The flag bits sit below the tag: a way word is `tag << FLAG_BITS | flags`.
+const FLAG_BITS: u32 = 2;
 
 /// A set-associative cache tag array with LRU replacement.
 ///
-/// The tag array is one set-major `Vec`: set `s` owns the `assoc` entries
-/// starting at `s * assoc`. Line size and set count are powers of two (every
-/// Table 3 cache is), so locating a line is two shifts and a mask.
+/// Each way is one `u64` word, `tag << 2 | DIRTY | VALID`; an invalid way is
+/// the word 0. The tag array is one set-major `Vec`: set `s` owns the `assoc`
+/// words starting at `s * assoc`, kept in recency order — most recently used
+/// first, invalid ways last. A hit moves its way to the front; a miss fills
+/// the last way (an invalid one if the set has any, else the least recently
+/// used line) and moves it to the front. That is exact LRU without
+/// timestamps. Line size and set count are powers of two (every Table 3
+/// cache is), so locating a line is two shifts and a mask.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<LineState>,
+    ways: Vec<u64>,
     /// `log2(line_bytes)`: an address shifted right by this is its line.
     line_shift: u32,
     /// `log2(sets)`: a line shifted right by this is its tag.
     set_shift: u32,
     stats: CacheStats,
-    use_counter: u64,
 }
 
 impl Cache {
@@ -146,8 +149,10 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (zero sets or associativity)
-    /// or if its line size or set count is not a power of two.
+    /// Panics if the configuration is degenerate (zero sets or associativity),
+    /// if its line size or set count is not a power of two, or if a tag would
+    /// not fit beside the two flag bits of a way word (line size times set
+    /// count below 4).
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.assoc > 0 && config.line_bytes > 0, "degenerate cache configuration");
         let sets = config.sets();
@@ -158,14 +163,15 @@ impl Cache {
             config.line_bytes
         );
         assert!(sets.is_power_of_two(), "cache set count must be a power of two, got {sets}");
-        Self {
-            config,
-            lines: vec![LineState::default(); sets * config.assoc],
-            line_shift: config.line_bytes.trailing_zeros(),
-            set_shift: sets.trailing_zeros(),
-            stats: CacheStats::default(),
-            use_counter: 0,
-        }
+        let (line_shift, set_shift) = (config.line_bytes.trailing_zeros(), sets.trailing_zeros());
+        // A tag has `64 - line_shift - set_shift` bits; the way word keeps
+        // `64 - FLAG_BITS` of them.
+        assert!(
+            line_shift + set_shift >= FLAG_BITS,
+            "cache line size x set count must be at least 4 to pack a tag beside two flag bits, got {} x {sets}",
+            config.line_bytes
+        );
+        Self { config, ways: vec![0; sets * config.assoc], line_shift, set_shift, stats: CacheStats::default() }
     }
 
     /// The configuration this cache was built with.
@@ -195,51 +201,49 @@ impl Cache {
         (set, line >> self.set_shift)
     }
 
-    /// The ways of `set`.
-    fn ways(&self, set: usize) -> &[LineState] {
-        let assoc = self.config.assoc;
-        &self.lines[set * assoc..(set + 1) * assoc]
+    /// The index of the first way of `addr`'s set, and the valid, clean way
+    /// word of its line.
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let (set, tag) = self.set_and_tag(addr);
+        (set * self.config.assoc, tag << FLAG_BITS | VALID)
     }
 
-    fn ways_mut(&mut self, set: usize) -> &mut [LineState] {
-        let assoc = self.config.assoc;
-        &mut self.lines[set * assoc..(set + 1) * assoc]
+    /// The position of `word`'s line among `ways`, whatever its dirty bit.
+    fn position(ways: &[u64], word: u64) -> Option<usize> {
+        ways.iter().position(|&w| w & !DIRTY == word)
+    }
+
+    /// Put `word` at the front of `ways`, shifting the first `k` ways back
+    /// by one (overwriting the way at `k`).
+    fn promote(ways: &mut [u64], k: usize, word: u64) {
+        for j in (0..k).rev() {
+            ways[j + 1] = ways[j];
+        }
+        ways[0] = word;
     }
 
     /// Whether the line containing `addr` is currently resident (no state
     /// change, no statistics update).
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        self.ways(set).iter().any(|l| l.valid && l.tag == tag)
+        let (start, word) = self.locate(addr);
+        Self::position(&self.ways[start..start + self.config.assoc], word).is_some()
     }
 
     /// Look up (and on a miss, allocate) the line containing `addr`.
     ///
     /// `is_write` marks the line dirty on write-back caches.
     pub fn access(&mut self, addr: u64, is_write: bool) -> LookupResult {
-        self.use_counter += 1;
-        let use_counter = self.use_counter;
-        let dirty_on_write = is_write && self.config.write_back;
-        let (set, tag) = self.set_and_tag(addr);
-        let ways = self.ways_mut(set);
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_used = use_counter;
-            if dirty_on_write {
-                line.dirty = true;
-            }
-            self.stats.hits += 1;
+        if self.touch(addr, is_write) {
             return LookupResult::Hit;
         }
-        // Choose the LRU victim (prefer an invalid way).
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.last_used + 1 } else { 0 })
-            .expect("associativity is non-zero");
-        let dirty_victim = victim.valid && victim.dirty;
-        victim.tag = tag;
-        victim.valid = true;
-        victim.dirty = dirty_on_write;
-        victim.last_used = use_counter;
+        let flags = if is_write && self.config.write_back { DIRTY } else { 0 };
+        let (start, word) = self.locate(addr);
+        let ways = &mut self.ways[start..start + self.config.assoc];
+        // The last way is an invalid one if the set has any (the word 0, so
+        // not dirty), else the least recently used line.
+        let last = ways.len() - 1;
+        let dirty_victim = ways[last] & DIRTY != 0;
+        Self::promote(ways, last, word | flags);
         self.stats.misses += 1;
         if dirty_victim {
             self.stats.writebacks += 1;
@@ -247,27 +251,46 @@ impl Cache {
         LookupResult::Miss { dirty_victim }
     }
 
+    /// Count a hit on the line containing `addr` exactly as [`Cache::access`]
+    /// would when the line is resident, and change nothing when it is not:
+    /// a no-allocate store's update in one lookup. Returns whether it hit.
+    pub fn touch(&mut self, addr: u64, is_write: bool) -> bool {
+        let flags = if is_write && self.config.write_back { DIRTY } else { 0 };
+        let (start, word) = self.locate(addr);
+        let ways = &mut self.ways[start..start + self.config.assoc];
+        let Some(k) = Self::position(ways, word) else { return false };
+        Self::promote(ways, k, ways[k] | flags);
+        self.stats.hits += 1;
+        true
+    }
+
     /// Restore the cache to its just-built state — every line invalid,
     /// statistics zeroed — without reallocating the tag arrays. Part of the
     /// memory-system `reset()` contract that lets machines be reused across
     /// experiment cells.
     pub fn reset(&mut self) {
-        self.lines.fill(LineState::default());
+        self.ways.fill(0);
         self.stats = CacheStats::default();
-        self.use_counter = 0;
     }
 
     /// Invalidate the line containing `addr` (used by the inclusion/coherence
-    /// policy between the scalar L1 and the vector path).
+    /// policy between the scalar L1 and the vector path). The freed way moves
+    /// behind every valid line of its set.
     pub fn invalidate(&mut self, addr: u64) {
-        let (set, tag) = self.set_and_tag(addr);
-        for l in self.ways_mut(set) {
-            if l.valid && l.tag == tag {
-                l.valid = false;
-                l.dirty = false;
-            }
+        let (start, word) = self.locate(addr);
+        let ways = &mut self.ways[start..start + self.config.assoc];
+        if let Some(k) = Self::position(ways, word) {
+            ways.copy_within(k + 1.., k);
+            let last = ways.len() - 1;
+            ways[last] = 0;
         }
     }
+}
+
+/// The smallest ready cycle of `entries` (`u64::MAX` when empty): the first
+/// cycle at which a `retain(ready > cycle)` can remove anything.
+fn earliest(entries: &[(u64, u64)]) -> u64 {
+    entries.iter().map(|&(_, ready)| ready).min().unwrap_or(u64::MAX)
 }
 
 /// A file of Miss Status Holding Registers.
@@ -278,22 +301,33 @@ impl Cache {
 pub struct MshrFile {
     capacity: usize,
     entries: Vec<(u64, u64)>, // (line, ready_cycle)
+    /// The earliest ready cycle in `entries` (`u64::MAX` when empty).
+    earliest: u64,
 }
 
 impl MshrFile {
     /// Create an MSHR file with the given number of entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        Self { capacity, entries: Vec::new() }
+        assert!(capacity > 0, "an MSHR file needs at least one entry");
+        Self { capacity, entries: Vec::new(), earliest: u64::MAX }
     }
 
     /// Remove entries whose fill has returned by `cycle`.
     pub fn retire(&mut self, cycle: u64) {
-        self.entries.retain(|&(_, ready)| ready > cycle);
+        if cycle >= self.earliest {
+            self.entries.retain(|&(_, ready)| ready > cycle);
+            self.earliest = earliest(&self.entries);
+        }
     }
 
     /// Drop every in-flight miss (the machine-reuse `reset()` path).
     pub fn reset(&mut self) {
         self.entries.clear();
+        self.earliest = u64::MAX;
     }
 
     /// Number of in-flight misses.
@@ -319,6 +353,7 @@ impl MshrFile {
             return false;
         }
         self.entries.push((line, ready_cycle));
+        self.earliest = self.earliest.min(ready_cycle);
         true
     }
 
@@ -329,7 +364,7 @@ impl MshrFile {
         if self.entries.len() < self.capacity {
             cycle
         } else {
-            self.entries.iter().map(|&(_, r)| r).min().unwrap_or(cycle)
+            self.earliest
         }
     }
 }
@@ -344,6 +379,8 @@ pub struct WriteBuffer {
     capacity: usize,
     drain_interval: u64,
     entries: Vec<(u64, u64)>, // (line, drained_at)
+    /// The earliest drain cycle in `entries` (`u64::MAX` when empty).
+    earliest: u64,
     /// Number of stores coalesced into existing entries.
     pub coalesced: u64,
 }
@@ -351,19 +388,28 @@ pub struct WriteBuffer {
 impl WriteBuffer {
     /// Create a write buffer of `capacity` entries draining one entry every
     /// `drain_interval` cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
     pub fn new(capacity: usize, drain_interval: u64) -> Self {
-        Self { capacity, drain_interval, entries: Vec::new(), coalesced: 0 }
+        assert!(capacity > 0, "a write buffer needs at least one entry");
+        Self { capacity, drain_interval, entries: Vec::new(), earliest: u64::MAX, coalesced: 0 }
     }
 
     /// Remove entries that have fully drained by `cycle`.
     pub fn retire(&mut self, cycle: u64) {
-        self.entries.retain(|&(_, t)| t > cycle);
+        if cycle >= self.earliest {
+            self.entries.retain(|&(_, t)| t > cycle);
+            self.earliest = earliest(&self.entries);
+        }
     }
 
     /// Drop every buffered store and the coalescing count (the machine-reuse
     /// `reset()` path).
     pub fn reset(&mut self) {
         self.entries.clear();
+        self.earliest = u64::MAX;
         self.coalesced = 0;
     }
 
@@ -381,14 +427,11 @@ impl WriteBuffer {
             self.coalesced += 1;
             return cycle;
         }
-        let start = if self.entries.len() < self.capacity {
-            cycle
-        } else {
-            // Full: the store stalls until the oldest entry drains.
-            self.entries.iter().map(|&(_, t)| t).min().unwrap_or(cycle)
-        };
+        // Full: the store stalls until the oldest entry drains.
+        let start = if self.entries.len() < self.capacity { cycle } else { self.earliest };
         let drained_at = start + self.drain_interval;
         self.entries.push((line, drained_at));
+        self.earliest = self.earliest.min(drained_at);
         start
     }
 }
@@ -459,6 +502,12 @@ mod tests {
     #[should_panic(expected = "cache set count must be a power of two, got 3")]
     fn new_rejects_a_non_power_of_two_set_count() {
         let _ = Cache::new(CacheConfig { size_bytes: 96, assoc: 1, line_bytes: 32, hit_latency: 1, mshrs: 4, write_back: false });
+    }
+
+    #[test]
+    #[should_panic(expected = "cache line size x set count must be at least 4 to pack a tag beside two flag bits, got 1 x 2")]
+    fn new_rejects_a_tag_too_wide_for_the_way_word() {
+        let _ = Cache::new(CacheConfig { size_bytes: 2, assoc: 1, line_bytes: 1, hit_latency: 1, mshrs: 4, write_back: false });
     }
 
     #[test]

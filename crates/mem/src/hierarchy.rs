@@ -22,7 +22,7 @@
 use crate::cache::{Cache, CacheConfig, LookupResult, MshrFile, WriteBuffer};
 use crate::config::{MemModelKind, PortConfig};
 use crate::dram::{Dram, DramConfig};
-use crate::{AccessCause, MemSystemStats, MemorySystem};
+use crate::{earliest_port, AccessCause, Completion, MemSystemStats, MemorySystem};
 use mom_isa::trace::{MemAccess, MemKind};
 
 /// A realistic two-level hierarchy with a configurable vector-access path.
@@ -189,9 +189,7 @@ impl Hierarchy {
             MemKind::Store => {
                 // Write-through, no-allocate L1: update the tags only if the
                 // line is already resident, then retire into the write buffer.
-                if self.l1.probe(acc.addr) {
-                    self.l1.access(acc.addr, true);
-                }
+                self.l1.touch(acc.addr, true);
                 let line = self.l2.line_of(acc.addr);
                 let accepted = self.write_buffer.push(start, line);
                 // The write-through traffic eventually updates L2.
@@ -201,23 +199,43 @@ impl Hierarchy {
         }
     }
 
+    /// Issue a request presented at `cycle` at `start`, the first cycle its
+    /// port is free: drain the write buffer to `start` and count the request
+    /// and its wait.
+    fn issue(&mut self, cycle: u64, start: u64, elements: usize) {
+        self.write_buffer.retire(start);
+        self.stats.port_stalls += start - cycle;
+        self.stats.requests += 1;
+        self.stats.element_accesses += elements as u64;
+    }
+
+    /// A scalar access: one L1 port, the one that is free first, serving
+    /// the first element.
+    fn scalar_access(&mut self, cycle: u64, accesses: &[MemAccess]) -> (u64, u64) {
+        let (port, start) = earliest_port(&self.l1_port_busy, cycle);
+        self.issue(cycle, start, accesses.len());
+        self.l1_port_busy[port] = start + 1;
+        let (done, cause) = self.l1_element_access(start, &accesses[0]);
+        self.last_cause = cause;
+        (start, done)
+    }
+
     /// A vector access through the multi-address path: reserve every L1 port
-    /// and spread elements across them.
-    fn multi_address_access(&mut self, cycle: u64, accesses: &[MemAccess]) -> Option<u64> {
-        if self.l1_port_busy.iter().any(|&p| p > cycle) {
-            self.stats.port_stalls += 1;
-            return None;
-        }
+    /// and spread elements across them. It issues once the last busy port
+    /// frees.
+    fn multi_address_access(&mut self, cycle: u64, accesses: &[MemAccess]) -> (u64, u64) {
+        let start = self.l1_port_busy.iter().fold(cycle, |t, &busy| t.max(busy));
+        self.issue(cycle, start, accesses.len());
         // Element `i` goes to port `i % nports` one cycle after the previous
         // element on that port, so row `r` of `nports` elements starts at
-        // `cycle + r` and each port ends up busy for as many cycles as it
+        // `start + r` and each port ends up busy for as many cycles as it
         // took elements.
         let nports = self.l1_port_busy.len();
-        let mut completion = cycle;
+        let mut completion = start;
         let mut cause = AccessCause::L1;
-        for (start, row) in (cycle..).zip(accesses.chunks(nports)) {
+        for (row_start, row) in (start..).zip(accesses.chunks(nports)) {
             for acc in row {
-                let (done, elem_cause) = self.l1_element_access(start, acc);
+                let (done, elem_cause) = self.l1_element_access(row_start, acc);
                 // The binding element (latest completion, first wins ties)
                 // determines the cause of the whole vector access.
                 if done > completion {
@@ -228,21 +246,17 @@ impl Hierarchy {
         }
         let (full_rows, rest) = (accesses.len() / nports, accesses.len() % nports);
         for (p, busy) in self.l1_port_busy.iter_mut().enumerate() {
-            *busy = cycle + (full_rows + usize::from(p < rest)) as u64;
+            *busy = start + (full_rows + usize::from(p < rest)) as u64;
         }
         self.last_cause = cause;
-        Some(completion)
+        (start, completion)
     }
 
-    /// A vector access through the vector-cache / collapsing-buffer path.
-    fn vector_cache_access(&mut self, cycle: u64, accesses: &[MemAccess]) -> Option<u64> {
-        let port_idx = match self.vec_port_busy.iter().position(|&p| p <= cycle) {
-            Some(i) => i,
-            None => {
-                self.stats.port_stalls += 1;
-                return None;
-            }
-        };
+    /// A vector access through the vector-cache / collapsing-buffer path, on
+    /// the vector port that is free first.
+    fn vector_cache_access(&mut self, presented: u64, accesses: &[MemAccess]) -> (u64, u64) {
+        let (port_idx, cycle) = earliest_port(&self.vec_port_busy, presented);
+        self.issue(presented, cycle, accesses.len());
 
         // Infer the row stride from the first two element addresses.
         let stride = if accesses.len() >= 2 {
@@ -264,7 +278,10 @@ impl Hierarchy {
         let mut lines = std::mem::take(&mut self.line_scratch);
         lines.clear();
         lines.extend(accesses.iter().map(|a| self.l2.line_of(a.addr)));
-        lines.sort_unstable();
+        // Positive strides already list the lines in ascending order.
+        if !lines.is_sorted() {
+            lines.sort_unstable();
+        }
         lines.dedup();
 
         let transactions = if stride <= stride_limit {
@@ -310,21 +327,17 @@ impl Hierarchy {
             cause = AccessCause::L2;
         }
         self.last_cause = cause;
-        Some(data_ready.max(cycle + occupancy - 1))
+        (cycle, data_ready.max(cycle + occupancy - 1))
     }
 }
 
 impl MemorySystem for Hierarchy {
-    fn access(&mut self, cycle: u64, accesses: &[MemAccess], vector: bool) -> Option<u64> {
-        self.write_buffer.retire(cycle);
-        if accesses.is_empty() {
+    fn access(&mut self, cycle: u64, accesses: &[MemAccess], vector: bool) -> Completion {
+        let (start, done) = if accesses.is_empty() {
+            self.write_buffer.retire(cycle);
             self.last_cause = AccessCause::L1;
-            return Some(cycle);
-        }
-        self.stats.requests += 1;
-        self.stats.element_accesses += accesses.len() as u64;
-
-        let completion = if vector && accesses.len() > 1 {
+            (cycle, cycle)
+        } else if vector && accesses.len() > 1 {
             match self.kind {
                 MemModelKind::VectorCache | MemModelKind::CollapsingBuffer => {
                     self.vector_cache_access(cycle, accesses)
@@ -332,28 +345,9 @@ impl MemorySystem for Hierarchy {
                 _ => self.multi_address_access(cycle, accesses),
             }
         } else {
-            // Scalar path: one free L1 port required.
-            let port = self.l1_port_busy.iter_mut().find(|p| **p <= cycle);
-            match port {
-                None => {
-                    self.stats.port_stalls += 1;
-                    self.stats.requests -= 1;
-                    self.stats.element_accesses -= accesses.len() as u64;
-                    return None;
-                }
-                Some(p) => {
-                    *p = cycle + 1;
-                }
-            }
-            let (done, cause) = self.l1_element_access(cycle, &accesses[0]);
-            self.last_cause = cause;
-            Some(done)
+            self.scalar_access(cycle, accesses)
         };
-        if completion.is_none() {
-            self.stats.requests -= 1;
-            self.stats.element_accesses -= accesses.len() as u64;
-        }
-        completion
+        Completion { done, waited: start - cycle }
     }
 
     fn kind(&self) -> MemModelKind {
@@ -402,9 +396,9 @@ mod tests {
     #[test]
     fn scalar_load_hit_after_miss() {
         let mut h = Hierarchy::new(MemModelKind::Conventional, 4);
-        let miss_done = h.access(0, &[load(0x1000)], false).unwrap();
+        let miss_done = h.access(0, &[load(0x1000)], false).done;
         assert!(miss_done > 10, "first access misses all the way to DRAM: {miss_done}");
-        let hit_done = h.access(miss_done + 1, &[load(0x1008)], false).unwrap();
+        let hit_done = h.access(miss_done + 1, &[load(0x1008)], false).done;
         assert_eq!(hit_done, miss_done + 1 + h.ports().l1_latency);
         let s = h.stats();
         assert_eq!(s.l1.hits, 1);
@@ -416,8 +410,8 @@ mod tests {
         let mut h = Hierarchy::new(MemModelKind::Conventional, 4);
         // First access brings the 128-byte L2 line; a later access to a
         // different 32-byte L1 line within the same L2 line hits in L2.
-        let first = h.access(0, &[load(0x2000)], false).unwrap();
-        let second = h.access(first + 1, &[load(0x2040)], false).unwrap();
+        let first = h.access(0, &[load(0x2000)], false).done;
+        let second = h.access(first + 1, &[load(0x2040)], false).done;
         let l2_latency = second - (first + 1);
         assert!(l2_latency <= h.ports().l2_latency + h.ports().l1_latency + 1, "L2 hit latency {l2_latency}");
         assert!(l2_latency < first, "L2 hit much cheaper than the DRAM miss");
@@ -426,16 +420,16 @@ mod tests {
     #[test]
     fn stores_go_through_the_write_buffer_quickly() {
         let mut h = Hierarchy::new(MemModelKind::Conventional, 4);
-        let done = h.access(0, &[store(0x3000)], false).unwrap();
+        let done = h.access(0, &[store(0x3000)], false).done;
         assert!(done <= 2, "store retires into the write buffer: {done}");
     }
 
     #[test]
     fn scalar_port_contention_stalls() {
         let mut h = Hierarchy::new(MemModelKind::Conventional, 1);
-        assert!(h.access(0, &[load(0x100)], false).is_some());
-        assert!(h.access(0, &[load(0x200)], false).is_none(), "single port busy");
-        assert!(h.stats().port_stalls > 0);
+        assert_eq!(h.access(0, &[load(0x100)], false).waited, 0);
+        assert_eq!(h.access(0, &[load(0x200)], false).waited, 1, "single port busy for a cycle");
+        assert_eq!(h.stats().port_stalls, 1);
     }
 
     #[test]
@@ -443,14 +437,15 @@ mod tests {
         let mut h = Hierarchy::new(MemModelKind::MultiAddress, 4);
         // Warm the caches so the comparison is about port parallelism.
         let accesses: Vec<_> = (0..16).map(|i| load(0x4000 + i * 32)).collect();
-        let warm = h.access(0, &accesses, true).unwrap();
+        let warm = h.access(0, &accesses, true).done;
         let t0 = warm + 10;
-        let done = h.access(t0, &accesses, true).unwrap();
+        let done = h.access(t0, &accesses, true).done;
         // 16 elements over 2 ports at 1 element/cycle: about 8 cycles of
         // occupancy plus the hit latency.
         assert!(done - t0 <= 16, "multi-address vector access took {} cycles", done - t0);
-        // While the vector access holds the ports a second one must wait.
-        assert!(h.access(t0 + 1, &accesses, true).is_none());
+        // The vector access holds both ports for 8 cycles, so a second one
+        // presented a cycle later waits 7.
+        assert_eq!(h.access(t0 + 1, &accesses, true).waited, 7);
     }
 
     #[test]
@@ -458,9 +453,9 @@ mod tests {
         let mut h = Hierarchy::new(MemModelKind::VectorCache, 4);
         // 16 consecutive 8-byte rows = 128 bytes = 1 L2 line.
         let accesses: Vec<_> = (0..16).map(|i| load(0x8000 + i * 8)).collect();
-        let warm = h.access(0, &accesses, true).unwrap();
+        let warm = h.access(0, &accesses, true).done;
         let t0 = warm + 10;
-        let _ = h.access(t0, &accesses, true).unwrap();
+        h.access(t0, &accesses, true);
         let s = h.stats();
         // Two requests, each a single line-pair transaction.
         assert!(s.vector_transactions <= 2, "vector transactions {}", s.vector_transactions);
@@ -473,8 +468,8 @@ mod tests {
         let accesses: Vec<_> = (0..16).map(|i| load(0x10000 + i * 64)).collect();
         let mut vc = Hierarchy::new(MemModelKind::VectorCache, 4);
         let mut col = Hierarchy::new(MemModelKind::CollapsingBuffer, 4);
-        vc.access(0, &accesses, true).unwrap();
-        col.access(0, &accesses, true).unwrap();
+        vc.access(0, &accesses, true);
+        col.access(0, &accesses, true);
         assert!(
             vc.stats().vector_transactions > col.stats().vector_transactions,
             "vector cache ({}) should need more transactions than the collapsing buffer ({}) at stride 64",
@@ -485,7 +480,7 @@ mod tests {
         // At very large strides (beyond the L2 line) both degenerate.
         let far: Vec<_> = (0..16).map(|i| load(0x40000 + i * 512)).collect();
         let mut col2 = Hierarchy::new(MemModelKind::CollapsingBuffer, 4);
-        col2.access(0, &far, true).unwrap();
+        col2.access(0, &far, true);
         assert_eq!(col2.stats().vector_transactions, 16);
     }
 
@@ -493,13 +488,13 @@ mod tests {
     fn vector_store_invalidates_l1_copy() {
         let mut h = Hierarchy::new(MemModelKind::VectorCache, 4);
         // Bring a line into L1 via the scalar path.
-        h.access(0, &[load(0x9000)], false).unwrap();
+        h.access(0, &[load(0x9000)], false);
         assert_eq!(h.l1_stats().misses, 1);
         // Vector store to the same line must invalidate it.
         let stores: Vec<_> = (0..16).map(|i| store(0x9000 + i * 8)).collect();
-        h.access(100, &stores, true).unwrap();
+        h.access(100, &stores, true);
         // A later scalar load misses again (the line was invalidated).
-        h.access(300, &[load(0x9000)], false).unwrap();
+        h.access(300, &[load(0x9000)], false);
         assert_eq!(h.l1_stats().misses, 2);
     }
 

@@ -16,7 +16,8 @@
 //!
 //! The timing simulator in `mom-cpu` talks to all of them through the
 //! [`MemorySystem`] trait: it presents the element accesses of one memory
-//! instruction and receives either a completion cycle or a structural stall.
+//! instruction and receives its completion cycle and how long it waited for
+//! a port.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,7 +42,7 @@ pub struct MemSystemStats {
     pub requests: u64,
     /// Element-level accesses (a MOM vector access counts its VL elements).
     pub element_accesses: u64,
-    /// Requests rejected because no port was available.
+    /// Cycles requests waited for a free port, summed over requests.
     pub port_stalls: u64,
     /// Element accesses delayed by bank conflicts.
     pub bank_conflicts: u64,
@@ -97,7 +98,7 @@ impl MemSystemStats {
     }
 }
 
-/// The dominant component of the most recent successful
+/// The dominant component of the most recent
 /// [`MemorySystem::access`] — which level of the hierarchy (or which
 /// structural buffer) determined the completion cycle it returned.
 ///
@@ -125,30 +126,42 @@ pub enum AccessCause {
     WriteBuffer,
 }
 
+/// What [`MemorySystem::access`] reports for one memory instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Completion {
+    /// The cycle the data is available (loads) or the store is accepted.
+    pub done: u64,
+    /// Cycles the request waited for a port: it issued at the presented
+    /// cycle plus this.
+    pub waited: u64,
+}
+
 /// A memory system the timing simulator can issue memory instructions to.
 ///
-/// Implementations own their port/bank/MSHR state; the caller retries a
-/// request on a later cycle when `access` returns `None` (a structural stall).
+/// Implementations own their port/bank/MSHR state. A request presented while
+/// its port is busy waits for the first cycle the port frees, in closed form:
+/// `access` always succeeds.
 ///
 /// `Send` is a supertrait so that `Box<dyn MemorySystem>` can move into the
 /// scoped worker threads of the parallel experiment runner (`mom-lab`); every
 /// model is plain owned data, so this costs implementations nothing.
 pub trait MemorySystem: std::fmt::Debug + Send {
-    /// Try to issue one memory instruction's element accesses at `cycle`.
+    /// Issue one memory instruction's element accesses at `cycle`, or at
+    /// the first later cycle its port is free.
     ///
     /// `vector` is true for MOM matrix loads/stores (more than one element
-    /// access from a single instruction). Returns the cycle at which the data
-    /// is available (loads) or the store is accepted, or `None` when no port
-    /// is available this cycle.
-    fn access(&mut self, cycle: u64, accesses: &[MemAccess], vector: bool) -> Option<u64>;
+    /// access from a single instruction). The result is exactly what
+    /// presenting the request again on every cycle until a port accepts it
+    /// would give; the wait is also added to
+    /// [`MemSystemStats::port_stalls`].
+    fn access(&mut self, cycle: u64, accesses: &[MemAccess], vector: bool) -> Completion;
 
     /// Which memory organisation this is.
     fn kind(&self) -> MemModelKind;
 
-    /// The dominant cause of the most recent successful [`access`] — see
-    /// [`AccessCause`]. Undefined-but-harmless (the previous access's value)
-    /// after a rejected access; the simulator only consults it once a request
-    /// has completed.
+    /// The dominant cause of the most recent [`access`] — see
+    /// [`AccessCause`]. A port wait only shifts the access's start, so it is
+    /// never the cause.
     ///
     /// [`access`]: MemorySystem::access
     fn last_access_cause(&self) -> AccessCause;
@@ -175,6 +188,23 @@ pub trait MemorySystem: std::fmt::Debug + Send {
     fn as_perfect(&mut self) -> Option<&mut PerfectMemory> {
         None
     }
+}
+
+/// The port of `ports` (each entry the cycle that port is next free) that a
+/// request presented at `cycle` issues on, and the cycle it issues: the first
+/// port free at `cycle`, else the one that frees first (the lowest index
+/// among ties) at the cycle it frees.
+pub(crate) fn earliest_port(ports: &[u64], cycle: u64) -> (usize, u64) {
+    let mut best = (0, u64::MAX);
+    for (i, &busy) in ports.iter().enumerate() {
+        if busy <= cycle {
+            return (i, cycle);
+        }
+        if busy < best.1 {
+            best = (i, busy);
+        }
+    }
+    best
 }
 
 /// Construct the memory system named by `kind` for a machine of issue width
@@ -211,6 +241,13 @@ mod tests {
     }
 
     #[test]
+    fn earliest_port_takes_the_first_free_else_the_first_to_free() {
+        assert_eq!(earliest_port(&[5, 0, 0], 3), (1, 3));
+        assert_eq!(earliest_port(&[9, 7, 7], 3), (1, 7));
+        assert_eq!(earliest_port(&[4], 4), (0, 4));
+    }
+
+    #[test]
     fn memory_systems_are_send() {
         fn assert_send<T: Send>() {}
         // The parallel runner builds one memory system per in-flight grid cell
@@ -224,7 +261,7 @@ mod tests {
     fn trait_object_access_works() {
         let mut m = build_memory(MemModelKind::Perfect { latency: 1 }, 1);
         let acc = [MemAccess { addr: 0x10, size: 8, kind: MemKind::Load }];
-        assert!(m.access(0, &acc, false).is_some());
+        assert_eq!(m.access(0, &acc, false), Completion { done: 1, waited: 0 });
         assert_eq!(m.stats().requests, 1);
     }
 }

@@ -7,7 +7,7 @@
 //! and, for MOM, the number of vector elements a port can deliver per cycle
 //! (2 for the 8-way machine of Table 1).
 
-use crate::{AccessCause, MemModelKind, MemSystemStats, MemorySystem};
+use crate::{earliest_port, AccessCause, Completion, MemModelKind, MemSystemStats, MemorySystem};
 use mom_isa::trace::MemAccess;
 
 /// Fixed-latency memory with a configurable number of ports.
@@ -40,16 +40,11 @@ impl PerfectMemory {
 
 impl MemorySystem for PerfectMemory {
     #[inline]
-    fn access(&mut self, cycle: u64, accesses: &[MemAccess], _vector: bool) -> Option<u64> {
+    fn access(&mut self, cycle: u64, accesses: &[MemAccess], _vector: bool) -> Completion {
         let n = accesses.len().max(1);
-        // Find a free port.
-        let port = match self.ports.iter_mut().find(|p| **p <= cycle) {
-            Some(p) => p,
-            None => {
-                self.stats.port_stalls += 1;
-                return None;
-            }
-        };
+        let (port, start) = earliest_port(&self.ports, cycle);
+        let waited = start - cycle;
+        self.stats.port_stalls += waited;
         // Ports deliver 1 or 2 elements per cycle in every Table 1
         // configuration; avoid a hardware divide on the per-access path.
         let occupancy = match self.elems_per_cycle {
@@ -57,10 +52,10 @@ impl MemorySystem for PerfectMemory {
             2 => n.div_ceil(2) as u64,
             w => n.div_ceil(w) as u64,
         };
-        *port = cycle + occupancy;
+        self.ports[port] = start + occupancy;
         self.stats.requests += 1;
         self.stats.element_accesses += n as u64;
-        Some(cycle + occupancy - 1 + self.latency)
+        Completion { done: start + occupancy - 1 + self.latency, waited }
     }
 
     fn kind(&self) -> MemModelKind {
@@ -96,13 +91,17 @@ mod tests {
         MemAccess { addr, size: 8, kind: MemKind::Load }
     }
 
+    fn done(done: u64) -> Completion {
+        Completion { done, waited: 0 }
+    }
+
     #[test]
     fn scalar_access_completes_after_latency() {
         let mut m = PerfectMemory::new(1, 1, 1);
-        assert_eq!(m.access(10, &[acc(0)], false), Some(11));
+        assert_eq!(m.access(10, &[acc(0)], false), done(11));
         assert_eq!(m.latency(), 1);
         let mut m50 = PerfectMemory::new(50, 1, 1);
-        assert_eq!(m50.access(10, &[acc(0)], false), Some(60));
+        assert_eq!(m50.access(10, &[acc(0)], false), done(60));
     }
 
     #[test]
@@ -110,26 +109,26 @@ mod tests {
         let mut m = PerfectMemory::new(1, 1, 1);
         let elems: Vec<_> = (0..16).map(|i| acc(i * 32)).collect();
         // 16 elements at 1 elem/cycle occupy the single port for 16 cycles.
-        assert_eq!(m.access(0, &elems, true), Some(16));
-        assert_eq!(m.access(1, &[acc(0)], false), None, "port still busy");
-        assert!(m.access(16, &[acc(0)], false).is_some());
-        assert_eq!(m.stats().port_stalls, 1);
-        assert_eq!(m.stats().element_accesses, 17);
+        assert_eq!(m.access(0, &elems, true), done(16));
+        assert_eq!(m.access(1, &[acc(0)], false), Completion { done: 17, waited: 15 }, "waits for the port");
+        assert_eq!(m.access(17, &[acc(0)], false), done(18));
+        assert_eq!(m.stats().port_stalls, 15);
+        assert_eq!(m.stats().element_accesses, 18);
     }
 
     #[test]
     fn wide_ports_cut_occupancy() {
         let mut m = PerfectMemory::new(1, 1, 2);
         let elems: Vec<_> = (0..16).map(|i| acc(i * 32)).collect();
-        assert_eq!(m.access(0, &elems, true), Some(8));
+        assert_eq!(m.access(0, &elems, true), done(8));
     }
 
     #[test]
     fn multiple_ports_serve_parallel_requests() {
         let mut m = PerfectMemory::new(1, 2, 1);
-        assert!(m.access(0, &[acc(0)], false).is_some());
-        assert!(m.access(0, &[acc(8)], false).is_some());
-        assert!(m.access(0, &[acc(16)], false).is_none(), "only two ports");
+        assert_eq!(m.access(0, &[acc(0)], false), done(1));
+        assert_eq!(m.access(0, &[acc(8)], false), done(1));
+        assert_eq!(m.access(0, &[acc(16)], false), Completion { done: 2, waited: 1 }, "only two ports");
     }
 
     #[test]
@@ -142,10 +141,10 @@ mod tests {
     fn reset_frees_ports_and_clears_stats() {
         let mut m = PerfectMemory::new(1, 1, 1);
         let elems: Vec<_> = (0..16).map(|i| acc(i * 32)).collect();
-        assert!(m.access(0, &elems, true).is_some());
-        assert!(m.access(1, &[acc(0)], false).is_none(), "port busy before reset");
+        assert_eq!(m.access(0, &elems, true), done(16));
+        assert_eq!(m.access(1, &[acc(0)], false).waited, 15, "port busy before reset");
         m.reset();
         assert_eq!(m.stats(), MemSystemStats::default());
-        assert_eq!(m.access(1, &[acc(0)], false), Some(2), "port idle again after reset");
+        assert_eq!(m.access(1, &[acc(0)], false), done(2), "port idle again after reset");
     }
 }
