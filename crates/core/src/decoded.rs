@@ -15,12 +15,14 @@
 //!   with MDMX's `Simd(MmxOp)` wrapper and every other nesting already peeled
 //!   off, branch labels resolved to instruction indices, and the lane /
 //!   saturation / shift / stride operands unpacked into the variant;
-//! * a pre-built [`DynInst`] **skeleton** — class, static pc and the resolved
-//!   source/destination register slots (no `Option` unpacking and no
-//!   heap allocation on the hot path). The streaming loop clones the
-//!   skeleton (a flat copy; the inline [`MemList`] keeps it off the heap)
-//!   and patches only the dynamic fields: vector element count, element
-//!   memory accesses and the branch outcome;
+//! * a 24-byte **skeleton** — class, static pc and the resolved
+//!   source/destination register slots, exactly the static fields of a
+//!   [`DynInst`] (no `Option` unpacking and no heap allocation on the hot
+//!   path). The streaming loop copies those three fields into a recycled
+//!   chunk slot and patches only the dynamic ones: vector element count,
+//!   element memory accesses and the branch outcome. A µop holds no
+//!   `DynInst` of its own: a `DynInst` is over five times the skeleton's
+//!   size, and its inline memory list and branch record are never read;
 //! * the memory plan of the operation where one exists — a scalar
 //!   base+offset access or a MOM base+stride row plan, sized so vector
 //!   access lists are built in one exact allocation.
@@ -54,8 +56,8 @@ use mom_isa::packed::{Lane, PackedWord, Saturation};
 use mom_isa::regs::{AccReg, IntReg, MediaReg};
 use mom_isa::scalar::{AluOp, Cond, ScalarOp};
 use mom_isa::trace::{
-    BranchInfo, DynInst, InstClass, IsaKind, MemAccess, MemKind, MemList, Trace, TraceSink,
-    MEM_INLINE,
+    BranchInfo, DynInst, InstClass, IsaKind, MemAccess, MemKind, MemList, RegOperands, Trace,
+    TraceSink, MEM_INLINE,
 };
 
 /// A program lowered into directly executable µops (see the
@@ -73,18 +75,26 @@ pub struct DecodedProgram {
 }
 
 /// One decoded µop: the flat executable form, its handler function pointer
-/// and the pre-built trace skeleton.
+/// and the static trace fields.
 #[derive(Debug, Clone)]
 struct MicroOp {
     exec: ExecOp,
     /// Variant handler resolved at decode time — the hot loop dispatches
     /// with one indirect call instead of matching on `exec`.
     handler: OpFn,
-    /// Pre-assembled [`DynInst`]: class, pc, sources and destinations are
-    /// final; `elems`, `mem` and `branch` are patched per execution.
-    skeleton: DynInst,
+    skeleton: Skeleton,
     /// Whether `elems` must be patched with the live vector length.
     is_vector: bool,
+}
+
+/// The static fields of a µop's [`DynInst`] — exactly what [`refresh`]
+/// copies into a chunk slot; `elems`, `mem` and `branch` are patched per
+/// execution.
+#[derive(Debug, Clone, Copy)]
+struct Skeleton {
+    class: InstClass,
+    regs: RegOperands,
+    pc: u64,
 }
 
 /// Threaded-dispatch handler: executes one µop's architectural effects,
@@ -764,13 +774,10 @@ impl DecodedProgram {
             .iter()
             .enumerate()
             .map(|(pc, inst)| {
-                let mut skeleton = DynInst::new(inst.class(), pc as u64);
-                for s in inst.srcs() {
-                    skeleton = skeleton.with_src(s);
-                }
-                for d in inst.dsts() {
-                    skeleton = skeleton.with_dst(d);
-                }
+                let mut regs = RegOperands::NONE;
+                inst.srcs().into_iter().for_each(|s| regs.push_src(s));
+                inst.dsts().into_iter().for_each(|d| regs.push_dst(d));
+                let skeleton = Skeleton { class: inst.class(), regs, pc: pc as u64 };
                 let exec = lower(inst, program);
                 let handler = dispatch_for(&exec);
                 MicroOp { exec, handler, skeleton, is_vector: inst.is_vector() }
@@ -1013,7 +1020,7 @@ const CHUNK: usize = 64;
 /// reclaimed into the interpreter's scratch slot (unless scratch already
 /// holds one), ready for the next vector load/store to take.
 #[inline(always)]
-fn refresh(dst: &mut DynInst, skel: &DynInst, elems: u16, scratch: &mut MemList) {
+fn refresh(dst: &mut DynInst, skel: &Skeleton, elems: u16, scratch: &mut MemList) {
     dst.class = skel.class;
     dst.regs = skel.regs;
     if dst.mem.is_spilled() && !scratch.is_spilled() {
@@ -1025,4 +1032,15 @@ fn refresh(dst: &mut DynInst, skel: &DynInst, elems: u16, scratch: &mut MemList)
     dst.branch = None;
     dst.elems = elems;
     dst.pc = skel.pc;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_micro_op_fits_in_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Skeleton>(), 24);
+        assert!(std::mem::size_of::<MicroOp>() <= 64, "{} bytes", std::mem::size_of::<MicroOp>());
+    }
 }

@@ -107,8 +107,8 @@ impl Program {
     /// [`DecodedProgram`] and the [`decoded`](crate::decoded) module docs).
     ///
     /// Decoding pays every per-static-instruction cost — enum flattening,
-    /// operand list resolution, branch target resolution, [`DynInst`]
-    /// skeleton assembly — exactly once, so the execution hot loop only
+    /// operand list resolution, branch target resolution, assembly of the
+    /// static [`DynInst`] fields — exactly once, so the execution hot loop only
     /// patches dynamic fields. [`Program::run`] and [`Program::stream`]
     /// decode on entry; callers executing one program repeatedly can hold on
     /// to the decoded form.
@@ -377,7 +377,9 @@ impl ProgramBuilder {
         self.insts.is_empty()
     }
 
-    /// Finish the program, checking that every label is bound.
+    /// Finish the program, checking that every label is bound. The program
+    /// keeps an exact-capacity instruction list: the builder's doubling
+    /// slack would otherwise stay resident next to the decoded form.
     ///
     /// # Errors
     ///
@@ -392,7 +394,9 @@ impl ProgramBuilder {
                 Some(t) => targets.push(*t),
             }
         }
-        Ok(Program { insts: self.insts, label_targets: targets, isa: self.isa })
+        let mut insts = self.insts;
+        insts.shrink_to_fit();
+        Ok(Program { insts, label_targets: targets, isa: self.isa })
     }
 }
 
@@ -575,5 +579,14 @@ mod tests {
         assert_eq!(b.len(), 2);
         let p = b.build().unwrap();
         assert_eq!(p.insts().len(), 2);
+    }
+
+    #[test]
+    fn build_keeps_no_spare_capacity() {
+        let mut b = ProgramBuilder::new(IsaKind::Alpha);
+        b.extend(std::iter::repeat_n(ScalarOp::Nop, 5));
+        b.push(ScalarOp::Halt);
+        let p = b.build().unwrap();
+        assert_eq!(p.insts.capacity(), 6);
     }
 }

@@ -57,7 +57,9 @@ impl BimodalPredictor {
 /// A direct-mapped branch target buffer.
 #[derive(Debug, Clone)]
 pub struct Btb {
-    entries: Vec<Option<(u64, u64)>>, // (pc, target)
+    /// `(pc, target)` per slot; an empty slot holds [`Btb::EMPTY`] as its pc.
+    /// 16 bytes a slot, where `Option<(u64, u64)>` takes 24.
+    entries: Vec<(u64, u64)>,
 }
 
 impl Btb {
@@ -68,8 +70,13 @@ impl Btb {
     /// Panics if `entries` is zero.
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "BTB must have at least one entry");
-        Self { entries: vec![None; entries] }
+        Self { entries: vec![Self::VACANT; entries] }
     }
+
+    /// The pc of an empty slot. Branch pcs are static instruction indices,
+    /// so no branch has this one.
+    pub const EMPTY: u64 = u64::MAX;
+    const VACANT: (u64, u64) = (Self::EMPTY, 0);
 
     fn index(&self, pc: u64) -> usize {
         table_index(pc, self.entries.len())
@@ -77,16 +84,19 @@ impl Btb {
 
     /// Look up the predicted target for the branch at `pc`.
     pub fn lookup(&self, pc: u64) -> Option<u64> {
-        match self.entries[self.index(pc)] {
-            Some((tag, target)) if tag == pc => Some(target),
-            _ => None,
-        }
+        let (tag, target) = self.entries[self.index(pc)];
+        (tag == pc && pc != Self::EMPTY).then_some(target)
     }
 
     /// Record the target of a taken branch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is [`Btb::EMPTY`].
     pub fn update(&mut self, pc: u64, target: u64) {
+        assert_ne!(pc, Self::EMPTY, "pc {pc:#x} marks an empty BTB slot");
         let idx = self.index(pc);
-        self.entries[idx] = Some((pc, target));
+        self.entries[idx] = (pc, target);
     }
 }
 
@@ -153,7 +163,7 @@ impl BranchPredictor {
     /// `reset()` path that lets machines be reused across experiment cells.
     pub fn reset(&mut self) {
         self.bimodal.counters.fill(2);
-        self.btb.entries.fill(None);
+        self.btb.entries.fill(Btb::VACANT);
         self.predictions = 0;
         self.mispredictions = 0;
     }
@@ -205,6 +215,25 @@ mod tests {
         b.update(7, 200);
         assert_eq!(b.lookup(3), None);
         assert_eq!(b.lookup(7), Some(200));
+    }
+
+    #[test]
+    fn btb_empty_slots_match_no_pc() {
+        let b = Btb::new(4);
+        assert_eq!(b.lookup(0), None);
+        assert_eq!(b.lookup(u64::MAX - 1), None);
+        assert_eq!(b.lookup(Btb::EMPTY), None);
+        let mut bp = BranchPredictor::new(4, 4);
+        assert!(!bp.predict_and_update(4, false, true, 9), "a cold BTB has no target");
+        assert_eq!(bp.btb.lookup(4), Some(9));
+        bp.reset();
+        assert_eq!(bp.btb.lookup(4), None, "reset empties the slots");
+    }
+
+    #[test]
+    #[should_panic(expected = "marks an empty BTB slot")]
+    fn btb_update_refuses_the_empty_pc() {
+        Btb::new(4).update(Btb::EMPTY, 0);
     }
 
     #[test]

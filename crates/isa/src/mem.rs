@@ -169,6 +169,12 @@ impl MemImage {
         self.bytes[o..o + data.len()].copy_from_slice(data);
     }
 
+    /// Set `len` bytes starting at `addr` to `value`.
+    pub fn fill(&mut self, addr: u64, len: usize, value: u8) {
+        let o = self.offset(addr, len);
+        self.bytes[o..o + len].fill(value);
+    }
+
     /// Read `len` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: u64, len: usize) -> &[u8] {
         let o = self.offset(addr, len);
@@ -262,6 +268,13 @@ mod tests {
         let mut m = MemImage::new(0x100, 32);
         m.write_bytes(0x104, &[1, 2, 3, 4]);
         assert_eq!(m.read_bytes(0x104, 4), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn fill_sets_exactly_the_range() {
+        let mut m = MemImage::new(0x100, 32);
+        m.fill(0x104, 3, 7);
+        assert_eq!(m.read_bytes(0x103, 5), &[0, 7, 7, 7, 0]);
     }
 
     #[test]

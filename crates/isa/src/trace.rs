@@ -446,12 +446,34 @@ pub struct RegOperands {
 }
 
 impl RegOperands {
-    const NONE: RegOperands = RegOperands {
+    /// No sources and no destinations.
+    pub const NONE: RegOperands = RegOperands {
         src_slots: [0; MAX_SRCS],
         dst_slots: [0; MAX_DSTS],
         n_srcs: 0,
         n_dsts: 0,
     };
+
+    /// Append a source register (ignored once all [`MAX_SRCS`] slots are
+    /// full — additional sources beyond the modelled read-port count do not
+    /// create extra dependences the timing model could track anyway).
+    pub fn push_src(&mut self, reg: ArchReg) {
+        let n = self.n_srcs as usize;
+        if n < MAX_SRCS {
+            self.src_slots[n] = reg.slot();
+            self.n_srcs += 1;
+        }
+    }
+
+    /// Append a destination register (ignored once all [`MAX_DSTS`] slots
+    /// are full).
+    pub fn push_dst(&mut self, reg: ArchReg) {
+        let n = self.n_dsts as usize;
+        if n < MAX_DSTS {
+            self.dst_slots[n] = reg.slot();
+            self.n_dsts += 1;
+        }
+    }
 }
 
 /// One graduated dynamic instruction.
@@ -489,30 +511,17 @@ impl DynInst {
         }
     }
 
-    /// Add a source register (ignored once all [`MAX_SRCS`] slots are full —
-    /// additional sources beyond the modelled read-port count do not create
-    /// extra dependences the timing model could track anyway).
+    /// Add a source register ([`RegOperands::push_src`]).
     #[must_use = "builder methods return the modified instruction"]
     pub fn with_src(mut self, reg: ArchReg) -> Self {
-        let r = &mut self.regs;
-        let n = r.n_srcs as usize;
-        if n < MAX_SRCS {
-            r.src_slots[n] = reg.slot();
-            r.n_srcs += 1;
-        }
+        self.regs.push_src(reg);
         self
     }
 
-    /// Add a destination register (ignored once all [`MAX_DSTS`] slots are
-    /// full).
+    /// Add a destination register ([`RegOperands::push_dst`]).
     #[must_use = "builder methods return the modified instruction"]
     pub fn with_dst(mut self, reg: ArchReg) -> Self {
-        let r = &mut self.regs;
-        let n = r.n_dsts as usize;
-        if n < MAX_DSTS {
-            r.dst_slots[n] = reg.slot();
-            r.n_dsts += 1;
-        }
+        self.regs.push_dst(reg);
         self
     }
 

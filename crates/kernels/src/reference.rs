@@ -138,19 +138,18 @@ pub fn rgb2ycc_pixel(r: u8, g: u8, b: u8) -> (u8, u8, u8) {
     (out[0], out[1], out[2])
 }
 
-/// Convert planar RGB buffers to planar YCbCr.
-pub fn rgb2ycc(r: &[u8], g: &[u8], b: &[u8]) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+/// Convert planar RGB buffers of `n` pixels to planar YCbCr in one buffer:
+/// the Y plane, then Cb, then Cr, `n` bytes each.
+pub fn rgb2ycc(r: &[u8], g: &[u8], b: &[u8]) -> Vec<u8> {
     let n = r.len().min(g.len()).min(b.len());
-    let mut y = vec![0u8; n];
-    let mut cb = vec![0u8; n];
-    let mut cr = vec![0u8; n];
+    let mut out = vec![0u8; 3 * n];
     for i in 0..n {
-        let (py, pcb, pcr) = rgb2ycc_pixel(r[i], g[i], b[i]);
-        y[i] = py;
-        cb[i] = pcb;
-        cr[i] = pcr;
+        let (y, cb, cr) = rgb2ycc_pixel(r[i], g[i], b[i]);
+        out[i] = y;
+        out[n + i] = cb;
+        out[2 * n + i] = cr;
     }
-    (y, cb, cr)
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -349,10 +348,11 @@ mod tests {
         let r = vec![10, 200, 30];
         let g = vec![20, 100, 40];
         let b = vec![30, 50, 250];
-        let (y, cb, cr) = rgb2ycc(&r, &g, &b);
+        let ycc = rgb2ycc(&r, &g, &b);
+        assert_eq!(ycc.len(), 9);
         for i in 0..3 {
             let (py, pcb, pcr) = rgb2ycc_pixel(r[i], g[i], b[i]);
-            assert_eq!((y[i], cb[i], cr[i]), (py, pcb, pcr));
+            assert_eq!((ycc[i], ycc[3 + i], ycc[6 + i]), (py, pcb, pcr));
         }
     }
 

@@ -35,24 +35,26 @@ struct Layout {
     expected: Vec<u8>,
 }
 
+/// Write the R, G, B and constant "ones" planes straight into the memory
+/// image, one after another from a 64-byte-aligned base, and compute the
+/// expected Y, Cb, Cr planes into one buffer from the planes in the image,
+/// so the generated image is freed before that buffer is allocated.
 fn layout(s: &mut Scaffold, params: &KernelParams) -> Layout {
     let height = 64 * params.scale.max(1);
     let img = RgbImage::synthetic(WIDTH, height, params.seed);
     let plane = img.len();
+    let at = |k: usize| (k * plane) as u64;
 
-    let mut planes = Vec::with_capacity(plane * 4);
-    planes.extend_from_slice(&img.r);
-    planes.extend_from_slice(&img.g);
-    planes.extend_from_slice(&img.b);
-    planes.extend(std::iter::repeat_n(1u8, plane)); // constant plane for the offset term
-    let rgb_addr = s.alloc_bytes(&planes, 64);
+    let rgb_addr = s.alloc_zeroed(plane * 4, 64);
+    let mem = s.machine.mem_mut();
+    for (k, channel) in [img.r, img.g, img.b].into_iter().enumerate() {
+        mem.write_bytes(rgb_addr + at(k), &channel);
+    }
+    mem.fill(rgb_addr + at(3), plane, 1); // constant plane for the offset term
     let out_addr = s.alloc_zeroed(plane * 3, 64);
 
-    let (y, cb, cr) = rgb2ycc(&img.r, &img.g, &img.b);
-    let mut expected = Vec::with_capacity(plane * 3);
-    expected.extend_from_slice(&y);
-    expected.extend_from_slice(&cb);
-    expected.extend_from_slice(&cr);
+    let channel = |k: usize| s.machine.mem().read_bytes(rgb_addr + at(k), plane);
+    let expected = rgb2ycc(channel(0), channel(1), channel(2));
     Layout { rgb_addr, out_addr, plane, expected }
 }
 
@@ -340,6 +342,24 @@ mod tests {
             let run = build(isa, &params).run_verified().expect("rgb2ycc verifies");
             assert!(run.output_matches, "{isa} output mismatch");
         }
+    }
+
+    #[test]
+    fn input_planes_sit_back_to_back_from_an_aligned_base() {
+        let params = KernelParams { seed: 5, scale: 2 };
+        let mut s = Scaffold::new(IsaKind::Mom);
+        let lay = layout(&mut s, &params);
+        assert_eq!(lay.rgb_addr % 64, 0);
+        // The four planes exactly as one concatenated buffer would lay them.
+        let img = RgbImage::synthetic(WIDTH, 64 * params.scale, params.seed);
+        let mut planes = Vec::with_capacity(lay.plane * 4);
+        planes.extend_from_slice(&img.r);
+        planes.extend_from_slice(&img.g);
+        planes.extend_from_slice(&img.b);
+        planes.extend(std::iter::repeat_n(1u8, lay.plane));
+        assert_eq!(s.machine.mem().read_bytes(lay.rgb_addr, planes.len()), &planes[..]);
+        assert_eq!(lay.out_addr, lay.rgb_addr + planes.len() as u64);
+        assert_eq!(lay.expected.len(), 3 * lay.plane);
     }
 
     #[test]

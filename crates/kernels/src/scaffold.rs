@@ -58,14 +58,22 @@ impl Scaffold {
 
     /// Allocate a region holding a slice of `i16` values (little-endian).
     pub fn alloc_i16(&mut self, data: &[i16], align: u64) -> u64 {
-        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.alloc_bytes(&bytes, align)
+        let addr = self.alloc.alloc(data.len() * 2, align);
+        let mem = self.machine.mem_mut();
+        for (i, &v) in data.iter().enumerate() {
+            mem.write_u16(addr + 2 * i as u64, v as u16);
+        }
+        addr
     }
 
     /// Allocate a region holding a slice of `u64` packed words.
     pub fn alloc_u64(&mut self, data: &[u64], align: u64) -> u64 {
-        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.alloc_bytes(&bytes, align)
+        let addr = self.alloc.alloc(data.len() * 8, align);
+        let mem = self.machine.mem_mut();
+        for (i, &v) in data.iter().enumerate() {
+            mem.write_u64(addr + 8 * i as u64, v);
+        }
+        addr
     }
 
     /// Emit `Li rd, value`.
@@ -112,9 +120,11 @@ mod tests {
         assert_eq!(s.machine.mem().read_u32(a), 0x0403_0201);
         let b = s.alloc_i16(&[-1, 2], 8);
         assert_eq!(s.machine.mem().read_u16(b), 0xffff);
-        let c = s.alloc_u64(&[0xdead], 64);
+        assert_eq!(s.machine.mem().read_u16(b + 2), 2);
+        let c = s.alloc_u64(&[0xdead, u64::MAX - 1], 64);
         assert_eq!(c % 64, 0);
         assert_eq!(s.machine.mem().read_u64(c), 0xdead);
+        assert_eq!(s.machine.mem().read_u64(c + 8), u64::MAX - 1);
         let z = s.alloc_zeroed(16, 8);
         assert_eq!(s.machine.mem().read_u64(z), 0);
     }

@@ -8,6 +8,7 @@
 use momsim::cpu::{CoreConfig, OooCore};
 use momsim::isa::trace::IsaKind;
 use momsim::kernels::{build_kernel, KernelKind, KernelParams};
+use momsim::lab::json::Value;
 use momsim::mem::{build_memory, MemModelKind};
 
 fn cycles(kernel: KernelKind, isa: IsaKind, way: usize, mem: MemModelKind) -> u64 {
@@ -75,4 +76,31 @@ fn realistic_hierarchies_run_mom_traces_correctly() {
     let ma = results[0].1 as f64;
     let vc = results[1].1 as f64;
     assert!(vc < ma * 1.5, "vector cache {vc} vs multi-address {ma}");
+}
+
+/// Cycles of the figure5 cell `(kernel, isa, way)`.
+fn figure5_cycles(doc: &Value, kernel: &str, isa: &str, way: u64) -> u64 {
+    let cells = doc.get("cells").and_then(Value::as_array).expect("figure5 has cells");
+    let is = |c: &Value, key: &str, want: &str| c.get(key).and_then(Value::as_str) == Some(want);
+    cells
+        .iter()
+        .find(|c| {
+            is(c, "workload", kernel) && is(c, "isa", isa) && c.get("way").and_then(Value::as_u64) == Some(way)
+        })
+        .and_then(|c| c.get("cycles").and_then(Value::as_u64))
+        .unwrap_or_else(|| panic!("no figure5 cell {kernel}/{isa}/{way}-way"))
+}
+
+#[test]
+fn mom_beats_mmx_and_mdmx_on_every_figure5_kernel_at_one_way() {
+    // The committed full-mode document: CI regenerates it and requires every
+    // field to match, so this reads the model's current answer.
+    let doc = Value::parse(include_str!("../BENCH_figure5.json")).expect("BENCH_figure5.json parses");
+    for kernel in KernelKind::ALL.map(KernelKind::label) {
+        let mom = figure5_cycles(&doc, kernel, "mom", 1);
+        for isa in ["mmx", "mdmx"] {
+            let other = figure5_cycles(&doc, kernel, isa, 1);
+            assert!(mom < other, "{kernel}: MOM {mom} cycles vs {isa} {other} at 1-way");
+        }
+    }
 }
