@@ -14,7 +14,7 @@
 
 use crate::config::{CoreConfig, PhysRegs};
 use crate::core::{Latencies, OooCore, SimResult, SimState, SimStream};
-use crate::probe::{AttributionProbe, ProbeReport};
+use crate::probe::AttributionProbe;
 use mom_isa::pipe::BatchReceiver;
 use mom_isa::trace::{IsaKind, Trace};
 use mom_mem::{build_memory, MemModelKind, MemSystemStats, MemorySystem};
@@ -205,8 +205,9 @@ impl SimMachine {
         sim.finish()
     }
 
-    /// Drain a batch channel to completion: the consumer half of the
-    /// pipelined fan-out (see [`mom_isa::pipe`]).
+    /// Drain a batch channel to completion: the consumer half of a
+    /// [`mom_isa::pipe`] pipeline, which the batch-channel tests use as
+    /// their reference consumer.
     ///
     /// Blocks on `recv` until the producer's
     /// [`BatchSink`](mom_isa::pipe::BatchSink) closes the channel, feeding
@@ -222,19 +223,6 @@ impl SimMachine {
             }
         }
         sim.finish()
-    }
-
-    /// The probed variant of [`SimMachine::consume_batches`]: same timing,
-    /// plus the verified attribution report.
-    pub fn consume_batches_probed(&mut self, rx: &BatchReceiver) -> (SimResult, ProbeReport) {
-        let mut sim = self.sim_probed();
-        while let Some(batch) = rx.recv() {
-            for inst in batch.iter() {
-                sim.feed(inst);
-            }
-        }
-        let (result, probe) = sim.finish_probed();
-        (result, probe.into_report())
     }
 }
 

@@ -16,7 +16,9 @@
 //! * [`trace`] — dynamic-instruction traces, the contract with the timing
 //!   simulator in `mom-cpu`.
 //! * [`pipe`] — bounded batch channels for pipelining one trace producer
-//!   against N simulator threads.
+//!   against N simulator threads. No command uses them; kept only for the
+//!   `perfbench` ladder's `L2p` rung, and deleted with the benchmark change
+//!   (ROADMAP item 2).
 //!
 //! The MOM matrix extension itself — the paper's contribution — lives in the
 //! `mom-core` crate, which builds on these substrates.

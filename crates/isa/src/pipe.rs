@@ -1,6 +1,11 @@
 //! Bounded batch channels: the pipelined sibling of
 //! [`Broadcast`](crate::trace::Broadcast).
 //!
+//! The experiment runner no longer pipelines (it was slower than one worker
+//! on every measured grid); the only caller left is the `perfbench` ladder's
+//! `L2p` rung, and this module goes with the benchmark change (ROADMAP
+//! item 2).
+//!
 //! [`Broadcast`](crate::trace::Broadcast) drives its children serially on the
 //! interpreter's thread — one thread does 1 interpret + N simulates. This
 //! module splits that into a producer/consumer pipeline: the interpreter

@@ -27,11 +27,9 @@
 //!   per cell). Without it the runner uses the **fan-out** grouping: one
 //!   functional pass per `(workload, ISA)` group, fanned out to all member
 //!   simulators (byte-identical, and the functional work drops by the
-//!   factor reported in `meta.shared_passes`). With 2+ workers a
-//!   multi-member group pipelines: the interpreter publishes instruction
-//!   batches through bounded channels to consumer threads (`meta.pipeline`
-//!   records batch size, channel capacity and occupancy). `--materialized`
-//!   (trace replay) was removed and is rejected with an error
+//!   factor reported in `meta.shared_passes`). Each group runs whole on
+//!   one worker; `--workers` spreads the groups. `--materialized` (trace
+//!   replay) was removed and is rejected with an error
 //! * `--sampled` — SMARTS-style sampled simulation: each cell simulates a
 //!   detailed warm-up + measurement unit at the head of every sampling
 //!   period and functionally fast-forwards the rest, so wall-clock scales
@@ -130,8 +128,8 @@ Built-in experiments: table1 table2 table3 isa_inventory figure5
                       latency_tolerance figure7 stress sweep
 
 Execution modes: the default fan-out runner shares one functional pass per
-(workload, ISA) group across all member machines — pipelined across threads
-at 2+ workers; --streamed makes every cell a group of its own. Both are
+(workload, ISA) group across all member machines, each group run whole by
+one worker; --streamed makes every cell a group of its own. Both are
 byte-identical in their results.
 --sampled trades exactness for wall-clock: per sampling period (default
 100000 insts) it simulates a detailed warm-up (2000) plus a measured unit

@@ -137,25 +137,6 @@ impl RunResult {
                 ]),
             ),
         ];
-        if let Some(pipeline) = &self.pipeline {
-            // Pipelined fan-out accounting: batch/channel geometry plus how
-            // much of the consumer shards' wall-clock was spent simulating
-            // (vs blocked on the interpreter). Present exactly when a grid
-            // ran on 2+ workers.
-            meta_members.push((
-                "pipeline",
-                Value::object(vec![
-                    ("batch_insts", Value::Int(pipeline.batch_insts as i64)),
-                    ("channel_batches", Value::Int(pipeline.channel_batches as i64)),
-                    ("pipelined_groups", Value::Int(pipeline.pipelined_groups as i64)),
-                    ("serial_groups", Value::Int(pipeline.serial_groups as i64)),
-                    (
-                        "occupancy",
-                        pipeline.occupancy.map(Value::Float).unwrap_or(Value::Null),
-                    ),
-                ]),
-            ));
-        }
         if let Some(cells) = self.cells() {
             // The functional-sharing accounting: how many interpreter passes
             // this run performed, how many instructions they executed, and
@@ -237,7 +218,7 @@ impl RunResult {
             ));
         }
         if !self.spans.is_empty() {
-            // Scheduler span trace: one entry per work item, chronological.
+            // Scheduler span trace: one entry per group, chronological.
             // Informational — never diffed.
             meta_members.push((
                 "spans",
@@ -374,11 +355,9 @@ fn intervals_json(iv: &IntervalStats) -> Value {
 fn span_json(span: &SpanRec) -> Value {
     Value::object(vec![
         ("name", Value::Str(span.name.clone())),
-        ("cat", Value::Str(span.cat.into())),
         ("tid", Value::Int(span.tid as i64)),
         ("start_ns", Value::Int(span.start_ns as i64)),
         ("dur_ns", Value::Int(span.dur_ns as i64)),
-        ("wait_ns", Value::Int(span.wait_ns as i64)),
         ("insts", Value::Int(span.insts as i64)),
     ])
 }

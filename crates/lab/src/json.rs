@@ -158,7 +158,7 @@ impl Value {
     ///
     /// Returns a human-readable message with a byte offset on malformed input.
     pub fn parse(input: &str) -> Result<Value, String> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -222,9 +222,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deeply arrays and objects may nest (serde_json's default limit).
+/// The parser recurses once per level, so an unbounded depth lets a
+/// hostile document overflow the stack; the documents this crate writes
+/// nest fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -267,8 +275,15 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!("unexpected {:?} at byte {}", other.map(|b| b as char), self.pos)),
         }
@@ -345,9 +360,12 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign (`\u+041`).
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| format!("bad \\u escape at byte {start}"))?;
                             let code = u32::from_str_radix(hex, 16)
@@ -462,6 +480,25 @@ mod tests {
         assert!(Value::parse("{\"a\": 1} extra").is_err(), "trailing data");
         assert!(Value::parse("\"unterminated").is_err());
         assert!(Value::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("byte {MAX_DEPTH}")), "{err}");
+        // Far past any stack: rejected at the limit, never recursed into.
+        assert!(Value::parse(&"[".repeat(200_000)).is_err());
+        assert!(Value::parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(Value::parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04""#] {
+            assert!(Value::parse(bad).is_err(), "{bad} parsed");
+        }
     }
 
     #[test]

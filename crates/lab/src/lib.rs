@@ -76,8 +76,8 @@ pub fn fast_mode() -> bool {
 
 /// Instructions per pipeline batch: [`mom_isa::pipe::DEFAULT_BATCH_INSTS`].
 ///
-/// The runner uses the constant directly; this accessor survives only
-/// because the `perfbench` layer ladder calls it.
+/// No command uses it. Kept only because the `perfbench` ladder's `L2p`
+/// rung calls it; goes with the benchmark change (ROADMAP item 2).
 pub fn pipeline_batch_insts() -> usize {
     mom_isa::pipe::DEFAULT_BATCH_INSTS
 }
@@ -85,8 +85,8 @@ pub fn pipeline_batch_insts() -> usize {
 /// Per-member channel capacity in batches:
 /// [`mom_isa::pipe::DEFAULT_CHANNEL_BATCHES`].
 ///
-/// The runner uses the constant directly; this accessor survives only
-/// because the `perfbench` layer ladder calls it.
+/// No command uses it. Kept only because the `perfbench` ladder's `L2p`
+/// rung calls it; goes with the benchmark change (ROADMAP item 2).
 pub fn pipeline_channel_batches() -> usize {
     mom_isa::pipe::DEFAULT_CHANNEL_BATCHES
 }

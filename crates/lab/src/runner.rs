@@ -24,12 +24,9 @@
 //!   `sampling` results section — except at sampling rate 1
 //!   (`period == 0`), which *is* the streamed run.
 //!
-//! A group runs as one work item: its interpreter drives every member
-//! simulator through a serial `Broadcast` on one worker. With 2+ workers a
-//! group of several members **pipelines** instead: the interpreter
-//! publishes `DynInst` batches into bounded per-member channels drained by
-//! consumer shards on other workers, with backpressure keeping peak memory
-//! per group at `members x O(ROB + batch x capacity)`.
+//! A group is one work item: its interpreter drives every member simulator
+//! through a serial `Broadcast` on whichever worker claims it. Groups spread
+//! across workers; a group never splits across them.
 //!
 //! The exact modes are **byte-identical** in their results — the
 //! determinism guarantee below covers the execution mode as well as the
@@ -68,16 +65,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use mom_apps::{stream_app_multi, AppParams};
 use mom_cpu::{
     AttributionProbe, IntervalStats, MachineDescriptor, ProbeReport, SimMachine, SimResult,
     SimStream, StallBreakdown,
-};
-use mom_isa::pipe::{
-    batch_channel, BatchReceiver, BatchSink, DEFAULT_BATCH_INSTS, DEFAULT_CHANNEL_BATCHES,
 };
 use mom_isa::trace::{Broadcast, IsaKind, TraceSink};
 use mom_kernels::{build_kernel, KernelParams};
@@ -105,9 +98,9 @@ pub enum ExecMode {
     /// feeding every member simulator.
     ///
     /// Note the parallel work unit coarsens from cells to groups: a grid
-    /// whose group count is below the worker count leaves workers idle
-    /// unless its groups pipeline (the full `sweep` is 4 groups), trading
-    /// wall-clock parallelism for the amortized functional work. On hosts
+    /// whose group count is below the worker count leaves workers idle (the
+    /// full `sweep` is 4 groups), trading wall-clock parallelism for the
+    /// amortized functional work. On hosts
     /// with many cores and simulation-bound grids, `Streamed` keeps per-cell
     /// parallelism at the cost of per-cell interpretation.
     Fanout,
@@ -295,13 +288,12 @@ pub struct RunResult {
     /// what per-cell interpretation would have cost; the ratio of the two is
     /// the `meta.shared_passes.sharing_factor`.
     pub functional_instructions: u64,
-    /// Pipelined fan-out accounting (`Some` exactly when a grid ran on 2+
-    /// workers, so groups could pipeline). All wall-clock derived —
-    /// `meta`-only, never part of the deterministic results.
+    /// Always `None`: groups never pipeline. Kept only because `perfbench`'s
+    /// `traced_run` reads it; goes with the benchmark change (ROADMAP item 2).
     pub pipeline: Option<PipelineStats>,
-    /// Scheduler spans: one per work item (serial group, interpreter,
-    /// consumer shard) with wall-clock extent, channel wait time and the
-    /// worker that executed it, in every execution mode. Feeds `meta.spans`
+    /// Scheduler spans: one per work item (group) with wall-clock extent,
+    /// interpreted instructions and the worker that executed it, in every
+    /// execution mode. Feeds `meta.spans`
     /// and the Chrome trace export of `momlab run --trace-out`. Wall-clock
     /// data, so `meta`-only; empty for static experiments and fully cached
     /// runs.
@@ -323,26 +315,19 @@ pub struct RunResult {
     pub data: RunData,
 }
 
-/// One recorded span of the scheduler: a work item's identity,
-/// wall-clock extent relative to the grid run's epoch, and — for consumer
-/// shards — the time spent blocked on the batch channel.
+/// One recorded span of the scheduler: a group's identity, wall-clock
+/// extent relative to the grid run's epoch, and the worker that ran it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRec {
-    /// The work item's identity (group label, or the shard's cell labels).
+    /// The group's label: workload plus its ISA lanes.
     pub name: String,
-    /// Span category: `"serial"`, `"produce"` or `"consume"`.
-    pub cat: &'static str,
     /// Index of the worker thread that executed the item.
     pub tid: usize,
     /// Start offset from the grid run's epoch, in nanoseconds.
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Nanoseconds a consumer shard spent blocked on channel `recv` (zero
-    /// for producer and serial items).
-    pub wait_ns: u64,
-    /// Instructions the functional interpreter executed inside this span
-    /// (zero for consumer shards).
+    /// Instructions the functional interpreter executed inside this span.
     pub insts: u64,
 }
 
@@ -355,23 +340,13 @@ pub struct PoolStats {
     pub builds: u64,
 }
 
-/// Pipeline accounting of one multi-worker grid run, recorded under
-/// `meta.pipeline`.
+/// The trimmed remnant of the retired pipelined fan-out's accounting. No
+/// run produces one; kept only because `perfbench`'s `traced_run` reads
+/// [`RunResult::pipeline`], and goes with the benchmark change (ROADMAP
+/// item 2).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineStats {
-    /// Instructions per published batch ([`DEFAULT_BATCH_INSTS`]).
-    pub batch_insts: usize,
-    /// Per-member channel capacity in batches ([`DEFAULT_CHANNEL_BATCHES`]).
-    pub channel_batches: usize,
-    /// Groups that ran as interpreter + consumer-shard pipelines.
-    pub pipelined_groups: usize,
-    /// Groups that ran serially on one worker through a `Broadcast`:
-    /// one-member groups, and groups with more ISA lanes than the worker
-    /// budget.
-    pub serial_groups: usize,
-    /// Fraction of consumer-shard wall-clock spent simulating rather than
-    /// blocked on the channel (`None` when no group pipelined). Low
-    /// occupancy means the interpreter is the bottleneck.
+    /// Fraction of consumer wall-clock spent simulating.
     pub occupancy: Option<f64>,
 }
 
@@ -392,9 +367,8 @@ pub struct RunOptions<'a> {
     pub workers: usize,
     /// How the grid's cells are grouped and simulated.
     pub mode: ExecMode,
-    /// Emit a live stderr line as each work item completes, naming its group
-    /// and, for consumer shards, the shard's channel occupancy. Progress
-    /// output never touches stdout or the results.
+    /// Emit a live stderr line as each group completes, naming it and its
+    /// wall-clock. Progress output never touches stdout or the results.
     pub progress: bool,
     /// A persistent content-addressed cell result cache: hit cells skip
     /// interpretation and simulation entirely and are rebuilt from their
@@ -539,7 +513,7 @@ pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
         sim_wall_ns: timing.sim_wall_ns,
         functional_passes: timing.functional_passes,
         functional_instructions: timing.functional_instructions,
-        pipeline: timing.pipeline,
+        pipeline: None,
         spans: timing.spans,
         pool: timing.pool,
         cache: cache_meta,
@@ -549,8 +523,8 @@ pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
 }
 
 /// [`run`] with its options given positionally — the runner's signature
-/// before [`RunOptions`], kept for code built against it (the `perfbench/`
-/// harness).
+/// before [`RunOptions`]. Kept only because the `perfbench` ladder calls it;
+/// goes with the benchmark change (ROADMAP item 2).
 ///
 /// The fifth parameter is an empty slot kept so positional callers build
 /// unchanged; only `None` fits it. The slot goes when ROADMAP item 2 moves
@@ -640,7 +614,6 @@ struct GridTiming {
     sim_wall_ns: u64,
     functional_passes: usize,
     functional_instructions: u64,
-    pipeline: Option<PipelineStats>,
     spans: Vec<SpanRec>,
     pool: PoolStats,
 }
@@ -696,13 +669,6 @@ pub(crate) fn groups(grid: &GridSpec, cells: &[Cell], mode: ExecMode) -> Vec<Gro
     groups
 }
 
-/// The `(workload, isa, config)` identity of one grid cell, used to label
-/// work items so a panicking cell names itself in the panic message.
-fn cell_label(grid: &GridSpec, cell: &Cell) -> String {
-    let config = &grid.configs[cell.config];
-    format!("{} / {} / {}-way ({})", cell.workload.label(), config.label, cell.way, config.isa.label())
-}
-
 /// The identity of one group: workload plus its ISA lanes.
 fn group_label(group: &Group) -> String {
     let isas: Vec<&str> = group.lanes.iter().map(|(isa, _)| isa.label()).collect();
@@ -726,33 +692,6 @@ fn take_lane_machines(
         .iter()
         .map(|(_, members)| {
             members.iter().map(|&ci| pool.take(&descriptor_for(grid, cells, ci))).collect()
-        })
-        .collect()
-}
-
-/// Finish one probed stream into the `(SimResult, ProbeReport)` pair the
-/// assembly stage wants (checking the sum-to-total invariant on the way).
-fn finish_cell(stream: SimStream<'_, AttributionProbe>) -> (SimResult, ProbeReport) {
-    let (sim, probe) = stream.finish_probed();
-    (sim, probe.into_report())
-}
-
-/// Pair one lane's finished `(SimResult, ProbeReport)`s with the memory
-/// statistics of their machines (readable again now that the streams'
-/// borrows have ended, and *before* the machines return to a pool whose
-/// `reset()` would clear them).
-fn attach_mem_stats(
-    finished: Vec<(SimResult, ProbeReport)>,
-    machines: &[SimMachine],
-) -> Vec<CellSim> {
-    finished
-        .into_iter()
-        .zip(machines.iter())
-        .map(|((sim, probe), machine)| CellSim {
-            sim,
-            probe,
-            mem: machine.mem_stats(),
-            sampling: None,
         })
         .collect()
 }
@@ -781,8 +720,8 @@ fn drive_group<S: TraceSink>(grid: &GridSpec, group: &Group, lanes: &mut [(IsaKi
     }
 }
 
-/// The read-only context every work item of one grid run executes in.
-struct ItemCtx<'a> {
+/// The read-only context every group of one grid run executes in.
+struct GroupCtx<'a> {
     grid: &'a GridSpec,
     cells: &'a [Cell],
     groups: &'a [Group],
@@ -794,13 +733,13 @@ struct ItemCtx<'a> {
 /// Run a whole group on the calling worker. An exact group drives every
 /// member simulator from one interpretation through a `Broadcast`; an
 /// estimated sampled group is a single cell that windows its own stream.
-/// Returns `(cell index, result)` per member plus the instructions
-/// interpreted.
+/// Returns one result per member, in [`Group::members`] order, plus the
+/// instructions interpreted.
 fn run_serial(
-    ctx: &ItemCtx<'_>,
+    ctx: &GroupCtx<'_>,
     group: &Group,
     pool: &mut MachinePool<'_>,
-) -> (Vec<(usize, CellSim)>, u64) {
+) -> (Vec<CellSim>, u64) {
     let (grid, cells) = (ctx.grid, ctx.cells);
     if let Some(sp) = SamplingParams::of(ctx.mode) {
         let (isa, members) = &group.lanes[0];
@@ -815,7 +754,7 @@ fn run_serial(
         };
         pool.put([machine]);
         let executed = cs.sim.committed;
-        return (vec![(ci, cs)], executed);
+        return (vec![cs], executed);
     }
     let mut lane_machines = take_lane_machines(grid, cells, group, pool);
     let mut lanes: Vec<(IsaKind, Broadcast<SimStream<'_, AttributionProbe>>)> = group
@@ -827,324 +766,79 @@ fn run_serial(
         })
         .collect();
     let executed = drive_group(grid, group, &mut lanes);
-    let finished: Vec<Vec<(SimResult, ProbeReport)>> = lanes
+    let finished: Vec<(SimResult, ProbeReport)> = lanes
         .into_iter()
-        .map(|(_, fan)| fan.into_inner().into_iter().map(finish_cell).collect())
+        .flat_map(|(_, fan)| fan.into_inner())
+        .map(|stream| {
+            let (sim, probe) = stream.finish_probed();
+            (sim, probe.into_report())
+        })
         .collect();
-    let sims: Vec<(usize, CellSim)> = finished
+    // The machines' memory statistics are readable again now that the
+    // streams' borrows have ended, and must be taken before the pool's
+    // `reset()` clears them.
+    let sims: Vec<CellSim> = finished
         .into_iter()
-        .zip(&lane_machines)
-        .flat_map(|(lane, machines)| attach_mem_stats(lane, machines))
-        .zip(group.members())
-        .map(|(sim, ci)| (ci, sim))
+        .zip(lane_machines.iter().flatten())
+        .map(|((sim, probe), machine)| CellSim {
+            sim,
+            probe,
+            mem: machine.mem_stats(),
+            sampling: None,
+        })
         .collect();
     pool.put(lane_machines.into_iter().flatten());
     (sims, executed)
 }
 
-/// Drain one consumer shard's channels, simulating each batch as it
-/// arrives. Members are drained round-robin, one batch per open member per
-/// pass — the member order the producer publishes in. Returns the members'
-/// results and the nanoseconds spent blocked on `recv`.
-fn consume(
-    ctx: &ItemCtx<'_>,
-    members: Vec<(usize, BatchReceiver)>,
-    pool: &mut MachinePool<'_>,
-) -> (Vec<(usize, CellSim)>, u64) {
-    let mut machines: Vec<SimMachine> = members
-        .iter()
-        .map(|&(ci, _)| pool.take(&descriptor_for(ctx.grid, ctx.cells, ci)))
-        .collect();
-    let mut wait_ns = 0u64;
-    let finished: Vec<(SimResult, ProbeReport)> = {
-        let mut streams: Vec<Option<SimStream<'_, AttributionProbe>>> =
-            machines.iter_mut().map(|m| Some(m.sim_probed())).collect();
-        let mut done: Vec<Option<(SimResult, ProbeReport)>> = vec![None; members.len()];
-        let mut open = streams.len();
-        while open > 0 {
-            for (k, slot) in streams.iter_mut().enumerate() {
-                let Some(stream) = slot else { continue };
-                let waited = Instant::now();
-                let next = members[k].1.recv();
-                wait_ns += waited.elapsed().as_nanos() as u64;
-                match next {
-                    Some(batch) => {
-                        for inst in batch.iter() {
-                            stream.feed(inst);
-                        }
-                    }
-                    None => {
-                        done[k] = slot.take().map(finish_cell);
-                        open -= 1;
-                    }
-                }
-            }
-        }
-        done.into_iter().map(|r| r.expect("every member finished")).collect()
-    };
-    let sims =
-        members.iter().map(|&(ci, _)| ci).zip(attach_mem_stats(finished, &machines)).collect();
-    pool.put(machines);
-    (sims, wait_ns)
-}
-
-/// What one work item does.
-enum Role {
-    /// Run the whole group on one worker ([`run_serial`]).
-    Serial,
-    /// Interpret the group once, publishing batches into the member channels.
-    Produce(Vec<(IsaKind, BatchSink)>),
-    /// Drain a shard of one lane's members ([`consume`]): `(cell index,
-    /// receiver)` each.
-    Consume(Vec<(usize, BatchReceiver)>),
-}
-
-/// One work item of a grid run. Items are *moved* to the worker that claims
-/// them; an item dropped unexecuted (abort path) closes its channel
-/// endpoints, which unblocks any peer still waiting on them.
-struct Item {
-    gi: usize,
-    label: String,
-    role: Role,
-}
-
-/// What one executed [`Item`] reports back (all wall-clock data is relative
-/// to the scheduler's epoch, so group spans can be reconstructed across
-/// threads).
-struct Outcome {
-    gi: usize,
-    /// `(cell index, result)` for every member this item simulated.
-    sims: Vec<(usize, CellSim)>,
-    /// Instructions the interpreter executed (serial / producer items).
-    executed: u64,
-    start_ns: u64,
-    end_ns: u64,
-    /// Time a consumer shard spent blocked on channel `recv`.
-    wait_ns: u64,
-    /// Span category: `"serial"`, `"produce"` or `"consume"`.
-    kind: &'static str,
-    label: String,
-    /// Index of the worker thread that executed the item.
-    worker: usize,
-}
-
-impl Outcome {
-    fn dur_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
-}
-
-/// Execute one claimed [`Item`] on the calling worker.
-fn exec_item(item: Item, ctx: &ItemCtx<'_>, pool: &mut MachinePool<'_>, worker: usize) -> Outcome {
-    let now_ns = || ctx.epoch.elapsed().as_nanos() as u64;
-    let start_ns = now_ns();
-    let group = &ctx.groups[item.gi];
-    let (kind, sims, executed, wait_ns) = match item.role {
-        Role::Serial => {
-            let (sims, executed) = run_serial(ctx, group, pool);
-            ("serial", sims, executed, 0)
-        }
-        Role::Produce(mut lanes) => {
-            let executed = drive_group(ctx.grid, group, &mut lanes);
-            for (_, sink) in lanes {
-                sink.finish();
-            }
-            ("produce", Vec::new(), executed, 0)
-        }
-        Role::Consume(members) => {
-            let (sims, wait_ns) = consume(ctx, members, pool);
-            ("consume", sims, 0, wait_ns)
-        }
-    };
-    let (gi, label, end_ns) = (item.gi, item.label, now_ns());
-    Outcome { gi, sims, executed, start_ns, end_ns, wait_ns, kind, label, worker }
-}
-
-/// Turn the groups into work items, in claim order; returns the items and
-/// the number of groups that pipeline.
-///
-/// A group runs as one [`Role::Serial`] item unless it can pipeline: it has
-/// two or more members, and the worker budget left beside its interpreter
-/// (`workers - 1`) covers one consumer shard per ISA lane. A pipelined group
-/// costs `1 + K` items — one interpreter ([`Role::Produce`]) plus `K`
-/// consumer shards ([`Role::Consume`]), `K = min(members, workers - 1)`
-/// distributed across the group's lanes. A group's items are contiguous in
-/// claim order and its team never exceeds `workers`, which guarantees
-/// progress: the earliest unclaimed item always belongs to a team whose
-/// predecessors are fully claimed and therefore terminate, freeing their
-/// workers.
-///
-/// Two structural rules keep the channels deadlock-free:
-///
-/// * a consumer shard never spans ISA lanes (application kernel phases
-///   stream lane-by-lane, so a cross-lane shard would block on a silent
-///   lane while its busy lane backs up);
-/// * a shard with several members drains them round-robin, one batch per
-///   member per pass — the order the producer publishes in, so neither side
-///   can wait on a batch the other has not already had the opportunity to
-///   hand over.
-fn plan_items(
-    grid: &GridSpec,
-    cells: &[Cell],
-    groups: &[Group],
-    workers: usize,
-) -> (Vec<Item>, usize) {
-    let budget = workers - 1;
-    let mut plan: Vec<Item> = Vec::new();
-    let mut pipelined = 0usize;
-    for (gi, group) in groups.iter().enumerate() {
-        if group.members().count() < 2 || budget < group.lanes.len() {
-            plan.push(Item { gi, label: group_label(group), role: Role::Serial });
-            continue;
-        }
-        pipelined += 1;
-        // Consumer budget: at least one shard per lane, never more shards
-        // than members, extras distributed round-robin over the lanes.
-        let mut shards: Vec<usize> = vec![1; group.lanes.len()];
-        let mut remaining = budget - group.lanes.len();
-        while remaining > 0 {
-            let before = remaining;
-            for (li, (_, members)) in group.lanes.iter().enumerate() {
-                if remaining > 0 && shards[li] < members.len() {
-                    shards[li] += 1;
-                    remaining -= 1;
-                }
-            }
-            if remaining == before {
-                break;
-            }
-        }
-        let mut sink_lanes: Vec<(IsaKind, BatchSink)> = Vec::with_capacity(group.lanes.len());
-        let mut consumers: Vec<Item> = Vec::new();
-        for ((isa, members), &lane_shards) in group.lanes.iter().zip(&shards) {
-            let (senders, receivers): (Vec<_>, Vec<_>) =
-                members.iter().map(|_| batch_channel(DEFAULT_CHANNEL_BATCHES)).unzip();
-            sink_lanes.push((*isa, BatchSink::new(senders, DEFAULT_BATCH_INSTS)));
-            // Split this lane's members contiguously across its shards.
-            let (per, extra) = (members.len() / lane_shards, members.len() % lane_shards);
-            let mut lane = members.iter().copied().zip(receivers);
-            for s in 0..lane_shards {
-                let shard: Vec<(usize, BatchReceiver)> =
-                    lane.by_ref().take(per + usize::from(s < extra)).collect();
-                let label = shard
-                    .iter()
-                    .map(|&(ci, _)| cell_label(grid, &cells[ci]))
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                consumers.push(Item { gi, label, role: Role::Consume(shard) });
-            }
-        }
-        plan.push(Item {
-            gi,
-            label: format!("interpret {}", group_label(group)),
-            role: Role::Produce(sink_lanes),
-        });
-        plan.append(&mut consumers);
-    }
-    (plan, pipelined)
-}
-
 /// Simulate every cell of `ctx.cells` (the cache-miss subset of a grid) as
-/// `ctx.groups`, scheduled on `workers` threads. Returns one [`CellSim`] per
-/// cell plus the run's wall-clock and sharing accounting.
+/// `ctx.groups`, one work item per group, scheduled on `workers` threads.
+/// Returns one [`CellSim`] per cell plus the run's wall-clock and sharing
+/// accounting.
 fn run_groups(
-    ctx: &ItemCtx<'_>,
+    ctx: &GroupCtx<'_>,
     workers: usize,
     progress: bool,
     counters: &PoolCounters,
 ) -> (Vec<CellSim>, GridTiming) {
     let (cells, groups) = (ctx.cells, ctx.groups);
-    let (plan, pipelined_groups) = plan_items(ctx.grid, cells, groups, workers);
+    let now_ns = || ctx.epoch.elapsed().as_nanos() as u64;
     let outcomes = parallel_map_with(
-        plan,
+        groups,
         workers,
         |worker| (MachinePool::new(counters), worker),
-        |item| item.label.clone(),
-        |(pool, worker), item| {
-            let outcome = exec_item(item, ctx, pool, *worker);
+        group_label,
+        |(pool, worker), group| {
+            let start_ns = now_ns();
+            let (sims, insts) = run_serial(ctx, group, pool);
+            let dur_ns = now_ns().saturating_sub(start_ns);
+            let name = group_label(group);
             if progress {
-                report_progress(groups, &outcome);
+                eprintln!("  {name}: done ({} ms)", dur_ns / 1_000_000);
             }
-            outcome
+            (sims, SpanRec { name, tid: *worker, start_ns, dur_ns, insts })
         },
     );
 
-    // Assemble: group spans, per-cell results, occupancy, span records.
-    let mut timing = GridTiming::default();
-    let mut extents: Vec<(u64, u64)> = vec![(u64::MAX, 0); groups.len()];
+    // Assemble: per-cell results, group spans, span records.
+    let mut timing =
+        GridTiming { cell_wall_ns: vec![0; cells.len()], ..GridTiming::default() };
     let mut slots: Vec<Option<CellSim>> = vec![None; cells.len()];
-    let (mut busy_ns, mut consumer_ns) = (0u64, 0u64);
-    for outcome in outcomes {
-        let dur_ns = outcome.dur_ns();
-        let (start, end) = &mut extents[outcome.gi];
-        *start = (*start).min(outcome.start_ns);
-        *end = (*end).max(outcome.end_ns);
-        timing.functional_instructions += outcome.executed;
-        if outcome.kind == "consume" {
-            busy_ns += dur_ns.saturating_sub(outcome.wait_ns);
-            consumer_ns += dur_ns;
-        }
-        timing.spans.push(SpanRec {
-            name: outcome.label,
-            cat: outcome.kind,
-            tid: outcome.worker,
-            start_ns: outcome.start_ns,
-            dur_ns,
-            wait_ns: outcome.wait_ns,
-            insts: outcome.executed,
-        });
-        for (ci, sim) in outcome.sims {
+    for (group, (sims, span)) in groups.iter().zip(outcomes) {
+        timing.sim_wall_ns += span.dur_ns;
+        timing.functional_instructions += span.insts;
+        // Every member of a group carries the group's shared span.
+        for (ci, sim) in group.members().zip(sims) {
+            timing.cell_wall_ns[ci] = span.dur_ns;
             slots[ci] = Some(sim);
         }
+        timing.spans.push(span);
     }
     // Chronological spans, so the meta section and trace export read in order.
     timing.spans.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then_with(|| a.name.cmp(&b.name)));
     timing.functional_passes = groups.len();
-    // Every member of a group carries the group's shared span.
-    timing.cell_wall_ns = vec![0; cells.len()];
-    for (group, &(start, end)) in groups.iter().zip(&extents) {
-        let span = end.saturating_sub(start);
-        timing.sim_wall_ns += span;
-        for ci in group.members() {
-            timing.cell_wall_ns[ci] = span;
-        }
-    }
-    timing.pipeline = (workers > 1).then(|| PipelineStats {
-        batch_insts: DEFAULT_BATCH_INSTS,
-        channel_batches: DEFAULT_CHANNEL_BATCHES,
-        pipelined_groups,
-        serial_groups: groups.len() - pipelined_groups,
-        occupancy: (consumer_ns > 0).then(|| busy_ns as f64 / consumer_ns as f64),
-    });
     let sims = slots.into_iter().map(|s| s.expect("every cell belongs to one group")).collect();
     (sims, timing)
-}
-
-/// One live stderr progress line per completed work item: the group's
-/// identity plus — for consumer shards — the shard's occupancy (share of
-/// its span spent simulating rather than blocked on `recv`).
-fn report_progress(groups: &[Group], outcome: &Outcome) {
-    let group = group_label(&groups[outcome.gi]);
-    let span = outcome.dur_ns();
-    let ms = span / 1_000_000;
-    if outcome.kind == "consume" {
-        let occupancy =
-            if span == 0 { 1.0 } else { span.saturating_sub(outcome.wait_ns) as f64 / span as f64 };
-        eprintln!(
-            "  {group}: consumer shard done, {} cell(s), occupancy {:.0}% ({ms} ms)",
-            outcome.sims.len(),
-            occupancy * 100.0
-        );
-    } else {
-        eprintln!("  {group}: {} done ({ms} ms)", outcome.kind);
-    }
-}
-
-/// Lock a mutex, tolerating poisoning: a worker that panicked inside a
-/// critical section already recorded its failure through the abort path, so
-/// the data (machine pool, failure slot) is still safe to use.
-fn lock_clean<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Re-raise a caught worker panic, prefixing the failing work item's
@@ -1225,7 +919,7 @@ fn run_grid(
         (Vec::new(), GridTiming::default())
     } else {
         let grouped = groups(grid, &active, mode);
-        let ctx = ItemCtx {
+        let ctx = GroupCtx {
             grid,
             cells: &active,
             groups: &grouped,
@@ -1317,91 +1011,74 @@ fn run_grid(
     (results, timing, outcome)
 }
 
-/// Map `f` over `items` on `workers` scoped threads. Items are claimed in
-/// order from a shared atomic cursor and *moved* to the claiming worker;
-/// every worker thread calls `state` once with its worker index and threads
-/// the value through all of its `f` calls; `label` names an item for the
-/// panic message should `f` panic on it. The runner uses the state for the
-/// [`MachinePool`] — machines are reused within a worker, and since a reset
-/// machine is bit-identical to a fresh one, the state never influences
-/// results. Results land in the slot of their input index, so the output
-/// order — and any serialization of it — is independent of worker count and
-/// scheduling. One worker (or one item) runs everything on the calling
-/// thread.
+/// Map `f` over `items` on `workers` scoped threads. Workers claim item
+/// indices in order from a shared atomic cursor; every worker calls `state`
+/// once with its worker index and threads the value through all of its `f`
+/// calls. The runner uses the state for the [`MachinePool`] — machines are
+/// reused within a worker, and since a reset machine is bit-identical to a
+/// fresh one, the state never influences results. Results land in the slot
+/// of their input index, so the output order — and any serialization of it
+/// — is independent of worker count and scheduling. One worker (or one
+/// item) runs everything on the calling thread.
 ///
 /// A panic in `f` fails fast: the panicking worker raises the abort flag, and
-/// from then on every worker claims the remaining items and *drops them
-/// unexecuted* — prompt, and for pipeline items the drop closes their
-/// channel endpoints, so no peer stays blocked on a channel. In-flight items
-/// still finish; their results are discarded. The first failure is
-/// re-raised on the caller's thread with the failing item's `label`, so a
-/// kernel verification failure names its cell instead of surfacing as a
-/// bare join panic.
-fn parallel_map_with<T: Send, R: Send, S>(
-    items: Vec<T>,
+/// from then on no worker claims another item. In-flight items still finish;
+/// their results are discarded. The failure (the lowest-indexed one, should
+/// several items panic at once) is re-raised on the caller's thread with
+/// `label` of its item, so a kernel verification failure names its group
+/// instead of surfacing as a bare join panic.
+fn parallel_map_with<T: Sync, R: Send, S>(
+    items: &[T],
     workers: usize,
     state: impl Fn(usize) -> S + Sync,
-    label: impl Fn(&T) -> String + Sync,
-    f: impl Fn(&mut S, T) -> R + Sync,
+    label: impl Fn(&T) -> String,
+    f: impl Fn(&mut S, &T) -> R + Sync,
 ) -> Vec<R> {
-    if workers <= 1 || items.len() <= 1 {
-        let mut local = state(0);
-        return items
-            .into_iter()
-            .map(|item| {
-                let who = label(&item);
-                catch_unwind(AssertUnwindSafe(|| f(&mut local, item)))
-                    .unwrap_or_else(|payload| raise_labeled(&who, payload))
-            })
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> =
-        items.into_iter().map(|item| Mutex::new(Some(item))).collect();
     let cursor = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let failure: Mutex<Option<(String, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(slots.len()).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(slots.len()))
-            .map(|worker| {
-                let (slots, cursor, abort, failure) = (&slots, &cursor, &abort, &failure);
-                let (state, label, f) = (&state, &label, &f);
-                scope.spawn(move || {
-                    let mut local = state(worker);
-                    let mut produced = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= slots.len() {
-                            break;
-                        }
-                        let Some(item) = lock_clean(&slots[i]).take() else { continue };
-                        if abort.load(Ordering::Relaxed) {
-                            continue; // claim-and-drop
-                        }
-                        let who = label(&item);
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut local, item))) {
-                            Ok(r) => produced.push((i, r)),
-                            Err(payload) => {
-                                abort.store(true, Ordering::Relaxed);
-                                let mut first = lock_clean(failure);
-                                if first.is_none() {
-                                    *first = Some((who, payload));
-                                }
-                            }
-                        }
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("map workers catch their own panics") {
-                results[i] = Some(r);
+    // One worker's claim loop: its results, plus the item it failed on.
+    let work = |worker: usize| {
+        let mut local = state(worker);
+        let mut produced = Vec::new();
+        while !abort.load(Ordering::Relaxed) {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            match catch_unwind(AssertUnwindSafe(|| f(&mut local, item))) {
+                Ok(r) => produced.push((i, r)),
+                Err(payload) => {
+                    abort.store(true, Ordering::Relaxed);
+                    return (produced, Some((i, payload)));
+                }
             }
         }
-    });
-    if let Some((who, payload)) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        raise_labeled(&who, payload);
+        (produced, None)
+    };
+    let workers = workers.min(items.len()).max(1);
+    let outputs: Vec<_> = if workers == 1 {
+        vec![work(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || work(w))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("map workers catch their own panics"))
+                .collect()
+        })
+    };
+    let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    let mut failure: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
+    for (produced, failed) in outputs {
+        for (i, r) in produced {
+            results[i] = Some(r);
+        }
+        if let Some((i, payload)) = failed {
+            if failure.as_ref().is_none_or(|(first, _)| i < *first) {
+                failure = Some((i, payload));
+            }
+        }
+    }
+    if let Some((i, payload)) = failure {
+        raise_labeled(&label(&items[i]), payload);
     }
     results.into_iter().map(|r| r.expect("every item ran")).collect()
 }
@@ -1486,7 +1163,7 @@ mod tests {
     use mom_kernels::KernelKind;
 
     fn map_doubled(items: &[usize], workers: usize) -> Vec<usize> {
-        parallel_map_with(items.to_vec(), workers, |_| (), |x| format!("item {x}"), |(), x| x * 2)
+        parallel_map_with(items, workers, |_| (), |x| format!("item {x}"), |(), x| x * 2)
     }
 
     fn run_with(spec: &ExperimentSpec, workers: usize) -> RunResult {
@@ -1511,11 +1188,11 @@ mod tests {
         let executed = AtomicUsize::new(0);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             parallel_map_with(
-                items,
+                &items,
                 4,
                 |_| (),
                 |x| format!("compensation / mom / {x}-way"),
-                |(), x| {
+                |(), &x| {
                     if x == 3 {
                         panic!("injected cell failure");
                     }
@@ -1542,11 +1219,11 @@ mod tests {
         let items = [1usize, 2];
         let caught = catch_unwind(AssertUnwindSafe(|| {
             parallel_map_with(
-                items.to_vec(),
+                &items,
                 1,
                 |_| (),
                 |x| format!("item-{x}"),
-                |(), x| {
+                |(), &x| {
                     if x == 2 {
                         panic!("boom");
                     }
@@ -1560,55 +1237,20 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_fanout_matches_serial_and_reports_pipeline_meta() {
-        let spec = figure5_spec(&[KernelKind::Compensation], 1, 1, true);
-        let serial = run_with(&spec, 1);
-        let piped = run_with(&spec, 3);
-        // Byte-identical results; only meta differs.
-        assert_eq!(
-            serial.results_json().to_pretty(),
-            piped.results_json().to_pretty(),
-            "pipelined fan-out diverged from the serial broadcast"
-        );
-        assert!(serial.pipeline.is_none(), "one worker never pipelines");
-        let stats = piped.pipeline.as_ref().expect("2+ workers run the pipelined scheduler");
-        // Kernel groups (single lane) always pipeline when workers >= 2.
-        assert_eq!(stats.pipelined_groups, 4);
-        assert_eq!(stats.serial_groups, 0);
-        assert_eq!(stats.batch_insts, DEFAULT_BATCH_INSTS);
-        assert_eq!(stats.channel_batches, DEFAULT_CHANNEL_BATCHES);
-        let occupancy = stats.occupancy.expect("pipelined groups report occupancy");
-        assert!((0.0..=1.0).contains(&occupancy), "occupancy {occupancy}");
-        // The meta section carries the same numbers.
-        let doc = piped.document_json();
-        let pipeline = doc.get("meta").and_then(|m| m.get("pipeline")).expect("meta.pipeline");
-        assert_eq!(
-            pipeline.get("batch_insts").and_then(Value::as_i64),
-            Some(stats.batch_insts as i64)
-        );
-        assert_eq!(pipeline.get("pipelined_groups").and_then(Value::as_i64), Some(4));
-        assert!(pipeline.get("occupancy").and_then(Value::as_f64).is_some());
-        // And the serial run's meta has no pipeline section.
-        assert!(serial.document_json().get("meta").and_then(|m| m.get("pipeline")).is_none());
-    }
-
-    #[test]
-    fn app_groups_fall_back_to_serial_when_workers_cannot_cover_their_lanes() {
-        let spec = ExperimentSpec::builtin("figure7", 1, true).expect("figure7 is built in");
-        // figure7 app groups span 4 ISA lanes; 2 workers cannot field an
-        // interpreter plus one shard per lane, so the groups run serially —
-        // but still through the pipelined scheduler's accounting.
-        let narrow = run_with(&spec, 2);
-        let stats = narrow.pipeline.as_ref().expect("pipelined scheduler ran");
-        assert_eq!(stats.pipelined_groups, 0);
-        assert!(stats.serial_groups > 0);
-        assert!(stats.occupancy.is_none(), "no consumer shards ran");
-        // With enough workers the same groups pipeline, byte-identically.
-        let wide = run_with(&spec, 6);
-        let wide_stats = wide.pipeline.as_ref().expect("pipelined scheduler ran");
-        assert_eq!(wide_stats.serial_groups, 0);
-        assert_eq!(wide_stats.pipelined_groups, stats.serial_groups);
-        assert_eq!(narrow.results_json().to_pretty(), wide.results_json().to_pretty());
+    fn every_group_is_one_work_item_at_any_worker_count() {
+        for name in ["figure5", "stress"] {
+            let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
+            let result = run_with(&spec, 4);
+            assert_eq!(result.spans.len(), result.functional_passes, "{name}: one span per group");
+            assert_eq!(
+                result.spans.iter().map(|s| s.insts).sum::<u64>(),
+                result.functional_instructions,
+                "{name}: each group's interpretation runs inside its one span"
+            );
+            assert!(result.pipeline.is_none());
+            let doc = result.document_json();
+            assert!(doc.get("meta").and_then(|m| m.get("pipeline")).is_none());
+        }
     }
 
     #[test]
@@ -1740,13 +1382,9 @@ mod tests {
             assert_eq!(streamed.results_json().to_pretty(), fanout.results_json().to_pretty());
             assert_eq!(streamed.functional_passes, cells, "one pass per cell");
             assert!((streamed.sharing_factor().unwrap() - 1.0).abs() < 1e-12);
-            // Every cell is a serial work item with a span of its own.
+            // Every cell is a work item with a span of its own.
             assert_eq!(streamed.spans.len(), cells);
-            assert!(streamed.spans.iter().all(|s| s.cat == "serial" && s.insts > 0));
-            // A one-member group never pipelines.
-            if let Some(stats) = &streamed.pipeline {
-                assert_eq!((stats.pipelined_groups, stats.serial_groups), (0, cells));
-            }
+            assert!(streamed.spans.iter().all(|s| s.insts > 0));
         }
     }
 

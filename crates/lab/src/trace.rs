@@ -4,8 +4,8 @@
 //! fan-out scheduler into the Trace Event Format consumed by
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): one process
 //! per experiment spec, one track (`tid`) per worker thread, one complete
-//! (`ph: "X"`) event per work item. Channel wait time and interpreted
-//! instruction counts ride along in each event's `args`.
+//! (`ph: "X"`) event per group. Interpreted instruction counts ride along
+//! in each event's `args`.
 //!
 //! Written by `momlab run --trace-out <file>`; the output is wall-clock
 //! data and therefore *informational* — the deterministic results sections
@@ -33,19 +33,12 @@ pub fn chrome_trace(processes: &[(String, Vec<SpanRec>)]) -> Value {
         for span in spans {
             events.push(Value::object(vec![
                 ("name", Value::Str(span.name.clone())),
-                ("cat", Value::Str(span.cat.into())),
                 ("ph", Value::Str("X".into())),
                 ("ts", Value::Float(span.start_ns as f64 / 1000.0)),
                 ("dur", Value::Float(span.dur_ns as f64 / 1000.0)),
                 ("pid", Value::Int(pid)),
                 ("tid", Value::Int(span.tid as i64)),
-                (
-                    "args",
-                    Value::object(vec![
-                        ("wait_us", Value::Float(span.wait_ns as f64 / 1000.0)),
-                        ("insts", Value::Int(span.insts as i64)),
-                    ]),
-                ),
+                ("args", Value::object(vec![("insts", Value::Int(span.insts as i64))])),
             ]));
         }
     }
@@ -59,15 +52,15 @@ pub fn chrome_trace(processes: &[(String, Vec<SpanRec>)]) -> Value {
 mod tests {
     use super::*;
 
-    fn span(name: &str, cat: &'static str, tid: usize, start_ns: u64, dur_ns: u64) -> SpanRec {
-        SpanRec { name: name.into(), cat, tid, start_ns, dur_ns, wait_ns: 250, insts: 42 }
+    fn span(name: &str, tid: usize, start_ns: u64, dur_ns: u64) -> SpanRec {
+        SpanRec { name: name.into(), tid, start_ns, dur_ns, insts: 42 }
     }
 
     #[test]
     fn trace_document_has_one_process_per_spec() {
         let doc = chrome_trace(&[
-            ("figure5".into(), vec![span("interpret idct", "produce", 0, 0, 5_000)]),
-            ("figure7".into(), vec![span("jpeg / mom (4-way)", "consume", 1, 2_000, 3_000)]),
+            ("figure5".into(), vec![span("idct [mom]", 0, 0, 5_000)]),
+            ("figure7".into(), vec![span("jpeg [alpha+mmx+mdmx+mom]", 1, 2_000, 3_000)]),
         ]);
         let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
         // Two metadata events + two span events.
@@ -76,13 +69,12 @@ mod tests {
             events.iter().filter_map(|e| e.get("ph").and_then(Value::as_str)).collect();
         assert_eq!(phases, ["M", "X", "M", "X"]);
         // Span timestamps are microseconds.
-        let consume = &events[3];
-        assert_eq!(consume.get("ts").and_then(Value::as_f64), Some(2.0));
-        assert_eq!(consume.get("dur").and_then(Value::as_f64), Some(3.0));
-        assert_eq!(consume.get("pid").and_then(Value::as_i64), Some(2));
-        assert_eq!(consume.get("tid").and_then(Value::as_i64), Some(1));
-        let args = consume.get("args").unwrap();
-        assert_eq!(args.get("wait_us").and_then(Value::as_f64), Some(0.25));
+        let app = &events[3];
+        assert_eq!(app.get("ts").and_then(Value::as_f64), Some(2.0));
+        assert_eq!(app.get("dur").and_then(Value::as_f64), Some(3.0));
+        assert_eq!(app.get("pid").and_then(Value::as_i64), Some(2));
+        assert_eq!(app.get("tid").and_then(Value::as_i64), Some(1));
+        let args = app.get("args").unwrap();
         assert_eq!(args.get("insts").and_then(Value::as_i64), Some(42));
         // The document parses back as JSON (what --trace-out writes).
         let text = doc.to_pretty();

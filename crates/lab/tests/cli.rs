@@ -112,3 +112,19 @@ fn removed_flags_are_errors() {
     check_rejected("--checkpoint-dir");
     check_rejected("--resume");
 }
+
+#[test]
+fn diff_of_a_deeply_nested_document_is_an_error_not_a_crash() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("deeply_nested.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("write the nested document");
+    let file = path.to_str().expect("UTF-8 temp path");
+    let output = momlab(&["diff", file, "--baseline", file]);
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "momlab diff did not exit 1; stderr:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("error:") && stderr.contains("nesting"), "stderr:\n{stderr}");
+}
