@@ -15,13 +15,20 @@ fn table_index(pc: u64, len: usize) -> usize {
     }
 }
 
-/// A table of 2-bit saturating counters indexed by the branch PC.
+/// A table of 2-bit saturating counters indexed by the branch PC, packed
+/// four to a byte: counter `i` is bits `2 * (i % 4)..2 * (i % 4) + 2` of
+/// byte `i / 4`. Table 1's largest table, 16,384 counters, takes 4 KiB.
 #[derive(Debug, Clone)]
 pub struct BimodalPredictor {
     counters: Vec<u8>,
+    /// Number of counters; the last byte may hold fewer than four.
+    entries: usize,
 }
 
 impl BimodalPredictor {
+    /// Four weakly-taken counters (`0b10` each) in one byte.
+    const WEAKLY_TAKEN: u8 = 0b1010_1010;
+
     /// Create a predictor with `entries` counters, initialised to weakly taken.
     ///
     /// # Panics
@@ -29,28 +36,38 @@ impl BimodalPredictor {
     /// Panics if `entries` is zero.
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "predictor must have at least one entry");
-        Self { counters: vec![2; entries] }
+        Self { counters: vec![Self::WEAKLY_TAKEN; entries.div_ceil(4)], entries }
     }
 
-    fn index(&self, pc: u64) -> usize {
-        table_index(pc, self.counters.len())
+    /// The byte holding `pc`'s counter and the counter's shift within it.
+    fn slot(&self, pc: u64) -> (usize, u32) {
+        let i = table_index(pc, self.entries);
+        (i / 4, 2 * (i % 4) as u32)
+    }
+
+    /// The 2-bit counter of the branch at `pc`.
+    pub fn counter(&self, pc: u64) -> u8 {
+        let (byte, shift) = self.slot(pc);
+        self.counters[byte] >> shift & 3
     }
 
     /// Predict whether the branch at `pc` is taken.
     pub fn predict(&self, pc: u64) -> bool {
-        self.counters[self.index(pc)] >= 2
+        self.counter(pc) >= 2
     }
 
     /// Update the counter with the actual outcome.
     #[inline]
     pub fn update(&mut self, pc: u64, taken: bool) {
-        let idx = self.index(pc);
-        let c = &mut self.counters[idx];
-        if taken {
-            *c = (*c + 1).min(3);
-        } else {
-            *c = c.saturating_sub(1);
-        }
+        let (byte, shift) = self.slot(pc);
+        let c = self.counters[byte] >> shift & 3;
+        let next = if taken { (c + 1).min(3) } else { c.saturating_sub(1) };
+        self.counters[byte] ^= (c ^ next) << shift;
+    }
+
+    /// Set every counter back to weakly taken.
+    pub fn reset(&mut self) {
+        self.counters.fill(Self::WEAKLY_TAKEN);
     }
 }
 
@@ -58,8 +75,8 @@ impl BimodalPredictor {
 #[derive(Debug, Clone)]
 pub struct Btb {
     /// `(pc, target)` per slot; an empty slot holds [`Btb::EMPTY`] as its pc.
-    /// 16 bytes a slot, where `Option<(u64, u64)>` takes 24.
-    entries: Vec<(u64, u64)>,
+    /// Both are static instruction indices, so 32 bits each: 8 bytes a slot.
+    entries: Vec<(u32, u32)>,
 }
 
 impl Btb {
@@ -75,8 +92,8 @@ impl Btb {
 
     /// The pc of an empty slot. Branch pcs are static instruction indices,
     /// so no branch has this one.
-    pub const EMPTY: u64 = u64::MAX;
-    const VACANT: (u64, u64) = (Self::EMPTY, 0);
+    pub const EMPTY: u32 = u32::MAX;
+    const VACANT: (u32, u32) = (Self::EMPTY, 0);
 
     fn index(&self, pc: u64) -> usize {
         table_index(pc, self.entries.len())
@@ -85,24 +102,34 @@ impl Btb {
     /// Look up the predicted target for the branch at `pc`.
     pub fn lookup(&self, pc: u64) -> Option<u64> {
         let (tag, target) = self.entries[self.index(pc)];
-        (tag == pc && pc != Self::EMPTY).then_some(target)
+        (u64::from(tag) == pc && tag != Self::EMPTY).then_some(u64::from(target))
     }
 
     /// Record the target of a taken branch.
     ///
     /// # Panics
     ///
-    /// Panics if `pc` is [`Btb::EMPTY`].
+    /// Panics if `pc` is [`Btb::EMPTY`] or wider than 32 bits, or if
+    /// `target` is wider than 32 bits.
     pub fn update(&mut self, pc: u64, target: u64) {
-        assert_ne!(pc, Self::EMPTY, "pc {pc:#x} marks an empty BTB slot");
+        let tag = u32::try_from(pc).ok().filter(|&t| t != Self::EMPTY).unwrap_or_else(|| {
+            panic!("pc {pc:#x} does not fit a BTB slot (32 bits; {:#x} marks an empty slot)", Self::EMPTY)
+        });
+        let target = u32::try_from(target)
+            .unwrap_or_else(|_| panic!("BTB target {target:#x} of pc {pc:#x} does not fit 32 bits"));
         let idx = self.index(pc);
-        self.entries[idx] = (pc, target);
+        self.entries[idx] = (tag, target);
     }
 }
 
 /// Combined front-end predictor: direction from the bimodal table, target from
 /// the BTB. A taken prediction without a BTB hit cannot redirect fetch in time
 /// and therefore behaves like a misprediction.
+///
+/// Both tables hold static instruction indices and 2-bit counters at their
+/// natural width: the bimodal table packs four counters per byte and a BTB
+/// slot is two `u32`s, so the 8-way configuration (16,384 counters, 1,024
+/// slots) keeps 4 KiB + 8 KiB.
 #[derive(Debug, Clone)]
 pub struct BranchPredictor {
     bimodal: BimodalPredictor,
@@ -155,14 +182,14 @@ impl BranchPredictor {
     /// by the simulator to validate that a reusable engine state matches a
     /// core configuration before streaming into it.
     pub fn table_sizes(&self) -> (usize, usize) {
-        (self.bimodal.counters.len(), self.btb.entries.len())
+        (self.bimodal.entries, self.btb.entries.len())
     }
 
     /// Restore the tables to their just-built state (counters weakly taken,
     /// BTB empty, counts zeroed) without reallocating. Part of the simulator
     /// `reset()` path that lets machines be reused across experiment cells.
     pub fn reset(&mut self) {
-        self.bimodal.counters.fill(2);
+        self.bimodal.reset();
         self.btb.entries.fill(Btb::VACANT);
         self.predictions = 0;
         self.mispredictions = 0;
@@ -222,7 +249,7 @@ mod tests {
         let b = Btb::new(4);
         assert_eq!(b.lookup(0), None);
         assert_eq!(b.lookup(u64::MAX - 1), None);
-        assert_eq!(b.lookup(Btb::EMPTY), None);
+        assert_eq!(b.lookup(u64::from(Btb::EMPTY)), None);
         let mut bp = BranchPredictor::new(4, 4);
         assert!(!bp.predict_and_update(4, false, true, 9), "a cold BTB has no target");
         assert_eq!(bp.btb.lookup(4), Some(9));
@@ -231,9 +258,50 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "marks an empty BTB slot")]
+    #[should_panic(expected = "marks an empty slot")]
     fn btb_update_refuses_the_empty_pc() {
-        Btb::new(4).update(Btb::EMPTY, 0);
+        Btb::new(4).update(u64::from(Btb::EMPTY), 0);
+    }
+
+    #[test]
+    fn btb_slots_hold_32_bit_pcs_and_targets() {
+        let mut b = Btb::new(4);
+        let top = u64::from(u32::MAX - 1);
+        b.update(top, u64::from(u32::MAX));
+        assert_eq!(b.lookup(top), Some(u64::from(u32::MAX)));
+        assert_eq!(b.lookup(top + 4), None, "a pc wider than 32 bits matches no slot");
+        assert_eq!(b.lookup(u64::from(Btb::EMPTY)), None, "an empty slot's pc is no hit");
+    }
+
+    #[test]
+    #[should_panic(expected = "pc 0x100000002 does not fit a BTB slot")]
+    fn btb_update_refuses_a_pc_wider_than_32_bits() {
+        Btb::new(4).update(1 << 32 | 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "BTB target 0x100000000 of pc 0x2 does not fit 32 bits")]
+    fn btb_update_refuses_a_target_wider_than_32_bits() {
+        Btb::new(4).update(2, 1 << 32);
+    }
+
+    #[test]
+    fn table_footprint_is_two_bits_a_counter_and_eight_bytes_a_slot() {
+        let bp = BranchPredictor::new(16384, 1024);
+        assert_eq!(bp.table_sizes(), (16384, 1024), "sizes are entry counts");
+        assert_eq!(std::mem::size_of_val(bp.bimodal.counters.as_slice()), 4 * 1024);
+        assert_eq!(std::mem::size_of_val(bp.btb.entries.as_slice()), 8 * 1024);
+    }
+
+    #[test]
+    fn bimodal_tables_not_a_multiple_of_four_keep_every_counter() {
+        let mut p = BimodalPredictor::new(5);
+        assert_eq!(p.counters.len(), 2);
+        p.update(4, false);
+        p.update(4, false);
+        assert_eq!(p.counter(4), 0);
+        assert_eq!(p.counter(9), 0, "pc 9 maps to counter 4");
+        assert!((0..4).all(|pc| p.counter(pc) == 2), "neighbours stay weakly taken");
     }
 
     #[test]

@@ -82,6 +82,7 @@
 //! `MOM_BENCH_FAST=1` selects the reduced fast-mode workload subsets (the
 //! ones the golden files under `tests/golden/` were captured with).
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -98,15 +99,38 @@ use mom_lab::{report, runner, RunOptions};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run_cli(&args) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
+    let (msg, usage) = match run_cli(&args) {
+        Ok(code) => return code,
+        Err(Failure::Usage(msg)) => (msg, true),
+        Err(Failure::Error(msg)) => (msg, false),
+    };
+    // Write errors are ignored: a closed stderr must not turn a failure
+    // into a panic.
+    let mut stderr = std::io::stderr().lock();
+    let _ = writeln!(stderr, "error: {msg}");
+    if usage {
+        let _ = writeln!(stderr, "\n{USAGE}");
     }
+    ExitCode::FAILURE
+}
+
+/// Why a command failed. Only an argument error is followed by the usage
+/// text; an error about a file's contents or a run is its one line.
+enum Failure {
+    /// An unknown flag or subcommand, or a missing or malformed value.
+    Usage(String),
+    /// Any other error.
+    Error(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Error(msg)
+    }
+}
+
+fn usage(msg: &str) -> Failure {
+    Failure::Usage(msg.to_string())
 }
 
 const USAGE: &str = "\
@@ -324,25 +348,26 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn run_cli(args: &[String]) -> Result<ExitCode, String> {
+fn run_cli(args: &[String]) -> Result<ExitCode, Failure> {
     // `--help`/`-h` anywhere (including after a subcommand) prints usage and
     // succeeds.
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
     }
+    let options = |args: &[String]| parse_options(args).map_err(Failure::Usage);
     match args.first().map(String::as_str) {
         None => {
             println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
-        Some("list") => cmd_list(&parse_options(&args[1..])?),
-        Some("describe") => cmd_describe(&parse_options(&args[1..])?),
-        Some("run") => cmd_run(&parse_options(&args[1..])?),
-        Some("diff") => cmd_diff(&parse_options(&args[1..])?),
-        Some("cache") => cmd_cache(&parse_options(&args[1..])?),
+        Some("list") => Ok(cmd_list(&options(&args[1..])?)?),
+        Some("describe") => cmd_describe(&options(&args[1..])?),
+        Some("run") => Ok(cmd_run(&options(&args[1..])?)?),
+        Some("diff") => cmd_diff(&options(&args[1..])?),
+        Some("cache") => cmd_cache(&options(&args[1..])?),
         // `momlab --all` is a shorthand for `momlab run --all`.
-        Some(_) => cmd_run(&parse_options(args)?),
+        Some(_) => Ok(cmd_run(&options(args)?)?),
     }
 }
 
@@ -419,9 +444,9 @@ fn cmd_list(opts: &Options) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_describe(opts: &Options) -> Result<ExitCode, String> {
+fn cmd_describe(opts: &Options) -> Result<ExitCode, Failure> {
     if opts.names.is_empty() && opts.experiments.is_empty() && !opts.all {
-        return Err("describe takes at least one experiment name".into());
+        return Err(usage("describe takes at least one experiment name"));
     }
     let specs = selected_specs(opts)?;
     for (i, spec) in specs.iter().enumerate() {
@@ -718,20 +743,20 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
 
 /// `momlab cache <ls|verify|gc>` — inspect and maintain a persistent cell
 /// cache named by `--cache-dir`.
-fn cmd_cache(opts: &Options) -> Result<ExitCode, String> {
+fn cmd_cache(opts: &Options) -> Result<ExitCode, Failure> {
     let verb = opts
         .names
         .first()
         .map(String::as_str)
-        .ok_or_else(|| "cache takes a subcommand: ls, verify or gc".to_string())?;
-    let dir = opts.cache_dir.as_ref().ok_or("cache needs --cache-dir DIR")?;
+        .ok_or_else(|| usage("cache takes a subcommand: ls, verify or gc"))?;
+    let dir = opts.cache_dir.as_ref().ok_or_else(|| usage("cache needs --cache-dir DIR"))?;
     let cache = CellCache::open(dir)
         .map_err(|e| format!("cannot open cache directory {}: {e}", dir.display()))?;
     match verb {
-        "ls" => cmd_cache_ls(&cache),
-        "verify" => cmd_cache_verify(&cache, opts),
+        "ls" => Ok(cmd_cache_ls(&cache)?),
+        "verify" => Ok(cmd_cache_verify(&cache, opts)?),
         "gc" => {
-            let max = opts.max_bytes.ok_or("cache gc needs --max-bytes N")?;
+            let max = opts.max_bytes.ok_or_else(|| usage("cache gc needs --max-bytes N"))?;
             let (evicted, evicted_bytes, remaining) = cache
                 .gc(max)
                 .map_err(|e| format!("cache gc in {}: {e}", cache.dir().display()))?;
@@ -741,7 +766,7 @@ fn cmd_cache(opts: &Options) -> Result<ExitCode, String> {
             );
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown cache subcommand {other:?} (try: ls, verify, gc)")),
+        other => Err(Failure::Usage(format!("unknown cache subcommand {other:?} (try: ls, verify, gc)"))),
     }
 }
 
@@ -856,12 +881,11 @@ fn cmd_cache_verify(cache: &CellCache, opts: &Options) -> Result<ExitCode, Strin
     Ok(if mismatches > 0 { ExitCode::from(2) } else { ExitCode::SUCCESS })
 }
 
-fn cmd_diff(opts: &Options) -> Result<ExitCode, String> {
+fn cmd_diff(opts: &Options) -> Result<ExitCode, Failure> {
     let [new_path] = opts.names.as_slice() else {
-        return Err("diff takes exactly one result file plus --baseline <file>".into());
+        return Err(usage("diff takes exactly one result file plus --baseline <file>"));
     };
-    let baseline_path =
-        opts.baseline.as_ref().ok_or_else(|| "diff needs --baseline <file>".to_string())?;
+    let baseline_path = opts.baseline.as_ref().ok_or_else(|| usage("diff needs --baseline <file>"))?;
     let new_doc = read_document(Path::new(new_path))?;
     let baseline = read_document(baseline_path)?;
     let diff = diff_documents(&new_doc, &baseline, opts.tolerance)?;

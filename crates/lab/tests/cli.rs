@@ -128,3 +128,36 @@ fn diff_of_a_deeply_nested_document_is_an_error_not_a_crash() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("error:") && stderr.contains("nesting"), "stderr:\n{stderr}");
 }
+
+#[test]
+fn an_error_about_a_file_prints_one_line_and_no_usage() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("malformed.json");
+    std::fs::write(&path, "{\"results\": [1, 2").expect("write the malformed document");
+    let file = path.to_str().expect("UTF-8 temp path");
+    let output = momlab(&["diff", file, "--baseline", file]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "stderr:\n{stderr}");
+    assert!(stderr.starts_with("error:") && !stderr.contains("Usage:"), "stderr:\n{stderr}");
+}
+
+#[test]
+fn an_unknown_flag_prints_the_usage() {
+    let output = momlab(&["run", "--bogus"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(stderr.starts_with("error: unknown flag --bogus"), "stderr:\n{stderr}");
+    assert!(stderr.contains("Usage:"), "stderr:\n{stderr}");
+}
+
+#[test]
+fn an_error_written_to_a_closed_pipe_exits_1_instead_of_panicking() {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_momlab"))
+        .args(["run", "--bogus"])
+        .stderr(writer)
+        .status()
+        .expect("failed to spawn momlab");
+    assert_eq!(status.code(), Some(1), "a panic exits 101");
+}

@@ -117,26 +117,31 @@ impl CacheStats {
 }
 
 /// Flag bit of a packed way word: the way holds a line.
-const VALID: u64 = 1;
+const VALID: u32 = 1;
 /// Flag bit of a packed way word: the line was written (write-back caches).
-const DIRTY: u64 = 2;
+const DIRTY: u32 = 2;
 /// The flag bits sit below the tag: a way word is `tag << FLAG_BITS | flags`.
 const FLAG_BITS: u32 = 2;
+/// Bits a tag may use in a way word: the 32-bit word less the flag bits.
+const TAG_BITS: u32 = u32::BITS - FLAG_BITS;
 
 /// A set-associative cache tag array with LRU replacement.
 ///
-/// Each way is one `u64` word, `tag << 2 | DIRTY | VALID`; an invalid way is
-/// the word 0. The tag array is one set-major `Vec`: set `s` owns the `assoc`
-/// words starting at `s * assoc`, kept in recency order — most recently used
-/// first, invalid ways last. A hit moves its way to the front; a miss fills
-/// the last way (an invalid one if the set has any, else the least recently
-/// used line) and moves it to the front. That is exact LRU without
-/// timestamps. Line size and set count are powers of two (every Table 3
-/// cache is), so locating a line is two shifts and a mask.
+/// Each way is one `u32` word, `tag << 2 | DIRTY | VALID`; an invalid way is
+/// the word 0. A tag therefore has at most 30 bits, which bounds the
+/// addresses a cache accepts (see [`Cache::new`]); the paper's L2 keeps its
+/// 8,192 ways in 32 KiB and the L1 its 1,024 in 4 KiB. The tag array is one
+/// set-major `Vec`: set `s` owns the `assoc` words starting at `s * assoc`,
+/// kept in recency order — most recently used first, invalid ways last. A
+/// hit moves its way to the front; a miss fills the last way (an invalid one
+/// if the set has any, else the least recently used line) and moves it to
+/// the front. That is exact LRU without timestamps. Line size and set count
+/// are powers of two (every Table 3 cache is), so locating a line is two
+/// shifts and a mask.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    ways: Vec<u64>,
+    ways: Vec<u32>,
     /// `log2(line_bytes)`: an address shifted right by this is its line.
     line_shift: u32,
     /// `log2(sets)`: a line shifted right by this is its tag.
@@ -147,12 +152,17 @@ pub struct Cache {
 impl Cache {
     /// Create an empty cache.
     ///
+    /// The cache accepts addresses below `2^(30 + log2(line_bytes) +
+    /// log2(sets))`, whose tags fit the 30 tag bits of a way word: `2^45`
+    /// for the paper's L1 and `2^49` for its L2. Every lookup asserts this
+    /// (see [`Cache::access`]).
+    ///
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (zero sets or associativity),
-    /// if its line size or set count is not a power of two, or if a tag would
-    /// not fit beside the two flag bits of a way word (line size times set
-    /// count below 4).
+    /// if its line size or set count is not a power of two, or if line size
+    /// times set count is below 4, which would leave some 32-bit address
+    /// without room for its tag beside the two flag bits.
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.assoc > 0 && config.line_bytes > 0, "degenerate cache configuration");
         let sets = config.sets();
@@ -164,8 +174,8 @@ impl Cache {
         );
         assert!(sets.is_power_of_two(), "cache set count must be a power of two, got {sets}");
         let (line_shift, set_shift) = (config.line_bytes.trailing_zeros(), sets.trailing_zeros());
-        // A tag has `64 - line_shift - set_shift` bits; the way word keeps
-        // `64 - FLAG_BITS` of them.
+        // A 32-bit address has a tag of `32 - line_shift - set_shift` bits;
+        // the way word keeps `TAG_BITS` of them.
         assert!(
             line_shift + set_shift >= FLAG_BITS,
             "cache line size x set count must be at least 4 to pack a tag beside two flag bits, got {} x {sets}",
@@ -203,19 +213,28 @@ impl Cache {
 
     /// The index of the first way of `addr`'s set, and the valid, clean way
     /// word of its line.
-    fn locate(&self, addr: u64) -> (usize, u64) {
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `addr`, if its tag needs more than 30 bits: the way
+    /// word could not hold it, and a truncated tag would hit another line.
+    fn locate(&self, addr: u64) -> (usize, u32) {
         let (set, tag) = self.set_and_tag(addr);
-        (set * self.config.assoc, tag << FLAG_BITS | VALID)
+        assert!(
+            tag >> TAG_BITS == 0,
+            "address {addr:#x} is beyond this cache's reach: its tag {tag:#x} needs more than {TAG_BITS} bits"
+        );
+        (set * self.config.assoc, (tag as u32) << FLAG_BITS | VALID)
     }
 
     /// The position of `word`'s line among `ways`, whatever its dirty bit.
-    fn position(ways: &[u64], word: u64) -> Option<usize> {
+    fn position(ways: &[u32], word: u32) -> Option<usize> {
         ways.iter().position(|&w| w & !DIRTY == word)
     }
 
     /// Put `word` at the front of `ways`, shifting the first `k` ways back
     /// by one (overwriting the way at `k`).
-    fn promote(ways: &mut [u64], k: usize, word: u64) {
+    fn promote(ways: &mut [u32], k: usize, word: u32) {
         for j in (0..k).rev() {
             ways[j + 1] = ways[j];
         }
@@ -232,6 +251,12 @@ impl Cache {
     /// Look up (and on a miss, allocate) the line containing `addr`.
     ///
     /// `is_write` marks the line dirty on write-back caches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is beyond the largest address [`Cache::new`]
+    /// documents; so do [`Cache::probe`], [`Cache::touch`] and
+    /// [`Cache::invalidate`].
     pub fn access(&mut self, addr: u64, is_write: bool) -> LookupResult {
         if self.touch(addr, is_write) {
             return LookupResult::Hit;
@@ -508,6 +533,35 @@ mod tests {
     #[should_panic(expected = "cache line size x set count must be at least 4 to pack a tag beside two flag bits, got 1 x 2")]
     fn new_rejects_a_tag_too_wide_for_the_way_word() {
         let _ = Cache::new(CacheConfig { size_bytes: 2, assoc: 1, line_bytes: 1, hit_latency: 1, mshrs: 4, write_back: false });
+    }
+
+    #[test]
+    fn paper_tag_arrays_hold_one_u32_per_way() {
+        let l2 = Cache::new(CacheConfig::paper_l2(6));
+        assert_eq!(l2.ways.len(), 8192);
+        assert_eq!(std::mem::size_of_val(l2.ways.as_slice()), 32 * 1024);
+        let l1 = Cache::new(CacheConfig::paper_l1(1));
+        assert_eq!(std::mem::size_of_val(l1.ways.as_slice()), 4 * 1024);
+    }
+
+    #[test]
+    fn the_largest_documented_address_is_accepted() {
+        // The paper's L1: 32-byte lines and 1,024 sets leave 30 tag bits
+        // for addresses below 2^45.
+        let mut c = Cache::new(CacheConfig::paper_l1(1));
+        let top = (1u64 << 45) - 1;
+        assert_eq!(c.access(top, false), LookupResult::Miss { dirty_victim: false });
+        assert!(c.probe(top));
+        assert!(!c.probe(top & !(1 << 44)), "the tag's top bit tells the lines apart");
+    }
+
+    #[test]
+    #[should_panic(expected = "address 0x200000000000 is beyond this cache's reach")]
+    fn an_address_whose_tag_needs_31_bits_panics_instead_of_aliasing() {
+        let mut c = Cache::new(CacheConfig::paper_l1(1));
+        c.access(0, false);
+        // Tag 2^30 truncated to 30 bits would be tag 0: a hit on line 0.
+        c.access(1 << 45, false);
     }
 
     #[test]
