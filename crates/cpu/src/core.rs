@@ -82,9 +82,6 @@ pub struct SimResult {
     pub branches: u64,
     /// Branch mispredictions.
     pub mispredictions: u64,
-    /// Cycles memory instructions waited for a free port, summed (one per
-    /// cycle a request found every eligible port busy).
-    pub mem_retries: u64,
     /// Element-level memory accesses performed.
     pub mem_accesses: u64,
 }
@@ -834,7 +831,6 @@ impl<'a, P: Probe> SimStream<'a, P> {
                     "memory system kept a request waiting 100k cycles for a port at pc {}",
                     inst.pc
                 );
-                st.result.mem_retries += waited;
                 if P::ENABLED {
                     // A port wait only shifts the access's start, so it
                     // folds into the completed access's dominant level.

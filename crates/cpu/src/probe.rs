@@ -26,7 +26,6 @@
 //! register is charged, so a chain of loads each missing to DRAM shows up as
 //! DRAM time, not as generic dependence time.
 
-use mom_isa::codec::{CodecError, Decoder, Encoder};
 use mom_isa::trace::ArchReg;
 use mom_mem::AccessCause;
 
@@ -108,18 +107,6 @@ impl StallCause {
         }
     }
 
-    /// Inverse of [`StallCause::index`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on an index no cause carries — a corrupted cache record.
-    pub fn from_index(index: usize) -> Result<Self, CodecError> {
-        StallCause::ALL
-            .get(index)
-            .copied()
-            .ok_or(CodecError::Invalid { what: "stall cause index" })
-    }
-
     /// Map a memory-system completion cause to its attribution bucket.
     pub fn from_access(cause: AccessCause) -> Self {
         match cause {
@@ -178,32 +165,9 @@ impl StallBreakdown {
     /// [`StallCause::ALL`] order plus the total. Probe-produced breakdowns
     /// always have components summing to the total; a breakdown built here
     /// carries whatever the caller provides (tests use that freedom), and
-    /// [`ProbeReport::load_state`] is where the invariant is enforced.
+    /// [`ProbeReport::validate`] is where the invariant is checked.
     pub fn from_parts(total_cycles: u64, components: [u64; StallCause::COUNT]) -> Self {
         StallBreakdown { total_cycles, components }
-    }
-
-    /// Serialize the breakdown: total cycles, then every component in
-    /// [`StallCause::ALL`] order.
-    pub fn save_state(&self, e: &mut Encoder) {
-        e.u64(self.total_cycles);
-        for &cycles in &self.components {
-            e.u64(cycles);
-        }
-    }
-
-    /// Rebuild a breakdown written by [`StallBreakdown::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the stream is truncated.
-    pub fn load_state(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let total_cycles = d.u64("breakdown total cycles")?;
-        let mut components = [0u64; StallCause::COUNT];
-        for cycles in &mut components {
-            *cycles = d.u64("breakdown component")?;
-        }
-        Ok(StallBreakdown { total_cycles, components })
     }
 }
 
@@ -243,47 +207,6 @@ pub struct IntervalStats {
     pub window_cycles: u64,
     /// The windows, in time order. Trailing all-empty windows are trimmed.
     pub windows: Vec<IntervalWindow>,
-}
-
-impl IntervalStats {
-    /// Serialize the finished timeline: window width, count, then each
-    /// window's committed/cycles/top-cause triple.
-    pub fn save_state(&self, e: &mut Encoder) {
-        e.u64(self.window_cycles);
-        e.usize(self.windows.len());
-        for w in &self.windows {
-            e.u64(w.committed);
-            e.u64(w.cycles);
-            e.u8(w.top.index() as u8);
-        }
-    }
-
-    /// Rebuild a timeline written by [`IntervalStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the stream is truncated, carries an out-of-range stall
-    /// cause, a window width off the `1024·2^k` compaction schedule, or
-    /// more windows than the recorder ever keeps.
-    pub fn load_state(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let window_cycles = d.u64("interval window width")?;
-        if !window_cycles.is_power_of_two() || window_cycles < INITIAL_WINDOW {
-            return Err(CodecError::Invalid { what: "interval window width" });
-        }
-        let n = d.usize("interval window count")?;
-        if n > MAX_WINDOWS {
-            return Err(CodecError::Invalid { what: "interval window count" });
-        }
-        let mut windows = Vec::with_capacity(n);
-        for _ in 0..n {
-            windows.push(IntervalWindow {
-                committed: d.u64("window committed")?,
-                cycles: d.u64("window cycles")?,
-                top: StallCause::from_index(d.u8("window top cause")? as usize)?,
-            });
-        }
-        Ok(IntervalStats { window_cycles, windows })
-    }
 }
 
 /// Accumulating form of one window (full per-cause counts, so merged windows
@@ -574,26 +497,28 @@ impl Default for ProbeReport {
 }
 
 impl ProbeReport {
-    /// Serialize the report: the breakdown, then the interval timeline.
-    pub fn save_state(&self, e: &mut Encoder) {
-        self.breakdown.save_state(e);
-        self.intervals.save_state(e);
-    }
-
-    /// Rebuild a report written by [`ProbeReport::save_state`].
+    /// Check the invariants every probe-produced report satisfies: the
+    /// breakdown's components sum to its total cycles, the window width is
+    /// on the `1024·2^k` compaction schedule, and there are no more windows
+    /// than the recorder keeps. A report read back from outside (a cache
+    /// record) is trusted only after this passes.
     ///
     /// # Errors
     ///
-    /// Fails if the stream is truncated, carries out-of-range values, or a
-    /// breakdown whose components do not sum to its total cycles — the
-    /// structural invariant every probe-produced report satisfies.
-    pub fn load_state(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let breakdown = StallBreakdown::load_state(d)?;
-        if breakdown.attributed() != breakdown.total_cycles {
-            return Err(CodecError::Invalid { what: "probe report attribution sum" });
+    /// Names the first invariant the report breaks.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let sum = self.breakdown.components().try_fold(0u64, |acc, (_, n)| acc.checked_add(n));
+        if sum != Some(self.breakdown.total_cycles) {
+            return Err("breakdown components do not sum to its total cycles");
         }
-        let intervals = IntervalStats::load_state(d)?;
-        Ok(ProbeReport { breakdown, intervals })
+        let width = self.intervals.window_cycles;
+        if !width.is_power_of_two() || width < INITIAL_WINDOW {
+            return Err("interval window width is off the 1024·2^k schedule");
+        }
+        if self.intervals.windows.len() > MAX_WINDOWS {
+            return Err("more interval windows than the recorder keeps");
+        }
+        Ok(())
     }
 }
 
@@ -686,6 +611,36 @@ mod tests {
         // Sabotage: pretend the run was longer than what was attributed.
         p.total_cycles = 11;
         let _ = p.into_report();
+    }
+
+    #[test]
+    fn validate_accepts_probe_reports_and_names_each_broken_invariant() {
+        let mut p = AttributionProbe::new();
+        p.on_commit(4, 4, StallCause::MemDram, 0);
+        let good = p.into_report();
+        assert_eq!(good.validate(), Ok(()));
+        let with_breakdown = |total, parts| ProbeReport {
+            breakdown: StallBreakdown::from_parts(total, parts),
+            ..good.clone()
+        };
+        let with_windows = |window_cycles, n| ProbeReport {
+            intervals: IntervalStats { window_cycles, windows: vec![good.intervals.windows[0]; n] },
+            ..good.clone()
+        };
+        let mut overflowing = [0; StallCause::COUNT];
+        overflowing[0] = u64::MAX;
+        overflowing[1] = 1;
+        let broken = [
+            with_breakdown(5, [0; StallCause::COUNT]),
+            with_breakdown(0, overflowing),
+            with_windows(3072, 1),
+            with_windows(512, 1),
+            with_windows(1024, MAX_WINDOWS + 1),
+        ];
+        for report in &broken {
+            assert!(report.validate().is_err(), "{report:?}");
+        }
+        assert_eq!(with_windows(1024, MAX_WINDOWS).validate(), Ok(()));
     }
 
     #[test]

@@ -48,7 +48,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod accumulator;
-pub mod codec;
 pub mod mdmx;
 pub mod mem;
 pub mod mmx;

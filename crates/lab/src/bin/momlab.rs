@@ -64,7 +64,7 @@
 //!   and cache-hit cells are exempt from the aggregate — an all-hit run
 //!   skips the gate with a note)
 //! * `--cache-dir DIR` — persistent content-addressed cell cache: store
-//!   every simulated cell as a binary record and serve identical cells from
+//!   every simulated cell as a JSON record and serve identical cells from
 //!   disk on later runs, byte-identically, across all execution modes
 //!   (`meta.cache` in the document and a stderr summary report hit counts)
 //! * `--trace-out FILE` — write a Chrome trace-event JSON of the runner's
@@ -174,7 +174,7 @@ Cache hits skip simulation, so cached cells are exempt from the aggregate
 and an all-hit run skips the gate entirely (with a stderr note).
 
 --cache-dir DIR enables the persistent content-addressed cell cache: each
-grid cell's simulation result is stored as one binary record keyed by the
+grid cell's simulation result is stored as one JSON record keyed by the
 experiment's config_hash, the cell identity and the engine fingerprint, so
 re-running an identical cell costs a file read instead of a simulation —
 byte-identical results, any execution mode can serve any other (sampled
@@ -750,13 +750,20 @@ fn cmd_cache(opts: &Options) -> Result<ExitCode, Failure> {
         .map(String::as_str)
         .ok_or_else(|| usage("cache takes a subcommand: ls, verify or gc"))?;
     let dir = opts.cache_dir.as_ref().ok_or_else(|| usage("cache needs --cache-dir DIR"))?;
+    // Every usage error comes before `open`, which creates the directory.
+    let gc_max = match verb {
+        "ls" | "verify" => None,
+        "gc" => Some(opts.max_bytes.ok_or_else(|| usage("cache gc needs --max-bytes N"))?),
+        other => {
+            return Err(usage(&format!("unknown cache subcommand {other:?} (try: ls, verify, gc)")))
+        }
+    };
     let cache = CellCache::open(dir)
         .map_err(|e| format!("cannot open cache directory {}: {e}", dir.display()))?;
-    match verb {
-        "ls" => Ok(cmd_cache_ls(&cache)?),
-        "verify" => Ok(cmd_cache_verify(&cache, opts)?),
-        "gc" => {
-            let max = opts.max_bytes.ok_or_else(|| usage("cache gc needs --max-bytes N"))?;
+    match gc_max {
+        None if verb == "ls" => Ok(cmd_cache_ls(&cache)?),
+        None => Ok(cmd_cache_verify(&cache, opts)?),
+        Some(max) => {
             let (evicted, evicted_bytes, remaining) = cache
                 .gc(max)
                 .map_err(|e| format!("cache gc in {}: {e}", cache.dir().display()))?;
@@ -766,7 +773,6 @@ fn cmd_cache(opts: &Options) -> Result<ExitCode, Failure> {
             );
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(Failure::Usage(format!("unknown cache subcommand {other:?} (try: ls, verify, gc)"))),
     }
 }
 

@@ -9,9 +9,25 @@
 //! once, never simulate the same cell twice. [`CellKey`] is the address,
 //! [`CellRecord`] is the stored result (timing summary, stall attribution,
 //! memory statistics and — for sampled cells — the confidence-interval
-//! accounting), and [`CellCache`] is the on-disk store: one binary record
-//! per cell under a directory, written through the `mom-isa` binary codec
-//! with explicit versioning and atomic rename.
+//! accounting), and [`CellCache`] is the on-disk store: one record file per
+//! cell under a directory, replaced by atomic rename.
+//!
+//! # The record format
+//!
+//! A record is one compact JSON object written by [`crate::json`], with the
+//! members in this order:
+//!
+//! ```text
+//! {"version":2,"key":{..},"sim":{..},"breakdown":{..},"intervals":{..},
+//!  "mem":{..},"sampling":null,"fnv1a":"<16 hex digits>"}
+//! ```
+//!
+//! `key` holds the [`CellKey`] fields; `breakdown`, `intervals`, `mem` and a
+//! sampled record's `sampling` are the same objects a results document
+//! writes for the cell. The last member is the FNV-1a of every byte of the
+//! file before it, so a flipped byte anywhere is caught even where it would
+//! still parse as a plausible counter. This module is the only place the
+//! format is written or read; any JSON tool can read a record.
 //!
 //! # Invalidation
 //!
@@ -28,26 +44,32 @@
 //! # Corruption is a miss
 //!
 //! A cache record is purely an optimization: a truncated, garbage or
-//! wrong-version record — or a file whose stored key does not match the
-//! address that found it — is treated as a clean miss. The cell is
-//! re-simulated and the bad record atomically overwritten.
+//! wrong-version record, one whose checksum does not match its text, one
+//! that breaks an invariant of the values it holds, or one whose stored key
+//! does not match the address that found it is treated as a clean miss. The
+//! cell is re-simulated and the bad record atomically overwritten.
 //! [`CellCache::load`] never panics and never returns a wrong result.
 
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
+use mom_cpu::probe::{IntervalStats, IntervalWindow, StallBreakdown, StallCause};
 use mom_cpu::{ProbeReport, SimResult};
-use mom_isa::codec::{CodecError, Decoder, Encoder};
+use mom_mem::cache::CacheStats;
+use mom_mem::dram::DramStats;
 use mom_mem::MemSystemStats;
 
+use crate::document::{breakdown_json, intervals_json, mem_json, sampling_fields};
+use crate::json::Value;
 use crate::runner::CellSampling;
 
-/// Magic number leading every cache record file (`MOMCELL\0`, little-endian).
-const CACHE_MAGIC: u64 = u64::from_le_bytes(*b"MOMCELL\0");
+/// Version of the record layout. Bumping it invalidates every existing
+/// record: a record of another version is a clean miss. Version 1 was a
+/// binary layout; its files do not parse as JSON.
+pub const CACHE_VERSION: u32 = 2;
 
-/// Version tag of the record layout. Bumping it invalidates every existing
-/// record: old files decode to a version error, which is a clean miss.
-pub const CACHE_VERSION: u32 = 1;
+/// The text that opens a record's last member, the checksum.
+const CHECKSUM_MEMBER: &str = ",\"fnv1a\":\"";
 
 /// FNV-1a digest (16 hex digits) of the source trees of every crate whose
 /// code decides a simulated result: `mom-isa`, `mom-core`, `mom-cpu`,
@@ -154,72 +176,61 @@ impl CellKey {
         format!("{:016x}.cell", fnv1a(self.canonical().as_bytes()))
     }
 
-    fn save_state(&self, e: &mut Encoder) {
-        e.blob(self.engine.as_bytes());
-        e.blob(self.experiment.as_bytes());
-        e.bool(self.fast);
-        e.blob(self.config_hash.as_bytes());
-        e.blob(self.cell.as_bytes());
-        e.blob(self.isa.as_bytes());
-        e.blob(self.mem.as_bytes());
-        match self.rob {
-            Some(rob) => {
-                e.bool(true);
-                e.u64(rob);
-            }
-            None => e.bool(false),
-        }
-        e.u64(self.scale);
-        e.u64(self.seed);
-        match &self.sampling {
-            Some(k) => {
-                e.bool(true);
-                e.u64(k.unit);
-                e.u64(k.warmup);
-                e.u64(k.period);
-            }
-            None => e.bool(false),
-        }
+    /// The `key` member of a record. Integers are written two's-complement
+    /// (`as i64`) and read back the same way, which is lossless for every
+    /// `u64`; the key read back is compared whole with the one that asked,
+    /// so it needs no range check.
+    fn to_json(&self) -> Value {
+        let int = |n: u64| Value::Int(n as i64);
+        let sampling = match &self.sampling {
+            None => Value::Null,
+            Some(k) => Value::object(vec![
+                ("unit", int(k.unit)),
+                ("warmup", int(k.warmup)),
+                ("period", int(k.period)),
+            ]),
+        };
+        Value::object(vec![
+            ("engine", Value::Str(self.engine.clone())),
+            ("experiment", Value::Str(self.experiment.clone())),
+            ("fast", Value::Bool(self.fast)),
+            ("config_hash", Value::Str(self.config_hash.clone())),
+            ("cell", Value::Str(self.cell.clone())),
+            ("isa", Value::Str(self.isa.clone())),
+            ("mem", Value::Str(self.mem.clone())),
+            ("rob", self.rob.map_or(Value::Null, int)),
+            ("scale", int(self.scale)),
+            ("seed", int(self.seed)),
+            ("sampling", sampling),
+        ])
     }
 
-    fn load_state(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let text = |bytes: &[u8], what: &'static str| -> Result<String, CodecError> {
-            String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Invalid { what })
+    /// Read a key written by [`CellKey::to_json`].
+    fn from_json(v: &Value) -> Option<CellKey> {
+        let text = |name: &str| v.get(name)?.as_str().map(String::from);
+        let int = |v: &Value| v.as_i64().map(|n| n as u64);
+        let sampling = match v.get("sampling")? {
+            Value::Null => None,
+            k => Some(SamplingKnobs {
+                unit: int(k.get("unit")?)?,
+                warmup: int(k.get("warmup")?)?,
+                period: int(k.get("period")?)?,
+            }),
         };
-        let engine = text(d.blob("cache key engine")?, "cache key engine")?;
-        let experiment = text(d.blob("cache key experiment")?, "cache key experiment")?;
-        let fast = d.bool("cache key fast flag")?;
-        let config_hash = text(d.blob("cache key config hash")?, "cache key config hash")?;
-        let cell = text(d.blob("cache key cell")?, "cache key cell")?;
-        let isa = text(d.blob("cache key isa")?, "cache key isa")?;
-        let mem = text(d.blob("cache key mem")?, "cache key mem")?;
-        let rob = if d.bool("cache key rob flag")? {
-            Some(d.u64("cache key rob")?)
-        } else {
-            None
-        };
-        let scale = d.u64("cache key scale")?;
-        let seed = d.u64("cache key seed")?;
-        let sampling = if d.bool("cache key sampling flag")? {
-            Some(SamplingKnobs {
-                unit: d.u64("cache key sampling unit")?,
-                warmup: d.u64("cache key sampling warmup")?,
-                period: d.u64("cache key sampling period")?,
-            })
-        } else {
-            None
-        };
-        Ok(CellKey {
-            engine,
-            experiment,
-            fast,
-            config_hash,
-            cell,
-            isa,
-            mem,
-            rob,
-            scale,
-            seed,
+        Some(CellKey {
+            engine: text("engine")?,
+            experiment: text("experiment")?,
+            fast: v.get("fast")?.as_bool()?,
+            config_hash: text("config_hash")?,
+            cell: text("cell")?,
+            isa: text("isa")?,
+            mem: text("mem")?,
+            rob: match v.get("rob")? {
+                Value::Null => None,
+                rob => Some(int(rob)?),
+            },
+            scale: int(v.get("scale")?)?,
+            seed: int(v.get("seed")?)?,
             sampling,
         })
     }
@@ -244,92 +255,145 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
-    /// Serialize the full record file: magic, version, the key it answers
-    /// for, and the result payload. Deterministic — two encodings of equal
-    /// records are byte-identical, which is what lets `momlab cache verify`
-    /// compare re-simulated records file-byte for file-byte.
-    pub fn to_bytes(&self, key: &CellKey) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.u64(CACHE_MAGIC);
-        e.u32(CACHE_VERSION);
-        key.save_state(&mut e);
-        let mut p = Encoder::new();
-        self.save_payload(&mut p);
-        e.blob(p.bytes());
-        e.into_bytes()
+    /// The record object for `key`, every member but the checksum.
+    fn to_json(&self, key: &CellKey) -> Value {
+        let int = |n: u64| Value::Int(n as i64);
+        Value::object(vec![
+            ("version", Value::Int(CACHE_VERSION.into())),
+            ("key", key.to_json()),
+            (
+                "sim",
+                Value::object(vec![
+                    ("cycles", int(self.sim.cycles)),
+                    ("committed", int(self.sim.committed)),
+                    ("branches", int(self.sim.branches)),
+                    ("mispredictions", int(self.sim.mispredictions)),
+                    ("mem_accesses", int(self.sim.mem_accesses)),
+                ]),
+            ),
+            ("breakdown", breakdown_json(&self.probe.breakdown)),
+            ("intervals", intervals_json(&self.probe.intervals)),
+            ("mem", mem_json(&self.mem)),
+            (
+                "sampling",
+                self.sampling.as_ref().map_or(Value::Null, |s| Value::object(sampling_fields(s))),
+            ),
+        ])
     }
 
-    /// Decode a record file written by [`CellRecord::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on a wrong magic number, an unknown version, truncation at any
-    /// field boundary, out-of-range values, or trailing bytes — every one of
-    /// which [`CellCache::load`] turns into a clean miss.
-    pub fn from_bytes(bytes: &[u8]) -> Result<(CellKey, CellRecord), CodecError> {
-        let mut d = Decoder::new(bytes);
-        d.expect_u64(CACHE_MAGIC, "cache record magic")?;
-        let version = d.u32("cache record version")?;
-        if version != CACHE_VERSION {
-            return Err(CodecError::Version { what: "cache record", found: version });
+    /// Read a record object written by [`CellRecord::to_json`], checking
+    /// every value: counters are non-negative integers, floats are finite,
+    /// stall causes are known, and the probe report passes
+    /// [`ProbeReport::validate`]. Derived members (`ipc`, `hit_rate`) are
+    /// not read. `None` on the first failure.
+    fn from_json(doc: &Value) -> Option<(CellKey, CellRecord)> {
+        let count = |v: &Value, name: &str| v.get(name)?.as_u64();
+        let finite = |v: &Value, name: &str| v.get(name)?.as_f64().filter(|f| f.is_finite());
+        if doc.get("version")?.as_u64()? != u64::from(CACHE_VERSION) {
+            return None;
         }
-        let key = CellKey::load_state(&mut d)?;
-        let payload = d.blob("cache record payload")?;
-        d.finish("cache record")?;
-        let mut p = Decoder::new(payload);
-        let record = CellRecord::load_payload(&mut p)?;
-        p.finish("cache record payload")?;
-        Ok((key, record))
-    }
+        let key = CellKey::from_json(doc.get("key")?)?;
 
-    fn save_payload(&self, e: &mut Encoder) {
-        e.u64(self.sim.cycles);
-        e.u64(self.sim.committed);
-        e.u64(self.sim.branches);
-        e.u64(self.sim.mispredictions);
-        e.u64(self.sim.mem_retries);
-        e.u64(self.sim.mem_accesses);
-        self.probe.save_state(e);
-        self.mem.save_state(e);
-        match &self.sampling {
-            Some(s) => {
-                e.bool(true);
-                e.u64(s.units_measured);
-                e.u64(s.measured_insts);
-                e.u64(s.warmup_insts);
-                e.u64(s.total_insts);
-                e.f64(s.ipc_mean);
-                e.f64(s.ipc_ci95);
-            }
-            None => e.bool(false),
-        }
-    }
-
-    fn load_payload(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let s = doc.get("sim")?;
         let sim = SimResult {
-            cycles: d.u64("cached cycles")?,
-            committed: d.u64("cached committed")?,
-            branches: d.u64("cached branches")?,
-            mispredictions: d.u64("cached mispredictions")?,
-            mem_retries: d.u64("cached mem retries")?,
-            mem_accesses: d.u64("cached mem accesses")?,
+            cycles: count(s, "cycles")?,
+            committed: count(s, "committed")?,
+            branches: count(s, "branches")?,
+            mispredictions: count(s, "mispredictions")?,
+            mem_accesses: count(s, "mem_accesses")?,
         };
-        let probe = ProbeReport::load_state(d)?;
-        let mem = MemSystemStats::load_state(d)?;
-        let sampling = if d.bool("cached sampling flag")? {
-            Some(CellSampling {
-                units_measured: d.u64("cached units measured")?,
-                measured_insts: d.u64("cached measured insts")?,
-                warmup_insts: d.u64("cached warmup insts")?,
-                total_insts: d.u64("cached total insts")?,
-                ipc_mean: d.f64("cached ipc mean")?,
-                ipc_ci95: d.f64("cached ipc ci95")?,
+
+        let b = doc.get("breakdown")?;
+        let mut parts = [0u64; StallCause::COUNT];
+        for (part, cause) in parts.iter_mut().zip(StallCause::ALL) {
+            *part = count(b, cause.label())?;
+        }
+        let iv = doc.get("intervals")?;
+        let windows = iv
+            .get("windows")?
+            .as_array()?
+            .iter()
+            .map(|w| {
+                let top = w.get("top")?.as_str()?;
+                Some(IntervalWindow {
+                    committed: count(w, "committed")?,
+                    cycles: count(w, "cycles")?,
+                    top: StallCause::ALL.into_iter().find(|c| c.label() == top)?,
+                })
             })
-        } else {
-            None
+            .collect::<Option<Vec<_>>>()?;
+        let probe = ProbeReport {
+            breakdown: StallBreakdown::from_parts(count(b, "total_cycles")?, parts),
+            intervals: IntervalStats { window_cycles: count(iv, "window_cycles")?, windows },
         };
-        Ok(CellRecord { sim, probe, mem, sampling })
+        probe.validate().ok()?;
+
+        let m = doc.get("mem")?;
+        let cache = |c: &Value| {
+            Some(CacheStats {
+                hits: count(c, "hits")?,
+                misses: count(c, "misses")?,
+                writebacks: count(c, "writebacks")?,
+            })
+        };
+        let dram = m.get("dram")?;
+        let mem = MemSystemStats {
+            requests: count(m, "requests")?,
+            element_accesses: count(m, "element_accesses")?,
+            port_stalls: count(m, "port_stalls")?,
+            bank_conflicts: count(m, "bank_conflicts")?,
+            mshr_stalls: count(m, "mshr_stalls")?,
+            vector_transactions: count(m, "vector_transactions")?,
+            l1: cache(m.get("l1")?)?,
+            l2: cache(m.get("l2")?)?,
+            dram: DramStats {
+                transfers: count(dram, "transfers")?,
+                busy_cycles: count(dram, "busy_cycles")?,
+                queue_cycles: count(dram, "queue_cycles")?,
+            },
+        };
+
+        let sampling = match doc.get("sampling")? {
+            Value::Null => None,
+            s => Some(CellSampling {
+                units_measured: count(s, "units_measured")?,
+                measured_insts: count(s, "measured_insts")?,
+                warmup_insts: count(s, "warmup_insts")?,
+                total_insts: count(s, "total_insts")?,
+                ipc_mean: finite(s, "ipc_mean")?,
+                ipc_ci95: finite(s, "ipc_ci95")?,
+            }),
+        };
+        Some((key, CellRecord { sim, probe, mem, sampling }))
     }
+}
+
+/// The text of a record file: `doc` written compact, with the checksum
+/// member (the FNV-1a of all the text before it) appended last.
+/// Deterministic — two encodings of equal records are byte-identical, which
+/// is what lets `momlab cache verify` compare re-simulated records
+/// file-byte for file-byte.
+fn seal(doc: &Value) -> String {
+    let mut text = doc.to_compact();
+    text.pop(); // the object's closing brace; the checksum goes before it
+    let sum = fnv1a(text.as_bytes());
+    text.push_str(&format!("{CHECKSUM_MEMBER}{sum:016x}\"}}"));
+    text
+}
+
+/// The record file for `key`.
+fn encode(key: &CellKey, record: &CellRecord) -> String {
+    seal(&record.to_json(key))
+}
+
+/// Read a record file written by [`encode`]: the checksum must match the
+/// text before it, and the text must hold a valid record of this version.
+fn decode(text: &str) -> Option<(CellKey, CellRecord)> {
+    let (body, tail) = text.rsplit_once(CHECKSUM_MEMBER)?;
+    if tail != format!("{:016x}\"}}", fnv1a(body.as_bytes())) {
+        return None;
+    }
+    CellRecord::from_json(&Value::parse(text).ok()?)
 }
 
 /// One record file as seen by `momlab cache ls`/`gc`: its path, size, last
@@ -393,16 +457,18 @@ impl CellCache {
         self.dir.join(key.file_name())
     }
 
-    /// Look up a cell result. Every failure — missing file, unreadable file,
-    /// wrong magic or version, truncation anywhere, trailing garbage, or a
-    /// stored key that does not match `key` (an FNV collision or a tampered
-    /// file) — is a clean miss: the caller re-simulates and overwrites. A hit
-    /// touches the file's mtime (best-effort) so `gc` eviction is LRU.
+    /// Look up a cell result. Every failure — missing or unreadable file,
+    /// a checksum that does not match (truncation, trailing garbage, any
+    /// flipped byte), malformed JSON, another version, a value that breaks
+    /// an invariant, or a stored key that does not match `key` (an FNV
+    /// collision or a tampered file) — is a clean miss: the caller
+    /// re-simulates and overwrites. A hit touches the file's mtime
+    /// (best-effort) so `gc` eviction is LRU.
     pub fn load(&self, key: &CellKey) -> Option<CellRecord> {
         let path = self.record_path(key);
-        let bytes = std::fs::read(&path).ok()?;
-        let (stored, record) = CellRecord::from_bytes(&bytes).ok()?;
-        if stored.canonical() != key.canonical() {
+        let text = std::fs::read_to_string(&path).ok()?;
+        let (stored, record) = decode(&text)?;
+        if stored != *key {
             return None;
         }
         if let Ok(file) = std::fs::File::options().write(true).open(&path) {
@@ -424,7 +490,7 @@ impl CellCache {
     pub fn store(&self, key: &CellKey, record: &CellRecord) {
         let path = self.record_path(key);
         let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-        std::fs::write(&tmp, record.to_bytes(key))
+        std::fs::write(&tmp, encode(key, record))
             .and_then(|()| std::fs::rename(&tmp, &path))
             .unwrap_or_else(|err| panic!("cannot write cache record {}: {err}", path.display()));
     }
@@ -457,9 +523,9 @@ impl CellCache {
                 continue;
             }
             let meta = entry.metadata()?;
-            let key = std::fs::read(&path)
+            let key = std::fs::read_to_string(&path)
                 .ok()
-                .and_then(|bytes| CellRecord::from_bytes(&bytes).ok())
+                .and_then(|text| decode(&text))
                 .map(|(key, _)| key);
             out.push(CacheEntry {
                 path,
@@ -529,13 +595,53 @@ mod tests {
                 committed: 2000,
                 branches: 30,
                 mispredictions: 4,
-                mem_retries: 5,
                 mem_accesses: 600,
             },
             probe: ProbeReport::default(),
             mem: MemSystemStats::default(),
             sampling: None,
         }
+    }
+
+    fn sampled_record() -> CellRecord {
+        CellRecord {
+            sampling: Some(CellSampling {
+                units_measured: 3,
+                measured_insts: 300,
+                warmup_insts: 600,
+                total_insts: 2000,
+                ipc_mean: 1.75,
+                ipc_ci95: 0.125,
+            }),
+            ..record()
+        }
+    }
+
+    /// `doc` with the member at `path` (object keys, outermost first)
+    /// replaced by `value`.
+    fn with(mut doc: Value, path: &[&str], value: Value) -> Value {
+        let mut at = &mut doc;
+        for name in path {
+            match at {
+                Value::Object(members) => {
+                    at = &mut members.iter_mut().find(|(k, _)| k == name).expect("member").1;
+                }
+                _ => panic!("{name}: not inside an object"),
+            }
+        }
+        *at = value;
+        doc
+    }
+
+    /// `count` interval windows of zero cycles.
+    fn windows(count: usize) -> Value {
+        let window = Value::object(vec![
+            ("committed", Value::Int(0)),
+            ("cycles", Value::Int(0)),
+            ("ipc", Value::Int(0)),
+            ("top", Value::Str("base".into())),
+        ]);
+        Value::Array(vec![window; count])
     }
 
     #[test]
@@ -594,12 +700,20 @@ mod tests {
 
     #[test]
     fn record_roundtrip_is_byte_stable() {
-        let (k, r) = (key(), record());
-        let bytes = r.to_bytes(&k);
-        let (k2, r2) = CellRecord::from_bytes(&bytes).expect("decodes");
-        assert_eq!(k2, k);
-        assert_eq!(r2, r);
-        assert_eq!(r2.to_bytes(&k2), bytes, "encode -> decode -> encode must be stable");
+        let wide = CellKey {
+            rob: Some(64),
+            seed: u64::MAX - 1,
+            sampling: Some(SamplingKnobs { unit: 1000, warmup: 2000, period: 100_000 }),
+            ..key()
+        };
+        for (k, r) in [(key(), record()), (wide, sampled_record())] {
+            let text = encode(&k, &r);
+            assert!(Value::parse(&text).is_ok(), "a record is one JSON document");
+            let (k2, r2) = decode(&text).expect("decodes");
+            assert_eq!(k2, k);
+            assert_eq!(r2, r);
+            assert_eq!(encode(&k2, &r2), text, "encode -> decode -> encode must be stable");
+        }
     }
 
     #[test]
@@ -611,13 +725,13 @@ mod tests {
         assert!(cache.load(&k).is_none(), "empty cache misses");
         cache.store(&k, &r);
         assert_eq!(cache.load(&k).as_ref(), Some(&r), "stored record hits");
-        assert_eq!(cache.bytes(), r.to_bytes(&k).len() as u64);
+        assert_eq!(cache.bytes(), encode(&k, &r).len() as u64);
         let entries = cache.entries().expect("entries");
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].key.as_ref().map(|k| k.cell.clone()), Some(k.cell.clone()));
         let (evicted, evicted_bytes, remaining) = cache.gc(0).expect("gc");
         assert_eq!((evicted, remaining), (1, 0));
-        assert_eq!(evicted_bytes, r.to_bytes(&k).len() as u64);
+        assert_eq!(evicted_bytes, encode(&k, &r).len() as u64);
         assert!(cache.load(&k).is_none(), "evicted record misses");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -628,28 +742,70 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = CellCache::open(&dir).expect("open");
         let (k, r) = (key(), record());
-        let good = r.to_bytes(&k);
+        let good = encode(&k, &r).into_bytes();
         let path = cache.record_path(&k);
+        let misses = |bytes: &[u8], what: &str| {
+            std::fs::write(&path, bytes).expect("write record");
+            assert!(cache.load(&k).is_none(), "{what} must miss");
+        };
         // Truncation at every byte boundary is a miss, never a panic.
         for len in 0..good.len() {
-            std::fs::write(&path, &good[..len]).expect("write truncated");
-            assert!(cache.load(&k).is_none(), "truncated at {len} must miss");
+            misses(&good[..len], &format!("truncation at {len}"));
         }
-        // Trailing garbage is a miss.
         let mut long = good.clone();
-        long.push(0);
-        std::fs::write(&path, &long).expect("write oversized");
-        assert!(cache.load(&k).is_none(), "trailing bytes must miss");
-        // A flipped magic byte is a miss.
-        let mut bad_magic = good.clone();
-        bad_magic[0] ^= 0xff;
-        std::fs::write(&path, &bad_magic).expect("write bad magic");
-        assert!(cache.load(&k).is_none(), "magic mismatch must miss");
-        // A bumped version is a miss.
-        let mut bad_version = good.clone();
-        bad_version[8] = bad_version[8].wrapping_add(1);
-        std::fs::write(&path, &bad_version).expect("write bad version");
-        assert!(cache.load(&k).is_none(), "version bump must miss");
+        long.push(b' ');
+        misses(&long, "trailing bytes");
+        let mut flipped_sum = good.clone();
+        let last_digit = good.len() - 3;
+        flipped_sum[last_digit] ^= 0x01;
+        misses(&flipped_sum, "a flipped checksum digit");
+        let mut flipped_counter = good.clone();
+        let at = String::from_utf8(good.clone()).unwrap().find("\"cycles\":1000").unwrap() + 10;
+        flipped_counter[at] = b'2';
+        misses(&flipped_counter, "a changed counter under the old checksum");
+        // A version-1 binary record (magic, version, then the key) is a miss.
+        let mut v1 = b"MOMCELL\0".to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&(k.engine.len() as u64).to_le_bytes());
+        v1.extend_from_slice(k.engine.as_bytes());
+        misses(&v1, "a version-1 binary record");
+
+        // Records with a valid checksum whose values break a check.
+        let doc = r.to_json(&k);
+        let sealed_misses = |doc: Value, what: &str| misses(seal(&doc).as_bytes(), what);
+        sealed_misses(with(doc.clone(), &["version"], Value::Int(3)), "another version");
+        sealed_misses(
+            with(doc.clone(), &["breakdown", "total_cycles"], Value::Int(1)),
+            "a breakdown that does not sum to its total",
+        );
+        for width in [512, 1536] {
+            sealed_misses(
+                with(doc.clone(), &["intervals", "window_cycles"], Value::Int(width)),
+                &format!("window width {width}"),
+            );
+        }
+        let at_limit = seal(&with(doc.clone(), &["intervals", "windows"], windows(32)));
+        std::fs::write(&path, &at_limit).expect("write record");
+        assert!(cache.load(&k).is_some(), "32 windows is what the recorder keeps");
+        sealed_misses(with(doc.clone(), &["intervals", "windows"], windows(33)), "33 windows");
+        let unknown_cause = Value::Array(vec![Value::object(vec![
+            ("committed", Value::Int(0)),
+            ("cycles", Value::Int(0)),
+            ("ipc", Value::Int(0)),
+            ("top", Value::Str("mem-l3".into())),
+        ])]);
+        sealed_misses(
+            with(doc.clone(), &["intervals", "windows"], unknown_cause),
+            "an unknown stall cause",
+        );
+        sealed_misses(with(doc.clone(), &["sim", "cycles"], Value::Int(-1)), "a negative counter");
+        sealed_misses(with(doc.clone(), &["sim", "cycles"], Value::Float(1.5)), "a float counter");
+        sealed_misses(with(doc.clone(), &["mem", "l2"], Value::Null), "a missing cache level");
+        let sampled = sampled_record().to_json(&k);
+        sealed_misses(
+            with(sampled, &["sampling", "ipc_mean"], Value::Null),
+            "a null IPC in the sampling section",
+        );
         // A re-fill overwrites the bad record and hits again.
         cache.store(&k, &r);
         assert_eq!(cache.load(&k).as_ref(), Some(&r));
@@ -665,7 +821,7 @@ mod tests {
         // Simulate an FNV collision: a valid record for a *different* key
         // planted at this key's path must not be served.
         let other = CellKey { seed: 999, ..k.clone() };
-        std::fs::write(cache.record_path(&k), r.to_bytes(&other)).expect("plant alias");
+        std::fs::write(cache.record_path(&k), encode(&other, &r)).expect("plant alias");
         assert!(cache.load(&k).is_none(), "stored key must match the address");
         let _ = std::fs::remove_dir_all(&dir);
     }

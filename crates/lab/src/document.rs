@@ -269,22 +269,31 @@ fn cell_json(cell: &CellResult) -> Value {
 /// `(workload, config, way)` key `momlab diff` matches on) plus its sampling
 /// accounting and IPC estimate.
 fn sampling_json(cell: &CellResult, s: &CellSampling) -> Value {
-    Value::object(vec![
+    let mut fields = vec![
         ("workload", Value::Str(cell.workload.label().into())),
         ("config", Value::Str(cell.config_label.clone())),
         ("way", Value::Int(cell.way as i64)),
+    ];
+    fields.extend(sampling_fields(s));
+    Value::object(fields)
+}
+
+/// A cell's sampling accounting and IPC estimate, shared by the document's
+/// `sampling.cells` entries and the cell-cache record.
+pub(crate) fn sampling_fields(s: &CellSampling) -> Vec<(&'static str, Value)> {
+    vec![
         ("units_measured", Value::Int(s.units_measured as i64)),
         ("measured_insts", Value::Int(s.measured_insts as i64)),
         ("warmup_insts", Value::Int(s.warmup_insts as i64)),
         ("total_insts", Value::Int(s.total_insts as i64)),
         ("ipc_mean", Value::Float(s.ipc_mean)),
         ("ipc_ci95", Value::Float(s.ipc_ci95)),
-    ])
+    ]
 }
 
 /// The `mem` member of a cell: per-cell memory-system counters, split by
 /// hierarchy level. Deterministic — diffed at tolerance zero like `cycles`.
-fn mem_json(stats: &MemSystemStats) -> Value {
+pub(crate) fn mem_json(stats: &MemSystemStats) -> Value {
     let cache = |c: &CacheStats| {
         let hit_rate =
             if c.accesses() == 0 { 0.0 } else { c.hits as f64 / c.accesses() as f64 };
@@ -318,7 +327,7 @@ fn mem_json(stats: &MemSystemStats) -> Value {
 /// The `breakdown` member of a cell: every commit-slot cycle attributed to
 /// exactly one cause, keyed by [`StallCause::label`]. The components sum to
 /// `total_cycles` — an invariant asserted when the probe is read out.
-fn breakdown_json(b: &StallBreakdown) -> Value {
+pub(crate) fn breakdown_json(b: &StallBreakdown) -> Value {
     let mut fields = vec![("total_cycles", Value::Int(b.total_cycles as i64))];
     for (cause, cycles) in b.components() {
         fields.push((cause.label(), Value::Int(cycles as i64)));
@@ -328,7 +337,7 @@ fn breakdown_json(b: &StallBreakdown) -> Value {
 
 /// The `intervals` member of a cell: the windowed IPC timeline with the
 /// dominant stall cause per window.
-fn intervals_json(iv: &IntervalStats) -> Value {
+pub(crate) fn intervals_json(iv: &IntervalStats) -> Value {
     Value::object(vec![
         ("window_cycles", Value::Int(iv.window_cycles as i64)),
         (

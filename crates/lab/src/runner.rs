@@ -1412,7 +1412,6 @@ mod tests {
             cycles,
             branches: committed / 10,
             mispredictions: committed / 100,
-            mem_retries: 0,
             mem_accesses: committed / 2,
         };
         // Two units at IPC 2.0 and 1.0: mean 1.5, nonzero CI, exact
@@ -1443,7 +1442,6 @@ mod tests {
             committed: 600,
             branches: 60,
             mispredictions: 6,
-            mem_retries: 0,
             mem_accesses: 300,
         };
         let (sim, s) = sampled_estimate(&detailed, &[], 600, 600);

@@ -50,7 +50,6 @@ pub(crate) struct UnitDelta {
     pub(crate) cycles: u64,
     pub(crate) branches: u64,
     pub(crate) mispredictions: u64,
-    pub(crate) mem_retries: u64,
     pub(crate) mem_accesses: u64,
 }
 
@@ -61,7 +60,6 @@ impl UnitDelta {
             cycles: after.cycles.saturating_sub(before.cycles),
             branches: after.branches.saturating_sub(before.branches),
             mispredictions: after.mispredictions.saturating_sub(before.mispredictions),
-            mem_retries: after.mem_retries.saturating_sub(before.mem_retries),
             mem_accesses: after.mem_accesses.saturating_sub(before.mem_accesses),
         }
     }
@@ -77,7 +75,6 @@ fn scale_result(detailed: &SimResult, total_insts: u64) -> SimResult {
         committed: total_insts,
         branches: scaled(detailed.branches),
         mispredictions: scaled(detailed.mispredictions),
-        mem_retries: scaled(detailed.mem_retries),
         mem_accesses: scaled(detailed.mem_accesses),
     }
 }
@@ -135,7 +132,6 @@ pub(crate) fn sampled_estimate(
         committed: total_insts,
         branches: scaled(sum_of(|u| u.branches)),
         mispredictions: scaled(sum_of(|u| u.mispredictions)),
-        mem_retries: scaled(sum_of(|u| u.mem_retries)),
         mem_accesses: scaled(sum_of(|u| u.mem_accesses)),
     };
     let sampling = CellSampling {

@@ -161,3 +161,17 @@ fn an_error_written_to_a_closed_pipe_exits_1_instead_of_panicking() {
         .expect("failed to spawn momlab");
     assert_eq!(status.code(), Some(1), "a panic exits 101");
 }
+
+#[test]
+fn a_cache_usage_error_creates_no_directory() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cache-usage-error");
+    let dir_arg = dir.to_str().expect("UTF-8 temp path");
+    for verb in ["bogus", "gc"] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let output = momlab(&["cache", verb, "--cache-dir", dir_arg]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "cache {verb}; stderr:\n{stderr}");
+        assert!(stderr.contains("Usage:"), "cache {verb}; stderr:\n{stderr}");
+        assert!(!dir.exists(), "cache {verb} created {}", dir.display());
+    }
+}

@@ -1,16 +1,16 @@
-//! Property-based tests of the persistent cell-cache record codec: for *any*
-//! record the cache can store, encode → decode → re-encode reproduces the
-//! exact bytes (so `momlab cache verify`'s byte-for-byte file comparison is a
-//! sound equality test), the decoded key answers the same canonical address,
-//! no truncated prefix of a record ever decodes successfully — truncation
-//! is always a detectable (clean-miss) error, never a silently-wrong result
-//! — and a record with random bytes flipped either fails cleanly or decodes
-//! to a record that re-encodes to exactly those bytes, never panicking.
+//! Property-based tests of the persistent cell-cache records, through the
+//! public [`CellCache`] API: for *any* record the cache can store, store →
+//! load → store reproduces the exact file bytes (so `momlab cache verify`'s
+//! byte-for-byte file comparison is a sound equality test) and the loaded
+//! record equals the stored one; no proper prefix of a record file ever
+//! loads — truncation is always a clean miss, never a silently-wrong result;
+//! and a record file with random bytes flipped either misses or — when the
+//! flips cancel — is byte-identical to the one written, never panicking.
 
 use mom_cpu::probe::{IntervalStats, IntervalWindow, ProbeReport, StallBreakdown, StallCause};
 use mom_cpu::SimResult;
 use mom_lab::runner::CellSampling;
-use mom_lab::{CellKey, CellRecord, SamplingKnobs};
+use mom_lab::{CellCache, CellKey, CellRecord, SamplingKnobs};
 use mom_mem::cache::CacheStats;
 use mom_mem::dram::DramStats;
 use mom_mem::MemSystemStats;
@@ -27,8 +27,8 @@ fn window_from(word: u64) -> IntervalWindow {
 }
 
 /// Assemble a full record from generator words. The breakdown total is the
-/// component sum, matching the structural invariant `ProbeReport::load_state`
-/// enforces on every decode.
+/// component sum, matching the invariant `ProbeReport::validate` checks on
+/// every load.
 fn record_from(
     sim_words: &[u64],
     components: &[u64],
@@ -50,8 +50,7 @@ fn record_from(
             committed: sim_words[1],
             branches: sim_words[2],
             mispredictions: sim_words[3],
-            mem_retries: sim_words[4],
-            mem_accesses: sim_words[5],
+            mem_accesses: sim_words[4],
         },
         probe: ProbeReport { breakdown, intervals },
         mem: MemSystemStats {
@@ -69,15 +68,19 @@ fn record_from(
                 queue_cycles: mem_words[14],
             },
         },
+        // Counters below 2^40 like the others (a record holds them as JSON
+        // integers, so one at 2^63 or above would read back as a miss).
         sampling: sampling_words.map(|w| CellSampling {
-            units_measured: w[0],
-            measured_insts: w[1],
-            warmup_insts: w[2],
-            total_insts: w[3],
-            // Bit-pattern f64s: the codec stores IEEE bits verbatim, so even
-            // NaN payloads must survive the roundtrip byte-exactly.
-            ipc_mean: f64::from_bits(w[4]),
-            ipc_ci95: f64::from_bits(w[5]),
+            units_measured: w[0] >> 24,
+            measured_insts: w[1] >> 24,
+            warmup_insts: w[2] >> 24,
+            total_insts: w[3] >> 24,
+            // Any bit pattern of a finite non-negative float below 32 (an
+            // IPC, or its interval half-width, on a machine at most 16 wide),
+            // subnormals included: the shortest round-trip text must read
+            // back to the same bits.
+            ipc_mean: f64::from_bits(w[4] % 0x4040_0000_0000_0000),
+            ipc_ci95: f64::from_bits(w[5] % 0x4040_0000_0000_0000),
         }),
     }
 }
@@ -106,15 +109,28 @@ fn key_from(words: &[u64; 6], sampled: bool) -> CellKey {
     }
 }
 
+/// A scratch cache directory unique to this process and test.
+fn scratch(tag: &str) -> (std::path::PathBuf, CellCache) {
+    let dir = std::env::temp_dir().join(format!("momlab-proptest-{tag}-{}", std::process::id()));
+    let cache = CellCache::open(&dir).expect("create cache dir");
+    (dir, cache)
+}
+
+/// Store `record` under `key` and return the record file's bytes.
+fn stored_bytes(cache: &CellCache, key: &CellKey, record: &CellRecord) -> Vec<u8> {
+    cache.store(key, record);
+    std::fs::read(cache.record_path(key)).expect("stored record is readable")
+}
+
 proptest! {
     #![proptest_config(Config::with_cases(64))]
 
     #[test]
     fn records_roundtrip_byte_stably(
-        sim_words in prop::collection::vec(0u64..1 << 40, 6),
+        sim_words in prop::collection::vec(0u64..1 << 40, 5),
         components in prop::collection::vec(0u64..1 << 40, StallCause::COUNT),
         shift in 0usize..12,
-        window_words in prop::collection::vec(0u64..u64::MAX, 0..32),
+        window_words in prop::collection::vec(0u64..u64::MAX, 0..33),
         mem_words in prop::collection::vec(0u64..1 << 40, 15),
         key_words in prop::collection::vec(0u64..u64::MAX, 6),
         sampled in 0u64..2,
@@ -128,22 +144,21 @@ proptest! {
         kw.copy_from_slice(&key_words);
         let key = key_from(&kw, sampled == 1);
 
-        let bytes = record.to_bytes(&key);
-        let (decoded_key, decoded) = CellRecord::from_bytes(&bytes)
-            .expect("a freshly encoded record always decodes");
-
-        // The decoded key answers the same address (same canonical form,
-        // hence the same record file name) ...
-        prop_assert_eq!(decoded_key.canonical(), key.canonical());
-        prop_assert_eq!(decoded_key.file_name(), key.file_name());
-        // ... and re-encoding the decoded record reproduces the exact bytes,
-        // so byte comparison of record files is a sound equality test.
-        prop_assert_eq!(decoded.to_bytes(&decoded_key), bytes);
+        let (dir, cache) = scratch("roundtrip");
+        let bytes = stored_bytes(&cache, &key, &record);
+        let text = std::str::from_utf8(&bytes).expect("a record is UTF-8");
+        prop_assert!(mom_lab::json::Value::parse(text).is_ok(), "a record is one JSON document");
+        let loaded = cache.load(&key).expect("a freshly stored record always loads");
+        prop_assert_eq!(&loaded, &record);
+        // Storing the loaded record reproduces the exact bytes, so byte
+        // comparison of record files is a sound equality test.
+        prop_assert_eq!(stored_bytes(&cache, &key, &loaded), bytes);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncated_records_never_decode(
-        sim_words in prop::collection::vec(0u64..1 << 40, 6),
+        sim_words in prop::collection::vec(0u64..1 << 40, 5),
         components in prop::collection::vec(0u64..1 << 40, StallCause::COUNT),
         mem_words in prop::collection::vec(0u64..1 << 40, 15),
         key_words in prop::collection::vec(0u64..u64::MAX, 6),
@@ -152,19 +167,23 @@ proptest! {
         let record = record_from(&sim_words, &components, 3, &[1, 2, 3], &mem_words, None);
         let mut kw = [0u64; 6];
         kw.copy_from_slice(&key_words);
-        let bytes = record.to_bytes(&key_from(&kw, false));
-        // Every proper prefix fails to decode; sample one per case.
+        let key = key_from(&kw, false);
+        let (dir, cache) = scratch("truncated");
+        let bytes = stored_bytes(&cache, &key, &record);
+        // No proper prefix loads; sample one per case.
         let cut = (cut_word % bytes.len() as u64) as usize;
-        prop_assert!(CellRecord::from_bytes(&bytes[..cut]).is_err(),
-            "a {cut}-byte prefix of a {}-byte record must not decode", bytes.len());
+        std::fs::write(cache.record_path(&key), &bytes[..cut]).expect("write prefix");
+        prop_assert!(cache.load(&key).is_none(),
+            "a {cut}-byte prefix of a {}-byte record must not load", bytes.len());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn flipped_records_never_panic(
-        sim_words in prop::collection::vec(0u64..1 << 40, 6),
+        sim_words in prop::collection::vec(0u64..1 << 40, 5),
         components in prop::collection::vec(0u64..1 << 40, StallCause::COUNT),
         shift in 0usize..12,
-        window_words in prop::collection::vec(0u64..u64::MAX, 0..32),
+        window_words in prop::collection::vec(0u64..u64::MAX, 0..33),
         mem_words in prop::collection::vec(0u64..1 << 40, 15),
         key_words in prop::collection::vec(0u64..u64::MAX, 6),
         sampled in 0u64..2,
@@ -177,17 +196,23 @@ proptest! {
         );
         let mut kw = [0u64; 6];
         kw.copy_from_slice(&key_words);
-        let mut bytes = record.to_bytes(&key_from(&kw, sampled == 1));
+        let key = key_from(&kw, sampled == 1);
+        let (dir, cache) = scratch("flipped");
+        let written = stored_bytes(&cache, &key, &record);
+        let mut bytes = written.clone();
         for &(at, mask) in &flips {
             let i = (at % bytes.len() as u64) as usize;
             bytes[i] ^= mask;
         }
-        // Decoding a corrupted file must return, never panic. A corruption
-        // the decoder accepts must be one it can represent: the decoded
-        // record re-encodes to the flipped bytes, so no two files decode to
-        // the same record and `cache verify`'s byte comparison stays sound.
-        if let Ok((key, decoded)) = CellRecord::from_bytes(&bytes) {
-            prop_assert_eq!(decoded.to_bytes(&key), bytes);
+        std::fs::write(cache.record_path(&key), &bytes).expect("write flipped record");
+        // Loading a corrupted file must return, never panic, and a file that
+        // loads must be the one written: two identical flips at one byte
+        // cancel, and any other change misses, so a corrupted counter is
+        // never served as a result.
+        if let Some(loaded) = cache.load(&key) {
+            prop_assert_eq!(&bytes, &written, "a changed record file loaded");
+            prop_assert_eq!(loaded, record);
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

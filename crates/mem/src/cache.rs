@@ -6,8 +6,6 @@
 //! produced them). Timing consumers combine the hit/miss answers with the port
 //! and bank occupancy tracked by the memory-system front-ends.
 
-use mom_isa::codec::{CodecError, Decoder, Encoder};
-
 /// Configuration of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -81,26 +79,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Serialize the counters for a cell-cache record.
-    pub fn save_state(&self, e: &mut Encoder) {
-        e.u64(self.hits);
-        e.u64(self.misses);
-        e.u64(self.writebacks);
-    }
-
-    /// Restore counters written by [`CacheStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the stream is truncated.
-    pub fn load_state(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            hits: d.u64("cache hits")?,
-            misses: d.u64("cache misses")?,
-            writebacks: d.u64("cache writebacks")?,
-        })
-    }
-
     /// Total number of lookups.
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses

@@ -32,7 +32,6 @@ pub use config::{MemModelKind, PortConfig};
 pub use hierarchy::Hierarchy;
 pub use perfect::PerfectMemory;
 
-use mom_isa::codec::{CodecError, Decoder, Encoder};
 use mom_isa::trace::MemAccess;
 
 /// Aggregate statistics of a memory system.
@@ -56,46 +55,6 @@ pub struct MemSystemStats {
     pub l2: cache::CacheStats,
     /// DRAM channel statistics.
     pub dram: dram::DramStats,
-}
-
-impl MemSystemStats {
-    /// Serialize every counter for a cell-cache record.
-    pub fn save_state(&self, e: &mut Encoder) {
-        e.u64(self.requests);
-        e.u64(self.element_accesses);
-        e.u64(self.port_stalls);
-        e.u64(self.bank_conflicts);
-        e.u64(self.mshr_stalls);
-        e.u64(self.vector_transactions);
-        self.l1.save_state(e);
-        self.l2.save_state(e);
-        e.u64(self.dram.transfers);
-        e.u64(self.dram.busy_cycles);
-        e.u64(self.dram.queue_cycles);
-    }
-
-    /// Restore counters written by [`MemSystemStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the stream is truncated.
-    pub fn load_state(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            requests: d.u64("mem requests")?,
-            element_accesses: d.u64("mem element accesses")?,
-            port_stalls: d.u64("mem port stalls")?,
-            bank_conflicts: d.u64("mem bank conflicts")?,
-            mshr_stalls: d.u64("mem mshr stalls")?,
-            vector_transactions: d.u64("mem vector transactions")?,
-            l1: cache::CacheStats::load_state(d)?,
-            l2: cache::CacheStats::load_state(d)?,
-            dram: dram::DramStats {
-                transfers: d.u64("dram transfers")?,
-                busy_cycles: d.u64("dram busy cycles")?,
-                queue_cycles: d.u64("dram queue cycles")?,
-            },
-        })
-    }
 }
 
 /// The dominant component of the most recent
