@@ -36,11 +36,11 @@
 
 pub mod scalar_phase;
 
-use mom_cpu::{OooCore, SimResult};
+use mom_core::program::Program;
+use mom_core::state::Machine;
 use mom_isa::trace::{Broadcast, IsaKind, Trace, TraceSink};
-use mom_kernels::{build_kernel, KernelError, KernelKind, KernelParams};
-use mom_mem::MemorySystem;
-use scalar_phase::stream_scalar_phase;
+use mom_kernels::{build_kernel, BuiltKernel, KernelError, KernelKind, KernelParams};
+use scalar_phase::build_scalar_phase;
 
 /// The five evaluated applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -153,62 +153,176 @@ impl BuiltApp {
     }
 }
 
-/// One phase specification: either a kernel invocation or scalar work.
+/// One row of an application's phase mix: a kernel invocation or scalar work.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
+    /// A kernel, run `repeat` times in a row.
+    Kernel { kind: KernelKind, repeat: u64 },
+    /// Scalar work of `units` loop iterations.
+    Scalar { name: &'static str, units: usize },
+}
+
+/// One phase of an application run with its inputs fixed: a single kernel
+/// invocation (a repeated kernel phase is one per repeat) or scalar work.
+/// [`phases`] lists them and derives each seed; every driver —
+/// [`stream_app`], [`stream_app_multi`] and the experiment runner's sampled
+/// loop — builds them through [`AppPhase::build`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AppPhase {
+    /// A verified media kernel, built for the ISA under test.
     Kernel {
+        /// Which kernel.
         kind: KernelKind,
-        scale: usize,
-        /// Number of times the kernel phase is repeated.
-        repeat: usize,
+        /// Its seed and scale.
+        params: KernelParams,
     },
+    /// Non-vectorizable scalar work, identical for every ISA (see
+    /// [`scalar_phase`]).
     Scalar {
+        /// Human-readable phase name.
         name: &'static str,
+        /// Loop iterations.
         units: usize,
+        /// Seed of the phase's input symbols.
+        seed: u64,
     },
 }
 
-/// Phase mix of each application.
+/// The phases of one application run, in program order.
 ///
 /// The scalar unit counts are calibrated so the fraction of dynamic scalar
 /// work (measured on the Alpha version) approximates the published Mediabench
 /// profiles: motion estimation dominates `mpeg2 encode` (leaving only ~15-20%
 /// scalar), while the JPEG codecs spend more than half their time in Huffman
 /// coding and bit-stream handling.
-fn phases(kind: AppKind, scale: usize) -> Vec<Phase> {
-    let s = scale.max(1);
-    match kind {
+pub fn phases(kind: AppKind, params: &AppParams) -> Vec<AppPhase> {
+    let s = params.scale.max(1);
+    let mix = match kind {
         AppKind::JpegEncode => vec![
-            Phase::Kernel { kind: KernelKind::Rgb2Ycc, scale: s, repeat: 1 },
-            Phase::Kernel { kind: KernelKind::Idct, scale: s, repeat: 1 }, // forward DCT stand-in
+            Phase::Kernel { kind: KernelKind::Rgb2Ycc, repeat: 1 },
+            Phase::Kernel { kind: KernelKind::Idct, repeat: 1 }, // forward DCT stand-in
             Phase::Scalar { name: "huffman encode + bitstream", units: 28_000 * s },
         ],
         AppKind::JpegDecode => vec![
             Phase::Scalar { name: "huffman decode", units: 22_000 * s },
-            Phase::Kernel { kind: KernelKind::Idct, scale: s, repeat: 1 },
-            Phase::Kernel { kind: KernelKind::H2v2Upsample, scale: s, repeat: 1 },
-            Phase::Kernel { kind: KernelKind::Rgb2Ycc, scale: s, repeat: 1 }, // colour conversion back
+            Phase::Kernel { kind: KernelKind::Idct, repeat: 1 },
+            Phase::Kernel { kind: KernelKind::H2v2Upsample, repeat: 1 },
+            Phase::Kernel { kind: KernelKind::Rgb2Ycc, repeat: 1 }, // colour conversion back
             Phase::Scalar { name: "dithering + output", units: 8_000 * s },
         ],
         AppKind::GsmEncode => vec![
             Phase::Scalar { name: "lpc analysis + preprocessing", units: 6_000 * s },
-            Phase::Kernel { kind: KernelKind::LtpParameters, scale: s, repeat: 3 },
+            Phase::Kernel { kind: KernelKind::LtpParameters, repeat: 3 },
             Phase::Scalar { name: "rpe coding + bitstream", units: 3_000 * s },
         ],
         AppKind::Mpeg2Decode => vec![
             Phase::Scalar { name: "vld + header parsing", units: 3_500 * s },
-            Phase::Kernel { kind: KernelKind::Idct, scale: s, repeat: 2 },
-            Phase::Kernel { kind: KernelKind::Compensation, scale: s, repeat: 1 },
-            Phase::Kernel { kind: KernelKind::AddBlock, scale: s, repeat: 1 },
+            Phase::Kernel { kind: KernelKind::Idct, repeat: 2 },
+            Phase::Kernel { kind: KernelKind::Compensation, repeat: 1 },
+            Phase::Kernel { kind: KernelKind::AddBlock, repeat: 1 },
             Phase::Scalar { name: "store + display conversion", units: 1_500 * s },
         ],
         AppKind::Mpeg2Encode => vec![
-            Phase::Kernel { kind: KernelKind::Motion1, scale: s, repeat: 2 },
-            Phase::Kernel { kind: KernelKind::Motion2, scale: s, repeat: 1 },
-            Phase::Kernel { kind: KernelKind::Idct, scale: s, repeat: 1 }, // DCT + quantisation
-            Phase::Kernel { kind: KernelKind::Compensation, scale: s, repeat: 1 },
+            Phase::Kernel { kind: KernelKind::Motion1, repeat: 2 },
+            Phase::Kernel { kind: KernelKind::Motion2, repeat: 1 },
+            Phase::Kernel { kind: KernelKind::Idct, repeat: 1 }, // DCT + quantisation
+            Phase::Kernel { kind: KernelKind::Compensation, repeat: 1 },
             Phase::Scalar { name: "rate control + vlc", units: 4_000 * s },
         ],
+    };
+    let mut steps = Vec::new();
+    for (i, phase) in (0u64..).zip(mix) {
+        match phase {
+            Phase::Kernel { kind, repeat } => {
+                steps.extend((0..repeat).map(|rep| AppPhase::Kernel {
+                    kind,
+                    params: KernelParams { seed: params.seed ^ (i << 8) ^ rep, scale: s },
+                }));
+            }
+            Phase::Scalar { name, units } => {
+                steps.push(AppPhase::Scalar { name, units, seed: params.seed ^ (i * 0x9e37) });
+            }
+        }
+    }
+    steps
+}
+
+impl AppPhase {
+    /// Whether the phase uses the media ISA under test.
+    pub fn vectorized(&self) -> bool {
+        matches!(self, AppPhase::Kernel { .. })
+    }
+
+    /// Build the phase for `isa`: a kernel through [`build_kernel`], a
+    /// scalar phase (the same for every ISA) through
+    /// [`scalar_phase::build_scalar_phase`].
+    pub fn build(&self, isa: IsaKind) -> BuiltPhase {
+        match *self {
+            AppPhase::Kernel { kind, params } => {
+                BuiltPhase::Kernel(build_kernel(kind, isa, &params))
+            }
+            AppPhase::Scalar { units, seed, .. } => {
+                let (machine, program) = build_scalar_phase(units, seed);
+                BuiltPhase::Scalar(machine, program)
+            }
+        }
+    }
+
+    fn report(&self, instructions: usize) -> PhaseReport {
+        let name = match self {
+            AppPhase::Kernel { kind, .. } => kind.to_string(),
+            AppPhase::Scalar { name, .. } => name.to_string(),
+        };
+        PhaseReport { name, instructions, vectorized: self.vectorized() }
+    }
+}
+
+/// A phase ready to run.
+#[derive(Debug)]
+pub enum BuiltPhase {
+    /// A kernel, with the golden output it must leave behind.
+    Kernel(BuiltKernel),
+    /// A scalar phase: the machine holding its input, and its program.
+    Scalar(Machine, Program),
+}
+
+impl BuiltPhase {
+    /// The machine the phase runs on, and its program.
+    pub fn parts(&mut self) -> (&mut Machine, &Program) {
+        match self {
+            BuiltPhase::Kernel(kernel) => (&mut kernel.machine, &kernel.program),
+            BuiltPhase::Scalar(machine, program) => (machine, program),
+        }
+    }
+
+    /// Check a halted kernel phase's output region against its golden
+    /// reference. Scalar phases have no reference and always pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::OutputMismatch`] at the first differing byte.
+    pub fn verify(&self) -> Result<(), KernelError> {
+        let BuiltPhase::Kernel(k) = self else { return Ok(()) };
+        let actual = k.machine.mem().read_bytes(k.output_addr, k.expected.len());
+        match actual.iter().zip(&k.expected).position(|(a, e)| a != e) {
+            Some(offset) => Err(KernelError::OutputMismatch { kind: k.kind, isa: k.isa, offset }),
+            None => Ok(()),
+        }
+    }
+
+    /// Run the whole phase into `sink` within [`Program::stream`]'s fuel
+    /// budget and verify it. Returns the number of instructions.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::Exec`] on fuel exhaustion or
+    /// [`KernelError::OutputMismatch`] if a kernel's output is wrong (the
+    /// sink has received the instructions either way).
+    pub fn stream<S: TraceSink + ?Sized>(self, sink: &mut S) -> Result<usize, KernelError> {
+        match self {
+            BuiltPhase::Kernel(kernel) => kernel.stream_verified(sink),
+            BuiltPhase::Scalar(mut machine, program) => Ok(program.stream(&mut machine, sink)?),
+        }
     }
 }
 
@@ -220,46 +334,25 @@ fn phases(kind: AppKind, scale: usize) -> Vec<Phase> {
 /// [`Trace`] sink it reproduces the concatenated application trace; with the
 /// timing simulator's `SimStream` sink the whole application is interpreted
 /// and simulated in one fused pass whose memory use is independent of the
-/// dynamic instruction count (see [`run_app_streamed`]). Every phase —
-/// kernel and scalar alike — interprets through the pre-decoded µop engine
-/// (`Program::decode` in `mom-core`): each phase program is lowered once and
-/// its dynamic instructions execute as flat µops.
+/// dynamic instruction count. Every phase — kernel and scalar alike —
+/// interprets through the pre-decoded µop engine (`Program::decode` in
+/// `mom-core`): each phase program is lowered once and its dynamic
+/// instructions execute as flat µops.
 ///
 /// # Errors
 ///
-/// Returns a [`KernelError`] if any kernel phase fails to execute or does not
-/// match its golden reference.
+/// Returns a [`KernelError`] if any phase runs out of fuel or a kernel phase
+/// does not match its golden reference.
 pub fn stream_app<S: TraceSink + ?Sized>(
     kind: AppKind,
     isa: IsaKind,
     params: &AppParams,
     sink: &mut S,
 ) -> Result<Vec<PhaseReport>, KernelError> {
-    let mut reports = Vec::new();
-    for (i, phase) in phases(kind, params.scale).into_iter().enumerate() {
-        match phase {
-            Phase::Kernel { kind: k, scale, repeat } => {
-                for rep in 0..repeat.max(1) {
-                    let kp = KernelParams { seed: params.seed ^ ((i as u64) << 8) ^ rep as u64, scale };
-                    let executed = build_kernel(k, isa, &kp).stream_verified(sink)?;
-                    reports.push(PhaseReport {
-                        name: format!("{k}"),
-                        instructions: executed,
-                        vectorized: true,
-                    });
-                }
-            }
-            Phase::Scalar { name, units } => {
-                let executed = stream_scalar_phase(units, params.seed ^ (i as u64 * 0x9e37), sink);
-                reports.push(PhaseReport {
-                    name: name.to_string(),
-                    instructions: executed,
-                    vectorized: false,
-                });
-            }
-        }
-    }
-    Ok(reports)
+    phases(kind, params)
+        .iter()
+        .map(|phase| Ok(phase.report(phase.build(isa).stream(sink)?)))
+        .collect()
 }
 
 /// Stream one application into several per-ISA sinks at once, interpreting
@@ -281,8 +374,8 @@ pub fn stream_app<S: TraceSink + ?Sized>(
 ///
 /// # Errors
 ///
-/// Returns a [`KernelError`] if any kernel phase of any lane fails to
-/// execute or does not match its golden reference.
+/// Returns a [`KernelError`] if any phase of any lane runs out of fuel or a
+/// kernel phase does not match its golden reference.
 pub fn stream_app_multi<S: TraceSink>(
     kind: AppKind,
     params: &AppParams,
@@ -290,36 +383,20 @@ pub fn stream_app_multi<S: TraceSink>(
 ) -> Result<(Vec<Vec<PhaseReport>>, u64), KernelError> {
     let mut reports: Vec<Vec<PhaseReport>> = lanes.iter().map(|_| Vec::new()).collect();
     let mut interpreted = 0u64;
-    for (i, phase) in phases(kind, params.scale).into_iter().enumerate() {
-        match phase {
-            Phase::Kernel { kind: k, scale, repeat } => {
-                for rep in 0..repeat.max(1) {
-                    let kp = KernelParams { seed: params.seed ^ ((i as u64) << 8) ^ rep as u64, scale };
-                    for (lane, (isa, sink)) in lanes.iter_mut().enumerate() {
-                        let executed = build_kernel(k, *isa, &kp).stream_verified(sink)?;
-                        interpreted += executed as u64;
-                        reports[lane].push(PhaseReport {
-                            name: format!("{k}"),
-                            instructions: executed,
-                            vectorized: true,
-                        });
-                    }
-                }
-            }
-            Phase::Scalar { name, units } => {
-                // One interpretation, fanned out to every lane.
-                let executed = {
-                    let mut fan = Broadcast::new(lanes.iter_mut().map(|(_, sink)| sink).collect());
-                    stream_scalar_phase(units, params.seed ^ (i as u64 * 0x9e37), &mut fan)
-                };
+    for phase in phases(kind, params) {
+        if phase.vectorized() {
+            for (lane, (isa, sink)) in lanes.iter_mut().enumerate() {
+                let executed = phase.build(*isa).stream(sink)?;
                 interpreted += executed as u64;
-                for lane in &mut reports {
-                    lane.push(PhaseReport {
-                        name: name.to_string(),
-                        instructions: executed,
-                        vectorized: false,
-                    });
-                }
+                reports[lane].push(phase.report(executed));
+            }
+        } else {
+            // One interpretation, fanned out to every lane.
+            let mut fan = Broadcast::new(lanes.iter_mut().map(|(_, sink)| sink).collect());
+            let executed = phase.build(IsaKind::Alpha).stream(&mut fan)?;
+            interpreted += executed as u64;
+            for lane in &mut reports {
+                lane.push(phase.report(executed));
             }
         }
     }
@@ -340,32 +417,10 @@ pub fn build_app(kind: AppKind, isa: IsaKind, params: &AppParams) -> Result<Buil
     Ok(BuiltApp { kind, isa, trace, phases: reports })
 }
 
-/// Fused cell execution for whole applications: interpret every phase and
-/// feed the timing simulator directly, with no intermediate trace. The
-/// returned [`SimResult`] is bit-identical to simulating
-/// [`BuiltApp::trace`] on the same core and memory, but peak memory is
-/// bounded by the simulator's O(ROB) window instead of the concatenated
-/// trace length.
-///
-/// # Errors
-///
-/// Returns a [`KernelError`] if any kernel phase fails to execute or does not
-/// match its golden reference.
-pub fn run_app_streamed(
-    kind: AppKind,
-    isa: IsaKind,
-    params: &AppParams,
-    core: &OooCore,
-    memory: &mut dyn MemorySystem,
-) -> Result<(SimResult, Vec<PhaseReport>), KernelError> {
-    let mut sim = core.stream(memory);
-    let reports = stream_app(kind, isa, params, &mut sim)?;
-    Ok((sim.finish(), reports))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mom_cpu::{OooCore, SimResult};
 
     #[test]
     fn labels_and_ordering() {
@@ -425,9 +480,10 @@ mod tests {
             let batch = core.simulate(&app.trace, mem_batch.as_mut());
 
             let mut mem_fused = build_memory(MemModelKind::Conventional, 4);
-            let (fused, reports) =
-                run_app_streamed(AppKind::GsmEncode, isa, &params, &core, mem_fused.as_mut())
-                    .expect("fused app runs");
+            let mut sim = core.stream(mem_fused.as_mut());
+            let reports =
+                stream_app(AppKind::GsmEncode, isa, &params, &mut sim).expect("fused app runs");
+            let fused = sim.finish();
 
             assert_eq!(batch, fused, "gsm encode ({isa}): streamed != materialized");
             assert_eq!(reports, app.phases, "phase breakdowns agree");

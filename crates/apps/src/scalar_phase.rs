@@ -3,47 +3,30 @@
 //! Entropy coding, bit-stream parsing, rate control and similar glue code in
 //! the Mediabench programs cannot be vectorized by any of the evaluated ISAs;
 //! the paper's whole-program results are governed by Amdahl's law over these
-//! phases. This module emits a representative scalar phase: a variable-length-
+//! phases. This module builds a representative scalar phase: a variable-length-
 //! code style loop of table lookups, data-dependent branches and short ALU
 //! chains, identical for every ISA.
 
-use mom_core::program::ProgramBuilder;
+use mom_core::program::{Program, ProgramBuilder};
 use mom_core::state::Machine;
 use mom_isa::mem::{Allocator, MemImage};
 use mom_isa::regs::r;
 use mom_isa::scalar::{AluOp, Cond, ScalarOp};
-use mom_isa::trace::{IsaKind, Trace, TraceSink};
+use mom_isa::trace::IsaKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Approximate dynamic instructions emitted per work unit.
-pub const INSTS_PER_UNIT: usize = 16;
-
-/// Build and run a scalar (non-vectorizable) phase of `units` iterations of a
-/// VLC-style decode loop, returning its dynamic trace (the collecting wrapper
-/// over [`stream_scalar_phase`]).
-///
-/// The phase is identical no matter which media ISA the surrounding
-/// application targets, which is exactly why it bounds whole-program speedup.
+/// Build a scalar phase of `units` iterations of a VLC-style decode loop:
+/// the machine holding its random input symbols and code table, and the
+/// program that decodes them. The phase is identical no matter which media
+/// ISA the surrounding application targets, which is exactly why it bounds
+/// whole-program speedup.
 ///
 /// # Panics
 ///
 /// Panics only if the internally-generated program is malformed, which would
 /// be a bug in this module rather than a property of the caller's input.
-pub fn run_scalar_phase(units: usize, seed: u64) -> Trace {
-    let mut trace = Trace::new(IsaKind::Alpha);
-    stream_scalar_phase(units, seed, &mut trace);
-    trace
-}
-
-/// Build and run a scalar phase, streaming every graduated instruction into
-/// `sink` instead of collecting a trace. Returns the dynamic instruction
-/// count.
-///
-/// # Panics
-///
-/// As for [`run_scalar_phase`]: only on an internal program-construction bug.
-pub fn stream_scalar_phase<S: TraceSink + ?Sized>(units: usize, seed: u64, sink: &mut S) -> usize {
+pub fn build_scalar_phase(units: usize, seed: u64) -> (Machine, Program) {
     let mut rng = StdRng::seed_from_u64(seed);
     let data: Vec<u8> = (0..units.max(1)).map(|_| rng.gen()).collect();
     let table: Vec<u8> =
@@ -89,13 +72,18 @@ pub fn stream_scalar_phase<S: TraceSink + ?Sized>(units: usize, seed: u64, sink:
     b.push(ScalarOp::Li { rd: r(5), imm: out_addr as i64 });
     b.push(ScalarOp::St { rs: r(4), base: r(5), offset: 0, size: 8 });
 
-    let program = b.build().expect("scalar phase program has consistent labels");
-    program.stream(&mut machine, sink).expect("scalar phase terminates within the fuel budget")
+    (machine, b.build().expect("scalar phase program has consistent labels"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mom_isa::trace::Trace;
+
+    fn run_scalar_phase(units: usize, seed: u64) -> Trace {
+        let (mut machine, program) = build_scalar_phase(units, seed);
+        program.run(&mut machine).expect("scalar phase terminates within the fuel budget")
+    }
 
     #[test]
     fn trace_size_scales_with_units() {

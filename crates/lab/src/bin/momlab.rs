@@ -35,8 +35,10 @@
 //!   period and functionally fast-forwards the rest, so wall-clock scales
 //!   with the number of samples instead of the workload length. Cells are
 //!   IPC *estimates* with 95% confidence intervals (reported in a `sampling`
-//!   results section); `--sample-period 0` measures everything and is
-//!   byte-identical to `--streamed`
+//!   results section). The cells of one `(workload, ISA)` group share one
+//!   functional pass that broadcasts each detailed window to all of them;
+//!   `--sample-period 0` measures everything and is byte-identical to
+//!   `--streamed`
 //! * `--sample-unit N` / `--sample-warmup N` / `--sample-period N` — the
 //!   sampling knobs (defaults 1000 / 2000 / 100000 dynamic instructions;
 //!   each implies `--sampled`)
@@ -158,8 +160,10 @@ byte-identical in their results.
 --sampled trades exactness for wall-clock: per sampling period (default
 100000 insts) it simulates a detailed warm-up (2000) plus a measured unit
 (1000) and fast-forwards the rest, reporting per-cell IPC estimates with
-95% confidence intervals in a `sampling` results section. --sample-period 0
-measures every instruction and is byte-identical to --streamed.
+95% confidence intervals in a `sampling` results section. Sampled cells
+share one functional pass per (workload, ISA) group, applications
+included. --sample-period 0 measures every instruction and is
+byte-identical to --streamed.
 
 --sweep-dims overrides the sweep grid, e.g. rob=16,32:lat=1,50:way=4,8.
 
@@ -184,7 +188,8 @@ and in the document's meta.cache section.
 momlab cache ls lists the records in a cache directory; cache verify
 re-simulates every record this binary can rebuild and diffs at tolerance 0
 (exit 2 on mismatch); cache gc --max-bytes N evicts least-recently-used
-records until the directory fits in N bytes.
+records until the directory fits in N bytes. The cache verbs fail on a
+directory that does not exist instead of creating it.
 
 MOM_BENCH_FAST=1 selects the reduced fast-mode workload subsets.";
 
@@ -750,7 +755,7 @@ fn cmd_cache(opts: &Options) -> Result<ExitCode, Failure> {
         .map(String::as_str)
         .ok_or_else(|| usage("cache takes a subcommand: ls, verify or gc"))?;
     let dir = opts.cache_dir.as_ref().ok_or_else(|| usage("cache needs --cache-dir DIR"))?;
-    // Every usage error comes before `open`, which creates the directory.
+    // Every usage error comes before the directory check.
     let gc_max = match verb {
         "ls" | "verify" => None,
         "gc" => Some(opts.max_bytes.ok_or_else(|| usage("cache gc needs --max-bytes N"))?),
@@ -758,6 +763,10 @@ fn cmd_cache(opts: &Options) -> Result<ExitCode, Failure> {
             return Err(usage(&format!("unknown cache subcommand {other:?} (try: ls, verify, gc)")))
         }
     };
+    // Inspection must not create what it inspects; only `run` creates a cache.
+    if !dir.is_dir() {
+        return Err(format!("no cache directory at {}", dir.display()).into());
+    }
     let cache = CellCache::open(dir)
         .map_err(|e| format!("cannot open cache directory {}: {e}", dir.display()))?;
     match gc_max {

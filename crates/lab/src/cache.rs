@@ -86,9 +86,10 @@ pub fn engine_fingerprint() -> String {
     format!("momlab {} model:{MODEL_DIGEST}", env!("CARGO_PKG_VERSION"))
 }
 
-/// 64-bit FNV-1a, the same construction `config_hash` uses — deterministic
-/// across platforms and runs, which is what addresses record files.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a — deterministic across platforms and runs, which is what
+/// addresses record files, checksums them and hashes a spec's configuration
+/// (`ExperimentSpec::config_hash`).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= b as u64;
@@ -236,12 +237,14 @@ impl CellKey {
     }
 }
 
-/// One cached cell result — exactly what the runner's assembly stage needs
-/// to rebuild the cell without simulating: the timing summary, the verified
-/// stall attribution and interval timeline, the memory-system statistics,
-/// and (for sampled cells) the confidence-interval accounting. Speed-ups are
-/// *not* cached: they depend on the baseline cell and are derived fresh at
-/// assembly, so a record stays valid under any baseline policy.
+/// One cell's simulated result — exactly what the runner's assembly stage
+/// needs to build the cell, whether it was just simulated or loaded from the
+/// cache: the timing summary, the verified stall attribution and interval
+/// timeline, the memory-system statistics (captured before the machine went
+/// back to its pool), and (for sampled cells) the confidence-interval
+/// accounting. Speed-ups are *not* part of it: they depend on the baseline
+/// cell and are derived fresh at assembly, so a record stays valid under
+/// any baseline policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRecord {
     /// The cell's timing summary.

@@ -16,13 +16,14 @@
 //!   re-interprets its workload straight into its own simulator. The same
 //!   code without the sharing, and per-cell parallelism when a grid has
 //!   fewer groups than workers.
-//! * [`ExecMode::Sampled`] — singleton groups whose cells alternate detailed
-//!   warm-up and measurement windows with functional fast-forwarding
-//!   (SMARTS-style, see the `sampling` module), so wall-clock scales with the
-//!   number of samples instead of the workload length. Results are
-//!   **estimates** reported with per-cell confidence intervals in a
-//!   `sampling` results section — except at sampling rate 1
-//!   (`period == 0`), which *is* the streamed run.
+//! * [`ExecMode::Sampled`] — groups whose members alternate detailed warm-up
+//!   and measurement windows with functional fast-forwarding (SMARTS-style,
+//!   see the `sampling` module), so wall-clock scales with the number of
+//!   samples instead of the workload length. One pass per `(workload, ISA)`
+//!   feeds every member the same windows. Results are **estimates**
+//!   reported with per-cell confidence intervals in a `sampling` results
+//!   section — except at sampling rate 1 (`period == 0`), which runs and
+//!   groups exactly as the fan-out.
 //!
 //! A group is one work item: its interpreter drives every member simulator
 //! through a serial `Broadcast` on whichever worker claims it. Groups spread
@@ -78,7 +79,7 @@ use mom_mem::{MemModelKind, MemSystemStats};
 
 use crate::cache::{engine_fingerprint, CacheMeta, CellCache, CellKey, CellRecord, SamplingKnobs};
 pub use crate::document::mem_label;
-use crate::sampling::{run_sampled_app_cell, run_sampled_kernel_cell, SamplingParams};
+use crate::sampling::run_sampled_group;
 use crate::spec::{BaselinePolicy, Cell, ExperimentKind, ExperimentSpec, GridSpec, Workload};
 use crate::tables::{static_rows, StaticRows};
 
@@ -111,11 +112,12 @@ pub enum ExecMode {
     /// period is functionally fast-forwarded (architectural state advances;
     /// the timing simulator sees nothing). Per-cell IPC is estimated as the
     /// mean of the unit IPCs with a 95% confidence interval; the cycle count
-    /// in the results is `total_insts / ipc_mean`.
+    /// in the results is `total_insts / ipc_mean`. The cells of one
+    /// `(workload, ISA)` group share one functional pass.
     ///
     /// `period == 0` is the **rate-1 sentinel**: every instruction is
-    /// simulated in detail and the run is exactly [`ExecMode::Streamed`]
-    /// (the correctness gate of the sampling machinery). Otherwise `period`
+    /// simulated in detail and the run is exactly [`ExecMode::Fanout`],
+    /// byte-identical to [`ExecMode::Streamed`]. Otherwise `period`
     /// must be at least `warmup_insts + unit_insts` and `unit_insts` at
     /// least 1.
     Sampled {
@@ -149,7 +151,18 @@ impl ExecMode {
     /// Whether this mode produces statistical estimates instead of exact
     /// cycle counts (`Sampled` with a nonzero period).
     pub fn is_estimated(self) -> bool {
-        SamplingParams::of(self).is_some()
+        self.knobs().is_some()
+    }
+
+    /// The knobs of an estimating run; `None` for every exact mode,
+    /// including the rate-1 sentinel.
+    pub(crate) fn knobs(self) -> Option<SamplingKnobs> {
+        match self {
+            ExecMode::Sampled { unit_insts, warmup_insts, period } if period > 0 => {
+                Some(SamplingKnobs { unit: unit_insts, warmup: warmup_insts, period })
+            }
+            _ => None,
+        }
     }
 }
 
@@ -278,10 +291,10 @@ pub struct RunResult {
     /// `cell_wall_ns`, this never counts a shared group span more than once.
     pub sim_wall_ns: u64,
     /// Number of functional interpreter passes the run performed — one per
-    /// group: per `(kernel, ISA)` for kernels and per *app* for applications
-    /// in fan-out mode (their scalar phases interpret once across all ISA
-    /// lanes), one per cell in the per-cell modes. Zero for static
-    /// experiments.
+    /// group: per `(kernel, ISA)` for kernels; per *app* for applications in
+    /// the exact modes (their scalar phases interpret once across all ISA
+    /// lanes) and per `(app, ISA)` in an estimated sampled run; one per cell
+    /// under [`ExecMode::Streamed`]. Zero for static experiments.
     pub functional_passes: usize,
     /// Dynamic instructions the functional interpreter actually executed
     /// (each shared pass counted once). The cells' own `instructions` sum is
@@ -426,11 +439,7 @@ impl CacheContext<'_> {
             rob: config.rob.map(|rob| rob as u64),
             scale: grid.scale as u64,
             seed: grid.seed,
-            sampling: SamplingParams::of(mode).map(|sp| SamplingKnobs {
-                unit: sp.unit,
-                warmup: sp.warmup,
-                period: sp.period,
-            }),
+            sampling: mode.knobs(),
         }
     }
 }
@@ -593,19 +602,6 @@ impl<'a> MachinePool<'a> {
     }
 }
 
-/// Everything one simulated cell hands back to the assembly stage: the
-/// timing result, the verified attribution report, and the memory-system
-/// statistics captured before its machine returned to the pool.
-#[derive(Debug, Clone)]
-pub(crate) struct CellSim {
-    pub(crate) sim: SimResult,
-    pub(crate) probe: ProbeReport,
-    pub(crate) mem: MemSystemStats,
-    /// Sampling accounting when the cell ran under [`ExecMode::Sampled`] with
-    /// a nonzero period; `None` on every exact path.
-    pub(crate) sampling: Option<CellSampling>,
-}
-
 /// Wall-clock and functional-sharing accounting of one grid run (all of it
 /// `meta`-only; none of it deterministic).
 #[derive(Debug, Default)]
@@ -621,14 +617,17 @@ struct GridTiming {
 /// One functional pass of a grid run: a workload with one or more ISA
 /// lanes, each lane listing its member cell indices.
 ///
-/// In fan-out mode kernel workloads form one group per `(kernel, ISA)` (a
-/// single lane): every member consumes the identical instruction stream, so
-/// one interpretation feeds them all. Application workloads form one group
-/// per app spanning **all** of its ISAs: the kernel phases are interpreted
-/// per lane, but the scalar phases — identical across ISAs and the bulk of
-/// the Alpha traces — are interpreted once and fanned out to every lane
-/// (see [`stream_app_multi`]). The per-cell modes make every cell a
-/// singleton group of its own.
+/// Kernel workloads form one group per `(kernel, ISA)` (a single lane):
+/// every member consumes the identical instruction stream, so one
+/// interpretation feeds them all. In fan-out mode an application forms one
+/// group spanning **all** of its ISAs: the kernel phases are interpreted per
+/// lane, but the scalar phases — identical across ISAs and the bulk of the
+/// Alpha traces — are interpreted once and fanned out to every lane (see
+/// [`stream_app_multi`]). An estimated sampled run groups applications per
+/// ISA lane instead: a cell's windows sit at positions in its own
+/// instruction stream, and those positions diverge between ISAs after the
+/// first kernel phase. [`ExecMode::Streamed`] makes every cell a singleton
+/// group of its own.
 #[derive(Debug)]
 pub(crate) struct Group {
     workload: Workload,
@@ -646,11 +645,12 @@ impl Group {
 /// from the same function, so the printed grouping can never drift from what
 /// runs.
 pub(crate) fn groups(grid: &GridSpec, cells: &[Cell], mode: ExecMode) -> Vec<Group> {
-    let shared = mode == ExecMode::Fanout;
+    let shared = mode != ExecMode::Streamed;
+    let apps_cross_isa = !mode.is_estimated();
     let mut groups: Vec<Group> = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
         let isa = grid.configs[cell.config].isa;
-        let cross_isa = matches!(cell.workload, Workload::App(_));
+        let cross_isa = apps_cross_isa && matches!(cell.workload, Workload::App(_));
         let existing = groups.iter_mut().find(|g| {
             shared && g.workload == cell.workload && (cross_isa || g.lanes[0].0 == isa)
         });
@@ -675,11 +675,6 @@ fn group_label(group: &Group) -> String {
     format!("{} [{}]", group.workload.label(), isas.join("+"))
 }
 
-/// The machine descriptor of one grid cell.
-fn descriptor_for(grid: &GridSpec, cells: &[Cell], ci: usize) -> MachineDescriptor {
-    grid.configs[cells[ci].config].descriptor(cells[ci].way)
-}
-
 /// Acquire (from `pool`) one machine per member of every lane of `group`.
 fn take_lane_machines(
     grid: &GridSpec,
@@ -691,7 +686,10 @@ fn take_lane_machines(
         .lanes
         .iter()
         .map(|(_, members)| {
-            members.iter().map(|&ci| pool.take(&descriptor_for(grid, cells, ci))).collect()
+            members
+                .iter()
+                .map(|&ci| pool.take(&grid.configs[cells[ci].config].descriptor(cells[ci].way)))
+                .collect()
         })
         .collect()
 }
@@ -732,31 +730,22 @@ struct GroupCtx<'a> {
 
 /// Run a whole group on the calling worker. An exact group drives every
 /// member simulator from one interpretation through a `Broadcast`; an
-/// estimated sampled group is a single cell that windows its own stream.
-/// Returns one result per member, in [`Group::members`] order, plus the
-/// instructions interpreted.
+/// estimated sampled group (always a single lane) broadcasts only its
+/// detailed windows. Returns one result per member, in [`Group::members`]
+/// order, plus the instructions interpreted.
 fn run_serial(
     ctx: &GroupCtx<'_>,
     group: &Group,
     pool: &mut MachinePool<'_>,
-) -> (Vec<CellSim>, u64) {
+) -> (Vec<CellRecord>, u64) {
     let (grid, cells) = (ctx.grid, ctx.cells);
-    if let Some(sp) = SamplingParams::of(ctx.mode) {
-        let (isa, members) = &group.lanes[0];
-        let ci = members[0];
-        let cell = &cells[ci];
-        let mut machine = pool.take(&descriptor_for(grid, cells, ci));
-        let cs = match cell.workload {
-            Workload::Kernel(kernel) => {
-                run_sampled_kernel_cell(kernel, *isa, grid, &mut machine, sp)
-            }
-            Workload::App(app) => run_sampled_app_cell(app, *isa, grid, &mut machine, sp),
-        };
-        pool.put([machine]);
-        let executed = cs.sim.committed;
-        return (vec![cs], executed);
-    }
     let mut lane_machines = take_lane_machines(grid, cells, group, pool);
+    if let Some(sp) = ctx.mode.knobs() {
+        let (isa, _) = group.lanes[0];
+        let out = run_sampled_group(group.workload, isa, grid, &mut lane_machines[0], sp);
+        pool.put(lane_machines.into_iter().flatten());
+        return out;
+    }
     let mut lanes: Vec<(IsaKind, Broadcast<SimStream<'_, AttributionProbe>>)> = group
         .lanes
         .iter()
@@ -777,10 +766,10 @@ fn run_serial(
     // The machines' memory statistics are readable again now that the
     // streams' borrows have ended, and must be taken before the pool's
     // `reset()` clears them.
-    let sims: Vec<CellSim> = finished
+    let sims: Vec<CellRecord> = finished
         .into_iter()
         .zip(lane_machines.iter().flatten())
-        .map(|((sim, probe), machine)| CellSim {
+        .map(|((sim, probe), machine)| CellRecord {
             sim,
             probe,
             mem: machine.mem_stats(),
@@ -793,14 +782,14 @@ fn run_serial(
 
 /// Simulate every cell of `ctx.cells` (the cache-miss subset of a grid) as
 /// `ctx.groups`, one work item per group, scheduled on `workers` threads.
-/// Returns one [`CellSim`] per cell plus the run's wall-clock and sharing
+/// Returns one [`CellRecord`] per cell plus the run's wall-clock and sharing
 /// accounting.
 fn run_groups(
     ctx: &GroupCtx<'_>,
     workers: usize,
     progress: bool,
     counters: &PoolCounters,
-) -> (Vec<CellSim>, GridTiming) {
+) -> (Vec<CellRecord>, GridTiming) {
     let (cells, groups) = (ctx.cells, ctx.groups);
     let now_ns = || ctx.epoch.elapsed().as_nanos() as u64;
     let outcomes = parallel_map_with(
@@ -823,7 +812,7 @@ fn run_groups(
     // Assemble: per-cell results, group spans, span records.
     let mut timing =
         GridTiming { cell_wall_ns: vec![0; cells.len()], ..GridTiming::default() };
-    let mut slots: Vec<Option<CellSim>> = vec![None; cells.len()];
+    let mut slots: Vec<Option<CellRecord>> = vec![None; cells.len()];
     for (group, (sims, span)) in groups.iter().zip(outcomes) {
         timing.sim_wall_ns += span.dur_ns;
         timing.functional_instructions += span.insts;
@@ -872,7 +861,7 @@ fn run_grid(
     // a fully-cached fan-out group forms no group at all, so a warm run
     // performs zero interpretation and zero simulation. Any load failure
     // (missing, truncated, corrupt, wrong version or key) is a clean miss.
-    let mut cached_sims: Vec<Option<CellSim>> = vec![None; cells.len()];
+    let mut cached_sims: Vec<Option<CellRecord>> = vec![None; cells.len()];
     let mut keys: Vec<CellKey> = Vec::new();
     if let Some(cc) = cache {
         for (i, cell) in cells.iter().enumerate() {
@@ -882,12 +871,7 @@ fn run_grid(
                     if progress {
                         eprintln!("  {}: cache hit", key.cell);
                     }
-                    cached_sims[i] = Some(CellSim {
-                        sim: record.sim,
-                        probe: record.probe,
-                        mem: record.mem,
-                        sampling: record.sampling,
-                    });
+                    cached_sims[i] = Some(record);
                 }
                 None => {
                     if progress {
@@ -936,13 +920,7 @@ fn run_grid(
     let mut fills = 0u64;
     if let Some(cc) = cache {
         for (&i, cs) in active_idx.iter().zip(&active_sims) {
-            let record = CellRecord {
-                sim: cs.sim,
-                probe: cs.probe.clone(),
-                mem: cs.mem,
-                sampling: cs.sampling.clone(),
-            };
-            cc.cache.store(&keys[i], &record);
+            cc.cache.store(&keys[i], cs);
             fills += 1;
         }
     }
@@ -964,7 +942,7 @@ fn run_grid(
 
     // Merge cache hits with fresh simulations, in grid order.
     let mut fresh = active_sims.into_iter();
-    let sims: Vec<CellSim> = cached_sims
+    let sims: Vec<CellRecord> = cached_sims
         .into_iter()
         .map(|hit| match hit {
             Some(sim) => sim,
@@ -1158,8 +1136,9 @@ pub(crate) fn insts_per_sec(instructions: u64, wall_ns: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::json::Value;
-    use crate::sampling::{sampled_estimate, UnitDelta};
-    use crate::spec::figure5_spec;
+    use crate::sampling::sampled_estimate;
+    use crate::spec::{figure5_spec, figure7_spec};
+    use mom_apps::AppKind;
     use mom_kernels::KernelKind;
 
     fn map_doubled(items: &[usize], workers: usize) -> Vec<usize> {
@@ -1388,26 +1367,67 @@ mod tests {
         }
     }
 
+    /// A sampled mode whose period makes scale-1 workloads alternate between
+    /// detailed and fast-forwarded execution many times.
+    const SMALL_SAMPLED: ExecMode =
+        ExecMode::Sampled { unit_insts: 100, warmup_insts: 100, period: 500 };
+
+    /// `spec` with its grid edited and its speed-ups switched off, so every
+    /// field of a cell comes from that cell's own simulation.
+    fn regrid(mut spec: ExperimentSpec, edit: impl FnOnce(&mut GridSpec)) -> ExperimentSpec {
+        let ExperimentKind::Grid(grid) = &mut spec.kind else { panic!("a grid spec") };
+        grid.baseline = BaselinePolicy::None;
+        edit(grid);
+        spec
+    }
+
+    /// The one cell of `result` at `isa` and `way`, which must have skipped
+    /// part of its workload.
+    fn sampled_cell(result: &RunResult, isa: IsaKind, way: usize) -> CellResult {
+        let cells = result.cells().expect("grid cells");
+        let cell = cells.iter().find(|c| c.isa == isa && c.way == way).expect("cell present");
+        let s = cell.sampling.as_ref().expect("a sampling section");
+        assert!(s.warmup_insts + s.measured_insts < s.total_insts, "{isa}: sampling engages");
+        cell.clone()
+    }
+
     #[test]
-    fn sampled_runs_record_one_span_per_cell() {
-        let spec = figure5_spec(&[KernelKind::Compensation], 1, 1, true);
-        let mode = ExecMode::Sampled { unit_insts: 100, warmup_insts: 100, period: 500 };
-        let sampled = run_mode(&spec, 2, mode);
-        let cells = sampled.cells().expect("grid cells");
-        assert_eq!(sampled.spans.len(), cells.len());
-        assert_eq!(
-            sampled.functional_instructions,
-            cells.iter().map(|c| c.instructions).sum::<u64>(),
-            "the interpreter executes every cell in full"
-        );
-        let doc = sampled.document_json();
-        let spans = doc.get("meta").and_then(|m| m.get("spans")).and_then(Value::as_array);
-        assert_eq!(spans.map(<[Value]>::len), Some(cells.len()));
+    fn a_sampled_kernel_cell_does_not_depend_on_its_group_mates() {
+        let at_widths = |widths: &[usize]| {
+            let spec = figure5_spec(&[KernelKind::Compensation], 1, 1, true);
+            run_mode(&regrid(spec, |g| g.widths = widths.to_vec()), 2, SMALL_SAMPLED)
+        };
+        let (alone, grouped) = (at_widths(&[4]), at_widths(&[1, 2, 4, 8]));
+        for isa in IsaKind::ALL {
+            assert_eq!(sampled_cell(&alone, isa, 4), sampled_cell(&grouped, isa, 4), "{isa}");
+        }
+        // One pass and one span per (kernel, ISA) group serve all four widths.
+        assert_eq!(grouped.functional_passes, 4);
+        assert_eq!(grouped.spans.len(), 4);
+        let cells = grouped.cells().expect("grid cells");
+        let cell_insts: u64 = cells.iter().map(|c| c.instructions).sum();
+        assert_eq!(grouped.functional_instructions * 4, cell_insts);
+    }
+
+    #[test]
+    fn a_sampled_app_cell_does_not_depend_on_its_group_mates() {
+        // Configs 2, 3 and 4 of figure7 are the three MOM memory systems.
+        let with_configs = |picked: &[usize]| {
+            let spec = regrid(figure7_spec(&[AppKind::GsmEncode], 1, &[4], true), |g| {
+                g.configs = picked.iter().map(|&i| g.configs[i].clone()).collect();
+            });
+            run_mode(&spec, 1, SMALL_SAMPLED)
+        };
+        let (alone, grouped) = (with_configs(&[2]), with_configs(&[2, 3, 4]));
+        assert_eq!(grouped.functional_passes, 1, "one ISA lane, one pass");
+        let cell = sampled_cell(&alone, IsaKind::Mom, 4);
+        assert_eq!(cell.mem, MemModelKind::MultiAddress);
+        assert_eq!(cell, grouped.cells().expect("grid cells")[0]);
     }
 
     #[test]
     fn sampled_estimate_statistics() {
-        let unit = |committed: u64, cycles: u64| UnitDelta {
+        let unit = |committed: u64, cycles: u64| SimResult {
             committed,
             cycles,
             branches: committed / 10,

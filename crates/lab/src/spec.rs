@@ -12,6 +12,8 @@ use mom_isa::trace::IsaKind;
 use mom_kernels::KernelKind;
 use mom_mem::MemModelKind;
 
+use crate::cache::fnv1a;
+
 /// The names of the built-in experiments: one per table/figure of the paper,
 /// in presentation order, plus the `stress` scale study enabled by the
 /// streaming pipeline and the `sweep` design-space study enabled by the
@@ -333,37 +335,37 @@ impl ExperimentSpec {
     /// A stable FNV-1a hash of the full configuration, recorded in the JSON
     /// results so baseline diffs can flag config drift.
     pub fn config_hash(&self) -> String {
-        let mut h = Fnv1a::new();
-        h.update(self.name.as_bytes());
-        h.update(&[self.fast as u8]);
+        let mut bytes: Vec<u8> = Vec::new();
+        bytes.extend_from_slice(self.name.as_bytes());
+        bytes.extend_from_slice(&[self.fast as u8]);
         match &self.kind {
-            ExperimentKind::Static(s) => h.update(format!("{s:?}").as_bytes()),
+            ExperimentKind::Static(s) => bytes.extend_from_slice(format!("{s:?}").as_bytes()),
             ExperimentKind::Grid(g) => {
-                h.update(&g.scale.to_le_bytes());
-                h.update(&g.seed.to_le_bytes());
+                bytes.extend_from_slice(&g.scale.to_le_bytes());
+                bytes.extend_from_slice(&g.seed.to_le_bytes());
                 for w in &g.workloads {
-                    h.update(w.label().as_bytes());
-                    h.update(b"|");
+                    bytes.extend_from_slice(w.label().as_bytes());
+                    bytes.extend_from_slice(b"|");
                 }
                 for c in &g.configs {
-                    h.update(c.label.as_bytes());
-                    h.update(c.isa.label().as_bytes());
-                    h.update(format!("{:?}", c.mem).as_bytes());
+                    bytes.extend_from_slice(c.label.as_bytes());
+                    bytes.extend_from_slice(c.isa.label().as_bytes());
+                    bytes.extend_from_slice(format!("{:?}", c.mem).as_bytes());
                     // Overrides contribute only when present, so documents of
                     // the pre-override era keep their exact hashes.
                     if let Some(rob) = c.rob {
-                        h.update(b"rob");
-                        h.update(&rob.to_le_bytes());
+                        bytes.extend_from_slice(b"rob");
+                        bytes.extend_from_slice(&rob.to_le_bytes());
                     }
-                    h.update(b"|");
+                    bytes.extend_from_slice(b"|");
                 }
                 for w in &g.widths {
-                    h.update(&w.to_le_bytes());
+                    bytes.extend_from_slice(&w.to_le_bytes());
                 }
-                h.update(format!("{:?}", g.baseline).as_bytes());
+                bytes.extend_from_slice(format!("{:?}", g.baseline).as_bytes());
             }
         }
-        format!("fnv1a:{:016x}", h.finish())
+        format!("fnv1a:{:016x}", fnv1a(&bytes))
     }
 }
 
@@ -615,26 +617,6 @@ pub fn figure7_spec(apps: &[AppKind], scale: usize, widths: &[usize], fast: bool
             seed: 42,
             baseline: BaselinePolicy::ConfigSameWidth { config: 0 },
         }),
-    }
-}
-
-/// Incremental 64-bit FNV-1a.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -163,6 +163,21 @@ fn an_error_written_to_a_closed_pipe_exits_1_instead_of_panicking() {
 }
 
 #[test]
+fn cache_inspection_of_a_missing_directory_fails_without_creating_it() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cache-missing-dir");
+    let dir_arg = dir.to_str().expect("UTF-8 temp path");
+    for verb in ["ls", "verify", "gc"] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let output = momlab(&["cache", verb, "--cache-dir", dir_arg, "--max-bytes", "0"]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "cache {verb}; stderr:\n{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "one error line; stderr:\n{stderr}");
+        assert!(stderr.starts_with("error:") && stderr.contains(dir_arg), "stderr:\n{stderr}");
+        assert!(!dir.exists(), "cache {verb} created {}", dir.display());
+    }
+}
+
+#[test]
 fn a_cache_usage_error_creates_no_directory() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cache-usage-error");
     let dir_arg = dir.to_str().expect("UTF-8 temp path");

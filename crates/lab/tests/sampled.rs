@@ -1,9 +1,8 @@
 //! The sampled execution mode's correctness contracts.
 //!
-//! * **Rate 1 is exact**: `ExecMode::Sampled` with `period == 0` is the
-//!   streamed run (singleton groups on the runner's one path), so its results
-//!   document is byte-identical to [`ExecMode::Streamed`] for every built-in
-//!   experiment.
+//! * **Rate 1 is exact**: `ExecMode::Sampled` with `period == 0` runs as the
+//!   fan-out does, so its results document is byte-identical to
+//!   [`ExecMode::Streamed`] for every built-in experiment.
 //!   This is the gate that keeps the sampling machinery honest — any drift
 //!   in the shared plumbing shows up as a byte diff here.
 //! * **Sampling is deterministic**: the periodic schedule depends only on
