@@ -302,11 +302,9 @@ impl BuiltPhase {
     ///
     /// Returns [`KernelError::OutputMismatch`] at the first differing byte.
     pub fn verify(&self) -> Result<(), KernelError> {
-        let BuiltPhase::Kernel(k) = self else { return Ok(()) };
-        let actual = k.machine.mem().read_bytes(k.output_addr, k.expected.len());
-        match actual.iter().zip(&k.expected).position(|(a, e)| a != e) {
-            Some(offset) => Err(KernelError::OutputMismatch { kind: k.kind, isa: k.isa, offset }),
-            None => Ok(()),
+        match self {
+            BuiltPhase::Kernel(kernel) => kernel.verify(),
+            BuiltPhase::Scalar(..) => Ok(()),
         }
     }
 
@@ -420,7 +418,7 @@ pub fn build_app(kind: AppKind, isa: IsaKind, params: &AppParams) -> Result<Buil
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mom_cpu::{OooCore, SimResult};
+    use mom_cpu::{MachineDescriptor, SimResult};
 
     #[test]
     fn labels_and_ordering() {
@@ -468,19 +466,33 @@ mod tests {
     }
 
     #[test]
+    fn a_flipped_expected_byte_fails_the_phase_check_at_its_offset() {
+        let kind = KernelKind::Idct;
+        let phase = AppPhase::Kernel { kind, params: KernelParams { seed: 5, scale: 1 } };
+        let mut built = phase.build(IsaKind::Mom);
+        let (machine, program) = built.parts();
+        program.stream(machine, &mut Trace::new(IsaKind::Mom)).expect("idct halts");
+        assert_eq!(built.verify(), Ok(()));
+
+        let BuiltPhase::Kernel(kernel) = &mut built else { unreachable!("a kernel phase") };
+        let offset = kernel.expected.len() - 1;
+        kernel.expected[offset] ^= 1;
+        let mismatch = KernelError::OutputMismatch { kind, isa: IsaKind::Mom, offset };
+        assert_eq!(built.verify(), Err(mismatch));
+    }
+
+    #[test]
     fn fused_streamed_app_is_bit_identical_to_materialized_simulation() {
-        use mom_cpu::CoreConfig;
-        use mom_mem::{build_memory, MemModelKind};
+        use mom_mem::MemModelKind;
 
         let params = AppParams { seed: 3, scale: 1 };
         for isa in [IsaKind::Alpha, IsaKind::Mom] {
-            let core = OooCore::new(CoreConfig::way4(isa));
+            let desc = MachineDescriptor::for_cell(4, isa, MemModelKind::Conventional);
             let app = build_app(AppKind::GsmEncode, isa, &params).expect("app builds");
-            let mut mem_batch = build_memory(MemModelKind::Conventional, 4);
-            let batch = core.simulate(&app.trace, mem_batch.as_mut());
+            let batch = desc.build().simulate_trace(&app.trace);
 
-            let mut mem_fused = build_memory(MemModelKind::Conventional, 4);
-            let mut sim = core.stream(mem_fused.as_mut());
+            let mut machine = desc.build();
+            let mut sim = machine.sim();
             let reports =
                 stream_app(AppKind::GsmEncode, isa, &params, &mut sim).expect("fused app runs");
             let fused = sim.finish();
@@ -493,7 +505,7 @@ mod tests {
 
     #[test]
     fn multi_isa_stream_is_bit_identical_to_per_isa_streams() {
-        use mom_cpu::{CoreConfig, SimStream};
+        use mom_cpu::SimStream;
         use mom_mem::MemModelKind;
 
         // One shared pass fanned out to three ISA lanes (two simulators per
@@ -506,12 +518,7 @@ mod tests {
                 .map(|&isa| {
                     [4usize, 8].iter()
                         .map(|&way| {
-                            mom_cpu::MachineDescriptor::for_cell(
-                                way,
-                                isa,
-                                MemModelKind::Conventional,
-                            )
-                            .build()
+                            MachineDescriptor::for_cell(way, isa, MemModelKind::Conventional).build()
                         })
                         .collect()
                 })
@@ -541,9 +548,9 @@ mod tests {
                     .map(|p| p.instructions as u64)
                     .sum();
                 for (sim, &way) in fanned[lane].iter().zip(&[4usize, 8]) {
-                    let core = OooCore::new(CoreConfig::for_width(way, isa));
-                    let mut mem = mom_mem::build_memory(MemModelKind::Conventional, way);
-                    let reference = core.simulate(&built.trace, mem.as_mut());
+                    let reference = MachineDescriptor::for_cell(way, isa, MemModelKind::Conventional)
+                        .build()
+                        .simulate_trace(&built.trace);
                     assert_eq!(*sim, reference, "{app} ({isa}, {way}-way): fan-out diverged");
                 }
             }
@@ -572,8 +579,7 @@ mod tests {
             for &way in &ways {
                 let (tx, rx) = batch_channel(1);
                 senders.push(tx);
-                let desc =
-                    mom_cpu::MachineDescriptor::for_cell(way, isa, MemModelKind::Conventional);
+                let desc = MachineDescriptor::for_cell(way, isa, MemModelKind::Conventional);
                 members.push((isa, way, desc.build(), rx));
             }
             lanes.push((isa, BatchSink::new(senders, 3)));
@@ -596,8 +602,7 @@ mod tests {
 
         for (isa, way, got) in results {
             let built = build_app(AppKind::GsmEncode, isa, &params).expect("app builds");
-            let mut machine =
-                mom_cpu::MachineDescriptor::for_cell(way, isa, MemModelKind::Conventional).build();
+            let mut machine = MachineDescriptor::for_cell(way, isa, MemModelKind::Conventional).build();
             let reference = machine.simulate_trace(&built.trace);
             assert_eq!(got, reference, "gsm encode ({isa}, {way}-way): pipelined diverged");
         }

@@ -18,7 +18,7 @@
 
 /// Physical configuration of one register file (or accumulator file).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegFileConfig {
+pub struct RegFileGeometry {
     /// Human-readable name used in reports.
     pub name: &'static str,
     /// Number of logical (architectural) registers.
@@ -33,7 +33,7 @@ pub struct RegFileConfig {
     pub write_ports: usize,
 }
 
-impl RegFileConfig {
+impl RegFileGeometry {
     /// Total storage in bits (physical registers × entry width).
     pub fn total_bits(&self) -> usize {
         self.physical * self.bits_per_entry
@@ -58,9 +58,9 @@ pub struct IsaRegFiles {
     /// ISA label ("MMX", "MDMX", "MOM").
     pub isa: &'static str,
     /// The media or matrix register file.
-    pub media: RegFileConfig,
+    pub media: RegFileGeometry,
     /// The accumulator register file, if the ISA has one.
-    pub accumulator: Option<RegFileConfig>,
+    pub accumulator: Option<RegFileGeometry>,
 }
 
 impl IsaRegFiles {
@@ -99,7 +99,7 @@ pub fn table2_configs() -> [IsaRegFiles; 3] {
     [
         IsaRegFiles {
             isa: "MMX",
-            media: RegFileConfig {
+            media: RegFileGeometry {
                 name: "MMX media",
                 logical: 32,
                 physical: 64,
@@ -111,7 +111,7 @@ pub fn table2_configs() -> [IsaRegFiles; 3] {
         },
         IsaRegFiles {
             isa: "MDMX",
-            media: RegFileConfig {
+            media: RegFileGeometry {
                 name: "MDMX media",
                 logical: 32,
                 physical: 52,
@@ -119,7 +119,7 @@ pub fn table2_configs() -> [IsaRegFiles; 3] {
                 read_ports: 6,
                 write_ports: 3,
             },
-            accumulator: Some(RegFileConfig {
+            accumulator: Some(RegFileGeometry {
                 name: "MDMX accumulators",
                 logical: 4,
                 physical: 16,
@@ -130,7 +130,7 @@ pub fn table2_configs() -> [IsaRegFiles; 3] {
         },
         IsaRegFiles {
             isa: "MOM",
-            media: RegFileConfig {
+            media: RegFileGeometry {
                 name: "MOM matrix",
                 logical: 16,
                 physical: 20,
@@ -138,7 +138,7 @@ pub fn table2_configs() -> [IsaRegFiles; 3] {
                 read_ports: 2,
                 write_ports: 1,
             },
-            accumulator: Some(RegFileConfig {
+            accumulator: Some(RegFileGeometry {
                 name: "MOM accumulators",
                 logical: 2,
                 physical: 4,
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn regfile_size_and_area() {
-        let c = RegFileConfig {
+        let c = RegFileGeometry {
             name: "test",
             logical: 8,
             physical: 16,

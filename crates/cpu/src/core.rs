@@ -1,8 +1,8 @@
 //! The out-of-order core timing model.
 //!
-//! The model is a **streaming** consumer of dynamic instructions:
-//! [`OooCore::stream`] opens an incremental [`SimStream`] that retires one
-//! [`DynInst`] at a time through a first-order model of an R10000-style
+//! The model is a **streaming** consumer of dynamic instructions: a
+//! [`SimStream`], opened on a [`crate::SimMachine`], retires one [`DynInst`]
+//! at a time through a first-order model of an R10000-style
 //! out-of-order pipeline: width-limited fetch with a bimodal predictor and
 //! BTB, a front-end of fixed depth, renaming limited by per-class physical
 //! register headroom, a reorder buffer and load/store queue of the configured
@@ -15,11 +15,11 @@
 //! commits, the last LSQ-size memory commits and the per-class rename
 //! headroom, plus two counters for the fetch and commit width limits —
 //! never O(trace length). Traces of any size can be simulated without
-//! materializing them: pull from an [`InstSource`]
-//! ([`OooCore::simulate_source`]) or push from the functional interpreter
-//! (`Program::stream` in `mom-core`) using the [`SimStream`] as a
-//! [`TraceSink`]. [`OooCore::simulate`] replays a collected [`Trace`] through
-//! the same engine and is bit-identical to streaming the same sequence.
+//! materializing them: the functional interpreter (`Program::stream` in
+//! `mom-core`) pushes into the [`SimStream`] as a [`TraceSink`].
+//! [`crate::SimMachine::simulate_trace`] replays a collected
+//! [`Trace`](mom_isa::trace::Trace) through the same engine one instruction
+//! at a time and is bit-identical to streaming the same sequence.
 //!
 //! The model computes, for every dynamic instruction, the cycle at which it is
 //! fetched, dispatched, issued, completed and committed, honouring:
@@ -35,7 +35,7 @@
 use crate::config::CoreConfig;
 use crate::predictor::BranchPredictor;
 use crate::probe::{NoProbe, Probe, StallCause};
-use mom_isa::trace::{ArchReg, DynInst, InstClass, MemAccess, RegClass, Trace, TraceSink};
+use mom_isa::trace::{ArchReg, DynInst, InstClass, MemAccess, RegClass, TraceSink};
 use mom_mem::{AccessCause, Completion, MemorySystem, PerfectMemory};
 
 /// Execution latencies per functional-unit class, in cycles.
@@ -232,157 +232,6 @@ impl History {
     }
 }
 
-/// The out-of-order core model.
-#[derive(Debug, Clone)]
-pub struct OooCore {
-    config: CoreConfig,
-    latencies: Latencies,
-}
-
-impl OooCore {
-    /// Create a core with the given configuration and default latencies.
-    pub fn new(config: CoreConfig) -> Self {
-        Self { config, latencies: Latencies::default() }
-    }
-
-    /// Create a core with explicit execution latencies.
-    pub fn with_latencies(config: CoreConfig, latencies: Latencies) -> Self {
-        Self { config, latencies }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CoreConfig {
-        &self.config
-    }
-
-    /// Replay a materialized `trace` against `memory` and return the timing
-    /// summary.
-    ///
-    /// This is a thin adapter over the streaming engine: it feeds every
-    /// instruction of the trace into an [`OooCore::stream`] simulator and
-    /// finishes it. The result is identical to streaming the same
-    /// instruction sequence directly (no collected trace required).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the memory system refuses a request for an implausibly long
-    /// time (which would indicate a broken memory model, not a property of the
-    /// workload).
-    pub fn simulate(&self, trace: &Trace, memory: &mut dyn MemorySystem) -> SimResult {
-        let mut sim = self.stream(memory);
-        for inst in &trace.insts {
-            sim.feed(inst);
-        }
-        sim.finish()
-    }
-
-    /// Pull every instruction out of `source` and simulate it, returning the
-    /// timing summary. The source is drained; memory use is bounded by the
-    /// simulator's O(ROB) window regardless of how many instructions the
-    /// source yields.
-    ///
-    /// # Panics
-    ///
-    /// As for [`OooCore::simulate`]: panics only on a broken memory model.
-    pub fn simulate_source<I: InstSource + ?Sized>(
-        &self,
-        source: &mut I,
-        memory: &mut dyn MemorySystem,
-    ) -> SimResult {
-        let mut sim = self.stream(memory);
-        while let Some(inst) = source.next_inst() {
-            sim.feed(&inst);
-        }
-        sim.finish()
-    }
-
-    /// Start an incremental streaming simulation against `memory`.
-    ///
-    /// Feed graduated instructions in program order with [`SimStream::feed`]
-    /// (or use the returned value as a [`TraceSink`] for the functional
-    /// interpreter — `Program::stream` in `mom-core` — fusing interpretation
-    /// and timing simulation without an intermediate trace), then call
-    /// [`SimStream::finish`] for the summary.
-    pub fn stream<'a>(&'a self, memory: &'a mut dyn MemorySystem) -> SimStream<'a> {
-        SimStream::new(&self.config, &self.latencies, memory, NoProbe)
-    }
-
-    /// Start a streaming simulation instrumented by `probe` — see
-    /// [`crate::probe`]. With [`crate::AttributionProbe`] the stream
-    /// additionally produces a per-cause [`crate::StallBreakdown`] and an
-    /// interval timeline, retrievable via [`SimStream::finish_probed`]; the
-    /// probe observes timing but never alters it, so the [`SimResult`] is
-    /// bit-identical to an unprobed run of the same sequence.
-    pub fn stream_probed<'a, P: Probe>(
-        &'a self,
-        memory: &'a mut dyn MemorySystem,
-        probe: P,
-    ) -> SimStream<'a, P> {
-        SimStream::new(&self.config, &self.latencies, memory, probe)
-    }
-
-    /// Start a streaming simulation that borrows a long-lived [`SimState`]
-    /// instead of allocating a private one — the machine-reuse path.
-    ///
-    /// `state` must have been created for this core's configuration (same
-    /// table and ring-buffer sizes — enforced, see Panics) and be freshly
-    /// created or [`SimState::reset`] for the results to match a standalone
-    /// [`OooCore::stream`] run bit-for-bit. A non-reset state *continues* its
-    /// previous stream, which is occasionally useful (phased feeding) but
-    /// never what a grid runner wants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` was sized for a different configuration
-    /// ([`SimState::matches_config`] fails) — a mismatched state would
-    /// produce silently wrong timings otherwise.
-    pub fn stream_with<'a>(
-        &'a self,
-        state: &'a mut SimState,
-        memory: &'a mut dyn MemorySystem,
-    ) -> SimStream<'a> {
-        SimStream::with_state(&self.config, &self.latencies, memory, state, NoProbe)
-    }
-
-    /// The probed variant of [`OooCore::stream_with`]: borrow a long-lived
-    /// [`SimState`] *and* instrument the stream with `probe`.
-    ///
-    /// # Panics
-    ///
-    /// As for [`OooCore::stream_with`]: panics on a state sized for a
-    /// different configuration.
-    pub fn stream_with_probed<'a, P: Probe>(
-        &'a self,
-        state: &'a mut SimState,
-        memory: &'a mut dyn MemorySystem,
-        probe: P,
-    ) -> SimStream<'a, P> {
-        SimStream::with_state(&self.config, &self.latencies, memory, state, probe)
-    }
-
-    /// Allocate a reusable engine state sized for this core — the companion
-    /// of [`OooCore::stream_with`].
-    pub fn new_state(&self) -> SimState {
-        SimState::new(&self.config)
-    }
-}
-
-/// A pull-based producer of dynamic instructions for
-/// [`OooCore::simulate_source`].
-///
-/// Every `Iterator<Item = DynInst>` is an `InstSource`, so synthetic
-/// generators and `trace.into_iter()` both work directly.
-pub trait InstSource {
-    /// The next instruction in program order, or `None` at end of stream.
-    fn next_inst(&mut self) -> Option<DynInst>;
-}
-
-impl<I: Iterator<Item = DynInst>> InstSource for I {
-    fn next_inst(&mut self) -> Option<DynInst> {
-        self.next()
-    }
-}
-
 /// The mutable engine state of a streaming simulation — everything
 /// [`SimStream::feed`] updates, separated from the borrowed configuration and
 /// memory system so it can **outlive one simulation and be reused for the
@@ -392,11 +241,10 @@ impl<I: Iterator<Item = DynInst>> InstSource for I {
 /// predictor tables, ring-buffer histories and functional-unit pools.
 /// [`SimState::reset`] restores the just-built state without reallocating
 /// any of them; a reset state driven through the same instruction sequence
-/// produces bit-identical results to a fresh one. `OooCore::stream` still
-/// creates a private state per stream; `OooCore::stream_with` (and
-/// `SimMachine` in [`crate::machine`]) borrow a long-lived one instead.
+/// produces bit-identical results to a fresh one. Each
+/// [`crate::SimMachine`] owns one and lends it to every stream it opens.
 #[derive(Debug)]
-pub struct SimState {
+pub(crate) struct SimState {
     predictor: BranchPredictor,
     int_units: UnitPool,
     fp_units: UnitPool,
@@ -432,7 +280,7 @@ pub struct SimState {
 
 impl SimState {
     /// Allocate the engine state for the given core configuration.
-    pub fn new(config: &CoreConfig) -> Self {
+    pub(crate) fn new(config: &CoreConfig) -> Self {
         Self {
             predictor: BranchPredictor::new(config.bimodal_entries, config.btb_entries),
             int_units: UnitPool::new(config.int_units.simple, config.int_units.complex, 1),
@@ -466,7 +314,7 @@ impl SimState {
     /// **without reallocating** the tables and ring buffers. A reset state is
     /// observationally identical to a fresh [`SimState::new`] for the same
     /// configuration.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.predictor.reset();
         self.int_units.reset();
         self.fp_units.reset();
@@ -486,13 +334,8 @@ impl SimState {
         self.result = SimResult::default();
     }
 
-    /// Instructions fed (and retired) so far.
-    pub fn fed(&self) -> usize {
-        self.fed
-    }
-
     /// Total ring-buffer entries retained — see [`SimStream::window_entries`].
-    pub fn window_entries(&self) -> usize {
+    fn window_entries(&self) -> usize {
         self.commits.capacity()
             + self.mem_commits.capacity()
             + self.class_writers.iter().map(History::capacity).sum::<usize>()
@@ -502,8 +345,8 @@ impl SimState {
     /// predictor table and functional-unit pool matches. Streaming a state
     /// into a differently-sized configuration would index the ring buffers
     /// with the wrong windows and produce silently wrong timings, so
-    /// `OooCore::stream_with` asserts this.
-    pub fn matches_config(&self, config: &CoreConfig) -> bool {
+    /// [`SimStream::with_state`] asserts this.
+    fn matches_config(&self, config: &CoreConfig) -> bool {
         let pool_matches = |pool: &UnitPool, spec: &crate::config::FuPool| {
             pool.n_simple == spec.simple
                 && pool.n_complex() == spec.complex
@@ -530,31 +373,6 @@ impl SimState {
     }
 }
 
-/// Where a [`SimStream`]'s engine state lives: private to the stream (the
-/// classic `OooCore::stream` path) or borrowed from a long-lived machine that
-/// reuses it across cells (`OooCore::stream_with`).
-#[derive(Debug)]
-enum StateSlot<'a> {
-    Owned(Box<SimState>),
-    Borrowed(&'a mut SimState),
-}
-
-impl StateSlot<'_> {
-    fn get(&self) -> &SimState {
-        match self {
-            StateSlot::Owned(s) => s,
-            StateSlot::Borrowed(s) => s,
-        }
-    }
-
-    fn get_mut(&mut self) -> &mut SimState {
-        match self {
-            StateSlot::Owned(s) => s,
-            StateSlot::Borrowed(s) => s,
-        }
-    }
-}
-
 /// An in-flight streaming simulation: the out-of-order pipeline model as an
 /// incremental consumer of dynamic instructions.
 ///
@@ -567,9 +385,9 @@ impl StateSlot<'_> {
 /// **O(ROB size)**, independent of how many instructions are fed; see
 /// [`SimStream::window_entries`].
 ///
-/// Feeding the instructions of a collected [`Trace`] in order produces a
-/// result bit-identical to [`OooCore::simulate`] on that trace (which is
-/// itself implemented this way).
+/// Feeding the instructions of a collected trace in order produces a result
+/// bit-identical to [`crate::SimMachine::simulate_trace`] on that trace
+/// (which is itself implemented this way).
 /// The stream is generic over a [`Probe`]; the default [`NoProbe`] disables
 /// every instrumented block at compile time (`P::ENABLED` is an associated
 /// constant), so the classic probe-off stream monomorphizes to exactly the
@@ -579,7 +397,7 @@ pub struct SimStream<'a, P: Probe = NoProbe> {
     config: &'a CoreConfig,
     latencies: &'a Latencies,
     memory: MemRef<'a>,
-    state: StateSlot<'a>,
+    state: &'a mut SimState,
     probe: P,
 }
 
@@ -626,23 +444,15 @@ impl<'a> MemRef<'a> {
 }
 
 impl<'a, P: Probe> SimStream<'a, P> {
-    fn new(
-        config: &'a CoreConfig,
-        latencies: &'a Latencies,
-        memory: &'a mut dyn MemorySystem,
-        mut probe: P,
-    ) -> Self {
-        probe.begin(0);
-        Self {
-            state: StateSlot::Owned(Box::new(SimState::new(config))),
-            config,
-            latencies,
-            memory: MemRef::new(memory),
-            probe,
-        }
-    }
-
-    fn with_state(
+    /// Open a stream over `state`, the engine state of a
+    /// [`crate::SimMachine`]. A fresh or [`SimState::reset`] state starts a
+    /// new simulation; any other state *continues* the previous stream of
+    /// the same machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` was sized for a different configuration.
+    pub(crate) fn with_state(
         config: &'a CoreConfig,
         latencies: &'a Latencies,
         memory: &'a mut dyn MemorySystem,
@@ -658,7 +468,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
         );
         probe.begin(state.fed as u64);
         Self {
-            state: StateSlot::Borrowed(state),
+            state,
             config,
             latencies,
             memory: MemRef::new(memory),
@@ -670,12 +480,12 @@ impl<'a, P: Probe> SimStream<'a, P> {
     /// window. A constant of the configuration (ROB + LSQ + rename
     /// headrooms), never of the number of instructions fed.
     pub fn window_entries(&self) -> usize {
-        self.state.get().window_entries()
+        self.state.window_entries()
     }
 
     /// Instructions fed (and retired) so far.
     pub fn fed(&self) -> usize {
-        self.state.get().fed
+        self.state.fed
     }
 
     /// Retire the next instruction in program order.
@@ -697,7 +507,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
             self.latencies,
             &mut self.memory,
             &mut self.probe,
-            self.state.get_mut(),
+            self.state,
             inst,
         );
     }
@@ -705,11 +515,11 @@ impl<'a, P: Probe> SimStream<'a, P> {
     /// [`SimStream::feed`]'s body, over pre-split borrows of the stream's
     /// parts. Always inlined so that the chunked [`TraceSink::emit_batch`]
     /// loop below gets its own copy: the state, memory and probe arrive as
-    /// distinct `&mut` references resolved once per chunk (no per-call
-    /// [`StateSlot`] match, and LLVM sees they cannot alias), so the
-    /// cross-instruction scalars (`last_fetch`, `last_commit`, `fed`, the
-    /// floors) can live in registers across iterations instead of
-    /// round-tripping through `SimState` on every instruction.
+    /// distinct `&mut` references split once per chunk (LLVM sees they
+    /// cannot alias), so the cross-instruction scalars (`last_fetch`,
+    /// `last_commit`, `fed`, the floors) can live in registers across
+    /// iterations instead of round-tripping through `SimState` on every
+    /// instruction.
     #[inline(always)]
     fn feed_one(
         cfg: &CoreConfig,
@@ -939,11 +749,11 @@ impl<'a, P: Probe> SimStream<'a, P> {
 
     /// Finish the simulation and return the timing summary.
     ///
-    /// With a borrowed state (see `OooCore::stream_with`) the state keeps its
-    /// accumulated counters after the stream ends; reset it before reusing it
-    /// for an unrelated simulation.
+    /// The machine's state keeps its accumulated counters after the stream
+    /// ends; [`crate::SimMachine::reset`] clears them before an unrelated
+    /// simulation.
     pub fn finish(self) -> SimResult {
-        self.state.get().summary()
+        self.state.summary()
     }
 
     /// Finish the simulation and return the timing summary together with the
@@ -952,9 +762,8 @@ impl<'a, P: Probe> SimStream<'a, P> {
     /// timeline). The probe is settled first: every instruction fed so far
     /// is counted in its window.
     pub fn finish_probed(mut self) -> (SimResult, P) {
-        let state = self.state.get();
-        self.probe.settle(state.fed as u64);
-        (state.summary(), self.probe)
+        self.probe.settle(self.state.fed as u64);
+        (self.state.summary(), self.probe)
     }
 
     /// The timing summary accumulated so far, **without** closing the stream.
@@ -965,7 +774,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
     /// — the summary is computed from the live state, the same way
     /// [`SimStream::finish`] computes the final one.
     pub fn snapshot(&self) -> SimResult {
-        self.state.get().summary()
+        self.state.summary()
     }
 }
 
@@ -987,7 +796,7 @@ impl<P: Probe> TraceSink for SimStream<'_, P> {
         // the other simulators — on every instruction. The stream's parts
         // are split into distinct borrows once per chunk, not once per
         // instruction.
-        let st = self.state.get_mut();
+        let st = &mut *self.state;
         for inst in insts {
             Self::feed_one(self.config, self.latencies, &mut self.memory, &mut self.probe, st, inst);
         }
@@ -997,8 +806,15 @@ impl<P: Probe> TraceSink for SimStream<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mom_isa::trace::{ArchReg, BranchInfo, DynInst, IsaKind, MemAccess, MemKind};
+    use crate::machine::{MachineDescriptor, SimMachine};
+    use mom_isa::trace::{ArchReg, BranchInfo, DynInst, IsaKind, MemAccess, MemKind, Trace};
     use mom_mem::{build_memory, MemModelKind};
+
+    /// The Table 1 machine for `way` and `isa` on perfect memory of `latency`
+    /// cycles.
+    fn machine(way: usize, isa: IsaKind, latency: u64) -> SimMachine {
+        MachineDescriptor::for_cell(way, isa, MemModelKind::Perfect { latency }).build()
+    }
 
     fn alu(pc: u64, dst: u8, a: u8, b: u8) -> DynInst {
         DynInst::new(InstClass::IntSimple, pc)
@@ -1019,16 +835,12 @@ mod tests {
     }
 
     fn run(trace: &Trace, way: usize, isa: IsaKind) -> SimResult {
-        let core = OooCore::new(CoreConfig::for_width(way, isa));
-        let mut mem = build_memory(MemModelKind::Perfect { latency: 1 }, way);
-        core.simulate(trace, mem.as_mut())
+        machine(way, isa, 1).simulate_trace(trace)
     }
 
     #[test]
     fn empty_trace_is_zero_cycles() {
-        let core = OooCore::new(CoreConfig::way4(IsaKind::Alpha));
-        let mut mem = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-        let r = core.simulate(&Trace::new(IsaKind::Alpha), mem.as_mut());
+        let r = run(&Trace::new(IsaKind::Alpha), 4, IsaKind::Alpha);
         assert_eq!(r.cycles, 0);
         assert_eq!(r.ipc(), 0.0);
     }
@@ -1178,16 +990,10 @@ mod tests {
                     )
             })
             .collect();
-        let core = OooCore::new(CoreConfig::way4(IsaKind::Alpha));
-        let mut mem1 = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-        let mut mem50 = build_memory(MemModelKind::Perfect { latency: 50 }, 4);
-        let s1 = core.simulate(&scalar, mem1.as_mut());
-        let s50 = core.simulate(&scalar, mem50.as_mut());
-        let core_mom = OooCore::new(CoreConfig::way4(IsaKind::Mom));
-        let mut mem1v = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-        let mut mem50v = build_memory(MemModelKind::Perfect { latency: 50 }, 4);
-        let v1 = core_mom.simulate(&vector, mem1v.as_mut());
-        let v50 = core_mom.simulate(&vector, mem50v.as_mut());
+        let s1 = machine(4, IsaKind::Alpha, 1).simulate_trace(&scalar);
+        let s50 = machine(4, IsaKind::Alpha, 50).simulate_trace(&scalar);
+        let v1 = machine(4, IsaKind::Mom, 1).simulate_trace(&vector);
+        let v50 = machine(4, IsaKind::Mom, 50).simulate_trace(&vector);
         let scalar_slowdown = s50.cycles as f64 / s1.cycles as f64;
         let vector_slowdown = v50.cycles as f64 / v1.cycles as f64;
         assert!(
@@ -1208,12 +1014,8 @@ mod tests {
                     .with_mem(vec![MemAccess { addr: i * 64, size: 8, kind: MemKind::Load }])
             })
             .collect();
-        let core1 = OooCore::new(CoreConfig::way1(IsaKind::Alpha));
-        let core8 = OooCore::new(CoreConfig::way8(IsaKind::Alpha));
-        let mut m1 = build_memory(MemModelKind::Perfect { latency: 50 }, 1);
-        let mut m8 = build_memory(MemModelKind::Perfect { latency: 50 }, 8);
-        let r1 = core1.simulate(&t, m1.as_mut());
-        let r8 = core8.simulate(&t, m8.as_mut());
+        let r1 = machine(1, IsaKind::Alpha, 50).simulate_trace(&t);
+        let r8 = machine(8, IsaKind::Alpha, 50).simulate_trace(&t);
         assert!(r8.cycles * 2 < r1.cycles, "8-way {} vs 1-way {}", r8.cycles, r1.cycles);
     }
 
@@ -1224,8 +1026,8 @@ mod tests {
         assert!(l.media_complex > l.media_simple);
     }
 
-    /// A generator-backed `InstSource` that produces instructions on demand —
-    /// the whole sequence never exists in memory at once.
+    /// A generator that produces instructions on demand — the whole sequence
+    /// never exists in memory at once.
     struct Generated {
         next: u64,
         total: u64,
@@ -1263,27 +1065,27 @@ mod tests {
     #[test]
     fn streamed_source_matches_materialized_trace() {
         // Same sequence, three consumption styles: collected trace replay,
-        // pull-based source, push-based sink. All bit-identical.
+        // owned instructions pushed one at a time as they are generated, and
+        // the interpreter's chunked `emit_batch`. All bit-identical.
         let collected: Trace = Generated { next: 0, total: 3000 }.collect();
-        let core = OooCore::new(CoreConfig::way4(IsaKind::Alpha));
+        let batch = machine(4, IsaKind::Alpha, 4).simulate_trace(&collected);
 
-        let mut mem_a = build_memory(MemModelKind::Perfect { latency: 4 }, 4);
-        let batch = core.simulate(&collected, mem_a.as_mut());
-
-        let mut mem_b = build_memory(MemModelKind::Perfect { latency: 4 }, 4);
-        let mut source = Generated { next: 0, total: 3000 };
-        let pulled = core.simulate_source(&mut source, mem_b.as_mut());
-
-        let mut mem_c = build_memory(MemModelKind::Perfect { latency: 4 }, 4);
-        let mut sink = core.stream(mem_c.as_mut());
+        let mut pushed_machine = machine(4, IsaKind::Alpha, 4);
+        let mut sink = pushed_machine.sim();
         for inst in (Generated { next: 0, total: 3000 }) {
-            use mom_isa::trace::TraceSink as _;
             sink.emit(inst);
         }
         let pushed = sink.finish();
 
-        assert_eq!(batch, pulled);
+        let mut chunked_machine = machine(4, IsaKind::Alpha, 4);
+        let mut sink = chunked_machine.sim();
+        for chunk in collected.insts.chunks(64) {
+            sink.emit_batch(chunk);
+        }
+        let chunked = sink.finish();
+
         assert_eq!(batch, pushed);
+        assert_eq!(batch, chunked);
         assert_eq!(batch.committed, 3000);
     }
 
@@ -1292,9 +1094,9 @@ mod tests {
         // 10_000 instructions through a way-4 machine (ROB 32): the lookback
         // window must be a constant of the configuration, >= 10x smaller than
         // the instruction count, and identical before and after feeding.
-        let core = OooCore::new(CoreConfig::way4(IsaKind::Alpha));
-        let mut mem = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-        let mut sim = core.stream(mem.as_mut());
+        let mut machine = machine(4, IsaKind::Alpha, 1);
+        let rob_size = machine.descriptor().core.rob_size;
+        let mut sim = machine.sim();
         let initial_window = sim.window_entries();
         for inst in (Generated { next: 0, total: 10_000 }) {
             sim.feed(&inst);
@@ -1302,7 +1104,7 @@ mod tests {
         assert_eq!(sim.fed(), 10_000);
         assert_eq!(sim.window_entries(), initial_window, "window never grows");
         assert!(
-            sim.fed() >= 10 * core.config().rob_size,
+            sim.fed() >= 10 * rob_size,
             "the stream is at least 10x the ROB"
         );
         assert!(
@@ -1315,18 +1117,18 @@ mod tests {
 
     #[test]
     fn reusable_state_round_trips_through_stream_with() {
-        // A fresh borrowed state equals the owned-state path, and a reset
-        // state equals a fresh one.
-        let core = OooCore::new(CoreConfig::way4(IsaKind::Alpha));
+        // A state driven by hand equals a built machine, and a reset state
+        // equals a fresh one.
+        let config = CoreConfig::way4(IsaKind::Alpha);
+        let latencies = Latencies::default();
         let t = independent_trace(500);
-        let mut mem = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-        let expected = core.simulate(&t, mem.as_mut());
+        let expected = run(&t, 4, IsaKind::Alpha);
 
-        let mut state = core.new_state();
-        assert!(state.matches_config(core.config()));
+        let mut state = SimState::new(&config);
+        assert!(state.matches_config(&config));
         for round in 0..2 {
             let mut mem = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-            let mut sim = core.stream_with(&mut state, mem.as_mut());
+            let mut sim = SimStream::with_state(&config, &latencies, mem.as_mut(), &mut state, NoProbe);
             for inst in &t.insts {
                 sim.feed(inst);
             }
@@ -1341,18 +1143,15 @@ mod tests {
         // A state sized for the 8-way machine must not drive the 1-way one:
         // the ring-buffer windows differ and the timings would be silently
         // wrong.
-        let way8 = OooCore::new(CoreConfig::way8(IsaKind::Alpha));
-        let way1 = OooCore::new(CoreConfig::way1(IsaKind::Alpha));
-        let mut state = way8.new_state();
+        let mut state = SimState::new(&CoreConfig::way8(IsaKind::Alpha));
+        let way1 = CoreConfig::way1(IsaKind::Alpha);
         let mut mem = build_memory(MemModelKind::Perfect { latency: 1 }, 1);
-        let _ = way1.stream_with(&mut state, mem.as_mut());
+        let _ = SimStream::with_state(&way1, &Latencies::default(), mem.as_mut(), &mut state, NoProbe);
     }
 
     #[test]
     fn empty_stream_finishes_at_zero_cycles() {
-        let core = OooCore::new(CoreConfig::way1(IsaKind::Alpha));
-        let mut mem = build_memory(MemModelKind::Perfect { latency: 1 }, 1);
-        let r = core.stream(mem.as_mut()).finish();
+        let r = machine(1, IsaKind::Alpha, 1).sim().finish();
         assert_eq!(r, SimResult::default());
     }
 
@@ -1446,13 +1245,9 @@ mod tests {
         assert!(rename_cycles(table1.with_rob(64)) > 0);
     }
 
-    use crate::machine::MachineDescriptor;
-    use crate::probe::AttributionProbe;
-
     fn run_probed(trace: &Trace, way: usize, isa: IsaKind, latency: u64) -> (SimResult, crate::probe::ProbeReport) {
-        let core = OooCore::new(CoreConfig::for_width(way, isa));
-        let mut mem = build_memory(MemModelKind::Perfect { latency }, way);
-        let mut sim = core.stream_probed(mem.as_mut(), AttributionProbe::new());
+        let mut machine = machine(way, isa, latency);
+        let mut sim = machine.sim_probed();
         for inst in &trace.insts {
             sim.feed(inst);
         }
@@ -1465,9 +1260,7 @@ mod tests {
         // The probed run's SimResult must be bit-identical to the unprobed
         // one, and its breakdown must sum exactly to total cycles.
         let t: Trace = Generated { next: 0, total: 5000 }.collect();
-        let core = OooCore::new(CoreConfig::way4(IsaKind::Alpha));
-        let mut mem = build_memory(MemModelKind::Perfect { latency: 4 }, 4);
-        let unprobed = core.simulate(&t, mem.as_mut());
+        let unprobed = machine(4, IsaKind::Alpha, 4).simulate_trace(&t);
         let (probed, report) = run_probed(&t, 4, IsaKind::Alpha, 4);
         assert_eq!(unprobed, probed);
         assert_eq!(report.breakdown.total_cycles, probed.cycles);
@@ -1512,9 +1305,8 @@ mod tests {
         // Long enough on the 1-way machine at 50-cycle memory to compact
         // the timeline.
         let t: Trace = Generated { next: 0, total: 20_000 }.collect();
-        let core = OooCore::new(CoreConfig::way1(IsaKind::Alpha));
-        let mut mem = build_memory(MemModelKind::Perfect { latency: 50 }, 1);
-        let mut sim = core.stream_probed(mem.as_mut(), CommitLog::default());
+        let mut machine = machine(1, IsaKind::Alpha, 50);
+        let mut sim = machine.stream(CommitLog::default());
         for inst in &t.insts {
             sim.feed(inst);
         }

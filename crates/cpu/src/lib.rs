@@ -12,17 +12,22 @@
 //! pipeline, simulation is **streaming**: the incremental [`SimStream`]
 //! engine (see [`core`]) retires instructions as they graduate with O(ROB)
 //! state, so the interpreter can feed the simulator directly — no
-//! materialized trace — while [`OooCore::simulate`] still accepts a collected
-//! [`Trace`](mom_isa::trace::Trace) and produces bit-identical results. In the
-//! fused pipelines the instructions arrive from `mom-core`'s pre-decoded µop
-//! engine (`Program::decode`), so both halves of a fused cell run flat,
-//! steady-state loops: pre-decoded µops on the interpreter side,
-//! power-of-two ring buffers and mask-indexed predictor tables on this side.
+//! materialized trace — while [`SimMachine::simulate_trace`] still accepts a
+//! collected [`Trace`](mom_isa::trace::Trace) and produces bit-identical
+//! results. In the fused pipelines the instructions arrive from `mom-core`'s
+//! pre-decoded µop engine (`Program::decode`), so both halves of a fused
+//! cell run flat, steady-state loops: pre-decoded µops on the interpreter
+//! side, power-of-two ring buffers and mask-indexed predictor tables on this
+//! side.
+//!
+//! A machine is described by a [`MachineDescriptor`] and instantiated by
+//! [`MachineDescriptor::build`]; the resulting [`SimMachine`] opens every
+//! [`SimStream`].
 //!
 //! ```
-//! use mom_cpu::{CoreConfig, OooCore};
+//! use mom_cpu::MachineDescriptor;
 //! use mom_isa::trace::{ArchReg, DynInst, InstClass, IsaKind, Trace};
-//! use mom_mem::{build_memory, MemModelKind};
+//! use mom_mem::MemModelKind;
 //!
 //! // Four independent integer adds on a 4-way machine: well above IPC 1.
 //! let trace: Trace = (0..400u64)
@@ -32,9 +37,9 @@
 //!             .with_dst(ArchReg::int(1 + (i % 8) as u8))
 //!     })
 //!     .collect();
-//! let core = OooCore::new(CoreConfig::way4(IsaKind::Alpha));
-//! let mut memory = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-//! let result = core.simulate(&trace, memory.as_mut());
+//! let mut machine =
+//!     MachineDescriptor::for_cell(4, IsaKind::Alpha, MemModelKind::Perfect { latency: 1 }).build();
+//! let result = machine.simulate_trace(&trace);
 //! assert!(result.ipc() > 1.5);
 //! ```
 
@@ -47,13 +52,13 @@ pub mod machine;
 pub mod predictor;
 pub mod probe;
 
-pub use crate::core::{InstSource, Latencies, OooCore, SimResult, SimState, SimStream};
+pub use crate::core::{Latencies, SimResult, SimStream};
 pub use crate::probe::{
     AttributionProbe, IntervalStats, IntervalWindow, NoProbe, Probe, ProbeReport, StallBreakdown,
     StallCause,
 };
 pub use config::{CoreConfig, FuPool, PhysRegs};
-pub use machine::{MachineDescriptor, RegFileConfig, SimMachine};
+pub use machine::{MachineDescriptor, SimMachine};
 pub use predictor::{BimodalPredictor, BranchPredictor, Btb};
 
 #[cfg(test)]
@@ -64,9 +69,10 @@ mod tests {
     fn simulation_types_are_send() {
         fn assert_send_sync<T: Send + Sync>() {}
         // The parallel experiment runner simulates grid cells on scoped worker
-        // threads and sends `SimResult`s back; cores are built per-thread.
+        // threads and sends `SimResult`s back; machines are built per-thread
+        // from shared descriptors.
         assert_send_sync::<SimResult>();
         assert_send_sync::<CoreConfig>();
-        assert_send_sync::<OooCore>();
+        assert_send_sync::<MachineDescriptor>();
     }
 }

@@ -5,42 +5,30 @@
 //! hand — a [`CoreConfig`] here, a `build_memory` call there, default
 //! [`Latencies`] implied — and the pieces lived in different crates with no
 //! single value to hash, print or sweep over. A [`MachineDescriptor`] is that
-//! value: core organisation, execution latencies, memory system and register
-//! files in one place. [`MachineDescriptor::build`] turns it into a
-//! [`SimMachine`] — an owned core + memory + engine state — and
-//! [`SimMachine::reset`] returns a used machine to its just-built state
-//! without reallocating predictor tables, ring buffers or cache arrays, so
-//! the experiment runner can reuse machines across grid cells.
+//! value: core organisation (register files included), execution latencies
+//! and memory system in one place. [`MachineDescriptor::build`] turns it
+//! into a [`SimMachine`] — the descriptor, its memory system and its engine
+//! state, owned together — and [`SimMachine::reset`] returns a used machine
+//! to its just-built state without reallocating predictor tables, ring
+//! buffers or cache arrays, so the experiment runner can reuse machines
+//! across grid cells. [`SimMachine`] is the only way to time instructions.
 
-use crate::config::{CoreConfig, PhysRegs};
-use crate::core::{Latencies, OooCore, SimResult, SimState, SimStream};
-use crate::probe::AttributionProbe;
+use crate::config::CoreConfig;
+use crate::core::{Latencies, SimResult, SimState, SimStream};
+use crate::probe::{AttributionProbe, NoProbe, Probe};
 use mom_isa::pipe::BatchReceiver;
 use mom_isa::trace::{IsaKind, Trace};
 use mom_mem::{build_memory, MemModelKind, MemSystemStats, MemorySystem};
-
-/// Register-file section of a machine description: the physical register
-/// pool per class.
-///
-/// [`CoreConfig`] carries the Table 1/2 defaults; the descriptor keeps its
-/// own copy so a design-space sweep can vary register files independently of
-/// the core organisation. At [`MachineDescriptor::build`] time this section
-/// is authoritative — it overwrites the core's `phys_regs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegFileConfig {
-    /// Physical registers available per register class.
-    pub phys: PhysRegs,
-}
 
 /// A complete, declarative description of one simulated machine.
 ///
 /// Everything a grid cell needs to instantiate its simulator lives here:
 ///
 /// * `core` — the out-of-order organisation (issue width, ROB/LSQ, predictor
-///   tables, functional units) of Table 1;
+///   tables, functional units) of Table 1 and the physical register files of
+///   Table 2;
 /// * `latencies` — per-class execution latencies;
-/// * `mem` — which memory system to build (ports sized for `core.way`);
-/// * `regs` — the physical register files of Table 2.
+/// * `mem` — which memory system to build (ports sized for `core.way`).
 ///
 /// Two descriptors compare equal exactly when they describe the same
 /// machine, which is what lets the runner pool and reuse instantiated
@@ -53,19 +41,15 @@ pub struct MachineDescriptor {
     pub latencies: Latencies,
     /// Memory system to attach.
     pub mem: MemModelKind,
-    /// Physical register files (authoritative over `core.phys_regs`).
-    pub regs: RegFileConfig,
 }
 
 impl MachineDescriptor {
     /// The descriptor of a standard grid cell: the Table 1 configuration for
     /// `way` with register files sized for `isa`, default latencies, and the
     /// named memory system. This is the single definition every experiment
-    /// shares — the ad-hoc per-experiment assembly it replaced built exactly
-    /// this machine.
+    /// shares.
     pub fn for_cell(way: usize, isa: IsaKind, mem: MemModelKind) -> Self {
-        let core = CoreConfig::for_width(way, isa);
-        Self { regs: RegFileConfig { phys: core.phys_regs }, latencies: Latencies::default(), mem, core }
+        Self { core: CoreConfig::for_width(way, isa), latencies: Latencies::default(), mem }
     }
 
     /// Override the reorder-buffer size (the design-space `sweep` dimension).
@@ -85,7 +69,7 @@ impl MachineDescriptor {
     /// One-line human-readable summary (used by `momlab describe`).
     pub fn summary(&self) -> String {
         let c = &self.core;
-        let r = &self.regs.phys;
+        let r = &c.phys_regs;
         let mem = match self.mem {
             // The latency is part of the machine: "perfect-50", not "perfect".
             MemModelKind::Perfect { latency } => format!("perfect-{latency}"),
@@ -116,8 +100,8 @@ impl MachineDescriptor {
     }
 }
 
-/// A fully instantiated machine: core, memory system and reusable engine
-/// state, owned together.
+/// A fully instantiated machine: its descriptor, memory system and reusable
+/// engine state, owned together.
 ///
 /// Built from a [`MachineDescriptor`], driven through [`SimMachine::sim`]
 /// (a [`SimStream`] usable as a `TraceSink`), and returned to its just-built
@@ -127,7 +111,6 @@ impl MachineDescriptor {
 #[derive(Debug)]
 pub struct SimMachine {
     descriptor: MachineDescriptor,
-    core: OooCore,
     memory: Box<dyn MemorySystem>,
     state: SimState,
 }
@@ -135,22 +118,14 @@ pub struct SimMachine {
 impl SimMachine {
     /// Instantiate the machine described by `descriptor`.
     pub fn new(descriptor: MachineDescriptor) -> Self {
-        let mut config = descriptor.core.clone();
-        config.phys_regs = descriptor.regs.phys;
-        let memory = build_memory(descriptor.mem, config.way);
-        let core = OooCore::with_latencies(config, descriptor.latencies);
-        let state = core.new_state();
-        Self { descriptor, core, memory, state }
+        let memory = build_memory(descriptor.mem, descriptor.core.way);
+        let state = SimState::new(&descriptor.core);
+        Self { descriptor, memory, state }
     }
 
     /// The descriptor this machine was built from.
     pub fn descriptor(&self) -> &MachineDescriptor {
         &self.descriptor
-    }
-
-    /// The instantiated core.
-    pub fn core(&self) -> &OooCore {
-        &self.core
     }
 
     /// Statistics of the attached memory system.
@@ -171,7 +146,7 @@ impl SimMachine {
     /// machines. Finishing the stream leaves the accumulated state in place;
     /// [`SimMachine::reset`] clears it for the next cell.
     pub fn sim(&mut self) -> SimStream<'_> {
-        self.core.stream_with(&mut self.state, self.memory.as_mut())
+        self.stream(NoProbe)
     }
 
     /// Open a streaming simulation instrumented with a fresh
@@ -180,7 +155,7 @@ impl SimMachine {
     /// from [`SimStream::finish_probed`]. The probe is created per stream, so
     /// machine pooling/reuse never mixes attribution across cells.
     pub fn sim_probed(&mut self) -> SimStream<'_, AttributionProbe> {
-        self.core.stream_with_probed(&mut self.state, self.memory.as_mut(), AttributionProbe::new())
+        self.stream(AttributionProbe::new())
     }
 
     /// Open a probed streaming simulation that **continues** an existing
@@ -191,12 +166,18 @@ impl SimMachine {
     /// The sampled execution mode closes the stream around every
     /// fast-forward.
     pub fn sim_probed_with(&mut self, probe: AttributionProbe) -> SimStream<'_, AttributionProbe> {
-        self.core.stream_with_probed(&mut self.state, self.memory.as_mut(), probe)
+        self.stream(probe)
     }
 
-    /// Replay a materialized trace on this machine — the reference the
-    /// streaming paths are tested against. Equivalent to feeding every
-    /// instruction through [`SimMachine::sim`].
+    /// Open a stream on this machine instrumented by `probe`.
+    pub(crate) fn stream<P: Probe>(&mut self, probe: P) -> SimStream<'_, P> {
+        let MachineDescriptor { core, latencies, .. } = &self.descriptor;
+        SimStream::with_state(core, latencies, self.memory.as_mut(), &mut self.state, probe)
+    }
+
+    /// Replay a materialized trace on this machine, feeding one instruction
+    /// at a time through [`SimStream::feed`] — the reference the
+    /// interpreter's chunked `emit_batch` path is tested against.
     pub fn simulate_trace(&mut self, trace: &Trace) -> SimResult {
         let mut sim = self.sim();
         for inst in &trace.insts {
@@ -258,28 +239,6 @@ mod tests {
                     .with_dst(ArchReg::int(1 + (i % 4) as u8)),
             })
             .collect()
-    }
-
-    #[test]
-    fn descriptor_matches_the_ad_hoc_assembly() {
-        // The descriptor must instantiate exactly the machine the runner used
-        // to assemble by hand: CoreConfig::for_width + build_memory + default
-        // latencies.
-        let trace = mixed_trace(600, 0);
-        for (way, isa, mem) in [
-            (1, IsaKind::Alpha, MemModelKind::Perfect { latency: 1 }),
-            (4, IsaKind::Mom, MemModelKind::Perfect { latency: 50 }),
-            (8, IsaKind::Mom, MemModelKind::VectorCache),
-            (4, IsaKind::Mmx, MemModelKind::Conventional),
-        ] {
-            let core = OooCore::new(CoreConfig::for_width(way, isa));
-            let mut memory = build_memory(mem, way);
-            let ad_hoc = core.simulate(&trace, memory.as_mut());
-
-            let mut machine = MachineDescriptor::for_cell(way, isa, mem).build();
-            let described = machine.simulate_trace(&trace);
-            assert_eq!(ad_hoc, described, "{way}-way {isa} {mem}: descriptor drifted");
-        }
     }
 
     #[test]

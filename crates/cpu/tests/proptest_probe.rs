@@ -13,12 +13,12 @@
 //!   unbroken stream does, window instruction counts and memory-system
 //!   statistics included.
 
-use mom_cpu::{AttributionProbe, CoreConfig, MachineDescriptor, OooCore, ProbeReport, SimResult};
+use mom_cpu::{AttributionProbe, MachineDescriptor, ProbeReport, SimResult};
 use mom_isa::trace::{
     ArchReg, BranchInfo, Broadcast, DynInst, InstClass, IsaKind, MemAccess, MemKind, Trace,
     TraceSink,
 };
-use mom_mem::{build_memory, MemModelKind, MemorySystem};
+use mom_mem::MemModelKind;
 use proptest::prelude::*;
 
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -81,24 +81,14 @@ fn decode_inst(index: usize, sel: usize, bits: u64, elems: u16, flag: bool) -> D
     }
 }
 
-fn memory_for(way: usize, latency: u64) -> Box<dyn MemorySystem> {
-    build_memory(MemModelKind::Perfect { latency }, way)
-}
-
 /// Run `insts` probed through one consumption style and return the pair.
-fn run_probed(
-    insts: &[DynInst],
-    core: &OooCore,
-    latency: u64,
-    style: usize,
-) -> (SimResult, ProbeReport) {
-    let way = core.config().way;
+fn run_probed(insts: &[DynInst], desc: &MachineDescriptor, style: usize) -> (SimResult, ProbeReport) {
     match style {
         // Materialized batch: collect a trace, feed it whole.
         0 => {
             let collected: Trace = insts.iter().cloned().collect();
-            let mut mem = memory_for(way, latency);
-            let mut sim = core.stream_probed(mem.as_mut(), AttributionProbe::new());
+            let mut machine = desc.build();
+            let mut sim = machine.sim_probed();
             for inst in &collected.insts {
                 sim.feed(inst);
             }
@@ -107,8 +97,8 @@ fn run_probed(
         }
         // Streamed push: emit owned instructions one by one.
         1 => {
-            let mut mem = memory_for(way, latency);
-            let mut sim = core.stream_probed(mem.as_mut(), AttributionProbe::new());
+            let mut machine = desc.build();
+            let mut sim = machine.sim_probed();
             for inst in insts {
                 sim.emit(inst.clone());
             }
@@ -118,12 +108,8 @@ fn run_probed(
         // Broadcast fan-out: the runner's shape — one interpreter pass
         // feeding sibling streams; take the first sibling's report.
         _ => {
-            let mut mem_a = memory_for(way, latency);
-            let mut mem_b = memory_for(way, latency);
-            let mut fan = Broadcast::new(vec![
-                core.stream_probed(mem_a.as_mut(), AttributionProbe::new()),
-                core.stream_probed(mem_b.as_mut(), AttributionProbe::new()),
-            ]);
+            let (mut a, mut b) = (desc.build(), desc.build());
+            let mut fan = Broadcast::new(vec![a.sim_probed(), b.sim_probed()]);
             for inst in insts {
                 fan.emit(inst.clone());
             }
@@ -160,11 +146,15 @@ proptest! {
             .enumerate()
             .map(|(i, &(sel, bits, elems, flag))| decode_inst(i, sel, bits, elems, flag))
             .collect();
-        let core = OooCore::new(CoreConfig::for_width(WIDTHS[way_idx], IsaKind::ALL[isa_idx]));
+        let desc = MachineDescriptor::for_cell(
+            WIDTHS[way_idx],
+            IsaKind::ALL[isa_idx],
+            MemModelKind::Perfect { latency },
+        );
 
-        let (batch_sim, batch) = run_probed(&insts, &core, latency, 0);
-        let (push_sim, pushed) = run_probed(&insts, &core, latency, 1);
-        let (fan_sim, fanned) = run_probed(&insts, &core, latency, 2);
+        let (batch_sim, batch) = run_probed(&insts, &desc, 0);
+        let (push_sim, pushed) = run_probed(&insts, &desc, 1);
+        let (fan_sim, fanned) = run_probed(&insts, &desc, 2);
 
         // Identical attribution regardless of how the instructions arrived.
         prop_assert_eq!(&batch, &pushed);
@@ -184,8 +174,7 @@ proptest! {
 
         // Observation without perturbation: the unprobed run is bit-identical.
         let collected: Trace = insts.iter().cloned().collect();
-        let mut mem = memory_for(core.config().way, latency);
-        let unprobed = core.simulate(&collected, mem.as_mut());
+        let unprobed = desc.build().simulate_trace(&collected);
         prop_assert_eq!(unprobed, batch_sim);
     }
 

@@ -1,19 +1,20 @@
 //! Property-based equivalence of the streaming and materialized simulation
 //! paths: for arbitrary generated instruction sequences *and* arbitrary
-//! generated interpreted programs, feeding the simulator one instruction at a
-//! time (push via `SimStream`, pull via `InstSource`) produces a `SimResult`
-//! identical to replaying the collected trace through `OooCore::simulate`.
+//! generated interpreted programs, feeding the simulator as a `TraceSink`
+//! (owned instructions one at a time, or chunks through `emit_batch`, the
+//! interpreter's path) produces a `SimResult` identical to replaying the
+//! collected trace through `SimMachine::simulate_trace`.
 
 use mom_core::program::ProgramBuilder;
 use mom_core::state::Machine;
-use mom_cpu::{CoreConfig, OooCore, SimResult};
+use mom_cpu::{MachineDescriptor, SimResult};
 use mom_isa::mem::MemImage;
 use mom_isa::regs::r;
 use mom_isa::scalar::{AluOp, ScalarOp};
 use mom_isa::trace::{
     ArchReg, BranchInfo, DynInst, InstClass, IsaKind, MemAccess, MemKind, Trace, TraceSink,
 };
-use mom_mem::{build_memory, MemModelKind, MemorySystem};
+use mom_mem::MemModelKind;
 use proptest::prelude::*;
 
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -79,30 +80,35 @@ fn decode_inst(index: usize, sel: usize, bits: u64, elems: u16, flag: bool) -> D
     }
 }
 
-fn memory_for(way: usize, latency: u64) -> Box<dyn MemorySystem> {
-    build_memory(MemModelKind::Perfect { latency }, way)
+fn descriptor(way: usize, isa: IsaKind, latency: u64) -> MachineDescriptor {
+    MachineDescriptor::for_cell(way, isa, MemModelKind::Perfect { latency })
 }
 
-/// The three consumption styles of the same sequence must agree exactly.
-fn assert_stream_equivalence(insts: Vec<DynInst>, core: &OooCore, latency: u64) -> (SimResult, SimResult, SimResult) {
-    let way = core.config().way;
+/// The three consumption styles of the same sequence must agree exactly:
+/// collected replay, owned pushes, and `emit_batch` chunks of `chunk`.
+fn assert_stream_equivalence(
+    insts: Vec<DynInst>,
+    desc: &MachineDescriptor,
+    chunk: usize,
+) -> (SimResult, SimResult, SimResult) {
     let collected: Trace = insts.iter().cloned().collect();
+    let batch = desc.build().simulate_trace(&collected);
 
-    let mut mem = memory_for(way, latency);
-    let batch = core.simulate(&collected, mem.as_mut());
+    let mut machine = desc.build();
+    let mut sim = machine.sim();
+    for insts in collected.insts.chunks(chunk) {
+        sim.emit_batch(insts);
+    }
+    let chunked = sim.finish();
 
-    let mut mem = memory_for(way, latency);
-    let mut source = insts.iter().cloned();
-    let pulled = core.simulate_source(&mut source, mem.as_mut());
-
-    let mut mem = memory_for(way, latency);
-    let mut sim = core.stream(mem.as_mut());
+    let mut machine = desc.build();
+    let mut sim = machine.sim();
     for inst in insts {
         sim.emit(inst);
     }
     let pushed = sim.finish();
 
-    (batch, pulled, pushed)
+    (batch, chunked, pushed)
 }
 
 proptest! {
@@ -115,6 +121,7 @@ proptest! {
         raw in prop::collection::vec((0usize..10, proptest::prelude::any::<u64>(), 1u16..=16, proptest::prelude::any::<bool>()), 0..400),
         way_idx in 0usize..4,
         latency in 1u64..8,
+        chunk in 1usize..70,
     ) {
         let insts: Vec<DynInst> = raw
             .iter()
@@ -122,9 +129,9 @@ proptest! {
             .map(|(i, &(sel, bits, elems, flag))| decode_inst(i, sel, bits, elems, flag))
             .collect();
         let n = insts.len() as u64;
-        let core = OooCore::new(CoreConfig::for_width(WIDTHS[way_idx], IsaKind::Mom));
-        let (batch, pulled, pushed) = assert_stream_equivalence(insts, &core, latency);
-        prop_assert_eq!(batch, pulled);
+        let desc = descriptor(WIDTHS[way_idx], IsaKind::Mom, latency);
+        let (batch, chunked, pushed) = assert_stream_equivalence(insts, &desc, chunk);
+        prop_assert_eq!(batch, chunked);
         prop_assert_eq!(batch, pushed);
         prop_assert_eq!(batch.committed, n);
     }
@@ -153,16 +160,14 @@ proptest! {
             }
             b.build().expect("straight-line program always builds")
         };
-        let way = WIDTHS[way_idx];
-        let core = OooCore::new(CoreConfig::for_width(way, IsaKind::Alpha));
+        let desc = descriptor(WIDTHS[way_idx], IsaKind::Alpha, 2);
         let image = || Machine::new(MemImage::new(0x1000, 64 * 1024));
 
         let trace = build(&ops).run(&mut image()).expect("program terminates");
-        let mut mem = memory_for(way, 2);
-        let batch = core.simulate(&trace, mem.as_mut());
+        let batch = desc.build().simulate_trace(&trace);
 
-        let mut mem = memory_for(way, 2);
-        let mut sim = core.stream(mem.as_mut());
+        let mut machine = desc.build();
+        let mut sim = machine.sim();
         build(&ops).stream(&mut image(), &mut sim).expect("program terminates");
         let fused = sim.finish();
 

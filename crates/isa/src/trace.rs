@@ -793,8 +793,7 @@ impl IntoIterator for Trace {
     type IntoIter = std::vec::IntoIter<DynInst>;
 
     /// Consume the trace, yielding its instructions in program order (used to
-    /// stitch traces together without cloning, and to feed owned instructions
-    /// into a pull-based `InstSource`).
+    /// stitch traces together without cloning).
     fn into_iter(self) -> Self::IntoIter {
         self.insts.into_iter()
     }

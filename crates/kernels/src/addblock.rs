@@ -229,21 +229,21 @@ fn build_mom(params: &KernelParams) -> BuiltKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verified_trace;
 
     #[test]
     fn every_isa_matches_the_reference() {
         let params = KernelParams { seed: 11, scale: 1 };
         for isa in IsaKind::ALL {
-            let run = build(isa, &params).run_verified().expect("kernel verifies");
-            assert!(run.output_matches, "{isa} output mismatch");
+            verified_trace(build(isa, &params));
         }
     }
 
     #[test]
     fn alpha_version_is_load_heavy_because_of_the_clip_table() {
         let params = KernelParams::default();
-        let alpha = build(IsaKind::Alpha, &params).run().unwrap();
-        let stats = alpha.trace.stats();
+        let alpha = verified_trace(build(IsaKind::Alpha, &params));
+        let stats = alpha.stats();
         // Two data loads plus one table load per pixel.
         assert!(stats.loads as f64 > 0.4 * stats.total as f64);
     }
@@ -251,10 +251,10 @@ mod tests {
     #[test]
     fn instruction_count_ordering() {
         let params = KernelParams::default();
-        let alpha = build(IsaKind::Alpha, &params).run().unwrap();
-        let mdmx = build(IsaKind::Mdmx, &params).run().unwrap();
-        let mom = build(IsaKind::Mom, &params).run().unwrap();
-        assert!(mdmx.trace.len() < alpha.trace.len() / 3);
-        assert!(mom.trace.len() < mdmx.trace.len() / 3);
+        let alpha = verified_trace(build(IsaKind::Alpha, &params));
+        let mdmx = verified_trace(build(IsaKind::Mdmx, &params));
+        let mom = verified_trace(build(IsaKind::Mom, &params));
+        assert!(mdmx.len() < alpha.len() / 3);
+        assert!(mom.len() < mdmx.len() / 3);
     }
 }

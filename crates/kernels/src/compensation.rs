@@ -193,31 +193,31 @@ fn build_mom(params: &KernelParams) -> BuiltKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verified_trace;
 
     #[test]
     fn every_isa_matches_the_reference() {
         let params = KernelParams { seed: 3, scale: 1 };
         for isa in IsaKind::ALL {
-            let run = build(isa, &params).run_verified().expect("kernel verifies");
-            assert!(run.output_matches, "{isa} output mismatch");
-            assert!(!run.trace.is_empty());
+            let trace = verified_trace(build(isa, &params));
+            assert!(!trace.is_empty());
         }
     }
 
     #[test]
     fn mom_uses_an_order_of_magnitude_fewer_instructions() {
         let params = KernelParams::default();
-        let alpha = build(IsaKind::Alpha, &params).run().unwrap();
-        let mmx = build(IsaKind::Mmx, &params).run().unwrap();
-        let mom = build(IsaKind::Mom, &params).run().unwrap();
-        assert!(mmx.trace.len() * 4 < alpha.trace.len());
-        assert!(mom.trace.len() * 8 < mmx.trace.len());
+        let alpha = verified_trace(build(IsaKind::Alpha, &params));
+        let mmx = verified_trace(build(IsaKind::Mmx, &params));
+        let mom = verified_trace(build(IsaKind::Mom, &params));
+        assert!(mmx.len() * 4 < alpha.len());
+        assert!(mom.len() * 8 < mmx.len());
     }
 
     #[test]
     fn scale_grows_the_workload() {
-        let small = build(IsaKind::Mom, &KernelParams { seed: 1, scale: 1 }).run().unwrap();
-        let large = build(IsaKind::Mom, &KernelParams { seed: 1, scale: 2 }).run().unwrap();
-        assert!(large.trace.len() > small.trace.len());
+        let small = verified_trace(build(IsaKind::Mom, &KernelParams { seed: 1, scale: 1 }));
+        let large = verified_trace(build(IsaKind::Mom, &KernelParams { seed: 1, scale: 2 }));
+        assert!(large.len() > small.len());
     }
 }

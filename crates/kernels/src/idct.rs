@@ -386,13 +386,13 @@ fn build_mom(params: &KernelParams) -> BuiltKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verified_trace;
 
     #[test]
     fn every_isa_matches_the_reference() {
         let params = KernelParams { seed: 21, scale: 1 };
         for isa in IsaKind::ALL {
-            let run = build(isa, &params).run_verified().expect("idct verifies");
-            assert!(run.output_matches, "{isa} output mismatch");
+            verified_trace(build(isa, &params));
         }
     }
 
@@ -401,18 +401,18 @@ mod tests {
         // MMX needs mullo/mulhi/unpack per product; MDMX's accumulator removes
         // it, and MOM further removes the per-row instruction overhead.
         let params = KernelParams::default();
-        let mmx = build(IsaKind::Mmx, &params).run().unwrap();
-        let mdmx = build(IsaKind::Mdmx, &params).run().unwrap();
-        let mom = build(IsaKind::Mom, &params).run().unwrap();
-        assert!(mmx.trace.len() as f64 > 1.8 * mdmx.trace.len() as f64);
-        assert!(mdmx.trace.len() as f64 > 3.0 * mom.trace.len() as f64);
+        let mmx = verified_trace(build(IsaKind::Mmx, &params));
+        let mdmx = verified_trace(build(IsaKind::Mdmx, &params));
+        let mom = verified_trace(build(IsaKind::Mom, &params));
+        assert!(mmx.len() as f64 > 1.8 * mdmx.len() as f64);
+        assert!(mdmx.len() as f64 > 3.0 * mom.len() as f64);
     }
 
     #[test]
     fn alpha_is_by_far_the_largest_trace() {
         let params = KernelParams::default();
-        let alpha = build(IsaKind::Alpha, &params).run().unwrap();
-        let mom = build(IsaKind::Mom, &params).run().unwrap();
-        assert!(alpha.trace.len() > 20 * mom.trace.len());
+        let alpha = verified_trace(build(IsaKind::Alpha, &params));
+        let mom = verified_trace(build(IsaKind::Mom, &params));
+        assert!(alpha.len() > 20 * mom.len());
     }
 }

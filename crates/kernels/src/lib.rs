@@ -20,21 +20,25 @@
 //!
 //! Building a kernel produces a [`BuiltKernel`]: a ready-to-run machine state
 //! (memory image laid out with the synthetic workload), the program for the
-//! requested ISA, and the expected output bytes. [`BuiltKernel::run`] executes
-//! the program, checks the output region against the reference and returns the
-//! dynamic [`Trace`] for the timing simulator.
+//! requested ISA, and the expected output bytes.
+//! [`BuiltKernel::stream_verified`] executes the program, streams every
+//! graduated instruction into a [`TraceSink`] — a collecting
+//! [`Trace`](mom_isa::trace::Trace) or a timing simulator's stream
+//! (`SimMachine::sim` in `mom-cpu`) — and checks the output region against
+//! the reference.
 //!
 //! ```
 //! use mom_kernels::{build_kernel, KernelKind, KernelParams};
-//! use mom_isa::trace::IsaKind;
+//! use mom_isa::trace::{IsaKind, Trace};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let params = KernelParams { seed: 1, scale: 1 };
-//! let mom = build_kernel(KernelKind::Compensation, IsaKind::Mom, &params).run()?;
-//! let alpha = build_kernel(KernelKind::Compensation, IsaKind::Alpha, &params).run()?;
-//! assert!(mom.output_matches && alpha.output_matches);
+//! let mut mom = Trace::new(IsaKind::Mom);
+//! build_kernel(KernelKind::Compensation, IsaKind::Mom, &params).stream_verified(&mut mom)?;
+//! let mut alpha = Trace::new(IsaKind::Alpha);
+//! build_kernel(KernelKind::Compensation, IsaKind::Alpha, &params).stream_verified(&mut alpha)?;
 //! // The MOM version needs far fewer dynamic instructions for the same work.
-//! assert!(mom.trace.len() * 10 < alpha.trace.len());
+//! assert!(mom.len() * 10 < alpha.len());
 //! # Ok(())
 //! # }
 //! ```
@@ -58,9 +62,7 @@ pub use scaffold::Scaffold;
 
 use mom_core::program::{ExecError, Program};
 use mom_core::state::Machine;
-use mom_cpu::{OooCore, SimResult};
-use mom_isa::trace::{IsaKind, Trace, TraceSink};
-use mom_mem::MemorySystem;
+use mom_isa::trace::{IsaKind, TraceSink};
 
 /// The eight evaluated kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -167,21 +169,6 @@ pub struct BuiltKernel {
     pub output_addr: u64,
 }
 
-/// The result of running a built kernel.
-#[derive(Debug)]
-pub struct KernelRun {
-    /// Which kernel ran.
-    pub kind: KernelKind,
-    /// Which ISA dialect ran.
-    pub isa: IsaKind,
-    /// The dynamic instruction trace (input to the timing simulator).
-    pub trace: Trace,
-    /// Whether the output region matched the golden reference bit-exactly.
-    pub output_matches: bool,
-    /// Byte offset of the first mismatch, when `output_matches` is false.
-    pub first_mismatch: Option<usize>,
-}
-
 /// Errors running a kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KernelError {
@@ -225,68 +212,30 @@ impl From<ExecError> for KernelError {
 }
 
 impl BuiltKernel {
+    /// Compare the output region with the golden reference.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::OutputMismatch`] at the first differing byte.
+    pub fn verify(&self) -> Result<(), KernelError> {
+        let actual = self.machine.mem().read_bytes(self.output_addr, self.expected.len());
+        match actual.iter().zip(&self.expected).position(|(a, e)| a != e) {
+            Some(offset) => Err(KernelError::OutputMismatch { kind: self.kind, isa: self.isa, offset }),
+            None => Ok(()),
+        }
+    }
+
     /// Execute the kernel, streaming every graduated instruction into `sink`,
-    /// then compare the output region with the golden reference. Returns the
-    /// number of instructions executed and the offset of the first
-    /// mismatching output byte (if any).
+    /// and [`verify`](Self::verify) the output against the golden reference.
+    /// Returns the number of instructions streamed.
     ///
     /// Execution goes through [`Program::stream`] and therefore the
     /// pre-decoded µop engine (`Program::decode` in `mom-core`): the program
     /// is lowered once and the per-dynamic-instruction loop runs flat µops.
-    fn execute_into<S: TraceSink + ?Sized>(
-        &mut self,
-        sink: &mut S,
-    ) -> Result<(usize, Option<usize>), KernelError> {
-        let executed = self.program.stream(&mut self.machine, sink)?;
-        let actual = self.machine.mem().read_bytes(self.output_addr, self.expected.len());
-        let first_mismatch = actual.iter().zip(self.expected.iter()).position(|(a, e)| a != e);
-        Ok((executed, first_mismatch))
-    }
-
-    /// Execute the kernel, compare its output region with the golden
-    /// reference and return the trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::Exec`] if the program exhausts its instruction
-    /// budget. An output mismatch is reported through
-    /// [`KernelRun::output_matches`], not as an error; use
-    /// [`BuiltKernel::run_verified`] to turn mismatches into errors.
-    pub fn run(mut self) -> Result<KernelRun, KernelError> {
-        let mut trace = Trace::new(self.isa);
-        let (_, first_mismatch) = self.execute_into(&mut trace)?;
-        Ok(KernelRun {
-            kind: self.kind,
-            isa: self.isa,
-            trace,
-            output_matches: first_mismatch.is_none(),
-            first_mismatch,
-        })
-    }
-
-    /// Execute the kernel and fail if the output does not match the reference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::OutputMismatch`] on the first differing byte, or
-    /// [`KernelError::Exec`] if execution fails.
-    pub fn run_verified(self) -> Result<KernelRun, KernelError> {
-        let kind = self.kind;
-        let isa = self.isa;
-        let run = self.run()?;
-        match run.first_mismatch {
-            Some(offset) => Err(KernelError::OutputMismatch { kind, isa, offset }),
-            None => Ok(run),
-        }
-    }
-
-    /// Execute the kernel, streaming every graduated instruction into `sink`
-    /// instead of collecting a [`Trace`], and verify the output against the
-    /// golden reference. Returns the number of instructions streamed.
-    ///
-    /// With the timing simulator's `SimStream` as the sink this fuses
+    /// With a timing simulator's stream as the sink this fuses
     /// interpretation and simulation into one pass with no intermediate
-    /// trace — see [`BuiltKernel::run_streamed`] for the packaged version.
+    /// trace; with a [`Trace`](mom_isa::trace::Trace) as the sink it collects
+    /// the trace.
     ///
     /// # Errors
     ///
@@ -294,35 +243,9 @@ impl BuiltKernel {
     /// [`KernelError::OutputMismatch`] on the first differing output byte
     /// (the sink has received the instructions either way).
     pub fn stream_verified<S: TraceSink + ?Sized>(mut self, sink: &mut S) -> Result<usize, KernelError> {
-        let kind = self.kind;
-        let isa = self.isa;
-        let (executed, mismatch) = self.execute_into(sink)?;
-        match mismatch {
-            Some(offset) => Err(KernelError::OutputMismatch { kind, isa, offset }),
-            None => Ok(executed),
-        }
-    }
-
-    /// Fused cell execution: interpret the kernel and feed the timing
-    /// simulator directly, with no intermediate trace. The output is
-    /// verified against the golden reference exactly as in
-    /// [`BuiltKernel::run_verified`], and the returned [`SimResult`] is
-    /// bit-identical to `core.simulate(&run_verified()?.trace, memory)` —
-    /// but peak memory is bounded by the simulator's O(ROB) window instead
-    /// of the trace length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::Exec`] on fuel exhaustion or
-    /// [`KernelError::OutputMismatch`] if the kernel output is wrong.
-    pub fn run_streamed(
-        self,
-        core: &OooCore,
-        memory: &mut dyn MemorySystem,
-    ) -> Result<SimResult, KernelError> {
-        let mut sim = core.stream(memory);
-        self.stream_verified(&mut sim)?;
-        Ok(sim.finish())
+        let executed = self.program.stream(&mut self.machine, sink)?;
+        self.verify()?;
+        Ok(executed)
     }
 }
 
@@ -340,9 +263,19 @@ pub fn build_kernel(kind: KernelKind, isa: IsaKind, params: &KernelParams) -> Bu
     }
 }
 
+/// Run `kernel`, verify its output and collect its trace — the collected
+/// form the unit tests read.
+#[cfg(test)]
+fn verified_trace(kernel: BuiltKernel) -> mom_isa::trace::Trace {
+    let mut trace = mom_isa::trace::Trace::new(kernel.isa);
+    kernel.stream_verified(&mut trace).unwrap_or_else(|e| panic!("{e}"));
+    trace
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mom_isa::trace::Trace;
 
     #[test]
     fn kernel_labels_match_the_paper() {
@@ -381,26 +314,36 @@ mod tests {
     }
 
     #[test]
+    fn a_flipped_expected_byte_is_an_output_mismatch_at_its_offset() {
+        let params = KernelParams { seed: 4, scale: 1 };
+        for isa in [IsaKind::Alpha, IsaKind::Mom] {
+            let mut kernel = build_kernel(KernelKind::AddBlock, isa, &params);
+            let offset = kernel.expected.len() / 3;
+            kernel.expected[offset] ^= 0x5a;
+            let err = kernel.stream_verified(&mut Trace::new(isa)).unwrap_err();
+            assert_eq!(err, KernelError::OutputMismatch { kind: KernelKind::AddBlock, isa, offset });
+        }
+    }
+
+    #[test]
     fn fused_streamed_run_is_bit_identical_to_materialized_simulation() {
-        use mom_cpu::CoreConfig;
-        use mom_mem::{build_memory, MemModelKind};
+        use mom_cpu::MachineDescriptor;
+        use mom_mem::MemModelKind;
 
         let params = KernelParams { seed: 9, scale: 1 };
         for kind in [KernelKind::Compensation, KernelKind::AddBlock] {
             for isa in [IsaKind::Alpha, IsaKind::Mom] {
-                let core = OooCore::new(CoreConfig::way4(isa));
+                let desc = MachineDescriptor::for_cell(4, isa, MemModelKind::Perfect { latency: 1 });
+                let trace = verified_trace(build_kernel(kind, isa, &params));
+                let batch = desc.build().simulate_trace(&trace);
 
-                let run = build_kernel(kind, isa, &params).run_verified().expect("kernel verifies");
-                let mut mem_batch = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-                let batch = core.simulate(&run.trace, mem_batch.as_mut());
-
-                let mut mem_fused = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-                let fused = build_kernel(kind, isa, &params)
-                    .run_streamed(&core, mem_fused.as_mut())
-                    .expect("fused run verifies");
+                let mut machine = desc.build();
+                let mut sim = machine.sim();
+                build_kernel(kind, isa, &params).stream_verified(&mut sim).expect("fused run verifies");
+                let fused = sim.finish();
 
                 assert_eq!(batch, fused, "{kind} ({isa}): streamed != materialized");
-                assert_eq!(fused.committed as usize, run.trace.len());
+                assert_eq!(fused.committed as usize, trace.len());
             }
         }
     }

@@ -201,33 +201,33 @@ fn emit_mom_core(s: &mut Scaffold) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verified_trace;
 
     #[test]
     fn every_isa_matches_the_reference() {
         let params = KernelParams { seed: 13, scale: 1 };
         for isa in IsaKind::ALL {
-            let run = build(isa, &params).run_verified().expect("ltp verifies");
-            assert!(run.output_matches, "{isa} output mismatch");
+            verified_trace(build(isa, &params));
         }
     }
 
     #[test]
     fn instruction_count_ordering() {
         let params = KernelParams::default();
-        let alpha = build(IsaKind::Alpha, &params).run().unwrap();
-        let mmx = build(IsaKind::Mmx, &params).run().unwrap();
-        let mdmx = build(IsaKind::Mdmx, &params).run().unwrap();
-        let mom = build(IsaKind::Mom, &params).run().unwrap();
-        assert!(mmx.trace.len() < alpha.trace.len() / 3);
-        assert!(mdmx.trace.len() < mmx.trace.len());
-        assert!(mom.trace.len() < mdmx.trace.len() / 2);
+        let alpha = verified_trace(build(IsaKind::Alpha, &params));
+        let mmx = verified_trace(build(IsaKind::Mmx, &params));
+        let mdmx = verified_trace(build(IsaKind::Mdmx, &params));
+        let mom = verified_trace(build(IsaKind::Mom, &params));
+        assert!(mmx.len() < alpha.len() / 3);
+        assert!(mdmx.len() < mmx.len());
+        assert!(mom.len() < mdmx.len() / 2);
     }
 
     #[test]
     fn vector_length_is_ten_for_mom() {
-        let run = build(IsaKind::Mom, &KernelParams::default()).run().unwrap();
+        let trace = verified_trace(build(IsaKind::Mom, &KernelParams::default()));
         let vector_loads: Vec<_> =
-            run.trace.insts.iter().filter(|i| i.elems as usize == WINDOW / 4).collect();
+            trace.insts.iter().filter(|i| i.elems as usize == WINDOW / 4).collect();
         assert!(!vector_loads.is_empty(), "MOM LTP uses VL = 10");
     }
 }

@@ -370,15 +370,13 @@ fn emit_mom_core(s: &mut Scaffold, metric: Metric) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verified_trace;
 
     #[test]
     fn motion1_every_isa_matches_the_reference() {
         let params = KernelParams { seed: 5, scale: 1 };
         for isa in IsaKind::ALL {
-            let run = build(Metric::AbsoluteDifference, isa, &params)
-                .run_verified()
-                .expect("motion1 verifies");
-            assert!(run.output_matches, "{isa} output mismatch");
+            verified_trace(build(Metric::AbsoluteDifference, isa, &params));
         }
     }
 
@@ -386,23 +384,20 @@ mod tests {
     fn motion2_every_isa_matches_the_reference() {
         let params = KernelParams { seed: 6, scale: 1 };
         for isa in IsaKind::ALL {
-            let run = build(Metric::SquaredDifference, isa, &params)
-                .run_verified()
-                .expect("motion2 verifies");
-            assert!(run.output_matches, "{isa} output mismatch");
+            verified_trace(build(Metric::SquaredDifference, isa, &params));
         }
     }
 
     #[test]
     fn instruction_counts_follow_the_paper_ordering() {
         let params = KernelParams::default();
-        let alpha = build(Metric::AbsoluteDifference, IsaKind::Alpha, &params).run().unwrap();
-        let mmx = build(Metric::AbsoluteDifference, IsaKind::Mmx, &params).run().unwrap();
-        let mdmx = build(Metric::AbsoluteDifference, IsaKind::Mdmx, &params).run().unwrap();
-        let mom = build(Metric::AbsoluteDifference, IsaKind::Mom, &params).run().unwrap();
-        assert!(mmx.trace.len() < alpha.trace.len() / 5);
-        assert!(mdmx.trace.len() <= mmx.trace.len());
-        assert!(mom.trace.len() < mdmx.trace.len() / 4);
+        let alpha = verified_trace(build(Metric::AbsoluteDifference, IsaKind::Alpha, &params));
+        let mmx = verified_trace(build(Metric::AbsoluteDifference, IsaKind::Mmx, &params));
+        let mdmx = verified_trace(build(Metric::AbsoluteDifference, IsaKind::Mdmx, &params));
+        let mom = verified_trace(build(Metric::AbsoluteDifference, IsaKind::Mom, &params));
+        assert!(mmx.len() < alpha.len() / 5);
+        assert!(mdmx.len() <= mmx.len());
+        assert!(mom.len() < mdmx.len() / 4);
     }
 
     #[test]
@@ -410,12 +405,12 @@ mod tests {
         // MMX needs widening for the squared differences while MDMX uses its
         // accumulator directly, so the MMX/MDMX gap is wider than for motion1.
         let params = KernelParams::default();
-        let mmx1 = build(Metric::AbsoluteDifference, IsaKind::Mmx, &params).run().unwrap();
-        let mdmx1 = build(Metric::AbsoluteDifference, IsaKind::Mdmx, &params).run().unwrap();
-        let mmx2 = build(Metric::SquaredDifference, IsaKind::Mmx, &params).run().unwrap();
-        let mdmx2 = build(Metric::SquaredDifference, IsaKind::Mdmx, &params).run().unwrap();
-        let gap1 = mmx1.trace.len() as f64 / mdmx1.trace.len() as f64;
-        let gap2 = mmx2.trace.len() as f64 / mdmx2.trace.len() as f64;
+        let mmx1 = verified_trace(build(Metric::AbsoluteDifference, IsaKind::Mmx, &params));
+        let mdmx1 = verified_trace(build(Metric::AbsoluteDifference, IsaKind::Mdmx, &params));
+        let mmx2 = verified_trace(build(Metric::SquaredDifference, IsaKind::Mmx, &params));
+        let mdmx2 = verified_trace(build(Metric::SquaredDifference, IsaKind::Mdmx, &params));
+        let gap1 = mmx1.len() as f64 / mdmx1.len() as f64;
+        let gap2 = mmx2.len() as f64 / mdmx2.len() as f64;
         assert!(gap2 > gap1);
     }
 }

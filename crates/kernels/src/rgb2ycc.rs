@@ -334,13 +334,13 @@ fn build_mom(params: &KernelParams) -> BuiltKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verified_trace;
 
     #[test]
     fn every_isa_matches_the_reference() {
         let params = KernelParams { seed: 17, scale: 1 };
         for isa in IsaKind::ALL {
-            let run = build(isa, &params).run_verified().expect("rgb2ycc verifies");
-            assert!(run.output_matches, "{isa} output mismatch");
+            verified_trace(build(isa, &params));
         }
     }
 
@@ -368,17 +368,17 @@ mod tests {
         // MOM/MDMX instruction-count gap is much smaller than for the motion
         // or compensation kernels (the paper makes the same observation).
         let params = KernelParams::default();
-        let mdmx = build(IsaKind::Mdmx, &params).run().unwrap();
-        let mom = build(IsaKind::Mom, &params).run().unwrap();
-        let ratio = mdmx.trace.len() as f64 / mom.trace.len() as f64;
+        let mdmx = verified_trace(build(IsaKind::Mdmx, &params));
+        let mom = verified_trace(build(IsaKind::Mom, &params));
+        let ratio = mdmx.len() as f64 / mom.len() as f64;
         assert!(ratio > 1.0 && ratio < 3.0, "MDMX/MOM instruction ratio {ratio}");
     }
 
     #[test]
     fn alpha_is_an_order_of_magnitude_larger() {
         let params = KernelParams::default();
-        let alpha = build(IsaKind::Alpha, &params).run().unwrap();
-        let mom = build(IsaKind::Mom, &params).run().unwrap();
-        assert!(alpha.trace.len() > 8 * mom.trace.len());
+        let alpha = verified_trace(build(IsaKind::Alpha, &params));
+        let mom = verified_trace(build(IsaKind::Mom, &params));
+        assert!(alpha.len() > 8 * mom.len());
     }
 }

@@ -175,29 +175,29 @@ fn build_mom(params: &KernelParams) -> BuiltKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verified_trace;
 
     #[test]
     fn every_isa_matches_the_reference() {
         let params = KernelParams { seed: 8, scale: 1 };
         for isa in IsaKind::ALL {
-            let run = build(isa, &params).run_verified().expect("upsample verifies");
-            assert!(run.output_matches, "{isa} output mismatch");
+            verified_trace(build(isa, &params));
         }
     }
 
     #[test]
     fn kernel_is_store_dominated() {
-        let run = build(IsaKind::Mmx, &KernelParams::default()).run().unwrap();
-        let stats = run.trace.stats();
+        let trace = verified_trace(build(IsaKind::Mmx, &KernelParams::default()));
+        let stats = trace.stats();
         assert!(stats.stores > stats.loads, "four stores per load");
     }
 
     #[test]
     fn mom_reduces_instruction_count_modestly_less_than_compute_kernels() {
         let params = KernelParams::default();
-        let mmx = build(IsaKind::Mmx, &params).run().unwrap();
-        let mom = build(IsaKind::Mom, &params).run().unwrap();
-        let ratio = mmx.trace.len() as f64 / mom.trace.len() as f64;
+        let mmx = verified_trace(build(IsaKind::Mmx, &params));
+        let mom = verified_trace(build(IsaKind::Mom, &params));
+        let ratio = mmx.len() as f64 / mom.len() as f64;
         assert!(ratio > 2.0 && ratio < 12.0, "ratio {ratio}");
     }
 }

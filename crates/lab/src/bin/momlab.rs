@@ -583,7 +583,9 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
         let unit_insts = opts.sample_unit.unwrap_or(runner::DEFAULT_SAMPLE_UNIT);
         let warmup_insts = opts.sample_warmup.unwrap_or(runner::DEFAULT_SAMPLE_WARMUP);
         let period = opts.sample_period.unwrap_or(runner::DEFAULT_SAMPLE_PERIOD);
-        if period != 0 && period < warmup_insts + unit_insts {
+        // `checked_add`: a window that overflows u64 is longer than any period.
+        let fits = warmup_insts.checked_add(unit_insts).is_some_and(|window| window <= period);
+        if period != 0 && !fits {
             return Err(format!(
                 "--sample-period {period} is shorter than --sample-warmup {warmup_insts} \
                  + --sample-unit {unit_insts} (use 0 to measure everything)"

@@ -467,7 +467,7 @@ pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
     if let ExecMode::Sampled { unit_insts, warmup_insts, period } = mode {
         assert!(unit_insts >= 1, "sampled mode needs a measurement unit of at least 1 instruction");
         assert!(
-            period == 0 || period >= warmup_insts + unit_insts,
+            period == 0 || warmup_insts.checked_add(unit_insts).is_some_and(|window| window <= period),
             "sampling period {period} is shorter than warmup {warmup_insts} + unit {unit_insts}"
         );
     }
@@ -1349,6 +1349,13 @@ mod tests {
         assert!(!ExecMode::Streamed.is_estimated());
         // Rate 1 (period 0) is exact, not an estimate.
         assert!(!ExecMode::Sampled { unit_insts: 1, warmup_insts: 0, period: 0 }.is_estimated());
+    }
+
+    #[test]
+    #[should_panic(expected = "is shorter than warmup")]
+    fn a_sampling_window_that_overflows_u64_is_rejected() {
+        let spec = figure5_spec(&[KernelKind::Compensation], 1, 1, true);
+        run_mode(&spec, 1, ExecMode::Sampled { unit_insts: 2, warmup_insts: u64::MAX, period: 5 });
     }
 
     #[test]

@@ -142,6 +142,20 @@ fn an_error_about_a_file_prints_one_line_and_no_usage() {
 }
 
 #[test]
+fn a_sampling_window_that_overflows_u64_is_one_error_line() {
+    let warmup = u64::MAX.to_string();
+    let output = momlab(&[
+        "run", "stress", "--no-json", "--sampled", "--sample-period", "5", "--sample-warmup", &warmup,
+        "--sample-unit", "2",
+    ]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "stderr:\n{stderr}");
+    assert!(stderr.starts_with("error: --sample-period 5 is shorter"), "stderr:\n{stderr}");
+    assert!(output.stdout.is_empty(), "no document is written");
+}
+
+#[test]
 fn an_unknown_flag_prints_the_usage() {
     let output = momlab(&["run", "--bogus"]);
     let stderr = String::from_utf8_lossy(&output.stderr);

@@ -10,10 +10,14 @@
 //! * **Estimates are anchored**: committed-instruction counts stay exact
 //!   (the functional interpreter executes the whole workload either way) and
 //!   every cell carries a [`CellSampling`] section.
+//! * **Estimates are pinned**: at the CI sampling knobs the fast-mode
+//!   `stress` and `figure7` documents equal the committed
+//!   `baselines/sampled/` documents minus `meta`.
 
 use mom_lab::runner::{
     run, ExecMode, RunOptions, RunResult, DEFAULT_SAMPLE_UNIT, DEFAULT_SAMPLE_WARMUP,
 };
+use mom_lab::json::Value;
 use mom_lab::spec::ExperimentSpec;
 
 fn run_with_mode(spec: &ExperimentSpec, workers: usize, mode: ExecMode) -> RunResult {
@@ -84,4 +88,34 @@ fn sampled_estimates_stay_anchored_to_the_exact_run() {
     let doc = sampled.results_json().to_pretty();
     assert!(doc.contains("\"sampling\""), "results document lacks a sampling section");
     assert!(doc.contains("\"ipc_mean\""));
+}
+
+/// `baselines/sampled/BENCH_<name>.json` without its `meta` section (the
+/// committed documents carry none; CI strips it from fresh runs).
+fn sampled_baseline(name: &str) -> Value {
+    let path = format!("{}/../../baselines/sampled/BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let Value::Object(mut members) = Value::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    else {
+        panic!("{path} is not a JSON object")
+    };
+    members.retain(|(key, _)| key != "meta");
+    Value::Object(members)
+}
+
+#[test]
+fn ci_knob_sampled_runs_equal_the_committed_baselines() {
+    // The knobs of the CI sampled gate; phases, windows and fast-forwards
+    // must land exactly where the committed estimates put them.
+    let mode = ExecMode::Sampled { unit_insts: 50, warmup_insts: 50, period: 400 };
+    for name in ["stress", "figure7"] {
+        let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
+        let got = run_with_mode(&spec, 1, mode).results_json().to_pretty();
+        let want = sampled_baseline(name).to_pretty();
+        let first_diff = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+        assert!(
+            got == want,
+            "{name}: sampled estimates drifted from baselines/sampled/ (first differing line {first_diff:?})"
+        );
+    }
 }

@@ -5,9 +5,9 @@
 //! Run with `cargo run --release --example cache_study`.
 
 use momsim::apps::{build_app, AppKind, AppParams};
-use momsim::cpu::{CoreConfig, OooCore};
+use momsim::cpu::MachineDescriptor;
 use momsim::isa::trace::IsaKind;
-use momsim::mem::{build_memory, Hierarchy, MemModelKind, MemorySystem};
+use momsim::mem::MemModelKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = AppParams { seed: 5, scale: 1 };
@@ -19,9 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for way in [4usize, 8] {
         // Baseline: Alpha with the conventional cache.
-        let base_core = OooCore::new(CoreConfig::for_width(way, IsaKind::Alpha));
-        let mut base_mem = build_memory(MemModelKind::Conventional, way);
-        let base = base_core.simulate(&alpha.trace, base_mem.as_mut());
+        let base = MachineDescriptor::for_cell(way, IsaKind::Alpha, MemModelKind::Conventional)
+            .build()
+            .simulate_trace(&alpha.trace);
 
         println!("{way}-way machine (Alpha/conventional baseline: {} cycles)", base.cycles);
         println!(
@@ -29,10 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "memory model", "cycles", "speedup", "L1 miss%", "L2 miss%", "vector txns"
         );
         for kind in [MemModelKind::MultiAddress, MemModelKind::VectorCache, MemModelKind::CollapsingBuffer] {
-            let core = OooCore::new(CoreConfig::for_width(way, IsaKind::Mom));
-            let mut memory = Hierarchy::new(kind, way);
-            let result = core.simulate(&built.trace, &mut memory);
-            let stats = memory.stats();
+            let mut machine = MachineDescriptor::for_cell(way, IsaKind::Mom, kind).build();
+            let result = machine.simulate_trace(&built.trace);
+            let stats = machine.mem_stats();
             println!(
                 "{:<22} {:>10} {:>8.2} {:>9.1}% {:>9.1}% {:>12}",
                 kind.to_string(),

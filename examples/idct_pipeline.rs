@@ -7,10 +7,10 @@
 //!
 //! Run with `cargo run --release --example idct_pipeline`.
 
-use momsim::cpu::{CoreConfig, OooCore};
-use momsim::isa::trace::IsaKind;
+use momsim::cpu::MachineDescriptor;
+use momsim::isa::trace::{IsaKind, Trace};
 use momsim::kernels::{build_kernel, KernelKind, KernelParams};
-use momsim::mem::{build_memory, MemModelKind};
+use momsim::mem::MemModelKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = KernelParams { seed: 11, scale: 1 };
@@ -21,19 +21,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut total_insts = 0usize;
         let mut total_cycles = 0u64;
         for stage in stages {
-            let run = build_kernel(stage, isa, &params).run_verified()?;
-            let core = OooCore::new(CoreConfig::way4(isa));
-            let mut memory = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-            let result = core.simulate(&run.trace, memory.as_mut());
+            let mut trace = Trace::new(isa);
+            build_kernel(stage, isa, &params).stream_verified(&mut trace)?;
+            let mut core = MachineDescriptor::for_cell(4, isa, MemModelKind::Perfect { latency: 1 }).build();
+            let result = core.simulate_trace(&trace);
             println!(
                 "  {:<5} {:<10} {:>8} insts {:>8} cycles (IPC {:.2})",
                 isa.to_string(),
                 stage.to_string(),
-                run.trace.len(),
+                trace.len(),
                 result.cycles,
                 result.ipc()
             );
-            total_insts += run.trace.len();
+            total_insts += trace.len();
             total_cycles += result.cycles;
         }
         println!("  {:<5} pipeline total: {total_insts} insts, {total_cycles} cycles\n", isa.to_string());

@@ -7,10 +7,10 @@
 //!
 //! Run with `cargo run --release --example motion_estimation`.
 
-use momsim::cpu::{CoreConfig, OooCore};
-use momsim::isa::trace::IsaKind;
+use momsim::cpu::MachineDescriptor;
+use momsim::isa::trace::{IsaKind, Trace};
 use momsim::kernels::{build_kernel, KernelKind, KernelParams};
-use momsim::mem::{build_memory, MemModelKind};
+use momsim::mem::MemModelKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = KernelParams { seed: 7, scale: 1 };
@@ -22,12 +22,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut one_way_alpha = 0u64;
     for isa in IsaKind::ALL {
-        let run = build_kernel(KernelKind::Motion1, isa, &params).run_verified()?;
+        let mut trace = Trace::new(isa);
+        build_kernel(KernelKind::Motion1, isa, &params).stream_verified(&mut trace)?;
         let mut cycles = Vec::new();
         for way in [1usize, 4] {
-            let core = OooCore::new(CoreConfig::for_width(way, isa));
-            let mut memory = build_memory(MemModelKind::Perfect { latency: 1 }, way);
-            cycles.push(core.simulate(&run.trace, memory.as_mut()).cycles);
+            let mut core = MachineDescriptor::for_cell(way, isa, MemModelKind::Perfect { latency: 1 }).build();
+            cycles.push(core.simulate_trace(&trace).cycles);
         }
         if isa == IsaKind::Alpha {
             one_way_alpha = cycles[0];
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{:<8} {:>12} {:>14} {:>14} {:>11.1} / {:>7.1}",
             isa.to_string(),
-            run.trace.len(),
+            trace.len(),
             cycles[0],
             cycles[1],
             one_way_alpha as f64 / cycles[0] as f64,

@@ -11,14 +11,14 @@ use momsim::core::matrix::{v, va};
 use momsim::core::ops::MomOp;
 use momsim::core::program::ProgramBuilder;
 use momsim::core::state::Machine;
-use momsim::cpu::{CoreConfig, OooCore};
+use momsim::cpu::MachineDescriptor;
 use momsim::isa::mdmx::AccOp;
 use momsim::isa::mem::MemImage;
 use momsim::isa::packed::Lane;
 use momsim::isa::regs::r;
 use momsim::isa::scalar::ScalarOp;
 use momsim::isa::trace::IsaKind;
-use momsim::mem::{build_memory, MemModelKind};
+use momsim::mem::MemModelKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small frame: 64-byte rows, two 16-row blocks that differ by 3 per pixel.
@@ -53,9 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("element mem accesses : {}", stats.mem_accesses);
 
     // Timing: replay the trace on a 4-way out-of-order core with perfect memory.
-    let core = OooCore::new(CoreConfig::way4(IsaKind::Mom));
-    let mut memory = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-    let result = core.simulate(&trace, memory.as_mut());
+    let mut core = MachineDescriptor::for_cell(4, IsaKind::Mom, MemModelKind::Perfect { latency: 1 }).build();
+    let result = core.simulate_trace(&trace);
     println!("simulated cycles     : {}", result.cycles);
     println!("IPC                  : {:.2}", result.ipc());
     Ok(())

@@ -3,20 +3,21 @@
 //!
 //! Two demonstrations:
 //!
-//! 1. A synthetic generator produces one million instructions on demand
-//!    (`InstSource`); the simulator consumes them with a lookback window of a
-//!    few hundred ring-buffer entries — the window is printed and does not
-//!    grow with the stream.
-//! 2. The fused kernel pipeline: `run_streamed` interprets a MOM kernel and
-//!    graduates every instruction straight into the timing model, and the
-//!    result is bit-identical to building the trace first and replaying it.
+//! 1. A synthetic generator (an iterator) produces one million instructions
+//!    on demand; the simulator consumes them with a lookback window of a few
+//!    hundred ring-buffer entries — the window is printed and does not grow
+//!    with the stream.
+//! 2. The fused kernel pipeline: `stream_verified` into a `SimMachine`'s
+//!    stream interprets a kernel and graduates every instruction straight
+//!    into the timing model, and the result is bit-identical to collecting
+//!    the trace first and replaying it.
 //!
 //! Run with `cargo run --release --example streaming`.
 
-use momsim::cpu::{CoreConfig, OooCore};
-use momsim::isa::trace::{ArchReg, DynInst, InstClass, IsaKind, MemAccess, MemKind};
+use momsim::cpu::MachineDescriptor;
+use momsim::isa::trace::{ArchReg, DynInst, InstClass, IsaKind, MemAccess, MemKind, Trace};
 use momsim::kernels::{build_kernel, KernelKind, KernelParams};
-use momsim::mem::{build_memory, MemModelKind};
+use momsim::mem::MemModelKind;
 
 /// A million-instruction pointer-chase-plus-compute loop, generated lazily:
 /// at no point does a `Vec` of these instructions exist.
@@ -38,9 +39,9 @@ fn synthetic_stream() -> impl Iterator<Item = DynInst> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. An unmaterialized stream >> ROB ------------------------------
-    let core = OooCore::new(CoreConfig::way4(IsaKind::Mom));
-    let mut memory = build_memory(MemModelKind::Perfect { latency: 4 }, 4);
-    let mut sim = core.stream(memory.as_mut());
+    let mut core = MachineDescriptor::for_cell(4, IsaKind::Mom, MemModelKind::Perfect { latency: 4 }).build();
+    let rob_size = core.descriptor().core.rob_size;
+    let mut sim = core.sim();
     let window = sim.window_entries();
     for inst in synthetic_stream() {
         sim.feed(&inst);
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(sim.window_entries(), window, "the lookback window never grows");
     let fed = sim.fed();
     let result = sim.finish();
-    println!("synthetic stream : {} instructions through a {}-entry ROB", fed, core.config().rob_size);
+    println!("synthetic stream : {fed} instructions through a {rob_size}-entry ROB");
     println!("lookback window  : {window} ring-buffer entries ({}x smaller than the stream)", fed / window);
     println!("cycles           : {}  (IPC {:.2})", result.cycles, result.ipc());
 
@@ -56,14 +57,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = KernelParams { seed: 42, scale: 4 };
     let kernel = KernelKind::Rgb2Ycc;
     for isa in [IsaKind::Alpha, IsaKind::Mom] {
-        let core = OooCore::new(CoreConfig::way4(isa));
+        let desc = MachineDescriptor::for_cell(4, isa, MemModelKind::Perfect { latency: 1 });
 
-        let mut mem_fused = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-        let fused = build_kernel(kernel, isa, &params).run_streamed(&core, mem_fused.as_mut())?;
+        let mut core = desc.build();
+        let mut sim = core.sim();
+        build_kernel(kernel, isa, &params).stream_verified(&mut sim)?;
+        let fused = sim.finish();
 
-        let run = build_kernel(kernel, isa, &params).run_verified()?;
-        let mut mem_batch = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-        let batch = core.simulate(&run.trace, mem_batch.as_mut());
+        let mut trace = Trace::new(isa);
+        build_kernel(kernel, isa, &params).stream_verified(&mut trace)?;
+        let batch = desc.build().simulate_trace(&trace);
 
         assert_eq!(fused, batch, "streamed and materialized timing must agree");
         println!(

@@ -7,21 +7,28 @@
 //! regression in one implementation is reported by name instead of aborting a
 //! shared loop; the full 8-kernel × 4-ISA matrix is 32 tests.
 
-use momsim::isa::trace::IsaKind;
+use momsim::isa::trace::{IsaKind, Trace};
 use momsim::kernels::{build_kernel, KernelKind, KernelParams};
 
 /// Seed distinct from the unit tests' (42) and the benches' workloads.
 const FRESH_SEED: u64 = 20_260_614;
 
+/// Build and run one kernel, collecting its trace; `stream_verified` turns
+/// any mismatch with the golden reference into an error.
+fn verified_trace(kernel: KernelKind, isa: IsaKind, params: &KernelParams) -> Trace {
+    let mut trace = Trace::new(isa);
+    build_kernel(kernel, isa, params)
+        .stream_verified(&mut trace)
+        .unwrap_or_else(|e| panic!("{kernel} ({isa}) at scale {} failed: {e}", params.scale));
+    trace
+}
+
 /// Build and run one kernel×ISA pair, asserting bit-exact agreement with the
-/// golden reference (`run_verified` turns any mismatch into an error) and a
-/// non-empty dynamic trace.
+/// golden reference and a non-empty dynamic trace.
 fn verify_pair(kernel: KernelKind, isa: IsaKind) {
     let params = KernelParams { seed: FRESH_SEED, scale: 1 };
-    let run = build_kernel(kernel, isa, &params)
-        .run_verified()
-        .unwrap_or_else(|e| panic!("{kernel} ({isa}) failed: {e}"));
-    assert!(!run.trace.is_empty(), "{kernel} ({isa}) produced an empty trace");
+    let trace = verified_trace(kernel, isa, &params);
+    assert!(!trace.is_empty(), "{kernel} ({isa}) produced an empty trace");
 }
 
 macro_rules! verify_pair_tests {
@@ -98,9 +105,7 @@ fn every_pair_also_verifies_at_scale_2() {
     let params = KernelParams { seed: FRESH_SEED + 1, scale: 2 };
     for kernel in KernelKind::ALL {
         for isa in IsaKind::ALL {
-            build_kernel(kernel, isa, &params)
-                .run_verified()
-                .unwrap_or_else(|e| panic!("{kernel} ({isa}) failed at scale 2: {e}"));
+            verified_trace(kernel, isa, &params);
         }
     }
 }
@@ -112,9 +117,7 @@ fn media_isas_never_shrink_below_mom() {
     // bring nothing).
     let params = KernelParams { seed: 99, scale: 1 };
     for kernel in KernelKind::ALL {
-        let count = |isa: IsaKind| {
-            build_kernel(kernel, isa, &params).run_verified().unwrap().trace.len()
-        };
+        let count = |isa: IsaKind| verified_trace(kernel, isa, &params).len();
         let alpha = count(IsaKind::Alpha);
         let mmx = count(IsaKind::Mmx);
         let mdmx = count(IsaKind::Mdmx);
@@ -129,7 +132,7 @@ fn media_isas_never_shrink_below_mom() {
 fn workload_scale_is_monotonic() {
     for scale in [1usize, 2] {
         let params = KernelParams { seed: 3, scale };
-        let run = build_kernel(KernelKind::AddBlock, IsaKind::Mom, &params).run_verified().unwrap();
-        assert!(run.trace.len() > 100 * scale);
+        let trace = verified_trace(KernelKind::AddBlock, IsaKind::Mom, &params);
+        assert!(trace.len() > 100 * scale);
     }
 }

@@ -5,18 +5,18 @@
 //! These use the cheapest kernels so they stay fast in debug builds; the full
 //! sweeps are `momlab run figure5|latency_tolerance|figure7`.
 
-use momsim::cpu::{CoreConfig, OooCore};
+use momsim::cpu::MachineDescriptor;
 use momsim::isa::trace::IsaKind;
 use momsim::kernels::{build_kernel, KernelKind, KernelParams};
 use momsim::lab::json::Value;
-use momsim::mem::{build_memory, MemModelKind};
+use momsim::mem::MemModelKind;
 
 fn cycles(kernel: KernelKind, isa: IsaKind, way: usize, mem: MemModelKind) -> u64 {
     let params = KernelParams { seed: 42, scale: 1 };
-    let run = build_kernel(kernel, isa, &params).run_verified().unwrap();
-    let core = OooCore::new(CoreConfig::for_width(way, isa));
-    let mut memory = build_memory(mem, way);
-    core.simulate(&run.trace, memory.as_mut()).cycles
+    let mut machine = MachineDescriptor::for_cell(way, isa, mem).build();
+    let mut sim = machine.sim();
+    build_kernel(kernel, isa, &params).stream_verified(&mut sim).unwrap();
+    sim.finish().cycles
 }
 
 #[test]
@@ -62,13 +62,9 @@ fn realistic_hierarchies_run_mom_traces_correctly() {
     // The three MOM-specific memory front-ends must all complete the same
     // trace; the vector cache should not be slower than element-at-a-time
     // multi-address access for this unit-stride-friendly kernel at 8 ways.
-    let params = KernelParams { seed: 42, scale: 1 };
-    let run = build_kernel(KernelKind::AddBlock, IsaKind::Mom, &params).run_verified().unwrap();
     let mut results = Vec::new();
     for kind in [MemModelKind::MultiAddress, MemModelKind::VectorCache, MemModelKind::CollapsingBuffer] {
-        let core = OooCore::new(CoreConfig::for_width(8, IsaKind::Mom));
-        let mut memory = build_memory(kind, 8);
-        results.push((kind, core.simulate(&run.trace, memory.as_mut()).cycles));
+        results.push((kind, cycles(KernelKind::AddBlock, IsaKind::Mom, 8, kind)));
     }
     for (kind, cycles) in &results {
         assert!(*cycles > 0, "{kind} produced no cycles");
