@@ -49,11 +49,6 @@ pub struct CoreConfig {
     pub media_units: FuPool,
     /// Number of memory ports (informational; the memory model enforces it).
     pub mem_ports: usize,
-    /// Front-end depth in cycles (fetch to dispatch).
-    pub frontend_depth: u64,
-    /// Extra penalty cycles on a branch misprediction beyond waiting for the
-    /// branch to resolve.
-    pub mispredict_penalty: u64,
     /// Physical registers available per register class.
     pub phys_regs: PhysRegs,
     /// Which ISA the media register file is sized for.
@@ -170,8 +165,6 @@ impl CoreConfig {
             fp_units,
             media_units,
             mem_ports,
-            frontend_depth: 3,
-            mispredict_penalty: 2,
             phys_regs: PhysRegs {
                 int: int_phys,
                 fp: fp_phys,
@@ -182,26 +175,6 @@ impl CoreConfig {
             },
             isa,
         }
-    }
-
-    /// The 1-way (single-issue, in-order-width) configuration.
-    pub fn way1(isa: IsaKind) -> Self {
-        Self::for_width(1, isa)
-    }
-
-    /// The 2-way configuration.
-    pub fn way2(isa: IsaKind) -> Self {
-        Self::for_width(2, isa)
-    }
-
-    /// The 4-way configuration.
-    pub fn way4(isa: IsaKind) -> Self {
-        Self::for_width(4, isa)
-    }
-
-    /// The 8-way configuration.
-    pub fn way8(isa: IsaKind) -> Self {
-        Self::for_width(8, isa)
     }
 
     /// Renaming headroom (physical minus logical registers) for a class;
@@ -219,10 +192,10 @@ mod tests {
 
     #[test]
     fn table1_resources_scale_with_width() {
-        let w1 = CoreConfig::way1(IsaKind::Alpha);
-        let w2 = CoreConfig::way2(IsaKind::Alpha);
-        let w4 = CoreConfig::way4(IsaKind::Alpha);
-        let w8 = CoreConfig::way8(IsaKind::Alpha);
+        let w1 = CoreConfig::for_width(1, IsaKind::Alpha);
+        let w2 = CoreConfig::for_width(2, IsaKind::Alpha);
+        let w4 = CoreConfig::for_width(4, IsaKind::Alpha);
+        let w8 = CoreConfig::for_width(8, IsaKind::Alpha);
         assert_eq!((w1.rob_size, w1.lsq_size), (8, 4));
         assert_eq!((w2.rob_size, w2.lsq_size), (16, 8));
         assert_eq!((w4.rob_size, w4.lsq_size), (32, 16));
@@ -245,39 +218,39 @@ mod tests {
 
     #[test]
     fn mom_8way_uses_two_double_width_media_units() {
-        let mom = CoreConfig::way8(IsaKind::Mom);
+        let mom = CoreConfig::for_width(8, IsaKind::Mom);
         assert_eq!(mom.media_units.total(), 2);
         assert_eq!(mom.media_units.lanes, 2);
-        let mmx = CoreConfig::way8(IsaKind::Mmx);
+        let mmx = CoreConfig::for_width(8, IsaKind::Mmx);
         assert_eq!(mmx.media_units.total(), 4);
         assert_eq!(mmx.media_units.lanes, 1);
     }
 
     #[test]
     fn table2_register_files_per_isa() {
-        let mmx = CoreConfig::way4(IsaKind::Mmx);
+        let mmx = CoreConfig::for_width(4, IsaKind::Mmx);
         assert_eq!(mmx.phys_regs.media, 64);
-        let mdmx = CoreConfig::way4(IsaKind::Mdmx);
+        let mdmx = CoreConfig::for_width(4, IsaKind::Mdmx);
         assert_eq!(mdmx.phys_regs.media, 52);
         assert_eq!(mdmx.phys_regs.acc, 16);
-        let mom = CoreConfig::way4(IsaKind::Mom);
+        let mom = CoreConfig::for_width(4, IsaKind::Mom);
         assert_eq!(mom.phys_regs.mom, 20);
         assert_eq!(mom.phys_regs.mom_acc, 4);
     }
 
     #[test]
     fn rename_headroom_is_at_least_one() {
-        let mom = CoreConfig::way4(IsaKind::Mom);
+        let mom = CoreConfig::for_width(4, IsaKind::Mom);
         assert_eq!(mom.rename_headroom(RegClass::Mom), 4);
         assert_eq!(mom.rename_headroom(RegClass::MomAcc), 2);
-        let alpha = CoreConfig::way1(IsaKind::Alpha);
+        let alpha = CoreConfig::for_width(1, IsaKind::Alpha);
         assert_eq!(alpha.rename_headroom(RegClass::Int), 8);
         assert!(alpha.rename_headroom(RegClass::Acc) >= 1);
     }
 
     #[test]
     fn phys_regs_by_class() {
-        let c = CoreConfig::way4(IsaKind::Mdmx);
+        let c = CoreConfig::for_width(4, IsaKind::Mdmx);
         assert_eq!(c.phys_regs.for_class(RegClass::Int), 64);
         assert_eq!(c.phys_regs.for_class(RegClass::Acc), 16);
         assert_eq!(PhysRegs::logical_for_class(RegClass::Mom, IsaKind::Mom), 16);

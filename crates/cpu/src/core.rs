@@ -39,37 +39,48 @@ use mom_isa::trace::{ArchReg, DynInst, InstClass, MemAccess, RegClass, TraceSink
 use mom_mem::{AccessCause, Completion, MemorySystem, PerfectMemory};
 
 /// Execution latencies per functional-unit class, in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Latencies {
+struct Latencies {
     /// Simple integer operations.
-    pub int_simple: u64,
+    int_simple: u64,
     /// Integer multiply/divide.
-    pub int_complex: u64,
+    int_complex: u64,
     /// Simple floating-point operations.
-    pub fp_simple: u64,
+    fp_simple: u64,
     /// Floating-point multiply/divide.
-    pub fp_complex: u64,
+    fp_complex: u64,
     /// Simple packed multimedia operations.
-    pub media_simple: u64,
+    media_simple: u64,
     /// Packed multiplies and multiply-accumulates.
-    pub media_complex: u64,
+    media_complex: u64,
     /// Branch resolution.
-    pub branch: u64,
+    branch: u64,
 }
 
-impl Default for Latencies {
-    fn default() -> Self {
-        Self {
-            int_simple: 1,
-            int_complex: 3,
-            fp_simple: 2,
-            fp_complex: 4,
-            media_simple: 1,
-            media_complex: 3,
-            branch: 1,
-        }
-    }
-}
+/// The execution latencies of every modelled machine. No experiment varies
+/// them — the studies vary issue width, ISA, ROB size and memory system — so
+/// they are a constant of the model, not a machine parameter.
+const LATENCIES: Latencies = Latencies {
+    int_simple: 1,
+    int_complex: 3,
+    fp_simple: 2,
+    fp_complex: 4,
+    media_simple: 1,
+    media_complex: 3,
+    branch: 1,
+};
+
+// Multiplies and divides are slower than simple operations on every unit.
+const _: () = assert!(
+    LATENCIES.int_complex > LATENCIES.int_simple
+        && LATENCIES.fp_complex > LATENCIES.fp_simple
+        && LATENCIES.media_complex > LATENCIES.media_simple
+);
+
+/// Front-end depth in cycles, from fetch to dispatch.
+const FRONTEND_DEPTH: u64 = 3;
+
+/// Extra cycles a mispredicted branch costs beyond waiting for it to resolve.
+const MISPREDICT_PENALTY: u64 = 2;
 
 /// Summary of one simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -395,7 +406,6 @@ impl SimState {
 #[derive(Debug)]
 pub struct SimStream<'a, P: Probe = NoProbe> {
     config: &'a CoreConfig,
-    latencies: &'a Latencies,
     memory: MemRef<'a>,
     state: &'a mut SimState,
     probe: P,
@@ -454,7 +464,6 @@ impl<'a, P: Probe> SimStream<'a, P> {
     /// Panics if `state` was sized for a different configuration.
     pub(crate) fn with_state(
         config: &'a CoreConfig,
-        latencies: &'a Latencies,
         memory: &'a mut dyn MemorySystem,
         state: &'a mut SimState,
         mut probe: P,
@@ -467,13 +476,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
             "SimState was built for a different core configuration"
         );
         probe.begin(state.fed as u64);
-        Self {
-            state,
-            config,
-            latencies,
-            memory: MemRef::new(memory),
-            probe,
-        }
+        Self { state, config, memory: MemRef::new(memory), probe }
     }
 
     /// Total ring-buffer entries retained — the simulator's bounded lookback
@@ -502,14 +505,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
     /// Panics if the memory system refuses a request for an implausibly long
     /// time (a broken memory model, not a property of the workload).
     pub fn feed(&mut self, inst: &DynInst) {
-        Self::feed_one(
-            self.config,
-            self.latencies,
-            &mut self.memory,
-            &mut self.probe,
-            self.state,
-            inst,
-        );
+        Self::feed_one(self.config, &mut self.memory, &mut self.probe, self.state, inst);
     }
 
     /// [`SimStream::feed`]'s body, over pre-split borrows of the stream's
@@ -523,7 +519,6 @@ impl<'a, P: Probe> SimStream<'a, P> {
     #[inline(always)]
     fn feed_one(
         cfg: &CoreConfig,
-        lat: &Latencies,
         memory: &mut MemRef<'_>,
         probe: &mut P,
         st: &mut SimState,
@@ -552,7 +547,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
         st.last_fetch = f;
 
         // ---------------- Dispatch (rename + ROB/LSQ/phys-reg allocation) ----------------
-        let mut dispatch = f + cfg.frontend_depth;
+        let mut dispatch = f + FRONTEND_DEPTH;
         if i >= cfg.rob_size {
             let rob_floor = st.commits.nth_back(cfg.rob_size);
             if rob_floor > dispatch {
@@ -653,7 +648,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
                 if P::ENABLED && start > ready {
                     cause = StallCause::UnitScalar;
                 }
-                let complete = start + lat.branch;
+                let complete = start + LATENCIES.branch;
                 if let Some(b) = inst.branch {
                     let correct =
                         st.predictor.predict_and_update(b.pc, b.conditional, b.taken, b.target);
@@ -664,8 +659,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
                             st.fetched_in_last = cfg.way;
                         }
                     } else {
-                        st.redirect_floor =
-                            st.redirect_floor.max(complete + cfg.mispredict_penalty);
+                        st.redirect_floor = st.redirect_floor.max(complete + MISPREDICT_PENALTY);
                     }
                 }
                 complete
@@ -677,7 +671,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
                 if P::ENABLED && start > ready {
                     cause = StallCause::UnitScalar;
                 }
-                start + if complex { lat.int_complex } else { lat.int_simple }
+                start + if complex { LATENCIES.int_complex } else { LATENCIES.int_simple }
             }
             InstClass::FpSimple | InstClass::FpComplex => {
                 let complex = inst.class == InstClass::FpComplex;
@@ -685,7 +679,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
                 if P::ENABLED && start > ready {
                     cause = StallCause::UnitScalar;
                 }
-                start + if complex { lat.fp_complex } else { lat.fp_simple }
+                start + if complex { LATENCIES.fp_complex } else { LATENCIES.fp_simple }
             }
             InstClass::MediaSimple | InstClass::MediaComplex => {
                 let complex = inst.class == InstClass::MediaComplex;
@@ -702,7 +696,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
                 if P::ENABLED && start > ready {
                     cause = StallCause::UnitMedia;
                 }
-                let op_lat = if complex { lat.media_complex } else { lat.media_simple };
+                let op_lat = if complex { LATENCIES.media_complex } else { LATENCIES.media_simple };
                 start + occupancy - 1 + op_lat
             }
         };
@@ -798,7 +792,7 @@ impl<P: Probe> TraceSink for SimStream<'_, P> {
         // instruction.
         let st = &mut *self.state;
         for inst in insts {
-            Self::feed_one(self.config, self.latencies, &mut self.memory, &mut self.probe, st, inst);
+            Self::feed_one(self.config, &mut self.memory, &mut self.probe, st, inst);
         }
     }
 }
@@ -1019,13 +1013,6 @@ mod tests {
         assert!(r8.cycles * 2 < r1.cycles, "8-way {} vs 1-way {}", r8.cycles, r1.cycles);
     }
 
-    #[test]
-    fn latencies_default_are_sane() {
-        let l = Latencies::default();
-        assert!(l.int_complex > l.int_simple);
-        assert!(l.media_complex > l.media_simple);
-    }
-
     /// A generator that produces instructions on demand — the whole sequence
     /// never exists in memory at once.
     struct Generated {
@@ -1119,8 +1106,7 @@ mod tests {
     fn reusable_state_round_trips_through_stream_with() {
         // A state driven by hand equals a built machine, and a reset state
         // equals a fresh one.
-        let config = CoreConfig::way4(IsaKind::Alpha);
-        let latencies = Latencies::default();
+        let config = CoreConfig::for_width(4, IsaKind::Alpha);
         let t = independent_trace(500);
         let expected = run(&t, 4, IsaKind::Alpha);
 
@@ -1128,7 +1114,7 @@ mod tests {
         assert!(state.matches_config(&config));
         for round in 0..2 {
             let mut mem = build_memory(MemModelKind::Perfect { latency: 1 }, 4);
-            let mut sim = SimStream::with_state(&config, &latencies, mem.as_mut(), &mut state, NoProbe);
+            let mut sim = SimStream::with_state(&config, mem.as_mut(), &mut state, NoProbe);
             for inst in &t.insts {
                 sim.feed(inst);
             }
@@ -1143,10 +1129,10 @@ mod tests {
         // A state sized for the 8-way machine must not drive the 1-way one:
         // the ring-buffer windows differ and the timings would be silently
         // wrong.
-        let mut state = SimState::new(&CoreConfig::way8(IsaKind::Alpha));
-        let way1 = CoreConfig::way1(IsaKind::Alpha);
+        let mut state = SimState::new(&CoreConfig::for_width(8, IsaKind::Alpha));
+        let way1 = CoreConfig::for_width(1, IsaKind::Alpha);
         let mut mem = build_memory(MemModelKind::Perfect { latency: 1 }, 1);
-        let _ = SimStream::with_state(&way1, &Latencies::default(), mem.as_mut(), &mut state, NoProbe);
+        let _ = SimStream::with_state(&way1, mem.as_mut(), &mut state, NoProbe);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod machine;
 pub mod predictor;
 pub mod probe;
 
-pub use crate::core::{Latencies, SimResult, SimStream};
+pub use crate::core::{SimResult, SimStream};
 pub use crate::probe::{
     AttributionProbe, IntervalStats, IntervalWindow, NoProbe, Probe, ProbeReport, StallBreakdown,
     StallCause,

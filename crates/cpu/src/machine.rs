@@ -2,19 +2,19 @@
 //! simulated machine, and one object that instantiates it.
 //!
 //! Before this module existed, every experiment assembled its machines by
-//! hand — a [`CoreConfig`] here, a `build_memory` call there, default
-//! [`Latencies`] implied — and the pieces lived in different crates with no
-//! single value to hash, print or sweep over. A [`MachineDescriptor`] is that
-//! value: core organisation (register files included), execution latencies
-//! and memory system in one place. [`MachineDescriptor::build`] turns it
-//! into a [`SimMachine`] — the descriptor, its memory system and its engine
-//! state, owned together — and [`SimMachine::reset`] returns a used machine
-//! to its just-built state without reallocating predictor tables, ring
-//! buffers or cache arrays, so the experiment runner can reuse machines
-//! across grid cells. [`SimMachine`] is the only way to time instructions.
+//! hand — a [`CoreConfig`] here, a `build_memory` call there — and the
+//! pieces lived in different crates with no single value to hash, print or
+//! sweep over. A [`MachineDescriptor`] is that value: core organisation
+//! (register files included) and memory system in one place.
+//! [`MachineDescriptor::build`] turns it into a [`SimMachine`] — the
+//! descriptor, its memory system and its engine state, owned together — and
+//! [`SimMachine::reset`] returns a used machine to its just-built state
+//! without reallocating predictor tables, ring buffers or cache arrays, so
+//! the experiment runner can reuse machines across grid cells.
+//! [`SimMachine`] is the only way to time instructions.
 
 use crate::config::CoreConfig;
-use crate::core::{Latencies, SimResult, SimState, SimStream};
+use crate::core::{SimResult, SimState, SimStream};
 use crate::probe::{AttributionProbe, NoProbe, Probe};
 use mom_isa::pipe::BatchReceiver;
 use mom_isa::trace::{IsaKind, Trace};
@@ -27,7 +27,6 @@ use mom_mem::{build_memory, MemModelKind, MemSystemStats, MemorySystem};
 /// * `core` — the out-of-order organisation (issue width, ROB/LSQ, predictor
 ///   tables, functional units) of Table 1 and the physical register files of
 ///   Table 2;
-/// * `latencies` — per-class execution latencies;
 /// * `mem` — which memory system to build (ports sized for `core.way`).
 ///
 /// Two descriptors compare equal exactly when they describe the same
@@ -37,32 +36,22 @@ use mom_mem::{build_memory, MemModelKind, MemSystemStats, MemorySystem};
 pub struct MachineDescriptor {
     /// Core organisation (Table 1 for the standard widths).
     pub core: CoreConfig,
-    /// Execution latencies per functional-unit class.
-    pub latencies: Latencies,
     /// Memory system to attach.
     pub mem: MemModelKind,
 }
 
 impl MachineDescriptor {
     /// The descriptor of a standard grid cell: the Table 1 configuration for
-    /// `way` with register files sized for `isa`, default latencies, and the
-    /// named memory system. This is the single definition every experiment
-    /// shares.
+    /// `way` with register files sized for `isa`, and the named memory
+    /// system. This is the single definition every experiment shares.
     pub fn for_cell(way: usize, isa: IsaKind, mem: MemModelKind) -> Self {
-        Self { core: CoreConfig::for_width(way, isa), latencies: Latencies::default(), mem }
+        Self { core: CoreConfig::for_width(way, isa), mem }
     }
 
     /// Override the reorder-buffer size (the design-space `sweep` dimension).
     #[must_use = "builder methods return the modified descriptor"]
     pub fn with_rob(mut self, rob_size: usize) -> Self {
         self.core.rob_size = rob_size.max(1);
-        self
-    }
-
-    /// Override the execution latencies.
-    #[must_use = "builder methods return the modified descriptor"]
-    pub fn with_latencies(mut self, latencies: Latencies) -> Self {
-        self.latencies = latencies;
         self
     }
 
@@ -171,8 +160,7 @@ impl SimMachine {
 
     /// Open a stream on this machine instrumented by `probe`.
     pub(crate) fn stream<P: Probe>(&mut self, probe: P) -> SimStream<'_, P> {
-        let MachineDescriptor { core, latencies, .. } = &self.descriptor;
-        SimStream::with_state(core, latencies, self.memory.as_mut(), &mut self.state, probe)
+        SimStream::with_state(&self.descriptor.core, self.memory.as_mut(), &mut self.state, probe)
     }
 
     /// Replay a materialized trace on this machine, feeding one instruction

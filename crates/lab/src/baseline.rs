@@ -60,8 +60,7 @@ pub struct Diff {
     /// both confidence intervals** (`|Δ| > ci_new + ci_base`) — smaller
     /// moves are statistically indistinguishable at 95% confidence. Sampled
     /// estimates carry sampling error by construction, so these lines never
-    /// affect [`Diff::has_regressions`]; exact (rate-1 or full-mode) cycle
-    /// counts remain the gate.
+    /// affect [`Diff::has_regressions`]; exact cycle counts remain the gate.
     pub sampling: Vec<String>,
 }
 

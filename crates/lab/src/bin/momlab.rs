@@ -28,20 +28,18 @@
 //!   functional pass per `(workload, ISA)` group, fanned out to all member
 //!   simulators (byte-identical, and the functional work drops by the
 //!   factor reported in `meta.shared_passes`). Each group runs whole on
-//!   one worker; `--workers` spreads the groups. `--materialized` (trace
-//!   replay) was removed and is rejected with an error
+//!   one worker; `--workers` spreads the groups
 //! * `--sampled` — SMARTS-style sampled simulation: each cell simulates a
 //!   detailed warm-up + measurement unit at the head of every sampling
 //!   period and functionally fast-forwards the rest, so wall-clock scales
 //!   with the number of samples instead of the workload length. Cells are
 //!   IPC *estimates* with 95% confidence intervals (reported in a `sampling`
 //!   results section). The cells of one `(workload, ISA)` group share one
-//!   functional pass that broadcasts each detailed window to all of them;
-//!   `--sample-period 0` measures everything and is byte-identical to
-//!   `--streamed`
+//!   functional pass that broadcasts each detailed window to all of them
 //! * `--sample-unit N` / `--sample-warmup N` / `--sample-period N` — the
 //!   sampling knobs (defaults 1000 / 2000 / 100000 dynamic instructions;
-//!   each implies `--sampled`)
+//!   each implies `--sampled`). The unit must be at least 1 and the period
+//!   at least warm-up + unit
 //! * `--sweep-dims SPEC` — override the `sweep` experiment's grid, e.g.
 //!   `rob=16,32:lat=1,50:way=4,8` (axes: `rob`, `lat`, `way`; omitted axes
 //!   keep their defaults)
@@ -53,18 +51,6 @@
 //!   machine-specific noise
 //! * `--no-json` — skip writing result files
 //! * `--quiet` — suppress the text tables
-//! * `--baseline FILE` — diff the result against a saved JSON document;
-//!   exit code 2 when a regression is found
-//! * `--compare FILE` — embed a `comparison` section into the written
-//!   document: wall-clock speedup over the exact run saved in FILE plus the
-//!   per-cell IPC error against it (how the committed sampled BENCH
-//!   artifacts carry their own accuracy evidence)
-//! * `--tolerance F` — relative cycle tolerance for `--baseline` (default 0.02)
-//! * `--throughput-gate MINST` — exit 2 when an experiment's aggregate
-//!   simulator throughput lands below MINST million instructions per second
-//!   (full mode only; skipped with a stderr note under `MOM_BENCH_FAST=1`,
-//!   and cache-hit cells are exempt from the aggregate — an all-hit run
-//!   skips the gate with a note)
 //! * `--cache-dir DIR` — persistent content-addressed cell cache: store
 //!   every simulated cell as a JSON record and serve identical cells from
 //!   disk on later runs, byte-identically, across all execution modes
@@ -73,13 +59,15 @@
 //!   scheduler spans (one trace process per experiment, one track per worker;
 //!   load it in `chrome://tracing` or Perfetto)
 //!
-//! `momlab diff` (and `--baseline`) gate on simulated cycles only. When both
-//! documents carry a `meta.throughput` section, the report additionally
-//! prints informational per-cell `insts_per_sec` deltas (`throughput:`
-//! lines), and when both carry `meta.shared_passes` it prints the
-//! functional-sharing factors (`sharing:` line) — so simulator-performance
-//! changes stay visible in CI logs without wall-clock noise ever affecting
-//! the exit code.
+//! `momlab diff` compares a written result with a saved one and gates on
+//! simulated cycles only (relative `--tolerance`, default 0.02; exit code 2
+//! on a regression); `run` rejects `--baseline` and `--tolerance` instead
+//! of ignoring them. When both documents carry a `meta.throughput` section,
+//! the report additionally prints informational per-cell `insts_per_sec`
+//! deltas (`throughput:` lines), and when both carry `meta.shared_passes`
+//! it prints the functional-sharing factors (`sharing:` line) — so
+//! simulator-performance changes stay visible in CI logs without wall-clock
+//! noise ever affecting the exit code.
 //!
 //! `MOM_BENCH_FAST=1` selects the reduced fast-mode workload subsets (the
 //! ones the golden files under `tests/golden/` were captured with).
@@ -144,8 +132,7 @@ Usage:
              [--sampled] [--sample-unit N] [--sample-warmup N]
              [--sample-period N] [--sweep-dims SPEC] [--json FILE]
              [--out-dir DIR] [--results-only] [--no-json] [--quiet]
-             [--baseline FILE] [--compare FILE] [--tolerance F]
-             [--trace-out FILE] [--throughput-gate MINST] [--cache-dir DIR]
+             [--trace-out FILE] [--cache-dir DIR]
   momlab --all
   momlab diff <NEW.json> --baseline <OLD.json> [--tolerance F]
   momlab cache ls|verify|gc [--cache-dir DIR] [--max-bytes N] [--workers N]
@@ -162,20 +149,16 @@ byte-identical in their results.
 (1000) and fast-forwards the rest, reporting per-cell IPC estimates with
 95% confidence intervals in a `sampling` results section. Sampled cells
 share one functional pass per (workload, ISA) group, applications
-included. --sample-period 0 measures every instruction and is
-byte-identical to --streamed.
+included. The unit must be at least 1 and the period at least warm-up +
+unit.
 
 --sweep-dims overrides the sweep grid, e.g. rob=16,32:lat=1,50:way=4,8.
 
 --trace-out FILE writes a Chrome trace-event JSON of the runner's scheduler
 spans (one process per experiment; open in chrome://tracing or Perfetto).
 
---throughput-gate MINST exits 2 when any selected experiment's aggregate
-simulator throughput falls below MINST million instructions per second.
-Full-mode runs only: under MOM_BENCH_FAST=1 the gate is skipped (with a
-note on stderr), since reduced workloads measure nothing comparable.
-Cache hits skip simulation, so cached cells are exempt from the aggregate
-and an all-hit run skips the gate entirely (with a stderr note).
+momlab diff compares a written result with a saved one and exits 2 when
+cycles grow beyond --tolerance (default 0.02).
 
 --cache-dir DIR enables the persistent content-addressed cell cache: each
 grid cell's simulation result is stored as one JSON record keyed by the
@@ -217,10 +200,8 @@ struct Options {
     no_json: bool,
     quiet: bool,
     baseline: Option<PathBuf>,
-    compare: Option<PathBuf>,
-    tolerance: f64,
+    tolerance: Option<f64>,
     trace_out: Option<PathBuf>,
-    throughput_gate: Option<f64>,
     cache_dir: Option<PathBuf>,
     max_bytes: Option<u64>,
 }
@@ -229,7 +210,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         scale: 1,
         out_dir: PathBuf::from("."),
-        tolerance: DEFAULT_TOLERANCE,
         ..Options::default()
     };
     let mut it = args.iter();
@@ -268,24 +248,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     Some(value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?)
             }
             "--streamed" => opts.streamed = true,
-            "--materialized" => {
-                return Err("--materialized was removed: the runner no longer replays \
-                            materialized traces; --streamed gives byte-identical per-cell runs"
-                    .into())
-            }
             "--sampled" => opts.sampled = true,
             "--sample-unit" => {
                 opts.sample_unit = Some(
-                    value("--sample-unit")?
-                        .parse()
-                        .map_err(|e| format!("--sample-unit: {e}"))
-                        .and_then(|u| {
-                            if u == 0 {
-                                Err("--sample-unit must be >= 1".to_string())
-                            } else {
-                                Ok(u)
-                            }
-                        })?,
+                    value("--sample-unit")?.parse().map_err(|e| format!("--sample-unit: {e}"))?,
                 );
                 opts.sampled = true;
             }
@@ -312,7 +278,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--no-json" => opts.no_json = true,
             "--quiet" => opts.quiet = true,
             "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--compare" => opts.compare = Some(PathBuf::from(value("--compare")?)),
             "--trace-out" => opts.trace_out = Some(PathBuf::from(value("--trace-out")?)),
             "--cache-dir" => opts.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--max-bytes" => {
@@ -320,31 +285,19 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     value("--max-bytes")?.parse().map_err(|e| format!("--max-bytes: {e}"))?,
                 )
             }
-            "--throughput-gate" => {
-                opts.throughput_gate = Some(
-                    value("--throughput-gate")?
+            "--tolerance" => {
+                opts.tolerance = Some(
+                    value("--tolerance")?
                         .parse()
-                        .map_err(|e| format!("--throughput-gate: {e}"))
-                        .and_then(|g: f64| {
-                            if g.is_finite() && g > 0.0 {
-                                Ok(g)
+                        .map_err(|e| format!("--tolerance: {e}"))
+                        .and_then(|t: f64| {
+                            if t.is_finite() && t >= 0.0 {
+                                Ok(t)
                             } else {
-                                Err("--throughput-gate must be a finite value > 0".to_string())
+                                Err("--tolerance must be a finite value >= 0".to_string())
                             }
                         })?,
                 )
-            }
-            "--tolerance" => {
-                opts.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))
-                    .and_then(|t: f64| {
-                        if t.is_finite() && t >= 0.0 {
-                            Ok(t)
-                        } else {
-                            Err("--tolerance must be a finite value >= 0".to_string())
-                        }
-                    })?
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             name => opts.names.push(name.to_string()),
@@ -368,12 +321,25 @@ fn run_cli(args: &[String]) -> Result<ExitCode, Failure> {
         }
         Some("list") => Ok(cmd_list(&options(&args[1..])?)?),
         Some("describe") => cmd_describe(&options(&args[1..])?),
-        Some("run") => Ok(cmd_run(&options(&args[1..])?)?),
+        Some("run") => Ok(cmd_run(&run_options(&args[1..])?)?),
         Some("diff") => cmd_diff(&options(&args[1..])?),
         Some("cache") => cmd_cache(&options(&args[1..])?),
         // `momlab --all` is a shorthand for `momlab run --all`.
-        Some(_) => Ok(cmd_run(&options(args)?)?),
+        Some(_) => Ok(cmd_run(&run_options(args)?)?),
     }
+}
+
+/// `run`'s options. [`Options`] is shared with `diff`, whose flags `run`
+/// rejects: ignoring them would turn a scripted gate into a no-op.
+fn run_options(args: &[String]) -> Result<Options, Failure> {
+    let opts = parse_options(args).map_err(Failure::Usage)?;
+    if opts.baseline.is_some() || opts.tolerance.is_some() {
+        return Err(usage(
+            "--baseline and --tolerance belong to `momlab diff`: write the result, then run \
+             `momlab diff <NEW.json> --baseline <OLD.json> [--tolerance F]`",
+        ));
+    }
+    Ok(opts)
 }
 
 /// Which experiments the name/--experiment/--all selection resolves to.
@@ -469,134 +435,27 @@ fn read_document(path: &Path) -> Result<Value, String> {
     Value::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Build the `comparison` member `--compare` embeds in the written document:
-/// wall-clock speedup against the exact baseline run plus the per-cell IPC
-/// error of this run's estimates, so a committed sampled BENCH artifact
-/// carries its own accuracy evidence. Both documents must be grid results of
-/// the same experiment at the same scale, and the baseline must carry
-/// `meta.wall_ms` (i.e. not be a `--results-only` document).
-fn comparison_section(
-    new: &Value,
-    exact: &Value,
-    exact_path: &Path,
-    wall_ms: u64,
-) -> Result<Value, String> {
-    for field in ["experiment", "scale", "config_hash"] {
-        let (a, b) = (new.get(field), exact.get(field));
-        if a != b {
-            return Err(format!(
-                "--compare: {field} mismatch (this run: {}, {}: {})",
-                a.map(Value::to_compact).unwrap_or_else(|| "absent".into()),
-                exact_path.display(),
-                b.map(Value::to_compact).unwrap_or_else(|| "absent".into()),
-            ));
-        }
-    }
-    let exact_wall = exact
-        .get("meta")
-        .and_then(|m| m.get("wall_ms"))
-        .and_then(Value::as_i64)
-        .ok_or_else(|| {
-            format!(
-                "--compare: {} carries no meta.wall_ms (written with --results-only?)",
-                exact_path.display()
-            )
-        })?;
-    let exact_mode = exact
-        .get("meta")
-        .and_then(|m| m.get("mode"))
-        .and_then(Value::as_str)
-        .unwrap_or("?")
-        .to_string();
-    let cells = |doc: &Value| -> Result<Vec<Value>, String> {
-        doc.get("cells")
-            .and_then(Value::as_array)
-            .map(<[Value]>::to_vec)
-            .ok_or_else(|| "--compare applies to grid results only".into())
-    };
-    let key = |c: &Value| {
-        (
-            c.get("workload").and_then(Value::as_str).unwrap_or("?").to_string(),
-            c.get("config").and_then(Value::as_str).unwrap_or("?").to_string(),
-            c.get("way").and_then(Value::as_i64).unwrap_or(-1),
-        )
-    };
-    let ipc = |c: &Value| -> Option<f64> {
-        let insts = c.get("instructions").and_then(Value::as_f64)?;
-        let cycles = c.get("cycles").and_then(Value::as_f64).filter(|&v| v > 0.0)?;
-        Some(insts / cycles)
-    };
-    let exact_cells = cells(exact)?;
-    let mut rows = Vec::new();
-    let mut max_error = 0.0f64;
-    for cell in &cells(new)? {
-        let (workload, config, way) = key(cell);
-        let Some(exact_cell) = exact_cells.iter().find(|c| key(c) == key(cell)) else {
-            return Err(format!(
-                "--compare: cell {workload} / {config} / {way}-way is missing from {}",
-                exact_path.display()
-            ));
-        };
-        let (Some(this_ipc), Some(exact_ipc)) = (ipc(cell), ipc(exact_cell)) else {
-            return Err(format!(
-                "--compare: cell {workload} / {config} / {way}-way has unreadable IPC"
-            ));
-        };
-        let error_pct = (this_ipc - exact_ipc).abs() / exact_ipc * 100.0;
-        max_error = max_error.max(error_pct);
-        rows.push(Value::object(vec![
-            ("workload", Value::Str(workload)),
-            ("config", Value::Str(config)),
-            ("way", Value::Int(way)),
-            ("ipc_exact", Value::Float(exact_ipc)),
-            ("ipc_this", Value::Float(this_ipc)),
-            ("ipc_error_pct", Value::Float(error_pct)),
-        ]));
-    }
-    Ok(Value::object(vec![
-        ("baseline", Value::Str(exact_path.display().to_string())),
-        ("baseline_mode", Value::Str(exact_mode)),
-        ("baseline_wall_ms", Value::Int(exact_wall)),
-        ("wall_ms", Value::Int(wall_ms as i64)),
-        ("speedup", Value::Float(exact_wall as f64 / (wall_ms.max(1)) as f64)),
-        ("max_ipc_error_pct", Value::Float(max_error)),
-        ("cells", Value::Array(rows)),
-    ]))
-}
-
 fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
     let specs = selected_specs(opts)?;
     if opts.json.is_some() && specs.len() != 1 {
         return Err("--json FILE applies to a single experiment; use --out-dir for several".into());
-    }
-    if opts.baseline.is_some() && specs.len() != 1 {
-        return Err("--baseline applies to a single experiment; use `momlab diff` per file".into());
-    }
-    if opts.compare.is_some() && specs.len() != 1 {
-        return Err("--compare applies to a single experiment".into());
     }
     let workers = opts.workers.unwrap_or_else(runner::default_workers);
     if opts.streamed && opts.sampled {
         return Err("--streamed and --sampled are mutually exclusive".into());
     }
     let mode = if opts.sampled {
-        let unit_insts = opts.sample_unit.unwrap_or(runner::DEFAULT_SAMPLE_UNIT);
-        let warmup_insts = opts.sample_warmup.unwrap_or(runner::DEFAULT_SAMPLE_WARMUP);
-        let period = opts.sample_period.unwrap_or(runner::DEFAULT_SAMPLE_PERIOD);
-        // `checked_add`: a window that overflows u64 is longer than any period.
-        let fits = warmup_insts.checked_add(unit_insts).is_some_and(|window| window <= period);
-        if period != 0 && !fits {
-            return Err(format!(
-                "--sample-period {period} is shorter than --sample-warmup {warmup_insts} \
-                 + --sample-unit {unit_insts} (use 0 to measure everything)"
-            ));
+        ExecMode::Sampled {
+            unit_insts: opts.sample_unit.unwrap_or(runner::DEFAULT_SAMPLE_UNIT),
+            warmup_insts: opts.sample_warmup.unwrap_or(runner::DEFAULT_SAMPLE_WARMUP),
+            period: opts.sample_period.unwrap_or(runner::DEFAULT_SAMPLE_PERIOD),
         }
-        ExecMode::Sampled { unit_insts, warmup_insts, period }
     } else if opts.streamed {
         ExecMode::Streamed
     } else {
         ExecMode::Fanout
     };
+    mode.check()?;
     let cache = opts
         .cache_dir
         .as_ref()
@@ -606,17 +465,6 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
         })
         .transpose()?;
 
-    let mut exit = ExitCode::SUCCESS;
-    // The throughput gate compares against full-mode workloads; fast mode's
-    // reduced subsets would pass or fail it meaninglessly.
-    let gate = opts.throughput_gate.filter(|_| {
-        if mom_lab::fast_mode() {
-            eprintln!("throughput gate skipped: fast mode (MOM_BENCH_FAST=1) runs reduced workloads");
-            false
-        } else {
-            true
-        }
-    });
     let mut trace_processes: Vec<(String, Vec<runner::SpanRec>)> = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let result = runner::run(
@@ -651,19 +499,11 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
                 std::fs::create_dir_all(dir)
                     .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
             }
-            let mut document = if opts.results_only {
+            let document = if opts.results_only {
                 result.results_json()
             } else {
                 result.document_json()
             };
-            if let Some(exact_path) = &opts.compare {
-                let exact = read_document(exact_path)?;
-                let section = comparison_section(&document, &exact, exact_path, result.wall_ms)?;
-                let Value::Object(members) = &mut document else {
-                    return Err("result document is not a JSON object".into());
-                };
-                members.push(("comparison".into(), section));
-            }
             std::fs::write(&path, document.to_pretty())
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             let throughput = result
@@ -685,54 +525,6 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
                 sharing,
             );
         }
-        if let Some(baseline_path) = &opts.baseline {
-            let baseline = read_document(baseline_path)?;
-            let diff = diff_documents(&result.document_json(), &baseline, opts.tolerance)?;
-            eprint!("{diff}");
-            if diff.has_regressions() {
-                exit = ExitCode::from(2);
-            }
-        }
-        // Static experiments read configuration tables and time nothing, so
-        // they are exempt rather than failed — `run --all --throughput-gate`
-        // must stay usable. A *grid* run with no measurement still fails:
-        // a gate that silently passes unmeasured runs is no gate.
-        if let Some(gate_minst) = gate.filter(|_| !matches!(spec.kind, ExperimentKind::Static(_))) {
-            // Cache hits skip simulation entirely, so an all-hit run measures
-            // cache I/O, not simulator throughput — exempt, like fast mode.
-            if result.all_cells_cached() {
-                eprintln!(
-                    "throughput gate: {}: skipped (all {} cell(s) served from cache)",
-                    spec.name,
-                    result.cells().map_or(0, <[runner::CellResult]>::len)
-                );
-                continue;
-            }
-            match result.total_insts_per_sec() {
-                Some(ips) if ips >= gate_minst * 1e6 => {
-                    eprintln!(
-                        "throughput gate: {}: {:.1} Minst/s >= {gate_minst} Minst/s",
-                        spec.name,
-                        ips / 1e6
-                    );
-                }
-                Some(ips) => {
-                    eprintln!(
-                        "throughput gate FAILED: {}: {:.1} Minst/s < {gate_minst} Minst/s",
-                        spec.name,
-                        ips / 1e6
-                    );
-                    exit = ExitCode::from(2);
-                }
-                None => {
-                    eprintln!(
-                        "throughput gate FAILED: {}: run produced no throughput measurement",
-                        spec.name
-                    );
-                    exit = ExitCode::from(2);
-                }
-            }
-        }
     }
     if let Some(path) = &opts.trace_out {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
@@ -745,7 +537,7 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
         let spans: usize = trace_processes.iter().map(|(_, s)| s.len()).sum();
         eprintln!("wrote {} ({spans} span(s))", path.display());
     }
-    Ok(exit)
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `momlab cache <ls|verify|gc>` — inspect and maintain a persistent cell
@@ -905,7 +697,7 @@ fn cmd_diff(opts: &Options) -> Result<ExitCode, Failure> {
     let baseline_path = opts.baseline.as_ref().ok_or_else(|| usage("diff needs --baseline <file>"))?;
     let new_doc = read_document(Path::new(new_path))?;
     let baseline = read_document(baseline_path)?;
-    let diff = diff_documents(&new_doc, &baseline, opts.tolerance)?;
+    let diff = diff_documents(&new_doc, &baseline, opts.tolerance.unwrap_or(DEFAULT_TOLERANCE))?;
     print!("{diff}");
     Ok(if diff.has_regressions() { ExitCode::from(2) } else { ExitCode::SUCCESS })
 }

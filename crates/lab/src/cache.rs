@@ -35,11 +35,11 @@
 //! [`MODEL_DIGEST`] of the simulator's source code), the spec's
 //! `config_hash` (which already covers the experiment name, fast flag,
 //! workload set, machine configs, ROB/latency overrides, widths, scale and
-//! seed), the cell identity, and the sampling knobs. Exact records carry no sampling knobs at all, so a cache filled by
-//! any exact mode (fanout, streamed, or `--sampled --sample-period 0`)
-//! serves hits to every other exact mode — their results
-//! are byte-identical by the determinism guarantee. Sampled records with a
-//! nonzero period key separately per `(unit, warmup, period)` triple.
+//! seed), the cell identity, and the sampling knobs. Exact records carry no
+//! sampling knobs at all, so a cache filled by either exact mode (fanout or
+//! streamed) serves hits to the other — their results are byte-identical by
+//! the determinism guarantee. Sampled records key separately per
+//! `(unit, warmup, period)` triple.
 //!
 //! # Corruption is a miss
 //!
@@ -61,7 +61,7 @@ use mom_mem::MemSystemStats;
 
 use crate::document::{breakdown_json, intervals_json, mem_json, sampling_fields};
 use crate::json::Value;
-use crate::runner::CellSampling;
+use crate::runner::{CellSampling, ExecMode};
 
 /// Version of the record layout. Bumping it invalidates every existing
 /// record: a record of another version is a clean miss. Version 1 was a
@@ -98,16 +98,15 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The sampling knobs of an estimated record. Exact records (any exact mode,
-/// including `--sampled --sample-period 0`) carry `None` instead, so they
-/// share one address across execution modes.
+/// The sampling knobs of a sampled record. Exact records carry `None`
+/// instead, so they share one address across execution modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingKnobs {
     /// Measured instructions per sampling unit.
     pub unit: u64,
     /// Detailed warm-up instructions before each unit.
     pub warmup: u64,
-    /// Sampling period in dynamic instructions (always nonzero here).
+    /// Sampling period in dynamic instructions.
     pub period: u64,
 }
 
@@ -212,11 +211,14 @@ impl CellKey {
         let int = |v: &Value| v.as_i64().map(|n| n as u64);
         let sampling = match v.get("sampling")? {
             Value::Null => None,
-            k => Some(SamplingKnobs {
-                unit: int(k.get("unit")?)?,
-                warmup: int(k.get("warmup")?)?,
-                period: int(k.get("period")?)?,
-            }),
+            k => {
+                let (unit_insts, warmup_insts, period) =
+                    (int(k.get("unit")?)?, int(k.get("warmup")?)?, int(k.get("period")?)?);
+                // `momlab cache verify` reruns the knobs it reads, and knobs
+                // that no sampled run accepts would panic that run.
+                ExecMode::Sampled { unit_insts, warmup_insts, period }.check().ok()?;
+                Some(SamplingKnobs { unit: unit_insts, warmup: warmup_insts, period })
+            }
         };
         Some(CellKey {
             engine: text("engine")?,
@@ -812,6 +814,20 @@ mod tests {
         // A re-fill overwrites the bad record and hits again.
         cache.store(&k, &r);
         assert_eq!(cache.load(&k).as_ref(), Some(&r));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sampling_knobs_no_run_accepts_are_an_unreadable_record() {
+        let dir = std::env::temp_dir().join(format!("momlab-cache-knobs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = CellCache::open(&dir).expect("open");
+        let knobs = SamplingKnobs { unit: 50, warmup: 50, period: 0 };
+        let k = CellKey { sampling: Some(knobs), ..key() };
+        cache.store(&k, &sampled_record());
+        assert!(cache.load(&k).is_none(), "a period shorter than its window must miss");
+        let entries = cache.entries().expect("entries");
+        assert!(entries[0].key.is_none(), "cache verify must skip the record, not run it");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,10 +13,10 @@ use crate::tables::StaticRows;
 impl RunResult {
     /// The deterministic results document: everything except the `meta`
     /// section. Two runs of the same spec serialize to identical bytes
-    /// regardless of worker count. A sampled run (period > 0) additionally
-    /// carries a `sampling` section — its parameters and per-cell IPC
-    /// estimates with confidence intervals — and is byte-identical to other
-    /// sampled runs with the same parameters.
+    /// regardless of worker count. A sampled run additionally carries a
+    /// `sampling` section — its parameters and per-cell IPC estimates with
+    /// confidence intervals — and is byte-identical to other sampled runs
+    /// with the same parameters.
     pub fn results_json(&self) -> Value {
         let mut members = vec![
             ("schema", Value::Str("momlab/v1".into())),
@@ -60,29 +60,25 @@ impl RunResult {
                     Value::Array(cells.iter().map(cell_json).collect()),
                 ));
                 if let ExecMode::Sampled { unit_insts, warmup_insts, period } = self.mode {
-                    if period > 0 {
-                        members.push((
-                            "sampling",
-                            Value::object(vec![
-                                ("unit_insts", Value::Int(unit_insts as i64)),
-                                ("warmup_insts", Value::Int(warmup_insts as i64)),
-                                ("period", Value::Int(period as i64)),
-                                (
-                                    "cells",
-                                    Value::Array(
-                                        cells
-                                            .iter()
-                                            .filter_map(|c| {
-                                                c.sampling
-                                                    .as_ref()
-                                                    .map(|s| sampling_json(c, s))
-                                            })
-                                            .collect(),
-                                    ),
+                    members.push((
+                        "sampling",
+                        Value::object(vec![
+                            ("unit_insts", Value::Int(unit_insts as i64)),
+                            ("warmup_insts", Value::Int(warmup_insts as i64)),
+                            ("period", Value::Int(period as i64)),
+                            (
+                                "cells",
+                                Value::Array(
+                                    cells
+                                        .iter()
+                                        .filter_map(|c| {
+                                            c.sampling.as_ref().map(|s| sampling_json(c, s))
+                                        })
+                                        .collect(),
                                 ),
-                            ]),
-                        ));
-                    }
+                            ),
+                        ]),
+                    ));
                 }
             }
             (RunData::Static(rows), _) => {
@@ -233,9 +229,9 @@ impl RunResult {
     }
 }
 
-/// The `mem` field of the JSON schema. Unlike [`MemModelKind::label`], the
-/// perfect model embeds its latency so that cells of the latency study keyed
-/// on `(workload, isa, mem, way)` stay distinguishable.
+/// The `mem` field of a `configs` entry in the JSON schema and of a
+/// cell-cache key. Unlike [`MemModelKind::label`], the perfect model embeds
+/// its latency, so the latency study's configs stay distinguishable.
 pub fn mem_label(mem: MemModelKind) -> String {
     match mem {
         MemModelKind::Perfect { latency } => format!("perfect-{latency}"),
@@ -249,7 +245,6 @@ fn cell_json(cell: &CellResult) -> Value {
         ("workload_kind", Value::Str(cell.workload.kind_label().into())),
         ("config", Value::Str(cell.config_label.clone())),
         ("isa", Value::Str(cell.isa.label().into())),
-        ("mem", Value::Str(mem_label(cell.mem))),
         ("way", Value::Int(cell.way as i64)),
         ("cycles", Value::Int(cell.cycles as i64)),
         ("instructions", Value::Int(cell.instructions as i64)),
@@ -453,5 +448,30 @@ mod tests {
             let value = meta.get(section).and_then(|s| s.get(key));
             assert_eq!(value, Some(&Value::Bool(false)), "meta.{section}.{key}");
         }
+    }
+
+    /// Asserts that no object under `v` repeats a key: JSON readers disagree
+    /// on which duplicate wins.
+    fn assert_unique_keys(v: &Value, path: &str) {
+        match v {
+            Value::Object(members) => {
+                for (i, (key, value)) in members.iter().enumerate() {
+                    assert!(members[..i].iter().all(|(k, _)| k != key), "{path} repeats {key:?}");
+                    assert_unique_keys(value, &format!("{path}.{key}"));
+                }
+            }
+            Value::Array(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    assert_unique_keys(item, &format!("{path}[{i}]"));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn no_object_of_a_results_document_repeats_a_key() {
+        let spec = ExperimentSpec::builtin("figure7", 1, true).expect("figure7 is built in");
+        assert_unique_keys(&run(&spec, &RunOptions::with_workers(1)).results_json(), "$");
     }
 }

@@ -22,8 +22,7 @@
 //!   samples instead of the workload length. One pass per `(workload, ISA)`
 //!   feeds every member the same windows. Results are **estimates**
 //!   reported with per-cell confidence intervals in a `sampling` results
-//!   section — except at sampling rate 1 (`period == 0`), which runs and
-//!   groups exactly as the fan-out.
+//!   section.
 //!
 //! A group is one work item: its interpreter drives every member simulator
 //! through a serial `Broadcast` on whichever worker claims it. Groups spread
@@ -55,14 +54,13 @@
 //! # Determinism
 //!
 //! For any spec `s`, worker counts `a, b >= 1` and **exact** execution modes
-//! `m, n` (everything except `Sampled` with `period > 0`), the runs
+//! `m, n` (`Fanout` and `Streamed`), the runs
 //! `run(&s, &RunOptions { workers: a, mode: m, ..Default::default() })` and
 //! `run(&s, &RunOptions { workers: b, mode: n, ..Default::default() })`
 //! serialize to the same `results_json()` bytes. Only the `meta` section of
 //! the full document (wall-clock, worker count, mode, sharing accounting)
 //! may differ between runs. A sampled run is byte-identical to another
-//! sampled run with the same parameters at any worker count, and at
-//! `period == 0` byte-identical to the exact modes.
+//! sampled run with the same parameters at any worker count.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -85,9 +83,9 @@ use crate::tables::{static_rows, StaticRows};
 
 /// How a grid experiment groups its cells. The exact modes are
 /// byte-identical in their results; the mode only decides how much of the
-/// functional interpreter's work is shared. [`ExecMode::Sampled`] with a
-/// nonzero period trades exactness for wall-clock: its cells are statistical
-/// estimates with confidence intervals.
+/// functional interpreter's work is shared. [`ExecMode::Sampled`] trades
+/// exactness for wall-clock: its cells are statistical estimates with
+/// confidence intervals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// One singleton group per cell: each cell re-interprets its workload
@@ -113,19 +111,14 @@ pub enum ExecMode {
     /// the timing simulator sees nothing). Per-cell IPC is estimated as the
     /// mean of the unit IPCs with a 95% confidence interval; the cycle count
     /// in the results is `total_insts / ipc_mean`. The cells of one
-    /// `(workload, ISA)` group share one functional pass.
-    ///
-    /// `period == 0` is the **rate-1 sentinel**: every instruction is
-    /// simulated in detail and the run is exactly [`ExecMode::Fanout`],
-    /// byte-identical to [`ExecMode::Streamed`]. Otherwise `period`
-    /// must be at least `warmup_insts + unit_insts` and `unit_insts` at
-    /// least 1.
+    /// `(workload, ISA)` group share one functional pass. The knobs must
+    /// pass [`ExecMode::check`].
     Sampled {
         /// Detailed, measured instructions per sampling unit.
         unit_insts: u64,
         /// Detailed, unmeasured warm-up instructions preceding each unit.
         warmup_insts: u64,
-        /// Sampling period in dynamic instructions (0 = measure everything).
+        /// Sampling period in dynamic instructions.
         period: u64,
     },
 }
@@ -148,17 +141,29 @@ impl ExecMode {
         }
     }
 
-    /// Whether this mode produces statistical estimates instead of exact
-    /// cycle counts (`Sampled` with a nonzero period).
-    pub fn is_estimated(self) -> bool {
-        self.knobs().is_some()
+    /// The one rule of the sampling knobs: a measured unit of at least one
+    /// instruction, and a period that holds the warm-up plus the unit.
+    /// The exact modes always pass. The message names `momlab`'s flags.
+    pub fn check(self) -> Result<(), String> {
+        let ExecMode::Sampled { unit_insts, warmup_insts, period } = self else {
+            return Ok(());
+        };
+        if unit_insts == 0 {
+            return Err("--sample-unit must be >= 1".into());
+        }
+        // `checked_add`: a window that overflows u64 is longer than any period.
+        if warmup_insts.checked_add(unit_insts).is_none_or(|window| window > period) {
+            return Err(format!(
+                "--sample-period {period} is shorter than warmup {warmup_insts} + unit {unit_insts}"
+            ));
+        }
+        Ok(())
     }
 
-    /// The knobs of an estimating run; `None` for every exact mode,
-    /// including the rate-1 sentinel.
+    /// The knobs of a sampled run; `None` for the exact modes.
     pub(crate) fn knobs(self) -> Option<SamplingKnobs> {
         match self {
-            ExecMode::Sampled { unit_insts, warmup_insts, period } if period > 0 => {
+            ExecMode::Sampled { unit_insts, warmup_insts, period } => {
                 Some(SamplingKnobs { unit: unit_insts, warmup: warmup_insts, period })
             }
             _ => None,
@@ -205,9 +210,8 @@ pub struct CellResult {
     /// worker pool.
     pub mem_stats: MemSystemStats,
     /// Sampling accounting of the cell when it ran under [`ExecMode::Sampled`]
-    /// with a nonzero period (`None` in the exact modes): how much of the
-    /// stream was measured, and the IPC estimate with its confidence
-    /// interval.
+    /// (`None` in the exact modes): how much of the stream was measured, and
+    /// the IPC estimate with its confidence interval.
     pub sampling: Option<CellSampling>,
 }
 
@@ -424,8 +428,8 @@ struct CacheContext<'a> {
 
 impl CacheContext<'_> {
     /// The content address of one cell under this run's mode. The exact
-    /// modes (and the sampled rate-1 sentinel) share one key per cell;
-    /// estimated sampled runs key per `(unit, warmup, period)` triple.
+    /// modes share one key per cell; sampled runs key per
+    /// `(unit, warmup, period)` triple.
     fn key_for(&self, grid: &GridSpec, cell: &Cell, mode: ExecMode) -> CellKey {
         let config = &grid.configs[cell.config];
         CellKey {
@@ -457,19 +461,13 @@ struct GridCacheOutcome {
 ///
 /// # Panics
 ///
-/// Panics when `opts.mode` carries invalid sampling parameters
-/// (`unit_insts == 0`, or a nonzero `period` smaller than
-/// `warmup_insts + unit_insts`), when a cache record cannot be written, or
-/// when a cell fails (e.g. a kernel misses its golden output) — the message
-/// then names the failing work item.
+/// Panics when `opts.mode` fails [`ExecMode::check`], when a cache record
+/// cannot be written, or when a cell fails (e.g. a kernel misses its golden
+/// output) — the message then names the failing work item.
 pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
     let (mode, workers) = (opts.mode, opts.workers.max(1));
-    if let ExecMode::Sampled { unit_insts, warmup_insts, period } = mode {
-        assert!(unit_insts >= 1, "sampled mode needs a measurement unit of at least 1 instruction");
-        assert!(
-            period == 0 || warmup_insts.checked_add(unit_insts).is_some_and(|window| window <= period),
-            "sampling period {period} is shorter than warmup {warmup_insts} + unit {unit_insts}"
-        );
+    if let Err(msg) = mode.check() {
+        panic!("invalid sampling knobs: {msg}");
     }
     let started = Instant::now();
     let cache_ctx = opts.cache.map(|store| CacheContext {
@@ -646,7 +644,7 @@ impl Group {
 /// runs.
 pub(crate) fn groups(grid: &GridSpec, cells: &[Cell], mode: ExecMode) -> Vec<Group> {
     let shared = mode != ExecMode::Streamed;
-    let apps_cross_isa = !mode.is_estimated();
+    let apps_cross_isa = !matches!(mode, ExecMode::Sampled { .. });
     let mut groups: Vec<Group> = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
         let isa = grid.configs[cell.config].isa;
@@ -1077,31 +1075,14 @@ impl RunResult {
         if cells.is_empty() || cells.len() != self.cell_wall_ns.len() {
             return None;
         }
-        let insts: u64 = cells
+        let mut simulated = cells
             .iter()
             .enumerate()
             .filter(|(i, _)| !self.cached_cells.get(*i).copied().unwrap_or(false))
-            .map(|(_, c)| c.instructions)
-            .sum();
-        if insts == 0 && self.all_cells_cached() {
-            return None;
-        }
+            .peekable();
+        simulated.peek()?;
+        let insts: u64 = simulated.map(|(_, c)| c.instructions).sum();
         Some(insts_per_sec(insts, self.sim_wall_ns))
-    }
-
-    /// Whether every grid cell of this run was served from the result cache
-    /// (`false` for static experiments, empty grids, or cache-free runs).
-    /// `momlab run --throughput-gate` skips a fully-cached run — there is no
-    /// simulation to measure — instead of failing it.
-    pub fn all_cells_cached(&self) -> bool {
-        match self.cells() {
-            Some(cells) => {
-                !cells.is_empty()
-                    && self.cached_cells.len() == cells.len()
-                    && self.cached_cells.iter().all(|&cached| cached)
-            }
-            None => false,
-        }
     }
 
     /// The instruction-weighted functional-sharing factor: dynamic
@@ -1345,10 +1326,11 @@ mod tests {
             period: DEFAULT_SAMPLE_PERIOD,
         };
         assert_eq!(sampled.label(), "sampled");
-        assert!(sampled.is_estimated());
-        assert!(!ExecMode::Streamed.is_estimated());
-        // Rate 1 (period 0) is exact, not an estimate.
-        assert!(!ExecMode::Sampled { unit_insts: 1, warmup_insts: 0, period: 0 }.is_estimated());
+        assert_eq!(sampled.check(), Ok(()));
+        assert_eq!(ExecMode::Streamed.check(), Ok(()));
+        // No window fits a zero period, and a window needs a measured unit.
+        assert!(ExecMode::Sampled { unit_insts: 1, warmup_insts: 0, period: 0 }.check().is_err());
+        assert!(ExecMode::Sampled { unit_insts: 0, warmup_insts: 0, period: 10 }.check().is_err());
     }
 
     #[test]

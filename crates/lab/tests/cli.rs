@@ -50,18 +50,16 @@ fn check_prefix(name: &str, golden: &str) {
     );
 }
 
-/// A removed flag must fail loudly, not be ignored.
-fn check_rejected(flag: &str) {
-    let output = momlab(&["run", "table1", "--no-json", flag]);
-    assert!(
-        !output.status.success(),
-        "momlab accepted the removed flag {flag}"
-    );
+/// A removed flag, given with its old value if it took one, must fail
+/// loudly with one error line naming it, not be ignored.
+fn check_rejected(flag_and_value: &[&str]) {
+    let flag = flag_and_value[0];
+    let output = momlab(&[&["run", "table1", "--no-json"], flag_and_value].concat());
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains(flag),
-        "no error naming {flag}; stderr:\n{stderr}"
-    );
+    assert_eq!(output.status.code(), Some(1), "momlab accepted the removed flag {flag}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "stderr:\n{stderr}");
+    assert!(errors[0].contains(flag), "no error naming {flag}; stderr:\n{stderr}");
 }
 
 #[test]
@@ -107,10 +105,39 @@ fn latency_tolerance_stdout_starts_with_the_golden_file() {
 
 #[test]
 fn removed_flags_are_errors() {
-    check_rejected("--no-cache");
-    check_rejected("--materialized");
-    check_rejected("--checkpoint-dir");
-    check_rejected("--resume");
+    check_rejected(&["--no-cache"]);
+    check_rejected(&["--materialized"]);
+    check_rejected(&["--checkpoint-dir"]);
+    check_rejected(&["--resume"]);
+    check_rejected(&["--throughput-gate", "10"]);
+    let existing = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stress_exact.json");
+    check_rejected(&["--compare", existing]);
+}
+
+#[test]
+fn run_rejects_the_flags_of_diff_and_names_it() {
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines/BENCH_table1.json");
+    for flags in [["--baseline", baseline], ["--tolerance", "0"]] {
+        let output = momlab(&[&["run", "table1", "--no-json"], &flags[..]].concat());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flags:?}; stderr:\n{stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error:") && first.contains(flags[0]) && first.contains("momlab diff"),
+            "stderr:\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_zero_sampling_period_is_one_error_line() {
+    let output = momlab(&["run", "stress", "--no-json", "--sample-period", "0"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "stderr:\n{stderr}");
+    assert!(stderr.starts_with("error: --sample-period 0 is shorter"), "stderr:\n{stderr}");
+    assert!(!stderr.contains("measure everything"), "stderr:\n{stderr}");
+    assert!(output.stdout.is_empty(), "no document is written");
 }
 
 #[test]
