@@ -18,7 +18,7 @@
 //!   [`MomOp::AccClear`], [`MomOp::ReadAcc`], [`MomOp::ReduceAcc`],
 //!   [`MomOp::RowToMedia`]/[`MomOp::MediaToRow`].
 
-use crate::matrix::{MatrixValue, MomAccReg, MomReg};
+use crate::matrix::{MomAccReg, MomReg};
 use crate::state::{Machine, VL_SHADOW_REG};
 use mom_isa::mdmx::AccOp;
 use mom_isa::mmx::{PackedBinOp, ShiftKind};
@@ -556,25 +556,12 @@ impl MomOp {
             }
         }
     }
-
-    /// The matrix value placed in the destination of a `Packed` operation on
-    /// two given matrices (helper used by tests and documentation examples).
-    pub fn apply_packed(
-        op: PackedBinOp,
-        a: &MatrixValue,
-        b: &MatrixValue,
-        vl: usize,
-        lane: Lane,
-        sat: Saturation,
-    ) -> MatrixValue {
-        a.zip_rows(b, vl, |x, y| op.apply(x, y, lane, sat))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{v, va};
+    use crate::matrix::{v, va, MatrixValue};
     use mom_isa::mem::MemImage;
     use mom_isa::regs::{m, r};
 
@@ -654,7 +641,7 @@ mod tests {
             sat: Saturation::Wrapping,
         }
         .execute(&mut st);
-        assert_eq!(st.mom.matrix.read(v(2)).row(3).to_i16_lanes(), [103; 4]);
+        assert_eq!(st.mom.matrix.read(v(2)).row(3), PackedWord::from_i16_lanes([103; 4]));
     }
 
     #[test]
@@ -697,7 +684,7 @@ mod tests {
         assert_eq!(st.core.int.read(r(6)), 10 * (1 + 2 + 3 + 4));
         MomOp::ReadAcc { md: m(1), acc: va(1), lane: Lane::I16, shift: 0, sat: Saturation::Saturating }
             .execute(&mut st);
-        assert_eq!(st.core.media.read(m(1)).to_i16_lanes(), [10, 20, 30, 40]);
+        assert_eq!(st.core.media.read(m(1)), PackedWord::from_i16_lanes([10, 20, 30, 40]));
     }
 
     #[test]
@@ -732,12 +719,12 @@ mod tests {
         MomOp::UnpackHi { vd: v(4), va: v(1), vb: v(2), lane: Lane::U8 }.execute(&mut st);
         assert_eq!(st.mom.matrix.read(v(4)).row(0).to_u8_lanes(), [5, 0, 6, 0, 7, 0, 8, 0]);
         MomOp::WidenLo { vd: v(5), va: v(1), lane: Lane::U8 }.execute(&mut st);
-        assert_eq!(st.mom.matrix.read(v(5)).row(0).to_i16_lanes(), [1, 2, 3, 4]);
+        assert_eq!(st.mom.matrix.read(v(5)).row(0), PackedWord::from_i16_lanes([1, 2, 3, 4]));
         MomOp::WidenHi { vd: v(6), va: v(1), lane: Lane::U8 }.execute(&mut st);
-        assert_eq!(st.mom.matrix.read(v(6)).row(0).to_i16_lanes(), [5, 6, 7, 8]);
+        assert_eq!(st.mom.matrix.read(v(6)).row(0), PackedWord::from_i16_lanes([5, 6, 7, 8]));
         MomOp::Shift { kind: ShiftKind::LeftLogical, vd: v(7), va: v(5), lane: Lane::I16, amount: 3 }
             .execute(&mut st);
-        assert_eq!(st.mom.matrix.read(v(7)).row(0).to_i16_lanes(), [8, 16, 24, 32]);
+        assert_eq!(st.mom.matrix.read(v(7)).row(0), PackedWord::from_i16_lanes([8, 16, 24, 32]));
 
         // Select rows via a mask of all-ones in lane 0 only.
         let mut mask = MatrixValue::zero();
@@ -746,7 +733,7 @@ mod tests {
         }
         st.mom.matrix.write(v(8), mask);
         MomOp::Select { vd: v(9), mask: v(8), va: v(5), vb: v(7), lane: Lane::I16 }.execute(&mut st);
-        assert_eq!(st.mom.matrix.read(v(9)).row(0).to_i16_lanes(), [1, 16, 24, 32]);
+        assert_eq!(st.mom.matrix.read(v(9)).row(0), PackedWord::from_i16_lanes([1, 16, 24, 32]));
     }
 
     #[test]
@@ -817,13 +804,5 @@ mod tests {
         let op = MomOp::TransposePair { vd_lo: v(3), vd_hi: v(4), va_lo: v(1), va_hi: v(2) };
         assert_eq!(op.dsts().len(), 2);
         assert!(op.is_vector());
-    }
-
-    #[test]
-    fn apply_packed_helper_matches_instruction() {
-        let a = MatrixValue::from_rows((0..4).map(|_| PackedWord::splat(Lane::U8, 9)));
-        let b = MatrixValue::from_rows((0..4).map(|_| PackedWord::splat(Lane::U8, 1)));
-        let out = MomOp::apply_packed(PackedBinOp::Sub, &a, &b, 4, Lane::U8, Saturation::Wrapping);
-        assert_eq!(out.row(3).to_u8_lanes(), [8; 8]);
     }
 }

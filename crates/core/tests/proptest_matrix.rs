@@ -18,7 +18,13 @@ use proptest::prelude::*;
 
 fn matrix_strategy() -> impl Strategy<Value = MatrixValue> {
     prop::collection::vec(any::<u64>(), 16)
-        .prop_map(|rows| MatrixValue::from_rows(rows.into_iter().map(PackedWord::new)))
+        .prop_map(|rows| {
+            let mut m = MatrixValue::zero();
+            for (i, row) in rows.into_iter().enumerate() {
+                m.set_row(i, PackedWord::new(row));
+            }
+            m
+        })
 }
 
 proptest! {

@@ -371,6 +371,7 @@ impl PackedWord {
     }
 
     /// Extract four signed 16-bit values, lane 0 first.
+    #[cfg(test)]
     pub fn to_i16_lanes(self) -> [i16; 4] {
         let mut out = [0i16; 4];
         for (i, o) in out.iter_mut().enumerate() {
@@ -382,11 +383,6 @@ impl PackedWord {
     /// Build from two signed 32-bit values, lane 0 first.
     pub fn from_i32_lanes(v: [i32; 2]) -> PackedWord {
         PackedWord::from_lanes(Lane::I32, v.iter().map(|&x| x as i64))
-    }
-
-    /// Extract two signed 32-bit values, lane 0 first.
-    pub fn to_i32_lanes(self) -> [i32; 2] {
-        [self.lane(Lane::I32, 0) as i32, self.lane(Lane::I32, 1) as i32]
     }
 
     /// Replicate `value` into every lane (a "splat"/broadcast).
@@ -527,6 +523,7 @@ impl PackedWord {
     }
 
     /// Sum of lane-wise squared differences reduced to a single scalar.
+    #[cfg(test)]
     pub fn sqd(self, other: PackedWord, lane: Lane) -> i64 {
         let (a, b) = (self.lanes(lane), other.lanes(lane));
         a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum()
@@ -540,11 +537,6 @@ impl PackedWord {
     /// Lane-wise absolute value.
     pub fn abs(self, lane: Lane) -> PackedWord {
         self.map(lane, |a| a.abs())
-    }
-
-    /// Lane-wise negation (wrapping).
-    pub fn neg(self, lane: Lane) -> PackedWord {
-        self.map(lane, |a| -a)
     }
 
     // ------------------------------------------------------------------
@@ -760,7 +752,7 @@ mod tests {
     #[test]
     fn lane_roundtrip_i32() {
         let w = PackedWord::from_i32_lanes([-5, 1_000_000]);
-        assert_eq!(w.to_i32_lanes(), [-5, 1_000_000]);
+        assert_eq!([w.lane(Lane::I32, 0), w.lane(Lane::I32, 1)], [-5, 1_000_000]);
     }
 
     #[test]
@@ -874,7 +866,7 @@ mod tests {
         let a = PackedWord::from_i16_lanes([1, 2, 3, -4]);
         let b = PackedWord::from_i16_lanes([10, 20, 30, 40]);
         let r = a.mul_add_pairs(b);
-        assert_eq!(r.to_i32_lanes(), [1 * 10 + 2 * 20, 3 * 30 + (-4) * 40]);
+        assert_eq!(r, PackedWord::from_i32_lanes([1 * 10 + 2 * 20, 3 * 30 + (-4) * 40]));
     }
 
     #[test]

@@ -219,11 +219,6 @@ impl InstClass {
     pub fn is_mem(self) -> bool {
         matches!(self, InstClass::Load | InstClass::Store)
     }
-
-    /// Whether the instruction executes on the multimedia unit.
-    pub fn is_media(self) -> bool {
-        matches!(self, InstClass::MediaSimple | InstClass::MediaComplex)
-    }
 }
 
 /// Whether a memory access reads or writes.
@@ -853,8 +848,6 @@ mod tests {
     fn inst_class_queries() {
         assert!(InstClass::Load.is_mem());
         assert!(!InstClass::IntSimple.is_mem());
-        assert!(InstClass::MediaComplex.is_media());
-        assert!(!InstClass::Branch.is_media());
     }
 
     #[test]

@@ -98,7 +98,7 @@ proptest! {
             let v = packed.lane(Lane::U8, i);
             prop_assert!((0..=255).contains(&v));
         }
-        let source = if i32::from(x.to_i16_lanes()[0]) < 0 { 0 } else { x.to_i16_lanes()[0].min(255) as i64 };
+        let source = x.lane(Lane::I16, 0).clamp(0, 255);
         prop_assert_eq!(packed.lane(Lane::U8, 0), source);
     }
 

@@ -1,24 +1,32 @@
-//! Diffing a fresh `BENCH_*.json` result against a saved baseline.
+//! Comparing a fresh `BENCH_*.json` result with a saved baseline.
 //!
-//! Cells are matched by `(workload, config, way)` — the identity key of the
-//! schema — and compared on simulated cycles. A cell is a **regression** when
-//! its cycle count grew by more than the relative tolerance, an
-//! **improvement** when it shrank by more than the tolerance. Config drift
-//! (different hash, fast flag or scale) is surfaced as warnings since cycle
-//! comparisons across different grids are meaningless.
+//! **Tolerance 0 is the one exact comparison** ([`exact_diff`]): every
+//! member but the host-dependent `meta`, in order, down to each leaf, with
+//! numbers compared by value. It reports the first differing JSON path (for
+//! example `cells[0].breakdown.mem-dram`) with both values, and it compares
+//! static tables as well as grids. One rule is read from the inputs: a
+//! top-level `sampling` section only the *new* document has is skipped with
+//! a note, so a sampled run can be held to an exact one; a `sampling`
+//! section only the baseline has is a difference.
 //!
-//! When both documents carry a `meta.throughput` section, the diff also
-//! reports per-cell `insts_per_sec` deltas. These are **informational
-//! only** — wall-clock throughput varies with the machine and its load, so
-//! the lines appear in the output (for CI logs and perf-trajectory reading)
-//! but never affect [`Diff::has_regressions`] or the exit code.
+//! A tolerance above 0 ([`diff_documents`]) compares grid cells, matched
+//! by their `(workload, config, way)` identity key, on cycles alone: growth
+//! beyond the relative tolerance is a **regression**, shrinkage an
+//! **improvement**. Config drift (different hash, fast flag or scale) is a
+//! warning, since cycle comparisons across different grids are meaningless.
 
 use crate::json::Value;
 
 /// Default relative cycle tolerance: 2%.
 pub const DEFAULT_TOLERANCE: f64 = 0.02;
 
-/// The outcome of comparing one result document against a baseline.
+/// The outcome of the cycle comparison ([`diff_documents`]).
+///
+/// Only `regressions` fail it. The informational lines — `throughput` and
+/// `sharing` from `meta`, `breakdown` share shifts and `sampling` moves —
+/// never affect [`Diff::has_regressions`]: they explain a cycle change or
+/// keep simulator-performance changes visible in CI logs, while wall-clock
+/// noise and sampling error stay out of the exit code.
 #[derive(Debug, Clone, Default)]
 pub struct Diff {
     /// Context mismatches (config hash, fast flag, scale, experiment name).
@@ -33,40 +41,24 @@ pub struct Diff {
     pub added: Vec<String>,
     /// Cells within tolerance.
     pub unchanged: usize,
-    /// Informational simulator-throughput deltas (`insts_per_sec` from the
-    /// `meta.throughput` sections, matched by cell key), present only when
-    /// **both** documents carry throughput metadata. Wall-clock throughput is
-    /// machine- and load-dependent, so these lines never affect
-    /// [`Diff::has_regressions`] — they exist so interpreter/simulator
-    /// performance regressions are visible in CI logs while the
-    /// deterministic results stay the gate.
+    /// Per-cell `insts_per_sec` deltas from the `meta.throughput` sections,
+    /// present only when **both** documents carry them.
     pub throughput: Vec<String>,
-    /// Informational functional-sharing comparison (from the
-    /// `meta.shared_passes` sections), present only when **both** documents
-    /// carry it. Like throughput it never affects [`Diff::has_regressions`]:
-    /// it exists so a drop in the fan-out runner's amortization is visible
+    /// The functional-sharing factors of both `meta.shared_passes`
+    /// sections, so a drop in the fan-out runner's amortization is visible
     /// next to the `insts_per_sec` deltas it would explain.
     pub sharing: Option<String>,
-    /// Informational stall-attribution share shifts (from the per-cell
-    /// `breakdown` objects), present only when **both** documents carry
-    /// them. A line appears when a cause's share of a cell's total cycles
-    /// moved by at least one percentage point — enough to explain *why* a
-    /// cycle regression happened — but the lines never gate:
-    /// [`Diff::has_regressions`] stays a pure cycle comparison.
+    /// Stall causes whose share of a cell's total cycles moved by at least
+    /// one percentage point (from the per-cell `breakdown` objects).
     pub breakdown: Vec<String>,
-    /// Informational sampled-IPC comparison (from the top-level `sampling`
-    /// sections), present only when **both** documents carry one. A line
-    /// appears when a cell's `ipc_mean` moved by more than the **union of
-    /// both confidence intervals** (`|Δ| > ci_new + ci_base`) — smaller
-    /// moves are statistically indistinguishable at 95% confidence. Sampled
-    /// estimates carry sampling error by construction, so these lines never
-    /// affect [`Diff::has_regressions`]; exact cycle counts remain the gate.
+    /// Cells whose sampled `ipc_mean` moved by more than the **union of
+    /// both confidence intervals** (`|Δ| > ci_new + ci_base`); smaller moves
+    /// are statistically indistinguishable at 95% confidence.
     pub sampling: Vec<String>,
 }
 
 impl Diff {
     /// Whether the new result regressed relative to the baseline.
-    /// Throughput deltas are informational and never count.
     pub fn has_regressions(&self) -> bool {
         !self.regressions.is_empty()
     }
@@ -152,29 +144,109 @@ impl<'a> CellIndex<'a> {
     }
 }
 
-/// Compare two `momlab/v1` documents.
+/// The outcome of the exact comparison ([`exact_diff`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Exact {
+    /// Whether a `sampling` section only the new document has was skipped.
+    pub skipped_sampling: bool,
+    /// The first differing member: its JSON path and both values, one line.
+    pub difference: Option<String>,
+}
+
+impl std::fmt::Display for Exact {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.skipped_sampling {
+            writeln!(f, "note: skipped the `sampling` section only the new document has")?;
+        }
+        match &self.difference {
+            Some(d) => writeln!(f, "DIFFERS at {d}"),
+            None => writeln!(f, "identical: every member but meta"),
+        }
+    }
+}
+
+/// Both documents must be momlab results of the same experiment.
+fn check_experiments(new: &Value, baseline: &Value) -> Result<(), String> {
+    let name = |doc: &Value| doc.get("experiment").and_then(Value::as_str).map(str::to_string);
+    match (name(new), name(baseline)) {
+        (Some(a), Some(b)) if a != b => {
+            Err(format!("experiment mismatch: new is {a:?}, baseline is {b:?}"))
+        }
+        (Some(_), Some(_)) => Ok(()),
+        _ => Err("not a momlab result document (missing \"experiment\")".into()),
+    }
+}
+
+/// Compare two `momlab/v1` documents exactly — what `momlab diff
+/// --tolerance 0` runs, and the comparison every equality gate shares.
+///
+/// Every top-level member but `meta` is compared, in order, down to each
+/// leaf. A `sampling` section only `new` has is skipped with a note.
 ///
 /// # Errors
 ///
-/// Returns an error when either document is not a grid result (static tables
-/// have nothing to regress) or when the two documents describe different
-/// experiments.
+/// Returns an error when either document is not a momlab result or when the
+/// two describe different experiments.
+pub fn exact_diff(new: &Value, baseline: &Value) -> Result<Exact, String> {
+    check_experiments(new, baseline)?;
+    let skipped_sampling = new.get("sampling").is_some() && baseline.get("sampling").is_none();
+    let kept = |(k, _): &&(String, Value)| k != "meta" && !(skipped_sampling && k == "sampling");
+    let results = |doc: &Value| match doc {
+        Value::Object(members) => Value::Object(members.iter().filter(kept).cloned().collect()),
+        other => other.clone(),
+    };
+    let difference = first_difference("", &results(new), &results(baseline));
+    Ok(Exact { skipped_sampling, difference })
+}
+
+/// One line of text for a value in a report, cut to a readable length.
+fn brief(value: &Value) -> String {
+    let text = value.to_compact();
+    text.char_indices().nth(80).map_or(text.clone(), |(cut, _)| format!("{}...", &text[..cut]))
+}
+
+/// The first path at which `new` and `baseline` differ, with both values.
+fn first_difference(path: &str, new: &Value, baseline: &Value) -> Option<String> {
+    let at = |p: &str, a: &str, b: &str| Some(format!("{p}: new {a}, baseline {b}"));
+    let text = |v: Option<&Value>| v.map_or("absent".to_string(), brief);
+    let member = |key: &str| format!("{path}{}{key}", if path.is_empty() { "" } else { "." });
+    match (new, baseline) {
+        (Value::Array(a), Value::Array(b)) => (0..a.len().max(b.len())).find_map(|i| {
+            let p = format!("{path}[{i}]");
+            match (a.get(i), b.get(i)) {
+                (Some(x), Some(y)) => first_difference(&p, x, y),
+                (x, y) => at(&p, &text(x), &text(y)),
+            }
+        }),
+        (Value::Object(a), Value::Object(b)) => {
+            (0..a.len().max(b.len())).find_map(|i| match (a.get(i), b.get(i)) {
+                (Some((ka, x)), Some((kb, y))) if ka == kb => first_difference(&member(ka), x, y),
+                (Some((ka, _)), Some((kb, _))) => {
+                    let container = if path.is_empty() { "top level" } else { path };
+                    at(&format!("{container} key {i}"), ka, kb)
+                }
+                (Some((k, x)), None) => at(&member(k), &brief(x), "absent"),
+                (None, Some((k, y))) => at(&member(k), "absent", &brief(y)),
+                (None, None) => None,
+            })
+        }
+        _ if new == baseline => None,
+        _ => at(path, &brief(new), &brief(baseline)),
+    }
+}
+
+/// Compare two `momlab/v1` grid documents on cycles — what `momlab diff
+/// --tolerance T` runs for a `T` above 0.
+///
+/// # Errors
+///
+/// Returns an error when either document is not a grid result or when the
+/// two documents describe different experiments.
 pub fn diff_documents(new: &Value, baseline: &Value, tolerance: f64) -> Result<Diff, String> {
     let kind = |doc: &Value| doc.get("kind").and_then(Value::as_str).map(str::to_string);
-    let name = |doc: &Value| doc.get("experiment").and_then(Value::as_str).map(str::to_string);
-    let (new_name, base_name) = (name(new), name(baseline));
-    if new_name.is_none() || base_name.is_none() {
-        return Err("not a momlab result document (missing \"experiment\")".into());
-    }
-    if new_name != base_name {
-        return Err(format!(
-            "experiment mismatch: new is {:?}, baseline is {:?}",
-            new_name.unwrap(),
-            base_name.unwrap()
-        ));
-    }
+    check_experiments(new, baseline)?;
     if kind(new).as_deref() != Some("grid") || kind(baseline).as_deref() != Some("grid") {
-        return Err("baseline diffing applies to grid experiments only".into());
+        return Err("a tolerance above 0 compares grid cells; compare static tables at 0".into());
     }
 
     let mut diff = Diff::default();
@@ -189,14 +261,10 @@ pub fn diff_documents(new: &Value, baseline: &Value, tolerance: f64) -> Result<D
         }
     }
 
-    let cells = |doc: &Value| -> Vec<Value> {
-        doc.get("cells").and_then(Value::as_array).map(<[Value]>::to_vec).unwrap_or_default()
-    };
-    let new_cells = cells(new);
-    let base_cells = cells(baseline);
-
-    let base_index = CellIndex::build(&base_cells, "the baseline document", &mut diff.warnings);
-    let new_index = CellIndex::build(&new_cells, "the new document", &mut diff.warnings);
+    let [new_cells, base_cells] =
+        [new, baseline].map(|doc| doc.get("cells").and_then(Value::as_array).unwrap_or_default());
+    let base_index = CellIndex::build(base_cells, "the baseline document", &mut diff.warnings);
+    let new_index = CellIndex::build(new_cells, "the new document", &mut diff.warnings);
 
     for (key, base_cell) in &base_index.ordered {
         let Some(new_cell) = new_index.get(key) else {
@@ -236,34 +304,37 @@ pub fn diff_documents(new: &Value, baseline: &Value, tolerance: f64) -> Result<D
     Ok(diff)
 }
 
+/// The entries of one keyed array section (`section` picks it from a
+/// document) paired by cell key, in baseline order. Empty unless both
+/// documents have entries; duplicate keys warn, naming `what`.
+fn paired<'a>(
+    new: &'a Value,
+    baseline: &'a Value,
+    section: impl Fn(&'a Value) -> Option<&'a Value>,
+    what: &str,
+    warnings: &mut Vec<String>,
+) -> Vec<(String, &'a Value, &'a Value)> {
+    let entries = |doc: &'a Value| section(doc).and_then(Value::as_array).unwrap_or_default();
+    let (new_entries, base_entries) = (entries(new), entries(baseline));
+    if new_entries.is_empty() || base_entries.is_empty() {
+        return Vec::new();
+    }
+    let base_index = CellIndex::build(base_entries, &format!("baseline {what}"), warnings);
+    let new_index = CellIndex::build(new_entries, &format!("new {what}"), warnings);
+    let pairs = base_index.ordered.into_iter();
+    pairs.filter_map(|(key, base)| Some((key.clone(), new_index.get(&key)?, base))).collect()
+}
+
 /// Informational sampled-IPC deltas between the top-level `sampling`
 /// sections of two documents, matched by `(workload, config, way)`. A line
 /// is emitted only when the means differ by more than the **union of both
 /// 95% confidence intervals** — the coarsest test under which the two
 /// estimates are distinguishable at all. Empty when either document lacks a
-/// `sampling` section (exact-mode results). Never contributes to the exit
-/// code: sampled IPC carries sampling error by construction, so the exact
-/// cycle comparison stays the gate.
+/// `sampling` section (exact-mode results).
 fn sampling_deltas(new: &Value, baseline: &Value, warnings: &mut Vec<String>) -> Vec<String> {
-    let entries = |doc: &Value| -> Vec<Value> {
-        doc.get("sampling")
-            .and_then(|s| s.get("cells"))
-            .and_then(Value::as_array)
-            .map(<[Value]>::to_vec)
-            .unwrap_or_default()
-    };
-    let new_entries = entries(new);
-    let base_entries = entries(baseline);
-    if new_entries.is_empty() || base_entries.is_empty() {
-        return Vec::new();
-    }
-    let base_index = CellIndex::build(&base_entries, "baseline sampling metadata", warnings);
-    let new_index = CellIndex::build(&new_entries, "new sampling metadata", warnings);
+    let section = |doc| Value::get(doc, "sampling").and_then(|s| s.get("cells"));
     let mut out = Vec::new();
-    for (key, base_entry) in &base_index.ordered {
-        let Some(new_entry) = new_index.get(key) else {
-            continue;
-        };
+    for (key, new_entry, base_entry) in paired(new, baseline, section, "sampling metadata", warnings) {
         let field = |e: &Value, k: &str| {
             e.get(k).and_then(Value::as_f64).filter(|v| v.is_finite())
         };
@@ -342,28 +413,13 @@ fn sharing_delta(new: &Value, baseline: &Value) -> Option<String> {
 /// Informational `insts_per_sec` deltas between the `meta.throughput`
 /// sections of two documents, matched by `(workload, config, way)`. Empty
 /// when either document lacks throughput metadata (e.g. the committed
-/// `--results-only` baselines). Never contributes to the exit code, though
-/// duplicate keys in the metadata are surfaced through `warnings`.
+/// `--results-only` baselines).
 fn throughput_deltas(new: &Value, baseline: &Value, warnings: &mut Vec<String>) -> Vec<String> {
-    let entries = |doc: &Value| -> Vec<Value> {
-        doc.get("meta")
-            .and_then(|m| m.get("throughput"))
-            .and_then(Value::as_array)
-            .map(<[Value]>::to_vec)
-            .unwrap_or_default()
-    };
-    let new_entries = entries(new);
-    let base_entries = entries(baseline);
-    if new_entries.is_empty() || base_entries.is_empty() {
-        return Vec::new();
-    }
-    let base_index = CellIndex::build(&base_entries, "baseline throughput metadata", warnings);
-    let new_index = CellIndex::build(&new_entries, "new throughput metadata", warnings);
+    let section = |doc| Value::get(doc, "meta").and_then(|m| m.get("throughput"));
     let mut out = Vec::new();
-    for (key, base_entry) in &base_index.ordered {
-        let Some(new_entry) = new_index.get(key) else {
-            continue;
-        };
+    for (key, new_entry, base_entry) in
+        paired(new, baseline, section, "throughput metadata", warnings)
+    {
         // A cell served from the persistent cache was never simulated, so its
         // `insts_per_sec` measures a file read — a delta against (or from) it
         // would be meaningless. Say so instead of printing a bogus ratio.
@@ -714,5 +770,118 @@ mod tests {
         assert_eq!(d.added.len(), 1);
         let d = diff_documents(&doc(1000, "h"), &bigger, 0.02).unwrap();
         assert_eq!(d.missing.len(), 1);
+    }
+
+    #[test]
+    fn exact_diff_names_the_first_differing_leaf_and_both_values() {
+        let same =
+            exact_diff(&doc_with_breakdown(1000, 600, 400), &doc_with_breakdown(1000, 600, 400));
+        assert_eq!(same.unwrap(), Exact::default());
+        // Equal cycles, one cycle moved between causes: the cycle diff sees
+        // nothing, the exact diff names the path.
+        let (new, base) = (doc_with_breakdown(1000, 599, 401), doc_with_breakdown(1000, 600, 400));
+        assert!(!diff_documents(&new, &base, 0.02).unwrap().has_regressions());
+        let exact = exact_diff(&new, &base).unwrap();
+        let line = exact.difference.as_deref().expect("a difference");
+        assert_eq!(line, "cells[0].breakdown.base: new 599, baseline 600");
+        assert_eq!(format!("{exact}"), format!("DIFFERS at {line}\n"));
+    }
+
+    #[test]
+    fn exact_diff_skips_meta_and_compares_numbers_by_value() {
+        let new = with_sharing(with_throughput(doc(1000, "h"), 20e6), 4, 16, 4.0);
+        assert_eq!(exact_diff(&new, &doc(1000, "h")).unwrap(), Exact::default());
+        let mut float = doc(1000, "h");
+        if let Value::Object(members) = &mut float {
+            members[3].1 = Value::Float(1.0);
+        }
+        assert_eq!(exact_diff(&float, &doc(1000, "h")).unwrap(), Exact::default());
+        let d = exact_diff(&doc(1000, "a"), &doc(1000, "b")).unwrap();
+        assert_eq!(d.difference.as_deref(), Some(r#"config_hash: new "a", baseline "b""#));
+    }
+
+    #[test]
+    fn exact_diff_reports_missing_extra_and_reordered_members() {
+        let cell = |way: i64| {
+            Value::object(vec![("workload", Value::Str("idct".into())), ("way", Value::Int(way))])
+        };
+        let grid = |cells: Vec<Value>| {
+            Value::object(vec![
+                ("experiment", Value::Str("figure5".into())),
+                ("cells", Value::Array(cells)),
+            ])
+        };
+        let d = exact_diff(&grid(vec![cell(4)]), &grid(vec![cell(4), cell(8)])).unwrap();
+        assert_eq!(
+            d.difference.as_deref(),
+            Some(r#"cells[1]: new absent, baseline {"workload":"idct","way":8}"#)
+        );
+        let swapped =
+            Value::object(vec![("way", Value::Int(4)), ("workload", Value::Str("idct".into()))]);
+        let d = exact_diff(&grid(vec![swapped]), &grid(vec![cell(4)])).unwrap();
+        assert_eq!(d.difference.as_deref(), Some("cells[0] key 0: new way, baseline workload"));
+        let mut extra = grid(vec![cell(4)]);
+        if let Value::Object(members) = &mut extra {
+            members.push(("note".into(), Value::Str("x".into())));
+        }
+        let d = exact_diff(&extra, &grid(vec![cell(4)])).unwrap();
+        assert_eq!(d.difference.as_deref(), Some(r#"note: new "x", baseline absent"#));
+    }
+
+    #[test]
+    fn exact_diff_compares_static_tables() {
+        let table = |rob: i64| {
+            Value::object(vec![
+                ("experiment", Value::Str("table1".into())),
+                ("kind", Value::Str("static".into())),
+                (
+                    "rows",
+                    Value::Array(vec![Value::object(vec![
+                        ("way", Value::Int(1)),
+                        ("rob", Value::Int(rob)),
+                    ])]),
+                ),
+            ])
+        };
+        assert!(
+            diff_documents(&table(8), &table(8), 0.02).is_err(),
+            "the cycle diff takes grids only"
+        );
+        assert_eq!(exact_diff(&table(8), &table(8)).unwrap(), Exact::default());
+        let d = exact_diff(&table(16), &table(8)).unwrap();
+        assert_eq!(d.difference.as_deref(), Some("rows[0].rob: new 16, baseline 8"));
+    }
+
+    #[test]
+    fn a_sampling_section_only_the_new_document_has_is_skipped_with_a_note() {
+        let sampled = with_sampling(doc(1000, "h"), 2.0, 0.1);
+        let d = exact_diff(&sampled, &doc(1000, "h")).unwrap();
+        assert_eq!(d.difference, None);
+        assert!(d.skipped_sampling);
+        assert!(format!("{d}").starts_with("note: skipped the `sampling` section only"), "{d}");
+        // The reverse is a difference, and two sampled documents compare
+        // their sections.
+        let d = exact_diff(&doc(1000, "h"), &sampled).unwrap();
+        assert!(!d.skipped_sampling);
+        assert!(
+            d.difference.as_deref().unwrap().starts_with("sampling: new absent, baseline {"),
+            "{d}"
+        );
+        let other = with_sampling(doc(1000, "h"), 2.5, 0.1);
+        let d = exact_diff(&other, &sampled).unwrap();
+        assert_eq!(
+            d.difference.as_deref(),
+            Some("sampling.cells[0].ipc_mean: new 2.5, baseline 2")
+        );
+    }
+
+    #[test]
+    fn exact_diff_refuses_documents_of_different_experiments() {
+        let mut other = doc(1000, "h");
+        if let Value::Object(members) = &mut other {
+            members[0].1 = Value::Str("figure7".into());
+        }
+        assert!(exact_diff(&other, &doc(1000, "h")).unwrap_err().contains("experiment mismatch"));
+        assert!(exact_diff(&Value::Null, &doc(1000, "h")).is_err());
     }
 }

@@ -59,15 +59,13 @@
 //!   scheduler spans (one trace process per experiment, one track per worker;
 //!   load it in `chrome://tracing` or Perfetto)
 //!
-//! `momlab diff` compares a written result with a saved one and gates on
-//! simulated cycles only (relative `--tolerance`, default 0.02; exit code 2
-//! on a regression); `run` rejects `--baseline` and `--tolerance` instead
-//! of ignoring them. When both documents carry a `meta.throughput` section,
-//! the report additionally prints informational per-cell `insts_per_sec`
-//! deltas (`throughput:` lines), and when both carry `meta.shared_passes`
-//! it prints the functional-sharing factors (`sharing:` line) — so
-//! simulator-performance changes stay visible in CI logs without wall-clock
-//! noise ever affecting the exit code.
+//! `momlab diff` compares a written result with a saved one and exits 2 on
+//! a difference; `run` rejects `--baseline` and `--tolerance`. At
+//! `--tolerance 0` it is the exact comparison every gate uses (see
+//! `mom_lab::baseline`); above 0 (default 0.02) it compares grid cells on
+//! cycles and prints informational `throughput:` and `sharing:` lines from
+//! `meta`, so simulator-performance changes stay visible in CI logs without
+//! wall-clock noise ever affecting the exit code.
 //!
 //! `MOM_BENCH_FAST=1` selects the reduced fast-mode workload subsets (the
 //! ones the golden files under `tests/golden/` were captured with).
@@ -80,7 +78,7 @@ use std::str::FromStr;
 use mom_apps::AppKind;
 use mom_isa::trace::IsaKind;
 use mom_kernels::KernelKind;
-use mom_lab::baseline::{diff_documents, DEFAULT_TOLERANCE};
+use mom_lab::baseline::{diff_documents, exact_diff, DEFAULT_TOLERANCE};
 use mom_lab::cache::{CacheEntry, CellCache};
 use mom_lab::json::Value;
 use mom_lab::runner::ExecMode;
@@ -157,8 +155,10 @@ unit.
 --trace-out FILE writes a Chrome trace-event JSON of the runner's scheduler
 spans (one process per experiment; open in chrome://tracing or Perfetto).
 
-momlab diff compares a written result with a saved one and exits 2 when
-cycles grow beyond --tolerance (default 0.02).
+momlab diff compares a written result with a saved one and exits 2 on a
+difference. --tolerance 0 compares every member but meta (a sampling
+section only the new result has is skipped) and names the first differing
+path; a tolerance above 0 (default 0.02) compares grid cells on cycles.
 
 --cache-dir DIR enables the persistent content-addressed cell cache: each
 grid cell's simulation result is stored as one JSON record keyed by the
@@ -697,7 +697,15 @@ fn cmd_diff(opts: &Options) -> Result<ExitCode, Failure> {
     let baseline_path = opts.baseline.as_ref().ok_or_else(|| usage("diff needs --baseline <file>"))?;
     let new_doc = read_document(Path::new(new_path))?;
     let baseline = read_document(baseline_path)?;
-    let diff = diff_documents(&new_doc, &baseline, opts.tolerance.unwrap_or(DEFAULT_TOLERANCE))?;
-    print!("{diff}");
-    Ok(if diff.has_regressions() { ExitCode::from(2) } else { ExitCode::SUCCESS })
+    let tolerance = opts.tolerance.unwrap_or(DEFAULT_TOLERANCE);
+    let failed = if tolerance == 0.0 {
+        let exact = exact_diff(&new_doc, &baseline)?;
+        print!("{exact}");
+        exact.difference.is_some()
+    } else {
+        let diff = diff_documents(&new_doc, &baseline, tolerance)?;
+        print!("{diff}");
+        diff.has_regressions()
+    };
+    Ok(if failed { ExitCode::from(2) } else { ExitCode::SUCCESS })
 }

@@ -9,7 +9,12 @@
 //! runner rests on it.
 
 /// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares numbers by value, as JSON does: `Int(1) == Float(1.0)`,
+/// because the writer prints an integral float without a fraction and the
+/// parser reads it back as an `Int`. So `Value::parse(&v.to_pretty()) == v`
+/// for every value with finite floats.
+#[derive(Debug, Clone)]
 pub enum Value {
     /// `null`.
     Null,
@@ -25,6 +30,26 @@ pub enum Value {
     Array(Vec<Value>),
     /// An object; members keep insertion order (no sorting, no dedup).
     Object(Vec<(String, Value)>),
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a == b,
+            (Value::Int(i), Value::Float(f)) | (Value::Float(f), Value::Int(i)) => {
+                // Integral and inside `i64`: from -2^63 up to, not including, 2^63.
+                const BOUND: f64 = 9_223_372_036_854_775_808.0;
+                f.fract() == 0.0 && (-BOUND..BOUND).contains(f) && *f as i64 == *i
+            }
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Array(a), Value::Array(b)) => a == b,
+            (Value::Object(a), Value::Object(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl Value {
@@ -111,15 +136,16 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Int(n) => out.push_str(&n.to_string()),
-            Value::Float(f) => {
-                if f.is_finite() {
-                    // Shortest-round-trip formatting; "2" (no dot) is legal
-                    // JSON and reparses as `Int`, which `as_f64` widens back.
-                    out.push_str(&f.to_string());
-                } else {
-                    out.push_str("null");
-                }
+            Value::Float(f) if !f.is_finite() => out.push_str("null"),
+            // From 2^53 on, the shortest digits of a float need not be its
+            // integer value (-2.734916936312633e16 would print as ...330,
+            // not ...328), so it keeps an exponent and reparses as a float.
+            Value::Float(f) if f.abs() >= 9_007_199_254_740_992.0 => {
+                out.push_str(&format!("{f:e}"))
             }
+            // Shortest-round-trip formatting; "2" (no dot) is legal JSON and
+            // reparses as an `Int` equal to this float.
+            Value::Float(f) => out.push_str(&f.to_string()),
             Value::Str(s) => write_escaped(out, s),
             Value::Array(items) => {
                 write_sequence(out, indent, depth, items.is_empty(), '[', ']', |out, nl| {
@@ -425,6 +451,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn writer_is_deterministic_and_parseable() {
@@ -448,10 +475,39 @@ mod tests {
         assert_eq!(reparsed.get("name").and_then(Value::as_str), Some("figure5"));
         assert_eq!(reparsed.get("scale").and_then(Value::as_i64), Some(1));
         assert_eq!(reparsed.get("speedup").and_then(Value::as_f64), Some(1.5));
-        // 2.0 prints as "2" and reparses as Int; as_f64 widens it back.
+        // 2.0 prints as "2" and reparses as an Int equal to it.
         let cells = reparsed.get("cells").and_then(Value::as_array).unwrap();
+        assert_eq!(cells[0].get("ipc"), Some(&Value::Int(2)));
         assert_eq!(cells[0].get("ipc").and_then(Value::as_f64), Some(2.0));
         assert_eq!(reparsed.get("missing"), Some(&Value::Null));
+        assert_eq!(reparsed, doc);
+    }
+
+    #[test]
+    fn numbers_compare_by_value() {
+        assert_eq!(Value::Int(1), Value::Float(1.0));
+        assert_eq!(Value::Float(-0.0), Value::Int(0));
+        assert_ne!(Value::Int(1), Value::Float(1.5));
+        assert_ne!(Value::Int(3), Value::Int(4));
+        // Ints stay exact where floats cannot: 2^53 + 1 has no f64.
+        assert_ne!(Value::Int((1 << 53) + 1), Value::Int(1 << 53));
+        assert_ne!(Value::Int((1 << 53) + 1), Value::Float((1u64 << 53) as f64));
+        // 2^63 is out of `i64` range; it must not saturate onto i64::MAX.
+        assert_ne!(Value::Int(i64::MAX), Value::Float(9_223_372_036_854_775_808.0));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(-9_223_372_036_854_775_808.0));
+        assert_ne!(Value::Float(f64::NAN), Value::Float(f64::NAN));
+        assert_ne!(Value::Int(0), Value::Null);
+        assert_ne!(Value::Int(1), Value::Bool(true));
+    }
+
+    #[test]
+    fn a_float_from_2_to_the_53_on_keeps_an_exponent() {
+        assert_eq!(Value::Float(-2.734916936312633e16).to_compact(), "-2.734916936312633e16");
+        assert_eq!(Value::Float(1e20).to_compact(), "1e20");
+        assert_eq!(Value::Float(9_007_199_254_740_991.0).to_compact(), "9007199254740991");
+        for f in [-2.734916936312633e16, 1e20, 9_007_199_254_740_992.0, -1e300] {
+            assert_eq!(Value::parse(&Value::Float(f).to_compact()), Ok(Value::Float(f)));
+        }
     }
 
     #[test]
@@ -505,5 +561,64 @@ mod tests {
     fn non_finite_floats_become_null() {
         assert_eq!(Value::Float(f64::NAN).to_compact(), "null");
         assert_eq!(Value::Float(f64::INFINITY).to_compact(), "null");
+    }
+
+    /// One step of a stack machine that builds a document: push a leaf, or
+    /// fold the top `n` stack entries into an array or an object.
+    fn build(steps: &[(u8, u64, i64)]) -> Value {
+        let mut stack: Vec<Value> = Vec::new();
+        for &(op, bits, n) in steps {
+            let fold = |stack: &mut Vec<Value>| {
+                let take = (n.unsigned_abs() as usize % 4).min(stack.len());
+                stack.split_off(stack.len() - take)
+            };
+            let value = match op {
+                0 => Value::Null,
+                1 => Value::Bool(bits & 1 == 1),
+                2 => Value::Int(n),
+                // Every finite bit pattern, subnormals included.
+                3 => Value::Float(
+                    Some(f64::from_bits(bits)).filter(|f| f.is_finite()).unwrap_or(0.5),
+                ),
+                // Integral floats, the values the writer prints without a
+                // fraction, up to and past the `i64` range.
+                4 => {
+                    Value::Float((n >> (bits % 64)) as f64 * if bits & 1 == 1 { 1e3 } else { 1.0 })
+                }
+                // ASCII (quotes, backslashes, control characters) and wider
+                // scalars, including some beyond the BMP.
+                5 => Value::Str(
+                    bits.to_le_bytes()
+                        .iter()
+                        .filter_map(|&b| {
+                            char::from_u32(if b < 128 { b.into() } else { u32::from(b) * 300 })
+                        })
+                        .collect(),
+                ),
+                6 => Value::Array(fold(&mut stack)),
+                _ => Value::Object(
+                    fold(&mut stack)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, v)| (format!("k{}", i % 2), v))
+                        .collect(),
+                ),
+            };
+            stack.push(value);
+        }
+        Value::Array(stack)
+    }
+
+    proptest! {
+        #![proptest_config(Config::with_cases(256))]
+
+        #[test]
+        fn every_document_with_finite_floats_survives_its_own_text(
+            steps in prop::collection::vec((0u8..8, any::<u64>(), any::<i64>()), 0..48),
+        ) {
+            let doc = build(&steps);
+            prop_assert_eq!(Value::parse(&doc.to_pretty()), Ok(doc.clone()));
+            prop_assert_eq!(Value::parse(&doc.to_compact()), Ok(doc));
+        }
     }
 }

@@ -15,7 +15,7 @@
 //!   byte-for-byte from the structured results (pinned by golden files);
 //! * [`tables`] — the config-derived static experiments (Tables 1-3, opcode
 //!   inventories);
-//! * [`baseline`] — regression diffing of result files;
+//! * [`baseline`] — comparing result files: exact at tolerance 0, on cycles above it;
 //! * [`trace`] — Chrome trace-event export of the runner's scheduler spans
 //!   (`momlab run --trace-out <file>`).
 //!

@@ -316,14 +316,6 @@ impl ExperimentSpec {
         Some(spec)
     }
 
-    /// All built-in experiments at the given scale/fast setting.
-    pub fn all_builtin(scale: usize, fast: bool) -> Vec<ExperimentSpec> {
-        BUILTIN_EXPERIMENTS
-            .iter()
-            .map(|name| ExperimentSpec::builtin(name, scale, fast).expect("builtin name"))
-            .collect()
-    }
-
     /// The grid, if this is a grid experiment.
     pub fn grid(&self) -> Option<&GridSpec> {
         match &self.kind {
@@ -631,7 +623,6 @@ mod tests {
             assert_eq!(spec.name, name);
         }
         assert!(ExperimentSpec::builtin("figure9", 1, false).is_none());
-        assert_eq!(ExperimentSpec::all_builtin(1, true).len(), BUILTIN_EXPERIMENTS.len());
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! End-to-end tests of the `momlab` binary: what a user types, spawned as a
 //! real process, with its stdout checked against the golden files under
-//! `tests/golden/` (captured from the historic per-experiment binaries with
-//! `MOM_BENCH_FAST=1` and scale 1).
+//! `tests/golden/` (the experiment tables captured from the historic
+//! per-experiment binaries with `MOM_BENCH_FAST=1` and scale 1; the
+//! `diff_*` files pin the output of `momlab diff --tolerance 0.02`).
 //!
 //! Cargo builds the package's binaries before its integration tests and
 //! exposes their paths through `CARGO_BIN_EXE_<name>`.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use mom_lab::json::Value;
 
 fn momlab(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_momlab"))
@@ -229,5 +233,130 @@ fn a_cache_usage_error_creates_no_directory() {
         assert_eq!(output.status.code(), Some(1), "cache {verb}; stderr:\n{stderr}");
         assert!(stderr.contains("Usage:"), "cache {verb}; stderr:\n{stderr}");
         assert!(!dir.exists(), "cache {verb} created {}", dir.display());
+    }
+}
+
+/// A committed file, by its path from the repository root.
+fn committed(path: &str) -> String {
+    format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// An empty directory of the test's own under Cargo's scratch area.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(test);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the test's scratch directory");
+    dir
+}
+
+fn read_json(path: &str) -> Value {
+    Value::parse(&std::fs::read_to_string(path).expect("read a document")).expect("parse it")
+}
+
+/// Write `doc` into `dir` and return the file's path.
+fn write_json(dir: &Path, name: &str, doc: &Value) -> String {
+    let path = dir.join(name);
+    std::fs::write(&path, doc.to_pretty()).expect("write a document");
+    path.to_str().expect("UTF-8 temp path").to_string()
+}
+
+/// Add `delta` to the integer at `path` (array indices as numbers) of
+/// `doc`; returns the old value.
+fn bump(doc: &mut Value, path: &[&str], delta: i64) -> i64 {
+    let leaf = path.iter().fold(doc, |v, key| match v {
+        Value::Array(items) => &mut items[key.parse::<usize>().expect("an index")],
+        Value::Object(members) => &mut members.iter_mut().find(|(k, _)| k == key).expect(key).1,
+        _ => panic!("no member {key}"),
+    });
+    let old = leaf.as_i64().expect("an integer");
+    *leaf = Value::Int(old + delta);
+    old
+}
+
+/// `momlab diff NEW --baseline OLD --tolerance T`: exit code and stdout.
+fn diff(new: &str, baseline: &str, tolerance: &str) -> (Option<i32>, String) {
+    let output = momlab(&["diff", new, "--baseline", baseline, "--tolerance", tolerance]);
+    let stdout = String::from_utf8(output.stdout).expect("momlab prints UTF-8");
+    (output.status.code(), stdout)
+}
+
+#[test]
+fn diff_at_tolerance_0_passes_every_baseline_against_itself() {
+    for name in mom_lab::BUILTIN_EXPERIMENTS {
+        let file = committed(&format!("baselines/BENCH_{name}.json"));
+        assert_eq!(diff(&file, &file, "0"), (Some(0), "identical: every member but meta\n".into()));
+    }
+}
+
+#[test]
+fn diff_at_tolerance_0_names_a_moved_breakdown_cycle() {
+    let dir = scratch_dir("diff-moved-breakdown-cycle");
+    let baseline = committed("baselines/BENCH_figure7.json");
+    let mut doc = read_json(&baseline);
+    let base = bump(&mut doc, &["cells", "0", "breakdown", "base"], -1);
+    bump(&mut doc, &["cells", "0", "breakdown", "mem-dram"], 1);
+    let moved = write_json(&dir, "BENCH_figure7.json", &doc);
+    let want = format!("DIFFERS at cells[0].breakdown.base: new {}, baseline {base}\n", base - 1);
+    assert_eq!(diff(&moved, &baseline, "0"), (Some(2), want));
+    // The cycle comparison above 0 sees no cell change.
+    let (code, stdout) = diff(&moved, &baseline, "0.02");
+    assert_eq!(code, Some(0), "{stdout}");
+}
+
+#[test]
+fn diff_at_tolerance_0_compares_static_tables() {
+    let dir = scratch_dir("diff-static-table");
+    let baseline = committed("baselines/BENCH_table1.json");
+    assert_eq!(diff(&baseline, &baseline, "0").0, Some(0));
+    let mut doc = read_json(&baseline);
+    let rob = bump(&mut doc, &["rows", "0", "rob"], 1);
+    let changed = write_json(&dir, "BENCH_table1.json", &doc);
+    let want = format!("DIFFERS at rows[0].rob: new {}, baseline {rob}\n", rob + 1);
+    assert_eq!(diff(&changed, &baseline, "0"), (Some(2), want));
+}
+
+#[test]
+fn diff_skips_a_sampling_section_only_the_new_document_has() {
+    let dir = scratch_dir("diff-sampling-rule");
+    let exact = committed("baselines/BENCH_stress.json");
+    let Value::Object(mut members) = read_json(&exact) else { panic!("an object") };
+    let sampling = read_json(&committed("baselines/sampled/BENCH_stress.json"));
+    members
+        .push(("sampling".into(), sampling.get("sampling").expect("a sampling section").clone()));
+    let sampled = write_json(&dir, "BENCH_stress.json", &Value::Object(members));
+    let (code, stdout) = diff(&sampled, &exact, "0");
+    assert_eq!(code, Some(0), "{stdout}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert_eq!(
+        lines[0], "note: skipped the `sampling` section only the new document has",
+        "{stdout}"
+    );
+    // An exact result held to a sampled baseline lacks its section.
+    let (code, stdout) = diff(&exact, &sampled, "0");
+    assert_eq!(code, Some(2), "{stdout}");
+    assert!(stdout.starts_with("DIFFERS at sampling: new absent, baseline {"), "{stdout}");
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
+}
+
+#[test]
+fn diff_above_tolerance_0_still_compares_cycles_only() {
+    let cases = [
+        (
+            "BENCH_stress_sampled.json",
+            "BENCH_stress_exact.json",
+            include_str!("golden/diff_stress_sampled_vs_exact.txt"),
+        ),
+        (
+            "BENCH_figure7.json",
+            "baselines/BENCH_figure7.json",
+            include_str!("golden/diff_figure7_full_vs_fast.txt"),
+        ),
+    ];
+    for (new, baseline, golden) in cases {
+        assert_eq!(
+            diff(&committed(new), &committed(baseline), "0.02"),
+            (Some(0), golden.to_string())
+        );
     }
 }

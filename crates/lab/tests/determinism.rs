@@ -3,6 +3,7 @@
 //! worker count live only in the `meta` section, which is excluded from
 //! `results_json` by construction.
 
+use mom_lab::baseline::exact_diff;
 use mom_lab::json::Value;
 use mom_lab::runner::{run, ExecMode, RunOptions, RunResult};
 use mom_lab::spec::ExperimentSpec;
@@ -33,11 +34,20 @@ fn figure5_parallel_and_serial_runs_are_byte_identical() {
 /// The guarantee holds across every built-in experiment, including the
 /// paired-config latency study and the application-level Figure 7, and for an
 /// oversubscribed worker count (more threads than cells of some stages).
+/// The serial run also equals the committed fast-mode
+/// `baselines/BENCH_<name>.json` field for field, static tables included —
+/// the comparison behind `momlab diff --tolerance 0`.
 #[test]
 fn every_builtin_experiment_is_deterministic_across_worker_counts() {
     for name in mom_lab::BUILTIN_EXPERIMENTS {
         let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
-        let reference = run_with(&spec, 1).results_json().to_pretty();
+        let serial = run_with(&spec, 1).results_json();
+        let path = format!("{}/../../baselines/BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let baseline = Value::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let exact = exact_diff(&serial, &baseline).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(exact.difference.is_none(), "{name} vs {path}: {exact}");
+        let reference = serial.to_pretty();
         for workers in [2, 7] {
             let run = run_with(&spec, workers).results_json().to_pretty();
             assert_eq!(reference, run, "{name} differed at {workers} workers");

@@ -14,13 +14,24 @@
 //! * **Estimates are pinned**: at the CI sampling knobs the fast-mode
 //!   `stress` and `figure7` documents equal the committed
 //!   `baselines/sampled/` documents minus `meta`.
+//!
+//! Every comparison is [`exact_diff`], the one behind `momlab diff
+//! --tolerance 0`, so a failure names the first differing JSON path.
 
-use mom_lab::runner::{run, ExecMode, RunOptions, RunResult};
+use mom_lab::baseline::exact_diff;
 use mom_lab::json::Value;
+use mom_lab::runner::{run, ExecMode, RunOptions, RunResult};
 use mom_lab::spec::ExperimentSpec;
 
 fn run_with_mode(spec: &ExperimentSpec, workers: usize, mode: ExecMode) -> RunResult {
     run(spec, &RunOptions { workers, mode, ..Default::default() })
+}
+
+/// Fail with the first differing path unless `new` equals `baseline`
+/// (minus `meta`, and minus a `sampling` section only `new` has).
+fn assert_equal(new: &Value, baseline: &Value, what: &str) {
+    let exact = exact_diff(new, baseline).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert!(exact.difference.is_none(), "{what}: {exact}");
 }
 
 /// A sampled mode whose period is small enough that scale-1 fast kernels
@@ -34,13 +45,9 @@ fn a_whole_workload_window_equals_streamed_for_every_builtin() {
     let whole = ExecMode::Sampled { unit_insts: 1 << 40, warmup_insts: 0, period: 1 << 40 };
     for name in mom_lab::BUILTIN_EXPERIMENTS {
         let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
-        let exact = run_with_mode(&spec, 2, ExecMode::Streamed).results_json().to_pretty();
-        let Value::Object(mut members) = run_with_mode(&spec, 2, whole).results_json() else {
-            panic!("{name}: a results document is a JSON object")
-        };
-        members.retain(|(key, _)| key != "sampling");
-        let sampled = Value::Object(members).to_pretty();
-        assert_eq!(exact, sampled, "{name}: one whole-workload window diverged from streamed");
+        let exact = run_with_mode(&spec, 2, ExecMode::Streamed).results_json();
+        let sampled = run_with_mode(&spec, 2, whole).results_json();
+        assert_equal(&sampled, &exact, &format!("{name}: one whole-workload window vs streamed"));
     }
 }
 
@@ -48,10 +55,10 @@ fn a_whole_workload_window_equals_streamed_for_every_builtin() {
 fn sampled_runs_are_deterministic_across_worker_counts() {
     for name in ["figure5", "figure7"] {
         let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
-        let reference = run_with_mode(&spec, 1, SMALL_SAMPLED).results_json().to_pretty();
+        let reference = run_with_mode(&spec, 1, SMALL_SAMPLED).results_json();
         for workers in [2, 7] {
-            let run = run_with_mode(&spec, workers, SMALL_SAMPLED).results_json().to_pretty();
-            assert_eq!(reference, run, "{name} differed at {workers} workers");
+            let run = run_with_mode(&spec, workers, SMALL_SAMPLED).results_json();
+            assert_equal(&run, &reference, &format!("{name} at {workers} workers vs 1"));
         }
     }
 }
@@ -89,19 +96,6 @@ fn sampled_estimates_stay_anchored_to_the_exact_run() {
     assert!(doc.contains("\"ipc_mean\""));
 }
 
-/// `baselines/sampled/BENCH_<name>.json` without its `meta` section (the
-/// committed documents carry none; CI strips it from fresh runs).
-fn sampled_baseline(name: &str) -> Value {
-    let path = format!("{}/../../baselines/sampled/BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let Value::Object(mut members) = Value::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
-    else {
-        panic!("{path} is not a JSON object")
-    };
-    members.retain(|(key, _)| key != "meta");
-    Value::Object(members)
-}
-
 #[test]
 fn ci_knob_sampled_runs_equal_the_committed_baselines() {
     // The knobs of the CI sampled gate; phases, windows and fast-forwards
@@ -109,12 +103,15 @@ fn ci_knob_sampled_runs_equal_the_committed_baselines() {
     let mode = ExecMode::Sampled { unit_insts: 50, warmup_insts: 50, period: 400 };
     for name in ["stress", "figure7"] {
         let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
-        let got = run_with_mode(&spec, 1, mode).results_json().to_pretty();
-        let want = sampled_baseline(name).to_pretty();
-        let first_diff = got.lines().zip(want.lines()).position(|(g, w)| g != w);
-        assert!(
-            got == want,
-            "{name}: sampled estimates drifted from baselines/sampled/ (first differing line {first_diff:?})"
+        let path =
+            format!("{}/../../baselines/sampled/BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let want = Value::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let got = run_with_mode(&spec, 1, mode).results_json();
+        assert_equal(
+            &got,
+            &want,
+            &format!("{name}: sampled estimates vs baselines/sampled/"),
         );
     }
 }

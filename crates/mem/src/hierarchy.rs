@@ -99,21 +99,6 @@ impl Hierarchy {
         &self.ports
     }
 
-    /// L1 statistics.
-    pub fn l1_stats(&self) -> crate::cache::CacheStats {
-        self.l1.stats()
-    }
-
-    /// L2 statistics.
-    pub fn l2_stats(&self) -> crate::cache::CacheStats {
-        self.l2.stats()
-    }
-
-    /// DRAM statistics.
-    pub fn dram_stats(&self) -> crate::dram::DramStats {
-        self.dram.stats()
-    }
-
     /// Fill from L2 (and DRAM beyond it), returning the cycle the line is
     /// available at the requesting level together with the dominant cause of
     /// that cycle (L2 hit, DRAM transfer, or an L2 MSHR wait).
@@ -489,13 +474,13 @@ mod tests {
         let mut h = Hierarchy::new(MemModelKind::VectorCache, 4);
         // Bring a line into L1 via the scalar path.
         h.access(0, &[load(0x9000)], false);
-        assert_eq!(h.l1_stats().misses, 1);
+        assert_eq!(h.l1.stats().misses, 1);
         // Vector store to the same line must invalidate it.
         let stores: Vec<_> = (0..16).map(|i| store(0x9000 + i * 8)).collect();
         h.access(100, &stores, true);
         // A later scalar load misses again (the line was invalidated).
         h.access(300, &[load(0x9000)], false);
-        assert_eq!(h.l1_stats().misses, 2);
+        assert_eq!(h.l1.stats().misses, 2);
     }
 
     #[test]
