@@ -12,8 +12,10 @@
 //! A tolerance above 0 ([`diff_documents`]) compares grid cells, matched
 //! by their `(workload, config, way)` identity key, on cycles alone: growth
 //! beyond the relative tolerance is a **regression**, shrinkage an
-//! **improvement**. Config drift (different hash, fast flag or scale) is a
-//! warning, since cycle comparisons across different grids are meaningless.
+//! **improvement**; a cell only one document has fails the comparison too.
+//! Documents of different grids (a different hash, fast flag or scale) are
+//! an error, as different experiments are: comparing their cycles would be
+//! meaningless.
 
 use crate::json::Value;
 
@@ -22,14 +24,14 @@ pub const DEFAULT_TOLERANCE: f64 = 0.02;
 
 /// The outcome of the cycle comparison ([`diff_documents`]).
 ///
-/// Only `regressions` fail it. The informational lines — `throughput` and
-/// `sharing` from `meta`, `breakdown` share shifts and `sampling` moves —
-/// never affect [`Diff::has_regressions`]: they explain a cycle change or
-/// keep simulator-performance changes visible in CI logs, while wall-clock
-/// noise and sampling error stay out of the exit code.
+/// Regressions and cells only one document has fail it. The informational
+/// lines — `throughput` and `sharing` from `meta`, `breakdown` share shifts
+/// and `sampling` moves — never affect [`Diff::failed`]: they explain a
+/// cycle change or keep simulator-performance changes visible in CI logs,
+/// while wall-clock noise and sampling error stay out of the exit code.
 #[derive(Debug, Clone, Default)]
 pub struct Diff {
-    /// Context mismatches (config hash, fast flag, scale, experiment name).
+    /// Duplicate keys and unreadable cycle counts.
     pub warnings: Vec<String>,
     /// Cells whose cycles grew beyond the tolerance.
     pub regressions: Vec<String>,
@@ -58,9 +60,10 @@ pub struct Diff {
 }
 
 impl Diff {
-    /// Whether the new result regressed relative to the baseline.
-    pub fn has_regressions(&self) -> bool {
-        !self.regressions.is_empty()
+    /// Whether the comparison fails: a cell regressed, or only one of the
+    /// two documents has it.
+    pub fn failed(&self) -> bool {
+        !(self.regressions.is_empty() && self.missing.is_empty() && self.added.is_empty())
     }
 }
 
@@ -241,7 +244,7 @@ fn first_difference(path: &str, new: &Value, baseline: &Value) -> Option<String>
 /// # Errors
 ///
 /// Returns an error when either document is not a grid result or when the
-/// two documents describe different experiments.
+/// two documents describe different experiments or different grids.
 pub fn diff_documents(new: &Value, baseline: &Value, tolerance: f64) -> Result<Diff, String> {
     let kind = |doc: &Value| doc.get("kind").and_then(Value::as_str).map(str::to_string);
     check_experiments(new, baseline)?;
@@ -249,18 +252,22 @@ pub fn diff_documents(new: &Value, baseline: &Value, tolerance: f64) -> Result<D
         return Err("a tolerance above 0 compares grid cells; compare static tables at 0".into());
     }
 
-    let mut diff = Diff::default();
-    for field in ["config_hash", "fast", "scale"] {
-        let (a, b) = (new.get(field), baseline.get(field));
-        if a != b {
-            diff.warnings.push(format!(
-                "{field} differs (new: {}, baseline: {}) — cycle comparisons may be meaningless",
-                a.map(Value::to_compact).unwrap_or_else(|| "absent".into()),
-                b.map(Value::to_compact).unwrap_or_else(|| "absent".into()),
-            ));
-        }
+    let text = |v: Option<&Value>| v.map_or("absent".to_string(), Value::to_compact);
+    let drift: Vec<String> = ["config_hash", "fast", "scale"]
+        .into_iter()
+        .filter(|&field| new.get(field) != baseline.get(field))
+        .map(|field| {
+            format!("{field} new {}, baseline {}", text(new.get(field)), text(baseline.get(field)))
+        })
+        .collect();
+    if !drift.is_empty() {
+        return Err(format!(
+            "different grids ({}): a tolerance above 0 compares the cells of one grid",
+            drift.join("; ")
+        ));
     }
 
+    let mut diff = Diff::default();
     let [new_cells, base_cells] =
         [new, baseline].map(|doc| doc.get("cells").and_then(Value::as_array).unwrap_or_default());
     let base_index = CellIndex::build(base_cells, "the baseline document", &mut diff.warnings);
@@ -470,7 +477,7 @@ mod tests {
     #[test]
     fn identical_documents_have_no_findings() {
         let d = diff_documents(&doc(1000, "h"), &doc(1000, "h"), DEFAULT_TOLERANCE).unwrap();
-        assert!(!d.has_regressions());
+        assert!(!d.failed());
         assert!(d.improvements.is_empty() && d.warnings.is_empty());
         assert_eq!(d.unchanged, 1);
     }
@@ -507,7 +514,7 @@ mod tests {
         let new = doc_with_breakdown(1000, 600, 400);
         let base = doc_with_breakdown(1000, 700, 300);
         let d = diff_documents(&new, &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(!d.has_regressions(), "share shifts never gate");
+        assert!(!d.failed(), "share shifts never gate");
         assert_eq!(d.breakdown.len(), 2, "{:?}", d.breakdown);
         assert!(
             d.breakdown.iter().any(|l| l.contains("mem-l1") && l.contains("+10.0pp")),
@@ -525,21 +532,24 @@ mod tests {
     #[test]
     fn cycle_growth_beyond_tolerance_is_a_regression() {
         let d = diff_documents(&doc(1100, "h"), &doc(1000, "h"), 0.02).unwrap();
-        assert!(d.has_regressions());
+        assert!(d.failed());
         assert!(d.regressions[0].contains("idct / mom / 4-way"), "{:?}", d.regressions);
         // Within tolerance: no finding.
         let d = diff_documents(&doc(1010, "h"), &doc(1000, "h"), 0.02).unwrap();
-        assert!(!d.has_regressions());
+        assert!(!d.failed());
         // Shrinkage: improvement.
         let d = diff_documents(&doc(900, "h"), &doc(1000, "h"), 0.02).unwrap();
-        assert!(!d.has_regressions());
+        assert!(!d.failed());
         assert_eq!(d.improvements.len(), 1);
     }
 
     #[test]
-    fn config_drift_warns() {
-        let d = diff_documents(&doc(1000, "a"), &doc(1000, "b"), 0.02).unwrap();
-        assert!(d.warnings.iter().any(|w| w.contains("config_hash")), "{:?}", d.warnings);
+    fn grid_drift_is_an_error() {
+        let err = diff_documents(&doc(1000, "a"), &doc(1000, "b"), 0.02).unwrap_err();
+        assert_eq!(
+            err,
+            r#"different grids (config_hash new "a", baseline "b"): a tolerance above 0 compares the cells of one grid"#
+        );
     }
 
     #[test]
@@ -575,7 +585,7 @@ mod tests {
         let new = with_throughput(doc(1000, "h"), 20e6);
         let base = with_throughput(doc(1000, "h"), 10e6);
         let d = diff_documents(&new, &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(!d.has_regressions());
+        assert!(!d.failed());
         assert_eq!(d.throughput.len(), 1);
         assert!(d.throughput[0].contains("10.0 -> 20.0 Minst/s"), "{:?}", d.throughput);
         assert!(d.throughput[0].contains("+100.0%"), "{:?}", d.throughput);
@@ -584,7 +594,7 @@ mod tests {
         // Halved throughput is still not a regression — cycles gate, wall
         // clock informs.
         let d = diff_documents(&base, &new, DEFAULT_TOLERANCE).unwrap();
-        assert!(!d.has_regressions());
+        assert!(!d.failed());
         assert!(d.throughput[0].contains("-50.0%"), "{:?}", d.throughput);
     }
 
@@ -619,7 +629,7 @@ mod tests {
         let new = with_sharing(doc(1000, "h"), 4, 16, 4.0);
         let base = with_sharing(doc(1000, "h"), 16, 16, 1.0);
         let d = diff_documents(&new, &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(!d.has_regressions(), "sharing never gates");
+        assert!(!d.failed(), "sharing never gates");
         let line = d.sharing.as_deref().expect("sharing line present");
         assert!(line.contains("4 functional passes for 16 cells"), "{line}");
         assert!(line.contains("4.00x"), "{line}");
@@ -661,7 +671,7 @@ mod tests {
         let new = with_sampling(doc(1000, "h"), 2.0, 0.1);
         let base = with_sampling(doc(1000, "h"), 1.5, 0.2);
         let d = diff_documents(&new, &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(!d.has_regressions(), "sampling lines never gate");
+        assert!(!d.failed(), "sampling lines never gate");
         assert_eq!(d.sampling.len(), 1, "{:?}", d.sampling);
         assert!(d.sampling[0].contains("1.500±0.200 -> 2.000±0.100"), "{:?}", d.sampling);
         assert!(d.sampling[0].contains("+0.500"), "{:?}", d.sampling);
@@ -705,7 +715,7 @@ mod tests {
         assert!(warning.contains("the new document"), "{warning}");
         // The first occurrence (1000 cycles, identical to baseline) is the
         // one compared — the shadowed 9999-cycle duplicate does not regress.
-        assert!(!d.has_regressions(), "{:?}", d.regressions);
+        assert!(!d.failed(), "{:?}", d.regressions);
         assert_eq!(d.unchanged, 1);
         assert!(d.added.is_empty() && d.missing.is_empty());
 
@@ -716,7 +726,7 @@ mod tests {
             "{:?}",
             d.warnings
         );
-        assert!(!d.has_regressions());
+        assert!(!d.failed());
     }
 
     #[test]
@@ -750,7 +760,7 @@ mod tests {
         );
         // First occurrence wins: 10 -> 10 Minst/s, not 99.
         assert!(d.throughput[0].contains("10.0 -> 10.0 Minst/s"), "{:?}", d.throughput);
-        assert!(!d.has_regressions());
+        assert!(!d.failed());
     }
 
     #[test]
@@ -768,8 +778,10 @@ mod tests {
         }
         let d = diff_documents(&bigger, &doc(1000, "h"), 0.02).unwrap();
         assert_eq!(d.added.len(), 1);
+        assert!(d.failed() && d.regressions.is_empty());
         let d = diff_documents(&doc(1000, "h"), &bigger, 0.02).unwrap();
         assert_eq!(d.missing.len(), 1);
+        assert!(d.failed());
     }
 
     #[test]
@@ -780,7 +792,7 @@ mod tests {
         // Equal cycles, one cycle moved between causes: the cycle diff sees
         // nothing, the exact diff names the path.
         let (new, base) = (doc_with_breakdown(1000, 599, 401), doc_with_breakdown(1000, 600, 400));
-        assert!(!diff_documents(&new, &base, 0.02).unwrap().has_regressions());
+        assert!(!diff_documents(&new, &base, 0.02).unwrap().failed());
         let exact = exact_diff(&new, &base).unwrap();
         let line = exact.difference.as_deref().expect("a difference");
         assert_eq!(line, "cells[0].breakdown.base: new 599, baseline 600");

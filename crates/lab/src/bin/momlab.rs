@@ -1,75 +1,15 @@
-//! `momlab` — the experiment-orchestration CLI.
+//! `momlab` — the experiment-orchestration CLI: `list`, `describe`, `run`,
+//! `diff` and `cache ls|verify|gc`.
 //!
-//! ```text
-//! momlab list [--experiment NAME]...
-//! momlab describe <NAME>... [--sweep-dims SPEC]
-//! momlab run <NAME>... | --all [options]
-//! momlab --all                      # shorthand for `momlab run --all`
-//! momlab diff <NEW.json> --baseline <OLD.json> [--tolerance F]
-//! momlab cache ls|verify|gc [--cache-dir DIR] [--max-bytes N]
-//! ```
-//!
-//! `momlab describe` prints the resolved machine grid of an experiment: one
-//! line per cell with the full `MachineDescriptor` (core organisation, ROB,
-//! memory system, register files) the runner would instantiate.
-//!
-//! Run options:
-//!
-//! * `--experiment NAME` — with `--all`, restrict which experiments run
-//! * `--kernel K` / `--app A` / `--isa I` — restrict grid experiments
-//!   (repeatable)
-//! * `--scale N` — workload scale (default 1)
-//! * `--seed N` — workload seed override (recorded in the spec and its
-//!   `config_hash`)
-//! * `--workers N` — worker threads (default: min(cpus, 8); 1 = serial)
-//! * `--streamed` — *per-cell* groups: each cell re-interprets its workload
-//!   and feeds its simulator directly (byte-identical results; O(ROB) memory
-//!   per cell). Without it the runner uses the **fan-out** grouping: one
-//!   functional pass per `(workload, ISA)` group, fanned out to all member
-//!   simulators (byte-identical, and the functional work drops by the
-//!   factor reported in `meta.shared_passes`). Each group runs whole on
-//!   one worker; `--workers` spreads the groups
-//! * `--sampled` — SMARTS-style sampled simulation: each cell simulates a
-//!   detailed warm-up + measurement unit at the head of every sampling
-//!   period and functionally fast-forwards the rest, so wall-clock scales
-//!   with the number of samples instead of the workload length. Cells are
-//!   IPC *estimates* with 95% confidence intervals (reported in a `sampling`
-//!   results section). The cells of one `(workload, ISA)` group share one
-//!   functional pass that broadcasts each detailed window to all of them
-//! * `--sample-unit N` / `--sample-warmup N` / `--sample-period N` — the
-//!   sampling knobs (defaults 1000 / 2000 / 100000 dynamic instructions;
-//!   each implies `--sampled`). The unit must be at least 1 and the period
-//!   at least warm-up + unit
-//! * `--sweep-dims SPEC` — override the `sweep` experiment's grid, e.g.
-//!   `rob=16,32:lat=1,50:way=4,8` (axes: `rob`, `lat`, `way`; omitted axes
-//!   keep their defaults)
-//! * `--json FILE` — result file path (single experiment only)
-//! * `--out-dir DIR` — directory for `BENCH_<name>.json` files (default `.`)
-//! * `--results-only` — write only the deterministic results document (no
-//!   `meta` section with wall-clock/throughput data); use when regenerating
-//!   the committed `baselines/`, so baseline diffs stay free of
-//!   machine-specific noise
-//! * `--no-json` — skip writing result files
-//! * `--quiet` — suppress the text tables
-//! * `--cache-dir DIR` — persistent content-addressed cell cache: store
-//!   every simulated cell as a JSON record and serve identical cells from
-//!   disk on later runs, byte-identically, across all execution modes
-//!   (`meta.cache` in the document and a stderr summary report hit counts)
-//! * `--trace-out FILE` — write a Chrome trace-event JSON of the runner's
-//!   scheduler spans (one trace process per experiment, one track per worker;
-//!   load it in `chrome://tracing` or Perfetto)
-//!
-//! `momlab diff` compares a written result with a saved one and exits 2 on
-//! a difference; `run` rejects `--baseline` and `--tolerance`. At
-//! `--tolerance 0` it is the exact comparison every gate uses (see
-//! `mom_lab::baseline`); above 0 (default 0.02) it compares grid cells on
-//! cycles and prints informational `throughput:` and `sharing:` lines from
-//! `meta`, so simulator-performance changes stay visible in CI logs without
-//! wall-clock noise ever affecting the exit code.
-//!
-//! `MOM_BENCH_FAST=1` selects the reduced fast-mode workload subsets (the
-//! ones the golden files under `tests/golden/` were captured with).
+//! Each command accepts exactly the flags of the `TABLES` that name it; any
+//! other flag is a usage error naming the commands that own it. `momlab
+//! --help` is rendered from `COMMANDS` and `TABLES`, so the help text and
+//! the parser cannot drift apart. `MOM_BENCH_FAST=1` selects the reduced
+//! fast-mode workload subsets (the ones the golden files under
+//! `tests/golden/` were captured with).
 
+use std::borrow::Borrow;
+use std::fmt::Display;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -97,7 +37,7 @@ fn main() -> ExitCode {
     let mut stderr = std::io::stderr().lock();
     let _ = writeln!(stderr, "error: {msg}");
     if usage {
-        let _ = writeln!(stderr, "\n{USAGE}");
+        let _ = writeln!(stderr, "\n{}", help());
     }
     ExitCode::FAILURE
 }
@@ -105,7 +45,7 @@ fn main() -> ExitCode {
 /// Why a command failed. Only an argument error is followed by the usage
 /// text; an error about a file's contents or a run is its one line.
 enum Failure {
-    /// An unknown flag or subcommand, or a missing or malformed value.
+    /// An unknown command or flag, or a missing or malformed value.
     Usage(String),
     /// Any other error.
     Error(String),
@@ -121,280 +61,287 @@ fn usage(msg: &str) -> Failure {
     Failure::Usage(msg.to_string())
 }
 
-const USAGE: &str = "\
-Usage:
-  momlab list [--experiment NAME]...
-  momlab describe <NAME>... [--sweep-dims SPEC]
-  momlab run <NAME>... | --all [--experiment NAME]... [--kernel K]... [--app A]...
-             [--isa I]... [--scale N] [--seed N] [--workers N] [--streamed]
-             [--sampled] [--sample-unit N] [--sample-warmup N]
-             [--sample-period N] [--sweep-dims SPEC] [--json FILE]
-             [--out-dir DIR] [--results-only] [--no-json] [--quiet]
-             [--trace-out FILE] [--cache-dir DIR]
-  momlab --all
-  momlab diff <NEW.json> --baseline <OLD.json> [--tolerance F]
-  momlab cache ls|verify|gc [--cache-dir DIR] [--max-bytes N] [--workers N]
+/// The commands: their words, their operands and what they do.
+const COMMANDS: &[(&str, &str, &str)] = &[
+    ("list", "[NAME]...", "list the selected experiments (all by default)"),
+    ("describe", "<NAME>...", "print the machine grid of each selected experiment"),
+    ("run", "<NAME>... | --all", "run experiments: print their tables, write BENCH_*.json"),
+    ("diff", "<NEW.json>", "compare a result with a saved one (exit 2 on a difference)"),
+    ("cache ls", "", "list the records of a cell cache"),
+    ("cache verify", "", "re-simulate every record and compare (exit 2 on a mismatch)"),
+    ("cache gc", "", "evict least-recently-used records"),
+];
 
-Built-in experiments: table1 table2 table3 isa_inventory figure5
-                      latency_tolerance figure7 stress sweep
+/// A flag: its name, the metavar of its value (empty for a switch) and its
+/// help line.
+type Flag = (&'static str, &'static str, &'static str);
 
-Execution modes: the default fan-out runner shares one functional pass per
-(workload, ISA) group across all member machines, each group run whole by
-one worker; --streamed makes every cell a group of its own. Both are
-byte-identical in their results.
---sampled trades exactness for wall-clock: per sampling period (default
-100000 insts) it simulates a detailed warm-up (2000) plus a measured unit
-(1000) and fast-forwards the rest, reporting per-cell IPC estimates with
-95% confidence intervals in a `sampling` results section. Sampled cells
-share one functional pass per (workload, ISA) group, applications
-included. The unit must be at least 1 and the period at least warm-up +
-unit.
+/// Every flag, in tables; each table names the commands that accept its
+/// flags. The first is the experiment selection `selected_specs` reads.
+const TABLES: &[(&[&str], &[Flag])] = &[
+    (
+        &["list", "describe", "run"],
+        &[
+            ("--all", "", "every built-in experiment (the default without a NAME)"),
+            ("--experiment", "NAME", "select NAME; with --all, keep only these (repeatable)"),
+            ("--kernel", "K", "keep only these kernels in grid experiments (repeatable)"),
+            ("--app", "A", "keep only these applications (repeatable)"),
+            ("--isa", "I", "keep only these ISAs (repeatable)"),
+            ("--scale", "N", "workload scale, at least 1 (default 1)"),
+            ("--seed", "N", "workload seed override (part of the config_hash)"),
+            ("--sweep-dims", "SPEC", "the sweep grid, e.g. rob=16,32:lat=1,50:way=4,8"),
+        ],
+    ),
+    (
+        &["run"],
+        &[
+            ("--workers", "N", "worker threads, at least 1 (default: min(cpus, 8))"),
+            ("--streamed", "", "one group per cell instead of one per (workload, ISA)"),
+            ("--sampled", "", "sampled simulation: IPC estimates with 95% CIs"),
+            ("--sample-unit", "N", "measured instructions per period (default 1000)"),
+            ("--sample-warmup", "N", "detailed warm-up per period (default 2000)"),
+            ("--sample-period", "N", "instructions per sampling period (default 100000)"),
+            ("--json", "FILE", "the result file (one experiment only)"),
+            ("--out-dir", "DIR", "where BENCH_<name>.json files go (default .)"),
+            ("--results-only", "", "write no host-dependent meta section"),
+            ("--no-json", "", "write no result file"),
+            ("--quiet", "", "print no text tables"),
+            ("--trace-out", "FILE", "write a Chrome trace of the scheduler's spans"),
+            ("--cache-dir", "DIR", "serve identical cells from this persistent cache"),
+        ],
+    ),
+    (
+        &["diff"],
+        &[
+            ("--baseline", "OLD.json", "the saved result to compare with (required)"),
+            ("--tolerance", "F", "0: exact; above 0: cycles per cell (default 0.02)"),
+        ],
+    ),
+    (&["cache ls", "cache verify", "cache gc"], &[("--cache-dir", "DIR", "the cache (required)")]),
+    (
+        &["cache verify"],
+        &[("--workers", "N", "worker threads, at least 1 (default: min(cpus, 8))")],
+    ),
+    (&["cache gc"], &[("--max-bytes", "N", "evict until at most N bytes remain (required)")]),
+];
 
---sweep-dims overrides the sweep grid, e.g. rob=16,32:lat=1,50:way=4,8.
+const NOTES: &str = "\
+Execution modes: by default one functional pass per (workload, ISA) group
+feeds all of its machines, each group run whole by one worker; --streamed
+gives every cell a group of its own, with the same results. --sampled (or
+any --sample-* flag) simulates a detailed warm-up plus a measured unit at
+the head of every sampling period and fast-forwards the rest. The unit must
+be at least 1 and the period at least warm-up + unit.
 
---trace-out FILE writes a Chrome trace-event JSON of the runner's scheduler
-spans (one process per experiment; open in chrome://tracing or Perfetto).
-
-momlab diff compares a written result with a saved one and exits 2 on a
-difference. --tolerance 0 compares every member but meta (a sampling
+momlab diff at --tolerance 0 compares every member but meta (a sampling
 section only the new result has is skipped) and names the first differing
-path; a tolerance above 0 (default 0.02) compares grid cells on cycles.
+path. Above 0 it compares the cells of one grid on cycles; documents of
+different grids are an error.
 
---cache-dir DIR enables the persistent content-addressed cell cache: each
-grid cell's simulation result is stored as one JSON record keyed by the
-experiment's config_hash, the cell identity and the engine fingerprint, so
-re-running an identical cell costs a file read instead of a simulation —
-byte-identical results, any execution mode can serve any other (sampled
-runs key separately per sampling knobs). Warm runs report hits on stderr
-and in the document's meta.cache section.
-
-momlab cache ls lists the records in a cache directory; cache verify
-re-simulates every record this binary can rebuild and diffs at tolerance 0
-(exit 2 on mismatch); cache gc --max-bytes N evicts least-recently-used
-records until the directory fits in N bytes. The cache verbs fail on a
-directory that does not exist instead of creating it.
+The cell cache stores each simulated cell as a JSON record keyed by the
+experiment's config_hash, the cell and the engine fingerprint, so any
+execution mode serves any other; sampled runs key separately per sampling
+knobs. The cache commands fail on a directory that does not exist.
 
 MOM_BENCH_FAST=1 selects the reduced fast-mode workload subsets.";
 
-/// Everything `momlab run` / `momlab list` / `momlab diff` accept.
-#[derive(Debug, Default)]
-struct Options {
-    all: bool,
-    names: Vec<String>,
-    experiments: Vec<String>,
-    kernels: Vec<KernelKind>,
-    isas: Vec<IsaKind>,
-    apps: Vec<AppKind>,
-    scale: usize,
-    seed: Option<u64>,
-    workers: Option<usize>,
-    streamed: bool,
-    sampled: bool,
-    sample_unit: Option<u64>,
-    sample_warmup: Option<u64>,
-    sample_period: Option<u64>,
-    sweep_dims: Option<String>,
-    json: Option<PathBuf>,
-    out_dir: PathBuf,
-    results_only: bool,
-    no_json: bool,
-    quiet: bool,
-    baseline: Option<PathBuf>,
-    tolerance: Option<f64>,
-    trace_out: Option<PathBuf>,
-    cache_dir: Option<PathBuf>,
-    max_bytes: Option<u64>,
+/// The flags `command` accepts.
+fn flags(command: &str) -> impl Iterator<Item = &'static Flag> + '_ {
+    TABLES.iter().filter(move |(commands, _)| commands.contains(&command)).flat_map(|(_, f)| *f)
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        scale: 1,
-        out_dir: PathBuf::from("."),
-        ..Options::default()
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--all" => opts.all = true,
-            "--experiment" => opts.experiments.push(value("--experiment")?.to_string()),
-            "--kernel" => opts.kernels.push(KernelKind::from_str(value("--kernel")?)?),
-            "--isa" => opts.isas.push(IsaKind::from_str(value("--isa")?)?),
-            "--app" => opts.apps.push(AppKind::from_str(value("--app")?)?),
-            "--scale" => {
-                opts.scale = value("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))
-                    .and_then(|s| if s == 0 { Err("--scale must be >= 1".into()) } else { Ok(s) })?
-            }
-            "--workers" => {
-                opts.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))
-                        .and_then(|w| {
-                            if w == 0 {
-                                Err("--workers must be >= 1".to_string())
-                            } else {
-                                Ok(w)
-                            }
-                        })?,
-                )
-            }
-            "--seed" => {
-                opts.seed =
-                    Some(value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?)
-            }
-            "--streamed" => opts.streamed = true,
-            "--sampled" => opts.sampled = true,
-            "--sample-unit" => {
-                opts.sample_unit = Some(
-                    value("--sample-unit")?.parse().map_err(|e| format!("--sample-unit: {e}"))?,
-                );
-                opts.sampled = true;
-            }
-            "--sample-warmup" => {
-                opts.sample_warmup = Some(
-                    value("--sample-warmup")?
-                        .parse()
-                        .map_err(|e| format!("--sample-warmup: {e}"))?,
-                );
-                opts.sampled = true;
-            }
-            "--sample-period" => {
-                opts.sample_period = Some(
-                    value("--sample-period")?
-                        .parse()
-                        .map_err(|e| format!("--sample-period: {e}"))?,
-                );
-                opts.sampled = true;
-            }
-            "--sweep-dims" => opts.sweep_dims = Some(value("--sweep-dims")?.to_string()),
-            "--json" => opts.json = Some(PathBuf::from(value("--json")?)),
-            "--out-dir" => opts.out_dir = PathBuf::from(value("--out-dir")?),
-            "--results-only" => opts.results_only = true,
-            "--no-json" => opts.no_json = true,
-            "--quiet" => opts.quiet = true,
-            "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--trace-out" => opts.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--cache-dir" => opts.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--max-bytes" => {
-                opts.max_bytes = Some(
-                    value("--max-bytes")?.parse().map_err(|e| format!("--max-bytes: {e}"))?,
-                )
-            }
-            "--tolerance" => {
-                opts.tolerance = Some(
-                    value("--tolerance")?
-                        .parse()
-                        .map_err(|e| format!("--tolerance: {e}"))
-                        .and_then(|t: f64| {
-                            if t.is_finite() && t >= 0.0 {
-                                Ok(t)
-                            } else {
-                                Err("--tolerance must be a finite value >= 0".to_string())
-                            }
-                        })?,
-                )
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            name => opts.names.push(name.to_string()),
+/// `a`, `a and b`, `a, b and c`.
+fn and_list<S: Borrow<str>>(items: &[S]) -> String {
+    match items.split_last() {
+        Some((last, rest)) if !rest.is_empty() => {
+            format!("{} and {}", rest.join(", "), last.borrow())
+        }
+        _ => items.concat(),
+    }
+}
+
+/// The help text, rendered from `COMMANDS` and `TABLES`.
+fn help() -> String {
+    let mut out = String::from("Usage: momlab <COMMAND> [FLAGS]\n\nCommands:\n");
+    for (name, operands, about) in COMMANDS {
+        out += &format!("  {:<30}  {about}\n", format!("momlab {name} {operands}").trim_end());
+    }
+    for (commands, flags) in TABLES {
+        out += &format!("\nFlags of {}:\n", and_list(commands));
+        for (name, value, text) in *flags {
+            out += &format!("  {:<20}  {text}\n", format!("{name} {value}").trim_end());
         }
     }
-    Ok(opts)
+    format!("{out}\nBuilt-in experiments:\n  {}\n\n{NOTES}", BUILTIN_EXPERIMENTS.join(" "))
+}
+
+/// A command line read against one command's flags: its operands, and each
+/// flag given, in order, with its value (empty for a switch).
+struct Args {
+    operands: Vec<String>,
+    flags: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    fn parse(command: &str, args: &[String]) -> Result<Args, Failure> {
+        let mut parsed = Args { operands: Vec::new(), flags: Vec::new() };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                parsed.operands.push(arg.clone());
+                continue;
+            }
+            let Some(&(name, value, _)) = flags(command).find(|f| f.0 == arg) else {
+                let owners: Vec<String> = COMMANDS
+                    .iter()
+                    .filter(|(c, _, _)| flags(c).any(|f| f.0 == arg))
+                    .map(|(c, _, _)| format!("`momlab {c}`"))
+                    .collect();
+                return Err(usage(&if owners.is_empty() {
+                    format!("unknown flag {arg}")
+                } else {
+                    format!("{arg} is a flag of {}, not of `momlab {command}`", and_list(&owners))
+                }));
+            };
+            let value = match value {
+                "" => String::new(),
+                _ => it.next().ok_or_else(|| usage(&format!("{name} needs a value")))?.clone(),
+            };
+            parsed.flags.push((name, value));
+        }
+        Ok(parsed)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The last value given for `flag`.
+    fn text(&self, flag: &str) -> Option<&str> {
+        self.flags.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
+    }
+
+    /// Every value given for `flag`, parsed.
+    fn all<T: FromStr<Err: Display>>(&self, flag: &str) -> Result<Vec<T>, Failure> {
+        let values = self.flags.iter().filter(|(f, _)| *f == flag);
+        values.map(|(_, v)| v.parse().map_err(|e| usage(&format!("{flag}: {e}")))).collect()
+    }
+
+    /// The last value given for `flag`, parsed.
+    fn last<T: FromStr<Err: Display>>(&self, flag: &str) -> Result<Option<T>, Failure> {
+        Ok(self.all(flag)?.pop())
+    }
+
+    /// The last value given for a count `flag`, which must be at least 1.
+    fn count(&self, flag: &str) -> Result<Option<usize>, Failure> {
+        match self.last(flag)? {
+            Some(0) => Err(usage(&format!("{flag} must be >= 1"))),
+            count => Ok(count),
+        }
+    }
 }
 
 fn run_cli(args: &[String]) -> Result<ExitCode, Failure> {
-    // `--help`/`-h` anywhere (including after a subcommand) prints usage and
-    // succeeds.
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
+    // `--help`/`-h` anywhere (including after a command) prints the help
+    // and succeeds.
+    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", help());
         return Ok(ExitCode::SUCCESS);
     }
-    let options = |args: &[String]| parse_options(args).map_err(Failure::Usage);
-    match args.first().map(String::as_str) {
-        None => {
-            println!("{USAGE}");
+    let words = |name: &str| name.split(' ').count();
+    let Some(&(command, operands, _)) = COMMANDS
+        .iter()
+        .find(|(name, _, _)| args.get(..words(name)).is_some_and(|w| w.join(" ") == *name))
+    else {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        return Err(usage(&format!("unknown command {:?} (try: {})", args[0], names.join(", "))));
+    };
+    let args = Args::parse(command, &args[words(command)..])?;
+    if let Some(extra) = args.operands.first().filter(|_| operands.is_empty()) {
+        return Err(usage(&format!("`momlab {command}` takes no operand, got {extra:?}")));
+    }
+    match command {
+        "list" => cmd_list(&args),
+        "describe" => cmd_describe(&args),
+        "run" => cmd_run(&args),
+        "diff" => cmd_diff(&args),
+        "cache ls" => Ok(cmd_cache_ls(&open_cache(&args)?)?),
+        "cache verify" => {
+            let workers = args.count("--workers")?.unwrap_or_else(runner::default_workers);
+            Ok(cmd_cache_verify(&open_cache(&args)?, workers)?)
+        }
+        "cache gc" => {
+            let max = args.last("--max-bytes")?;
+            let max = max.ok_or_else(|| usage("cache gc needs --max-bytes N"))?;
+            let cache = open_cache(&args)?;
+            let (evicted, evicted_bytes, remaining) =
+                cache.gc(max).map_err(|e| format!("cache gc in {}: {e}", cache.dir().display()))?;
+            eprintln!(
+                "evicted {evicted} record(s) ({evicted_bytes} bytes); {remaining} bytes remain in {}",
+                cache.dir().display()
+            );
             Ok(ExitCode::SUCCESS)
         }
-        Some("list") => Ok(cmd_list(&options(&args[1..])?)?),
-        Some("describe") => cmd_describe(&options(&args[1..])?),
-        Some("run") => Ok(cmd_run(&run_options(&args[1..])?)?),
-        Some("diff") => cmd_diff(&options(&args[1..])?),
-        Some("cache") => cmd_cache(&options(&args[1..])?),
-        // `momlab --all` is a shorthand for `momlab run --all`.
-        Some(_) => Ok(cmd_run(&run_options(args)?)?),
+        other => unreachable!("{other} is not in COMMANDS"),
     }
-}
-
-/// `run`'s options. [`Options`] is shared with `diff`, whose flags `run`
-/// rejects: ignoring them would turn a scripted gate into a no-op.
-fn run_options(args: &[String]) -> Result<Options, Failure> {
-    let opts = parse_options(args).map_err(Failure::Usage)?;
-    if opts.baseline.is_some() || opts.tolerance.is_some() {
-        return Err(usage(
-            "--baseline and --tolerance belong to `momlab diff`: write the result, then run \
-             `momlab diff <NEW.json> --baseline <OLD.json> [--tolerance F]`",
-        ));
-    }
-    Ok(opts)
 }
 
 /// Which experiments the name/--experiment/--all selection resolves to.
-fn selected_specs(opts: &Options) -> Result<Vec<ExperimentSpec>, String> {
+fn selected_specs(args: &Args) -> Result<Vec<ExperimentSpec>, Failure> {
     let fast = mom_lab::fast_mode();
+    let experiments: Vec<String> = args.all("--experiment")?;
+    let kernels: Vec<KernelKind> = args.all("--kernel")?;
+    let apps: Vec<AppKind> = args.all("--app")?;
+    let isas: Vec<IsaKind> = args.all("--isa")?;
+    let scale = args.count("--scale")?.unwrap_or(1);
+    let seed: Option<u64> = args.last("--seed")?;
+    let sweep_dims = args.text("--sweep-dims");
+    let unknown = |name: &str| {
+        format!("unknown experiment {name:?} (try: {})", BUILTIN_EXPERIMENTS.join(", "))
+    };
     // Validate --experiment names up front: with --all a misspelled filter
     // would otherwise silently select nothing and exit 0.
-    for name in &opts.experiments {
-        if !BUILTIN_EXPERIMENTS.contains(&name.as_str()) {
-            return Err(format!(
-                "unknown experiment {name:?} (try: {})",
-                BUILTIN_EXPERIMENTS.join(", ")
-            ));
-        }
+    if let Some(name) = experiments.iter().find(|n| !BUILTIN_EXPERIMENTS.contains(&n.as_str())) {
+        return Err(unknown(name).into());
     }
-    let mut names: Vec<String> = opts.names.clone();
-    names.extend(opts.experiments.iter().cloned());
-    if opts.all || names.is_empty() {
+    let mut names: Vec<String> = args.operands.clone();
+    names.extend(experiments.iter().cloned());
+    if args.has("--all") || names.is_empty() {
         names = BUILTIN_EXPERIMENTS.iter().map(|&n| n.to_string()).collect();
-        if !opts.experiments.is_empty() {
-            names.retain(|n| opts.experiments.contains(n));
+        if !experiments.is_empty() {
+            names.retain(|n| experiments.contains(n));
         }
     }
-    if opts.sweep_dims.is_some() && !names.iter().any(|n| n == "sweep") {
-        return Err("--sweep-dims applies to the sweep experiment; select it explicitly".into());
+    if sweep_dims.is_some() && !names.iter().any(|n| n == "sweep") {
+        return Err(Failure::Error(
+            "--sweep-dims applies to the sweep experiment; select it explicitly".into(),
+        ));
     }
     let mut specs = Vec::new();
     for name in &names {
-        let mut spec = if name == "sweep" && opts.sweep_dims.is_some() {
-            let dims = SweepDims::parse(opts.sweep_dims.as_deref().unwrap_or_default(), fast)?;
-            sweep_spec(&dims, opts.scale, fast)
-        } else {
-            ExperimentSpec::builtin(name, opts.scale, fast).ok_or_else(|| {
-                format!("unknown experiment {name:?} (try: {})", BUILTIN_EXPERIMENTS.join(", "))
-            })?
+        let mut spec = match sweep_dims.filter(|_| name == "sweep") {
+            Some(dims) => sweep_spec(&SweepDims::parse(dims, fast)?, scale, fast),
+            None => ExperimentSpec::builtin(name, scale, fast).ok_or_else(|| unknown(name))?,
         };
         if let ExperimentKind::Grid(grid) = &mut spec.kind {
             // The seed is part of the spec, so the override flows into the
             // config_hash and the results document automatically.
-            if let Some(seed) = opts.seed {
+            if let Some(seed) = seed {
                 grid.seed = seed;
             }
-            if !opts.kernels.is_empty() {
-                grid.retain_kernels(&opts.kernels);
+            if !kernels.is_empty() {
+                grid.retain_kernels(&kernels);
             }
-            if !opts.apps.is_empty() {
-                grid.retain_apps(&opts.apps);
+            if !apps.is_empty() {
+                grid.retain_apps(&apps);
             }
-            if !opts.isas.is_empty() {
-                grid.retain_isas(&opts.isas);
+            if !isas.is_empty() {
+                grid.retain_isas(&isas);
             }
             if grid.workloads.is_empty() || grid.configs.is_empty() {
-                return Err(format!(
-                    "the --kernel/--app/--isa filters leave {name} with an empty grid"
-                ));
+                let msg =
+                    format!("the --kernel/--app/--isa filters leave {name} with an empty grid");
+                return Err(msg.into());
             }
         }
         specs.push(spec);
@@ -402,8 +349,8 @@ fn selected_specs(opts: &Options) -> Result<Vec<ExperimentSpec>, String> {
     Ok(specs)
 }
 
-fn cmd_list(opts: &Options) -> Result<ExitCode, String> {
-    let specs = selected_specs(opts)?;
+fn cmd_list(args: &Args) -> Result<ExitCode, Failure> {
+    let specs = selected_specs(args)?;
     println!("{:<20} {:<6} {:>6} title", "experiment", "kind", "cells");
     for spec in &specs {
         let (kind, cells) = match spec.grid() {
@@ -415,11 +362,11 @@ fn cmd_list(opts: &Options) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_describe(opts: &Options) -> Result<ExitCode, Failure> {
-    if opts.names.is_empty() && opts.experiments.is_empty() && !opts.all {
+fn cmd_describe(args: &Args) -> Result<ExitCode, Failure> {
+    if args.operands.is_empty() && !args.has("--experiment") && !args.has("--all") {
         return Err(usage("describe takes at least one experiment name"));
     }
-    let specs = selected_specs(opts)?;
+    let specs = selected_specs(args)?;
     for (i, spec) in specs.iter().enumerate() {
         if i > 0 {
             println!();
@@ -435,30 +382,37 @@ fn read_document(path: &Path) -> Result<Value, String> {
     Value::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
-    let specs = selected_specs(opts)?;
-    if opts.json.is_some() && specs.len() != 1 {
-        return Err("--json FILE applies to a single experiment; use --out-dir for several".into());
+fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
+    let specs = selected_specs(args)?;
+    let json = args.text("--json").map(PathBuf::from);
+    if json.is_some() && specs.len() != 1 {
+        return Err(Failure::Error(
+            "--json FILE applies to a single experiment; use --out-dir for several".into(),
+        ));
     }
-    let workers = opts.workers.unwrap_or_else(runner::default_workers);
-    if opts.streamed && opts.sampled {
-        return Err("--streamed and --sampled are mutually exclusive".into());
+    let workers = args.count("--workers")?.unwrap_or_else(runner::default_workers);
+    // Each sampling knob implies --sampled.
+    let sampled = args.flags.iter().any(|(f, _)| f.starts_with("--sample"));
+    let quiet = args.has("--quiet");
+    if args.has("--streamed") && sampled {
+        return Err(Failure::Error("--streamed and --sampled are mutually exclusive".into()));
     }
-    let mode = if opts.sampled {
+    let mode = if sampled {
         ExecMode::Sampled {
-            unit_insts: opts.sample_unit.unwrap_or(runner::DEFAULT_SAMPLE_UNIT),
-            warmup_insts: opts.sample_warmup.unwrap_or(runner::DEFAULT_SAMPLE_WARMUP),
-            period: opts.sample_period.unwrap_or(runner::DEFAULT_SAMPLE_PERIOD),
+            unit_insts: args.last("--sample-unit")?.unwrap_or(runner::DEFAULT_SAMPLE_UNIT),
+            warmup_insts: args.last("--sample-warmup")?.unwrap_or(runner::DEFAULT_SAMPLE_WARMUP),
+            period: args.last("--sample-period")?.unwrap_or(runner::DEFAULT_SAMPLE_PERIOD),
         }
-    } else if opts.streamed {
+    } else if args.has("--streamed") {
         ExecMode::Streamed
     } else {
         ExecMode::Fanout
     };
     mode.check()?;
-    let cache = opts
-        .cache_dir
-        .as_ref()
+    let trace_out = args.text("--trace-out").map(PathBuf::from);
+    let cache = args
+        .text("--cache-dir")
+        .map(Path::new)
         .map(|dir| {
             CellCache::open(dir)
                 .map_err(|e| format!("cannot open cache directory {}: {e}", dir.display()))
@@ -469,7 +423,7 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
     for (i, spec) in specs.iter().enumerate() {
         let result = runner::run(
             spec,
-            &RunOptions { workers, mode, progress: !opts.quiet, cache: cache.as_ref() },
+            &RunOptions { workers, mode, progress: !quiet, cache: cache.as_ref() },
         );
         if let Some(meta) = &result.cache {
             eprintln!(
@@ -477,10 +431,10 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
                 meta.hits, meta.misses, meta.fills, meta.bytes, meta.dir
             );
         }
-        if opts.trace_out.is_some() {
+        if trace_out.is_some() {
             trace_processes.push((spec.name.clone(), result.spans.clone()));
         }
-        if !opts.quiet {
+        if !quiet {
             if i > 0 {
                 println!();
             }
@@ -490,16 +444,16 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
                 print!("{stack}");
             }
         }
-        if !opts.no_json {
-            let path = match &opts.json {
-                Some(path) => path.clone(),
-                None => opts.out_dir.join(format!("BENCH_{}.json", spec.name)),
-            };
+        if !args.has("--no-json") {
+            let path = json.clone().unwrap_or_else(|| {
+                Path::new(args.text("--out-dir").unwrap_or("."))
+                    .join(format!("BENCH_{}.json", spec.name))
+            });
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
                 std::fs::create_dir_all(dir)
                     .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
             }
-            let document = if opts.results_only {
+            let document = if args.has("--results-only") {
                 result.results_json()
             } else {
                 result.document_json()
@@ -526,7 +480,7 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
             );
         }
     }
-    if let Some(path) = &opts.trace_out {
+    if let Some(path) = &trace_out {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
@@ -540,49 +494,21 @@ fn cmd_run(opts: &Options) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `momlab cache <ls|verify|gc>` — inspect and maintain a persistent cell
-/// cache named by `--cache-dir`.
-fn cmd_cache(opts: &Options) -> Result<ExitCode, Failure> {
-    let verb = opts
-        .names
-        .first()
-        .map(String::as_str)
-        .ok_or_else(|| usage("cache takes a subcommand: ls, verify or gc"))?;
-    let dir = opts.cache_dir.as_ref().ok_or_else(|| usage("cache needs --cache-dir DIR"))?;
-    // Every usage error comes before the directory check.
-    let gc_max = match verb {
-        "ls" | "verify" => None,
-        "gc" => Some(opts.max_bytes.ok_or_else(|| usage("cache gc needs --max-bytes N"))?),
-        other => {
-            return Err(usage(&format!("unknown cache subcommand {other:?} (try: ls, verify, gc)")))
-        }
-    };
-    // Inspection must not create what it inspects; only `run` creates a cache.
+/// The existing cache directory `--cache-dir` names: inspection must not
+/// create what it inspects, so only `run` creates a cache.
+fn open_cache(args: &Args) -> Result<CellCache, Failure> {
+    let dir =
+        Path::new(args.text("--cache-dir").ok_or_else(|| usage("cache needs --cache-dir DIR"))?);
     if !dir.is_dir() {
         return Err(format!("no cache directory at {}", dir.display()).into());
     }
-    let cache = CellCache::open(dir)
-        .map_err(|e| format!("cannot open cache directory {}: {e}", dir.display()))?;
-    match gc_max {
-        None if verb == "ls" => Ok(cmd_cache_ls(&cache)?),
-        None => Ok(cmd_cache_verify(&cache, opts)?),
-        Some(max) => {
-            let (evicted, evicted_bytes, remaining) = cache
-                .gc(max)
-                .map_err(|e| format!("cache gc in {}: {e}", cache.dir().display()))?;
-            eprintln!(
-                "evicted {evicted} record(s) ({evicted_bytes} bytes); {remaining} bytes remain in {}",
-                cache.dir().display()
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-    }
+    Ok(CellCache::open(dir)
+        .map_err(|e| format!("cannot open cache directory {}: {e}", dir.display()))?)
 }
 
 fn cmd_cache_ls(cache: &CellCache) -> Result<ExitCode, String> {
-    let entries = cache
-        .entries()
-        .map_err(|e| format!("cannot list cache {}: {e}", cache.dir().display()))?;
+    let entries =
+        cache.entries().map_err(|e| format!("cannot list cache {}: {e}", cache.dir().display()))?;
     println!("{:<22} {:>8} key", "record", "bytes");
     let mut total = 0u64;
     for entry in &entries {
@@ -605,12 +531,10 @@ fn cmd_cache_ls(cache: &CellCache) -> Result<ExitCode, String> {
 /// equal bytes means equal results). Records from another engine fingerprint
 /// or a spec this binary cannot rebuild (custom `--sweep-dims`, filtered
 /// grids) are skipped with a note — they are unverifiable here, not wrong.
-fn cmd_cache_verify(cache: &CellCache, opts: &Options) -> Result<ExitCode, String> {
-    let entries = cache
-        .entries()
-        .map_err(|e| format!("cannot list cache {}: {e}", cache.dir().display()))?;
+fn cmd_cache_verify(cache: &CellCache, workers: usize) -> Result<ExitCode, String> {
+    let entries =
+        cache.entries().map_err(|e| format!("cannot list cache {}: {e}", cache.dir().display()))?;
     let engine = mom_lab::engine_fingerprint();
-    let workers = opts.workers.unwrap_or_else(runner::default_workers);
     let mut groups: Vec<(String, Vec<&CacheEntry>)> = Vec::new();
     let mut skipped = 0usize;
     for entry in &entries {
@@ -641,9 +565,13 @@ fn cmd_cache_verify(cache: &CellCache, opts: &Options) -> Result<ExitCode, Strin
     let mut mismatches = 0usize;
     for (group_id, members) in &groups {
         let key = members[0].key.as_ref().expect("grouped entries have keys");
+        // The key holds the grid's own scale, which an experiment may derive
+        // from the requested one (stress multiplies it), so it overrides the
+        // built-in grid's scale instead of being requested again.
         let spec = ExperimentSpec::builtin(&key.experiment, key.scale as usize, key.fast)
             .map(|mut spec| {
                 if let ExperimentKind::Grid(grid) = &mut spec.kind {
+                    grid.scale = key.scale as usize;
                     grid.seed = key.seed;
                 }
                 spec
@@ -690,14 +618,18 @@ fn cmd_cache_verify(cache: &CellCache, opts: &Options) -> Result<ExitCode, Strin
     Ok(if mismatches > 0 { ExitCode::from(2) } else { ExitCode::SUCCESS })
 }
 
-fn cmd_diff(opts: &Options) -> Result<ExitCode, Failure> {
-    let [new_path] = opts.names.as_slice() else {
+fn cmd_diff(args: &Args) -> Result<ExitCode, Failure> {
+    let [new_path] = args.operands.as_slice() else {
         return Err(usage("diff takes exactly one result file plus --baseline <file>"));
     };
-    let baseline_path = opts.baseline.as_ref().ok_or_else(|| usage("diff needs --baseline <file>"))?;
+    let baseline_path =
+        args.text("--baseline").ok_or_else(|| usage("diff needs --baseline <file>"))?;
+    let tolerance = args.last("--tolerance")?.unwrap_or(DEFAULT_TOLERANCE);
+    if !(tolerance.is_finite() && tolerance >= 0.0) {
+        return Err(usage("--tolerance must be a finite value >= 0"));
+    }
     let new_doc = read_document(Path::new(new_path))?;
-    let baseline = read_document(baseline_path)?;
-    let tolerance = opts.tolerance.unwrap_or(DEFAULT_TOLERANCE);
+    let baseline = read_document(Path::new(baseline_path))?;
     let failed = if tolerance == 0.0 {
         let exact = exact_diff(&new_doc, &baseline)?;
         print!("{exact}");
@@ -705,7 +637,31 @@ fn cmd_diff(opts: &Options) -> Result<ExitCode, Failure> {
     } else {
         let diff = diff_documents(&new_doc, &baseline, tolerance)?;
         print!("{diff}");
-        diff.has_regressions()
+        diff.failed()
     };
     Ok(if failed { ExitCode::from(2) } else { ExitCode::SUCCESS })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_help_lists_every_table_entry_under_its_commands() {
+        let help = help();
+        for (name, operands, about) in COMMANDS {
+            let entry = format!("momlab {name} {operands}");
+            assert!(help.contains(entry.trim_end()) && help.contains(about), "{entry}");
+        }
+        for (commands, flags) in TABLES {
+            let heading = format!("\nFlags of {}:\n", and_list(commands));
+            let start = help.find(&heading).expect("a heading per table") + heading.len();
+            let section = help[start..].split("\n\n").next().unwrap_or_default();
+            for (name, value, text) in *flags {
+                let entry = format!("{name} {value}");
+                let line = section.lines().find(|l| l.trim_start().starts_with(entry.trim_end()));
+                assert!(line.is_some_and(|l| l.ends_with(text)), "{heading}{entry}");
+            }
+        }
+    }
 }

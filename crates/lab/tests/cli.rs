@@ -2,17 +2,18 @@
 //! real process, with its stdout checked against the golden files under
 //! `tests/golden/` (the experiment tables captured from the historic
 //! per-experiment binaries with `MOM_BENCH_FAST=1` and scale 1; the
-//! `diff_*` files pin the output of `momlab diff --tolerance 0.02`).
+//! `diff_*` files pin what `momlab diff --tolerance 0.02` prints).
 //!
 //! Cargo builds the package's binaries before its integration tests and
 //! exposes their paths through `CARGO_BIN_EXE_<name>`.
 
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use mom_lab::json::Value;
 
-fn momlab(args: &[&str]) -> Output {
+fn momlab<S: AsRef<OsStr>>(args: &[S]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_momlab"))
         .args(args)
         .env("MOM_BENCH_FAST", "1")
@@ -52,18 +53,6 @@ fn check_prefix(name: &str, golden: &str) {
         stdout.len() > golden.len(),
         "momlab run {name}: no stall-breakdown stack"
     );
-}
-
-/// A removed flag, given with its old value if it took one, must fail
-/// loudly with one error line naming it, not be ignored.
-fn check_rejected(flag_and_value: &[&str]) {
-    let flag = flag_and_value[0];
-    let output = momlab(&[&["run", "table1", "--no-json"], flag_and_value].concat());
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(1), "momlab accepted the removed flag {flag}");
-    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
-    assert_eq!(errors.len(), 1, "stderr:\n{stderr}");
-    assert!(errors[0].contains(flag), "no error naming {flag}; stderr:\n{stderr}");
 }
 
 #[test]
@@ -107,15 +96,121 @@ fn latency_tolerance_stdout_starts_with_the_golden_file() {
     );
 }
 
+/// What `momlab --help` lists: each command's words, and each flag with
+/// its value's metavar (empty for a switch) and the commands of its table.
+struct Help {
+    commands: Vec<String>,
+    flags: Vec<(String, String, Vec<String>)>,
+}
+
+fn help() -> Help {
+    let output = momlab(&["--help"]);
+    assert!(output.status.success());
+    let text = String::from_utf8(output.stdout).expect("momlab prints UTF-8");
+    let mut help = Help { commands: Vec::new(), flags: Vec::new() };
+    let mut section = "";
+    let mut owners: Vec<String> = Vec::new();
+    for line in text.lines() {
+        if let Some(heading) = line.strip_suffix(':').filter(|l| !l.starts_with(' ')) {
+            section = if heading.starts_with("Flags of ") { "flags" } else { heading };
+            let names = heading.trim_start_matches("Flags of ").replace(" and ", ", ");
+            owners = names.split(", ").map(str::to_string).collect();
+            continue;
+        }
+        // An entry is its name and metavar, two spaces, then its help line.
+        let entry = line.trim_start().split("  ").next().unwrap_or_default();
+        match section {
+            "Commands" if !entry.is_empty() => {
+                let words = entry.split(' ').skip(1);
+                let words = words.take_while(|w| w.chars().all(|c| c.is_ascii_lowercase()));
+                help.commands.push(words.collect::<Vec<_>>().join(" "));
+            }
+            "flags" if entry.starts_with("--") => {
+                let (name, value) = entry.split_once(' ').unwrap_or((entry, ""));
+                help.flags.push((name.to_string(), value.to_string(), owners.clone()));
+            }
+            _ => {}
+        }
+    }
+    assert!(help.commands.len() >= 7 && help.flags.len() >= 25, "help not understood:\n{text}");
+    for (_, _, owners) in &help.flags {
+        assert!(owners.iter().all(|o| help.commands.contains(o)), "{owners:?}");
+    }
+    help
+}
+
+/// The argument list of `command` (its words) given `flag`, with a value
+/// when the flag takes one.
+fn command_line(command: &str, flag: &str, value: &str) -> Vec<String> {
+    let mut args: Vec<String> = command.split(' ').map(str::to_string).collect();
+    args.push(flag.to_string());
+    if !value.is_empty() {
+        args.push("1".to_string());
+    }
+    args
+}
+
+/// Runs `command` with `flag` first and checks the one error line: it names
+/// the flag and each command that owns it, or calls the flag unknown.
+fn check_rejected(help: &Help, command: &str, flag: &str, value: &str) {
+    let owners: Vec<&String> = help
+        .flags
+        .iter()
+        .filter(|(f, _, _)| f == flag)
+        .flat_map(|(_, _, owners)| owners)
+        .collect();
+    // The foreign flag comes first, so parsing stops before any run:
+    // a bug that accepted it would run the static table1 and exit 0.
+    let mut args = command_line(command, flag, value);
+    if command == "run" {
+        args.extend(["table1", "--no-json"].map(String::from));
+    }
+    let output = momlab(&args);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let context = format!("momlab {}; stderr:\n{stderr}", args.join(" "));
+    assert_eq!(output.status.code(), Some(1), "{context}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{context}");
+    assert!(errors[0].contains(flag) && stderr.contains("Usage:"), "{context}");
+    for owner in &owners {
+        assert!(errors[0].contains(&format!("`momlab {owner}`")), "{context}");
+    }
+    if owners.is_empty() {
+        assert_eq!(errors[0], format!("error: unknown flag {flag}"), "{context}");
+    }
+}
+
+#[test]
+fn every_command_rejects_the_flags_it_does_not_own() {
+    let help = help();
+    for command in &help.commands {
+        for (flag, value, _) in &help.flags {
+            // A flag may sit in several tables; it is foreign only to a
+            // command that none of them names.
+            let owned = help.flags.iter().any(|(f, _, o)| f == flag && o.contains(command));
+            if !owned {
+                check_rejected(&help, command, flag, value);
+            }
+        }
+    }
+}
+
 #[test]
 fn removed_flags_are_errors() {
-    check_rejected(&["--no-cache"]);
-    check_rejected(&["--materialized"]);
-    check_rejected(&["--checkpoint-dir"]);
-    check_rejected(&["--resume"]);
-    check_rejected(&["--throughput-gate", "10"]);
-    let existing = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stress_exact.json");
-    check_rejected(&["--compare", existing]);
+    // Flags that existed once and must stay errors, not be ignored.
+    let help = help();
+    for command in &help.commands {
+        for (flag, value) in [
+            ("--no-cache", ""),
+            ("--materialized", ""),
+            ("--checkpoint-dir", "DIR"),
+            ("--resume", ""),
+            ("--throughput-gate", "N"),
+            ("--compare", "FILE"),
+        ] {
+            check_rejected(&help, command, flag, value);
+        }
+    }
 }
 
 #[test]
@@ -130,6 +225,25 @@ fn run_rejects_the_flags_of_diff_and_names_it() {
             first.starts_with("error:") && first.contains(flags[0]) && first.contains("momlab diff"),
             "stderr:\n{stderr}"
         );
+    }
+}
+
+#[test]
+fn every_flag_in_the_help_parses_for_each_command_of_its_table() {
+    // A flag the parser takes, with its value, leaves the unknown flag after
+    // it as the first error; no command runs.
+    for (flag, value, owners) in help().flags {
+        for command in owners {
+            let mut args = command_line(&command, &flag, &value);
+            args.push("--no-such-flag".to_string());
+            let output = momlab(&args);
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(
+                stderr.starts_with("error: unknown flag --no-such-flag\n"),
+                "momlab {}; stderr:\n{stderr}",
+                args.join(" ")
+            );
+        }
     }
 }
 
@@ -213,7 +327,9 @@ fn cache_inspection_of_a_missing_directory_fails_without_creating_it() {
     let dir_arg = dir.to_str().expect("UTF-8 temp path");
     for verb in ["ls", "verify", "gc"] {
         let _ = std::fs::remove_dir_all(&dir);
-        let output = momlab(&["cache", verb, "--cache-dir", dir_arg, "--max-bytes", "0"]);
+        let mut args = vec!["cache", verb, "--cache-dir", dir_arg];
+        args.extend(["--max-bytes", "0"].into_iter().filter(|_| verb == "gc"));
+        let output = momlab(&args);
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(1), "cache {verb}; stderr:\n{stderr}");
         assert_eq!(stderr.lines().count(), 1, "one error line; stderr:\n{stderr}");
@@ -341,22 +457,98 @@ fn diff_skips_a_sampling_section_only_the_new_document_has() {
 
 #[test]
 fn diff_above_tolerance_0_still_compares_cycles_only() {
-    let cases = [
-        (
-            "BENCH_stress_sampled.json",
-            "BENCH_stress_exact.json",
-            include_str!("golden/diff_stress_sampled_vs_exact.txt"),
-        ),
-        (
-            "BENCH_figure7.json",
-            "baselines/BENCH_figure7.json",
-            include_str!("golden/diff_figure7_full_vs_fast.txt"),
-        ),
-    ];
-    for (new, baseline, golden) in cases {
+    // Sampled against exact results of one grid: cycles within tolerance.
+    let (new, baseline) =
+        (committed("BENCH_stress_sampled.json"), committed("BENCH_stress_exact.json"));
+    let golden = include_str!("golden/diff_stress_sampled_vs_exact.txt");
+    assert_eq!(diff(&new, &baseline, "0.02"), (Some(0), golden.to_string()));
+    // Full mode against fast mode: different grids are one error line.
+    let (new, baseline) =
+        (committed("BENCH_figure7.json"), committed("baselines/BENCH_figure7.json"));
+    let output = momlab(&["diff", &new, "--baseline", &baseline, "--tolerance", "0.02"]);
+    assert_eq!(output.status.code(), Some(1));
+    assert!(output.stdout.is_empty());
+    let golden = include_str!("golden/diff_figure7_full_vs_fast.txt");
+    assert_eq!(String::from_utf8_lossy(&output.stderr), golden);
+}
+
+#[test]
+fn diff_above_tolerance_0_fails_on_a_cell_only_one_document_has() {
+    let dir = scratch_dir("diff-missing-cell");
+    let baseline = committed("baselines/BENCH_figure7.json");
+    let Value::Object(mut members) = read_json(&baseline) else { panic!("an object") };
+    let Some((_, Value::Array(cells))) = members.iter_mut().find(|(k, _)| k == "cells") else {
+        panic!("a cells array")
+    };
+    cells.pop();
+    let fewer = write_json(&dir, "BENCH_figure7.json", &Value::Object(members));
+    for (new, baseline, line) in
+        [(&fewer, &baseline, "missing cell: "), (&baseline, &fewer, "new cell: ")]
+    {
+        let (code, stdout) = diff(new, baseline, "0.02");
+        assert_eq!(code, Some(2), "{stdout}");
+        assert_eq!(stdout.lines().filter(|l| l.starts_with(line)).count(), 1, "{stdout}");
+    }
+}
+
+#[test]
+fn cache_verify_verifies_every_stress_record() {
+    let dir = scratch_dir("cache-verify-stress");
+    let dir_arg = dir.join("cache");
+    let dir_arg = dir_arg.to_str().expect("UTF-8 temp path");
+    let run = momlab(&[
+        "run",
+        "stress",
+        "--workers",
+        "1",
+        "--no-json",
+        "--quiet",
+        "--cache-dir",
+        dir_arg,
+    ]);
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+    let output = momlab(&["cache", "verify", "--cache-dir", dir_arg, "--workers", "1"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr:\n{stderr}");
+    assert_eq!(
+        stderr.lines().last(),
+        Some("verified 8 record(s) across 1 group(s); 0 skipped, 0 mismatch(es)"),
+        "stderr:\n{stderr}"
+    );
+}
+
+/// The command lines of `perfbench/run.py`, flag for flag and in its order:
+/// `momlab run <exp> [--sampled|--streamed] --workers N --scale N --seed S
+/// --quiet --json F [--cache-dir D]`.
+#[test]
+fn the_benchmark_command_lines_run() {
+    let dir = scratch_dir("benchmark-command-lines");
+    let cache = dir.join("cache");
+    let cache = cache.to_str().expect("UTF-8 temp path");
+    for (experiment, extra) in [
+        ("stress", &["--streamed", "--workers", "1"][..]),
+        ("stress", &["--sampled", "--workers", "2"]),
+        ("stress", &["--workers", "1"]),
+        ("figure7", &["--workers", "1"]),
+        ("sweep", &["--workers", "1"]),
+    ] {
+        let json = dir.join(format!("{experiment}.json"));
+        let json = json.to_str().expect("UTF-8 temp path");
+        let mut args = vec!["run", experiment];
+        args.extend(extra);
+        args.extend(["--scale", "1", "--seed", "42", "--quiet", "--json", json]);
+        if experiment == "sweep" {
+            args.extend(["--cache-dir", cache]);
+        }
+        let output = momlab(&args);
         assert_eq!(
-            diff(&committed(new), &committed(baseline), "0.02"),
-            (Some(0), golden.to_string())
+            output.status.code(),
+            Some(0),
+            "momlab {}: {}",
+            args.join(" "),
+            String::from_utf8_lossy(&output.stderr)
         );
+        let doc = read_json(json);
+        assert_eq!(doc.get("experiment").and_then(Value::as_str), Some(experiment));
     }
 }
