@@ -80,6 +80,7 @@ impl Accumulator {
     }
 
     /// Overwrite one lane value, setting the lane mode if not yet set.
+    #[cfg(test)]
     pub fn set_lane(&mut self, lane: Lane, idx: usize, value: i64) {
         self.bind_mode(lane);
         self.lanes[idx] = value;
@@ -373,5 +374,25 @@ mod tests {
         assert!(!format!("{acc}").is_empty());
         acc.add(PackedWord::splat(Lane::I16, 2), Lane::I16);
         assert!(format!("{acc}").contains("2"));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::Config::with_cases(256))]
+
+        #[test]
+        fn accumulator_read_back_is_saturated(
+            values in proptest::collection::vec(-(1i64 << 40)..(1i64 << 40), 4),
+            shift in 0u32..16,
+        ) {
+            let mut acc = Accumulator::new();
+            for (i, v) in values.iter().enumerate() {
+                acc.set_lane(Lane::I16, i, *v);
+            }
+            let packed = acc.read_packed(Lane::I16, shift, Saturation::Saturating);
+            for i in 0..4 {
+                let v = packed.lane(Lane::I16, i);
+                proptest::prop_assert!((i16::MIN as i64..=i16::MAX as i64).contains(&v));
+            }
+        }
     }
 }

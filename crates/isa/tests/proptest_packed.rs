@@ -129,20 +129,6 @@ proptest! {
     }
 
     #[test]
-    fn accumulator_read_back_is_saturated(values in prop::collection::vec(-(1i64<<40)..(1i64<<40), 4),
-                                          shift in 0u32..16) {
-        let mut acc = Accumulator::new();
-        for (i, v) in values.iter().enumerate() {
-            acc.set_lane(Lane::I16, i, *v);
-        }
-        let packed = acc.read_packed(Lane::I16, shift, Saturation::Saturating);
-        for i in 0..4 {
-            let v = packed.lane(Lane::I16, i);
-            prop_assert!((i16::MIN as i64..=i16::MAX as i64).contains(&v));
-        }
-    }
-
-    #[test]
     fn accumulator_abs_diff_add_matches_lane_reference(a in any::<u64>(), b in any::<u64>(), lane in lanes()) {
         let (x, y) = (PackedWord::new(a), PackedWord::new(b));
         let mut acc = Accumulator::new();

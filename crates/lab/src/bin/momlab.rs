@@ -22,7 +22,9 @@ use mom_lab::baseline::{diff_documents, exact_diff, DEFAULT_TOLERANCE};
 use mom_lab::cache::{CacheEntry, CellCache};
 use mom_lab::json::Value;
 use mom_lab::runner::ExecMode;
-use mom_lab::spec::{sweep_spec, ExperimentKind, ExperimentSpec, SweepDims, BUILTIN_EXPERIMENTS};
+use mom_lab::spec::{
+    sweep_spec, ExperimentKind, ExperimentSpec, GridSpec, SweepDims, BUILTIN_EXPERIMENTS,
+};
 use mom_lab::{report, runner, RunOptions};
 
 fn main() -> ExitCode {
@@ -59,6 +61,16 @@ impl From<String> for Failure {
 
 fn usage(msg: &str) -> Failure {
     Failure::Usage(msg.to_string())
+}
+
+/// Print `text` on stdout, the one way the commands write there. A write
+/// error (stdout closed early, as by `| head -1`) is an ordinary failure:
+/// exit 1, not a panic.
+fn out(text: impl Display) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    write!(stdout, "{text}")
+        .and_then(|()| stdout.flush())
+        .map_err(|e| format!("cannot write to stdout: {e}"))
 }
 
 /// The commands: their words, their operands and what they do.
@@ -138,10 +150,12 @@ section only the new result has is skipped) and names the first differing
 path. Above 0 it compares the cells of one grid on cycles; documents of
 different grids are an error.
 
-The cell cache stores each simulated cell as a JSON record keyed by the
-experiment's config_hash, the cell and the engine fingerprint, so any
-execution mode serves any other; sampled runs key separately per sampling
-knobs. The cache commands fail on a directory that does not exist.
+The cell cache stores each simulated cell as a JSON record keyed by its
+inputs (workload, scale, seed, ISA, memory model, ROB size, width) and the
+engine fingerprint, so identical cells of different experiments share one
+record and any execution mode serves any other; sampled runs key separately
+per sampling knobs. The cache commands fail on a directory that does not
+exist.
 
 MOM_BENCH_FAST=1 selects the reduced fast-mode workload subsets.";
 
@@ -245,7 +259,7 @@ fn run_cli(args: &[String]) -> Result<ExitCode, Failure> {
     // `--help`/`-h` anywhere (including after a command) prints the help
     // and succeeds.
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", help());
+        out(format_args!("{}\n", help()))?;
         return Ok(ExitCode::SUCCESS);
     }
     let words = |name: &str| name.split(' ').count();
@@ -351,13 +365,13 @@ fn selected_specs(args: &Args) -> Result<Vec<ExperimentSpec>, Failure> {
 
 fn cmd_list(args: &Args) -> Result<ExitCode, Failure> {
     let specs = selected_specs(args)?;
-    println!("{:<20} {:<6} {:>6} title", "experiment", "kind", "cells");
+    out(format_args!("{:<20} {:<6} {:>6} title\n", "experiment", "kind", "cells"))?;
     for spec in &specs {
         let (kind, cells) = match spec.grid() {
             Some(grid) => ("grid", grid.cells().len().to_string()),
             None => ("static", "-".to_string()),
         };
-        println!("{:<20} {:<6} {:>6} {}", spec.name, kind, cells, spec.title);
+        out(format_args!("{:<20} {:<6} {:>6} {}\n", spec.name, kind, cells, spec.title))?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -369,9 +383,9 @@ fn cmd_describe(args: &Args) -> Result<ExitCode, Failure> {
     let specs = selected_specs(args)?;
     for (i, spec) in specs.iter().enumerate() {
         if i > 0 {
-            println!();
+            out("\n")?;
         }
-        print!("{}", report::describe(spec));
+        out(report::describe(spec))?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -436,12 +450,11 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
         }
         if !quiet {
             if i > 0 {
-                println!();
+                out("\n")?;
             }
-            print!("{}", report::render(&result));
+            out(report::render(&result))?;
             if let Some(stack) = report::render_breakdown(&result) {
-                println!();
-                print!("{stack}");
+                out(format_args!("\n{stack}"))?;
             }
         }
         if !args.has("--no-json") {
@@ -509,95 +522,99 @@ fn open_cache(args: &Args) -> Result<CellCache, Failure> {
 fn cmd_cache_ls(cache: &CellCache) -> Result<ExitCode, String> {
     let entries =
         cache.entries().map_err(|e| format!("cannot list cache {}: {e}", cache.dir().display()))?;
-    println!("{:<22} {:>8} key", "record", "bytes");
+    out(format_args!("{:<22} {:>8} key\n", "record", "bytes"))?;
     let mut total = 0u64;
     for entry in &entries {
         total += entry.bytes;
         let name = entry.path.file_name().unwrap_or_default().to_string_lossy().into_owned();
         match &entry.key {
-            Some(key) => println!("{name:<22} {:>8} {}", entry.bytes, key.canonical()),
-            None => println!("{name:<22} {:>8} (unreadable record)", entry.bytes),
+            Some(key) => out(format_args!("{name:<22} {:>8} {}\n", entry.bytes, key.canonical()))?,
+            None => out(format_args!("{name:<22} {:>8} (unreadable record)\n", entry.bytes))?,
         }
     }
-    println!("{} record(s), {total} bytes in {}", entries.len(), cache.dir().display());
+    out(format_args!("{} record(s), {total} bytes in {}\n", entries.len(), cache.dir().display()))?;
     Ok(ExitCode::SUCCESS)
 }
 
-/// `momlab cache verify` — re-simulate every verifiable record and diff at
-/// tolerance 0. Records are grouped by (experiment, fast, scale, seed,
-/// sampling, config_hash) so each group costs one run of its spec into a
-/// throwaway cache; the freshly filled record files are then compared
-/// byte-for-byte against the stored ones (records carry no timestamps, so
-/// equal bytes means equal results). Records from another engine fingerprint
-/// or a spec this binary cannot rebuild (custom `--sweep-dims`, filtered
-/// grids) are skipped with a note — they are unverifiable here, not wrong.
+/// A scratch cache that removes its directory when dropped, so no return
+/// path, and no panicking run, leaves it behind.
+struct ScratchCache(CellCache);
+
+impl Drop for ScratchCache {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(self.0.dir());
+    }
+}
+
+/// `momlab cache verify` — re-simulate every record from its own key and
+/// compare byte for byte. Each key decodes into a one-cell grid
+/// ([`mom_lab::CellKey::grid`]); the cells of one (workload, scale, seed,
+/// sampling) group merge into one grid (the union of their machines and
+/// widths) that runs once into a throwaway cache, streamed for exact
+/// records, and the freshly filled record files are compared with the
+/// stored ones (records carry no timestamps, so equal bytes means equal
+/// results). Unreadable records and records of another engine are skipped
+/// and counted by reason; a record of this engine whose key does not decode
+/// is an error.
 fn cmd_cache_verify(cache: &CellCache, workers: usize) -> Result<ExitCode, String> {
     let entries =
         cache.entries().map_err(|e| format!("cannot list cache {}: {e}", cache.dir().display()))?;
     let engine = mom_lab::engine_fingerprint();
-    let mut groups: Vec<(String, Vec<&CacheEntry>)> = Vec::new();
-    let mut skipped = 0usize;
+    let mut groups: Vec<(GridSpec, ExecMode, Vec<&CacheEntry>)> = Vec::new();
+    let (mut unreadable, mut other_engine) = (0usize, 0usize);
     for entry in &entries {
         let name = entry.path.file_name().unwrap_or_default().to_string_lossy().into_owned();
         let Some(key) = &entry.key else {
             eprintln!("skip {name}: unreadable record (a clean miss on the next run)");
-            skipped += 1;
+            unreadable += 1;
             continue;
         };
         if key.engine != engine {
             eprintln!("skip {name}: engine {:?} (this binary is {engine:?})", key.engine);
-            skipped += 1;
+            other_engine += 1;
             continue;
         }
-        let group_id = format!(
-            "{} fast:{} {} scale:{} seed:{} {:?}",
-            key.experiment, key.fast, key.config_hash, key.scale, key.seed, key.sampling
-        );
-        match groups.iter_mut().find(|(id, _)| *id == group_id) {
-            Some((_, members)) => members.push(entry),
-            None => groups.push((group_id, vec![entry])),
+        let (cell, mode) = key
+            .grid()
+            .map_err(|e| format!("{name}: key does not decode ({e}): {}", key.canonical()))?;
+        let group = groups.iter_mut().find(|(grid, m, _)| {
+            (*m, &grid.workloads, grid.scale, grid.seed)
+                == (mode, &cell.workloads, cell.scale, cell.seed)
+        });
+        let Some((grid, _, members)) = group else {
+            groups.push((cell, mode, vec![entry]));
+            continue;
+        };
+        let (config, way) = (&cell.configs[0], cell.widths[0]);
+        if !grid.configs.contains(config) {
+            grid.configs.push(config.clone());
         }
+        if !grid.widths.contains(&way) {
+            grid.widths.push(way);
+        }
+        members.push(entry);
     }
     let tmp_dir = std::env::temp_dir().join(format!("momlab-verify-{}", std::process::id()));
-    let tmp = CellCache::open(&tmp_dir)
-        .map_err(|e| format!("cannot create scratch cache {}: {e}", tmp_dir.display()))?;
+    let tmp = ScratchCache(
+        CellCache::open(&tmp_dir)
+            .map_err(|e| format!("cannot create scratch cache {}: {e}", tmp_dir.display()))?,
+    );
     let mut verified = 0usize;
     let mut mismatches = 0usize;
-    for (group_id, members) in &groups {
-        let key = members[0].key.as_ref().expect("grouped entries have keys");
-        // The key holds the grid's own scale, which an experiment may derive
-        // from the requested one (stress multiplies it), so it overrides the
-        // built-in grid's scale instead of being requested again.
-        let spec = ExperimentSpec::builtin(&key.experiment, key.scale as usize, key.fast)
-            .map(|mut spec| {
-                if let ExperimentKind::Grid(grid) = &mut spec.kind {
-                    grid.scale = key.scale as usize;
-                    grid.seed = key.seed;
-                }
-                spec
-            })
-            .filter(|spec| spec.config_hash() == key.config_hash);
-        let Some(spec) = spec else {
-            eprintln!(
-                "skip {} record(s) of [{group_id}]: cannot rebuild the spec \
-                 (filtered grid, custom --sweep-dims, or a renamed experiment)",
-                members.len()
-            );
-            skipped += members.len();
-            continue;
+    for (grid, mode, members) in &groups {
+        let spec = ExperimentSpec {
+            name: "cache-verify".into(),
+            title: String::new(),
+            fast: false,
+            kind: ExperimentKind::Grid(grid.clone()),
         };
-        let mode = match key.sampling {
-            Some(s) => {
-                ExecMode::Sampled { unit_insts: s.unit, warmup_insts: s.warmup, period: s.period }
-            }
-            None => ExecMode::Streamed,
-        };
-        runner::run(&spec, &RunOptions { workers, mode, cache: Some(&tmp), ..Default::default() });
+        let opts = RunOptions { workers, mode: *mode, cache: Some(&tmp.0), ..Default::default() };
+        runner::run(&spec, &opts);
         for entry in members {
             let key = entry.key.as_ref().expect("grouped entries have keys");
             let stored = std::fs::read(&entry.path)
                 .map_err(|e| format!("cannot read {}: {e}", entry.path.display()))?;
-            let fresh = std::fs::read(tmp.record_path(key)).ok();
+            let fresh = std::fs::read(tmp.0.record_path(key)).ok();
             if fresh.as_deref() == Some(stored.as_slice()) {
                 verified += 1;
             } else {
@@ -610,7 +627,10 @@ fn cmd_cache_verify(cache: &CellCache, workers: usize) -> Result<ExitCode, Strin
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&tmp_dir);
+    let skipped = unreadable + other_engine;
+    if skipped > 0 {
+        eprintln!("skipped {unreadable} unreadable record(s), {other_engine} of another engine");
+    }
     eprintln!(
         "verified {verified} record(s) across {} group(s); {skipped} skipped, {mismatches} mismatch(es)",
         groups.len()
@@ -632,11 +652,11 @@ fn cmd_diff(args: &Args) -> Result<ExitCode, Failure> {
     let baseline = read_document(Path::new(baseline_path))?;
     let failed = if tolerance == 0.0 {
         let exact = exact_diff(&new_doc, &baseline)?;
-        print!("{exact}");
+        out(&exact)?;
         exact.difference.is_some()
     } else {
         let diff = diff_documents(&new_doc, &baseline, tolerance)?;
-        print!("{diff}");
+        out(&diff)?;
         diff.failed()
     };
     Ok(if failed { ExitCode::from(2) } else { ExitCode::SUCCESS })

@@ -1,16 +1,15 @@
 //! The persistent content-addressed cell result cache.
 //!
-//! Every grid cell is a pure function of its inputs — the experiment's
-//! [`config_hash`](crate::spec::ExperimentSpec::config_hash), the cell's
-//! `(workload, config, way)` identity, the workload scale and seed, and the
-//! sampling parameters — and the runner's determinism guarantee makes the
-//! outputs byte-identical across execution modes and worker counts. That is
-//! exactly the property a content-addressed cache needs: hash the inputs
-//! once, never simulate the same cell twice. [`CellKey`] is the address,
-//! [`CellRecord`] is the stored result (timing summary, stall attribution,
-//! memory statistics and — for sampled cells — the confidence-interval
-//! accounting), and [`CellCache`] is the on-disk store: one record file per
-//! cell under a directory, replaced by atomic rename.
+//! Every grid cell is a pure function of its inputs — the workload, its
+//! scale and seed, the machine (ISA, memory model, ROB size, issue width)
+//! and the sampling parameters — and the runner's determinism guarantee
+//! makes the outputs byte-identical across execution modes and worker
+//! counts. That is exactly the property a content-addressed cache needs:
+//! hash the inputs once, never simulate the same cell twice. [`CellKey`] is
+//! the address, [`CellRecord`] is the stored result (timing summary, stall
+//! attribution, memory statistics and — for sampled cells — the
+//! confidence-interval accounting), and [`CellCache`] is the on-disk store:
+//! one record file per cell under a directory, replaced by atomic rename.
 //!
 //! # The record format
 //!
@@ -18,7 +17,7 @@
 //! members in this order:
 //!
 //! ```text
-//! {"version":2,"key":{..},"sim":{..},"breakdown":{..},"intervals":{..},
+//! {"version":3,"key":{..},"sim":{..},"breakdown":{..},"intervals":{..},
 //!  "mem":{..},"sampling":null,"fnv1a":"<16 hex digits>"}
 //! ```
 //!
@@ -32,13 +31,12 @@
 //! # Invalidation
 //!
 //! A key binds the [`engine_fingerprint`] (the crate version plus the
-//! [`MODEL_DIGEST`] of the simulator's source code), the spec's
-//! `config_hash` (which already covers the experiment name, fast flag,
-//! workload set, machine configs, ROB/latency overrides, widths, scale and
-//! seed), the cell identity, and the sampling knobs. Exact records carry no
-//! sampling knobs at all, so a cache filled by either exact mode (fanout or
-//! streamed) serves hits to the other — their results are byte-identical by
-//! the determinism guarantee. Sampled records key separately per
+//! [`MODEL_DIGEST`] of the simulator's source code) and the cell's inputs;
+//! the experiment that asked for a cell is not one of them, so a cell that
+//! two experiments share is simulated once. Exact records carry no sampling
+//! knobs at all, so a cache filled by either exact mode (fanout or streamed)
+//! serves hits to the other — their results are byte-identical by the
+//! determinism guarantee. Sampled records key separately per
 //! `(unit, warmup, period)` triple.
 //!
 //! # Corruption is a miss
@@ -54,19 +52,23 @@ use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
 use mom_cpu::probe::{IntervalStats, IntervalWindow, StallBreakdown, StallCause};
-use mom_cpu::{ProbeReport, SimResult};
+use mom_cpu::{MachineDescriptor, ProbeReport, SimResult};
+use mom_isa::trace::IsaKind;
 use mom_mem::cache::CacheStats;
 use mom_mem::dram::DramStats;
 use mom_mem::MemSystemStats;
 
-use crate::document::{breakdown_json, intervals_json, mem_json, sampling_fields};
+use crate::document::{
+    breakdown_json, intervals_json, mem_from_label, mem_json, mem_label, sampling_fields,
+};
 use crate::json::Value;
 use crate::runner::{CellSampling, ExecMode};
+use crate::spec::{BaselinePolicy, Cell, GridSpec, MachineConfig, Workload};
 
 /// Version of the record layout. Bumping it invalidates every existing
 /// record: a record of another version is a clean miss. Version 1 was a
 /// binary layout; its files do not parse as JSON.
-pub const CACHE_VERSION: u32 = 2;
+pub const CACHE_VERSION: u32 = 3;
 
 /// The text that opens a record's last member, the checksum.
 const CHECKSUM_MEMBER: &str = ",\"fnv1a\":\"";
@@ -110,31 +112,31 @@ pub struct SamplingKnobs {
     pub period: u64,
 }
 
-/// The content address of one cell result: everything that determines the
-/// simulation's output, plus the [`engine_fingerprint`]. Two cells with equal
-/// canonical keys are guaranteed byte-identical results; any field changing
-/// (a seed override, a different ROB sweep point, an engine upgrade, new
-/// sampling knobs) changes the address and forces re-simulation.
+/// The content address of one cell result: exactly the inputs of the
+/// cell's simulation, plus the [`engine_fingerprint`]. The workload, scale
+/// and seed decide the instruction stream; the ISA, memory model, effective
+/// ROB size and issue width decide the machine; the sampling knobs decide
+/// which windows are timed. Nothing about the experiment that asked for the
+/// cell enters it, so identical cells of different experiments (a Figure 5
+/// machine in the latency study, a Table 1 ROB in the sweep) share one
+/// record, and [`CellKey::grid`] rebuilds the cell from the key alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellKey {
     /// The [`engine_fingerprint`] of the build that produced the record.
     pub engine: String,
-    /// Experiment name (`figure5`, `sweep`, ...).
-    pub experiment: String,
-    /// Whether the spec describes a reduced fast-mode run.
-    pub fast: bool,
-    /// The spec's configuration hash (covers workloads, configs, overrides,
-    /// widths, baseline policy, scale and seed).
-    pub config_hash: String,
-    /// The cell identity string `"{workload} / {config} / {way}-way"` — the
-    /// same key `momlab diff` matches cells by.
-    pub cell: String,
-    /// ISA label of the cell's machine configuration.
+    /// Workload label (`idct`, `jpeg-decode`, ...).
+    pub workload: String,
+    /// `"kernel"` or `"app"`, as [`Workload::kind_label`] writes it.
+    pub workload_kind: String,
+    /// ISA label of the cell's machine.
     pub isa: String,
     /// Memory-model label (perfect models embed their latency).
     pub mem: String,
-    /// Reorder-buffer override of the cell's config (`None` = Table 1 size).
-    pub rob: Option<u64>,
+    /// The machine's reorder-buffer size: the Table 1 size for the width,
+    /// or the config's override.
+    pub rob: u64,
+    /// Issue width.
+    pub way: u64,
     /// Workload scale factor.
     pub scale: u64,
     /// Workload generator seed.
@@ -144,31 +146,75 @@ pub struct CellKey {
 }
 
 impl CellKey {
-    /// The canonical single-line form of the key — what gets hashed into the
-    /// record file name and compared verbatim on load (the collision guard).
+    /// The key of `cell` of `grid` run in `mode`. The exact modes share one
+    /// key per cell; sampled runs key per `(unit, warmup, period)` triple.
+    pub fn of(grid: &GridSpec, cell: &Cell, mode: ExecMode) -> CellKey {
+        let config = &grid.configs[cell.config];
+        CellKey {
+            engine: engine_fingerprint(),
+            workload: cell.workload.label().into(),
+            workload_kind: cell.workload.kind_label().into(),
+            isa: config.isa.label().into(),
+            mem: mem_label(config.mem),
+            rob: config.descriptor(cell.way).core.rob_size as u64,
+            way: cell.way as u64,
+            scale: grid.scale as u64,
+            seed: grid.seed,
+            sampling: mode.knobs(),
+        }
+    }
+
+    /// The inverse of [`CellKey::of`]: a one-cell grid, and the mode to run
+    /// it in (streamed for an exact record), whose cell has exactly this
+    /// key. The config's ROB override is left out where the key holds the
+    /// Table 1 size, so cells of one machine at several widths share a
+    /// config when grids are merged.
+    ///
+    /// # Errors
+    ///
+    /// Names the field that does not parse, or the key the parsed cell
+    /// would have instead (a label in another spelling, a ROB of 0).
+    pub fn grid(&self) -> Result<(GridSpec, ExecMode), String> {
+        let workload = match self.workload_kind.as_str() {
+            "kernel" => Workload::Kernel(self.workload.parse()?),
+            "app" => Workload::App(self.workload.parse()?),
+            other => return Err(format!("unknown workload kind {other:?}")),
+        };
+        let isa: IsaKind = self.isa.parse()?;
+        let mem = mem_from_label(&self.mem).ok_or(format!("unknown memory {:?}", self.mem))?;
+        let Some(way) = [1, 2, 4, 8].into_iter().find(|&w| w as u64 == self.way) else {
+            return Err(format!("unsupported issue width {}", self.way));
+        };
+        if self.scale == 0 {
+            return Err("scale 0".into());
+        }
+        let table1 = MachineDescriptor::for_cell(way, isa, mem).core.rob_size;
+        let rob = Some(self.rob as usize).filter(|&rob| rob != table1);
+        let label = format!("{isa}/{}/{rob:?}", self.mem);
+        let grid = GridSpec {
+            workloads: vec![workload],
+            configs: vec![MachineConfig { label, isa, mem, rob }],
+            widths: vec![way],
+            scale: self.scale as usize,
+            seed: self.seed,
+            baseline: BaselinePolicy::None,
+        };
+        let mode = self.sampling.map_or(ExecMode::Streamed, |k| ExecMode::Sampled {
+            unit_insts: k.unit,
+            warmup_insts: k.warmup,
+            period: k.period,
+        });
+        match CellKey::of(&grid, &grid.cells()[0], mode) {
+            rebuilt if rebuilt == *self => Ok((grid, mode)),
+            rebuilt => Err(format!("it rebuilds as {}", rebuilt.canonical())),
+        }
+    }
+
+    /// The canonical single-line form of the key, the compact JSON of the
+    /// record's `key` member — what gets hashed into the record file name
+    /// and what `momlab cache ls` prints.
     pub fn canonical(&self) -> String {
-        let rob = match self.rob {
-            Some(rob) => rob.to_string(),
-            None => "default".to_string(),
-        };
-        let sampling = match &self.sampling {
-            None => "exact".to_string(),
-            Some(k) => format!("sampled:{}/{}/{}", k.unit, k.warmup, k.period),
-        };
-        format!(
-            "{} | {} fast:{} {} | {} | isa:{} mem:{} rob:{} | scale:{} seed:{} | {}",
-            self.engine,
-            self.experiment,
-            self.fast,
-            self.config_hash,
-            self.cell,
-            self.isa,
-            self.mem,
-            rob,
-            self.scale,
-            self.seed,
-            sampling,
-        )
+        self.to_json().to_compact()
     }
 
     /// The record file name: the FNV-1a hash of the canonical key, in hex.
@@ -192,13 +238,12 @@ impl CellKey {
         };
         Value::object(vec![
             ("engine", Value::Str(self.engine.clone())),
-            ("experiment", Value::Str(self.experiment.clone())),
-            ("fast", Value::Bool(self.fast)),
-            ("config_hash", Value::Str(self.config_hash.clone())),
-            ("cell", Value::Str(self.cell.clone())),
+            ("workload", Value::Str(self.workload.clone())),
+            ("workload_kind", Value::Str(self.workload_kind.clone())),
             ("isa", Value::Str(self.isa.clone())),
             ("mem", Value::Str(self.mem.clone())),
-            ("rob", self.rob.map_or(Value::Null, int)),
+            ("rob", int(self.rob)),
+            ("way", int(self.way)),
             ("scale", int(self.scale)),
             ("seed", int(self.seed)),
             ("sampling", sampling),
@@ -222,16 +267,12 @@ impl CellKey {
         };
         Some(CellKey {
             engine: text("engine")?,
-            experiment: text("experiment")?,
-            fast: v.get("fast")?.as_bool()?,
-            config_hash: text("config_hash")?,
-            cell: text("cell")?,
+            workload: text("workload")?,
+            workload_kind: text("workload_kind")?,
             isa: text("isa")?,
             mem: text("mem")?,
-            rob: match v.get("rob")? {
-                Value::Null => None,
-                rob => Some(int(rob)?),
-            },
+            rob: int(v.get("rob")?)?,
+            way: int(v.get("way")?)?,
             scale: int(v.get("scale")?)?,
             seed: int(v.get("seed")?)?,
             sampling,
@@ -580,13 +621,12 @@ mod tests {
     fn key() -> CellKey {
         CellKey {
             engine: engine_fingerprint(),
-            experiment: "figure5".into(),
-            fast: true,
-            config_hash: "fnv1a:0123456789abcdef".into(),
-            cell: "idct / mom / 4-way".into(),
+            workload: "idct".into(),
+            workload_kind: "kernel".into(),
             isa: "mom".into(),
-            mem: "real".into(),
-            rob: None,
+            mem: "perfect-1".into(),
+            rob: 32,
+            way: 4,
             scale: 1,
             seed: 12345,
             sampling: None,
@@ -682,13 +722,12 @@ mod tests {
         let mut seen = vec![base.canonical()];
         let variants = [
             CellKey { engine: "momlab 0.0.0".into(), ..base.clone() },
-            CellKey { experiment: "sweep".into(), ..base.clone() },
-            CellKey { fast: false, ..base.clone() },
-            CellKey { config_hash: "fnv1a:0".into(), ..base.clone() },
-            CellKey { cell: "fir / mom / 4-way".into(), ..base.clone() },
+            CellKey { workload: "fir".into(), ..base.clone() },
+            CellKey { workload_kind: "app".into(), ..base.clone() },
             CellKey { isa: "alpha".into(), ..base.clone() },
-            CellKey { mem: "perfect-1".into(), ..base.clone() },
-            CellKey { rob: Some(64), ..base.clone() },
+            CellKey { mem: "perfect-50".into(), ..base.clone() },
+            CellKey { rob: 64, ..base.clone() },
+            CellKey { way: 8, ..base.clone() },
             CellKey { scale: 2, ..base.clone() },
             CellKey { seed: 1, ..base.clone() },
             CellKey {
@@ -706,7 +745,7 @@ mod tests {
     #[test]
     fn record_roundtrip_is_byte_stable() {
         let wide = CellKey {
-            rob: Some(64),
+            rob: 64,
             seed: u64::MAX - 1,
             sampling: Some(SamplingKnobs { unit: 1000, warmup: 2000, period: 100_000 }),
             ..key()
@@ -733,7 +772,7 @@ mod tests {
         assert_eq!(cache.bytes(), encode(&k, &r).len() as u64);
         let entries = cache.entries().expect("entries");
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].key.as_ref().map(|k| k.cell.clone()), Some(k.cell.clone()));
+        assert_eq!(entries[0].key.as_ref(), Some(&k));
         let (evicted, evicted_bytes, remaining) = cache.gc(0).expect("gc");
         assert_eq!((evicted, remaining), (1, 0));
         assert_eq!(evicted_bytes, encode(&k, &r).len() as u64);
@@ -778,7 +817,7 @@ mod tests {
         // Records with a valid checksum whose values break a check.
         let doc = r.to_json(&k);
         let sealed_misses = |doc: Value, what: &str| misses(seal(&doc).as_bytes(), what);
-        sealed_misses(with(doc.clone(), &["version"], Value::Int(3)), "another version");
+        sealed_misses(with(doc.clone(), &["version"], Value::Int(2)), "another version");
         sealed_misses(
             with(doc.clone(), &["breakdown", "total_cycles"], Value::Int(1)),
             "a breakdown that does not sum to its total",
@@ -843,5 +882,42 @@ mod tests {
         std::fs::write(cache.record_path(&k), encode(&other, &r)).expect("plant alias");
         assert!(cache.load(&k).is_none(), "stored key must match the address");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_builtin_cell_rebuilds_from_its_key() {
+        let sampled = ExecMode::Sampled { unit_insts: 50, warmup_insts: 50, period: 400 };
+        for name in crate::spec::BUILTIN_EXPERIMENTS {
+            let spec = crate::spec::ExperimentSpec::builtin(name, 1, false).expect("built-in");
+            let Some(grid) = spec.grid() else { continue };
+            for cell in grid.cells() {
+                for (mode, rerun) in [(ExecMode::Fanout, ExecMode::Streamed), (sampled, sampled)] {
+                    let key = CellKey::of(grid, &cell, mode);
+                    let (one, rerun_mode) = key.grid().unwrap_or_else(|e| panic!("{name}: {e}"));
+                    assert_eq!(rerun_mode, rerun);
+                    assert_eq!(CellKey::of(&one, &one.cells()[0], rerun_mode), key);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keys_that_name_no_cell_do_not_decode() {
+        let bad = [
+            CellKey { workload_kind: "trace".into(), ..key() },
+            CellKey { workload: "idct".into(), workload_kind: "app".into(), ..key() },
+            CellKey { workload: "IDCT".into(), ..key() },
+            CellKey { isa: "sparc".into(), ..key() },
+            CellKey { mem: "perfect".into(), ..key() },
+            CellKey { mem: "perfect-01".into(), ..key() },
+            CellKey { mem: "tape".into(), ..key() },
+            CellKey { rob: 0, ..key() },
+            CellKey { way: 3, ..key() },
+            CellKey { scale: 0, ..key() },
+        ];
+        assert!(key().grid().is_ok());
+        for k in bad {
+            assert!(k.grid().is_err(), "{} decoded", k.canonical());
+        }
     }
 }

@@ -239,6 +239,17 @@ pub fn mem_label(mem: MemModelKind) -> String {
     }
 }
 
+/// The memory model a [`mem_label`] names; `None` for any other text.
+pub(crate) fn mem_from_label(label: &str) -> Option<MemModelKind> {
+    use MemModelKind::{CollapsingBuffer, Conventional, MultiAddress, Perfect, VectorCache};
+    match label.strip_prefix("perfect-") {
+        Some(latency) => latency.parse().ok().map(|latency| Perfect { latency }),
+        None => [Conventional, MultiAddress, VectorCache, CollapsingBuffer]
+            .into_iter()
+            .find(|mem| mem.label() == label),
+    }
+}
+
 fn cell_json(cell: &CellResult) -> Value {
     Value::object(vec![
         ("workload", Value::Str(cell.workload.label().into())),

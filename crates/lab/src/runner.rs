@@ -75,7 +75,7 @@ use mom_isa::trace::{Broadcast, IsaKind, TraceSink};
 use mom_kernels::{build_kernel, KernelParams};
 use mom_mem::{MemModelKind, MemSystemStats};
 
-use crate::cache::{engine_fingerprint, CacheMeta, CellCache, CellKey, CellRecord, SamplingKnobs};
+use crate::cache::{CacheMeta, CellCache, CellKey, CellRecord, SamplingKnobs};
 pub use crate::document::mem_label;
 use crate::sampling::run_sampled_group;
 use crate::spec::{BaselinePolicy, Cell, ExperimentKind, ExperimentSpec, GridSpec, Workload};
@@ -415,48 +415,6 @@ impl RunOptions<'_> {
     }
 }
 
-/// Resolved cache context of one grid run: the store plus the run-invariant
-/// key components (engine fingerprint, spec identity) every cell key is
-/// built from.
-struct CacheContext<'a> {
-    cache: &'a CellCache,
-    engine: String,
-    spec_name: String,
-    fast: bool,
-    config_hash: String,
-}
-
-impl CacheContext<'_> {
-    /// The content address of one cell under this run's mode. The exact
-    /// modes share one key per cell; sampled runs key per
-    /// `(unit, warmup, period)` triple.
-    fn key_for(&self, grid: &GridSpec, cell: &Cell, mode: ExecMode) -> CellKey {
-        let config = &grid.configs[cell.config];
-        CellKey {
-            engine: self.engine.clone(),
-            experiment: self.spec_name.clone(),
-            fast: self.fast,
-            config_hash: self.config_hash.clone(),
-            cell: cell_key(grid, cell),
-            isa: config.isa.label().to_string(),
-            mem: mem_label(config.mem),
-            rob: config.rob.map(|rob| rob as u64),
-            scale: grid.scale as u64,
-            seed: grid.seed,
-            sampling: mode.knobs(),
-        }
-    }
-}
-
-/// Cache accounting of one grid run, before it is joined with the store-wide
-/// size into the [`CacheMeta`] of the result document.
-struct GridCacheOutcome {
-    hits: u64,
-    misses: u64,
-    fills: u64,
-    cached: Vec<bool>,
-}
-
 /// Run an experiment: the runner's one entry point.
 ///
 /// # Panics
@@ -470,46 +428,24 @@ pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
         panic!("invalid sampling knobs: {msg}");
     }
     let started = Instant::now();
-    let cache_ctx = opts.cache.map(|store| CacheContext {
-        cache: store,
-        engine: engine_fingerprint(),
-        spec_name: spec.name.clone(),
-        fast: spec.fast,
-        config_hash: spec.config_hash(),
-    });
-    let (data, timing, outcome) = match &spec.kind {
+    let (data, timing, cached_cells) = match &spec.kind {
         ExperimentKind::Static(kind) => {
-            (RunData::Static(static_rows(*kind)), GridTiming::default(), None)
+            (RunData::Static(static_rows(*kind)), GridTiming::default(), Vec::new())
         }
         ExperimentKind::Grid(grid) => {
-            let (cells, timing, outcome) =
-                run_grid(grid, workers, mode, opts.progress, cache_ctx.as_ref());
-            (RunData::Grid(cells), timing, outcome)
+            let (cells, timing, cached) = run_grid(grid, workers, mode, opts.progress, opts.cache);
+            (RunData::Grid(cells), timing, cached)
         }
     };
-    // The `meta.cache` section: grid accounting (zeros for a cached static
-    // run — tables simulate nothing) plus the store-wide size after fills.
-    let (cache_meta, cached_cells) = match (opts.cache, outcome) {
-        (Some(store), Some(outcome)) => (
-            Some(CacheMeta {
-                hits: outcome.hits,
-                misses: outcome.misses,
-                fills: outcome.fills,
-                bytes: store.bytes(),
-                dir: store.dir().display().to_string(),
-            }),
-            outcome.cached,
-        ),
-        (Some(store), None) => (
-            Some(CacheMeta {
-                bytes: store.bytes(),
-                dir: store.dir().display().to_string(),
-                ..CacheMeta::default()
-            }),
-            Vec::new(),
-        ),
-        (None, _) => (None, Vec::new()),
-    };
+    // The `meta.cache` section: every miss is simulated and filled (zeros
+    // for a static run — tables simulate nothing), plus the store-wide size
+    // after the fills.
+    let cache_meta = opts.cache.map(|store| {
+        let hits = cached_cells.iter().filter(|&&hit| hit).count() as u64;
+        let misses = cached_cells.len() as u64 - hits;
+        let dir = store.dir().display().to_string();
+        CacheMeta { hits, misses, fills: misses, bytes: store.bytes(), dir }
+    });
     RunResult {
         spec: spec.clone(),
         config_hash: spec.config_hash(),
@@ -840,7 +776,7 @@ fn raise_labeled(label: &str, payload: Box<dyn std::any::Any + Send>) -> ! {
 }
 
 /// The `(workload, config, way)` identity of one grid cell — the same key
-/// `momlab diff` matches cells by, reused as the cell part of a cache key.
+/// `momlab diff` matches cells by, named in the cache's progress lines.
 fn cell_key(grid: &GridSpec, cell: &Cell) -> String {
     format!("{} / {} / {}-way", cell.workload.label(), grid.configs[cell.config].label, cell.way)
 }
@@ -850,8 +786,8 @@ fn run_grid(
     workers: usize,
     mode: ExecMode,
     progress: bool,
-    cache: Option<&CacheContext<'_>>,
-) -> (Vec<CellResult>, GridTiming, Option<GridCacheOutcome>) {
+    cache: Option<&CellCache>,
+) -> (Vec<CellResult>, GridTiming, Vec<bool>) {
     let cells = grid.cells();
 
     // Cache lookup stage: resolve every cell's content address and pull its
@@ -861,21 +797,13 @@ fn run_grid(
     // (missing, truncated, corrupt, wrong version or key) is a clean miss.
     let mut cached_sims: Vec<Option<CellRecord>> = vec![None; cells.len()];
     let mut keys: Vec<CellKey> = Vec::new();
-    if let Some(cc) = cache {
+    if let Some(store) = cache {
         for (i, cell) in cells.iter().enumerate() {
-            let key = cc.key_for(grid, cell, mode);
-            match cc.cache.load(&key) {
-                Some(record) => {
-                    if progress {
-                        eprintln!("  {}: cache hit", key.cell);
-                    }
-                    cached_sims[i] = Some(record);
-                }
-                None => {
-                    if progress {
-                        eprintln!("  {}: cache miss", key.cell);
-                    }
-                }
+            let key = CellKey::of(grid, cell, mode);
+            cached_sims[i] = store.load(&key);
+            if progress {
+                let outcome = if cached_sims[i].is_some() { "hit" } else { "miss" };
+                eprintln!("  {}: cache {outcome}", cell_key(grid, cell));
             }
             keys.push(key);
         }
@@ -912,22 +840,16 @@ fn run_grid(
     };
     timing.pool = counters.stats();
 
-    // Fill stage: persist every freshly simulated cell, then account for the
-    // run. Fills happen before assembly so a panic-free run always leaves
-    // the cache consistent with the document it produced.
-    let mut fills = 0u64;
-    if let Some(cc) = cache {
+    // Fill stage: persist every freshly simulated cell. Fills happen before
+    // assembly so a panic-free run always leaves the cache consistent with
+    // the document it produced.
+    let mut cached = Vec::new();
+    if let Some(store) = cache {
         for (&i, cs) in active_idx.iter().zip(&active_sims) {
-            cc.cache.store(&keys[i], cs);
-            fills += 1;
+            store.store(&keys[i], cs);
         }
+        cached = cached_sims.iter().map(Option::is_some).collect();
     }
-    let outcome = cache.map(|_| GridCacheOutcome {
-        hits: (cells.len() - active.len()) as u64,
-        misses: active.len() as u64,
-        fills,
-        cached: cached_sims.iter().map(Option::is_some).collect(),
-    });
 
     // Remap the miss-subset wall-clock spans back to full-grid positions;
     // cached cells keep a zero span (their cost is document assembly, and
@@ -984,7 +906,7 @@ fn run_grid(
             }
         })
         .collect();
-    (results, timing, outcome)
+    (results, timing, cached)
 }
 
 /// Map `f` over `items` on `workers` scoped threads. Workers claim item

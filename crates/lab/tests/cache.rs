@@ -3,13 +3,17 @@
 //! byte-identical results documents — in every execution mode, including a
 //! cache filled by one exact mode and served to the other, and for sampled
 //! runs whose records carry the confidence-interval section. Also covers the
-//! throughput accounting (cached cells are exempt) and partial warmth.
+//! throughput accounting (cached cells are exempt), partial warmth, records
+//! shared between experiments, and that the key holds every input that
+//! decides a committed result.
 
 use std::path::PathBuf;
 
+use mom_lab::baseline::exact_diff;
+use mom_lab::json::Value;
 use mom_lab::runner::{ExecMode, RunOptions};
 use mom_lab::spec::ExperimentSpec;
-use mom_lab::{CellCache, RunResult};
+use mom_lab::{CellCache, CellKey, RunResult};
 
 /// A scratch cache directory unique to this process and test.
 fn scratch(tag: &str) -> PathBuf {
@@ -118,10 +122,9 @@ fn sampled_records_key_separately_and_roundtrip_their_ci_section() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Partial warmth: filtering the grid changes the config_hash, so a run of a
-/// *differently filtered* spec shares nothing; but re-running the same spec
-/// after deleting some records re-simulates exactly the missing cells and
-/// still serializes byte-identically.
+/// Partial warmth: re-running a spec after deleting some records
+/// re-simulates exactly the missing cells and still serializes
+/// byte-identically.
 #[test]
 fn partially_evicted_caches_resimulate_only_the_missing_cells() {
     let dir = scratch("partial");
@@ -221,4 +224,60 @@ fn documents_report_cache_metadata_and_cached_cells() {
     assert!(doc.get("meta").and_then(|m| m.get("cache")).is_none(), "cache-free meta.cache");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record belongs to its cell, not to the experiment that filled it: the
+/// latency study's 4-way 1-cycle cells are Figure 5's machines, so a cache
+/// filled by Figure 5 serves them, and the document is the one a run
+/// without a cache writes.
+#[test]
+fn an_experiment_hits_the_cells_another_one_filled() {
+    let dir = scratch("shared");
+    let cache = CellCache::open(&dir).expect("create cache dir");
+    let figure5 = ExperimentSpec::builtin("figure5", 1, true).expect("built-in spec");
+    let latency = ExperimentSpec::builtin("latency_tolerance", 1, true).expect("built-in spec");
+
+    run(&figure5, ExecMode::Fanout, Some(&cache));
+    let shared = run(&latency, ExecMode::Fanout, Some(&cache));
+    assert_eq!(meta(&shared).hits, 8, "2 kernels x 4 ISAs at 4-way, 1-cycle memory");
+    let plain = run(&latency, ExecMode::Fanout, None);
+    let exact = exact_diff(&shared.document_json(), &plain.document_json()).expect("comparable");
+    assert_eq!(exact.difference, None);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The key is complete: in the committed full-mode documents, cells of
+/// different experiments that share a key are equal in every member but
+/// the two that name the experiment's view of them (`config`, `speedup`).
+/// An input that changed a result without entering the key would fail this.
+#[test]
+fn committed_cells_that_share_a_key_are_equal() {
+    // (canonical key, the cell without `config` and `speedup`, experiment)
+    let mut seen: Vec<(String, String, &str)> = Vec::new();
+    let mut repeats = 0;
+    for name in ["figure5", "latency_tolerance", "figure7", "stress", "sweep"] {
+        let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let doc = Value::parse(&std::fs::read_to_string(path).expect("read")).expect("parse");
+        let spec = ExperimentSpec::builtin(name, 1, false).expect("built-in spec");
+        let grid = spec.grid().expect("a grid experiment");
+        let cells = doc.get("cells").and_then(Value::as_array).expect("a cells array");
+        assert_eq!(cells.len(), grid.cells().len(), "{name}");
+        for (cell, doc_cell) in grid.cells().iter().zip(cells) {
+            let label = doc_cell.get("config").and_then(Value::as_str);
+            assert_eq!(label, Some(grid.configs[cell.config].label.as_str()), "{name}");
+            let Value::Object(members) = doc_cell else { panic!("{name}: a cell object") };
+            let kept = members.iter().filter(|(k, _)| k != "config" && k != "speedup");
+            let result = Value::Object(kept.cloned().collect()).to_compact();
+            let key = CellKey::of(grid, cell, ExecMode::Fanout).canonical();
+            match seen.iter().find(|(k, ..)| *k == key) {
+                Some((_, first, owner)) => {
+                    repeats += 1;
+                    assert_eq!(*first, result, "{key}: {owner} and {name} disagree");
+                }
+                None => seen.push((key, result, name)),
+            }
+        }
+    }
+    assert_eq!(repeats, 48, "cells a full-mode `run --all` serves from another experiment");
 }

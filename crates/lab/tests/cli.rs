@@ -322,6 +322,23 @@ fn an_error_written_to_a_closed_pipe_exits_1_instead_of_panicking() {
 }
 
 #[test]
+fn output_to_a_closed_stdout_exits_1_instead_of_panicking() {
+    for args in [&["describe", "--all"][..], &["run", "figure5", "--no-json", "--workers", "1"]] {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_momlab"))
+            .args(args)
+            .env("MOM_BENCH_FAST", "1")
+            .stdout(writer)
+            .output()
+            .expect("failed to spawn momlab");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "momlab {}; stderr:\n{stderr}", args.join(" "));
+        assert!(!stderr.contains("panicked"), "momlab {}; stderr:\n{stderr}", args.join(" "));
+    }
+}
+
+#[test]
 fn cache_inspection_of_a_missing_directory_fails_without_creating_it() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cache-missing-dir");
     let dir_arg = dir.to_str().expect("UTF-8 temp path");
@@ -515,6 +532,65 @@ fn cache_verify_verifies_every_stress_record() {
         Some("verified 8 record(s) across 1 group(s); 0 skipped, 0 mismatch(es)"),
         "stderr:\n{stderr}"
     );
+}
+
+/// `text`, a record file, with `from` replaced by `to` and its checksum
+/// recomputed, so that it still reads as a valid record.
+fn reseal(text: &str, from: &str, to: &str) -> String {
+    let (body, _) = text.rsplit_once(",\"fnv1a\":\"").expect("a sealed record");
+    assert!(body.contains(from), "{from} not in {body}");
+    let body = body.replacen(from, to, 1);
+    let fnv1a = body.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{body},\"fnv1a\":\"{fnv1a:016x}\"}}")
+}
+
+#[test]
+fn cache_verify_rebuilds_filtered_and_custom_grids_from_their_keys() {
+    let dir = scratch_dir("cache-verify-keys");
+    let (cache, tmp) = (dir.join("cache"), dir.join("tmp"));
+    std::fs::create_dir_all(&tmp).expect("create a temporary directory");
+    let cache_arg = cache.to_str().expect("UTF-8 temp path");
+    for args in [
+        &["run", "figure5", "--isa", "mom"][..],
+        &["run", "sweep", "--sweep-dims", "rob=16:lat=1:way=4"],
+    ] {
+        let output = momlab(&[args, &["--no-json", "--quiet", "--cache-dir", cache_arg]].concat());
+        assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    }
+    // The scratch cache goes where TMPDIR points, and must be gone after
+    // every outcome.
+    let verify = |want: i32| {
+        let output = Command::new(env!("CARGO_BIN_EXE_momlab"))
+            .args(["cache", "verify", "--cache-dir", cache_arg, "--workers", "1"])
+            .env("TMPDIR", &tmp)
+            .output()
+            .expect("failed to spawn momlab");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert_eq!(output.status.code(), Some(want), "stderr:\n{stderr}");
+        let left: Vec<_> = std::fs::read_dir(&tmp).expect("list TMPDIR").collect();
+        assert!(left.is_empty(), "verify left {left:?}");
+        stderr
+    };
+    assert_eq!(
+        verify(0).lines().last(),
+        Some("verified 12 record(s) across 2 group(s); 0 skipped, 0 mismatch(es)")
+    );
+
+    let mut records: Vec<PathBuf> =
+        std::fs::read_dir(&cache).expect("list the cache").map(|e| e.expect("entry").path()).collect();
+    records.sort();
+    let record = &records[0];
+    let good = std::fs::read_to_string(record).expect("read a record");
+    std::fs::write(record, reseal(&good, "\"branches\":", "\"branches\":1")).expect("tamper");
+    let stderr = verify(2);
+    assert!(stderr.contains("MISMATCH"), "stderr:\n{stderr}");
+    assert!(stderr.ends_with("verified 11 record(s) across 2 group(s); 0 skipped, 1 mismatch(es)\n"));
+
+    std::fs::write(record, reseal(&good, "\"isa\":\"", "\"isa\":\"x")).expect("tamper");
+    let stderr = verify(1);
+    assert!(stderr.contains("does not decode (unknown ISA"), "stderr:\n{stderr}");
 }
 
 /// The command lines of `perfbench/run.py`, flag for flag and in its order:

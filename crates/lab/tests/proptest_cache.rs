@@ -88,17 +88,14 @@ fn record_from(
 /// A key varying along every axis the generator words select.
 fn key_from(words: &[u64; 6], sampled: bool) -> CellKey {
     let workloads = ["idct", "fir16", "motion / estimation"];
-    let isas = ["alpha", "mom", "mmx"];
     CellKey {
         engine: mom_lab::engine_fingerprint(),
-        experiment: ["figure5", "stress", "sweep"][(words[0] % 3) as usize].to_string(),
-        fast: words[0].is_multiple_of(2),
-        config_hash: format!("fnv1a:{:016x}", words[1]),
-        cell: format!("{} / {} / {}-way", workloads[(words[2] % 3) as usize],
-            isas[(words[3] % 3) as usize], 1u64 << (words[2] % 4)),
-        isa: isas[(words[3] % 3) as usize].to_string(),
+        workload: workloads[(words[2] % 3) as usize].to_string(),
+        workload_kind: ["kernel", "app"][(words[0] % 2) as usize].to_string(),
+        isa: ["alpha", "mom", "mmx"][(words[3] % 3) as usize].to_string(),
         mem: ["perfect-1", "mom"][(words[3] % 2) as usize].to_string(),
-        rob: words[4].is_multiple_of(2).then_some(words[4] % 1024),
+        rob: words[4] % 1024,
+        way: 1u64 << (words[1] % 4),
         scale: words[4] % 16 + 1,
         seed: words[5],
         sampling: sampled.then_some(SamplingKnobs {

@@ -334,6 +334,7 @@ impl MshrFile {
     }
 
     /// Number of in-flight misses.
+    #[cfg(test)]
     pub fn in_flight(&self) -> usize {
         self.entries.len()
     }
@@ -575,5 +576,24 @@ mod tests {
         assert_eq!(start, 10);
         wb.retire(11);
         assert!(wb.occupancy() <= 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::Config::with_cases(64))]
+
+        #[test]
+        fn mshr_occupancy_never_exceeds_capacity(
+            ops in proptest::collection::vec((0u64..64, 1u64..100), 1..200),
+        ) {
+            let mut mshrs = MshrFile::new(8);
+            let mut cycle = 0u64;
+            for (line, delay) in ops {
+                cycle += 1;
+                if mshrs.has_free(cycle) {
+                    mshrs.allocate(cycle, line, cycle + delay);
+                }
+                proptest::prop_assert!(mshrs.in_flight() <= 8);
+            }
+        }
     }
 }

@@ -1,8 +1,8 @@
-//! Property-based tests of the cache, MSHR and memory-system invariants, and
+//! Property-based tests of the cache and memory-system invariants, and
 //! unit tests of the closed-form port wait of every memory model.
 
 use mom_isa::trace::{MemAccess, MemKind};
-use mom_mem::cache::{Cache, CacheConfig, CacheStats, LookupResult, MshrFile};
+use mom_mem::cache::{Cache, CacheConfig, CacheStats, LookupResult};
 use mom_mem::{build_memory, Completion, Hierarchy, MemModelKind, MemorySystem, PerfectMemory, PortConfig};
 use proptest::prelude::*;
 
@@ -219,19 +219,6 @@ proptest! {
                 prop_assert_eq!(cache.line_of(addr), line);
                 prop_assert_eq!(cache.set_and_tag(addr), ((line % sets) as usize, line / sets));
             }
-        }
-    }
-
-    #[test]
-    fn mshr_occupancy_never_exceeds_capacity(ops in prop::collection::vec((0u64..64, 1u64..100), 1..200)) {
-        let mut mshrs = MshrFile::new(8);
-        let mut cycle = 0u64;
-        for (line, delay) in ops {
-            cycle += 1;
-            if mshrs.has_free(cycle) {
-                mshrs.allocate(cycle, line, cycle + delay);
-            }
-            prop_assert!(mshrs.in_flight() <= 8);
         }
     }
 
