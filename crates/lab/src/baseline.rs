@@ -1,151 +1,24 @@
 //! Comparing a fresh `BENCH_*.json` result with a saved baseline.
 //!
-//! **Tolerance 0 is the one exact comparison** ([`exact_diff`]): every
-//! member but the host-dependent `meta`, in order, down to each leaf, with
-//! numbers compared by value. It reports the first differing JSON path (for
-//! example `cells[0].breakdown.mem-dram`) with both values, and it compares
-//! static tables as well as grids. One rule is read from the inputs: a
-//! top-level `sampling` section only the *new* document has is skipped with
-//! a note, so a sampled run can be held to an exact one; a `sampling`
-//! section only the baseline has is a difference.
+//! **Tolerance 0, the default, is the one exact comparison**
+//! ([`exact_diff`]): every member but the host-dependent `meta`, in order,
+//! down to each leaf, with numbers compared by value. It reports the first
+//! differing JSON path (for example `cells[0].breakdown.mem-dram`) with both
+//! values, and it compares static tables as well as grids. One rule is read
+//! from the inputs: a top-level `sampling` section only the *new* document
+//! has is skipped with a note, so a sampled run can be held to an exact one;
+//! a `sampling` section only the baseline has is a difference.
 //!
-//! A tolerance above 0 ([`diff_documents`]) compares grid cells, matched
-//! by their `(workload, config, way)` identity key, on cycles alone: growth
-//! beyond the relative tolerance is a **regression**, shrinkage an
-//! **improvement**; a cell only one document has fails the comparison too.
-//! Documents of different grids (a different hash, fast flag or scale) are
-//! an error, as different experiments are: comparing their cycles would be
-//! meaningless.
+//! A tolerance above 0 ([`diff_documents`]) compares the `cycles` of two
+//! runs of one grid, cell by cell: growth beyond the relative tolerance is a
+//! **regression**, shrinkage an **improvement**. Both documents come from
+//! the same cell list (equal `config_hash`), so their `cells` arrays pair by
+//! index; a pair whose `(workload, config, way)` differs, or a cell only one
+//! array has, fails the comparison. Documents of different grids (a
+//! different hash, fast flag or scale) are an error, as different
+//! experiments are: comparing their cycles would be meaningless.
 
 use crate::json::Value;
-
-/// Default relative cycle tolerance: 2%.
-pub const DEFAULT_TOLERANCE: f64 = 0.02;
-
-/// The outcome of the cycle comparison ([`diff_documents`]).
-///
-/// Regressions and cells only one document has fail it. The informational
-/// lines — `throughput` and `sharing` from `meta`, `breakdown` share shifts
-/// and `sampling` moves — never affect [`Diff::failed`]: they explain a
-/// cycle change or keep simulator-performance changes visible in CI logs,
-/// while wall-clock noise and sampling error stay out of the exit code.
-#[derive(Debug, Clone, Default)]
-pub struct Diff {
-    /// Duplicate keys and unreadable cycle counts.
-    pub warnings: Vec<String>,
-    /// Cells whose cycles grew beyond the tolerance.
-    pub regressions: Vec<String>,
-    /// Cells whose cycles shrank beyond the tolerance.
-    pub improvements: Vec<String>,
-    /// Cells present in the baseline but absent from the new result.
-    pub missing: Vec<String>,
-    /// Cells present in the new result but absent from the baseline.
-    pub added: Vec<String>,
-    /// Cells within tolerance.
-    pub unchanged: usize,
-    /// Per-cell `insts_per_sec` deltas from the `meta.throughput` sections,
-    /// present only when **both** documents carry them.
-    pub throughput: Vec<String>,
-    /// The functional-sharing factors of both `meta.shared_passes`
-    /// sections, so a drop in the fan-out runner's amortization is visible
-    /// next to the `insts_per_sec` deltas it would explain.
-    pub sharing: Option<String>,
-    /// Stall causes whose share of a cell's total cycles moved by at least
-    /// one percentage point (from the per-cell `breakdown` objects).
-    pub breakdown: Vec<String>,
-    /// Cells whose sampled `ipc_mean` moved by more than the **union of
-    /// both confidence intervals** (`|Δ| > ci_new + ci_base`); smaller moves
-    /// are statistically indistinguishable at 95% confidence.
-    pub sampling: Vec<String>,
-}
-
-impl Diff {
-    /// Whether the comparison fails: a cell regressed, or only one of the
-    /// two documents has it.
-    pub fn failed(&self) -> bool {
-        !(self.regressions.is_empty() && self.missing.is_empty() && self.added.is_empty())
-    }
-}
-
-impl std::fmt::Display for Diff {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for w in &self.warnings {
-            writeln!(f, "warning: {w}")?;
-        }
-        for r in &self.regressions {
-            writeln!(f, "REGRESSION: {r}")?;
-        }
-        for i in &self.improvements {
-            writeln!(f, "improvement: {i}")?;
-        }
-        for m in &self.missing {
-            writeln!(f, "missing cell: {m}")?;
-        }
-        for a in &self.added {
-            writeln!(f, "new cell: {a}")?;
-        }
-        for b in &self.breakdown {
-            writeln!(f, "breakdown: {b}")?;
-        }
-        for s in &self.sampling {
-            writeln!(f, "sampling: {s}")?;
-        }
-        for t in &self.throughput {
-            writeln!(f, "throughput: {t}")?;
-        }
-        if let Some(s) = &self.sharing {
-            writeln!(f, "sharing: {s}")?;
-        }
-        writeln!(
-            f,
-            "{} regression(s), {} improvement(s), {} unchanged cell(s)",
-            self.regressions.len(),
-            self.improvements.len(),
-            self.unchanged
-        )
-    }
-}
-
-fn cell_key(cell: &Value) -> String {
-    let field = |k: &str| cell.get(k).and_then(Value::as_str).unwrap_or("?").to_string();
-    let way = cell.get("way").and_then(Value::as_i64).unwrap_or(-1);
-    format!("{} / {} / {}-way", field("workload"), field("config"), way)
-}
-
-/// A document's cell-like entries indexed by `(workload, config, way)` key:
-/// first-appearance order for deterministic iteration, a hash map for O(1)
-/// lookup (the per-cell linear `find` this replaced made the diff
-/// O(cells²)). Duplicate keys keep their **first** occurrence and push a
-/// warning into `warnings` — silently comparing against the first of several
-/// identical keys hid the later ones entirely.
-struct CellIndex<'a> {
-    ordered: Vec<(String, &'a Value)>,
-    by_key: std::collections::HashMap<String, usize>,
-}
-
-impl<'a> CellIndex<'a> {
-    fn build(entries: &'a [Value], which: &str, warnings: &mut Vec<String>) -> Self {
-        let mut ordered: Vec<(String, &Value)> = Vec::with_capacity(entries.len());
-        let mut by_key = std::collections::HashMap::with_capacity(entries.len());
-        for entry in entries {
-            let key = cell_key(entry);
-            match by_key.entry(key.clone()) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(ordered.len());
-                    ordered.push((key, entry));
-                }
-                std::collections::hash_map::Entry::Occupied(_) => warnings.push(format!(
-                    "duplicate cell key `{key}` in {which} — first occurrence wins"
-                )),
-            }
-        }
-        Self { ordered, by_key }
-    }
-
-    fn get(&self, key: &str) -> Option<&'a Value> {
-        self.by_key.get(key).map(|&i| self.ordered[i].1)
-    }
-}
 
 /// The outcome of the exact comparison ([`exact_diff`]).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -238,13 +111,59 @@ fn first_difference(path: &str, new: &Value, baseline: &Value) -> Option<String>
     }
 }
 
+
+/// The outcome of the cycle comparison ([`diff_documents`]).
+#[derive(Debug, Clone, Default)]
+pub struct Diff {
+    /// Cells whose cycles grew beyond the tolerance, and pairs that are not
+    /// the same cell (a different identity, or a cell only one document has).
+    pub regressions: Vec<String>,
+    /// Cells whose cycles shrank beyond the tolerance.
+    pub improvements: Vec<String>,
+    /// Cells within tolerance.
+    pub unchanged: usize,
+}
+
+impl Diff {
+    /// Whether the comparison fails: a regression or an unpaired cell.
+    pub fn failed(&self) -> bool {
+        !self.regressions.is_empty()
+    }
+}
+
+impl std::fmt::Display for Diff {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for r in &self.regressions {
+            writeln!(f, "REGRESSION: {r}")?;
+        }
+        for i in &self.improvements {
+            writeln!(f, "improvement: {i}")?;
+        }
+        writeln!(
+            f,
+            "{} regression(s), {} improvement(s), {} unchanged cell(s)",
+            self.regressions.len(),
+            self.improvements.len(),
+            self.unchanged
+        )
+    }
+}
+
+/// A cell's `(workload, config, way)` identity, as the report names it.
+fn cell_key(cell: &Value) -> String {
+    let field = |k: &str| cell.get(k).and_then(Value::as_str).unwrap_or("?").to_string();
+    let way = cell.get("way").and_then(Value::as_i64).unwrap_or(-1);
+    format!("{} / {} / {}-way", field("workload"), field("config"), way)
+}
+
 /// Compare two `momlab/v1` grid documents on cycles — what `momlab diff
 /// --tolerance T` runs for a `T` above 0.
 ///
 /// # Errors
 ///
-/// Returns an error when either document is not a grid result or when the
-/// two documents describe different experiments or different grids.
+/// Returns an error when either document is not a grid result with a
+/// `cells` array of readable cycle counts, or when the two documents
+/// describe different experiments or different grids.
 pub fn diff_documents(new: &Value, baseline: &Value, tolerance: f64) -> Result<Diff, String> {
     let kind = |doc: &Value| doc.get("kind").and_then(Value::as_str).map(str::to_string);
     check_experiments(new, baseline)?;
@@ -267,23 +186,24 @@ pub fn diff_documents(new: &Value, baseline: &Value, tolerance: f64) -> Result<D
         ));
     }
 
+    let [new_cells, base_cells] = [(new, "new document"), (baseline, "baseline")].map(|(doc, of)| {
+        doc.get("cells").and_then(Value::as_array).ok_or(format!("the {of} has no cells array"))
+    });
+    let (new_cells, base_cells) = (new_cells?, base_cells?);
+    let cycles = |cell: &Value| {
+        cell.get("cycles").and_then(Value::as_f64).filter(|c| c.is_finite() && *c > 0.0)
+    };
     let mut diff = Diff::default();
-    let [new_cells, base_cells] =
-        [new, baseline].map(|doc| doc.get("cells").and_then(Value::as_array).unwrap_or_default());
-    let base_index = CellIndex::build(base_cells, "the baseline document", &mut diff.warnings);
-    let new_index = CellIndex::build(new_cells, "the new document", &mut diff.warnings);
-
-    for (key, base_cell) in &base_index.ordered {
-        let Some(new_cell) = new_index.get(key) else {
-            diff.missing.push(key.clone());
-            continue;
-        };
-        let old_cycles = base_cell.get("cycles").and_then(Value::as_f64).unwrap_or(f64::NAN);
-        let new_cycles = new_cell.get("cycles").and_then(Value::as_f64).unwrap_or(f64::NAN);
-        if !old_cycles.is_finite() || !new_cycles.is_finite() || old_cycles <= 0.0 {
-            diff.warnings.push(format!("{key}: unreadable cycle counts"));
+    for (i, (new_cell, base_cell)) in new_cells.iter().zip(base_cells).enumerate() {
+        let (key, new_key) = (cell_key(base_cell), cell_key(new_cell));
+        if new_key != key {
+            let line = format!("cells[{i}]: new {new_key}, baseline {key}: not the same cell");
+            diff.regressions.push(line);
             continue;
         }
+        let (Some(old_cycles), Some(new_cycles)) = (cycles(base_cell), cycles(new_cell)) else {
+            return Err(format!("cells[{i}] ({key}): unreadable cycle counts"));
+        };
         let ratio = new_cycles / old_cycles;
         if ratio > 1.0 + tolerance {
             diff.regressions.push(format!(
@@ -298,249 +218,120 @@ pub fn diff_documents(new: &Value, baseline: &Value, tolerance: f64) -> Result<D
         } else {
             diff.unchanged += 1;
         }
-        diff.breakdown.extend(breakdown_shifts(key, new_cell, base_cell));
     }
-    for (key, _) in &new_index.ordered {
-        if base_index.get(key).is_none() {
-            diff.added.push(key.clone());
-        }
-    }
-    diff.throughput = throughput_deltas(new, baseline, &mut diff.warnings);
-    diff.sharing = sharing_delta(new, baseline);
-    diff.sampling = sampling_deltas(new, baseline, &mut diff.warnings);
-    Ok(diff)
-}
-
-/// The entries of one keyed array section (`section` picks it from a
-/// document) paired by cell key, in baseline order. Empty unless both
-/// documents have entries; duplicate keys warn, naming `what`.
-fn paired<'a>(
-    new: &'a Value,
-    baseline: &'a Value,
-    section: impl Fn(&'a Value) -> Option<&'a Value>,
-    what: &str,
-    warnings: &mut Vec<String>,
-) -> Vec<(String, &'a Value, &'a Value)> {
-    let entries = |doc: &'a Value| section(doc).and_then(Value::as_array).unwrap_or_default();
-    let (new_entries, base_entries) = (entries(new), entries(baseline));
-    if new_entries.is_empty() || base_entries.is_empty() {
-        return Vec::new();
-    }
-    let base_index = CellIndex::build(base_entries, &format!("baseline {what}"), warnings);
-    let new_index = CellIndex::build(new_entries, &format!("new {what}"), warnings);
-    let pairs = base_index.ordered.into_iter();
-    pairs.filter_map(|(key, base)| Some((key.clone(), new_index.get(&key)?, base))).collect()
-}
-
-/// Informational sampled-IPC deltas between the top-level `sampling`
-/// sections of two documents, matched by `(workload, config, way)`. A line
-/// is emitted only when the means differ by more than the **union of both
-/// 95% confidence intervals** — the coarsest test under which the two
-/// estimates are distinguishable at all. Empty when either document lacks a
-/// `sampling` section (exact-mode results).
-fn sampling_deltas(new: &Value, baseline: &Value, warnings: &mut Vec<String>) -> Vec<String> {
-    let section = |doc| Value::get(doc, "sampling").and_then(|s| s.get("cells"));
-    let mut out = Vec::new();
-    for (key, new_entry, base_entry) in paired(new, baseline, section, "sampling metadata", warnings) {
-        let field = |e: &Value, k: &str| {
-            e.get(k).and_then(Value::as_f64).filter(|v| v.is_finite())
-        };
-        let (Some(old_mean), Some(new_mean)) =
-            (field(base_entry, "ipc_mean"), field(new_entry, "ipc_mean"))
-        else {
-            continue;
-        };
-        let old_ci = field(base_entry, "ipc_ci95").unwrap_or(0.0);
-        let new_ci = field(new_entry, "ipc_ci95").unwrap_or(0.0);
-        let delta = new_mean - old_mean;
-        if delta.abs() > new_ci + old_ci {
-            out.push(format!(
-                "{key}: ipc {old_mean:.3}±{old_ci:.3} -> {new_mean:.3}±{new_ci:.3} \
-                 ({delta:+.3}, outside both CIs)"
-            ));
-        }
-    }
-    out
-}
-
-/// Informational stall-attribution comparison between one cell's
-/// `breakdown` objects: one line per cause whose share of the cell's total
-/// cycles moved by at least one percentage point. Empty when either cell
-/// lacks the object (pre-probe baselines). Never contributes to the exit
-/// code — these lines explain cycle deltas, they don't gate on their own.
-fn breakdown_shifts(key: &str, new_cell: &Value, base_cell: &Value) -> Vec<String> {
-    let section = |cell: &Value| cell.get("breakdown").cloned();
-    let (Some(new_b), Some(base_b)) = (section(new_cell), section(base_cell)) else {
-        return Vec::new();
-    };
-    let total = |b: &Value| {
-        b.get("total_cycles").and_then(Value::as_f64).filter(|&t| t > 0.0 && t.is_finite())
-    };
-    let (Some(new_total), Some(base_total)) = (total(&new_b), total(&base_b)) else {
-        return Vec::new();
-    };
-    let Value::Object(members) = &new_b else { return Vec::new() };
-    let mut out = Vec::new();
-    for (cause, cycles) in members {
-        if cause == "total_cycles" {
-            continue;
-        }
-        let new_share = cycles.as_f64().unwrap_or(0.0) / new_total;
-        let base_share =
-            base_b.get(cause).and_then(Value::as_f64).unwrap_or(0.0) / base_total;
-        let shift = (new_share - base_share) * 100.0;
-        if shift.abs() >= 1.0 {
-            out.push(format!(
-                "{key}: {cause} share {:.1}% -> {:.1}% ({shift:+.1}pp)",
-                base_share * 100.0,
-                new_share * 100.0,
-            ));
-        }
-    }
-    out
-}
-
-/// Informational functional-sharing comparison between the
-/// `meta.shared_passes` sections of two documents. `None` when either
-/// document lacks the section (e.g. the committed `--results-only`
-/// baselines). Never contributes to the exit code.
-fn sharing_delta(new: &Value, baseline: &Value) -> Option<String> {
-    let section = |doc: &Value| doc.get("meta").and_then(|m| m.get("shared_passes")).cloned();
-    let (new_sp, base_sp) = (section(new)?, section(baseline)?);
-    let field = |sp: &Value, k: &str| sp.get(k).and_then(Value::as_f64).filter(|v| v.is_finite());
-    let new_factor = field(&new_sp, "sharing_factor")?;
-    let base_factor = field(&base_sp, "sharing_factor")?;
-    let passes = field(&new_sp, "functional_passes").unwrap_or(f64::NAN);
-    let cells = field(&new_sp, "cells").unwrap_or(f64::NAN);
-    Some(format!(
-        "{passes:.0} functional passes for {cells:.0} cells ({new_factor:.2}x amortized) vs baseline {base_factor:.2}x"
-    ))
-}
-
-/// Informational `insts_per_sec` deltas between the `meta.throughput`
-/// sections of two documents, matched by `(workload, config, way)`. Empty
-/// when either document lacks throughput metadata (e.g. the committed
-/// `--results-only` baselines).
-fn throughput_deltas(new: &Value, baseline: &Value, warnings: &mut Vec<String>) -> Vec<String> {
-    let section = |doc| Value::get(doc, "meta").and_then(|m| m.get("throughput"));
-    let mut out = Vec::new();
-    for (key, new_entry, base_entry) in
-        paired(new, baseline, section, "throughput metadata", warnings)
-    {
-        // A cell served from the persistent cache was never simulated, so its
-        // `insts_per_sec` measures a file read — a delta against (or from) it
-        // would be meaningless. Say so instead of printing a bogus ratio.
-        let cached =
-            |e: &Value| e.get("cached").and_then(Value::as_bool).unwrap_or(false);
-        if cached(base_entry) || cached(new_entry) {
-            out.push(format!("{key}: cached"));
-            continue;
-        }
-        let ips = |e: &Value| e.get("insts_per_sec").and_then(Value::as_f64).unwrap_or(f64::NAN);
-        let (old_ips, new_ips) = (ips(base_entry), ips(new_entry));
-        if !old_ips.is_finite() || !new_ips.is_finite() || old_ips <= 0.0 {
-            continue;
-        }
-        out.push(format!(
-            "{key}: {:.1} -> {:.1} Minst/s ({:+.1}%)",
-            old_ips / 1e6,
-            new_ips / 1e6,
-            (new_ips / old_ips - 1.0) * 100.0
+    if new_cells.len() != base_cells.len() {
+        diff.regressions.push(format!(
+            "cells: new has {}, baseline {}: a cell only one document has",
+            new_cells.len(),
+            base_cells.len()
         ));
     }
-    out
+    Ok(diff)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc(cycles: i64, hash: &str) -> Value {
+    fn cell(workload: &str, config: &str, way: i64, cycles: i64) -> Value {
+        Value::object(vec![
+            ("workload", Value::Str(workload.into())),
+            ("config", Value::Str(config.into())),
+            ("way", Value::Int(way)),
+            ("cycles", Value::Int(cycles)),
+        ])
+    }
+
+    fn grid(hash: &str, cells: Vec<Value>) -> Value {
         Value::object(vec![
             ("experiment", Value::Str("figure5".into())),
             ("config_hash", Value::Str(hash.into())),
             ("fast", Value::Bool(false)),
             ("scale", Value::Int(1)),
             ("kind", Value::Str("grid".into())),
-            (
-                "cells",
-                Value::Array(vec![Value::object(vec![
-                    ("workload", Value::Str("idct".into())),
-                    ("config", Value::Str("mom".into())),
-                    ("way", Value::Int(4)),
-                    ("cycles", Value::Int(cycles)),
-                ])]),
-            ),
+            ("cells", Value::Array(cells)),
         ])
+    }
+
+    fn doc(cycles: i64, hash: &str) -> Value {
+        grid(hash, vec![cell("idct", "mom", 4, cycles)])
+    }
+
+    /// `document` with `member` appended at the top level.
+    fn with(mut document: Value, member: &str, value: Value) -> Value {
+        if let Value::Object(members) = &mut document {
+            members.push((member.into(), value));
+        }
+        document
     }
 
     #[test]
     fn identical_documents_have_no_findings() {
-        let d = diff_documents(&doc(1000, "h"), &doc(1000, "h"), DEFAULT_TOLERANCE).unwrap();
+        let d = diff_documents(&doc(1000, "h"), &doc(1000, "h"), 0.02).unwrap();
         assert!(!d.failed());
-        assert!(d.improvements.is_empty() && d.warnings.is_empty());
+        assert!(d.improvements.is_empty());
         assert_eq!(d.unchanged, 1);
+        assert_eq!(format!("{d}"), "0 regression(s), 0 improvement(s), 1 unchanged cell(s)\n");
     }
 
     fn doc_with_breakdown(total: i64, base: i64, mem_l1: i64) -> Value {
-        Value::object(vec![
-            ("experiment", Value::Str("figure5".into())),
-            ("config_hash", Value::Str("h".into())),
-            ("fast", Value::Bool(false)),
-            ("scale", Value::Int(1)),
-            ("kind", Value::Str("grid".into())),
+        let breakdown = Value::object(vec![
+            ("total_cycles", Value::Int(total)),
+            ("base", Value::Int(base)),
+            ("mem-l1", Value::Int(mem_l1)),
+        ]);
+        let Value::Object(mut members) = cell("idct", "mom", 4, total) else { unreachable!() };
+        members.push(("breakdown".into(), breakdown));
+        grid("h", vec![Value::Object(members)])
+    }
+
+    fn with_sampling(document: Value, mean: f64, ci: f64) -> Value {
+        let sampling = Value::object(vec![
+            ("unit_insts", Value::Int(1000)),
+            ("warmup_insts", Value::Int(2000)),
+            ("period", Value::Int(100_000)),
             (
                 "cells",
                 Value::Array(vec![Value::object(vec![
                     ("workload", Value::Str("idct".into())),
                     ("config", Value::Str("mom".into())),
                     ("way", Value::Int(4)),
-                    ("cycles", Value::Int(total)),
-                    (
-                        "breakdown",
-                        Value::object(vec![
-                            ("total_cycles", Value::Int(total)),
-                            ("base", Value::Int(base)),
-                            ("mem-l1", Value::Int(mem_l1)),
-                        ]),
-                    ),
+                    ("ipc_mean", Value::Float(mean)),
+                    ("ipc_ci95", Value::Float(ci)),
                 ])]),
             ),
-        ])
+        ]);
+        with(document, "sampling", sampling)
     }
 
     #[test]
-    fn breakdown_share_shifts_are_informational_only() {
-        let new = doc_with_breakdown(1000, 600, 400);
-        let base = doc_with_breakdown(1000, 700, 300);
-        let d = diff_documents(&new, &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(!d.failed(), "share shifts never gate");
-        assert_eq!(d.breakdown.len(), 2, "{:?}", d.breakdown);
-        assert!(
-            d.breakdown.iter().any(|l| l.contains("mem-l1") && l.contains("+10.0pp")),
-            "{:?}",
-            d.breakdown
-        );
-        assert!(format!("{d}").contains("breakdown: "));
-        // Sub-point moves stay quiet; pre-probe baselines produce no lines.
-        let d = diff_documents(&new, &new, DEFAULT_TOLERANCE).unwrap();
-        assert!(d.breakdown.is_empty(), "{:?}", d.breakdown);
-        let d = diff_documents(&new, &doc(1000, "h"), DEFAULT_TOLERANCE).unwrap();
-        assert!(d.breakdown.is_empty(), "{:?}", d.breakdown);
+    fn only_cycles_are_compared_above_0() {
+        // Equal cycles, everything else moved: a breakdown share, a sampled
+        // IPC estimate and the host-dependent meta. Only the summary prints.
+        let meta = |ips: f64| {
+            Value::object(vec![("sim_wall_ns", Value::Int(1000)), ("ips", Value::Float(ips))])
+        };
+        let new =
+            with(with_sampling(doc_with_breakdown(1000, 600, 400), 2.0, 0.1), "meta", meta(2e7));
+        let base =
+            with(with_sampling(doc_with_breakdown(1000, 700, 300), 1.5, 0.1), "meta", meta(1e7));
+        let d = diff_documents(&new, &base, 0.02).unwrap();
+        assert!(!d.failed());
+        assert_eq!(format!("{d}"), "0 regression(s), 0 improvement(s), 1 unchanged cell(s)\n");
     }
 
     #[test]
     fn cycle_growth_beyond_tolerance_is_a_regression() {
         let d = diff_documents(&doc(1100, "h"), &doc(1000, "h"), 0.02).unwrap();
         assert!(d.failed());
-        assert!(d.regressions[0].contains("idct / mom / 4-way"), "{:?}", d.regressions);
+        assert_eq!(d.regressions, ["idct / mom / 4-way: cycles 1000 -> 1100 (+10.0%)"]);
         // Within tolerance: no finding.
         let d = diff_documents(&doc(1010, "h"), &doc(1000, "h"), 0.02).unwrap();
         assert!(!d.failed());
         // Shrinkage: improvement.
         let d = diff_documents(&doc(900, "h"), &doc(1000, "h"), 0.02).unwrap();
         assert!(!d.failed());
-        assert_eq!(d.improvements.len(), 1);
+        assert_eq!(d.improvements, ["idct / mom / 4-way: cycles 1000 -> 900 (-10.0%)"]);
     }
 
     #[test]
@@ -562,226 +353,46 @@ mod tests {
         assert!(diff_documents(&Value::Null, &doc(1000, "h"), 0.02).is_err());
     }
 
-    fn with_throughput(mut document: Value, ips: f64) -> Value {
-        let meta = Value::object(vec![(
-            "throughput",
-            Value::Array(vec![Value::object(vec![
-                ("workload", Value::Str("idct".into())),
-                ("config", Value::Str("mom".into())),
-                ("way", Value::Int(4)),
-                ("insts_per_sec", Value::Float(ips)),
-            ])]),
-        )]);
-        if let Value::Object(members) = &mut document {
-            members.push(("meta".into(), meta));
-        }
-        document
+    #[test]
+    fn a_grid_without_cells_or_cycles_is_an_error() {
+        let Value::Object(mut members) = doc(1000, "h") else { unreachable!() };
+        members.retain(|(k, _)| k != "cells");
+        let bare = Value::Object(members);
+        let err = diff_documents(&bare, &doc(1000, "h"), 0.02).unwrap_err();
+        assert_eq!(err, "the new document has no cells array");
+        let err = diff_documents(&doc(1000, "h"), &bare, 0.02).unwrap_err();
+        assert_eq!(err, "the baseline has no cells array");
+        let err = diff_documents(&doc(0, "h"), &doc(1000, "h"), 0.02).unwrap_err();
+        assert_eq!(err, "cells[0] (idct / mom / 4-way): unreadable cycle counts");
     }
 
     #[test]
-    fn throughput_deltas_are_informational_only() {
-        // Twice the throughput at identical cycles: the delta is reported
-        // but the diff stays clean (throughput never gates).
-        let new = with_throughput(doc(1000, "h"), 20e6);
-        let base = with_throughput(doc(1000, "h"), 10e6);
-        let d = diff_documents(&new, &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(!d.failed());
-        assert_eq!(d.throughput.len(), 1);
-        assert!(d.throughput[0].contains("10.0 -> 20.0 Minst/s"), "{:?}", d.throughput);
-        assert!(d.throughput[0].contains("+100.0%"), "{:?}", d.throughput);
-        assert!(format!("{d}").contains("throughput: idct / mom / 4-way"));
-
-        // Halved throughput is still not a regression — cycles gate, wall
-        // clock informs.
-        let d = diff_documents(&base, &new, DEFAULT_TOLERANCE).unwrap();
-        assert!(!d.failed());
-        assert!(d.throughput[0].contains("-50.0%"), "{:?}", d.throughput);
-    }
-
-    #[test]
-    fn throughput_section_is_absent_without_meta() {
-        // The committed --results-only baselines carry no meta: no lines.
-        let d = diff_documents(&with_throughput(doc(1000, "h"), 20e6), &doc(1000, "h"), 0.02)
-            .unwrap();
-        assert!(d.throughput.is_empty());
-        let d = diff_documents(&doc(1000, "h"), &with_throughput(doc(1000, "h"), 20e6), 0.02)
-            .unwrap();
-        assert!(d.throughput.is_empty());
-    }
-
-    fn with_sharing(mut document: Value, passes: i64, cells: i64, factor: f64) -> Value {
-        let sp = Value::object(vec![(
-            "shared_passes",
-            Value::object(vec![
-                ("cells", Value::Int(cells)),
-                ("functional_passes", Value::Int(passes)),
-                ("sharing_factor", Value::Float(factor)),
-            ]),
-        )]);
-        if let Value::Object(members) = &mut document {
-            members.push(("meta".into(), sp));
-        }
-        document
-    }
-
-    #[test]
-    fn sharing_factor_is_reported_when_both_documents_carry_it() {
-        let new = with_sharing(doc(1000, "h"), 4, 16, 4.0);
-        let base = with_sharing(doc(1000, "h"), 16, 16, 1.0);
-        let d = diff_documents(&new, &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(!d.failed(), "sharing never gates");
-        let line = d.sharing.as_deref().expect("sharing line present");
-        assert!(line.contains("4 functional passes for 16 cells"), "{line}");
-        assert!(line.contains("4.00x"), "{line}");
-        assert!(line.contains("baseline 1.00x"), "{line}");
-        assert!(format!("{d}").contains("sharing: "));
-        // Either side missing the section: no line (the committed
-        // --results-only baselines carry no meta).
-        let d = diff_documents(&new, &doc(1000, "h"), DEFAULT_TOLERANCE).unwrap();
-        assert!(d.sharing.is_none());
-        let d = diff_documents(&doc(1000, "h"), &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(d.sharing.is_none());
-    }
-
-    fn with_sampling(mut document: Value, mean: f64, ci: f64) -> Value {
-        let sampling = Value::object(vec![
-            ("unit_insts", Value::Int(1000)),
-            ("warmup_insts", Value::Int(2000)),
-            ("period", Value::Int(100_000)),
-            (
-                "cells",
-                Value::Array(vec![Value::object(vec![
-                    ("workload", Value::Str("idct".into())),
-                    ("config", Value::Str("mom".into())),
-                    ("way", Value::Int(4)),
-                    ("ipc_mean", Value::Float(mean)),
-                    ("ipc_ci95", Value::Float(ci)),
-                ])]),
-            ),
-        ]);
-        if let Value::Object(members) = &mut document {
-            members.push(("sampling".into(), sampling));
-        }
-        document
-    }
-
-    #[test]
-    fn sampling_deltas_use_the_union_of_both_cis() {
-        // Means 1.5±0.2 vs 2.0±0.1: |Δ| = 0.5 > 0.3, distinguishable.
-        let new = with_sampling(doc(1000, "h"), 2.0, 0.1);
-        let base = with_sampling(doc(1000, "h"), 1.5, 0.2);
-        let d = diff_documents(&new, &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(!d.failed(), "sampling lines never gate");
-        assert_eq!(d.sampling.len(), 1, "{:?}", d.sampling);
-        assert!(d.sampling[0].contains("1.500±0.200 -> 2.000±0.100"), "{:?}", d.sampling);
-        assert!(d.sampling[0].contains("+0.500"), "{:?}", d.sampling);
-        assert!(format!("{d}").contains("sampling: idct / mom / 4-way"));
-
-        // A move inside the CI union is statistically indistinguishable.
-        let close = with_sampling(doc(1000, "h"), 1.55, 0.1);
-        let d = diff_documents(&close, &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(d.sampling.is_empty(), "{:?}", d.sampling);
-
-        // Either side lacking the section (exact-mode results): no lines.
-        let d = diff_documents(&new, &doc(1000, "h"), DEFAULT_TOLERANCE).unwrap();
-        assert!(d.sampling.is_empty());
-        let d = diff_documents(&doc(1000, "h"), &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(d.sampling.is_empty());
-    }
-
-    #[test]
-    fn duplicate_cell_keys_warn_and_first_occurrence_wins() {
-        // Two cells with the same (workload, config, way) key: the linear
-        // scan this module used to do silently matched the first one. The
-        // keyed index keeps that first-occurrence behaviour but warns.
-        let mut dup = doc(1000, "h");
-        if let Value::Object(members) = &mut dup {
-            if let Some((_, Value::Array(cells))) = members.iter_mut().find(|(k, _)| k == "cells") {
-                cells.push(Value::object(vec![
-                    ("workload", Value::Str("idct".into())),
-                    ("config", Value::Str("mom".into())),
-                    ("way", Value::Int(4)),
-                    ("cycles", Value::Int(9999)),
-                ]));
-            }
-        }
-        let d = diff_documents(&dup, &doc(1000, "h"), 0.02).unwrap();
-        let warning = d
-            .warnings
-            .iter()
-            .find(|w| w.contains("duplicate cell key"))
-            .expect("duplicate key warned");
-        assert!(warning.contains("idct / mom / 4-way"), "{warning}");
-        assert!(warning.contains("the new document"), "{warning}");
-        // The first occurrence (1000 cycles, identical to baseline) is the
-        // one compared — the shadowed 9999-cycle duplicate does not regress.
-        assert!(!d.failed(), "{:?}", d.regressions);
-        assert_eq!(d.unchanged, 1);
-        assert!(d.added.is_empty() && d.missing.is_empty());
-
-        // Duplicate in the baseline document warns with the other label.
-        let d = diff_documents(&doc(1000, "h"), &dup, 0.02).unwrap();
-        assert!(
-            d.warnings.iter().any(|w| w.contains("the baseline document")),
-            "{:?}",
-            d.warnings
+    fn cells_pair_by_index_and_a_different_identity_fails() {
+        let cells =
+            |a: &str, b: &str| grid("h", vec![cell(a, "mom", 4, 1000), cell(b, "mom", 4, 1000)]);
+        let d = diff_documents(&cells("idct", "sad"), &cells("idct", "sad"), 0.02).unwrap();
+        assert_eq!(d.unchanged, 2);
+        let d = diff_documents(&cells("sad", "idct"), &cells("idct", "sad"), 0.02).unwrap();
+        assert!(d.failed());
+        assert_eq!(d.unchanged, 0);
+        assert_eq!(
+            d.regressions[0],
+            "cells[0]: new sad / mom / 4-way, baseline idct / mom / 4-way: not the same cell"
         );
-        assert!(!d.failed());
-    }
-
-    #[test]
-    fn duplicate_throughput_keys_warn_without_gating() {
-        fn with_dup_throughput(mut document: Value) -> Value {
-            let entry = |ips: f64| {
-                Value::object(vec![
-                    ("workload", Value::Str("idct".into())),
-                    ("config", Value::Str("mom".into())),
-                    ("way", Value::Int(4)),
-                    ("insts_per_sec", Value::Float(ips)),
-                ])
-            };
-            let meta =
-                Value::object(vec![("throughput", Value::Array(vec![entry(10e6), entry(99e6)]))]);
-            if let Value::Object(members) = &mut document {
-                members.push(("meta".into(), meta));
-            }
-            document
-        }
-        let d = diff_documents(
-            &with_dup_throughput(doc(1000, "h")),
-            &with_throughput(doc(1000, "h"), 10e6),
-            0.02,
-        )
-        .unwrap();
-        assert!(
-            d.warnings.iter().any(|w| w.contains("new throughput metadata")),
-            "{:?}",
-            d.warnings
-        );
-        // First occurrence wins: 10 -> 10 Minst/s, not 99.
-        assert!(d.throughput[0].contains("10.0 -> 10.0 Minst/s"), "{:?}", d.throughput);
-        assert!(!d.failed());
+        assert_eq!(d.regressions.len(), 2);
     }
 
     #[test]
     fn added_and_missing_cells_are_reported() {
-        let mut bigger = doc(1000, "h");
-        if let Value::Object(members) = &mut bigger {
-            if let Some((_, Value::Array(cells))) = members.iter_mut().find(|(k, _)| k == "cells") {
-                cells.push(Value::object(vec![
-                    ("workload", Value::Str("addblock".into())),
-                    ("config", Value::Str("mom".into())),
-                    ("way", Value::Int(8)),
-                    ("cycles", Value::Int(5)),
-                ]));
-            }
-        }
+        let bigger = grid("h", vec![cell("idct", "mom", 4, 1000), cell("addblock", "mom", 8, 5)]);
+        let line = |new, base| {
+            format!("cells: new has {new}, baseline {base}: a cell only one document has")
+        };
         let d = diff_documents(&bigger, &doc(1000, "h"), 0.02).unwrap();
-        assert_eq!(d.added.len(), 1);
-        assert!(d.failed() && d.regressions.is_empty());
-        let d = diff_documents(&doc(1000, "h"), &bigger, 0.02).unwrap();
-        assert_eq!(d.missing.len(), 1);
         assert!(d.failed());
+        assert_eq!((d.regressions, d.unchanged), (vec![line(2, 1)], 1));
+        let d = diff_documents(&doc(1000, "h"), &bigger, 0.02).unwrap();
+        assert_eq!((d.regressions, d.unchanged), (vec![line(1, 2)], 1));
     }
 
     #[test]
@@ -801,7 +412,8 @@ mod tests {
 
     #[test]
     fn exact_diff_skips_meta_and_compares_numbers_by_value() {
-        let new = with_sharing(with_throughput(doc(1000, "h"), 20e6), 4, 16, 4.0);
+        let meta = Value::object(vec![("sim_wall_ns", Value::Int(1000))]);
+        let new = with(doc(1000, "h"), "meta", meta);
         assert_eq!(exact_diff(&new, &doc(1000, "h")).unwrap(), Exact::default());
         let mut float = doc(1000, "h");
         if let Value::Object(members) = &mut float {

@@ -18,14 +18,14 @@ use std::str::FromStr;
 use mom_apps::AppKind;
 use mom_isa::trace::IsaKind;
 use mom_kernels::KernelKind;
-use mom_lab::baseline::{diff_documents, exact_diff, DEFAULT_TOLERANCE};
+use mom_lab::baseline::{diff_documents, exact_diff};
 use mom_lab::cache::{CacheEntry, CellCache};
 use mom_lab::json::Value;
 use mom_lab::runner::ExecMode;
 use mom_lab::spec::{
     sweep_spec, ExperimentKind, ExperimentSpec, GridSpec, SweepDims, BUILTIN_EXPERIMENTS,
 };
-use mom_lab::{report, runner, RunOptions};
+use mom_lab::{note, report, runner, RunOptions};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,12 +34,9 @@ fn main() -> ExitCode {
         Err(Failure::Usage(msg)) => (msg, true),
         Err(Failure::Error(msg)) => (msg, false),
     };
-    // Write errors are ignored: a closed stderr must not turn a failure
-    // into a panic.
-    let mut stderr = std::io::stderr().lock();
-    let _ = writeln!(stderr, "error: {msg}");
+    note(format_args!("error: {msg}"));
     if usage {
-        let _ = writeln!(stderr, "\n{}", help());
+        note(format_args!("\n{}", help()));
     }
     ExitCode::FAILURE
 }
@@ -126,7 +123,7 @@ const TABLES: &[(&[&str], &[Flag])] = &[
         &["diff"],
         &[
             ("--baseline", "OLD.json", "the saved result to compare with (required)"),
-            ("--tolerance", "F", "0: exact; above 0: cycles per cell (default 0.02)"),
+            ("--tolerance", "F", "0: exact (the default); above 0: cycles per cell"),
         ],
     ),
     (&["cache ls", "cache verify", "cache gc"], &[("--cache-dir", "DIR", "the cache (required)")]),
@@ -145,10 +142,10 @@ any --sample-* flag) simulates a detailed warm-up plus a measured unit at
 the head of every sampling period and fast-forwards the rest. The unit must
 be at least 1 and the period at least warm-up + unit.
 
-momlab diff at --tolerance 0 compares every member but meta (a sampling
-section only the new result has is skipped) and names the first differing
-path. Above 0 it compares the cells of one grid on cycles; documents of
-different grids are an error.
+momlab diff at --tolerance 0 (the default) compares every member but meta
+(a sampling section only the new result has is skipped) and names the
+first differing path. Above 0 it compares the cycles of two runs of one
+grid cell by cell; documents of different grids are an error.
 
 The cell cache stores each simulated cell as a JSON record keyed by its
 inputs (workload, scale, seed, ISA, memory model, ROB size, width) and the
@@ -290,10 +287,10 @@ fn run_cli(args: &[String]) -> Result<ExitCode, Failure> {
             let cache = open_cache(&args)?;
             let (evicted, evicted_bytes, remaining) =
                 cache.gc(max).map_err(|e| format!("cache gc in {}: {e}", cache.dir().display()))?;
-            eprintln!(
+            note(format_args!(
                 "evicted {evicted} record(s) ({evicted_bytes} bytes); {remaining} bytes remain in {}",
                 cache.dir().display()
-            );
+            ));
             Ok(ExitCode::SUCCESS)
         }
         other => unreachable!("{other} is not in COMMANDS"),
@@ -440,10 +437,10 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
             &RunOptions { workers, mode, progress: !quiet, cache: cache.as_ref() },
         );
         if let Some(meta) = &result.cache {
-            eprintln!(
+            note(format_args!(
                 "cache: {} hit(s), {} miss(es), {} fill(s), {} bytes in {}",
                 meta.hits, meta.misses, meta.fills, meta.bytes, meta.dir
-            );
+            ));
         }
         if trace_out.is_some() {
             trace_processes.push((spec.name.clone(), result.spans.clone()));
@@ -482,7 +479,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
                 .filter(|&f| f > 1.0)
                 .map(|f| format!(", {f:.1}x shared functional pass"))
                 .unwrap_or_default();
-            eprintln!(
+            note(format_args!(
                 "wrote {} ({} workers, {} ms, {}{}{})",
                 path.display(),
                 result.workers,
@@ -490,7 +487,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
                 result.mode.label(),
                 throughput,
                 sharing,
-            );
+            ));
         }
     }
     if let Some(path) = &trace_out {
@@ -502,7 +499,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
         std::fs::write(path, document.to_pretty())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         let spans: usize = trace_processes.iter().map(|(_, s)| s.len()).sum();
-        eprintln!("wrote {} ({spans} span(s))", path.display());
+        note(format_args!("wrote {} ({spans} span(s))", path.display()));
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -565,12 +562,12 @@ fn cmd_cache_verify(cache: &CellCache, workers: usize) -> Result<ExitCode, Strin
     for entry in &entries {
         let name = entry.path.file_name().unwrap_or_default().to_string_lossy().into_owned();
         let Some(key) = &entry.key else {
-            eprintln!("skip {name}: unreadable record (a clean miss on the next run)");
+            note(format_args!("skip {name}: unreadable record (a clean miss on the next run)"));
             unreadable += 1;
             continue;
         };
         if key.engine != engine {
-            eprintln!("skip {name}: engine {:?} (this binary is {engine:?})", key.engine);
+            note(format_args!("skip {name}: engine {:?} (this binary is {engine:?})", key.engine));
             other_engine += 1;
             continue;
         }
@@ -619,22 +616,24 @@ fn cmd_cache_verify(cache: &CellCache, workers: usize) -> Result<ExitCode, Strin
                 verified += 1;
             } else {
                 mismatches += 1;
-                eprintln!(
+                note(format_args!(
                     "MISMATCH {}: re-simulation disagrees with the stored record ({})",
                     entry.path.file_name().unwrap_or_default().to_string_lossy(),
                     key.canonical()
-                );
+                ));
             }
         }
     }
     let skipped = unreadable + other_engine;
     if skipped > 0 {
-        eprintln!("skipped {unreadable} unreadable record(s), {other_engine} of another engine");
+        note(format_args!(
+            "skipped {unreadable} unreadable record(s), {other_engine} of another engine"
+        ));
     }
-    eprintln!(
+    note(format_args!(
         "verified {verified} record(s) across {} group(s); {skipped} skipped, {mismatches} mismatch(es)",
         groups.len()
-    );
+    ));
     Ok(if mismatches > 0 { ExitCode::from(2) } else { ExitCode::SUCCESS })
 }
 
@@ -644,7 +643,7 @@ fn cmd_diff(args: &Args) -> Result<ExitCode, Failure> {
     };
     let baseline_path =
         args.text("--baseline").ok_or_else(|| usage("diff needs --baseline <file>"))?;
-    let tolerance = args.last("--tolerance")?.unwrap_or(DEFAULT_TOLERANCE);
+    let tolerance: f64 = args.last("--tolerance")?.unwrap_or(0.0);
     if !(tolerance.is_finite() && tolerance >= 0.0) {
         return Err(usage("--tolerance must be a finite value >= 0"));
     }

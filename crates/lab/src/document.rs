@@ -7,7 +7,7 @@ use mom_mem::cache::CacheStats;
 use mom_mem::{MemModelKind, MemSystemStats};
 
 use crate::json::Value;
-use crate::runner::{insts_per_sec, CellResult, CellSampling, ExecMode, RunData, RunResult, SpanRec};
+use crate::runner::{CellResult, CellSampling, ExecMode, RunData, RunResult, SpanRec};
 use crate::tables::StaticRows;
 
 impl RunResult {
@@ -91,9 +91,9 @@ impl RunResult {
     }
 
     /// The full on-disk document: [`RunResult::results_json`] plus a `meta`
-    /// section with wall-clock, worker-count, execution-mode and throughput
-    /// information (the only part that may differ between two runs of the
-    /// same spec).
+    /// section with wall-clock, worker-count, execution-mode, span and
+    /// sharing information (the only part that may differ between two runs
+    /// of the same spec).
     pub fn document_json(&self) -> Value {
         let mut doc = self.results_json();
         let mut meta_members = vec![
@@ -158,37 +158,6 @@ impl RunResult {
                     ),
                 ]),
             ));
-            if cells.len() == self.cell_wall_ns.len() {
-                meta_members.push(("throughput", Value::Array(
-                    cells
-                        .iter()
-                        .zip(&self.cell_wall_ns)
-                        .enumerate()
-                        .map(|(i, (cell, &ns))| {
-                            let mut fields = vec![
-                                ("workload", Value::Str(cell.workload.label().into())),
-                                ("config", Value::Str(cell.config_label.clone())),
-                                ("way", Value::Int(cell.way as i64)),
-                            ];
-                            // A cached cell's span is document assembly, not
-                            // simulation — a rate computed from it would be
-                            // fabricated, so mark it instead. The extra field
-                            // appears only for cached cells, keeping
-                            // cache-free documents byte-identical.
-                            if self.cached_cells.get(i).copied().unwrap_or(false) {
-                                fields.push(("insts_per_sec", Value::Null));
-                                fields.push(("cached", Value::Bool(true)));
-                            } else {
-                                fields.push((
-                                    "insts_per_sec",
-                                    Value::Float(insts_per_sec(cell.instructions, ns)),
-                                ));
-                            }
-                            Value::object(fields)
-                        })
-                        .collect(),
-                )));
-            }
             // Machine-pool reuse accounting for this run (wall-clock-free but
             // scheduling-dependent, hence meta).
             meta_members.push((

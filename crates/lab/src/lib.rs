@@ -58,7 +58,16 @@ pub use runner::{
 };
 pub use spec::{ExperimentSpec, GridSpec, SweepDims, Workload, BUILTIN_EXPERIMENTS};
 
+use std::io::Write;
 use std::sync::OnceLock;
+
+/// Write `line` and a newline to stderr, the one way the runner and
+/// `momlab` report progress, summaries and errors there. Write errors are
+/// ignored: a reader who closed stderr early (as `2>&1 | head -1` does)
+/// must not turn a run into a panic.
+pub fn note(line: impl std::fmt::Display) {
+    let _ = writeln!(std::io::stderr().lock(), "{line}");
+}
 
 /// Whether the `MOM_BENCH_FAST` environment variable requests reduced runs.
 ///

@@ -285,14 +285,8 @@ pub struct RunResult {
     /// How the grid executed (recorded in `meta` only; results are
     /// byte-identical across modes).
     pub mode: ExecMode,
-    /// Per-cell wall-clock simulation time in nanoseconds, parallel to the
-    /// grid cells (empty for static experiments). Feeds the `insts_per_sec`
-    /// throughput figures of the JSON `meta` section; like all wall-clock
-    /// data it lives outside the deterministic results. Every member of a
-    /// group carries the group's shared span.
-    pub cell_wall_ns: Vec<u64>,
-    /// Total wall-clock nanoseconds of the distinct groups. Unlike summing
-    /// `cell_wall_ns`, this never counts a shared group span more than once.
+    /// Total wall-clock nanoseconds of the distinct groups (their `spans`),
+    /// each shared group span counted once.
     pub sim_wall_ns: u64,
     /// Number of functional interpreter passes the run performed — one per
     /// group: per `(kernel, ISA)` for kernels; per *app* for applications in
@@ -452,7 +446,6 @@ pub fn run(spec: &ExperimentSpec, opts: &RunOptions<'_>) -> RunResult {
         workers,
         wall_ms: started.elapsed().as_millis() as u64,
         mode,
-        cell_wall_ns: timing.cell_wall_ns,
         sim_wall_ns: timing.sim_wall_ns,
         functional_passes: timing.functional_passes,
         functional_instructions: timing.functional_instructions,
@@ -540,7 +533,6 @@ impl<'a> MachinePool<'a> {
 /// `meta`-only; none of it deterministic).
 #[derive(Debug, Default)]
 struct GridTiming {
-    cell_wall_ns: Vec<u64>,
     sim_wall_ns: u64,
     functional_passes: usize,
     functional_instructions: u64,
@@ -737,22 +729,19 @@ fn run_groups(
             let dur_ns = now_ns().saturating_sub(start_ns);
             let name = group_label(group);
             if progress {
-                eprintln!("  {name}: done ({} ms)", dur_ns / 1_000_000);
+                crate::note(format_args!("  {name}: done ({} ms)", dur_ns / 1_000_000));
             }
             (sims, SpanRec { name, tid: *worker, start_ns, dur_ns, insts })
         },
     );
 
     // Assemble: per-cell results, group spans, span records.
-    let mut timing =
-        GridTiming { cell_wall_ns: vec![0; cells.len()], ..GridTiming::default() };
+    let mut timing = GridTiming::default();
     let mut slots: Vec<Option<CellRecord>> = vec![None; cells.len()];
     for (group, (sims, span)) in groups.iter().zip(outcomes) {
         timing.sim_wall_ns += span.dur_ns;
         timing.functional_instructions += span.insts;
-        // Every member of a group carries the group's shared span.
         for (ci, sim) in group.members().zip(sims) {
-            timing.cell_wall_ns[ci] = span.dur_ns;
             slots[ci] = Some(sim);
         }
         timing.spans.push(span);
@@ -803,25 +792,19 @@ fn run_grid(
             cached_sims[i] = store.load(&key);
             if progress {
                 let outcome = if cached_sims[i].is_some() { "hit" } else { "miss" };
-                eprintln!("  {}: cache {outcome}", cell_key(grid, cell));
+                crate::note(format_args!("  {}: cache {outcome}", cell_key(grid, cell)));
             }
             keys.push(key);
         }
     }
     // The miss subset the groups are built from. Without a cache this is
     // every cell; group membership indices below are positions into this
-    // vector, remapped to full-grid indices afterwards.
+    // vector, merged back in grid order afterwards.
     let active: Vec<Cell> = cells
         .iter()
         .zip(&cached_sims)
         .filter(|(_, hit)| hit.is_none())
         .map(|(&cell, _)| cell)
-        .collect();
-    let active_idx: Vec<usize> = cached_sims
-        .iter()
-        .enumerate()
-        .filter(|(_, hit)| hit.is_none())
-        .map(|(i, _)| i)
         .collect();
 
     let counters = PoolCounters::default();
@@ -845,20 +828,12 @@ fn run_grid(
     // the document it produced.
     let mut cached = Vec::new();
     if let Some(store) = cache {
-        for (&i, cs) in active_idx.iter().zip(&active_sims) {
-            store.store(&keys[i], cs);
+        let missed = keys.iter().zip(&cached_sims).filter(|(_, hit)| hit.is_none());
+        for ((key, _), cs) in missed.zip(&active_sims) {
+            store.store(key, cs);
         }
         cached = cached_sims.iter().map(Option::is_some).collect();
     }
-
-    // Remap the miss-subset wall-clock spans back to full-grid positions;
-    // cached cells keep a zero span (their cost is document assembly, and
-    // `meta.throughput` marks them `cached` instead of reporting a rate).
-    let mut full_wall = vec![0u64; cells.len()];
-    for (&i, &ns) in active_idx.iter().zip(&timing.cell_wall_ns) {
-        full_wall[i] = ns;
-    }
-    timing.cell_wall_ns = full_wall;
 
     // Merge cache hits with fresh simulations, in grid order.
     let mut fresh = active_sims.into_iter();
@@ -988,15 +963,12 @@ impl RunResult {
     /// simulation spans ([`RunResult::sim_wall_ns`]), so a fan-out group's
     /// shared span is never counted once per member.
     /// Cells served from the result cache contribute neither instructions
-    /// nor wall-clock (their spans are zero and their work was document
-    /// assembly), so a warm run can never fabricate a throughput figure;
+    /// nor wall-clock (they join no group, so no span times them), so a warm
+    /// run can never fabricate a throughput figure;
     /// when *every* cell was cached, nothing was measured and this returns
     /// `None`.
     pub fn total_insts_per_sec(&self) -> Option<f64> {
         let cells = self.cells()?;
-        if cells.is_empty() || cells.len() != self.cell_wall_ns.len() {
-            return None;
-        }
         let mut simulated = cells
             .iter()
             .enumerate()
@@ -1189,15 +1161,17 @@ mod tests {
             result.functional_instructions * 4,
             cells.iter().map(|c| c.instructions).sum::<u64>()
         );
-        assert_eq!(result.cell_wall_ns.len(), cells.len());
-        // Members of one group share the same measured span.
-        let group: Vec<&u64> = result
-            .cell_wall_ns
-            .iter()
-            .take(4 * 4)
-            .collect();
-        let first_group = &group[..4];
-        assert!(first_group.iter().all(|&&ns| ns == *first_group[0]));
+        // One `meta.spans` entry per group, each timing the group's one
+        // functional pass: the spans' instructions are the run's.
+        let doc = result.document_json();
+        let spans = doc.get("meta").and_then(|m| m.get("spans")).and_then(Value::as_array);
+        let spans = spans.expect("meta.spans present");
+        assert_eq!(spans.len(), 2 * 4);
+        let field = |span: &Value, k: &str| span.get(k).and_then(Value::as_i64).unwrap() as u64;
+        let insts: u64 = spans.iter().map(|s| field(s, "insts")).sum();
+        assert_eq!(insts, result.functional_instructions);
+        let dur: u64 = spans.iter().map(|s| field(s, "dur_ns")).sum();
+        assert_eq!(dur, result.sim_wall_ns);
     }
 
     #[test]

@@ -189,9 +189,9 @@ fn corrupted_records_are_resimulated_and_overwritten() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The document's cache accounting: `meta.cache` reports the counters, each
-/// cached cell's throughput entry is `insts_per_sec: null` plus a
-/// `cached: true` marker, and a cache-free run writes neither (so existing
+/// The document's cache accounting: `meta.cache` reports the counters,
+/// `cached_cells` flags every cell a warm run served, so no throughput is
+/// claimed for it, and a cache-free run writes no `meta.cache` (so existing
 /// documents are byte-identical to pre-cache ones).
 #[test]
 fn documents_report_cache_metadata_and_cached_cells() {
@@ -199,27 +199,23 @@ fn documents_report_cache_metadata_and_cached_cells() {
     let cache = CellCache::open(&dir).expect("create cache dir");
     let spec = ExperimentSpec::builtin("figure5", 1, true).expect("built-in spec");
 
-    run(&spec, ExecMode::Fanout, Some(&cache));
+    let cold = run(&spec, ExecMode::Fanout, Some(&cache));
+    assert!(cold.cached_cells.iter().all(|&hit| !hit));
+    assert!(cold.total_insts_per_sec().is_some(), "a cold run simulated every cell");
     let warm = run(&spec, ExecMode::Fanout, Some(&cache));
+    let cells = warm.cells().unwrap().len();
+    assert_eq!(warm.cached_cells, vec![true; cells]);
+    assert_eq!(warm.total_insts_per_sec(), None, "a warm run measured nothing");
     let doc = warm.document_json();
     let cache_meta = doc.get("meta").and_then(|m| m.get("cache")).expect("meta.cache present");
     let field = |k: &str| cache_meta.get(k).and_then(mom_lab::json::Value::as_i64);
-    assert_eq!(field("hits"), Some(warm.cells().unwrap().len() as i64));
+    assert_eq!(field("hits"), Some(cells as i64));
     assert_eq!(field("misses"), Some(0));
     assert_eq!(field("fills"), Some(0));
     assert!(field("bytes").unwrap_or(0) > 0);
-    let throughput = doc
-        .get("meta")
-        .and_then(|m| m.get("throughput"))
-        .and_then(mom_lab::json::Value::as_array)
-        .expect("throughput entries");
-    for entry in throughput {
-        assert!(matches!(entry.get("insts_per_sec"), Some(mom_lab::json::Value::Null)));
-        assert_eq!(entry.get("cached").and_then(mom_lab::json::Value::as_bool), Some(true));
-    }
 
     let plain = run(&spec, ExecMode::Fanout, None);
-    assert!(plain.cache.is_none());
+    assert!(plain.cache.is_none() && plain.cached_cells.is_empty());
     let doc = plain.document_json();
     assert!(doc.get("meta").and_then(|m| m.get("cache")).is_none(), "cache-free meta.cache");
 

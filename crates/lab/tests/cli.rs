@@ -319,6 +319,17 @@ fn an_error_written_to_a_closed_pipe_exits_1_instead_of_panicking() {
         .status()
         .expect("failed to spawn momlab");
     assert_eq!(status.code(), Some(1), "a panic exits 101");
+    // Progress and summary lines to a closed stderr do not fail a run.
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_momlab"))
+        .args(["run", "figure5", "--no-json", "--workers", "1"])
+        .env("MOM_BENCH_FAST", "1")
+        .stdout(std::process::Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("failed to spawn momlab");
+    assert_eq!(status.code(), Some(0), "a panic exits 101");
 }
 
 #[test]
@@ -415,9 +426,14 @@ fn diff(new: &str, baseline: &str, tolerance: &str) -> (Option<i32>, String) {
 
 #[test]
 fn diff_at_tolerance_0_passes_every_baseline_against_itself() {
+    let identical = "identical: every member but meta\n";
     for name in mom_lab::BUILTIN_EXPERIMENTS {
         let file = committed(&format!("baselines/BENCH_{name}.json"));
-        assert_eq!(diff(&file, &file, "0"), (Some(0), "identical: every member but meta\n".into()));
+        assert_eq!(diff(&file, &file, "0"), (Some(0), identical.into()), "{name}");
+        // Tolerance 0 is the default.
+        let output = momlab(&["diff", &file, "--baseline", &file]);
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!((output.status.code(), stdout.as_ref()), (Some(0), identical), "{name}");
     }
 }
 
@@ -498,14 +514,49 @@ fn diff_above_tolerance_0_fails_on_a_cell_only_one_document_has() {
         panic!("a cells array")
     };
     cells.pop();
-    let fewer = write_json(&dir, "BENCH_figure7.json", &Value::Object(members));
-    for (new, baseline, line) in
-        [(&fewer, &baseline, "missing cell: "), (&baseline, &fewer, "new cell: ")]
+    let n = cells.len();
+    let fewer = write_json(&dir, "BENCH_figure7.json", &Value::Object(members.clone()));
+    for (new, baseline, counts) in
+        [(&fewer, &baseline, (n, n + 1)), (&baseline, &fewer, (n + 1, n))]
     {
         let (code, stdout) = diff(new, baseline, "0.02");
         assert_eq!(code, Some(2), "{stdout}");
-        assert_eq!(stdout.lines().filter(|l| l.starts_with(line)).count(), 1, "{stdout}");
+        let line = format!(
+            "REGRESSION: cells: new has {}, baseline {}: a cell only one document has",
+            counts.0, counts.1
+        );
+        assert_eq!(stdout.lines().filter(|l| l.starts_with("REGRESSION: ")).count(), 1, "{stdout}");
+        assert!(stdout.starts_with(&format!("{line}\n")), "{stdout}");
     }
+    // A document without a `cells` array is not a grid result to compare.
+    members.retain(|(k, _)| k != "cells");
+    let bare = write_json(&dir, "bare.json", &Value::Object(members));
+    let output = momlab(&["diff", &bare, "--baseline", &baseline, "--tolerance", "0.02"]);
+    assert_eq!(output.status.code(), Some(1));
+    assert!(output.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(stderr, "error: the new document has no cells array\n");
+}
+
+#[test]
+fn diff_above_tolerance_0_names_a_cell_whose_cycles_grew() {
+    let dir = scratch_dir("diff-cycles-grew");
+    let baseline = committed("baselines/BENCH_figure7.json");
+    let mut doc = read_json(&baseline);
+    let cell = doc.get("cells").and_then(Value::as_array).and_then(|c| c.first()).cloned();
+    let cell = cell.expect("a first cell");
+    let field = |k: &str| cell.get(k).expect(k).to_compact();
+    let key = format!("{} / {} / {}-way", field("workload"), field("config"), field("way"));
+    let key = key.replace('"', "");
+    let cycles = cell.get("cycles").and_then(Value::as_i64).expect("cycles");
+    bump(&mut doc, &["cells", "0", "cycles"], cycles * 3 / 100);
+    let grown = write_json(&dir, "BENCH_figure7.json", &doc);
+    let (code, stdout) = diff(&grown, &baseline, "0.02");
+    assert_eq!(code, Some(2), "{stdout}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(lines[0].starts_with(&format!("REGRESSION: {key}: cycles {cycles} -> ")), "{stdout}");
+    assert!(lines[1].starts_with("1 regression(s), 0 improvement(s), "), "{stdout}");
 }
 
 #[test]
