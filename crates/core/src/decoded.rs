@@ -21,18 +21,23 @@
 //!   path). The streaming loop copies those three fields into a recycled
 //!   chunk slot and patches only the dynamic ones: vector element count,
 //!   element memory accesses and the branch outcome. A µop holds no
-//!   `DynInst` of its own: a `DynInst` is over five times the skeleton's
-//!   size, and its inline memory list and branch record are never read;
+//!   `DynInst` of its own: a `DynInst` is three times the skeleton's size,
+//!   and its memory vector and branch record are never read;
 //! * the memory plan of the operation where one exists — a scalar
-//!   base+offset access or a MOM base+stride row plan, sized so vector
-//!   access lists are built in one exact allocation.
+//!   base+offset access or a MOM base+stride row plan, whose accesses the
+//!   handler pushes into the slot's vector (reserved for [`MAX_VL`] rows
+//!   when the chunk is made, so it never grows).
 //!
 //! On top of the decoded form, **threaded dispatch** cuts per-dynamic-
 //! instruction overhead further: each µop carries a handler *function
 //! pointer* resolved at decode time, so the hot loop is load → indirect call
-//! → advance instead of a ~50-way `match`. The per-µop call sites give the
-//! branch predictor one target per static instruction rather than one shared
-//! dispatch point for the whole program.
+//! → advance instead of a ~50-way `match`. Each loop ([`stream_segment`] and
+//! [`fast_forward`]) makes that call from one site shared by every µop, so
+//! the host's indirect-branch predictor learns the handler sequence from its
+//! history.
+//!
+//! [`stream_segment`]: DecodedProgram::stream_segment
+//! [`fast_forward`]: DecodedProgram::fast_forward
 //!
 //! [`Program::stream`], [`Program::run`] and every path layered on them
 //! (kernel and application execution in `mom-kernels`/`mom-apps`, the streamed
@@ -46,7 +51,7 @@
 //! programs across all four ISAs).
 
 use crate::inst::Inst;
-use crate::matrix::{MomAccReg, MomReg};
+use crate::matrix::{MomAccReg, MomReg, MAX_VL};
 use crate::ops::MomOp;
 use crate::program::{ExecError, Program, DEFAULT_FUEL};
 use crate::state::Machine;
@@ -56,8 +61,7 @@ use mom_isa::packed::{Lane, PackedWord, Saturation};
 use mom_isa::regs::{AccReg, IntReg, MediaReg};
 use mom_isa::scalar::{AluOp, Cond, ScalarOp};
 use mom_isa::trace::{
-    BranchInfo, DynInst, InstClass, IsaKind, MemAccess, MemKind, MemList, RegOperands, Trace,
-    TraceSink, MEM_INLINE,
+    BranchInfo, DynInst, InstClass, IsaKind, MemAccess, MemKind, RegOperands, Trace, TraceSink,
 };
 
 /// A program lowered into directly executable µops (see the
@@ -98,10 +102,9 @@ struct Skeleton {
 }
 
 /// Threaded-dispatch handler: executes one µop's architectural effects,
-/// patching the dynamic fields of the [`DynInst`] in place. `scratch` is the
-/// hot loop's recycled spill buffer for vector memory access lists; only the
-/// MOM memory handlers touch it.
-type OpFn = fn(&ExecOp, &mut Machine, &mut DynInst, &mut MemList) -> Flow;
+/// patching the dynamic fields of the [`DynInst`] in place (memory handlers
+/// push into its cleared `mem`).
+type OpFn = fn(&ExecOp, &mut Machine, &mut DynInst) -> Flow;
 
 /// Where control flow goes after executing a µop.
 #[derive(Debug, Clone, Copy)]
@@ -329,12 +332,12 @@ fn lower_mom(op: &MomOp) -> ExecOp {
 /// error.
 macro_rules! handlers {
     (
-        ($st:ident, $inst:ident, $scratch:ident)
+        ($st:ident, $inst:ident)
         $( $fname:ident : $Variant:ident $( { $($field:ident),* $(,)? } )? => $body:block )*
     ) => {
         $(
             #[allow(unused_variables)]
-            fn $fname(exec: &ExecOp, $st: &mut Machine, $inst: &mut DynInst, $scratch: &mut MemList) -> Flow {
+            fn $fname(exec: &ExecOp, $st: &mut Machine, $inst: &mut DynInst) -> Flow {
                 let ExecOp::$Variant $( { $($field),* } )? = exec else {
                     unreachable!("µop handler bound to the wrong ExecOp variant")
                 };
@@ -352,7 +355,7 @@ macro_rules! handlers {
 }
 
 handlers! {
-    (st, inst, scratch)
+    (st, inst)
     // ---- scalar baseline ----
     op_li: Li { rd, imm } => {
         st.core.int.write(*rd, *imm);
@@ -398,13 +401,13 @@ handlers! {
             st.core.mem.read_unsigned(addr, *size as usize) as i64
         };
         st.core.int.write(*rd, v);
-        inst.mem.set_one(MemAccess { addr, size: *size, kind: MemKind::Load });
+        inst.mem.push(MemAccess { addr, size: *size, kind: MemKind::Load });
         Flow::Next
     }
     op_st: St { rs, base, offset, size } => {
         let addr = (st.core.int.read(*base) + offset) as u64;
         st.core.mem.write_value(addr, *size as usize, st.core.int.read(*rs) as u64);
-        inst.mem.set_one(MemAccess { addr, size: *size, kind: MemKind::Store });
+        inst.mem.push(MemAccess { addr, size: *size, kind: MemKind::Store });
         Flow::Next
     }
     op_br: Br { cond, ra, rb, target } => {
@@ -412,7 +415,6 @@ handlers! {
         inst.branch = Some(BranchInfo {
             taken,
             conditional: true,
-            pc: inst.pc,
             target: *target as u64,
         });
         if taken {
@@ -425,7 +427,6 @@ handlers! {
         inst.branch = Some(BranchInfo {
             taken: true,
             conditional: false,
-            pc: inst.pc,
             target: *target as u64,
         });
         Flow::Jump(*target)
@@ -436,13 +437,13 @@ handlers! {
     op_media_ld: MediaLd { md, base, offset } => {
         let addr = (st.core.int.read(*base) + offset) as u64;
         st.core.media.write(*md, PackedWord::new(st.core.mem.read_u64(addr)));
-        inst.mem.set_one(MemAccess { addr, size: 8, kind: MemKind::Load });
+        inst.mem.push(MemAccess { addr, size: 8, kind: MemKind::Load });
         Flow::Next
     }
     op_media_st: MediaSt { ms, base, offset } => {
         let addr = (st.core.int.read(*base) + offset) as u64;
         st.core.mem.write_u64(addr, st.core.media.read(*ms).bits());
-        inst.mem.set_one(MemAccess { addr, size: 8, kind: MemKind::Store });
+        inst.mem.push(MemAccess { addr, size: 8, kind: MemKind::Store });
         Flow::Next
     }
     op_splat: Splat { md, rs, lane } => {
@@ -555,19 +556,11 @@ handlers! {
         let base_addr = st.core.int.read(*base) as u64;
         let stride = st.core.int.read(*stride);
         let value = st.mom.matrix.get_mut(*vd);
-        // Recycle the loop's spill buffer: steady-state vector loads reuse
-        // one heap allocation instead of paying one per instruction.
-        let mut accesses = std::mem::take(scratch);
-        accesses.clear();
-        if !accesses.is_spilled() && vl > MEM_INLINE {
-            accesses = MemList::with_capacity(vl);
-        }
         for k in 0..vl {
             let addr = (base_addr as i64 + k as i64 * stride) as u64;
             value.set_row(k, PackedWord::new(st.core.mem.read_u64(addr)));
-            accesses.push(MemAccess { addr, size: 8, kind: MemKind::Load });
+            inst.mem.push(MemAccess { addr, size: 8, kind: MemKind::Load });
         }
-        inst.mem = accesses;
         Flow::Next
     }
     op_mom_st: MomSt { vs, base, stride } => {
@@ -575,17 +568,11 @@ handlers! {
         let base_addr = st.core.int.read(*base) as u64;
         let stride = st.core.int.read(*stride);
         let value = st.mom.matrix.get(*vs);
-        let mut accesses = std::mem::take(scratch);
-        accesses.clear();
-        if !accesses.is_spilled() && vl > MEM_INLINE {
-            accesses = MemList::with_capacity(vl);
-        }
         for k in 0..vl {
             let addr = (base_addr as i64 + k as i64 * stride) as u64;
             st.core.mem.write_u64(addr, value.row(k).bits());
-            accesses.push(MemAccess { addr, size: 8, kind: MemKind::Store });
+            inst.mem.push(MemAccess { addr, size: 8, kind: MemKind::Store });
         }
-        inst.mem = accesses;
         Flow::Next
     }
     op_mom_packed: MomPacked { op, vd, va, vb, lane, sat } => {
@@ -877,17 +864,15 @@ impl DecodedProgram {
     ) -> u64 {
         let mut pc = cursor.pc;
         let mut executed = 0u64;
-        let mut scratch = MemList::new();
-        // Handlers only *write* the dynamic trace fields (`mem`, `branch`)
-        // and read `pc` solely to stamp the discarded `BranchInfo`, so one
-        // recycled slot absorbs their output without any per-instruction
-        // skeleton refresh.
-        let mut slot = DynInst::new(InstClass::Nop, 0);
+        // Handlers only *write* the dynamic trace fields (`mem`, `branch`),
+        // so one recycled slot absorbs their output; only its memory list
+        // needs clearing per instruction.
+        let mut slot = chunk_slot();
         while pc < self.ops.len() && executed < max {
             let op = &self.ops[pc];
-            reclaim(&mut slot, &mut scratch);
+            slot.mem.clear();
             executed += 1;
-            let flow = (op.handler)(&op.exec, machine, &mut slot, &mut scratch);
+            let flow = (op.handler)(&op.exec, machine, &mut slot);
             pc = match flow {
                 Flow::Next => pc + 1,
                 Flow::Jump(target) => target as usize,
@@ -928,18 +913,10 @@ impl DecodedProgram {
     ) -> u64 {
         let mut pc = cursor.pc;
         let mut executed = 0u64;
-        // Spill-buffer recycled across vector loads/stores (see the MomLd
-        // handler): when a chunk slot holding a spilled MemList is refreshed
-        // for reuse, the heap buffer migrates here and the next vector
-        // memory handler takes it back, so steady-state loops stop
-        // allocating.
-        let mut scratch = MemList::new();
-        // Persistent output slots refreshed from the skeletons in place —
-        // cheaper than cloning a whole DynInst (whose inline memory buffer
-        // dominates the size) per dynamic instruction. Slots `filled..` hold
-        // stale contents from earlier rounds.
-        let mut chunk: Vec<DynInst> =
-            (0..CHUNK).map(|_| DynInst::new(InstClass::Nop, 0)).collect();
+        // Persistent output slots refreshed from the skeletons in place, each
+        // keeping its own memory vector, so the loop never allocates. Slots
+        // `filled..` hold stale contents from earlier rounds.
+        let mut chunk: Vec<DynInst> = (0..CHUNK).map(|_| chunk_slot()).collect();
         let mut filled = 0usize;
         while pc < self.ops.len() && executed < max {
             let op = &self.ops[pc];
@@ -949,9 +926,9 @@ impl DecodedProgram {
             }
             let elems = if op.is_vector { machine.mom.vl().max(1) as u16 } else { 1 };
             let slot = &mut chunk[filled];
-            refresh(slot, &op.skeleton, elems, &mut scratch);
+            refresh(slot, &op.skeleton, elems);
             executed += 1;
-            let flow = (op.handler)(&op.exec, machine, slot, &mut scratch);
+            let flow = (op.handler)(&op.exec, machine, slot);
             filled += 1;
             pc = match flow {
                 Flow::Next => pc + 1,
@@ -995,40 +972,28 @@ impl ExecCursor {
     }
 }
 
-/// Fast-forward counterpart of [`refresh`]: clear a recycled slot's memory
-/// list (migrating a spilled heap buffer into `scratch` for the next vector
-/// memory handler to take) without touching the static fields nobody reads.
-#[inline(always)]
-fn reclaim(dst: &mut DynInst, scratch: &mut MemList) {
-    if dst.mem.is_spilled() && !scratch.is_spilled() {
-        dst.mem.clear();
-        *scratch = std::mem::take(&mut dst.mem);
-    } else {
-        dst.mem.clear();
-    }
-}
-
 /// Graduation-chunk size: instructions accumulate in this many persistent
 /// slots before one [`TraceSink::emit_batch`] flush. 64 slots amortize the
 /// per-chunk handoff to well under a nanosecond per instruction while the
 /// buffer stays comfortably cache-resident.
 const CHUNK: usize = 64;
 
+/// A persistent output slot whose memory vector already holds a full MOM
+/// vector access ([`MAX_VL`] rows), so no handler ever grows it.
+fn chunk_slot() -> DynInst {
+    let mut slot = DynInst::new(InstClass::Nop, 0);
+    slot.mem.reserve_exact(MAX_VL);
+    slot
+}
+
 /// Reset a persistent output slot to a µop's skeleton: static fields copied,
 /// dynamic fields (memory accesses, branch outcome) cleared, element count
-/// patched. A spilled memory buffer left in the slot by an earlier round is
-/// reclaimed into the interpreter's scratch slot (unless scratch already
-/// holds one), ready for the next vector load/store to take.
+/// patched. Clearing keeps the memory vector's capacity.
 #[inline(always)]
-fn refresh(dst: &mut DynInst, skel: &Skeleton, elems: u16, scratch: &mut MemList) {
+fn refresh(dst: &mut DynInst, skel: &Skeleton, elems: u16) {
     dst.class = skel.class;
     dst.regs = skel.regs;
-    if dst.mem.is_spilled() && !scratch.is_spilled() {
-        dst.mem.clear();
-        *scratch = std::mem::take(&mut dst.mem);
-    } else {
-        dst.mem.clear();
-    }
+    dst.mem.clear();
     dst.branch = None;
     dst.elems = elems;
     dst.pc = skel.pc;
@@ -1042,5 +1007,12 @@ mod tests {
     fn a_micro_op_fits_in_one_cache_line() {
         assert_eq!(std::mem::size_of::<Skeleton>(), 24);
         assert!(std::mem::size_of::<MicroOp>() <= 64, "{} bytes", std::mem::size_of::<MicroOp>());
+    }
+
+    #[test]
+    fn a_dyn_inst_stays_plain_data_of_at_most_72_bytes() {
+        // Class, register slots, `Vec` header, branch outcome, element
+        // count and pc; a chunk of 64 slots is 4.5 KiB.
+        assert!(std::mem::size_of::<DynInst>() <= 72, "{} bytes", std::mem::size_of::<DynInst>());
     }
 }

@@ -25,7 +25,7 @@ use mom_isa::mmx::{PackedBinOp, ShiftKind};
 use mom_isa::packed::{Lane, PackedWord, Saturation};
 use mom_isa::regs::{IntReg, MediaReg};
 use mom_isa::state::Outcome;
-use mom_isa::trace::{ArchReg, InstClass, MemAccess, MemKind, MemList};
+use mom_isa::trace::{ArchReg, InstClass, MemAccess, MemKind};
 
 /// MOM matrix instructions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -380,7 +380,7 @@ impl MomOp {
                 let base_addr = st.core.int.read(*base) as u64;
                 let stride = st.core.int.read(*stride);
                 let mut value = st.mom.matrix.read(*vd);
-                let mut accesses = MemList::with_capacity(vl);
+                let mut accesses = Vec::with_capacity(vl);
                 for k in 0..vl {
                     let addr = (base_addr as i64 + k as i64 * stride) as u64;
                     value.set_row(k, PackedWord::new(st.core.mem.read_u64(addr)));
@@ -393,7 +393,7 @@ impl MomOp {
                 let base_addr = st.core.int.read(*base) as u64;
                 let stride = st.core.int.read(*stride);
                 let value = st.mom.matrix.read(*vs);
-                let mut accesses = MemList::with_capacity(vl);
+                let mut accesses = Vec::with_capacity(vl);
                 for k in 0..vl {
                     let addr = (base_addr as i64 + k as i64 * stride) as u64;
                     st.core.mem.write_u64(addr, value.row(k).bits());

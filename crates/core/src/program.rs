@@ -251,8 +251,7 @@ impl Program {
                     }
                     _ => (false, (pc + 1) as u64, true),
                 };
-                dyn_inst =
-                    dyn_inst.with_branch(BranchInfo { taken, conditional, pc: pc as u64, target });
+                dyn_inst = dyn_inst.with_branch(BranchInfo { taken, conditional, target });
             }
 
             sink.emit(dyn_inst);

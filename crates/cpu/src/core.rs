@@ -651,7 +651,7 @@ impl<'a, P: Probe> SimStream<'a, P> {
                 let complete = start + LATENCIES.branch;
                 if let Some(b) = inst.branch {
                     let correct =
-                        st.predictor.predict_and_update(b.pc, b.conditional, b.taken, b.target);
+                        st.predictor.predict_and_update(inst.pc, b.conditional, b.taken, b.target);
                     if correct {
                         if b.taken {
                             // A taken branch ends the fetch group: the next
@@ -883,7 +883,6 @@ mod tests {
                 DynInst::new(InstClass::Branch, i % 7).with_branch(BranchInfo {
                     taken: i % 2 == 0,
                     conditional: true,
-                    pc: i % 7,
                     target: 0,
                 })
             })
@@ -893,7 +892,6 @@ mod tests {
                 DynInst::new(InstClass::Branch, i % 7).with_branch(BranchInfo {
                     taken: false,
                     conditional: true,
-                    pc: i % 7,
                     target: 0,
                 })
             })
@@ -980,7 +978,7 @@ mod tests {
                     .with_mem(
                         (0..16)
                             .map(|k| MemAccess { addr: i * 1024 + k * 8, size: 8, kind: MemKind::Load })
-                            .collect::<mom_isa::trace::MemList>(),
+                            .collect(),
                     )
             })
             .collect();
@@ -1037,7 +1035,6 @@ mod tests {
                 1 => DynInst::new(InstClass::Branch, i % 13).with_branch(BranchInfo {
                     taken: i.is_multiple_of(3),
                     conditional: true,
-                    pc: i % 13,
                     target: 0,
                 }),
                 2 => DynInst::new(InstClass::MediaSimple, i)
@@ -1340,7 +1337,6 @@ mod tests {
                 DynInst::new(InstClass::Branch, i % 7).with_branch(BranchInfo {
                     taken: i % 2 == 0,
                     conditional: true,
-                    pc: i % 7,
                     target: 0,
                 })
             })

@@ -211,7 +211,6 @@ mod tests {
                 1 => DynInst::new(InstClass::Branch, i % 13).with_branch(BranchInfo {
                     taken: i % 3 == 0,
                     conditional: true,
-                    pc: i % 13,
                     target: 2,
                 }),
                 2 => DynInst::new(InstClass::MediaComplex, i % 17)

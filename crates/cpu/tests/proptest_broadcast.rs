@@ -19,7 +19,7 @@ use mom_mem::MemModelKind;
 use proptest::prelude::*;
 
 /// Decode one generated tuple into a dynamic instruction covering every
-/// instruction class, vector occupancy, spilled `MemList`s and both branch
+/// instruction class, vector occupancy, multi-element access lists and both branch
 /// outcomes (the same shape as `proptest_stream.rs`).
 fn decode_inst(index: usize, sel: usize, bits: u64, elems: u16, flag: bool) -> DynInst {
     let pc = bits >> 48 & 0x3f;
@@ -65,7 +65,6 @@ fn decode_inst(index: usize, sel: usize, bits: u64, elems: u16, flag: bool) -> D
         6 => DynInst::new(InstClass::Branch, pc).with_branch(BranchInfo {
             taken: flag,
             conditional: bits & 1 == 0,
-            pc,
             target: bits >> 40 & 0x3f,
         }),
         _ => DynInst::new(InstClass::Nop, pc),

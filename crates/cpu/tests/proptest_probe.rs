@@ -74,7 +74,6 @@ fn decode_inst(index: usize, sel: usize, bits: u64, elems: u16, flag: bool) -> D
         8 => DynInst::new(InstClass::Branch, pc).with_branch(BranchInfo {
             taken: flag,
             conditional: bits & 1 == 0,
-            pc,
             target: bits >> 40 & 0x3f,
         }),
         _ => DynInst::new(InstClass::Nop, pc),

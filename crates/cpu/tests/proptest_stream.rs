@@ -22,7 +22,7 @@ const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 /// Decode one generated 4-tuple into a dynamic instruction covering every
 /// instruction class, register class (including the MOM matrix registers and
 /// accumulator recurrences that stress rename headroom), multi-element
-/// vector occupancy, spilled `MemList`s and both branch outcomes.
+/// vector occupancy, multi-element access lists and both branch outcomes.
 fn decode_inst(index: usize, sel: usize, bits: u64, elems: u16, flag: bool) -> DynInst {
     let pc = bits >> 48 & 0x3f;
     let ra = (bits & 31) as u8;
@@ -73,7 +73,6 @@ fn decode_inst(index: usize, sel: usize, bits: u64, elems: u16, flag: bool) -> D
         8 => DynInst::new(InstClass::Branch, pc).with_branch(BranchInfo {
             taken: flag,
             conditional: bits & 1 == 0,
-            pc,
             target: bits >> 40 & 0x3f,
         }),
         _ => DynInst::new(InstClass::Nop, pc),

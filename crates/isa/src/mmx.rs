@@ -340,12 +340,12 @@ impl MmxOp {
                 let addr = (st.int.read(*base) + offset) as u64;
                 let v = PackedWord::new(st.mem.read_u64(addr));
                 st.media.write(*md, v);
-                Outcome::with_access(MemAccess { addr, size: 8, kind: MemKind::Load })
+                Outcome::with_mem(vec![MemAccess { addr, size: 8, kind: MemKind::Load }])
             }
             MmxOp::St { ms, base, offset } => {
                 let addr = (st.int.read(*base) + offset) as u64;
                 st.mem.write_u64(addr, st.media.read(*ms).bits());
-                Outcome::with_access(MemAccess { addr, size: 8, kind: MemKind::Store })
+                Outcome::with_mem(vec![MemAccess { addr, size: 8, kind: MemKind::Store }])
             }
             MmxOp::Splat { md, rs, lane } => {
                 let v = PackedWord::splat(*lane, st.int.read(*rs));

@@ -12,7 +12,7 @@
 
 use crate::regs::IntReg;
 use crate::state::{ControlFlow, CoreState, Outcome};
-use crate::trace::{ArchReg, InstClass, MemAccess, MemKind, MemList};
+use crate::trace::{ArchReg, InstClass, MemAccess, MemKind};
 
 /// A branch target label, resolved to an instruction index by the program
 /// builder in `mom-core`.
@@ -321,25 +321,25 @@ impl ScalarOp {
                     st.mem.read_unsigned(addr, *size as usize) as i64
                 };
                 st.int.write(*rd, v);
-                Outcome::with_access(MemAccess { addr, size: *size, kind: MemKind::Load })
+                Outcome::with_mem(vec![MemAccess { addr, size: *size, kind: MemKind::Load }])
             }
             ScalarOp::St { rs, base, offset, size } => {
                 let addr = (st.int.read(*base) + offset) as u64;
                 st.mem.write_value(addr, *size as usize, st.int.read(*rs) as u64);
-                Outcome::with_access(MemAccess { addr, size: *size, kind: MemKind::Store })
+                Outcome::with_mem(vec![MemAccess { addr, size: *size, kind: MemKind::Store }])
             }
             ScalarOp::Br { cond, ra, rb, target } => {
                 let taken = cond.eval(st.int.read(*ra), st.int.read(*rb));
                 Outcome {
                     flow: if taken { ControlFlow::Branch(*target) } else { ControlFlow::Fall },
-                    mem: MemList::new(),
+                    mem: Vec::new(),
                 }
             }
             ScalarOp::Jmp { target } => {
-                Outcome { flow: ControlFlow::Branch(*target), mem: MemList::new() }
+                Outcome { flow: ControlFlow::Branch(*target), mem: Vec::new() }
             }
             ScalarOp::Nop => Outcome::fall(),
-            ScalarOp::Halt => Outcome { flow: ControlFlow::Halt, mem: MemList::new() },
+            ScalarOp::Halt => Outcome { flow: ControlFlow::Halt, mem: Vec::new() },
         }
     }
 }

@@ -3,7 +3,7 @@
 use crate::accumulator::Accumulator;
 use crate::mem::MemImage;
 use crate::regs::{FpRegFile, IntRegFile, MediaRegFile, NUM_MDMX_ACCS};
-use crate::trace::{MemAccess, MemList};
+use crate::trace::MemAccess;
 
 /// Architectural state common to the scalar baseline and the MMX/MDMX
 /// extensions: scalar register files, the 64-bit media register file, the
@@ -58,24 +58,18 @@ pub struct Outcome {
     /// Control-flow decision.
     pub flow: ControlFlow,
     /// Element-level memory accesses performed by the instruction.
-    pub mem: MemList,
+    pub mem: Vec<MemAccess>,
 }
 
 impl Outcome {
     /// An outcome that falls through with no memory activity.
     pub fn fall() -> Self {
-        Self { flow: ControlFlow::Fall, mem: MemList::new() }
+        Self { flow: ControlFlow::Fall, mem: Vec::new() }
     }
 
     /// A fall-through outcome carrying memory accesses.
-    pub fn with_mem(mem: impl Into<MemList>) -> Self {
-        Self { flow: ControlFlow::Fall, mem: mem.into() }
-    }
-
-    /// A fall-through outcome carrying a single element access (the scalar
-    /// and MMX load/store case — stays inline, no allocation).
-    pub fn with_access(access: MemAccess) -> Self {
-        Self { flow: ControlFlow::Fall, mem: MemList::one(access) }
+    pub fn with_mem(mem: Vec<MemAccess>) -> Self {
+        Self { flow: ControlFlow::Fall, mem }
     }
 }
 
@@ -96,14 +90,12 @@ mod tests {
     fn outcome_constructors() {
         assert_eq!(Outcome::fall().flow, ControlFlow::Fall);
         assert!(Outcome::fall().mem.is_empty());
-        let o = Outcome::with_mem(MemList::new());
-        assert_eq!(o.flow, ControlFlow::Fall);
-        let a = Outcome::with_access(MemAccess {
+        let o = Outcome::with_mem(vec![MemAccess {
             addr: 8,
             size: 8,
             kind: crate::trace::MemKind::Load,
-        });
-        assert_eq!(a.mem.len(), 1);
-        assert!(!a.mem.is_spilled(), "single accesses stay inline");
+        }]);
+        assert_eq!(o.flow, ControlFlow::Fall);
+        assert_eq!(o.mem.len(), 1);
     }
 }

@@ -20,11 +20,6 @@
 //! supported (they are `Extend`, `FromIterator` and `IntoIterator` over
 //! [`DynInst`]) and a streamed pipeline produces bit-identical timing results
 //! to replaying the equivalent collected trace.
-//!
-//! Per-instruction memory accesses use [`MemList`], a small-buffer list that
-//! stores up to [`MEM_INLINE`] element accesses inline (every scalar and MMX
-//! memory instruction fits) and spills to the heap only for MOM vector
-//! accesses, keeping the interpreter hot path allocation-free.
 
 /// Which of the evaluated instruction-set architectures a program targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -244,172 +239,6 @@ pub struct MemAccess {
     pub kind: MemKind,
 }
 
-/// Number of element accesses a [`MemList`] stores inline before spilling to
-/// the heap. Scalar and MMX memory instructions perform exactly one element
-/// access, so only MOM vector memory instructions (up to 16 rows) ever spill.
-pub const MEM_INLINE: usize = 4;
-
-const EMPTY_ACCESS: MemAccess = MemAccess { addr: 0, size: 0, kind: MemKind::Load };
-
-/// The element memory accesses of one dynamic instruction, with a small
-/// inline buffer.
-///
-/// Behaves like a `Vec<MemAccess>` (it dereferences to `[MemAccess]`) but
-/// keeps up to [`MEM_INLINE`] accesses inline in the [`DynInst`] itself, so
-/// building and cloning scalar/MMX memory instructions never touches the
-/// heap. Pushing beyond the inline capacity spills the list to a heap vector,
-/// which is transparent to readers.
-#[derive(Clone)]
-pub struct MemList(MemListRepr);
-
-#[derive(Clone)]
-enum MemListRepr {
-    Inline { buf: [MemAccess; MEM_INLINE], len: u8 },
-    Spilled(Vec<MemAccess>),
-}
-
-impl MemList {
-    /// An empty access list (no allocation).
-    pub const fn new() -> Self {
-        MemList(MemListRepr::Inline { buf: [EMPTY_ACCESS; MEM_INLINE], len: 0 })
-    }
-
-    /// A list holding a single access (the scalar load/store case).
-    pub fn one(access: MemAccess) -> Self {
-        let mut list = MemList::new();
-        list.push(access);
-        list
-    }
-
-    /// Make this the inline list holding just `access` — [`MemList::one`]
-    /// written in place, without building and moving a new list.
-    pub fn set_one(&mut self, access: MemAccess) {
-        match &mut self.0 {
-            MemListRepr::Inline { buf, len } => {
-                buf[0] = access;
-                *len = 1;
-            }
-            MemListRepr::Spilled(_) => *self = MemList::one(access),
-        }
-    }
-
-    /// An empty list with room for `capacity` accesses: inline when it fits,
-    /// pre-spilled in one exact allocation otherwise. MOM vector memory
-    /// instructions know their element count (the vector length) up front,
-    /// so they pay at most one allocation instead of growing through the
-    /// spill path.
-    pub fn with_capacity(capacity: usize) -> Self {
-        if capacity <= MEM_INLINE {
-            MemList::new()
-        } else {
-            MemList(MemListRepr::Spilled(Vec::with_capacity(capacity)))
-        }
-    }
-
-    /// Append an access, spilling to the heap past [`MEM_INLINE`] entries.
-    pub fn push(&mut self, access: MemAccess) {
-        match &mut self.0 {
-            MemListRepr::Inline { buf, len } => {
-                if (*len as usize) < MEM_INLINE {
-                    buf[*len as usize] = access;
-                    *len += 1;
-                } else {
-                    let mut spilled = Vec::with_capacity(MEM_INLINE * 2);
-                    spilled.extend_from_slice(&buf[..]);
-                    spilled.push(access);
-                    self.0 = MemListRepr::Spilled(spilled);
-                }
-            }
-            MemListRepr::Spilled(v) => v.push(access),
-        }
-    }
-
-    /// The accesses as a slice (also available through deref).
-    pub fn as_slice(&self) -> &[MemAccess] {
-        match &self.0 {
-            MemListRepr::Inline { buf, len } => &buf[..*len as usize],
-            MemListRepr::Spilled(v) => v,
-        }
-    }
-
-    /// Whether the list has spilled to the heap (diagnostics/tests only;
-    /// readers never need to care).
-    pub fn is_spilled(&self) -> bool {
-        matches!(self.0, MemListRepr::Spilled(_))
-    }
-
-    /// Empty the list, keeping any spilled heap capacity for reuse. The
-    /// interpreter's hot loop recycles one spilled list across MOM vector
-    /// memory instructions so steady-state execution stops allocating.
-    pub fn clear(&mut self) {
-        match &mut self.0 {
-            MemListRepr::Inline { len, .. } => *len = 0,
-            MemListRepr::Spilled(v) => v.clear(),
-        }
-    }
-}
-
-impl Default for MemList {
-    fn default() -> Self {
-        MemList::new()
-    }
-}
-
-impl std::ops::Deref for MemList {
-    type Target = [MemAccess];
-
-    fn deref(&self) -> &[MemAccess] {
-        self.as_slice()
-    }
-}
-
-impl std::fmt::Debug for MemList {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
-    }
-}
-
-/// Equality is by contents — an inline list equals a spilled list holding the
-/// same accesses.
-impl PartialEq for MemList {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for MemList {}
-
-impl From<Vec<MemAccess>> for MemList {
-    fn from(accesses: Vec<MemAccess>) -> Self {
-        if accesses.len() <= MEM_INLINE {
-            let mut buf = [EMPTY_ACCESS; MEM_INLINE];
-            buf[..accesses.len()].copy_from_slice(&accesses);
-            MemList(MemListRepr::Inline { buf, len: accesses.len() as u8 })
-        } else {
-            MemList(MemListRepr::Spilled(accesses))
-        }
-    }
-}
-
-impl FromIterator<MemAccess> for MemList {
-    fn from_iter<T: IntoIterator<Item = MemAccess>>(iter: T) -> Self {
-        let mut list = MemList::new();
-        for access in iter {
-            list.push(access);
-        }
-        list
-    }
-}
-
-impl<'a> IntoIterator for &'a MemList {
-    type Item = &'a MemAccess;
-    type IntoIter = std::slice::Iter<'a, MemAccess>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
 /// Branch outcome information attached to control-flow instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchInfo {
@@ -418,9 +247,6 @@ pub struct BranchInfo {
     /// Whether the branch is conditional (unconditional jumps are always taken
     /// and perfectly predictable by the BTB once seen).
     pub conditional: bool,
-    /// Identifier of the static branch site, used to index the predictor
-    /// tables; kernel builders derive it from the static program counter.
-    pub pc: u64,
     /// Target static program counter (index), for BTB modelling.
     pub target: u64,
 }
@@ -480,7 +306,7 @@ pub struct DynInst {
     /// [`DynInst::src_slots`] and their destination twins).
     pub regs: RegOperands,
     /// Element memory accesses (empty for non-memory instructions).
-    pub mem: MemList,
+    pub mem: Vec<MemAccess>,
     /// Branch outcome (only for [`InstClass::Branch`]).
     pub branch: Option<BranchInfo>,
     /// Number of vector elements processed (1 for scalar/MMX/MDMX
@@ -488,7 +314,7 @@ pub struct DynInst {
     /// uses it to compute functional-unit occupancy.
     pub elems: u16,
     /// Static program counter (instruction index within the program), used for
-    /// the fetch model and branch predictor indexing.
+    /// the fetch model and, on branches, as the predictor's branch site.
     pub pc: u64,
 }
 
@@ -499,7 +325,7 @@ impl DynInst {
         Self {
             class,
             regs: RegOperands::NONE,
-            mem: MemList::new(),
+            mem: Vec::new(),
             branch: None,
             elems: 1,
             pc,
@@ -529,8 +355,8 @@ impl DynInst {
 
     /// Attach memory accesses.
     #[must_use = "builder methods return the modified instruction"]
-    pub fn with_mem(mut self, accesses: impl Into<MemList>) -> Self {
-        self.mem = accesses.into();
+    pub fn with_mem(mut self, accesses: Vec<MemAccess>) -> Self {
+        self.mem = accesses;
         self
     }
 
@@ -579,9 +405,10 @@ pub trait TraceSink {
     /// Sinks that only *inspect* instructions (the streaming timing
     /// simulator, counting probes, fan-out combinators over such sinks)
     /// override this to skip the clone; collecting sinks keep the default,
-    /// which clones and forwards to [`TraceSink::emit`]. The interpreter's
-    /// hot loop emits through this method so it can recycle each
-    /// instruction's spilled memory-access buffer after the sink returns.
+    /// which clones and forwards to [`TraceSink::emit`]. The interpreter
+    /// lends out its chunk slots through [`TraceSink::emit_batch`], which
+    /// lands here, and keeps each slot, memory-access vector included, for
+    /// its next chunk; cloning a memory instruction allocates its vector.
     fn emit_ref(&mut self, inst: &DynInst) {
         self.emit(inst.clone());
     }
@@ -898,13 +725,12 @@ mod tests {
         t.push(
             DynInst::new(InstClass::Load, 1)
                 .with_elems(16)
-                .with_mem((0..16).map(|i| MemAccess { addr: 0x100 + i * 32, size: 8, kind: MemKind::Load }).collect::<MemList>()),
+                .with_mem((0..16).map(|i| MemAccess { addr: 0x100 + i * 32, size: 8, kind: MemKind::Load }).collect()),
         );
         t.push(DynInst::new(InstClass::MediaSimple, 2).with_elems(16));
         t.push(DynInst::new(InstClass::Branch, 3).with_branch(BranchInfo {
             taken: true,
             conditional: true,
-            pc: 3,
             target: 0,
         }));
         t.push(DynInst::new(InstClass::Store, 4).with_mem(vec![MemAccess {
@@ -989,68 +815,5 @@ mod tests {
         assert!(empty.is_empty());
         empty.emit(DynInst::new(InstClass::Nop, 0));
         assert!(empty.into_inner().is_empty());
-    }
-
-    fn access(addr: u64) -> MemAccess {
-        MemAccess { addr, size: 8, kind: MemKind::Load }
-    }
-
-    #[test]
-    fn mem_list_stays_inline_up_to_capacity_and_spills_past_it() {
-        let mut list = MemList::new();
-        assert!(list.is_empty() && !list.is_spilled());
-        for k in 0..MEM_INLINE as u64 {
-            list.push(access(k));
-            assert!(!list.is_spilled(), "{} accesses fit inline", k + 1);
-        }
-        assert_eq!(list.len(), MEM_INLINE);
-        list.push(access(99));
-        assert!(list.is_spilled(), "the {}th access spills to the heap", MEM_INLINE + 1);
-        assert_eq!(list.len(), MEM_INLINE + 1);
-        // Spilling preserves contents and order.
-        let addrs: Vec<u64> = list.iter().map(|a| a.addr).collect();
-        assert_eq!(addrs, [0, 1, 2, 3, 99]);
-    }
-
-    #[test]
-    fn mem_list_with_capacity_spills_eagerly_only_past_inline() {
-        assert!(!MemList::with_capacity(0).is_spilled());
-        assert!(!MemList::with_capacity(MEM_INLINE).is_spilled());
-        // A known-large list (a MOM vector access) pre-spills in one exact
-        // allocation; contents still behave identically.
-        let mut list = MemList::with_capacity(16);
-        assert!(list.is_spilled());
-        assert!(list.is_empty());
-        for k in 0..16 {
-            list.push(access(k));
-        }
-        let grown: MemList = (0..16).map(access).collect();
-        assert_eq!(list, grown);
-    }
-
-    #[test]
-    fn mem_list_equality_ignores_representation() {
-        let inline = MemList::one(access(7));
-        let mut spilled_then_compare: MemList = (0..=MEM_INLINE as u64).map(access).collect();
-        assert!(spilled_then_compare.is_spilled());
-        let from_vec: MemList = Vec::from_iter((0..=MEM_INLINE as u64).map(access)).into();
-        assert_eq!(spilled_then_compare, from_vec);
-        assert_ne!(inline, from_vec);
-        // From<Vec> keeps short vectors inline.
-        let short: MemList = vec![access(7)].into();
-        assert!(!short.is_spilled());
-        assert_eq!(short, inline);
-        spilled_then_compare.push(access(42));
-        assert_eq!(spilled_then_compare.last().unwrap().addr, 42);
-        assert_eq!(format!("{:?}", MemList::one(access(1))), format!("{:?}", vec![access(1)]));
-    }
-
-    #[test]
-    fn scalar_mem_instructions_never_allocate() {
-        // A scalar load carries exactly one access; the whole DynInst clones
-        // without touching the heap (MemList is inline).
-        let inst = DynInst::new(InstClass::Load, 0).with_mem(MemList::one(access(0x10)));
-        assert!(!inst.mem.is_spilled());
-        assert!(!inst.clone().mem.is_spilled());
     }
 }

@@ -260,6 +260,39 @@ impl CellResult {
             self.mispredictions as f64 / self.branches as f64
         }
     }
+
+    /// Check the counter identities an exactly simulated cell satisfies
+    /// (EXPERIMENTS.md, "Counter identities"); the error names the cell and
+    /// the first identity that fails.
+    ///
+    /// # Errors
+    ///
+    /// Returns the failing identity with the cell's counters.
+    pub fn check_identities(&self) -> Result<(), String> {
+        let (b, m) = (&self.breakdown, &self.mem_stats);
+        let cycles_per_line = mom_mem::dram::DramConfig::default().cycles_per_line;
+        let identities = [
+            (
+                b.attributed() == b.total_cycles && b.total_cycles == self.cycles,
+                "breakdown components sum to total_cycles = cycles",
+            ),
+            (self.instructions <= self.way as u64 * self.cycles, "instructions <= way x cycles"),
+            (
+                m.dram.busy_cycles == cycles_per_line * m.dram.transfers,
+                "dram.busy_cycles = 16 x dram.transfers",
+            ),
+            (m.l1.accesses() <= m.element_accesses, "l1.hits + l1.misses <= element_accesses"),
+            (m.requests <= m.element_accesses, "requests <= element_accesses"),
+            (m.l2.accesses() >= m.l1.misses, "l2.hits + l2.misses >= l1.misses"),
+        ];
+        match identities.iter().find(|(holds, _)| !holds) {
+            None => Ok(()),
+            Some((_, identity)) => Err(format!(
+                "{} on {} at {}-way: {identity} fails (cycles {}, instructions {}, breakdown {:?}, memory {:?})",
+                self.workload, self.config_label, self.way, self.cycles, self.instructions, b, m
+            )),
+        }
+    }
 }
 
 /// The data produced by one experiment run.
@@ -1358,5 +1391,32 @@ mod tests {
         assert_eq!(scaled.committed, 1200);
         assert_eq!(scaled.cycles, 800);
         assert_eq!(scaled.branches, 120);
+    }
+
+    #[test]
+    fn each_broken_counter_identity_is_named() {
+        // Config 4 of figure7 is MOM on the collapsing-buffer hierarchy, so
+        // L1, L2 and DRAM all count.
+        let spec = regrid(figure7_spec(&[AppKind::GsmEncode], 1, &[4], true), |g| {
+            g.configs = vec![g.configs[4].clone()];
+        });
+        let cell = run_with(&spec, 1).cells().expect("grid cells")[0].clone();
+        assert!(cell.mem_stats.dram.transfers > 0 && cell.mem_stats.l1.misses > 0);
+        assert_eq!(cell.check_identities(), Ok(()));
+        type Break = fn(&mut CellResult);
+        let broken: [(&str, Break); 6] = [
+            ("breakdown components sum", |c| c.cycles += 1),
+            ("instructions <= way x cycles", |c| c.instructions = c.way as u64 * c.cycles + 1),
+            ("dram.busy_cycles", |c| c.mem_stats.dram.busy_cycles += 1),
+            ("l1.hits + l1.misses", |c| c.mem_stats.l1.hits = c.mem_stats.element_accesses),
+            ("requests <= element_accesses", |c| c.mem_stats.requests = c.mem_stats.element_accesses + 1),
+            ("l2.hits + l2.misses", |c| c.mem_stats.l1.misses = c.mem_stats.l2.accesses() + 1),
+        ];
+        for (identity, breaks) in broken {
+            let mut bad = cell.clone();
+            breaks(&mut bad);
+            let err = bad.check_identities().expect_err(identity);
+            assert!(err.contains(identity) && err.contains("gsm"), "{err}");
+        }
     }
 }

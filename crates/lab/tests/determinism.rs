@@ -12,6 +12,38 @@ fn run_with(spec: &ExperimentSpec, workers: usize) -> RunResult {
     run(spec, &RunOptions::with_workers(workers))
 }
 
+/// Hold every simulated cell of `result` to the counter identities.
+fn check_identities(result: &RunResult) {
+    for cell in result.cells().unwrap_or_default() {
+        if let Err(e) = cell.check_identities() {
+            panic!("{}: {e}", result.spec.name);
+        }
+    }
+}
+
+/// `results` equals the committed document at `rel` (from the repository
+/// root) through `exact_diff`, which skips `meta`.
+fn assert_matches_committed(results: &Value, rel: &str) {
+    let path = format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let committed = Value::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let exact = exact_diff(results, &committed).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert!(exact.difference.is_none(), "{rel}: {exact}");
+}
+
+/// The five grid experiments in full mode (2 workers) equal the committed
+/// root `BENCH_<name>.json` documents, and every cell holds the counter
+/// identities.
+#[test]
+fn full_mode_grids_equal_the_committed_documents() {
+    for name in ["stress", "figure7", "figure5", "latency_tolerance", "sweep"] {
+        let spec = ExperimentSpec::builtin(name, 1, false).expect("built-in spec");
+        let result = run_with(&spec, 2);
+        check_identities(&result);
+        assert_matches_committed(&result.results_json(), &format!("BENCH_{name}.json"));
+    }
+}
+
 /// A representative grid spec (the reduced Figure 5: 2 kernels x 4 ISAs x
 /// 4 widths = 32 simulations) run serially and with 4 workers must serialize
 /// to the same bytes.
@@ -36,17 +68,16 @@ fn figure5_parallel_and_serial_runs_are_byte_identical() {
 /// oversubscribed worker count (more threads than cells of some stages).
 /// The serial run also equals the committed fast-mode
 /// `baselines/BENCH_<name>.json` field for field, static tables included —
-/// the comparison behind `momlab diff --tolerance 0`.
+/// the comparison behind `momlab diff --tolerance 0` — and every cell it
+/// simulates holds the counter identities.
 #[test]
 fn every_builtin_experiment_is_deterministic_across_worker_counts() {
     for name in mom_lab::BUILTIN_EXPERIMENTS {
         let spec = ExperimentSpec::builtin(name, 1, true).expect("built-in spec");
-        let serial = run_with(&spec, 1).results_json();
-        let path = format!("{}/../../baselines/BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let baseline = Value::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let exact = exact_diff(&serial, &baseline).unwrap_or_else(|e| panic!("{path}: {e}"));
-        assert!(exact.difference.is_none(), "{name} vs {path}: {exact}");
+        let result = run_with(&spec, 1);
+        check_identities(&result);
+        let serial = result.results_json();
+        assert_matches_committed(&serial, &format!("baselines/BENCH_{name}.json"));
         let reference = serial.to_pretty();
         for workers in [2, 7] {
             let run = run_with(&spec, workers).results_json().to_pretty();
